@@ -1,16 +1,25 @@
-//! Criterion micro-benchmarks of applier sharding: reroute-rule install /
-//! remove and stage-1 refresh on a single global [`TwoStageTable`] versus a
-//! prefix-range [`PartitionedTable`], at corpus scale (16 sessions ×
-//! 65 536 prefixes = 1 M stage-1 entries, each session in its own /8 block).
+//! Criterion micro-benchmarks of the applier — the serialized half of the
+//! pipeline — at corpus scale (16 sessions × 65 536 prefixes = 1 M stage-1
+//! entries, each session in its own /8 block):
 //!
-//! The install scan walks every stage-1 entry of the table it runs on, so
-//! the partitioned install touches 1/K of the entries — this is the
-//! serialization cost the runtime's `applier_shards` knob removes.
+//! * reroute-rule install / remove and stage-1 refresh on a single global
+//!   [`TwoStageTable`] versus a prefix-range [`PartitionedTable`]. The install
+//!   reads the backup-in-use index, so it costs the same on both — the pair
+//!   is the number the "does partitioning still earn its keep" question needs;
+//! * the two per-event entry points of [`Applier`]: the RIB-mirror apply
+//!   (`note_event`, a withdrawal and the announcement restoring it) and
+//!   `apply_inference` (install + action log, with the resync that undoes it).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use swift_bgp::{AsLink, AsPath, Asn, PeerId, Prefix, Route, RouteAttributes, RoutingTable};
+use std::sync::Arc;
+use swift_bgp::{
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixSet, Route, RouteAttributes,
+    RoutingTable,
+};
 use swift_core::encoding::{PartitionedTable, PrefixPartitioner, ReroutingPolicy, TwoStageTable};
-use swift_core::EncodingConfig;
+use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
+use swift_core::pipeline::Applier;
+use swift_core::{EncodingConfig, SwiftConfig};
 
 const SESSIONS: u32 = 16;
 const PER_SESSION: u32 = 65_536;
@@ -75,7 +84,7 @@ fn bench_applier(c: &mut Criterion) {
     let home = PrefixPartitioner::new(PARTITIONS).partition_of(&p(0, 0));
 
     // Install + remove as a pair, so the table returns to its pre-iteration
-    // state and each iteration pays the same stage-1 scan.
+    // state.
     let mut single = global.clone();
     c.bench_function("applier/install_remove_single_1m", |b| {
         b.iter(|| {
@@ -116,6 +125,70 @@ fn bench_applier(c: &mut Criterion) {
                 &policy,
                 refresh.iter().copied(),
             ))
+        })
+    });
+
+    let swift = SwiftConfig {
+        encoding: config(),
+        ..Default::default()
+    };
+    let mut applier = Applier::from_parts(swift, routing.clone(), global, policy);
+
+    // 1 024 prefixes spread over all sessions: each withdrawn from its
+    // session, then announced again with its original attributes.
+    let churn: Vec<(PeerId, ElementaryEvent, ElementaryEvent)> = refresh
+        .iter()
+        .zip(0u32..)
+        .map(|(prefix, i)| {
+            let peer = PeerId(i % SESSIONS + 1);
+            let rib = routing.adj_rib_in(peer).expect("session is in the table");
+            let withdraw = ElementaryEvent::Withdraw {
+                timestamp: 1,
+                prefix: *prefix,
+            };
+            let announce = ElementaryEvent::Announce {
+                timestamp: 2,
+                prefix: *prefix,
+                attrs: rib.get(prefix).expect("announced").attrs.clone(),
+            };
+            (peer, withdraw, announce)
+        })
+        .collect();
+    c.bench_function("applier/note_event_withdraw_announce_1m", |b| {
+        b.iter(|| {
+            for (peer, withdraw, _) in &churn {
+                applier.note_event(*peer, withdraw);
+            }
+            for (peer, _, announce) in &churn {
+                applier.note_event(*peer, announce);
+            }
+        })
+    });
+    applier.resync_after_convergence();
+
+    // Session 0's whole block predicted: the install and the action log share
+    // the inference's set, the resync releases the rules again.
+    let result = InferenceResult {
+        time: 0,
+        withdrawals_seen: 2_500,
+        links: InferredLinks {
+            links: links.to_vec(),
+            score: Score {
+                ws: 1.0,
+                ps: 1.0,
+                fs: 1.0,
+            },
+        },
+        prediction: Prediction {
+            already_withdrawn: PrefixSet::new(),
+            predicted: Arc::new((0..PER_SESSION).map(|i| p(0, i)).collect()),
+        },
+    };
+    c.bench_function("applier/apply_inference_1m", |b| {
+        b.iter(|| {
+            let action = applier.apply_inference(PeerId(1), &result);
+            let removed = applier.resync_after_convergence();
+            std::hint::black_box((action.rules_installed, removed))
         })
     });
 }

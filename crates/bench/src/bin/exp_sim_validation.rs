@@ -178,13 +178,12 @@ fn main() {
 
             if let Some(res) = &early_result {
                 classify(&mut early, &res.links.links, &link);
-                let predicted: PrefixSet = res.prediction.predicted.clone();
                 let future: PrefixSet = withdrawn
                     .iter()
                     .filter(|p| !res.prediction.already_withdrawn.contains(p))
                     .copied()
                     .collect();
-                let c = Classification::from_sets(&predicted, &future, universe);
+                let c = Classification::from_sets(&res.prediction.predicted, &future, universe);
                 early.cpr.push(c.tpr());
                 early.fpr.push(c.fpr());
             }

@@ -15,6 +15,7 @@
 pub mod harness;
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use swift_bgp::{PeerId, PrefixSet, Timestamp};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Classification;
@@ -96,8 +97,9 @@ pub struct BurstEvaluation {
     pub falsely_predicted: usize,
     /// The inferred links.
     pub links: Vec<swift_bgp::AsLink>,
-    /// The predicted prefix set (for the encoding experiments).
-    pub predicted: PrefixSet,
+    /// The predicted prefix set (for the encoding experiments), shared with
+    /// the inference result.
+    pub predicted: Arc<PrefixSet>,
     /// Whether the inferred links are exactly/partly right is evaluated by the
     /// simulation experiment; trace bursts carry their synthetic failed link.
     pub failed_link: swift_bgp::AsLink,

@@ -11,8 +11,9 @@
 //!   scheme relies on).
 //! * [`RouteAttributes`] and [`BgpMessage`] — the subset of BGP path attributes
 //!   and UPDATE/WITHDRAW semantics the paper's algorithms consume.
-//! * [`AdjRibIn`], [`LocRib`] and [`RoutingTable`] — per-peer and router-wide
-//!   routing state with standard best-path selection.
+//! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
+//!   state with standard best-path selection, every route stored once behind
+//!   a table-wide [`PrefixId`] dictionary.
 //! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
 //!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
@@ -37,8 +38,8 @@ pub use as_path::{AsLink, AsPath, Asn};
 pub use attributes::{Community, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
-pub use prefix::{Prefix, PrefixError, PrefixSet};
-pub use rib::{AdjRibIn, LocRib, Route};
+pub use prefix::{Prefix, PrefixError, PrefixHasher, PrefixMap, PrefixSet};
+pub use rib::{AdjRibIn, PrefixId, Route};
 pub use session::{MessageStream, PeerId, Session, SessionId};
 pub use table::RoutingTable;
 

@@ -6,8 +6,9 @@
 //! table), so a compact `(u32, u8)` representation is used throughout.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::str::FromStr;
 
 /// Errors produced when parsing or constructing a [`Prefix`].
@@ -44,11 +45,57 @@ impl std::error::Error for PrefixError {}
 /// assert!(p.contains(&"10.1.2.0/24".parse().unwrap()));
 /// assert_eq!(p.to_string(), "10.0.0.0/8");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Prefix {
     addr: u32,
     len: u8,
 }
+
+/// One `u64` write per prefix, so a [`PrefixMap`] probe hashes with a single
+/// multiplication (the derived impl would feed the two fields separately).
+impl Hash for Prefix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.addr) << 8 | u64::from(self.len));
+    }
+}
+
+/// The multiplicative hasher behind [`PrefixMap`]: each written word is
+/// folded in with one multiplication by an odd 64-bit constant, and `finish`
+/// xors the well-mixed high half onto the low half (the hash table takes its
+/// bucket index from the low bits, which a bare product leaves as a function
+/// of the key's low bits alone — and a /24's low address byte is always zero).
+///
+/// It trades the default hasher's resistance to crafted collisions for a
+/// probe several times cheaper; the maps it serves sit on the per-event path
+/// of the RIB mirror.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefixHasher(u64);
+
+impl PrefixHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.fold(u64::from(*byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A hash map keyed by [`Prefix`] using [`PrefixHasher`]: probed, never
+/// iterated in order.
+pub type PrefixMap<V> = HashMap<Prefix, V, BuildHasherDefault<PrefixHasher>>;
 
 impl Prefix {
     /// The default route `0.0.0.0/0`.

@@ -1,23 +1,42 @@
 //! Routing Information Bases.
 //!
-//! * [`AdjRibIn`] — the per-peer RIB: what one neighbour currently announces.
-//! * [`LocRib`] — the router-wide RIB: all candidate routes per prefix plus the
-//!   standard BGP decision process selecting the best one.
+//! * [`Route`] — one route for one prefix from one peer, and the BGP decision
+//!   process ordering two of them.
+//! * [`AdjRibIn`] — the per-peer RIB: what one neighbour currently announces,
+//!   as a view into a [`crate::table::RoutingTable`].
+//!
+//! There is no separate router-wide RIB (a "Loc-RIB" holding a second copy of
+//! every candidate route): [`crate::table::RoutingTable`] answers the
+//! router-wide questions from the per-peer storage below, so every route
+//! exists exactly once.
 //!
 //! SWIFT needs both views: the inference algorithm's `W(l,t)` / `P(l,t)`
 //! counters are defined over the paths announced on *one* session (the per-peer
 //! view), whereas backup next-hop computation (§5) needs the alternative routes
 //! announced by *other* peers (the router-wide view, see
 //! [`crate::table::RoutingTable`]).
+//!
+//! # Storage and its invariants
+//!
+//! The table interns every prefix once (`PrefixInterner`: `Prefix` → dense
+//! [`PrefixId`], ids never reused) and each peer keeps `PeerRoutes`: a 4-byte
+//! slot per id pointing into a route slab with a free list. Applying an
+//! event is one hash probe plus array writes; nothing on that path is ordered.
+//! The invariants (`ids[prefixes[i]] == i`; non-vacant slots point at
+//! distinct live slab entries, the rest of the slab is the free list) are
+//! maintained in exactly three functions —
+//! `PrefixInterner::intern`, `PeerRoutes::insert` and `PeerRoutes::remove` —
+//! and checked against a plain ordered-map model by
+//! `crates/bgp/tests/proptest_table.rs`. Ordered iteration
+//! ([`AdjRibIn::iter`]) sorts on demand: it is used by generators, engine
+//! seeding and the forwarding-table build, never per event.
 
 use crate::as_path::{AsLink, AsPath};
 use crate::attributes::RouteAttributes;
-use crate::message::ElementaryEvent;
-use crate::prefix::Prefix;
+use crate::prefix::{Prefix, PrefixMap};
 use crate::session::PeerId;
 use crate::Timestamp;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
 
 /// A route for one prefix learned from one peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,19 +85,140 @@ impl Route {
     }
 }
 
-/// The Adjacency-RIB-In of one peering session: prefix → route announced by
-/// that peer.
-#[derive(Debug, Clone, Default)]
-pub struct AdjRibIn {
-    routes: BTreeMap<Prefix, Route>,
+/// Dense table-wide id of a prefix, handed out by a [`PrefixInterner`] in
+/// first-announcement order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PrefixId(pub(crate) u32);
+
+impl PrefixId {
+    /// The id as an array index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-impl AdjRibIn {
-    /// Creates an empty per-peer RIB.
-    pub fn new() -> Self {
-        Self::default()
+/// The table-wide `Prefix` ↔ [`PrefixId`] dictionary.
+///
+/// Invariant: `ids[prefixes[i]] == i` for every `i`, and ids are never
+/// reused or freed — a prefix that lost all its routes keeps its id, so the
+/// per-peer slot arrays indexed by it stay valid. Only an announcement
+/// interns; withdrawals look up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrefixInterner {
+    ids: PrefixMap<u32>,
+    prefixes: Vec<Prefix>,
+}
+
+impl PrefixInterner {
+    pub(crate) fn len(&self) -> usize {
+        self.prefixes.len()
     }
 
+    pub(crate) fn get(&self, prefix: &Prefix) -> Option<PrefixId> {
+        self.ids.get(prefix).map(|id| PrefixId(*id))
+    }
+
+    pub(crate) fn intern(&mut self, prefix: Prefix) -> PrefixId {
+        let next = self.prefixes.len() as u32;
+        let id = *self.ids.entry(prefix).or_insert(next);
+        if id == next {
+            self.prefixes.push(prefix);
+        }
+        PrefixId(id)
+    }
+
+    pub(crate) fn prefix(&self, id: PrefixId) -> &Prefix {
+        &self.prefixes[id.index()]
+    }
+}
+
+/// "No route" marker of [`PeerRoutes::slots`].
+const VACANT: u32 = u32::MAX;
+
+/// One peer's routes, stored once and found by [`PrefixId`].
+///
+/// `slots[id]` is the index of the id's route in the `routes` slab, or
+/// [`VACANT`] (as is every id beyond `slots.len()`). Invariants, maintained
+/// by `insert` / `remove` (the only writers): every non-vacant slot points at
+/// a distinct `Some` entry, and the `None` entries of `routes` are exactly
+/// the indices on the `free` list. A slot is 4 bytes, so a peer that
+/// announces only its own block of a large shared id space pays 4 bytes per
+/// foreign id, not a route-sized hole.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerRoutes {
+    slots: Vec<u32>,
+    routes: Vec<Option<Route>>,
+    free: Vec<u32>,
+}
+
+impl PeerRoutes {
+    pub(crate) fn len(&self) -> usize {
+        self.routes.len() - self.free.len()
+    }
+
+    pub(crate) fn get(&self, id: PrefixId) -> Option<&Route> {
+        match self.slots.get(id.index()) {
+            Some(&slot) if slot != VACANT => self.routes[slot as usize].as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Installs or replaces the route for `id`.
+    pub(crate) fn insert(&mut self, id: PrefixId, route: Route) {
+        if self.slots.len() <= id.index() {
+            self.slots.resize(id.index() + 1, VACANT);
+        }
+        let slot = &mut self.slots[id.index()];
+        if *slot == VACANT {
+            *slot = self.free.pop().unwrap_or_else(|| {
+                self.routes.push(None);
+                self.routes.len() as u32 - 1
+            });
+        }
+        self.routes[*slot as usize] = Some(route);
+    }
+
+    /// Removes the route for `id`; never grows the slot array.
+    pub(crate) fn remove(&mut self, id: PrefixId) -> Option<Route> {
+        let slot = std::mem::replace(self.slots.get_mut(id.index())?, VACANT);
+        if slot == VACANT {
+            return None;
+        }
+        self.free.push(slot);
+        self.routes[slot as usize].take()
+    }
+
+    /// Length of the id-indexed slot array (what a withdrawal must not grow).
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `(id, route)` pairs in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PrefixId, &Route)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| **slot != VACANT)
+            .map(|(id, slot)| {
+                let route = self.routes[*slot as usize].as_ref();
+                (PrefixId(id as u32), route.expect("occupied slot"))
+            })
+    }
+}
+
+/// The Adjacency-RIB-In of one peering session — what that peer currently
+/// announces — as a read-only view into the owning
+/// [`crate::table::RoutingTable`] (the peer's routes plus the table's prefix
+/// dictionary). Lookups are one hash probe; the ordered iterations sort on
+/// demand, which is what keeps a B-tree off the per-event path.
+#[derive(Debug, Clone, Copy)]
+pub struct AdjRibIn<'a> {
+    pub(crate) interner: &'a PrefixInterner,
+    pub(crate) routes: &'a PeerRoutes,
+}
+
+impl<'a> AdjRibIn<'a> {
     /// Number of prefixes currently announced by the peer.
     pub fn len(&self) -> usize {
         self.routes.len()
@@ -86,156 +226,48 @@ impl AdjRibIn {
 
     /// Returns `true` if the peer announces nothing.
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.len() == 0
     }
 
     /// The route for `prefix`, if announced.
-    pub fn get(&self, prefix: &Prefix) -> Option<&Route> {
-        self.routes.get(prefix)
+    pub fn get(&self, prefix: &Prefix) -> Option<&'a Route> {
+        self.routes.get(self.interner.get(prefix)?)
     }
 
-    /// Installs or replaces the route for a prefix. Returns the previous route
-    /// if the prefix was already announced (an implicit withdrawal).
-    pub fn announce(&mut self, prefix: Prefix, route: Route) -> Option<Route> {
-        self.routes.insert(prefix, route)
+    /// Iterates over `(prefix, route)` pairs in ascending prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a Prefix, &'a Route)> + 'a {
+        let interner = self.interner;
+        let mut entries: Vec<(Prefix, PrefixId, &Route)> = self
+            .routes
+            .iter()
+            .map(|(id, route)| (*interner.prefix(id), id, route))
+            .collect();
+        entries.sort_unstable_by_key(|(prefix, _, _)| *prefix);
+        entries
+            .into_iter()
+            .map(move |(_, id, route)| (interner.prefix(id), route))
     }
 
-    /// Removes the route for a prefix. Returns the removed route if present.
-    pub fn withdraw(&mut self, prefix: &Prefix) -> Option<Route> {
-        self.routes.remove(prefix)
-    }
-
-    /// Applies a per-prefix event coming from this peer.
-    pub fn apply(&mut self, peer: PeerId, event: &ElementaryEvent) -> Option<Route> {
-        match event {
-            ElementaryEvent::Announce {
-                timestamp,
-                prefix,
-                attrs,
-            } => self.announce(*prefix, Route::new(peer, attrs.clone(), *timestamp)),
-            ElementaryEvent::Withdraw { prefix, .. } => self.withdraw(prefix),
-        }
-    }
-
-    /// Iterates over `(prefix, route)` pairs in prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
-        self.routes.iter()
-    }
-
-    /// Iterates over the announced prefixes.
-    pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
-        self.routes.keys()
+    /// Iterates over the announced prefixes in ascending order.
+    pub fn prefixes(&self) -> impl Iterator<Item = &'a Prefix> + 'a {
+        self.iter().map(|(prefix, _)| prefix)
     }
 
     /// Number of announced prefixes whose AS path traverses `link` (directed).
     pub fn prefixes_via_link(&self, link: &AsLink) -> usize {
         self.routes
-            .values()
-            .filter(|r| r.as_path().crosses_link(link))
+            .iter()
+            .filter(|(_, r)| r.as_path().crosses_link(link))
             .count()
     }
 
-    /// Collects the prefixes whose AS path traverses `link` (directed).
+    /// Collects, in ascending order, the prefixes whose AS path traverses
+    /// `link` (directed).
     pub fn prefix_set_via_link(&self, link: &AsLink) -> Vec<Prefix> {
-        self.routes
-            .iter()
+        self.iter()
             .filter(|(_, r)| r.as_path().crosses_link(link))
-            .map(|(p, _)| *p)
+            .map(|(prefix, _)| *prefix)
             .collect()
-    }
-}
-
-/// The router-wide RIB: all candidate routes per prefix, from all peers, with
-/// best-path selection.
-#[derive(Debug, Clone, Default)]
-pub struct LocRib {
-    /// prefix → (peer → route)
-    candidates: BTreeMap<Prefix, HashMap<PeerId, Route>>,
-}
-
-impl LocRib {
-    /// Creates an empty Loc-RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of prefixes with at least one candidate route.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Returns `true` if no prefix has any route.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Installs or replaces the route announced by `route.peer` for `prefix`.
-    pub fn announce(&mut self, prefix: Prefix, route: Route) {
-        self.candidates
-            .entry(prefix)
-            .or_default()
-            .insert(route.peer, route);
-    }
-
-    /// Removes the route announced by `peer` for `prefix`.
-    pub fn withdraw(&mut self, prefix: &Prefix, peer: PeerId) -> Option<Route> {
-        let removed = self.candidates.get_mut(prefix)?.remove(&peer);
-        if self
-            .candidates
-            .get(prefix)
-            .map(|m| m.is_empty())
-            .unwrap_or(false)
-        {
-            self.candidates.remove(prefix);
-        }
-        removed
-    }
-
-    /// Applies a per-prefix event received from `peer`.
-    pub fn apply(&mut self, peer: PeerId, event: &ElementaryEvent) {
-        match event {
-            ElementaryEvent::Announce {
-                timestamp,
-                prefix,
-                attrs,
-            } => self.announce(*prefix, Route::new(peer, attrs.clone(), *timestamp)),
-            ElementaryEvent::Withdraw { prefix, .. } => {
-                self.withdraw(prefix, peer);
-            }
-        }
-    }
-
-    /// All candidate routes for a prefix (unordered).
-    pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> {
-        self.candidates
-            .get(prefix)
-            .into_iter()
-            .flat_map(|m| m.values())
-    }
-
-    /// The best route for a prefix under the BGP decision process.
-    pub fn best(&self, prefix: &Prefix) -> Option<&Route> {
-        self.candidates(prefix)
-            .max_by(|a, b| a.compare_preference(b))
-    }
-
-    /// The best route excluding those learned from `excluded` peer.
-    pub fn best_excluding(&self, prefix: &Prefix, excluded: PeerId) -> Option<&Route> {
-        self.candidates(prefix)
-            .filter(|r| r.peer != excluded)
-            .max_by(|a, b| a.compare_preference(b))
-    }
-
-    /// Iterates over all prefixes known to the Loc-RIB.
-    pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
-        self.candidates.keys()
-    }
-
-    /// Iterates over `(prefix, best route)` for every prefix that has a best.
-    pub fn best_routes(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
-        self.candidates
-            .keys()
-            .filter_map(move |p| self.best(p).map(|r| (p, r)))
     }
 }
 
@@ -243,6 +275,8 @@ impl LocRib {
 mod tests {
     use super::*;
     use crate::as_path::AsPath;
+    use crate::message::ElementaryEvent;
+    use crate::table::RoutingTable;
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
@@ -256,31 +290,47 @@ mod tests {
 
     #[test]
     fn adj_rib_announce_withdraw_roundtrip() {
-        let mut rib = AdjRibIn::new();
-        assert!(rib.is_empty());
-        assert!(rib.announce(p(1), route(1, &[2, 5, 6], None, 0)).is_none());
+        let mut t = table_with_peers(1);
+        let withdraw = |t: &mut RoutingTable| {
+            t.apply_owned(
+                PeerId(1),
+                ElementaryEvent::Withdraw {
+                    timestamp: 9,
+                    prefix: p(1),
+                },
+            )
+        };
+        assert!(t.adj_rib_in(PeerId(1)).unwrap().is_empty());
+        assert!(t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0)));
+        assert_eq!(t.adj_rib_in(PeerId(1)).unwrap().len(), 1);
+        // Re-announcement is an implicit withdrawal: the route is replaced.
+        assert!(t.announce(PeerId(1), p(1), route(1, &[3, 6], None, 5)));
+        let rib = t.adj_rib_in(PeerId(1)).unwrap();
         assert_eq!(rib.len(), 1);
-        // Re-announcement returns the implicit withdrawal.
-        let old = rib.announce(p(1), route(1, &[3, 6], None, 5));
-        assert!(old.is_some());
-        assert_eq!(old.unwrap().as_path(), &AsPath::new([2u32, 5, 6]));
-        assert!(rib.withdraw(&p(1)).is_some());
-        assert!(rib.withdraw(&p(1)).is_none());
-        assert!(rib.is_empty());
+        assert_eq!(rib.get(&p(1)).unwrap().as_path(), &AsPath::new([3u32, 6]));
+        assert!(withdraw(&mut t).is_some());
+        assert!(withdraw(&mut t).is_none());
+        assert!(t.adj_rib_in(PeerId(1)).unwrap().is_empty());
     }
 
     #[test]
     fn adj_rib_link_queries() {
-        let mut rib = AdjRibIn::new();
-        rib.announce(p(1), route(1, &[2, 5, 6], None, 0));
-        rib.announce(p(2), route(1, &[2, 5, 6, 8], None, 0));
-        rib.announce(p(3), route(1, &[2, 5, 7], None, 0));
+        let mut t = table_with_peers(1);
+        // Announced out of order: the ordered queries sort.
+        t.announce(PeerId(1), p(3), route(1, &[2, 5, 7], None, 0));
+        t.announce(PeerId(1), p(2), route(1, &[2, 5, 6, 8], None, 0));
+        t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0));
+        let rib = t.adj_rib_in(PeerId(1)).unwrap();
         assert_eq!(rib.prefixes_via_link(&AsLink::new(5, 6)), 2);
         assert_eq!(rib.prefixes_via_link(&AsLink::new(2, 5)), 3);
         assert_eq!(rib.prefixes_via_link(&AsLink::new(6, 8)), 1);
         assert_eq!(rib.prefixes_via_link(&AsLink::new(9, 9)), 0);
         let via = rib.prefix_set_via_link(&AsLink::new(5, 6));
         assert_eq!(via, vec![p(1), p(2)]);
+        assert_eq!(
+            rib.prefixes().copied().collect::<Vec<_>>(),
+            vec![p(1), p(2), p(3)]
+        );
     }
 
     #[test]
@@ -320,41 +370,67 @@ mod tests {
         assert_eq!(peer_low.compare_preference(&peer_high), Ordering::Greater);
     }
 
+    // The router-wide ("Loc-RIB") view: all candidates of a prefix and the
+    // decision process over them, answered from the per-peer slots.
+
+    /// A table with peers 1..=n registered.
+    fn table_with_peers(n: u32) -> RoutingTable {
+        let mut t = RoutingTable::new();
+        for peer in 1..=n {
+            t.add_peer(PeerId(peer), crate::as_path::Asn(peer));
+        }
+        t
+    }
+
+    fn announce(t: &mut RoutingTable, prefix: Prefix, route: Route) {
+        assert!(t.announce(route.peer, prefix, route));
+    }
+
+    fn withdraw(t: &mut RoutingTable, prefix: Prefix, peer: u32) -> bool {
+        let event = ElementaryEvent::Withdraw {
+            timestamp: 2,
+            prefix,
+        };
+        t.apply_owned(PeerId(peer), event).is_some()
+    }
+
     #[test]
     fn loc_rib_best_and_best_excluding() {
-        let mut rib = LocRib::new();
-        rib.announce(p(1), route(1, &[2, 5, 6], None, 0));
-        rib.announce(p(1), route(2, &[3, 6], None, 0));
-        rib.announce(p(1), route(3, &[4, 5, 6], None, 0));
+        let mut t = table_with_peers(3);
+        announce(&mut t, p(1), route(1, &[2, 5, 6], None, 0));
+        announce(&mut t, p(1), route(2, &[3, 6], None, 0));
+        announce(&mut t, p(1), route(3, &[4, 5, 6], None, 0));
         // Peer 2 has the shortest path.
-        assert_eq!(rib.best(&p(1)).unwrap().peer, PeerId(2));
+        assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(2));
         // Excluding peer 2, peers 1 and 3 tie on length; lowest peer id wins.
-        assert_eq!(
-            rib.best_excluding(&p(1), PeerId(2)).unwrap().peer,
-            PeerId(1)
-        );
-        assert_eq!(rib.candidates(&p(1)).count(), 3);
+        assert_eq!(t.best_excluding(&p(1), PeerId(2)).unwrap().peer, PeerId(1));
+        assert_eq!(t.candidates(&p(1)).count(), 3);
     }
 
     #[test]
     fn loc_rib_withdraw_cleans_up() {
-        let mut rib = LocRib::new();
-        rib.announce(p(1), route(1, &[2, 6], None, 0));
-        rib.announce(p(1), route(2, &[3, 6], None, 0));
-        assert_eq!(rib.len(), 1);
-        assert!(rib.withdraw(&p(1), PeerId(1)).is_some());
-        assert!(rib.withdraw(&p(1), PeerId(1)).is_none());
-        assert_eq!(rib.best(&p(1)).unwrap().peer, PeerId(2));
-        rib.withdraw(&p(1), PeerId(2));
-        assert!(rib.is_empty());
-        assert!(rib.best(&p(1)).is_none());
+        let mut t = table_with_peers(2);
+        announce(&mut t, p(1), route(1, &[2, 6], None, 0));
+        announce(&mut t, p(1), route(2, &[3, 6], None, 0));
+        assert_eq!(t.prefix_count(), 1);
+        assert!(withdraw(&mut t, p(1), 1));
+        assert!(!withdraw(&mut t, p(1), 1));
+        assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(2));
+        withdraw(&mut t, p(1), 2);
+        assert_eq!(t.prefix_count(), 0);
+        assert!(t.best(&p(1)).is_none());
+        assert_eq!(
+            t.prefixes().count(),
+            0,
+            "the id survives, the prefix does not"
+        );
     }
 
     #[test]
     fn loc_rib_apply_events() {
-        let mut rib = LocRib::new();
+        let mut t = table_with_peers(1);
         let attrs = RouteAttributes::from_path(AsPath::new([2u32, 6]));
-        rib.apply(
+        t.apply(
             PeerId(1),
             &ElementaryEvent::Announce {
                 timestamp: 1,
@@ -362,26 +438,29 @@ mod tests {
                 attrs,
             },
         );
-        assert_eq!(rib.len(), 1);
-        rib.apply(
+        assert_eq!(t.prefix_count(), 1);
+        assert_eq!(t.best(&p(1)).unwrap().learned_at, 1);
+        t.apply(
             PeerId(1),
             &ElementaryEvent::Withdraw {
                 timestamp: 2,
                 prefix: p(1),
             },
         );
-        assert!(rib.is_empty());
+        assert_eq!(t.prefix_count(), 0);
     }
 
     #[test]
     fn best_routes_iterates_all() {
-        let mut rib = LocRib::new();
-        for i in 0..5 {
-            rib.announce(p(i), route(1, &[2, 6], None, 0));
-            rib.announce(p(i), route(2, &[3, 4, 6], None, 0));
+        let mut t = table_with_peers(2);
+        // Announced in descending order: the iteration is ascending.
+        for i in (0..5).rev() {
+            announce(&mut t, p(i), route(1, &[2, 6], None, 0));
+            announce(&mut t, p(i), route(2, &[3, 4, 6], None, 0));
         }
-        let bests: Vec<_> = rib.best_routes().collect();
+        let bests: Vec<_> = t.best_routes().collect();
         assert_eq!(bests.len(), 5);
         assert!(bests.iter().all(|(_, r)| r.peer == PeerId(1)));
+        assert!(bests.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

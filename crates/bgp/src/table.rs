@@ -1,34 +1,48 @@
 //! Router-wide routing table: the view a SWIFTED border router has of the
 //! world.
 //!
-//! [`RoutingTable`] combines the per-peer Adj-RIB-Ins with best-path selection
-//! and offers the queries the SWIFT algorithms are built on:
+//! [`RoutingTable`] holds the per-peer Adj-RIB-Ins, runs best-path selection
+//! over them and offers the queries the SWIFT algorithms are built on:
 //!
 //! * which prefixes are currently forwarded over a given AS link, and at which
 //!   position of their AS path (used both by the inference counters and by the
 //!   encoding scheme's bit allocation);
 //! * which peers offer an alternate path for a prefix that avoids a given set
 //!   of ASes (used by backup next-hop computation, §5).
+//!
+//! # Single-copy storage
+//!
+//! Every route is stored once, in its peer's id-indexed slots (see
+//! [`crate::rib`]); the table adds the shared prefix dictionary. There is no
+//! per-prefix candidate map: the router-wide questions ([`RoutingTable::best`],
+//! [`RoutingTable::candidates`], …) resolve the prefix to its id with one hash
+//! probe and read that id's slot in each peer. The one invariant the table
+//! itself owns is that a peer's slots are indexed by *this* table's ids, which
+//! holds because the private `insert` is the only place a route enters a
+//! peer's storage. Withdrawing — or clearing a peer — never interns and never
+//! grows a slot array, so withdrawals for prefixes the table has never seen
+//! cost one failed probe.
 
 use crate::as_path::{AsLink, Asn};
 use crate::message::ElementaryEvent;
 use crate::prefix::Prefix;
-use crate::rib::{AdjRibIn, LocRib, Route};
+use crate::rib::{AdjRibIn, PeerRoutes, PrefixId, PrefixInterner, Route};
 use crate::session::PeerId;
 use std::collections::{BTreeMap, HashMap};
 
-/// The router-wide routing state: one [`AdjRibIn`] per peer plus a [`LocRib`].
+/// The router-wide routing state: the routes of every peer, stored once, over
+/// one shared prefix dictionary.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     peers: BTreeMap<PeerId, PeerState>,
-    loc_rib: LocRib,
+    interner: PrefixInterner,
 }
 
 /// Per-peer state held by the routing table.
 #[derive(Debug, Clone)]
 struct PeerState {
     asn: Asn,
-    rib: AdjRibIn,
+    routes: PeerRoutes,
 }
 
 impl RoutingTable {
@@ -46,7 +60,7 @@ impl RoutingTable {
             .and_modify(|state| state.asn = asn)
             .or_insert(PeerState {
                 asn,
-                rib: AdjRibIn::new(),
+                routes: PeerRoutes::default(),
             });
     }
 
@@ -66,76 +80,140 @@ impl RoutingTable {
     }
 
     /// The per-peer RIB of a registered peer.
-    pub fn adj_rib_in(&self, peer: PeerId) -> Option<&AdjRibIn> {
-        self.peers.get(&peer).map(|s| &s.rib)
+    pub fn adj_rib_in(&self, peer: PeerId) -> Option<AdjRibIn<'_>> {
+        self.peers.get(&peer).map(|s| AdjRibIn {
+            interner: &self.interner,
+            routes: &s.routes,
+        })
     }
 
-    /// The router-wide Loc-RIB.
-    pub fn loc_rib(&self) -> &LocRib {
-        &self.loc_rib
+    /// The prefix behind an id this table handed out.
+    pub fn prefix_of(&self, id: PrefixId) -> Prefix {
+        *self.interner.prefix(id)
     }
 
     /// Applies a per-prefix event received from `peer`.
     ///
     /// Returns `false` (and changes nothing) if the peer is not registered.
     pub fn apply(&mut self, peer: PeerId, event: &ElementaryEvent) -> bool {
-        let Some(state) = self.peers.get_mut(&peer) else {
+        if !self.peers.contains_key(&peer) {
             return false;
-        };
-        state.rib.apply(peer, event);
-        self.loc_rib.apply(peer, event);
+        }
+        self.apply_owned(peer, event.clone());
         true
+    }
+
+    /// [`RoutingTable::apply`] taking the event by value (an announcement's
+    /// attributes move into the table instead of being cloned). Returns the
+    /// id of the prefix whose routes changed, `None` when nothing did: the
+    /// peer is not registered, or it withdrew a route it does not hold.
+    pub fn apply_owned(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<PrefixId> {
+        match event {
+            ElementaryEvent::Announce {
+                timestamp,
+                prefix,
+                attrs,
+            } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp)),
+            ElementaryEvent::Withdraw { prefix, .. } => {
+                let state = self.peers.get_mut(&peer)?;
+                let id = self.interner.get(&prefix)?;
+                state.routes.remove(id).map(|_| id)
+            }
+        }
     }
 
     /// Bulk-announces a prefix from a peer (convenience used by generators).
     pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> bool {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return false;
-        };
-        state.rib.announce(prefix, route.clone());
-        self.loc_rib.announce(prefix, route);
-        true
+        self.insert(peer, prefix, route).is_some()
     }
 
-    /// Withdraws every route learned from `peer` — Adj-RIB-In and Loc-RIB —
-    /// while keeping the peer registered: the state of a BGP session that
-    /// just went down but may re-establish. Returns the prefixes whose route
-    /// from `peer` was withdrawn (unregistered peers yield an empty list).
+    /// Installs or replaces `peer`'s route for `prefix` — the only place a
+    /// prefix is interned and a route enters a peer's storage.
+    fn insert(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
+        let state = self.peers.get_mut(&peer)?;
+        let id = self.interner.intern(prefix);
+        state.routes.insert(id, route);
+        Some(id)
+    }
+
+    /// Withdraws every route learned from `peer` while keeping the peer
+    /// registered: the state of a BGP session that just went down but may
+    /// re-establish. Returns the prefixes whose route from `peer` was
+    /// withdrawn, in no particular order (unregistered peers yield an empty
+    /// list).
     pub fn clear_peer(&mut self, peer: PeerId) -> Vec<Prefix> {
         let Some(state) = self.peers.get_mut(&peer) else {
             return Vec::new();
         };
-        let rib = std::mem::take(&mut state.rib);
-        let prefixes: Vec<Prefix> = rib.prefixes().copied().collect();
-        for prefix in &prefixes {
-            self.loc_rib.withdraw(prefix, peer);
-        }
-        prefixes
+        let routes = std::mem::take(&mut state.routes);
+        routes
+            .iter()
+            .map(|(id, _)| *self.interner.prefix(id))
+            .collect()
     }
 
     /// Total number of prefixes with at least one route.
     pub fn prefix_count(&self) -> usize {
-        self.loc_rib.len()
+        self.routed_ids().count()
+    }
+
+    /// The ids that currently have a route from some peer, in id order.
+    fn routed_ids(&self) -> impl Iterator<Item = PrefixId> + '_ {
+        (0..self.interner.len() as u32)
+            .map(PrefixId)
+            .filter(|id| self.candidates_of(Some(*id)).next().is_some())
+    }
+
+    /// The routed ids in ascending prefix order — the sort every ordered
+    /// iteration of the table pays instead of keeping an ordered map.
+    fn routed_ids_by_prefix(&self) -> impl Iterator<Item = PrefixId> {
+        let mut routed: Vec<(Prefix, PrefixId)> = self
+            .routed_ids()
+            .map(|id| (*self.interner.prefix(id), id))
+            .collect();
+        routed.sort_unstable();
+        routed.into_iter().map(|(_, id)| id)
+    }
+
+    /// The routes every peer holds for one id (none for `None`).
+    fn candidates_of(&self, id: Option<PrefixId>) -> impl Iterator<Item = &Route> + Clone {
+        self.peers
+            .values()
+            .filter_map(move |state| state.routes.get(id?))
     }
 
     /// The best route for a prefix.
     pub fn best(&self, prefix: &Prefix) -> Option<&Route> {
-        self.loc_rib.best(prefix)
+        self.candidates(prefix)
+            .max_by(|a, b| a.compare_preference(b))
     }
 
     /// The best route for a prefix among routes from peers other than `peer`.
     pub fn best_excluding(&self, prefix: &Prefix, peer: PeerId) -> Option<&Route> {
-        self.loc_rib.best_excluding(prefix, peer)
+        self.alternative_avoiding(prefix, peer, &[])
     }
 
-    /// All candidate routes for a prefix.
-    pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> {
-        self.loc_rib.candidates(prefix)
+    /// All candidate routes for a prefix, in no particular order. The
+    /// iterator is cheap to clone: the prefix is resolved once, so several
+    /// passes over one prefix's candidates cost one hash probe.
+    pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> + Clone {
+        self.candidates_of(self.interner.get(prefix))
     }
 
-    /// Iterates over `(prefix, best route)` pairs.
+    /// Every routed prefix with its candidate routes, in ascending prefix
+    /// order: the whole-table pass (plan building, the forwarding-table
+    /// build) that resolves no prefix by hash.
+    pub fn routed(&self) -> impl Iterator<Item = (&Prefix, impl Iterator<Item = &Route> + Clone)> {
+        self.routed_ids_by_prefix()
+            .map(|id| (self.interner.prefix(id), self.candidates_of(Some(id))))
+    }
+
+    /// Iterates over `(prefix, best route)` pairs in ascending prefix order.
     pub fn best_routes(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
-        self.loc_rib.best_routes()
+        self.routed().map(|(prefix, candidates)| {
+            let best = candidates.max_by(|a, b| a.compare_preference(b));
+            (prefix, best.expect("routed ids have a candidate"))
+        })
     }
 
     /// Counts, for every directed AS link appearing in the best paths learned
@@ -146,7 +224,7 @@ impl RoutingTable {
     pub fn link_prefix_counts(&self, peer: PeerId) -> HashMap<AsLink, usize> {
         let mut counts: HashMap<AsLink, usize> = HashMap::new();
         if let Some(state) = self.peers.get(&peer) {
-            for (_, route) in state.rib.iter() {
+            for (_, route) in state.routes.iter() {
                 for link in route.as_path().links() {
                     *counts.entry(link).or_insert(0) += 1;
                 }
@@ -161,7 +239,7 @@ impl RoutingTable {
     pub fn positional_link_counts(&self, peer: PeerId) -> HashMap<(usize, AsLink), usize> {
         let mut counts: HashMap<(usize, AsLink), usize> = HashMap::new();
         if let Some(state) = self.peers.get(&peer) {
-            for (_, route) in state.rib.iter() {
+            for (_, route) in state.routes.iter() {
                 for (i, link) in route.as_path().links().enumerate() {
                     *counts.entry((i + 1, link)).or_insert(0) += 1;
                 }
@@ -171,17 +249,15 @@ impl RoutingTable {
     }
 
     /// The prefixes announced by `peer` whose path traverses any of `links`
-    /// (directed match).
+    /// (directed match), in ascending order.
     pub fn prefixes_via_links(&self, peer: PeerId, links: &[AsLink]) -> Vec<Prefix> {
-        match self.peers.get(&peer) {
-            None => Vec::new(),
-            Some(state) => state
-                .rib
-                .iter()
-                .filter(|(_, r)| r.as_path().crosses_any(links))
-                .map(|(p, _)| *p)
-                .collect(),
-        }
+        let Some(rib) = self.adj_rib_in(peer) else {
+            return Vec::new();
+        };
+        rib.iter()
+            .filter(|(_, r)| r.as_path().crosses_any(links))
+            .map(|(prefix, _)| *prefix)
+            .collect()
     }
 
     /// Finds, for `prefix`, the most preferred alternative route whose AS path
@@ -197,16 +273,16 @@ impl RoutingTable {
         exclude_peer: PeerId,
         avoid_ases: &[Asn],
     ) -> Option<&Route> {
-        self.loc_rib
-            .candidates(prefix)
+        self.candidates(prefix)
             .filter(|r| r.peer != exclude_peer)
             .filter(|r| !avoid_ases.iter().any(|a| r.as_path().contains_as(*a)))
             .max_by(|a, b| a.compare_preference(b))
     }
 
-    /// All prefixes known to the table.
+    /// All prefixes known to the table (those with at least one route), in
+    /// ascending order.
     pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
-        self.loc_rib.prefixes()
+        self.routed().map(|(prefix, _)| prefix)
     }
 }
 
@@ -266,6 +342,37 @@ mod tests {
         assert!(!t.apply(PeerId(9), &ev));
         t.add_peer(PeerId(9), Asn(9));
         assert!(t.apply(PeerId(9), &ev));
+    }
+
+    #[test]
+    fn withdrawing_an_unseen_prefix_interns_and_grows_nothing() {
+        let mut t = fig1_table();
+        let ids = t.interner.len();
+        let slots = |t: &RoutingTable| -> Vec<usize> {
+            t.peers.values().map(|s| s.routes.slot_count()).collect()
+        };
+        let before = slots(&t);
+        // Noise: a prefix no peer ever announced, and a known prefix (id 15)
+        // withdrawn by a peer whose slots stop at id 9.
+        for (peer, prefix) in [(2, p(999)), (4, p(15)), (4, p(999))] {
+            let ev = ElementaryEvent::Withdraw {
+                timestamp: 1,
+                prefix,
+            };
+            assert_eq!(t.apply_owned(PeerId(peer), ev), None);
+        }
+        assert_eq!(t.interner.len(), ids, "no id interned");
+        assert_eq!(slots(&t), before, "no per-peer index grew");
+        // Clearing a peer interns nothing either, and a real withdrawal
+        // reports the prefix's id.
+        assert_eq!(t.clear_peer(PeerId(4)).len(), 10);
+        assert_eq!(t.interner.len(), ids);
+        let ev = ElementaryEvent::Withdraw {
+            timestamp: 2,
+            prefix: p(15),
+        };
+        let id = t.apply_owned(PeerId(2), ev).expect("route removed");
+        assert_eq!(t.prefix_of(id), p(15));
     }
 
     #[test]

@@ -1,0 +1,253 @@
+//! Differential test of [`RoutingTable`]'s single-copy, id-indexed storage
+//! against the plainest possible model: one ordered map
+//! `(peer, prefix) → route` plus the set of registered peers. Random
+//! `add_peer` / `announce` / `apply` / `clear_peer` sequences — including
+//! events from unknown peers, duplicate withdrawals, withdrawals of prefixes
+//! nobody ever announced and implicit withdrawals by re-announcement — must
+//! leave every query of the table equal to the model's answer.
+
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use swift_bgp::{
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
+};
+
+/// Peers 1..=4 can be registered; 5 never is, so its events must bounce.
+const PEERS: u32 = 5;
+/// Withdrawals draw from all 24 prefixes, announcements from the first 16:
+/// the last 8 are prefixes the table has never seen.
+const PREFIXES: u32 = 24;
+const ANNOUNCED: u32 = 16;
+
+fn p(i: u32) -> Prefix {
+    // Descending addresses: id order (first announcement) and prefix order
+    // disagree, so every ordered iteration has to sort.
+    Prefix::nth_slash24(1_000 - i * 37 % 101)
+}
+
+/// One step: `(operation, peer, prefix index, path hops)`.
+type Op = (u8, u32, u32, Vec<u32>);
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        (
+            0u8..10,
+            1u32..PEERS + 1,
+            0u32..PREFIXES,
+            proptest::collection::vec(1u32..9, 1..5),
+        ),
+        0..120,
+    )
+}
+
+#[derive(Default)]
+struct Model {
+    peers: BTreeMap<PeerId, Asn>,
+    routes: BTreeMap<(PeerId, Prefix), Route>,
+}
+
+impl Model {
+    fn candidates(&self, prefix: &Prefix) -> Vec<&Route> {
+        self.routes
+            .iter()
+            .filter(|((_, q), _)| q == prefix)
+            .map(|(_, r)| r)
+            .collect()
+    }
+
+    fn best_among<'a>(routes: impl IntoIterator<Item = &'a Route>) -> Option<&'a Route> {
+        routes.into_iter().max_by(|a, b| a.compare_preference(b))
+    }
+
+    fn rib(&self, peer: PeerId) -> Vec<(Prefix, &Route)> {
+        self.routes
+            .iter()
+            .filter(|((q, _), _)| *q == peer)
+            .map(|((_, prefix), r)| (*prefix, r))
+            .collect()
+    }
+}
+
+fn route(peer: PeerId, hops: &[u32], t: u64) -> Route {
+    let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().copied()));
+    // Vary LOCAL_PREF and MED so every step of the decision process decides
+    // somewhere.
+    attrs.local_pref = (hops[0] % 3 == 0).then_some(100 + hops[0]);
+    attrs.med = (hops.len() % 2 == 0).then_some(hops[0]);
+    Route::new(peer, attrs, t)
+}
+
+/// Applies one operation to both sides and checks their return values agree.
+fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Result<(), String> {
+    let (kind, peer, i, hops) = op;
+    let (peer, t) = (PeerId(*peer), k as u64);
+    let prefix = if *kind < 6 { p(*i % ANNOUNCED) } else { p(*i) };
+    let known = model.peers.contains_key(&peer);
+    match kind {
+        0 if peer.0 < PEERS => {
+            // Registration, or re-registration with a new AS number (which
+            // keeps the RIB).
+            let asn = Asn(100 + hops[0]);
+            table.add_peer(peer, asn);
+            model.peers.insert(peer, asn);
+        }
+        0 => {}
+        1 => {
+            let cleared: BTreeSet<Prefix> = table.clear_peer(peer).into_iter().collect();
+            let expected: BTreeSet<Prefix> = model.rib(peer).iter().map(|(q, _)| *q).collect();
+            prop_assert_eq!(cleared, expected);
+            model.routes.retain(|(q, _), _| *q != peer);
+        }
+        2 | 3 => {
+            let r = route(peer, hops, t);
+            prop_assert_eq!(table.announce(peer, prefix, r.clone()), known);
+            if known {
+                model.routes.insert((peer, prefix), r);
+            }
+        }
+        4 | 5 => {
+            let event = ElementaryEvent::Announce {
+                timestamp: t,
+                prefix,
+                attrs: route(peer, hops, t).attrs,
+            };
+            prop_assert_eq!(table.apply(peer, &event), known);
+            if known {
+                model.routes.insert((peer, prefix), route(peer, hops, t));
+            }
+        }
+        _ => {
+            // Withdrawals, half by reference and half owned.
+            let event = ElementaryEvent::Withdraw {
+                timestamp: t,
+                prefix,
+            };
+            let held = model.routes.remove(&(peer, prefix)).is_some();
+            if kind % 2 == 0 {
+                prop_assert_eq!(table.apply(peer, &event), known);
+            } else {
+                let changed = table.apply_owned(peer, event);
+                prop_assert_eq!(
+                    changed.map(|id| table.prefix_of(id)),
+                    held.then_some(prefix)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every query of the table against the model's answer.
+fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
+    let peers: Vec<(PeerId, Asn)> = model.peers.iter().map(|(q, a)| (*q, *a)).collect();
+    prop_assert_eq!(table.peers().collect::<Vec<_>>(), peers);
+    prop_assert_eq!(table.peer_count(), model.peers.len());
+
+    // Per-peer view: length, ascending order, point lookups, link counts.
+    for probe in 1..=PEERS + 1 {
+        let peer = PeerId(probe);
+        let Some(rib) = table.adj_rib_in(peer) else {
+            prop_assert!(!model.peers.contains_key(&peer));
+            prop_assert!(table.link_prefix_counts(peer).is_empty());
+            continue;
+        };
+        prop_assert_eq!(table.peer_asn(peer), model.peers.get(&peer).copied());
+        let expected = model.rib(peer);
+        prop_assert_eq!(rib.len(), expected.len());
+        prop_assert_eq!(rib.is_empty(), expected.is_empty());
+        let got: Vec<(Prefix, &Route)> = rib.iter().map(|(q, r)| (*q, r)).collect();
+        prop_assert_eq!(&got, &expected);
+        let prefixes: Vec<Prefix> = rib.prefixes().copied().collect();
+        prop_assert_eq!(
+            prefixes,
+            expected.iter().map(|(q, _)| *q).collect::<Vec<_>>()
+        );
+        for i in 0..PREFIXES {
+            prop_assert_eq!(rib.get(&p(i)), model.routes.get(&(peer, p(i))));
+        }
+        let mut links: HashMap<AsLink, usize> = HashMap::new();
+        let mut positional: HashMap<(usize, AsLink), usize> = HashMap::new();
+        for (_, r) in &expected {
+            for (d, link) in r.as_path().links().enumerate() {
+                *links.entry(link).or_insert(0) += 1;
+                *positional.entry((d + 1, link)).or_insert(0) += 1;
+            }
+        }
+        prop_assert_eq!(table.link_prefix_counts(peer), links.clone());
+        prop_assert_eq!(table.positional_link_counts(peer), positional);
+        for link in links.keys() {
+            let via: Vec<Prefix> = expected
+                .iter()
+                .filter(|(_, r)| r.as_path().crosses_link(link))
+                .map(|(q, _)| *q)
+                .collect();
+            prop_assert_eq!(rib.prefixes_via_link(link), via.len());
+            prop_assert_eq!(&rib.prefix_set_via_link(link), &via);
+            prop_assert_eq!(&table.prefixes_via_links(peer, &[*link]), &via);
+        }
+    }
+
+    // Router-wide view.
+    let routed: BTreeSet<Prefix> = model.routes.keys().map(|(_, q)| *q).collect();
+    prop_assert_eq!(table.prefix_count(), routed.len());
+    let ordered: Vec<Prefix> = routed.iter().copied().collect();
+    prop_assert_eq!(
+        table.prefixes().copied().collect::<Vec<_>>(),
+        ordered.clone()
+    );
+    for ((prefix, candidates), expected) in table.routed().zip(&ordered) {
+        prop_assert_eq!(prefix, expected);
+        let mut got: Vec<&Route> = candidates.collect();
+        got.sort_by_key(|r| r.peer);
+        prop_assert_eq!(got, model.candidates(prefix));
+    }
+    let bests: Vec<(Prefix, &Route)> = table.best_routes().map(|(q, r)| (*q, r)).collect();
+    let expected_bests: Vec<(Prefix, &Route)> = ordered
+        .iter()
+        .map(|q| (*q, Model::best_among(model.candidates(q)).expect("routed")))
+        .collect();
+    prop_assert_eq!(bests, expected_bests);
+    for i in 0..PREFIXES {
+        let prefix = p(i);
+        let candidates = model.candidates(&prefix);
+        prop_assert_eq!(
+            table.best(&prefix),
+            Model::best_among(candidates.iter().copied())
+        );
+        let mut got: Vec<&Route> = table.candidates(&prefix).collect();
+        got.sort_by_key(|r| r.peer); // compared as a set
+        prop_assert_eq!(&got, &candidates);
+        for excluded in 1..=PEERS {
+            let others = candidates.iter().copied().filter(|r| r.peer.0 != excluded);
+            prop_assert_eq!(
+                table.best_excluding(&prefix, PeerId(excluded)),
+                Model::best_among(others.clone())
+            );
+            for avoid in [vec![], vec![Asn(3)], vec![Asn(2), Asn(7)]] {
+                let eligible = others
+                    .clone()
+                    .filter(|r| !avoid.iter().any(|a| r.as_path().contains_as(*a)));
+                prop_assert_eq!(
+                    table.alternative_avoiding(&prefix, PeerId(excluded), &avoid),
+                    Model::best_among(eligible)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// After every step of a random operation sequence the table answers
+    /// every query like the ordered-map model, and a clone of it does too.
+    #[test]
+    fn routing_table_matches_the_ordered_map_model(ops in arb_ops()) {
+        let mut table = RoutingTable::new();
+        let mut model = Model::default();
+        for (k, op) in ops.iter().enumerate() {
+            step(&mut table, &mut model, k, op)?;
+            check(&table, &model)?;
+        }
+        check(&table.clone(), &model)?;
+    }
+}

@@ -10,7 +10,7 @@
 
 use crate::encoding::policy::ReroutingPolicy;
 use std::collections::BTreeMap;
-use swift_bgp::{AsLink, PeerId, Prefix, RoutingTable};
+use swift_bgp::{AsLink, PeerId, Prefix, Route, RoutingTable};
 
 /// The pre-computed next-hops of one prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,8 +38,18 @@ pub fn select_backup(
     link: &AsLink,
     policy: &ReroutingPolicy,
 ) -> Option<PeerId> {
-    table
-        .candidates(prefix)
+    select_backup_among(table.candidates(prefix), primary, link, policy)
+}
+
+/// [`select_backup`] over an already-resolved candidate set — lets a caller
+/// that needs several backups of one prefix look the prefix up once.
+pub fn select_backup_among<'a>(
+    candidates: impl Iterator<Item = &'a Route>,
+    primary: PeerId,
+    link: &AsLink,
+    policy: &ReroutingPolicy,
+) -> Option<PeerId> {
+    candidates
         .filter(|r| r.peer != primary)
         .filter(|r| policy.allows(r.peer))
         .filter(|r| !r.as_path().visits_endpoint_of(link))

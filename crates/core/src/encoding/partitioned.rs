@@ -2,10 +2,12 @@
 //! applier sharding.
 //!
 //! The SWIFT install path (inference accepted → stage-2 rules in the data
-//! plane) serializes on the forwarding table. But the table's hot-path work
-//! is *per prefix range*: installing a reroute scans stage 1 for tags
-//! crossing the inferred link, and a session's predicted prefixes all live in
-//! its own prefix block (`swift-traces` spaces sessions
+//! plane) serializes on the forwarding table. But the table's state is *per
+//! prefix range*: a reroute's rules depend only on the tags of the prefixes
+//! crossing the inferred link (read from each table's backup-in-use index,
+//! no longer by scanning stage 1 — so a partition divides the retag work and
+//! the lock, not the install cost), and a session's predicted prefixes all
+//! live in its own prefix block (`swift-traces` spaces sessions
 //! `SESSION_PREFIX_SPACING` = 65,536 /24-indexes apart, which under
 //! `Prefix::nth_slash24` is exactly one /8 of address space). Partitioning
 //! stage 1 by /8 block therefore makes installs coordination-free: each
@@ -148,9 +150,8 @@ impl PartitionedTable {
 
     /// Installs the reroute rules for `links` on the `home` partition (the
     /// inferring session's partition) and returns the partition-local
-    /// [`RerouteId`] plus the number of data-plane rules installed. The scan
-    /// for backups-in-use touches only the home partition's stage-1 entries —
-    /// the whole point of the split.
+    /// [`RerouteId`] plus the number of data-plane rules installed. Only the
+    /// home partition's backup-in-use index and stage 2 are touched.
     pub fn install_reroute_tracked(&mut self, home: usize, links: &[AsLink]) -> (RerouteId, usize) {
         self.parts[home].install_reroute_tracked(links)
     }

@@ -7,15 +7,33 @@
 //!   link position, backup next-hop).
 //!
 //! The crucial property reproduced here is that rerouting N affected prefixes
-//! requires a number of stage-2 rule installations that is independent of N.
+//! requires a number of stage-2 rule installations that is independent of N —
+//! and so is the work of finding them.
+//!
+//! # The backup-in-use index
+//!
+//! A reroute for link `l` at position `d` needs one rule per backup next-hop
+//! that some tagged prefix crossing `l` at `d` actually carries in slot `d`.
+//! Instead of scanning stage 1 for them, the table keeps `backup_refs`: for
+//! every `(position, code, next-hop slot)` the number of stage-1 tags whose
+//! position-`d` field is `code` and whose slot-`d` field is that next-hop.
+//! Invariant: `backup_refs` equals that count over the current `stage1`, for
+//! every triple with a non-zero code and next-hop. It is maintained in
+//! exactly one place, the private `set_tag`, which is the only code that
+//! writes `stage1` (`build` and `refresh_prefixes` retag through it,
+//! `partition_clone` fills its copy through it).
+//! [`TwoStageTable::install_reroute_tracked`] reads one row of it per
+//! (link, position): O(rules), whatever the table size.
+//! `crates/core/tests/proptest_install_index.rs` checks the index against a
+//! stage-1 scan under random churn.
 
 use crate::config::EncodingConfig;
 use crate::encoding::allocator::EncodingPlan;
-use crate::encoding::backup::select_backup;
+use crate::encoding::backup::select_backup_among;
 use crate::encoding::policy::ReroutingPolicy;
 use crate::encoding::tag::{TagLayout, TagRule};
 use std::collections::{BTreeMap, BTreeSet};
-use swift_bgp::{AsLink, PeerId, Prefix, PrefixSet, RoutingTable};
+use swift_bgp::{AsLink, PeerId, Prefix, PrefixMap, PrefixSet, Route, RoutingTable};
 
 /// Identifier of one installed reroute (one accepted inference's batch of
 /// stage-2 rules), handed out by [`TwoStageTable::install_reroute_tracked`]
@@ -49,8 +67,15 @@ const REROUTE_PRIORITY: u32 = 100;
 pub struct TwoStageTable {
     layout: TagLayout,
     plan: EncodingPlan,
-    /// Stage 1: prefix → tag.
-    stage1: BTreeMap<Prefix, u64>,
+    /// Stage 1: prefix → tag. Probed (lookups, retags), never iterated in
+    /// order. Written only by `set_tag`.
+    stage1: PrefixMap<u64>,
+    /// `backup_refs[d - 1][code * refs_stride + nh]`: stage-1 tags with
+    /// `code` at position `d` and next-hop `nh` in backup slot `d` (see the
+    /// module docs). Rows grow on first use.
+    backup_refs: Vec<Vec<u32>>,
+    /// Row length of `backup_refs`: one counter per next-hop index, 0 unused.
+    refs_stride: usize,
     /// Stage 2: rules, scanned highest priority first.
     stage2: Vec<Stage2Rule>,
     /// Dense index of next-hops used in tags.
@@ -102,17 +127,23 @@ impl TwoStageTable {
         let mut ts = TwoStageTable {
             layout,
             plan,
-            stage1: BTreeMap::new(),
+            stage1: PrefixMap::default(),
+            backup_refs: vec![Vec::new(); config.max_depth],
+            refs_stride: nexthops.len() + 1,
             stage2,
             nexthop_index,
             nexthops,
             max_depth: config.max_depth,
             next_reroute: 0,
         };
-        // Tag every prefix through the same per-prefix path the incremental
-        // refresh uses — build and refresh cannot drift apart.
-        let prefixes: Vec<Prefix> = table.best_routes().map(|(p, _)| *p).collect();
-        ts.refresh_prefixes(table, policy, prefixes);
+        // Tag every prefix through the same two steps the incremental
+        // refresh uses — build and refresh cannot drift apart — but walk the
+        // table in its own order instead of probing it once per prefix.
+        ts.stage1.reserve(table.prefix_count());
+        for (prefix, candidates) in table.routed() {
+            let tag = ts.compute_tag(candidates, policy);
+            ts.set_tag(*prefix, tag);
+        }
         ts
     }
 
@@ -139,41 +170,70 @@ impl TwoStageTable {
         let mut touched = 0;
         for prefix in prefixes {
             touched += 1;
-            match self.compute_tag(table, &prefix, policy) {
-                Some(tag) => {
-                    self.stage1.insert(prefix, tag);
-                }
-                None => {
-                    self.stage1.remove(&prefix);
-                }
-            }
+            let tag = self.compute_tag(table.candidates(&prefix), policy);
+            self.set_tag(prefix, tag);
         }
         touched
     }
 
-    /// The stage-1 tag of `prefix` under the current routing state, or `None`
-    /// if no route remains. Shared by `build` and `refresh_prefixes`.
-    fn compute_tag(
+    /// Sets (or, with `None`, removes) the stage-1 entry of `prefix` and
+    /// moves its references in the backup-in-use index from the old tag to
+    /// the new one. The only writer of `stage1` and `backup_refs`.
+    fn set_tag(&mut self, prefix: Prefix, tag: Option<u64>) {
+        let old = match tag {
+            Some(tag) => self.stage1.insert(prefix, tag),
+            None => self.stage1.remove(&prefix),
+        };
+        if old == tag {
+            return;
+        }
+        for (tag, counted) in [(old, true), (tag, false)] {
+            let Some(tag) = tag else { continue };
+            for pos in 1..=self.max_depth {
+                let code = self.layout.get_position(tag, pos) as usize;
+                let nh = self.layout.get_nexthop(tag, pos) as usize;
+                if code == 0 || nh == 0 {
+                    continue;
+                }
+                let row = &mut self.backup_refs[pos - 1];
+                let at = code * self.refs_stride + nh;
+                if counted {
+                    row[at] -= 1;
+                } else {
+                    if row.len() <= at {
+                        row.resize((code + 1) * self.refs_stride, 0);
+                    }
+                    row[at] += 1;
+                }
+            }
+        }
+    }
+
+    /// The stage-1 tag of a prefix with the given candidate routes, or `None`
+    /// if there are none. Shared by `build` and `refresh_prefixes`; best path
+    /// and every backup slot are passes over the same candidates, so the
+    /// caller resolves the prefix once.
+    fn compute_tag<'a>(
         &self,
-        table: &RoutingTable,
-        prefix: &Prefix,
+        candidates: impl Iterator<Item = &'a Route> + Clone,
         policy: &ReroutingPolicy,
     ) -> Option<u64> {
-        let best = table.best(prefix)?;
+        let best = candidates.clone().max_by(|a, b| a.compare_preference(b))?;
         let mut tag = 0u64;
-        // AS-path part.
-        for (i, code) in self.plan.path_codes(best.as_path()).iter().enumerate() {
-            tag = self.layout.set_position(tag, i + 1, *code);
-        }
-        // Next-hop part: slot 0 primary, slot d backup for position d.
+        // Slot 0: the primary next-hop.
         if let Some(idx) = self.nexthop_index.get(&best.peer) {
             tag = self.layout.set_nexthop(tag, 0, *idx);
         }
+        // Per position d: the code of the path's link there (0 when not
+        // encoded) and, in slot d, the backup next-hop protecting it.
         for pos in 1..=self.max_depth {
             let Some(link) = best.as_path().link_at_position(pos) else {
-                continue;
+                break;
             };
-            if let Some(peer) = select_backup(table, prefix, best.peer, &link, policy) {
+            if let Some(code) = self.plan.code_of(pos, &link) {
+                tag = self.layout.set_position(tag, pos, code);
+            }
+            if let Some(peer) = select_backup_among(candidates.clone(), best.peer, &link, policy) {
                 if let Some(idx) = self.nexthop_index.get(&peer) {
                     tag = self.layout.set_nexthop(tag, pos, *idx);
                 }
@@ -260,19 +320,16 @@ impl TwoStageTable {
                     .code_of(pos, link)
                     .expect("positions_of only returns encoded positions");
                 // One rule per backup next-hop actually used by tagged prefixes
-                // crossing this link at this position.
-                let mut backups_in_use: BTreeSet<u64> = BTreeSet::new();
-                for tag in self.stage1.values() {
-                    if self.layout.get_position(*tag, pos) == code {
-                        let nh = self.layout.get_nexthop(*tag, pos);
-                        if nh != 0 {
-                            backups_in_use.insert(nh);
-                        }
+                // crossing this link at this position, in ascending next-hop
+                // order (`lookup` breaks priority ties by stage-2 position):
+                // the non-zero counters of this (position, code)'s index row.
+                for nh in 1..self.refs_stride {
+                    let at = code as usize * self.refs_stride + nh;
+                    if self.backup_refs[pos - 1].get(at).map_or(true, |n| *n == 0) {
+                        continue;
                     }
-                }
-                for nh in backups_in_use {
-                    let peer = self.nexthops[(nh - 1) as usize];
-                    let rule = self.layout.reroute_rule(pos, code, nh);
+                    let peer = self.nexthops[nh - 1];
+                    let rule = self.layout.reroute_rule(pos, code, nh as u64);
                     // Idempotence at the data plane: an identical rule already
                     // present means no new data-plane update. The entry is
                     // still recorded under this reroute's id — a *claim* on
@@ -355,15 +412,12 @@ impl TwoStageTable {
     where
         F: Fn(&Prefix) -> bool,
     {
-        TwoStageTable {
+        let mut part = TwoStageTable {
             layout: self.layout.clone(),
             plan: self.plan.clone(),
-            stage1: self
-                .stage1
-                .iter()
-                .filter(|(prefix, _)| keep(prefix))
-                .map(|(prefix, tag)| (*prefix, *tag))
-                .collect(),
+            stage1: PrefixMap::default(),
+            backup_refs: vec![Vec::new(); self.max_depth],
+            refs_stride: self.refs_stride,
             stage2: self
                 .stage2
                 .iter()
@@ -374,7 +428,13 @@ impl TwoStageTable {
             nexthops: self.nexthops.clone(),
             max_depth: self.max_depth,
             next_reroute: 0,
+        };
+        for (prefix, tag) in &self.stage1 {
+            if keep(prefix) {
+                part.set_tag(*prefix, Some(*tag));
+            }
         }
+        part
     }
 
     /// Encoding performance (§6.4): among `predicted` prefixes, the fraction

@@ -6,6 +6,7 @@
 
 use crate::inference::aggregate::InferredLinks;
 use crate::inference::counters::LinkCounters;
+use std::sync::Arc;
 use swift_bgp::{Prefix, PrefixSet};
 
 /// The prefix-level view of an inference.
@@ -16,8 +17,9 @@ pub struct Prediction {
     pub already_withdrawn: PrefixSet,
     /// Prefixes whose current path traverses an inferred link and that are
     /// still routed — these are the prefixes SWIFT reroutes (the "predicted
-    /// future withdrawals" of §6.3).
-    pub predicted: PrefixSet,
+    /// future withdrawals" of §6.3). A shared handle: the reroute action, the
+    /// action log and the runtime's report all hold this one set.
+    pub predicted: Arc<PrefixSet>,
 }
 
 impl Prediction {
@@ -49,7 +51,7 @@ pub fn predict(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
     let (already_withdrawn, predicted) = counters.crossing_prefixes(&links.links);
     Prediction {
         already_withdrawn,
-        predicted,
+        predicted: Arc::new(predicted),
     }
 }
 
@@ -71,7 +73,7 @@ pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Predictio
         .collect();
     Prediction {
         already_withdrawn,
-        predicted,
+        predicted: Arc::new(predicted),
     }
 }
 

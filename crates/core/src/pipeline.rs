@@ -26,14 +26,28 @@
 //! inspection) and **deferred** (events buffered and folded into the table
 //! only when a resync or an explicit [`Applier::sync_rib`] needs it — the
 //! runtime's mode, keeping the applier thread off the hot path).
+//!
+//! # The dirty set
+//!
+//! Whichever mode folds an event, the prefix whose routes it changed is
+//! marked dirty for the next resync's stage-1 retag. The set is keyed by the
+//! routing table's [`PrefixId`] — the id [`RoutingTable::apply_owned`] returns
+//! from the one probe it makes anyway — as an id list plus a seen-bitmap, so
+//! marking is an array write. Invariant: bit `i` of `seen` is set exactly
+//! when id `i` is in `ids`; both are written only by `DirtySet::mark` and
+//! `DirtySet::take`. An event that changed nothing (unregistered peer,
+//! withdrawal of a route the peer does not hold) returns no id and marks
+//! nothing.
 
 use crate::config::SwiftConfig;
 use crate::encoding::{RerouteId, ReroutingPolicy, TwoStageTable};
 use crate::inference::{EngineStatus, InferenceEngine, InferenceResult};
 use crate::router::RerouteAction;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use swift_bgp::{
-    AsLink, Asn, ElementaryEvent, InternedRib, PeerId, Prefix, PrefixSet, Route, RoutingTable,
+    AsLink, Asn, ElementaryEvent, InternedRib, PeerId, Prefix, PrefixId, PrefixSet, Route,
+    RoutingTable,
 };
 
 /// One BGP session's inference half: the per-session state a worker shard
@@ -94,6 +108,35 @@ pub fn session_engines(
     engines
 }
 
+/// The prefixes whose routes changed since the last resync, by routing-table
+/// id: insertion-ordered, deduplicated through a bitmap (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct DirtySet {
+    ids: Vec<PrefixId>,
+    seen: Vec<u64>,
+}
+
+impl DirtySet {
+    fn mark(&mut self, id: PrefixId) {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if self.seen.len() <= word {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.ids.push(id);
+        }
+    }
+
+    /// Empties the set, returning the marked ids.
+    fn take(&mut self) -> Vec<PrefixId> {
+        for id in &self.ids {
+            self.seen[id.index() / 64] = 0;
+        }
+        std::mem::take(&mut self.ids)
+    }
+}
+
 /// The serialized half of the pipeline: routing state, forwarding-table rule
 /// installs and the reconvergence resync.
 #[derive(Debug, Clone)]
@@ -105,7 +148,7 @@ pub struct Applier {
     actions: Vec<RerouteAction>,
     /// Prefixes whose routes changed since the last resync — the set the
     /// incremental stage-1 refresh retags.
-    dirty: PrefixSet,
+    dirty: DirtySet,
     /// Reroutes installed and not yet resynced away, tagged with the session
     /// whose inference installed them (so a session teardown can remove just
     /// that session's rules).
@@ -120,17 +163,7 @@ impl Applier {
     /// to the routing table as it arrives).
     pub fn new(config: SwiftConfig, table: RoutingTable, policy: ReroutingPolicy) -> Self {
         let forwarding = TwoStageTable::build(&table, &config.encoding, &policy);
-        Applier {
-            config,
-            policy,
-            table,
-            forwarding,
-            actions: Vec::new(),
-            dirty: PrefixSet::new(),
-            outstanding: Vec::new(),
-            pending: Vec::new(),
-            deferred_rib: false,
-        }
+        Self::from_parts(config, table, forwarding, policy)
     }
 
     /// Assembles an applier from pre-built parts — the constructor behind
@@ -149,7 +182,7 @@ impl Applier {
             table,
             forwarding,
             actions: Vec::new(),
-            dirty: PrefixSet::new(),
+            dirty: DirtySet::default(),
             outstanding: Vec::new(),
             pending: Vec::new(),
             deferred_rib: false,
@@ -198,15 +231,10 @@ impl Applier {
 
     /// Records one per-prefix event: applied to the routing table immediately
     /// (eager mode) or buffered for the next [`Applier::sync_rib`] (deferred
-    /// mode). Either way the prefix joins the dirty set the next resync
-    /// retags.
+    /// mode). Either way a prefix whose routes the event changed joins the
+    /// dirty set the next resync retags.
     pub fn note_event(&mut self, peer: PeerId, event: &ElementaryEvent) {
-        if self.deferred_rib {
-            self.pending.push((peer, event.clone()));
-        } else {
-            self.dirty.insert(event.prefix());
-            self.table.apply(peer, event);
-        }
+        self.note_event_owned(peer, event.clone());
     }
 
     /// [`Applier::note_event`] taking the event by value — lets deferred-mode
@@ -216,8 +244,15 @@ impl Applier {
         if self.deferred_rib {
             self.pending.push((peer, event));
         } else {
-            self.dirty.insert(event.prefix());
-            self.table.apply(peer, &event);
+            self.fold(peer, event);
+        }
+    }
+
+    /// Applies one event to the RIB mirror and marks its prefix dirty if the
+    /// table changed — the single path of the eager and the deferred mode.
+    fn fold(&mut self, peer: PeerId, event: ElementaryEvent) {
+        if let Some(id) = self.table.apply_owned(peer, event) {
+            self.dirty.mark(id);
         }
     }
 
@@ -226,8 +261,7 @@ impl Applier {
     pub fn sync_rib(&mut self) -> usize {
         let applied = self.pending.len();
         for (peer, event) in std::mem::take(&mut self.pending) {
-            self.dirty.insert(event.prefix());
-            self.table.apply(peer, &event);
+            self.fold(peer, event);
         }
         applied
     }
@@ -241,7 +275,7 @@ impl Applier {
             session: peer,
             time: result.time,
             links: result.links.links.clone(),
-            predicted: result.prediction.predicted.clone(),
+            predicted: Arc::clone(&result.prediction.predicted),
             rules_installed,
         };
         self.actions.push(action.clone());
@@ -264,9 +298,13 @@ impl Applier {
         for (_, id) in std::mem::take(&mut self.outstanding) {
             removed += self.forwarding.remove_reroute(id);
         }
-        let dirty = std::mem::take(&mut self.dirty);
-        self.forwarding
-            .refresh_prefixes(&self.table, &self.policy, dirty.iter().copied());
+        let mut dirty = self.dirty.take();
+        dirty.sort_unstable();
+        self.forwarding.refresh_prefixes(
+            &self.table,
+            &self.policy,
+            dirty.iter().map(|id| self.table.prefix_of(*id)),
+        );
         removed
     }
 
@@ -278,7 +316,7 @@ impl Applier {
         let removed = self.forwarding.clear_swift_rules();
         self.forwarding = TwoStageTable::build(&self.table, &self.config.encoding, &self.policy);
         self.outstanding.clear();
-        self.dirty = PrefixSet::new();
+        self.dirty.take();
         removed
     }
 
@@ -502,6 +540,43 @@ mod tests {
         assert_eq!(applier.forwarding_next_hop(&p(1)), Some(PeerId(2)));
     }
 
+    #[test]
+    fn only_events_that_change_the_table_buy_a_retag() {
+        let withdraw = |i: u32| ElementaryEvent::Withdraw {
+            timestamp: 0,
+            prefix: p(i),
+        };
+        let eager = Applier::new(
+            SwiftConfig::default(),
+            two_peer_table(20),
+            crate::encoding::ReroutingPolicy::allow_all(),
+        );
+        for mut applier in [eager.clone(), eager.with_deferred_rib()] {
+            // An unregistered peer, a prefix the table has never seen, and
+            // (second time round) a route already withdrawn: none is dirty.
+            applier.note_event(PeerId(9), &withdraw(0));
+            applier.note_event(PeerId(1), &withdraw(999));
+            applier.note_event(PeerId(1), &withdraw(3));
+            applier.note_event_owned(PeerId(1), withdraw(3));
+            applier.sync_rib();
+            let dirty: Vec<Prefix> = applier
+                .dirty
+                .ids
+                .iter()
+                .map(|id| applier.table().prefix_of(*id))
+                .collect();
+            assert_eq!(dirty, vec![p(3)]);
+            assert_eq!(
+                applier.table().prefix_count(),
+                20,
+                "p(999) was not interned"
+            );
+            applier.resync_after_convergence();
+            assert!(applier.dirty.ids.is_empty() && applier.dirty.seen.iter().all(|w| *w == 0));
+            assert_eq!(applier.forwarding_next_hop(&p(3)), Some(PeerId(2)));
+        }
+    }
+
     /// Prefix `i` of session `s`: one /8 block per session — the
     /// `SESSION_PREFIX_SPACING` layout applier sharding relies on.
     fn bp(s: u32, i: u32) -> Prefix {
@@ -564,7 +639,7 @@ mod tests {
             },
             prediction: crate::inference::Prediction {
                 already_withdrawn: PrefixSet::new(),
-                predicted: (0..n).map(|i| bp(s, i)).collect(),
+                predicted: Arc::new((0..n).map(|i| bp(s, i)).collect()),
             },
         }
     }

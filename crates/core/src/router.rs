@@ -22,6 +22,7 @@ use crate::encoding::{ReroutingPolicy, TwoStageTable};
 use crate::inference::{EngineStatus, InferenceEngine};
 use crate::pipeline::{session_engines, Applier, SessionEngine};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use swift_bgp::{AsLink, ElementaryEvent, PeerId, Prefix, PrefixSet, RoutingTable, Timestamp};
 
 /// What the router did in response to an accepted inference.
@@ -33,8 +34,9 @@ pub struct RerouteAction {
     pub time: Timestamp,
     /// The inferred failed links.
     pub links: Vec<AsLink>,
-    /// The prefixes predicted as affected (and therefore rerouted).
-    pub predicted: PrefixSet,
+    /// The prefixes predicted as affected (and therefore rerouted) — the
+    /// inference's own set, shared rather than copied.
+    pub predicted: Arc<PrefixSet>,
     /// Number of stage-2 rules installed — the number of data-plane updates.
     pub rules_installed: usize,
 }

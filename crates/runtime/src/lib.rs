@@ -683,14 +683,22 @@ impl ShardedRuntime {
                 self.started.get_or_init(Instant::now);
                 self.events += 1;
                 inline.events_ctr.inc();
-                // The inline applier is eager (no deferral), so the by-ref
-                // path applies the event without cloning it.
-                inline.applier.note_event(peer, &event);
-                if let Some(engine) = inline.engines.get_mut(&peer) {
-                    if let (EngineStatus::Accepted, Some(result)) = engine.process(&event) {
-                        inline.applier.apply_inference(peer, &result);
-                    }
+                // The engine only borrows the event, so it goes first and the
+                // mirror then takes the event by value: an announcement's
+                // attributes move into the table uncloned. The install reads
+                // stage-1 state that only a resync changes, so it does not
+                // care which side of the mirror update it runs on.
+                let accepted = inline.engines.get_mut(&peer).and_then(|engine| {
+                    let outcome = engine.process(&event);
                     inline.kernels.record(engine.take_kernel_stats());
+                    match outcome {
+                        (EngineStatus::Accepted, result) => result,
+                        _ => None,
+                    }
+                });
+                inline.applier.note_event_owned(peer, event);
+                if let Some(result) = accepted {
+                    inline.applier.apply_inference(peer, &result);
                 }
             }
             Mode::Sharded(sharded) => {
