@@ -98,14 +98,23 @@ const ALLOC_HOT_FILES: &[&str] = &[
 
 /// The scoring hot path proper: the per-trial / per-event functions where a
 /// fresh `Vec`/`IdBitSet` would allocate once per greedy step or ranking
-/// drain. Reference implementations (`*_scan`, `*_materialized`,
-/// `union_bits`, `rescore`) deliberately stay outside this list — their
+/// drain — and the counters' per-event path itself (`on_withdraw`,
+/// `announce_interned`: every withdrawal and announcement of every session)
+/// with the ranker's per-attempt fold (`update`, `ranking`, `rank_into`).
+/// Reference implementations (`*_scan`, `*_materialized`, `union_bits`,
+/// `rescore`, `rank_link_ids`) deliberately stay outside this list — their
 /// allocations are the baseline the kernels are measured against.
 const ALLOC_HOT_FNS: &[&str] = &[
+    "on_withdraw",
+    "announce_interned",
+    "ranking",
+    "rank_into",
     "score_link_set",
     "infer_with_scorer",
     "update",
     "union_counts",
+    "union_counts_of",
+    "fused_counts",
     "union_counts_buffered",
     "wp",
     "w_union",

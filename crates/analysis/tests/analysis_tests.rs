@@ -172,6 +172,18 @@ fn hot_path_alloc_scopes_to_hot_fns_outside_kernels() {
 }
 
 #[test]
+fn hot_path_alloc_polices_the_per_event_path() {
+    // The counters' event handlers and the ranker's fold are on the list;
+    // the per-burst and per-path functions beside them are not.
+    let findings = check_as(
+        "crates/core/src/inference/counters.rs",
+        "hot_path_alloc_per_event.rs",
+    );
+    assert_eq!(count(&findings, "hot-path-alloc"), 4, "{findings:?}");
+    assert_eq!(findings.len(), 4, "no other rule fires: {findings:?}");
+}
+
+#[test]
 fn pragma_rule_flags_malformed_unknown_and_reasonless() {
     let findings = check_as("crates/core/src/fixture.rs", "pragmas.rs");
     assert_eq!(count(&findings, "pragma"), 3, "{findings:?}");

@@ -178,6 +178,8 @@ fn bench_applier(c: &mut Criterion) {
                 ps: 1.0,
                 fs: 1.0,
             },
+            withdrawn: 0,
+            routed: PER_SESSION as usize,
         },
         prediction: Prediction {
             already_withdrawn: PrefixSet::new(),

@@ -41,6 +41,102 @@ fn bench_counter_updates(c: &mut Criterion) {
     });
 }
 
+/// The counters' per-event transitions on a 1 M-prefix session: 4-hop paths
+/// (4 600 distinct, ~217 prefixes each), 46 first-hop links of ~21.7 k
+/// prefixes whose ids spread over the whole id space — the widest posting
+/// list the hybrid bitset keeps sparse. The events hit one such link's
+/// prefixes in a fixed scattered order.
+///
+/// The shim only times whole bodies, so every body leaves the counters as it
+/// found them and names what its restore costs:
+///
+/// * `withdraw_1m` — each prefix withdrawn, then each re-announced over the
+///   path it had (routed → withdrawn → routed);
+/// * `reannounce_same_path_1m` — each routed prefix re-announced over its
+///   current path;
+/// * `reannounce_new_path_1m` — each routed prefix moved to a path sharing
+///   only the first link (alternate bodies move them back);
+/// * `start_burst_1m` — `withdraw_1m`'s body with a burst start between its
+///   halves: 21.7 k withdrawn, the last 1.5 k of them in the window, so the
+///   second half re-announces purged prefixes instead of withdrawn ones.
+fn bench_counters_1m(c: &mut Criterion) {
+    const N: u32 = 1_000_000;
+    const FIRST_HOPS: u32 = 46;
+    const WINDOW: usize = 1_500;
+    let hops = |i: u32, detour: u32| -> [u32; 4] {
+        let first = i % FIRST_HOPS;
+        [
+            2,
+            100 + first,
+            1_000 + detour + first * 50 + (i / FIRST_HOPS) % 50,
+            10_000 + i % (FIRST_HOPS * 100),
+        ]
+    };
+    let table: InternedRib = (0..N)
+        .map(|i| (Prefix::nth_slash24(i), AsPath::new(hops(i, 0))))
+        .collect();
+    let mut counters = LinkCounters::from_interned(&table);
+    // The prefixes behind link (2, 100), scattered by a multiplicative
+    // permutation of their rank.
+    let behind = N.div_ceil(FIRST_HOPS);
+    let hit: Vec<(Prefix, [AsPath; 2])> = (0..behind)
+        .map(|k| (k * 7_919 % behind) * FIRST_HOPS)
+        .map(|i| {
+            let paths = [AsPath::new(hops(i, 0)), AsPath::new(hops(i, 500_000))];
+            (Prefix::nth_slash24(i), paths)
+        })
+        .collect();
+    assert_eq!(counters.p(&AsLink::new(2, 100)), hit.len());
+
+    c.bench_function("counters/withdraw_1m", |b| {
+        b.iter(|| {
+            for (prefix, _) in &hit {
+                counters.on_withdraw(*prefix);
+            }
+            for (prefix, [path, _]) in &hit {
+                counters.on_announce_path(*prefix, path);
+            }
+            std::hint::black_box(counters.total_withdrawals())
+        })
+    });
+    c.bench_function("counters/reannounce_same_path_1m", |b| {
+        b.iter(|| {
+            for (prefix, [path, _]) in &hit {
+                counters.on_announce_path(*prefix, path);
+            }
+            std::hint::black_box(counters.routed_count())
+        })
+    });
+    let mut detoured = false;
+    c.bench_function("counters/reannounce_new_path_1m", |b| {
+        b.iter(|| {
+            detoured = !detoured;
+            for (prefix, paths) in &hit {
+                counters.on_announce_path(*prefix, &paths[usize::from(detoured)]);
+            }
+            std::hint::black_box(counters.routed_count())
+        })
+    });
+    if detoured {
+        for (prefix, [path, _]) in &hit {
+            counters.on_announce_path(*prefix, path);
+        }
+    }
+    c.bench_function("counters/start_burst_1m", |b| {
+        b.iter(|| {
+            for (prefix, _) in &hit {
+                counters.on_withdraw(*prefix);
+            }
+            counters.start_burst(hit[hit.len() - WINDOW..].iter().map(|(prefix, _)| *prefix));
+            for (prefix, [path, _]) in &hit {
+                counters.on_announce_path(*prefix, path);
+            }
+            std::hint::black_box(counters.withdrawn_count())
+        })
+    });
+    assert_eq!(counters.routed_count(), N as usize);
+}
+
 fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference/infer_links");
     for &size in &[2_500u32, 10_000, 40_000] {
@@ -249,6 +345,7 @@ fn bench_greedy_chain(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_counter_updates,
+    bench_counters_1m,
     bench_inference,
     bench_attempt_indexed_vs_scan,
     bench_engine_stream,

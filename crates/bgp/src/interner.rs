@@ -11,7 +11,7 @@
 //! themselves are shared.
 
 use crate::as_path::AsPath;
-use crate::prefix::Prefix;
+use crate::prefix::{FoldBuildHasher, Prefix};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,10 +35,14 @@ impl PathId {
 /// lookups by id are O(1). Cloning an interner shares the underlying path
 /// allocations (`Arc`), so seeding several consumers from one interned RIB
 /// does not duplicate path storage.
+///
+/// The index hashes with the in-crate [`crate::FoldHasher`] (one
+/// multiplication per hop): every announcement interns its path, so the
+/// probe sits on the inference engine's per-event path.
 #[derive(Debug, Clone, Default)]
 pub struct PathInterner {
     paths: Vec<Arc<AsPath>>,
-    index: HashMap<Arc<AsPath>, PathId>,
+    index: HashMap<Arc<AsPath>, PathId, FoldBuildHasher>,
 }
 
 impl PathInterner {
@@ -79,6 +83,13 @@ impl PathInterner {
     /// The shared handle behind `id` (an `Arc` clone, no path copy).
     pub fn get_arc(&self, id: PathId) -> Arc<AsPath> {
         Arc::clone(&self.paths[id.index()])
+    }
+
+    /// The interned paths in id order, from the one whose [`PathId::index`]
+    /// is `first` — how a consumer keeping per-path data catches up with the
+    /// paths interned since it last looked. Panics if `first > len()`.
+    pub fn paths_from(&self, first: usize) -> impl Iterator<Item = &AsPath> {
+        self.paths[first..].iter().map(|arc| &**arc)
     }
 
     /// The id of `path` if it is already interned.
@@ -206,6 +217,8 @@ mod tests {
         assert_eq!(i.get(c), &path(&[2, 5, 7]));
         assert_eq!(i.lookup(&path(&[2, 5, 6])), Some(a));
         assert_eq!(i.lookup(&path(&[9, 9])), None);
+        assert_eq!(i.paths_from(c.index()).collect::<Vec<_>>(), [i.get(c)]);
+        assert_eq!(i.paths_from(2).count(), 0);
     }
 
     #[test]

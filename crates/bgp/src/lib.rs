@@ -38,7 +38,7 @@ pub use as_path::{AsLink, AsPath, Asn};
 pub use attributes::{Community, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
-pub use prefix::{Prefix, PrefixError, PrefixHasher, PrefixMap, PrefixSet};
+pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixMap, PrefixSet};
 pub use rib::{AdjRibIn, PrefixId, Route};
 pub use session::{MessageStream, PeerId, Session, SessionId};
 pub use table::RoutingTable;

@@ -59,33 +59,44 @@ impl Hash for Prefix {
     }
 }
 
-/// The multiplicative hasher behind [`PrefixMap`]: each written word is
-/// folded in with one multiplication by an odd 64-bit constant, and `finish`
-/// xors the well-mixed high half onto the low half (the hash table takes its
-/// bucket index from the low bits, which a bare product leaves as a function
-/// of the key's low bits alone — and a /24's low address byte is always zero).
+/// The in-crate multiplicative hasher, behind [`PrefixMap`] and the
+/// [`crate::PathInterner`] index: each written word is folded in with one
+/// multiplication by an odd 64-bit constant, and `finish` xors the
+/// well-mixed high half onto the low half (the hash table takes its bucket
+/// index from the low bits, which a bare product leaves as a function of the
+/// key's low bits alone — and a /24's low address byte is always zero).
 ///
 /// It trades the default hasher's resistance to crafted collisions for a
 /// probe several times cheaper; the maps it serves sit on the per-event path
-/// of the RIB mirror.
+/// of the RIB mirror and the inference engine.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PrefixHasher(u64);
+pub struct FoldHasher(u64);
 
-impl PrefixHasher {
+impl FoldHasher {
     fn fold(&mut self, word: u64) {
         self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
-impl Hasher for PrefixHasher {
+impl Hasher for FoldHasher {
     fn write(&mut self, bytes: &[u8]) {
         for byte in bytes {
             self.fold(u64::from(*byte));
         }
     }
 
+    // One fold per integer: the provided methods would go through `write`
+    // byte by byte, and an AS path hashes as a length plus one `u32` per hop.
+    fn write_u32(&mut self, word: u32) {
+        self.fold(u64::from(word));
+    }
+
     fn write_u64(&mut self, word: u64) {
         self.fold(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.fold(word as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -93,9 +104,12 @@ impl Hasher for PrefixHasher {
     }
 }
 
-/// A hash map keyed by [`Prefix`] using [`PrefixHasher`]: probed, never
+/// [`FoldHasher`] as a map's `BuildHasher`.
+pub type FoldBuildHasher = BuildHasherDefault<FoldHasher>;
+
+/// A hash map keyed by [`Prefix`] using [`FoldHasher`]: probed, never
 /// iterated in order.
-pub type PrefixMap<V> = HashMap<Prefix, V, BuildHasherDefault<PrefixHasher>>;
+pub type PrefixMap<V> = HashMap<Prefix, V, FoldBuildHasher>;
 
 impl Prefix {
     /// The default route `0.0.0.0/0`.

@@ -10,11 +10,8 @@
 //!   aggregate does not decrease.
 
 use crate::config::InferenceConfig;
-use crate::inference::counters::LinkCounters;
-use crate::inference::fit_score::{
-    rank_links, score_from_counts, score_link_set, score_link_set_materialized,
-    score_link_set_scan, Score,
-};
+use crate::inference::counters::{LinkCounters, LinkId};
+use crate::inference::fit_score::{rank_link_ids, score_from_counts, Score};
 use swift_bgp::{AsLink, Asn};
 
 /// The result of the link-selection step.
@@ -25,12 +22,25 @@ pub struct InferredLinks {
     /// The score of the returned set (aggregated definition for multi-link
     /// results, single-link score otherwise).
     pub score: Score,
+    /// `W(S)`: the withdrawn prefixes whose path crossed the set — exactly
+    /// the prediction's `already_withdrawn`, counted without building it.
+    pub withdrawn: usize,
+    /// `P(S)`: the still-routed prefixes whose path crosses the set — exactly
+    /// the prediction's `predicted`.
+    pub routed: usize,
 }
 
 impl InferredLinks {
     /// Returns `true` if nothing could be inferred (no withdrawals yet).
     pub fn is_empty(&self) -> bool {
         self.links.is_empty()
+    }
+
+    /// Number of prefixes the inference claims are affected: what
+    /// [`crate::inference::Prediction::total_affected`] of its prediction
+    /// returns, and the value the history model holds against its cap.
+    pub fn total_affected(&self) -> usize {
+        self.withdrawn + self.routed
     }
 
     /// The ASes appearing as an endpoint of any inferred link. Backup paths
@@ -55,30 +65,31 @@ impl InferredLinks {
 
 /// Selects the inferred link set from the current counters.
 pub fn infer_links(counters: &LinkCounters, config: &InferenceConfig) -> InferredLinks {
-    infer_links_ranked(counters, &rank_links(counters, config), config)
+    infer_links_ranked(counters, &rank_link_ids(counters, config), config)
 }
 
-/// Selects the inferred link set from a precomputed ranking (as produced by
-/// [`rank_links`] or the engine's incremental
-/// [`crate::inference::fit_score::LinkRanker`]), scoring candidate sets
+/// Selects the inferred link set from a precomputed ranking by link id (the
+/// engine's incremental [`crate::inference::fit_score::LinkRanker`], or the
+/// from-scratch ranking behind [`infer_links`]), scoring candidate sets
 /// through the inverted prefix-bitset index.
 pub fn infer_links_ranked(
     counters: &LinkCounters,
-    ranking: &[(AsLink, Score)],
+    ranking: &[(LinkId, Score)],
     config: &InferenceConfig,
 ) -> InferredLinks {
     infer_with_scorer(counters, ranking, config, &mut SetScorer::Fused)
 }
 
-/// Reference implementation of [`infer_links`] whose set scores come from the
-/// full-RIB scan baseline ([`score_link_set_scan`]) — the pre-index behaviour,
-/// kept for the property tests and the `exp_scale` speedup measurements.
+/// Reference implementation of [`infer_links`] whose set counts come from the
+/// full-RIB scan baseline ([`LinkCounters::w_union_scan`] /
+/// [`LinkCounters::p_union_scan`]) — the pre-index behaviour, kept for the
+/// property tests and the `exp_scale` speedup measurements.
 pub fn infer_links_scan(counters: &LinkCounters, config: &InferenceConfig) -> InferredLinks {
     infer_with_scorer(
         counters,
-        &rank_links(counters, config),
+        &rank_link_ids(counters, config),
         config,
-        &mut SetScorer::rescore(score_link_set_scan),
+        &mut SetScorer::rescore(|c, set| (c.w_union_scan(set), c.p_union_scan(set))),
     )
 }
 
@@ -92,91 +103,90 @@ pub fn infer_links_materialized(
 ) -> InferredLinks {
     infer_with_scorer(
         counters,
-        &rank_links(counters, config),
+        &rank_link_ids(counters, config),
         config,
-        &mut SetScorer::rescore(score_link_set_materialized),
+        &mut SetScorer::rescore(LinkCounters::union_counts_materialized),
     )
 }
 
-/// How [`infer_with_scorer`] scores the growing greedy aggregate.
+/// How [`infer_with_scorer`] counts `(W(S), P(S))` of the growing greedy
+/// aggregate.
 ///
 /// The fused variant keeps a *running union* of the current aggregate in the
 /// counters' kernel scratch: seeding costs one pass over the seed's crossing
 /// set, each trial fuses `[running ∪ candidate]` in one pass, and accepting a
 /// candidate ORs it into the running words — O(1) passes per candidate, so a
 /// greedy chain over k candidates is O(k) passes instead of the O(k²) the
-/// rescoring references pay by re-unioning the explicit set each trial.
+/// recounting references pay by re-unioning the explicit set each trial.
 enum SetScorer {
-    /// Incremental scoring over the scratch-resident running union.
+    /// Incremental counting over the scratch-resident running union.
     Fused,
-    /// From-scratch rescoring of the explicit trial set through `f` — the
+    /// From-scratch recounting of the explicit trial set through `f` — the
     /// reference shape (scan or materialized union) for tests and benches.
     Rescore {
-        f: fn(&LinkCounters, &[AsLink], &InferenceConfig) -> Score,
+        f: fn(&LinkCounters, &[AsLink]) -> (usize, usize),
         set: Vec<AsLink>,
     },
 }
 
 impl SetScorer {
-    fn rescore(f: fn(&LinkCounters, &[AsLink], &InferenceConfig) -> Score) -> SetScorer {
+    fn rescore(f: fn(&LinkCounters, &[AsLink]) -> (usize, usize)) -> SetScorer {
         SetScorer::Rescore { f, set: Vec::new() }
     }
 
-    /// Resets the aggregate to `{seed}` and returns its score.
-    fn seed(&mut self, c: &LinkCounters, cfg: &InferenceConfig, seed: AsLink) -> Score {
+    /// Resets the aggregate to `{seed}` and returns its counts.
+    fn seed(&mut self, c: &LinkCounters, seed: LinkId) -> (usize, usize) {
         match self {
-            SetScorer::Fused => {
-                let (w, p) = c.agg_seed(&seed);
-                score_from_counts(w, p, c.total_withdrawals(), cfg)
-            }
+            SetScorer::Fused => c.agg_seed(seed),
             SetScorer::Rescore { f, set } => {
                 set.clear();
-                set.push(seed);
-                f(c, set, cfg)
+                set.push(c.link(seed));
+                f(c, set)
             }
         }
     }
 
-    /// Score of the current aggregate extended by `candidate`, uncommitted.
-    fn trial(&mut self, c: &LinkCounters, cfg: &InferenceConfig, candidate: AsLink) -> Score {
+    /// Counts of the current aggregate extended by `candidate`, uncommitted.
+    fn trial(&mut self, c: &LinkCounters, candidate: LinkId) -> (usize, usize) {
         match self {
-            SetScorer::Fused => {
-                let (w, p) = c.agg_trial(&candidate);
-                score_from_counts(w, p, c.total_withdrawals(), cfg)
-            }
+            SetScorer::Fused => c.agg_trial(candidate),
             SetScorer::Rescore { f, set } => {
-                set.push(candidate);
-                let s = f(c, set, cfg);
+                set.push(c.link(candidate));
+                let counts = f(c, set);
                 set.pop();
-                s
+                counts
             }
         }
     }
 
     /// Commits the last trialled `candidate` into the aggregate.
-    fn accept(&mut self, c: &LinkCounters, candidate: AsLink) {
+    fn accept(&mut self, c: &LinkCounters, candidate: LinkId) {
         match self {
-            SetScorer::Fused => c.agg_accept(&candidate),
-            SetScorer::Rescore { set, .. } => set.push(candidate),
+            SetScorer::Fused => c.agg_accept(candidate),
+            SetScorer::Rescore { set, .. } => set.push(c.link(candidate)),
         }
     }
 
-    /// Scores an arbitrary link set (the final max-set ∪ aggregate union).
-    fn score_set(&mut self, c: &LinkCounters, cfg: &InferenceConfig, links: &[AsLink]) -> Score {
+    /// Counts an arbitrary link set (the final max-set ∪ aggregate union).
+    fn score_set(&mut self, c: &LinkCounters, ids: &[LinkId]) -> (usize, usize) {
         match self {
-            SetScorer::Fused => score_link_set(c, links, cfg),
-            SetScorer::Rescore { f, .. } => f(c, links, cfg),
+            SetScorer::Fused => c.union_counts_of(ids),
+            SetScorer::Rescore { f, set } => {
+                set.clear();
+                set.extend(ids.iter().map(|id| c.link(*id)));
+                f(c, set)
+            }
         }
     }
 }
 
 fn infer_with_scorer(
     counters: &LinkCounters,
-    ranking: &[(AsLink, Score)],
+    ranking: &[(LinkId, Score)],
     config: &InferenceConfig,
     scorer: &mut SetScorer,
 ) -> InferredLinks {
-    let Some((top_link, top_score)) = ranking.first().copied() else {
+    let Some((top_id, top_score)) = ranking.first().copied() else {
         return InferredLinks {
             links: Vec::with_capacity(0),
             score: Score {
@@ -184,8 +194,12 @@ fn infer_with_scorer(
                 ps: 0.0,
                 fs: 0.0,
             },
+            withdrawn: 0,
+            routed: 0,
         };
     };
+    let total = counters.total_withdrawals();
+    let score = |(w, p): (usize, usize)| score_from_counts(w, p, total, config);
 
     // Links within tolerance of the maximum fit score are a prefix of the
     // ranking (it is sorted by decreasing FS).
@@ -202,23 +216,26 @@ fn infer_with_scorer(
     // §4.2). Unaffected sibling links fail (b) because their still-routed
     // prefixes dilute the path share; siblings whose withdrawals are already
     // explained by the seed add nothing and are left to the max-FS tie rule.
-    // The aggregate vector is part of the result; the per-trial scoring state
-    // lives in the scorer (running union or reusable set buffer).
-    let mut aggregate: Vec<AsLink> = Vec::with_capacity(4);
-    aggregate.push(top_link);
-    let mut aggregate_score = scorer.seed(counters, config, top_link);
+    // The per-trial counting state lives in the scorer (running union or
+    // reusable set buffer).
+    let mut aggregate: Vec<LinkId> = Vec::with_capacity(4);
+    aggregate.push(top_id);
+    let seed_counts = scorer.seed(counters, top_id);
+    let mut aggregate_score = score(seed_counts);
     // An aggregate's shared endpoints are at most the two of its seed.
+    let top_link = counters.link(top_id);
     let mut shared: (Option<Asn>, Option<Asn>) = (Some(top_link.from), Some(top_link.to));
     for (candidate, _) in ranking.iter().skip(1) {
         if aggregate.contains(candidate) {
             continue;
         }
-        let still_a = shared.0.filter(|e| candidate.has_endpoint(*e));
-        let still_b = shared.1.filter(|e| candidate.has_endpoint(*e));
+        let link = counters.link(*candidate);
+        let still_a = shared.0.filter(|e| link.has_endpoint(*e));
+        let still_b = shared.1.filter(|e| link.has_endpoint(*e));
         if still_a.is_none() && still_b.is_none() {
             continue;
         }
-        let trial_score = scorer.trial(counters, config, *candidate);
+        let trial_score = score(scorer.trial(counters, *candidate));
         if trial_score.fs > aggregate_score.fs + config.fs_tolerance {
             scorer.accept(counters, *candidate);
             aggregate.push(*candidate);
@@ -229,19 +246,26 @@ fn infer_with_scorer(
 
     // The returned set is the union of the maximum-FS ties and the aggregation
     // result; deterministic order: aggregation seed first, then by FS rank.
-    let links: Vec<AsLink> = ranking
+    let ids: Vec<LinkId> = ranking
         .iter()
         .enumerate()
-        .filter(|(i, (l, _))| *i < max_len || aggregate.contains(l))
-        .map(|(_, (l, _))| *l)
+        .filter(|(i, (id, _))| *i < max_len || aggregate.contains(id))
+        .map(|(_, (id, _))| *id)
         .collect();
 
-    let score = if links.len() == 1 {
-        top_score
+    // A single-link result is the seed alone: its counts are already known.
+    let ((withdrawn, routed), score) = if ids.len() == 1 {
+        (seed_counts, top_score)
     } else {
-        scorer.score_set(counters, config, &links)
+        let counts = scorer.score_set(counters, &ids);
+        (counts, score(counts))
     };
-    InferredLinks { links, score }
+    InferredLinks {
+        links: ids.iter().map(|id| counters.link(*id)).collect(),
+        score,
+        withdrawn,
+        routed,
+    }
 }
 
 #[cfg(test)]
@@ -383,8 +407,12 @@ mod tests {
         let slow = infer_links_scan(&c, &cfg);
         assert_eq!(fast, slow);
         // And the ranked entry point matches too.
-        let ranking = crate::inference::fit_score::rank_links(&c, &cfg);
+        let ranking = rank_link_ids(&c, &cfg);
         assert_eq!(infer_links_ranked(&c, &ranking, &cfg), fast);
+        // The carried counts are the prediction's split.
+        let prediction = crate::inference::predictor::predict(&c, &fast);
+        assert_eq!(fast.withdrawn, prediction.already_withdrawn.len());
+        assert_eq!(fast.routed, prediction.predicted.len());
     }
 
     #[test]

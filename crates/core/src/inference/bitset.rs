@@ -363,6 +363,25 @@ impl IdBitSet {
         }
     }
 
+    /// Clears every bit of `self` that is set in `other`, in one pass over
+    /// `self` (a posting list is compacted once, not shifted per cleared id).
+    pub fn subtract(&mut self, other: &IdBitSet) {
+        match (&mut self.repr, &other.repr) {
+            (Repr::Sparse(v), _) => v.retain(|id| !other.test(*id)),
+            (Repr::Dense(d), Repr::Sparse(ids)) => {
+                for &id in ids {
+                    d.clear(id);
+                }
+            }
+            (Repr::Dense(d), Repr::Dense(o)) => {
+                for (word, mask) in d.words.iter_mut().zip(o.words.iter()) {
+                    *word &= !mask;
+                }
+                d.rebuild_summary();
+            }
+        }
+    }
+
     /// `|self ∧ other|` without materialising the intersection.
     pub fn intersection_count(&self, other: &IdBitSet) -> usize {
         match (&self.repr, &other.repr) {

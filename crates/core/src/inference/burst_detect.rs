@@ -9,7 +9,7 @@
 
 use crate::config::InferenceConfig;
 use std::collections::VecDeque;
-use swift_bgp::Timestamp;
+use swift_bgp::{Prefix, Timestamp};
 
 /// What the detector concluded after ingesting one withdrawal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,12 +28,17 @@ pub enum BurstEvent {
 }
 
 /// Sliding-window burst detector for one session.
+///
+/// The window keeps each withdrawal's prefix beside its timestamp: when a
+/// burst starts, the withdrawals that tripped the threshold are its first
+/// ones, and the engine replays them ([`BurstDetector::window`]) into the
+/// freshly seeded counters.
 #[derive(Debug, Clone)]
 pub struct BurstDetector {
     window: Timestamp,
     start_threshold: usize,
     stop_threshold: usize,
-    recent: VecDeque<Timestamp>,
+    recent: VecDeque<(Timestamp, Prefix)>,
     in_burst: bool,
     burst_start: Option<Timestamp>,
     withdrawals_in_burst: usize,
@@ -70,8 +75,8 @@ impl BurstDetector {
         }
     }
 
-    /// Ingests one withdrawal received at `t` and reports any burst
-    /// state change.
+    /// Ingests one withdrawal of `prefix` received at `t` and reports any
+    /// burst state change.
     ///
     /// Before the withdrawal is admitted, the stop condition is checked
     /// against the window as it stood at `t` — exactly what an
@@ -79,7 +84,7 @@ impl BurstDetector {
     /// burst on a withdrawal-only stream can never end: the next burst's
     /// first withdrawal would be classified as `Ongoing` no matter how long
     /// the silence before it.
-    pub fn on_withdrawal(&mut self, t: Timestamp) -> BurstEvent {
+    pub fn on_withdrawal(&mut self, t: Timestamp, prefix: Prefix) -> BurstEvent {
         let mut ended = false;
         if self.in_burst {
             self.evict(t);
@@ -90,7 +95,7 @@ impl BurstDetector {
                 ended = true;
             }
         }
-        self.recent.push_back(t);
+        self.recent.push_back((t, prefix));
         self.evict(t);
         if self.in_burst {
             self.withdrawals_in_burst += 1;
@@ -98,7 +103,7 @@ impl BurstDetector {
         }
         if self.recent.len() >= self.start_threshold {
             self.in_burst = true;
-            let start = *self.recent.front().expect("window not empty");
+            let (start, _) = *self.recent.front().expect("window not empty");
             self.burst_start = Some(start);
             self.withdrawals_in_burst = self.recent.len();
             return BurstEvent::Started(start);
@@ -126,7 +131,7 @@ impl BurstDetector {
 
     fn evict(&mut self, now: Timestamp) {
         let cutoff = now.saturating_sub(self.window);
-        while let Some(front) = self.recent.front() {
+        while let Some((front, _)) = self.recent.front() {
             if *front < cutoff {
                 self.recent.pop_front();
             } else {
@@ -153,6 +158,12 @@ impl BurstDetector {
     /// Withdrawals currently inside the sliding window.
     pub fn window_count(&self) -> usize {
         self.recent.len()
+    }
+
+    /// The prefixes of the withdrawals inside the sliding window, oldest
+    /// first (a prefix withdrawn twice in the window appears twice).
+    pub fn window(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.recent.iter().map(|(_, prefix)| *prefix)
     }
 }
 
@@ -216,6 +227,9 @@ mod tests {
     use super::*;
     use swift_bgp::SECOND;
 
+    /// The detector only carries prefixes; any one will do.
+    const P: Prefix = Prefix::DEFAULT;
+
     fn detector(start: usize, stop: usize) -> BurstDetector {
         BurstDetector::with_thresholds(10 * SECOND, start, stop)
     }
@@ -225,7 +239,7 @@ mod tests {
         let mut d = detector(5, 1);
         let mut started_at = None;
         for i in 0..10u64 {
-            if let BurstEvent::Started(t) = d.on_withdrawal(i * SECOND / 10) {
+            if let BurstEvent::Started(t) = d.on_withdrawal(i * SECOND / 10, P) {
                 started_at = Some((i, t))
             }
         }
@@ -241,7 +255,7 @@ mod tests {
         let mut d = detector(5, 1);
         for i in 0..100u64 {
             // One withdrawal every 30 seconds: never 5 in a 10 s window.
-            assert_eq!(d.on_withdrawal(i * 30 * SECOND), BurstEvent::None);
+            assert_eq!(d.on_withdrawal(i * 30 * SECOND, P), BurstEvent::None);
         }
         assert!(!d.in_burst());
     }
@@ -250,7 +264,7 @@ mod tests {
     fn burst_ends_when_window_drains() {
         let mut d = detector(5, 1);
         for i in 0..6u64 {
-            d.on_withdrawal(i * 1_000);
+            d.on_withdrawal(i * 1_000, P);
         }
         assert!(d.in_burst());
         // 30 seconds of silence: the window empties below the stop threshold.
@@ -265,12 +279,12 @@ mod tests {
     fn gap_in_withdrawal_only_stream_ends_the_burst() {
         let mut d = detector(5, 1);
         for i in 0..8u64 {
-            d.on_withdrawal(i * 1_000);
+            d.on_withdrawal(i * 1_000, P);
         }
         assert!(d.in_burst());
         // One lone withdrawal a minute later: the window drained long ago, so
         // the burst must close and the straggler sits outside any burst.
-        assert_eq!(d.on_withdrawal(60 * SECOND), BurstEvent::Ended);
+        assert_eq!(d.on_withdrawal(60 * SECOND, P), BurstEvent::Ended);
         assert!(!d.in_burst());
         assert_eq!(d.burst_start(), None);
         assert_eq!(d.withdrawals_in_burst(), 0);
@@ -278,7 +292,7 @@ mod tests {
         // A fresh burst can then start from scratch.
         let mut started = None;
         for i in 0..5u64 {
-            if let BurstEvent::Started(t) = d.on_withdrawal(120 * SECOND + i * 1_000) {
+            if let BurstEvent::Started(t) = d.on_withdrawal(120 * SECOND + i * 1_000, P) {
                 started = Some(t);
             }
         }
@@ -290,7 +304,7 @@ mod tests {
     fn steady_burst_is_not_ended_by_the_stop_check() {
         let mut d = detector(5, 1);
         for i in 0..1_000u64 {
-            let ev = d.on_withdrawal(i * 500_000); // 2/s, window holds 20
+            let ev = d.on_withdrawal(i * 500_000, P); // 2/s, window holds 20
             assert_ne!(ev, BurstEvent::Ended);
             if i >= 4 {
                 assert_ne!(ev, BurstEvent::None, "burst must stay open");
@@ -302,10 +316,10 @@ mod tests {
     #[test]
     fn window_eviction_is_time_based() {
         let mut d = detector(3, 0);
-        d.on_withdrawal(0);
-        d.on_withdrawal(SECOND);
+        d.on_withdrawal(0, P);
+        d.on_withdrawal(SECOND, P);
         assert_eq!(d.window_count(), 2);
-        d.on_withdrawal(15 * SECOND);
+        d.on_withdrawal(15 * SECOND, P);
         // The first two fall outside the 10 s window.
         assert_eq!(d.window_count(), 1);
         assert!(!d.in_burst());

@@ -16,42 +16,80 @@
 //!
 //! # Data layout
 //!
-//! Internet-scale RIBs (~900k prefixes) with bursts of 10^5 withdrawals make
-//! the naive representation — one cloned [`AsPath`] per prefix, and a full-RIB
-//! scan for every `W(S)`/`P(S)` link-set query — the dominant cost of an
-//! inference attempt. Three structures remove it:
+//! Every withdrawal of every session runs through here, so the per-event
+//! path is one hash probe plus array indexing. Everything is keyed by one of
+//! three dense id spaces, each handed out in first-seen order and never
+//! reused:
 //!
-//! * **Path interning** ([`PathInterner`]): every distinct AS path is stored
-//!   once; prefixes refer to it by dense [`PathId`]. Seeding from an
-//!   [`InternedRib`] shares the storage outright (`Arc` clones only).
-//! * **Dense prefix ids**: each tracked prefix gets a `u32` id, so per-prefix
-//!   membership is a bit, not a map entry.
-//! * **Inverted index**: for every [`AsLink`] the set of prefixes whose
-//!   tracked path crosses it is an [`IdBitSet`]; two global bitsets split the
-//!   id space into *routed* and *withdrawn*. [`LinkCounters::w_union`] /
-//!   [`LinkCounters::p_union`] are then `O(candidate links × words)` bitset
-//!   unions instead of `O(RIB × path length)` scans. The scan implementations
-//!   survive as [`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`]
-//!   — reference baselines for the property tests and the `exp_scale`
-//!   speedup measurements.
+//! * **Prefix ids** (`u32`): `ids` is the one per-event probe (a
+//!   [`PrefixMap`]); `state[id]` says whether the prefix is routed or
+//!   withdrawn and over which path; two global bitsets split the id space
+//!   into *routed* and *withdrawn*.
+//! * **Path ids** ([`PathId`], from the [`PathInterner`]): every distinct AS
+//!   path is stored once; seeding from an [`InternedRib`] shares the storage
+//!   (`Arc` clones only). When a path is first seen its *distinct* links are
+//!   resolved to link ids once and appended to one flat arena
+//!   (`path_links`, delimited by `path_end`) — an event then walks a slice of
+//!   that arena instead of re-deriving the links from the hops (a looped
+//!   path repeating a link lists it once, keeping counter increments and
+//!   bitset updates symmetric).
+//! * **Link ids** ([`LinkId`]): `links[lid]` holds the link's `W`/`P` counts
+//!   and its slice of the inverted index — the [`IdBitSet`] of prefixes whose
+//!   tracked path crosses it. The dirty-link feed, the ranker's candidates,
+//!   the ranking and the greedy aggregation all carry `LinkId`s.
+//!   `link_ids`, the one `AsLink → LinkId` map, is consulted only where
+//!   links enter or leave by name: when a new path is interned, and in the
+//!   by-name queries (`w`/`p`/`wp`, `union_counts`, `crossing_prefixes`)
+//!   that tests, tools and the prediction of an *accepted* inference use.
+//!
+//! [`LinkCounters::w_union`] / [`LinkCounters::p_union`] are
+//! `O(candidate links × words)` bitset unions instead of
+//! `O(RIB × path length)` scans. The scan implementations survive as
+//! [`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`] —
+//! reference baselines for the property tests and the `exp_scale` speedup
+//! measurements.
+//!
+//! A re-announcement only touches the links on which the old and the new
+//! path *differ*: a link on both keeps its index bit and its `P` count. So a
+//! routed prefix re-announced over the path it already has is a no-op after
+//! the probe, and a withdrawn prefix coming back over its old path moves
+//! `P` counts and the two global bitsets but no per-link posting list — the
+//! common shapes of BGP path exploration and of post-outage recovery.
 //!
 //! Per-burst seeding (§4.1, "seeded at burst start") is provided by
 //! [`LinkCounters::start_burst`]: it zeroes `W(l)`/`W(t)`, forgets withdrawals
 //! from previous bursts, and replays the withdrawals of the detection window
 //! so the new burst starts from exactly the state the paper's algorithm
-//! assumes.
+//! assumes. Its cost is the withdrawn prefixes, the window and the links —
+//! never the table.
 
+use crate::dirty::{DenseId, DirtySet};
 use crate::inference::bitset::IdBitSet;
 use crate::inference::kernels::{fused_wp, KernelStats, ScoreScratch};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use swift_bgp::{AsLink, AsPath, InternedRib, PathId, PathInterner, Prefix, PrefixSet};
+use std::collections::HashMap;
+use std::ops::Range;
+use swift_bgp::{
+    AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix, PrefixMap,
+    PrefixSet,
+};
 
 /// Largest candidate-set size scored through the stack-resident source array
 /// of the fused kernel; bigger sets (which never occur in practice — greedy
 /// aggregates hold a handful of links) fall back to the scratch-buffered
 /// materialised union, still without a per-call allocation in steady state.
 const MAX_FUSED_SOURCES: usize = 32;
+
+/// Dense id of an AS link within one [`LinkCounters`], handed out in
+/// first-seen order; meaningful only relative to the counters it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkId(u32);
+
+impl DenseId for LinkId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// What the counters currently know about a tracked prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,28 +110,39 @@ struct LinkEntry {
     /// and withdrawn-this-burst alike.
     crosses: IdBitSet,
     /// W(l): withdrawals of prefixes whose path included l.
-    w: usize,
+    w: u32,
     /// P(l): prefixes whose current path still includes l.
-    p: usize,
+    p: u32,
 }
 
 /// The per-link counters for one session.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LinkCounters {
     /// Shared storage for every distinct AS path seen.
     interner: PathInterner,
+    /// Path id → end of its slice of `path_links` (it starts where the
+    /// previous path's ends). Covers every path of `interner`.
+    path_end: Vec<u32>,
+    /// The distinct links of every interned path, in path order.
+    path_links: Vec<LinkId>,
     /// Prefix → dense id.
-    ids: HashMap<Prefix, u32>,
+    ids: PrefixMap<u32>,
     /// Dense id → prefix.
     prefixes: Vec<Prefix>,
     /// Dense id → tracking state.
     state: Vec<SlotState>,
     /// Ids of still-routed prefixes.
     routed_bits: IdBitSet,
-    /// Ids of prefixes withdrawn during the current burst.
+    /// Ids of prefixes withdrawn during the current burst. Word-packed from
+    /// the start: every withdrawal sets a bit and every recovery clears one,
+    /// in no particular id order, which a posting list pays for in memmoves.
     withdrawn_bits: IdBitSet,
-    /// The inverted index plus the maintained W(l)/P(l) counts.
-    links: BTreeMap<AsLink, LinkEntry>,
+    /// Link → link id: the by-name boundary (see the module docs).
+    link_ids: HashMap<AsLink, LinkId, FoldBuildHasher>,
+    /// Link id → link.
+    link_names: Vec<AsLink>,
+    /// Link id → inverted-index slice plus the maintained W(l)/P(l) counts.
+    links: Vec<LinkEntry>,
     /// W(t): total withdrawals received (including unknown/noise prefixes).
     total_withdrawals: usize,
     /// Number of still-routed prefixes.
@@ -101,7 +150,7 @@ pub struct LinkCounters {
     /// Number of withdrawn (not re-announced) prefixes.
     withdrawn_count: usize,
     /// Links whose `W(l)` changed since the last [`LinkCounters::take_dirty`].
-    dirty: BTreeSet<AsLink>,
+    dirty: DirtySet<LinkId>,
     /// Reusable kernel scratch (pass cursors, union buffers, dispatch stats).
     ///
     /// Interior mutability keeps the read-only scoring API (`union_counts`
@@ -112,12 +161,27 @@ pub struct LinkCounters {
     scratch: RefCell<ScoreScratch>,
 }
 
-/// Iterates the distinct links of `path` (a looped path repeating a link
-/// yields it once, keeping counter increments and bitset updates symmetric).
-fn unique_links(path: &AsPath) -> impl Iterator<Item = AsLink> + '_ {
-    path.links()
-        .enumerate()
-        .filter_map(move |(i, l)| (!path.links().take(i).any(|prev| prev == l)).then_some(l))
+impl Default for LinkCounters {
+    fn default() -> Self {
+        LinkCounters {
+            interner: PathInterner::default(),
+            path_end: Vec::new(),
+            path_links: Vec::new(),
+            ids: PrefixMap::default(),
+            prefixes: Vec::new(),
+            state: Vec::new(),
+            routed_bits: IdBitSet::new(),
+            withdrawn_bits: IdBitSet::with_capacity(0),
+            link_ids: HashMap::default(),
+            link_names: Vec::new(),
+            links: Vec::new(),
+            total_withdrawals: 0,
+            routed_count: 0,
+            withdrawn_count: 0,
+            dirty: DirtySet::default(),
+            scratch: RefCell::default(),
+        }
+    }
 }
 
 impl LinkCounters {
@@ -128,8 +192,7 @@ impl LinkCounters {
     {
         let mut c = LinkCounters::default();
         for (prefix, path) in rib {
-            let pid = c.interner.intern(path);
-            c.announce_interned(*prefix, pid);
+            c.on_announce_path(*prefix, path);
         }
         c
     }
@@ -141,6 +204,11 @@ impl LinkCounters {
             interner: rib.interner().clone(),
             ..LinkCounters::default()
         };
+        c.index_new_paths();
+        let n = rib.len();
+        c.ids.reserve(n);
+        c.prefixes.reserve_exact(n);
+        c.state.reserve_exact(n);
         for (prefix, pid) in rib.entries() {
             c.announce_interned(*prefix, *pid);
         }
@@ -150,6 +218,38 @@ impl LinkCounters {
     /// Creates empty counters (no seeded routes).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Resolves the distinct links of every path the interner gained since
+    /// the last call into `path_links` — the only place links are looked up
+    /// (and link ids handed out) by name on behalf of an event.
+    fn index_new_paths(&mut self) {
+        for path in self.interner.paths_from(self.path_end.len()) {
+            let start = self.path_links.len();
+            for link in path.links() {
+                let next = self.link_names.len();
+                let lid = *self.link_ids.entry(link).or_insert_with(|| {
+                    LinkId(u32::try_from(next).expect("more than u32::MAX links"))
+                });
+                if lid.index() == next {
+                    self.link_names.push(link);
+                    self.links.push(LinkEntry::default());
+                }
+                if !self.path_links[start..].contains(&lid) {
+                    self.path_links.push(lid);
+                }
+            }
+            let end = u32::try_from(self.path_links.len()).expect("link arena beyond u32::MAX");
+            self.path_end.push(end);
+        }
+    }
+
+    /// Where the distinct links of path `pid` sit in `path_links`.
+    #[inline]
+    fn path_span(&self, pid: PathId) -> Range<usize> {
+        let i = pid.index();
+        let start = if i == 0 { 0 } else { self.path_end[i - 1] };
+        start as usize..self.path_end[i] as usize
     }
 
     /// Registers a withdrawal of `prefix`.
@@ -168,12 +268,11 @@ impl LinkCounters {
         self.withdrawn_bits.set(id);
         self.routed_count -= 1;
         self.withdrawn_count += 1;
-        let path = self.interner.get_arc(pid);
-        for link in unique_links(&path) {
-            let e = self.links.entry(link).or_default();
+        for &lid in &self.path_links[self.path_span(pid)] {
+            let e = &mut self.links[lid.index()];
             e.w += 1;
-            e.p = e.p.saturating_sub(1);
-            self.dirty.insert(link);
+            e.p -= 1;
+            self.dirty.mark(lid);
         }
     }
 
@@ -181,12 +280,14 @@ impl LinkCounters {
     /// path by reference (it is cloned only the first time it is ever seen).
     pub fn on_announce_path(&mut self, prefix: Prefix, new_path: &AsPath) {
         let pid = self.interner.intern(new_path);
+        self.index_new_paths();
         self.announce_interned(prefix, pid);
     }
 
     /// Registers a re-announcement of `prefix` with an owned `new_path`.
     pub fn on_announce(&mut self, prefix: Prefix, new_path: AsPath) {
         let pid = self.interner.intern_owned(new_path);
+        self.index_new_paths();
         self.announce_interned(prefix, pid);
     }
 
@@ -194,51 +295,50 @@ impl LinkCounters {
     ///
     /// If the prefix had been withdrawn during this burst it becomes routed
     /// again; its withdrawal contribution to W is kept (the withdrawal did
-    /// happen) but the new path now counts towards P.
+    /// happen) but the new path now counts towards P. Only the links on which
+    /// the old and the new path differ have their index bit moved; paths are
+    /// a handful of links, so the membership tests below are a few compares.
     fn announce_interned(&mut self, prefix: Prefix, new_pid: PathId) {
-        let id = match self.ids.get(&prefix) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(self.prefixes.len()).expect("more than u32::MAX prefixes");
-                self.ids.insert(prefix, id);
-                self.prefixes.push(prefix);
-                self.state.push(SlotState::Gone);
-                id
-            }
-        };
-        match self.state[id as usize] {
-            SlotState::Routed(old_pid) => {
-                let old = self.interner.get_arc(old_pid);
-                for link in unique_links(&old) {
-                    if let Some(e) = self.links.get_mut(&link) {
-                        e.crosses.clear(id);
-                        e.p = e.p.saturating_sub(1);
-                    }
-                }
-                self.routed_count -= 1;
-            }
+        let next = u32::try_from(self.prefixes.len()).expect("more than u32::MAX prefixes");
+        let id = *self.ids.entry(prefix).or_insert(next);
+        if id == next {
+            self.prefixes.push(prefix);
+            self.state.push(SlotState::Gone);
+        }
+        // The old path's links still indexed under `id`, and whether they
+        // still hold its P contribution (a withdrawal already removed it).
+        let (old, was_routed) = match self.state[id as usize] {
+            SlotState::Routed(old_pid) if old_pid == new_pid => return,
+            SlotState::Routed(old_pid) => (self.path_span(old_pid), true),
             SlotState::Withdrawn(old_pid) => {
-                // The old path's P contribution was already removed at
-                // withdrawal time and its W contribution is deliberately kept.
-                let old = self.interner.get_arc(old_pid);
-                for link in unique_links(&old) {
-                    if let Some(e) = self.links.get_mut(&link) {
-                        e.crosses.clear(id);
-                    }
-                }
                 self.withdrawn_bits.clear(id);
                 self.withdrawn_count -= 1;
+                (self.path_span(old_pid), false)
             }
-            SlotState::Gone => {}
+            SlotState::Gone => (0..0, false),
+        };
+        let old = &self.path_links[old];
+        let new = &self.path_links[self.path_span(new_pid)];
+        for lid in old.iter().filter(|lid| !new.contains(lid)) {
+            let e = &mut self.links[lid.index()];
+            e.crosses.clear(id);
+            if was_routed {
+                e.p -= 1;
+            }
+        }
+        for lid in new {
+            let e = &mut self.links[lid.index()];
+            if !old.contains(lid) {
+                e.crosses.set(id);
+                e.p += 1;
+            } else if !was_routed {
+                e.p += 1;
+            }
         }
         self.state[id as usize] = SlotState::Routed(new_pid);
-        self.routed_bits.set(id);
-        self.routed_count += 1;
-        let path = self.interner.get_arc(new_pid);
-        for link in unique_links(&path) {
-            let e = self.links.entry(link).or_default();
-            e.crosses.set(id);
-            e.p += 1;
+        if !was_routed {
+            self.routed_bits.set(id);
+            self.routed_count += 1;
         }
     }
 
@@ -249,8 +349,9 @@ impl LinkCounters {
     /// bursts (they are not in the RIB the new burst starts from), then
     /// replays `window` — the withdrawals of the burst-detection window, which
     /// *are* part of the new burst. Prefixes of the window that are currently
-    /// withdrawn regain their `W` contributions; unknown or re-announced ones
-    /// count towards `W(t)` only.
+    /// withdrawn regain their `W` contributions (once each, however often the
+    /// window names them); unknown or re-announced ones count towards `W(t)`
+    /// only.
     ///
     /// Also clears the dirty-link set: callers keeping an incremental ranking
     /// (see [`crate::inference::fit_score::LinkRanker`]) must reset it
@@ -259,61 +360,81 @@ impl LinkCounters {
     where
         I: IntoIterator<Item = Prefix>,
     {
-        for e in self.links.values_mut() {
+        for e in &mut self.links {
             e.w = 0;
         }
         self.total_withdrawals = 0;
         self.dirty.clear();
 
-        // Purge withdrawals from previous bursts.
-        let mut stale: HashMap<u32, PathId> = HashMap::new();
-        for (id, s) in self.state.iter_mut().enumerate() {
-            if let SlotState::Withdrawn(pid) = *s {
-                *s = SlotState::Gone;
-                stale.insert(id as u32, pid);
-            }
-        }
-        for (&id, &pid) in &stale {
-            let path = self.interner.get_arc(pid);
-            for link in unique_links(&path) {
-                if let Some(e) = self.links.get_mut(&link) {
-                    e.crosses.clear(id);
+        // The window's currently-withdrawn prefixes stay withdrawn, into the
+        // new burst, and regain their W contributions — once each.
+        let mut kept: Vec<u32> = Vec::new();
+        for prefix in window {
+            self.total_withdrawals += 1;
+            if let Some(&id) = self.ids.get(&prefix) {
+                if matches!(self.state[id as usize], SlotState::Withdrawn(_)) {
+                    kept.push(id);
                 }
             }
         }
-        self.withdrawn_bits.clear_all();
-        self.withdrawn_count = 0;
+        kept.sort_unstable();
+        kept.dedup();
+        for &id in &kept {
+            let SlotState::Withdrawn(pid) = self.state[id as usize] else {
+                unreachable!("kept slots were checked to be withdrawn")
+            };
+            for &lid in &self.path_links[self.path_span(pid)] {
+                self.links[lid.index()].w += 1;
+                self.dirty.mark(lid);
+            }
+            self.withdrawn_bits.clear(id);
+        }
 
-        // Replay the detection window into the fresh burst.
-        for prefix in window {
-            self.total_withdrawals += 1;
-            let Some(&id) = self.ids.get(&prefix) else {
-                continue;
+        // Every other withdrawal is from a previous burst: purge it.
+        // `withdrawn_bits` held exactly the `Withdrawn` slots, so without
+        // the kept ids it is the stale set, and each link a stale prefix
+        // crossed drops all of them in one pass.
+        let mut touched: DirtySet<LinkId> = DirtySet::default();
+        for id in self.withdrawn_bits.ids() {
+            let SlotState::Withdrawn(pid) = self.state[id as usize] else {
+                unreachable!("withdrawn bit set on a slot that is not withdrawn")
             };
-            let Some(pid) = stale.remove(&id) else {
-                continue;
-            };
-            self.state[id as usize] = SlotState::Withdrawn(pid);
-            self.withdrawn_bits.set(id);
-            self.withdrawn_count += 1;
-            let path = self.interner.get_arc(pid);
-            for link in unique_links(&path) {
-                let e = self.links.entry(link).or_default();
-                e.crosses.set(id);
-                e.w += 1;
-                self.dirty.insert(link);
+            self.state[id as usize] = SlotState::Gone;
+            for &lid in &self.path_links[self.path_span(pid)] {
+                touched.mark(lid);
             }
         }
+        for lid in touched.ids() {
+            self.links[lid.index()]
+                .crosses
+                .subtract(&self.withdrawn_bits);
+        }
+        self.withdrawn_bits.clear_all();
+        for &id in &kept {
+            self.withdrawn_bits.set(id);
+        }
+        self.withdrawn_count = kept.len();
+    }
+
+    /// The id of `link`, if any path seen so far crosses it.
+    pub fn link_id(&self, link: &AsLink) -> Option<LinkId> {
+        self.link_ids.get(link).copied()
+    }
+
+    /// The link behind `id`. Panics if `id` came from other counters.
+    #[inline]
+    pub fn link(&self, id: LinkId) -> AsLink {
+        self.link_names[id.index()]
     }
 
     /// `W(l,t)`: withdrawn prefixes whose path included `l`.
     pub fn w(&self, link: &AsLink) -> usize {
-        self.links.get(link).map_or(0, |e| e.w)
+        self.wp(link).0
     }
 
     /// `P(l,t)`: prefixes whose current path still includes `l`.
     pub fn p(&self, link: &AsLink) -> usize {
-        self.links.get(link).map_or(0, |e| e.p)
+        self.wp(link).1
     }
 
     /// `W(t)`: total withdrawals received.
@@ -323,21 +444,28 @@ impl LinkCounters {
 
     /// Every link with a non-zero `W` counter (the candidate failed links).
     pub fn links_with_withdrawals(&self) -> impl Iterator<Item = (&AsLink, usize)> {
-        self.links
-            .iter()
+        self.ids_with_withdrawals()
+            .map(|id| (&self.link_names[id.index()], self.wp_of(id).0))
+    }
+
+    /// [`LinkCounters::links_with_withdrawals`] by id: what a from-scratch
+    /// ranking walks.
+    pub(crate) fn ids_with_withdrawals(&self) -> impl Iterator<Item = LinkId> + '_ {
+        (0u32..)
+            .zip(&self.links)
             .filter(|(_, e)| e.w > 0)
-            .map(|(l, e)| (l, e.w))
+            .map(|(i, _)| LinkId(i))
     }
 
     /// Every link currently known to the counters (withdrawn or still routed).
     pub fn all_links(&self) -> impl Iterator<Item = &AsLink> {
-        self.links.keys()
+        self.link_names.iter()
     }
 
-    /// Links whose `W(l)` changed since the last call, drained in sorted
+    /// Links whose `W(l)` changed since the last call, drained in first-change
     /// order. Feeds the incremental candidate ranking in the engine.
-    pub fn take_dirty(&mut self) -> Vec<AsLink> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
+    pub fn take_dirty(&mut self) -> Vec<LinkId> {
+        self.dirty.take()
     }
 
     /// The current path of `prefix`, if still routed.
@@ -387,15 +515,19 @@ impl LinkCounters {
             })
     }
 
+    /// The ids `links` resolve to, unknown links dropped: the by-name
+    /// boundary of the link-set queries.
+    fn resolve<'a>(&'a self, links: &'a [AsLink]) -> impl Iterator<Item = LinkId> + Clone + 'a {
+        links.iter().filter_map(|link| self.link_id(link))
+    }
+
     /// The union of the per-link prefix bitsets of `links`, materialised into
     /// a fresh allocation — the pre-kernel behaviour, kept as the reference
     /// for [`LinkCounters::union_counts_materialized`] and the benches.
     fn union_bits(&self, links: &[AsLink]) -> IdBitSet {
         let mut union = IdBitSet::new();
-        for link in links {
-            if let Some(e) = self.links.get(link) {
-                union.union_with(&e.crosses);
-            }
+        for lid in self.resolve(links) {
+            union.union_with(&self.links[lid.index()].crosses);
         }
         union
     }
@@ -404,16 +536,26 @@ impl LinkCounters {
     /// per-link bitsets and both masks, no materialised union, no per-call
     /// heap allocation (see [`crate::inference::kernels`]).
     pub fn union_counts(&self, links: &[AsLink]) -> (usize, usize) {
+        self.fused_counts(self.resolve(links))
+    }
+
+    /// [`LinkCounters::union_counts`] of a set of link ids.
+    pub fn union_counts_of(&self, ids: &[LinkId]) -> (usize, usize) {
+        self.fused_counts(ids.iter().copied())
+    }
+
+    fn fused_counts<I>(&self, ids: I) -> (usize, usize)
+    where
+        I: Iterator<Item = LinkId> + Clone,
+    {
         let mut srcs: [&IdBitSet; MAX_FUSED_SOURCES] = [&self.routed_bits; MAX_FUSED_SOURCES];
         let mut n = 0;
-        for link in links {
-            if let Some(e) = self.links.get(link) {
-                if n == MAX_FUSED_SOURCES {
-                    return self.union_counts_buffered(links);
-                }
-                srcs[n] = &e.crosses;
-                n += 1;
+        for lid in ids.clone() {
+            if n == MAX_FUSED_SOURCES {
+                return self.union_counts_buffered(ids);
             }
+            srcs[n] = &self.links[lid.index()].crosses;
+            n += 1;
         }
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
@@ -428,15 +570,13 @@ impl LinkCounters {
 
     /// Overflow path of [`LinkCounters::union_counts`]: materialises the union
     /// into the reusable scratch buffer (capacity retained across calls).
-    fn union_counts_buffered(&self, links: &[AsLink]) -> (usize, usize) {
+    fn union_counts_buffered(&self, ids: impl Iterator<Item = LinkId>) -> (usize, usize) {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         let before = s.union_buf.heap_bytes();
         s.union_buf.clear_all();
-        for link in links {
-            if let Some(e) = self.links.get(link) {
-                s.union_buf.union_with(&e.crosses);
-            }
+        for lid in ids {
+            s.union_buf.union_with(&self.links[lid.index()].crosses);
         }
         if s.union_buf.heap_bytes() > before {
             s.stats.scratch_growth += 1;
@@ -461,10 +601,16 @@ impl LinkCounters {
         )
     }
 
-    /// `(W(l,t), P(l,t))` of a single link in one index lookup (the per-link
-    /// scorer used to pay three `BTreeMap` probes for the same entry).
+    /// `(W(l,t), P(l,t))` of a single link, by name.
     pub fn wp(&self, link: &AsLink) -> (usize, usize) {
-        self.links.get(link).map_or((0, 0), |e| (e.w, e.p))
+        self.link_id(link).map_or((0, 0), |lid| self.wp_of(lid))
+    }
+
+    /// `(W(l,t), P(l,t))` of a single link: an array read.
+    #[inline]
+    pub fn wp_of(&self, id: LinkId) -> (usize, usize) {
+        let e = &self.links[id.index()];
+        (e.w as usize, e.p as usize)
     }
 
     /// Seeds the scratch-resident greedy aggregate with `seed`'s crossing set
@@ -475,14 +621,12 @@ impl LinkCounters {
     /// aggregation an O(1)-per-candidate running union: a trial fuses the
     /// current aggregate with one more crossing set instead of re-unioning
     /// the whole link set from scratch (O(k²) → O(k) over a greedy chain).
-    pub fn agg_seed(&self, seed: &AsLink) -> (usize, usize) {
+    pub fn agg_seed(&self, seed: LinkId) -> (usize, usize) {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         let before = s.agg.heap_bytes();
         s.agg.clear_all();
-        if let Some(e) = self.links.get(seed) {
-            s.agg.union_with(&e.crosses);
-        }
+        s.agg.union_with(&self.links[seed.index()].crosses);
         if s.agg.heap_bytes() > before {
             s.stats.scratch_growth += 1;
         } else {
@@ -500,14 +644,10 @@ impl LinkCounters {
 
     /// Fused `(W, P)` of the current aggregate extended by `candidate`,
     /// without committing the extension.
-    pub fn agg_trial(&self, candidate: &AsLink) -> (usize, usize) {
+    pub fn agg_trial(&self, candidate: LinkId) -> (usize, usize) {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
-        let srcs: [&IdBitSet; 2] = match self.links.get(candidate) {
-            Some(e) => [&s.agg, &e.crosses],
-            // Unknown link: the trial set equals the current aggregate.
-            None => [&s.agg, &s.agg],
-        };
+        let srcs: [&IdBitSet; 2] = [&s.agg, &self.links[candidate.index()].crosses];
         fused_wp(
             &srcs,
             &self.withdrawn_bits,
@@ -519,11 +659,11 @@ impl LinkCounters {
 
     /// Folds `candidate`'s crossing set into the running aggregate (call
     /// after a successful [`LinkCounters::agg_trial`]).
-    pub fn agg_accept(&self, candidate: &AsLink) {
-        if let Some(e) = self.links.get(candidate) {
-            let mut scratch = self.scratch.borrow_mut();
-            scratch.agg.union_with(&e.crosses);
-        }
+    pub fn agg_accept(&self, candidate: LinkId) {
+        let mut scratch = self.scratch.borrow_mut();
+        scratch
+            .agg
+            .union_with(&self.links[candidate.index()].crosses);
     }
 
     /// Drains the kernel dispatch/scratch statistics accumulated since the
@@ -565,10 +705,8 @@ impl LinkCounters {
         let s = &mut *scratch;
         let before = s.union_buf.heap_bytes();
         s.union_buf.clear_all();
-        for link in links {
-            if let Some(e) = self.links.get(link) {
-                s.union_buf.union_with(&e.crosses);
-            }
+        for lid in self.resolve(links) {
+            s.union_buf.union_with(&self.links[lid.index()].crosses);
         }
         if s.union_buf.heap_bytes() > before {
             s.stats.scratch_growth += 1;
@@ -890,19 +1028,70 @@ mod tests {
 
     #[test]
     fn dirty_tracking_follows_w_changes() {
+        fn drain(c: &mut LinkCounters) -> Vec<AsLink> {
+            c.take_dirty().into_iter().map(|id| c.link(id)).collect()
+        }
         let mut c = fig4_counters();
         assert!(c.take_dirty().is_empty(), "seeding never dirties W");
         c.on_withdraw(p(2));
-        let dirty = c.take_dirty();
-        assert_eq!(dirty, vec![AsLink::new(2, 5), AsLink::new(5, 6)]);
+        assert_eq!(drain(&mut c), vec![AsLink::new(2, 5), AsLink::new(5, 6)]);
         assert!(c.take_dirty().is_empty(), "drained");
         c.on_announce(p(10), AsPath::new([2u32, 9]));
         assert!(c.take_dirty().is_empty(), "announcements do not change W");
         c.start_burst([p(2)]);
         assert_eq!(
-            c.take_dirty(),
+            drain(&mut c),
             vec![AsLink::new(2, 5), AsLink::new(5, 6)],
             "burst-start replay re-dirties the resurrected links"
         );
+    }
+
+    /// A re-announcement over the path a prefix already has moves no index
+    /// bit: a routed prefix is left alone, a withdrawn one gets its `P` back.
+    #[test]
+    fn same_path_reannouncement_keeps_the_index() {
+        let mut c = fig4_counters();
+        let l56 = AsLink::new(5, 6);
+        let before = (c.wp(&l56), c.routed_count(), c.union_counts(&[l56]));
+        c.on_announce(p(2), AsPath::new([2u32, 5, 6]));
+        assert_eq!(
+            (c.wp(&l56), c.routed_count(), c.union_counts(&[l56])),
+            before
+        );
+        c.on_withdraw(p(2));
+        assert_eq!(c.wp(&l56), (1, 20));
+        assert_eq!(c.union_counts(&[l56]), (1, 20));
+        c.on_announce(p(2), AsPath::new([2u32, 5, 6]));
+        assert_eq!(c.wp(&l56), (1, 21), "W kept, P restored");
+        assert_eq!(c.union_counts(&[l56]), (0, 21), "no longer withdrawn");
+        assert_eq!(c.p_union_scan(&[l56]), 21);
+        assert_eq!((c.routed_count(), c.withdrawn_count()), (23, 0));
+        // A looped path lists a repeated link once.
+        c.on_announce(p(50), AsPath::new([2u32, 5, 2, 5]));
+        assert_eq!(c.p(&AsLink::new(2, 5)), 23);
+        c.on_withdraw(p(50));
+        assert_eq!(c.w(&AsLink::new(2, 5)), 2);
+    }
+
+    #[test]
+    fn start_burst_counts_window_duplicates_once_and_skips_reannounced() {
+        let mut c = fig4_counters();
+        for i in [2, 30, 31, 32] {
+            c.on_withdraw(p(i));
+        }
+        // p(31) came back before the burst was detected; p(30) is named
+        // twice; p(9_999) was never routed; p(32) fell out of the window.
+        c.on_announce(p(31), AsPath::new([2u32, 5, 6, 8]));
+        c.start_burst([p(30), p(31), p(30), p(9_999), p(2)]);
+        assert_eq!(c.total_withdrawals(), 5, "W(t) counts every window entry");
+        assert_eq!(c.withdrawn_count(), 2, "p(2) and p(30)");
+        assert_eq!(c.w(&AsLink::new(6, 8)), 1);
+        assert_eq!(c.w(&AsLink::new(5, 6)), 2);
+        assert!(!c.is_withdrawn(&p(32)), "purged with the previous burst");
+        assert_eq!(c.routed_count(), 20);
+        for set in [[AsLink::new(6, 8)], [AsLink::new(5, 6)]] {
+            assert_eq!(c.w_union(&set), c.w_union_scan(&set));
+            assert_eq!(c.p_union(&set), c.p_union_scan(&set));
+        }
     }
 }

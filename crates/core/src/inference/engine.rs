@@ -14,7 +14,7 @@
 //! Counters are re-seeded at every burst start (§4.1): when the detector
 //! reports [`BurstEvent::Started`], the engine resets `W` via
 //! [`LinkCounters::start_burst`] and replays the withdrawals of the detection
-//! window (mirrored with their prefixes in [`InferenceEngine::recent`]) so
+//! window (the detector's own, which keeps their prefixes) so
 //! the new burst starts from exactly the per-burst state the paper assumes —
 //! burst N+1's withdrawal shares are never polluted by burst N's history.
 //! Bursts also close on withdrawal-only streams: the detector checks the stop
@@ -23,9 +23,18 @@
 //!
 //! # Hot path
 //!
+//! Most events are not attempts. A withdrawal costs one prefix-map probe,
+//! array updates of its path's links by [`LinkId`](super::counters::LinkId)
+//! and a push onto the detector's window; an announcement adds the path
+//! interner's probe. Nothing on that path allocates, orders a tree or touches
+//! a link by name.
+//!
 //! An inference attempt ranks candidates through the incrementally maintained
 //! [`LinkRanker`] (fed by the counters' dirty-link feed) and scores link sets
-//! through the inverted prefix-bitset index — no full-RIB scans.
+//! through the inverted prefix-bitset index — no full-RIB scans, link ids
+//! end to end. The selected set carries its exact `(W(S), P(S))`, so the
+//! history model's plausibility cap is applied before
+//! [`predict`] materialises any prefix set: a rejected attempt builds none.
 
 use crate::config::InferenceConfig;
 use crate::inference::aggregate::{infer_links, infer_links_ranked, InferredLinks};
@@ -33,7 +42,6 @@ use crate::inference::burst_detect::{BurstDetector, BurstEvent};
 use crate::inference::counters::LinkCounters;
 use crate::inference::fit_score::{LinkRanker, Score};
 use crate::inference::predictor::{predict, Prediction};
-use std::collections::VecDeque;
 use swift_bgp::{AsPath, ElementaryEvent, InternedRib, Prefix, Timestamp};
 
 /// An accepted inference: the output SWIFT acts upon.
@@ -83,9 +91,6 @@ pub struct InferenceEngine {
     detector: BurstDetector,
     /// Incrementally maintained candidate ranking for the current burst.
     ranker: LinkRanker,
-    /// Mirror of the detector's sliding window with prefixes attached, so a
-    /// burst start can replay the window into the freshly seeded counters.
-    recent: VecDeque<(Timestamp, Prefix)>,
     /// Withdrawals seen in the current burst at the time of the last attempt.
     last_attempt_withdrawals: usize,
     /// Set once an inference has been accepted for the current burst.
@@ -118,7 +123,6 @@ impl InferenceEngine {
             counters,
             detector,
             ranker: LinkRanker::new(),
-            recent: VecDeque::new(),
             last_attempt_withdrawals: 0,
             accepted: None,
             attempts: 0,
@@ -136,8 +140,9 @@ impl InferenceEngine {
     }
 
     /// Drains the kernel dispatch/scratch statistics accumulated since the
-    /// last call (see [`crate::inference::KernelStats`]). The runtime drains
-    /// these per event into the telemetry registry.
+    /// last call (see [`crate::inference::KernelStats`]). Kernels run only
+    /// inside an inference attempt, so the runtime drains these into the
+    /// telemetry registry after an event that made one.
     pub fn take_kernel_stats(&self) -> crate::inference::KernelStats {
         self.counters.take_kernel_stats()
     }
@@ -178,9 +183,8 @@ impl InferenceEngine {
                 (self.idle_status(), None)
             }
             ElementaryEvent::Withdraw { timestamp, prefix } => {
-                self.buffer_withdrawal(*timestamp, *prefix);
                 self.counters.on_withdraw(*prefix);
-                match self.detector.on_withdrawal(*timestamp) {
+                match self.detector.on_withdrawal(*timestamp, *prefix) {
                     BurstEvent::None => (EngineStatus::Idle, None),
                     BurstEvent::Ended => {
                         // The previous burst drained before this withdrawal
@@ -194,8 +198,7 @@ impl InferenceEngine {
                         // §4.1: seed the per-burst counters at burst start,
                         // then replay the detection window — those
                         // withdrawals belong to the new burst.
-                        let window: Vec<Prefix> = self.recent.iter().map(|(_, p)| *p).collect();
-                        self.counters.start_burst(window);
+                        self.counters.start_burst(self.detector.window());
                         self.maybe_infer(*timestamp)
                     }
                     BurstEvent::Ongoing => self.maybe_infer(*timestamp),
@@ -233,10 +236,9 @@ impl InferenceEngine {
     /// baseline; both paths return identical results.
     pub fn force_infer(&mut self, time: Timestamp) -> InferenceResult {
         let links = if self.detector.in_burst() {
-            let dirty = self.counters.take_dirty();
-            self.ranker.update(dirty, &self.counters);
+            self.ranker.update(self.counters.take_dirty());
             let ranking = self.ranker.ranking(&self.counters, &self.config);
-            infer_links_ranked(&self.counters, &ranking, &self.config)
+            infer_links_ranked(&self.counters, ranking, &self.config)
         } else {
             infer_links(&self.counters, &self.config)
         };
@@ -246,20 +248,6 @@ impl InferenceEngine {
             withdrawals_seen: self.counters.total_withdrawals(),
             links,
             prediction,
-        }
-    }
-
-    /// Keeps `recent` an exact mirror of the detector's sliding window
-    /// (same push order, same eviction cutoff), with prefixes attached.
-    fn buffer_withdrawal(&mut self, t: Timestamp, prefix: Prefix) {
-        self.recent.push_back((t, prefix));
-        let cutoff = t.saturating_sub(self.config.burst_window);
-        while let Some((front, _)) = self.recent.front() {
-            if *front < cutoff {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
         }
     }
 
@@ -291,10 +279,18 @@ impl InferenceEngine {
         self.last_attempt_withdrawals = seen;
         self.attempts += 1;
 
-        let dirty = self.counters.take_dirty();
-        self.ranker.update(dirty, &self.counters);
+        self.ranker.update(self.counters.take_dirty());
         let ranking = self.ranker.ranking(&self.counters, &self.config);
-        let links = infer_links_ranked(&self.counters, &ranking, &self.config);
+        let links = infer_links_ranked(&self.counters, ranking, &self.config);
+        // The set's own (W, P) is the size of the prediction it would yield:
+        // an implausible one is turned down before any prefix set is built.
+        if self.config.use_history {
+            if let Some(cap) = self.config.plausibility_cap(seen) {
+                if links.total_affected() > cap {
+                    return (EngineStatus::RejectedByHistory, None);
+                }
+            }
+        }
         let prediction = predict(&self.counters, &links);
         let result = InferenceResult {
             time: now,
@@ -302,14 +298,6 @@ impl InferenceEngine {
             links,
             prediction,
         };
-
-        if self.config.use_history {
-            if let Some(cap) = self.config.plausibility_cap(seen) {
-                if result.prediction.total_affected() > cap {
-                    return (EngineStatus::RejectedByHistory, None);
-                }
-            }
-        }
         self.accepted = Some(result.clone());
         (EngineStatus::Accepted, Some(result))
     }
@@ -421,6 +409,41 @@ mod tests {
             results[0].withdrawals_seen
         );
         assert!(statuses.contains(&EngineStatus::RejectedByHistory));
+    }
+
+    /// The history model holds its cap against the selected set's own
+    /// `(W, P)`: a rejected attempt materialises no union for a prediction,
+    /// and attempts reject and accept at the same withdrawals as when the
+    /// cap was held against a built one.
+    #[test]
+    fn rejected_attempts_build_no_prediction() {
+        use EngineStatus::{Accepted, RejectedByHistory};
+        let table = rib(2_000);
+        let mut engine = InferenceEngine::new(small_config(), table.iter().map(|(a, b)| (a, b)));
+        let mut attempts = Vec::new();
+        for (i, ev) in withdraw_events(1_200, 10_000).iter().enumerate() {
+            let (status, result) = engine.process(ev);
+            if matches!(status, Accepted | RejectedByHistory) {
+                assert_eq!(result.is_some(), status == Accepted);
+                // Unions materialised into scratch: the greedy chain's seed,
+                // and the prediction's if one was built.
+                let stats = engine.take_kernel_stats();
+                attempts.push((i, status, stats.scratch_reuse + stats.scratch_growth));
+            }
+        }
+        assert_eq!(
+            attempts,
+            vec![
+                (199, RejectedByHistory, 1),
+                (399, RejectedByHistory, 1),
+                (599, RejectedByHistory, 1),
+                (799, RejectedByHistory, 1),
+                (999, Accepted, 2),
+            ]
+        );
+        let accepted = engine.accepted().expect("accepted at the force threshold");
+        assert_eq!(accepted.links.total_affected(), 2_000);
+        assert_eq!(accepted.prediction.total_affected(), 2_000);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!   candidate set (links with `W(l) > 0`) is maintained from the counters'
 //!   dirty-link feed between triggering attempts, so an attempt only scores
 //!   the candidates instead of walking every link the session has ever seen.
+//!
+//! Both work on the counters' dense [`LinkId`]s — a score is two array reads
+//! — and differ only in where the candidate ids come from.
 
 use crate::config::InferenceConfig;
-use crate::inference::counters::LinkCounters;
-use std::collections::BTreeSet;
+use crate::dirty::DirtySet;
+use crate::inference::counters::{LinkCounters, LinkId};
 use swift_bgp::AsLink;
 
 /// The WS / PS / FS values of one link or link set at one point in time.
@@ -133,27 +136,52 @@ pub fn score_link_set_scan(
     score_from_counts(w, p, counters.total_withdrawals(), config)
 }
 
-/// Sorts `(link, score)` pairs by decreasing fit score (ties broken by link
-/// identity for determinism).
-fn sort_ranking(scored: &mut [(AsLink, Score)]) {
-    scored.sort_by(|a, b| {
+/// Scores `ids` into `out`, sorted by decreasing fit score (ties broken by
+/// link identity for determinism). Links are distinct, so the order is total
+/// and the in-place unstable sort has exactly one outcome.
+fn rank_into(
+    out: &mut Vec<(LinkId, Score)>,
+    ids: impl Iterator<Item = LinkId>,
+    counters: &LinkCounters,
+    config: &InferenceConfig,
+) {
+    let total = counters.total_withdrawals();
+    out.clear();
+    out.extend(ids.map(|id| {
+        let (w, p) = counters.wp_of(id);
+        (id, score_from_counts(w, p, total, config))
+    }));
+    out.sort_unstable_by(|a, b| {
         b.1.fs
             .partial_cmp(&a.1.fs)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
+            .then_with(|| counters.link(a.0).cmp(&counters.link(b.0)))
     });
+}
+
+/// [`rank_links`] by link id: the ranking the link selection consumes.
+pub(crate) fn rank_link_ids(
+    counters: &LinkCounters,
+    config: &InferenceConfig,
+) -> Vec<(LinkId, Score)> {
+    let mut ranking = Vec::new();
+    rank_into(
+        &mut ranking,
+        counters.ids_with_withdrawals(),
+        counters,
+        config,
+    );
+    ranking
 }
 
 /// Scores every link with at least one withdrawal, returning `(link, score)`
 /// pairs sorted by decreasing fit score (ties broken by link identity for
 /// determinism).
 pub fn rank_links(counters: &LinkCounters, config: &InferenceConfig) -> Vec<(AsLink, Score)> {
-    let mut scored: Vec<(AsLink, Score)> = counters
-        .links_with_withdrawals()
-        .map(|(l, _)| (*l, score_link(counters, l, config)))
-        .collect();
-    sort_ranking(&mut scored);
-    scored
+    rank_link_ids(counters, config)
+        .into_iter()
+        .map(|(id, score)| (counters.link(id), score))
+        .collect()
 }
 
 /// Incrementally maintained link ranking for the engine's hot path.
@@ -168,8 +196,11 @@ pub fn rank_links(counters: &LinkCounters, config: &InferenceConfig) -> Vec<(AsL
 /// so [`LinkRanker::ranking`] returns exactly what [`rank_links`] would.
 #[derive(Debug, Clone, Default)]
 pub struct LinkRanker {
-    /// Links with `W(l) > 0`, kept sorted for deterministic iteration.
-    candidates: BTreeSet<AsLink>,
+    /// Every link whose `W(l)` changed since the last reset: a superset of
+    /// the links with `W(l) > 0`, which is what a ranking keeps of it.
+    candidates: DirtySet<LinkId>,
+    /// The last ranking, kept for its capacity.
+    ranked: Vec<(LinkId, Score)>,
 }
 
 impl LinkRanker {
@@ -185,38 +216,30 @@ impl LinkRanker {
     }
 
     /// Folds a batch of dirty links into the candidate set.
-    pub fn update<I>(&mut self, dirty: I, counters: &LinkCounters)
+    pub fn update<I>(&mut self, dirty: I)
     where
-        I: IntoIterator<Item = AsLink>,
+        I: IntoIterator<Item = LinkId>,
     {
         for link in dirty {
-            if counters.w(&link) > 0 {
-                self.candidates.insert(link);
-            } else {
-                self.candidates.remove(&link);
-            }
+            self.candidates.mark(link);
         }
     }
 
-    /// Number of current candidate links.
-    pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// The current ranking — identical to [`rank_links`] on the same counters,
-    /// but scoring only the maintained candidates.
+    /// The current ranking by link id — [`rank_links`] on the same counters,
+    /// but scoring only the maintained candidates, into a reused buffer.
     pub fn ranking(
-        &self,
+        &mut self,
         counters: &LinkCounters,
         config: &InferenceConfig,
-    ) -> Vec<(AsLink, Score)> {
-        let mut scored: Vec<(AsLink, Score)> = self
+    ) -> &[(LinkId, Score)] {
+        let live = self
             .candidates
+            .ids()
             .iter()
-            .map(|l| (*l, score_link(counters, l, config)))
-            .collect();
-        sort_ranking(&mut scored);
-        scored
+            .copied()
+            .filter(|id| counters.wp_of(*id).0 > 0);
+        rank_into(&mut self.ranked, live, counters, config);
+        &self.ranked
     }
 }
 
@@ -385,6 +408,10 @@ mod tests {
         let mut c = LinkCounters::from_rib(rib.iter().map(|(a, b)| (a, b)));
         let cfg = InferenceConfig::default();
         let mut ranker = LinkRanker::new();
+        let by_name = |ranker: &mut LinkRanker, c: &LinkCounters| -> Vec<(AsLink, Score)> {
+            let ranking = ranker.ranking(c, &cfg);
+            ranking.iter().map(|(id, s)| (c.link(*id), *s)).collect()
+        };
         // Interleave withdrawals and announcements, folding dirt as the
         // engine would between attempts.
         for i in 0..20u32 {
@@ -393,17 +420,17 @@ mod tests {
                 c.on_announce(p(30 + i / 5), AsPath::new([2u32, 5, 3]));
             }
             if i % 4 == 0 {
-                ranker.update(c.take_dirty(), &c);
-                assert_eq!(ranker.ranking(&c, &cfg), rank_links(&c, &cfg));
+                ranker.update(c.take_dirty());
+                assert_eq!(by_name(&mut ranker, &c), rank_links(&c, &cfg));
             }
         }
-        ranker.update(c.take_dirty(), &c);
-        assert_eq!(ranker.ranking(&c, &cfg), rank_links(&c, &cfg));
-        assert_eq!(ranker.candidate_count(), 2, "(2,5) and (5,6)");
+        ranker.update(c.take_dirty());
+        assert_eq!(by_name(&mut ranker, &c), rank_links(&c, &cfg));
+        assert_eq!(ranker.ranking(&c, &cfg).len(), 2, "(2,5) and (5,6)");
         // A burst boundary resets both sides.
         c.start_burst(std::iter::empty());
         ranker.reset();
-        ranker.update(c.take_dirty(), &c);
+        ranker.update(c.take_dirty());
         assert!(ranker.ranking(&c, &cfg).is_empty());
         assert!(rank_links(&c, &cfg).is_empty());
     }

@@ -32,7 +32,7 @@ pub use aggregate::{
 };
 pub use bitset::IdBitSet;
 pub use burst_detect::{BurstDetector, BurstEvent, WindowHistory};
-pub use counters::LinkCounters;
+pub use counters::{LinkCounters, LinkId};
 pub use engine::{EngineStatus, InferenceEngine, InferenceResult};
 pub use fit_score::{
     fit_score_value, path_share, rank_links, score_link, score_link_set,

@@ -37,6 +37,7 @@
 #![warn(clippy::all)]
 
 pub mod config;
+mod dirty;
 pub mod encoding;
 pub mod inference;
 pub mod metrics;

@@ -32,14 +32,13 @@
 //! Whichever mode folds an event, the prefix whose routes it changed is
 //! marked dirty for the next resync's stage-1 retag. The set is keyed by the
 //! routing table's [`PrefixId`] — the id [`RoutingTable::apply_owned`] returns
-//! from the one probe it makes anyway — as an id list plus a seen-bitmap, so
-//! marking is an array write. Invariant: bit `i` of `seen` is set exactly
-//! when id `i` is in `ids`; both are written only by `DirtySet::mark` and
-//! `DirtySet::take`. An event that changed nothing (unregistered peer,
-//! withdrawal of a route the peer does not hold) returns no id and marks
-//! nothing.
+//! from the one probe it makes anyway — as an id list plus a seen-bitmap (the
+//! crate's shared `DirtySet`), so marking is an array write. An event that
+//! changed nothing (unregistered peer, withdrawal of a route the peer does
+//! not hold) returns no id and marks nothing.
 
 use crate::config::SwiftConfig;
+use crate::dirty::DirtySet;
 use crate::encoding::{RerouteId, ReroutingPolicy, TwoStageTable};
 use crate::inference::{EngineStatus, InferenceEngine, InferenceResult};
 use crate::router::RerouteAction;
@@ -108,35 +107,6 @@ pub fn session_engines(
     engines
 }
 
-/// The prefixes whose routes changed since the last resync, by routing-table
-/// id: insertion-ordered, deduplicated through a bitmap (see the module docs).
-#[derive(Debug, Clone, Default)]
-struct DirtySet {
-    ids: Vec<PrefixId>,
-    seen: Vec<u64>,
-}
-
-impl DirtySet {
-    fn mark(&mut self, id: PrefixId) {
-        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
-        if self.seen.len() <= word {
-            self.seen.resize(word + 1, 0);
-        }
-        if self.seen[word] & bit == 0 {
-            self.seen[word] |= bit;
-            self.ids.push(id);
-        }
-    }
-
-    /// Empties the set, returning the marked ids.
-    fn take(&mut self) -> Vec<PrefixId> {
-        for id in &self.ids {
-            self.seen[id.index() / 64] = 0;
-        }
-        std::mem::take(&mut self.ids)
-    }
-}
-
 /// The serialized half of the pipeline: routing state, forwarding-table rule
 /// installs and the reconvergence resync.
 #[derive(Debug, Clone)]
@@ -148,7 +118,7 @@ pub struct Applier {
     actions: Vec<RerouteAction>,
     /// Prefixes whose routes changed since the last resync — the set the
     /// incremental stage-1 refresh retags.
-    dirty: DirtySet,
+    dirty: DirtySet<PrefixId>,
     /// Reroutes installed and not yet resynced away, tagged with the session
     /// whose inference installed them (so a session teardown can remove just
     /// that session's rules).
@@ -316,7 +286,7 @@ impl Applier {
         let removed = self.forwarding.clear_swift_rules();
         self.forwarding = TwoStageTable::build(&self.table, &self.config.encoding, &self.policy);
         self.outstanding.clear();
-        self.dirty.take();
+        self.dirty.clear();
         removed
     }
 
@@ -561,7 +531,7 @@ mod tests {
             applier.sync_rib();
             let dirty: Vec<Prefix> = applier
                 .dirty
-                .ids
+                .ids()
                 .iter()
                 .map(|id| applier.table().prefix_of(*id))
                 .collect();
@@ -572,7 +542,7 @@ mod tests {
                 "p(999) was not interned"
             );
             applier.resync_after_convergence();
-            assert!(applier.dirty.ids.is_empty() && applier.dirty.seen.iter().all(|w| *w == 0));
+            assert!(applier.dirty.ids().is_empty() && applier.dirty.bitmap_is_clear());
             assert_eq!(applier.forwarding_next_hop(&p(3)), Some(PeerId(2)));
         }
     }
@@ -636,6 +606,8 @@ mod tests {
                     ps: 1.0,
                     fs: 1.0,
                 },
+                withdrawn: 0,
+                routed: n as usize,
             },
             prediction: crate::inference::Prediction {
                 already_withdrawn: PrefixSet::new(),

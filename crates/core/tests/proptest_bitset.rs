@@ -93,6 +93,7 @@ proptest! {
 
         let model_inter: Vec<u32> = ma.intersection(&mb).copied().collect();
         let model_union: Vec<u32> = ma.union(&mb).copied().collect();
+        let model_difference: Vec<u32> = ma.difference(&mb).copied().collect();
 
         for (a, b) in [(&ha, &hb), (&ha, &db), (&da, &hb), (&da, &db)] {
             prop_assert_eq!(a.intersection_count(b), model_inter.len());
@@ -104,6 +105,12 @@ proptest! {
             let union_ids: Vec<u32> = u.ids().collect();
             prop_assert_eq!(&union_ids, &model_union);
             prop_assert_eq!(u.count(), model_union.len());
+
+            let mut d = a.clone();
+            d.subtract(b);
+            let difference_ids: Vec<u32> = d.ids().collect();
+            prop_assert_eq!(&difference_ids, &model_difference);
+            prop_assert_eq!(d.check_summary_invariant(), Ok(()));
         }
     }
 

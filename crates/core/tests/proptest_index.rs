@@ -1,12 +1,16 @@
 //! Property tests for the inverted prefix-bitset index behind
 //! [`LinkCounters`]: on random RIBs, event streams and burst boundaries, the
 //! bitset-based `w_union` / `p_union` / `crossing_prefixes` / `predict` must
-//! equal the naive full-scan implementations they replaced.
+//! equal the naive full-scan implementations they replaced; and, step by step
+//! against a naive model, the dense-id counters keep every count they
+//! maintain.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use swift_bgp::{AsLink, AsPath, Prefix, PrefixSet};
 use swift_core::inference::{
     infer_links, infer_links_scan, predict, predict_scan, rank_links, LinkCounters, LinkRanker,
+    Score,
 };
 use swift_core::InferenceConfig;
 
@@ -100,6 +104,141 @@ fn check_equivalences(c: &LinkCounters) -> Result<(), String> {
     Ok(())
 }
 
+/// What the model knows of a prefix the counters track.
+#[derive(Debug, Clone, PartialEq)]
+enum Slot {
+    Routed(AsPath),
+    Withdrawn(AsPath),
+}
+
+/// The naive counterpart of [`LinkCounters`]: `W(l)` kept per link by name
+/// (it outlives the withdrawn state of the prefixes that raised it, so it
+/// cannot be recomputed), everything else recomputed by scanning the slots.
+#[derive(Debug, Default)]
+struct Model {
+    slots: BTreeMap<u32, Slot>,
+    w: BTreeMap<AsLink, usize>,
+    total: usize,
+}
+
+impl Model {
+    fn distinct_links(path: &AsPath) -> BTreeSet<AsLink> {
+        path.links().collect()
+    }
+
+    fn announce(&mut self, i: u32, path: AsPath) {
+        self.slots.insert(i, Slot::Routed(path));
+    }
+
+    fn withdraw(&mut self, i: u32) {
+        self.total += 1;
+        if let Some(Slot::Routed(path)) = self.slots.get(&i).cloned() {
+            for link in Self::distinct_links(&path) {
+                *self.w.entry(link).or_default() += 1;
+            }
+            self.slots.insert(i, Slot::Withdrawn(path));
+        }
+    }
+
+    fn start_burst(&mut self, window: &[u32]) {
+        self.w.clear();
+        self.total = window.len();
+        let kept: BTreeSet<u32> = window
+            .iter()
+            .copied()
+            .filter(|i| matches!(self.slots.get(i), Some(Slot::Withdrawn(_))))
+            .collect();
+        self.slots
+            .retain(|i, slot| matches!(slot, Slot::Routed(_)) || kept.contains(i));
+        for i in kept {
+            let Some(Slot::Withdrawn(path)) = self.slots.get(&i) else {
+                unreachable!("kept slots are withdrawn")
+            };
+            for link in Self::distinct_links(path) {
+                *self.w.entry(link).or_default() += 1;
+            }
+        }
+    }
+
+    fn p(&self, link: &AsLink) -> usize {
+        self.slots
+            .values()
+            .filter(|slot| matches!(slot, Slot::Routed(path) if path.crosses_link(link)))
+            .count()
+    }
+
+    fn count(&self, routed: bool) -> usize {
+        self.slots
+            .values()
+            .filter(|slot| matches!(slot, Slot::Routed(_)) == routed)
+            .count()
+    }
+}
+
+/// Everything the counters maintain, against the model and the scans.
+fn check_against_model(
+    c: &LinkCounters,
+    model: &Model,
+    ranker: &mut LinkRanker,
+    cfg: &InferenceConfig,
+) -> Result<(), String> {
+    let mut links: BTreeSet<AsLink> = c.all_links().copied().collect();
+    links.extend(model.w.keys().copied());
+    links.insert(AsLink::new(900, 901));
+    for l in &links {
+        let want = (model.w.get(l).copied().unwrap_or(0), model.p(l));
+        if c.wp(l) != want || (c.w(l), c.p(l)) != want {
+            return Err(format!("wp({l}) = {:?}, model says {want:?}", c.wp(l)));
+        }
+    }
+    let got = (c.total_withdrawals(), c.routed_count(), c.withdrawn_count());
+    let want = (model.total, model.count(true), model.count(false));
+    if got != want {
+        return Err(format!(
+            "(W(t), routed, withdrawn) = {got:?}, model says {want:?}"
+        ));
+    }
+    let links: Vec<AsLink> = links.into_iter().collect();
+    for set in links.chunks(3).chain(std::iter::once(&links[..])) {
+        let scan = (c.w_union_scan(set), c.p_union_scan(set));
+        if c.union_counts(set) != scan {
+            return Err(format!(
+                "union_counts({set:?}) = {:?}, scan says {scan:?}",
+                c.union_counts(set)
+            ));
+        }
+    }
+    if ranking_by_name(ranker, c, cfg) != rank_links(c, cfg) {
+        return Err("incremental ranking differs from rank_links".into());
+    }
+    let inferred = infer_links(c, cfg);
+    let prediction = predict(c, &inferred);
+    let split = (
+        prediction.already_withdrawn.len(),
+        prediction.predicted.len(),
+    );
+    if (inferred.withdrawn, inferred.routed) != split
+        || inferred.total_affected() != prediction.total_affected()
+    {
+        return Err(format!(
+            "inferred set carries ({}, {}), its prediction splits {split:?}",
+            inferred.withdrawn, inferred.routed
+        ));
+    }
+    Ok(())
+}
+
+/// The incremental ranking with its link ids resolved, for comparison with
+/// [`rank_links`].
+fn ranking_by_name(
+    ranker: &mut LinkRanker,
+    c: &LinkCounters,
+    cfg: &InferenceConfig,
+) -> Vec<(AsLink, Score)> {
+    let ranking = ranker.ranking(c, cfg);
+    ranking.iter().map(|(id, s)| (c.link(*id), *s)).collect()
+}
+
 proptest! {
     /// Bitset unions equal naive scans on arbitrary RIBs and event streams.
     #[test]
@@ -172,11 +311,73 @@ proptest! {
                 c.on_announce_path(p(*i), &AsPath::new(hops.iter().copied()));
             }
             if k % 7 == 0 {
-                ranker.update(c.take_dirty(), &c);
-                prop_assert_eq!(ranker.ranking(&c, &cfg), rank_links(&c, &cfg));
+                ranker.update(c.take_dirty());
+                prop_assert_eq!(ranking_by_name(&mut ranker, &c, &cfg), rank_links(&c, &cfg));
             }
         }
-        ranker.update(c.take_dirty(), &c);
-        prop_assert_eq!(ranker.ranking(&c, &cfg), rank_links(&c, &cfg));
+        ranker.update(c.take_dirty());
+        prop_assert_eq!(ranking_by_name(&mut ranker, &c, &cfg), rank_links(&c, &cfg));
+    }
+
+    /// Model-based: after every step of a random announce / withdraw /
+    /// same-path re-announce (of routed and of withdrawn prefixes) / path
+    /// change / burst start (windows with duplicates, unknown prefixes and
+    /// prefixes re-announced since their withdrawal), every maintained count
+    /// equals the naive model's, the fused unions equal the scans, the
+    /// id-based ranker equals `rank_links` and the inferred set's carried
+    /// `(W, P)` is its prediction's split.
+    #[test]
+    fn counters_match_the_naive_model_step_by_step(
+        rib in arb_rib(),
+        ops in proptest::collection::vec(
+            (0u8..8, 0u32..90, arb_path(), proptest::collection::vec(0u32..100, 0..12)),
+            0..150,
+        ),
+    ) {
+        let seed: Vec<(Prefix, AsPath)> = rib
+            .iter()
+            .map(|(i, hops)| (p(*i), AsPath::new(hops.iter().copied())))
+            .collect();
+        let mut c = LinkCounters::from_rib(seed.iter().map(|(a, b)| (a, b)));
+        let mut model = Model::default();
+        for (i, hops) in &rib {
+            model.announce(*i, AsPath::new(hops.iter().copied()));
+        }
+        let cfg = InferenceConfig::default();
+        let mut ranker = LinkRanker::new();
+        for (step, (kind, i, hops, window)) in ops.iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    c.on_withdraw(p(*i));
+                    model.withdraw(*i);
+                }
+                2 | 3 => {
+                    let path = AsPath::new(hops.iter().copied());
+                    c.on_announce_path(p(*i), &path);
+                    model.announce(*i, path);
+                }
+                4..=6 => {
+                    // Over the path the prefix has, or had when withdrawn; a
+                    // prefix not tracked is simply announced.
+                    let path = match model.slots.get(i) {
+                        Some(Slot::Routed(path) | Slot::Withdrawn(path)) => path.clone(),
+                        None => AsPath::new(hops.iter().copied()),
+                    };
+                    c.on_announce_path(p(*i), &path);
+                    model.announce(*i, path);
+                }
+                _ => {
+                    let mut window = window.clone();
+                    window.extend(window.first().copied());
+                    c.start_burst(window.iter().map(|i| p(*i)));
+                    model.start_burst(&window);
+                    ranker.reset();
+                }
+            }
+            ranker.update(c.take_dirty());
+            if let Err(msg) = check_against_model(&c, &model, &mut ranker, &cfg) {
+                prop_assert!(false, "step {} ({:?}): {}", step, (kind, i), msg);
+            }
+        }
     }
 }

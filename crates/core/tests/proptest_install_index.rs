@@ -186,6 +186,8 @@ fn inference(link: AsLink, time: u64) -> InferenceResult {
                 ps: 1.0,
                 fs: 1.0,
             },
+            withdrawn: 0,
+            routed: 0,
         },
         prediction: Prediction {
             already_withdrawn: PrefixSet::new(),

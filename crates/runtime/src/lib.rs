@@ -407,7 +407,7 @@ struct Inline {
     /// Registry counter `ingest.events` — one relaxed add per inline event,
     /// so live snapshots work in both modes.
     events_ctr: Counter,
-    /// Kernel-dispatch and scratch counters, drained per event (the same
+    /// Kernel-dispatch and scratch counters, drained per attempt (the same
     /// global names the shard workers feed).
     kernels: worker::KernelCounters,
 }
@@ -689,10 +689,10 @@ impl ShardedRuntime {
                 // stage-1 state that only a resync changes, so it does not
                 // care which side of the mirror update it runs on.
                 let accepted = inline.engines.get_mut(&peer).and_then(|engine| {
-                    let outcome = engine.process(&event);
-                    inline.kernels.record(engine.take_kernel_stats());
-                    match outcome {
-                        (EngineStatus::Accepted, result) => result,
+                    let (status, result) = engine.process(&event);
+                    inline.kernels.record_attempt(engine, status);
+                    match status {
+                        EngineStatus::Accepted => result,
                         _ => None,
                     }
                 });

@@ -57,10 +57,19 @@ impl KernelCounters {
         }
     }
 
-    /// Folds one engine's drained [`KernelStats`] into the registry. Most
-    /// events run zero kernel passes (no inference attempt), so the common
-    /// case is five skipped adds.
-    pub(crate) fn record(&self, stats: KernelStats) {
+    /// Drains `engine`'s [`KernelStats`] into the registry if the event that
+    /// returned `status` made an inference attempt — the only place kernels
+    /// run, so every other event costs one compare here.
+    pub(crate) fn record_attempt(&self, engine: &SessionEngine, status: EngineStatus) {
+        if matches!(
+            status,
+            EngineStatus::Accepted | EngineStatus::RejectedByHistory
+        ) {
+            self.record(engine.take_kernel_stats());
+        }
+    }
+
+    fn record(&self, stats: KernelStats) {
         if stats.dense > 0 {
             self.dense.add(stats.dense);
         }
@@ -232,7 +241,7 @@ pub(crate) struct ShardWorker {
     pub events_ctr: Counter,
     /// Registry counter `shard.N.batches`.
     pub batches_ctr: Counter,
-    /// Global kernel-dispatch and scratch counters, drained per event.
+    /// Global kernel-dispatch and scratch counters, drained per attempt.
     pub kernels: KernelCounters,
 }
 
@@ -295,12 +304,12 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     }
                     let result = match engines.get_mut(&peer) {
                         Some(engine) => {
-                            let verdict = match engine.process(&event) {
-                                (EngineStatus::Accepted, Some(result)) => Some(result),
+                            let (status, result) = engine.process(&event);
+                            kernels.record_attempt(engine, status);
+                            match status {
+                                EngineStatus::Accepted => result,
                                 _ => None,
-                            };
-                            kernels.record(engine.take_kernel_stats());
-                            verdict
+                            }
                         }
                         // Unknown session: no engine, but the event still
                         // reaches the applier's routing table — exactly the
