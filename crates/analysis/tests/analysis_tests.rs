@@ -184,6 +184,19 @@ fn hot_path_alloc_polices_the_per_event_path() {
 }
 
 #[test]
+fn hot_path_alloc_polices_the_retag_loop() {
+    // What a resync runs per dirty prefix is on the list; the per-table
+    // `build` and per-partition `partition_clone` beside it are not.
+    let findings = check_as(
+        "crates/core/src/encoding/two_stage.rs",
+        "hot_path_alloc_retag.rs",
+    );
+    assert_eq!(count(&findings, "hot-path-alloc"), 3, "{findings:?}");
+    assert_eq!(findings.len(), 3, "no other rule fires: {findings:?}");
+    assert!(findings[0].message.contains("retag loop"));
+}
+
+#[test]
 fn pragma_rule_flags_malformed_unknown_and_reasonless() {
     let findings = check_as("crates/core/src/fixture.rs", "pragmas.rs");
     assert_eq!(count(&findings, "pragma"), 3, "{findings:?}");

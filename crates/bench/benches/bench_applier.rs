@@ -2,23 +2,30 @@
 //! pipeline — at corpus scale (16 sessions × 65 536 prefixes = 1 M stage-1
 //! entries, each session in its own /8 block):
 //!
-//! * reroute-rule install / remove and stage-1 refresh on a single global
-//!   [`TwoStageTable`] versus a prefix-range [`PartitionedTable`]. The install
-//!   reads the backup-in-use index, so it costs the same on both — the pair
-//!   is the number the "does partitioning still earn its keep" question needs;
+//! * reroute-rule install / remove and stage-1 refresh on the single global
+//!   [`TwoStageTable`] versus the prefix-range partitions
+//!   [`partition_appliers`] makes of it (each partition's forwarding table
+//!   with the restricted routing table that owns it). The install reads the
+//!   backup-in-use index, so it costs the same on both — the pair is the
+//!   number the "does partitioning still earn its keep" question needs;
 //! * the two per-event entry points of [`Applier`]: the RIB-mirror apply
 //!   (`note_event`, a withdrawal and the announcement restoring it) and
-//!   `apply_inference` (install + action log, with the resync that undoes it).
+//!   `apply_inference` (install + action log, with the resync that undoes it);
+//! * `resync/retag_22k_of_1m`: the post-convergence fallback at the size the
+//!   repo benchmark's `bigtable_inline` pays for it — 22 000 scattered
+//!   withdrawals on a 1 M-prefix, two-peer table, a resync, the announcements
+//!   restoring them, a second resync. The body ends in the state it started
+//!   in, so iterations are alike.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixSet, Route, RouteAttributes,
-    RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
+    RouteAttributes, RoutingTable,
 };
-use swift_core::encoding::{PartitionedTable, PrefixPartitioner, ReroutingPolicy, TwoStageTable};
+use swift_core::encoding::{PrefixPartitioner, ReroutingPolicy, TwoStageTable};
 use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
-use swift_core::pipeline::Applier;
+use swift_core::pipeline::{partition_appliers, Applier};
 use swift_core::{EncodingConfig, SwiftConfig};
 
 const SESSIONS: u32 = 16;
@@ -74,14 +81,39 @@ fn refresh_set() -> Vec<Prefix> {
         .collect()
 }
 
+/// The ids `table` gave the prefixes of `prefixes` it knows.
+fn ids_in(table: &RoutingTable, prefixes: &[Prefix]) -> Vec<PrefixId> {
+    prefixes
+        .iter()
+        .filter_map(|prefix| table.prefix_id(prefix))
+        .collect()
+}
+
 fn bench_applier(c: &mut Criterion) {
     let routing = table();
     let policy = ReroutingPolicy::allow_all();
+    let swift = SwiftConfig {
+        encoding: config(),
+        ..Default::default()
+    };
     let global = TwoStageTable::build(&routing, &config(), &policy);
     assert_eq!(global.stage1_len(), (SESSIONS * PER_SESSION) as usize);
     // Session 0's first-hop link: on every one of its 65 536 paths.
     let links = [AsLink::new(100, 101)];
-    let home = PrefixPartitioner::new(PARTITIONS).partition_of(&p(0, 0));
+    let partitioner = PrefixPartitioner::new(PARTITIONS);
+    let home = partitioner.partition_of(&p(0, 0));
+    // Each partition's forwarding table and the restricted table owning it.
+    let partitions: Vec<(TwoStageTable, RoutingTable)> =
+        partition_appliers(&swift, routing.clone(), &policy, &partitioner)
+            .iter()
+            .map(|applier| (applier.forwarding().clone(), applier.table().clone()))
+            .collect();
+    let tagged: usize = partitions.iter().map(|(fw, _)| fw.stage1_len()).sum();
+    assert_eq!(
+        tagged,
+        global.stage1_len(),
+        "every tag in exactly one partition"
+    );
 
     // Install + remove as a pair, so the table returns to its pre-iteration
     // state.
@@ -94,44 +126,45 @@ fn bench_applier(c: &mut Criterion) {
         })
     });
 
-    let mut partitioned =
-        PartitionedTable::from_global(global.clone(), PrefixPartitioner::new(PARTITIONS));
+    let mut partitioned = partitions[home].0.clone();
     c.bench_function("applier/install_remove_partitioned4_1m", |b| {
         b.iter(|| {
-            let (id, installed) = partitioned.install_reroute_tracked(home, &links);
-            let removed = partitioned.remove_reroute(home, id);
+            let (id, installed) = partitioned.install_reroute_tracked(&links);
+            let removed = partitioned.remove_reroute(id);
             std::hint::black_box((installed, removed))
         })
     });
 
     let refresh = refresh_set();
+    let refresh_ids = ids_in(&routing, &refresh);
+    assert_eq!(refresh_ids.len(), refresh.len());
     let mut single = global.clone();
     c.bench_function("applier/refresh_1024_single_1m", |b| {
         b.iter(|| {
-            std::hint::black_box(single.refresh_prefixes(
-                &routing,
-                &policy,
-                refresh.iter().copied(),
-            ))
+            std::hint::black_box(single.refresh_ids(&routing, &policy, refresh_ids.iter().copied()))
         })
     });
 
-    let mut partitioned =
-        PartitionedTable::from_global(global.clone(), PrefixPartitioner::new(PARTITIONS));
+    // The same prefixes, each on its home partition under that partition's
+    // own id.
+    let mut partitioned: Vec<(TwoStageTable, &RoutingTable, Vec<PrefixId>)> = partitions
+        .iter()
+        .map(|(fw, owner)| (fw.clone(), owner, ids_in(owner, &refresh)))
+        .collect();
+    let split_ids: usize = partitioned.iter().map(|(_, _, ids)| ids.len()).sum();
+    assert_eq!(split_ids, refresh.len());
     c.bench_function("applier/refresh_1024_partitioned4_1m", |b| {
         b.iter(|| {
-            std::hint::black_box(partitioned.refresh_prefixes(
-                &routing,
-                &policy,
-                refresh.iter().copied(),
-            ))
+            let mut touched = 0;
+            for (fw, owner, ids) in &mut partitioned {
+                touched += fw.refresh_ids(owner, &policy, ids.iter().copied());
+            }
+            std::hint::black_box(touched)
         })
     });
+    drop(partitioned);
+    drop(partitions);
 
-    let swift = SwiftConfig {
-        encoding: config(),
-        ..Default::default()
-    };
     let mut applier = Applier::from_parts(swift, routing.clone(), global, policy);
 
     // 1 024 prefixes spread over all sessions: each withdrawn from its
@@ -195,5 +228,80 @@ fn bench_applier(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_applier);
+const RETAG_PREFIXES: u32 = 1_000_000;
+const RETAG_DIRTY: u32 = 22_000;
+
+/// One primary session (LOCAL_PREF 200) and one backup peer over the same
+/// 1 M prefixes — the shape of the repo benchmark's `bigtable_inline`.
+fn two_peer_table() -> RoutingTable {
+    let mut t = RoutingTable::new();
+    let (primary, backup) = (PeerId(1), PeerId(2));
+    t.add_peer(primary, Asn(1));
+    t.add_peer(backup, Asn(2));
+    for i in 0..RETAG_PREFIXES {
+        let mut attrs = RouteAttributes::from_path(AsPath::new([
+            1u32,
+            100 + i % 7,
+            200 + i % 31,
+            300 + i % 101,
+        ]));
+        attrs.local_pref = Some(200);
+        t.announce(
+            primary,
+            Prefix::nth_slash24(i),
+            Route::new(primary, attrs, 0),
+        );
+        let alternate = RouteAttributes::from_path(AsPath::new([2u32, 400 + i % 5, 500 + i % 13]));
+        t.announce(
+            backup,
+            Prefix::nth_slash24(i),
+            Route::new(backup, alternate, 0),
+        );
+    }
+    t
+}
+
+fn bench_resync(c: &mut Criterion) {
+    let routing = two_peer_table();
+    let swift = SwiftConfig {
+        encoding: config(),
+        ..Default::default()
+    };
+    // 22 000 prefixes scattered over the table (48 271 is coprime to 10^6),
+    // withdrawn by the primary session and restored with their attributes.
+    let rib = routing.adj_rib_in(PeerId(1)).expect("primary session");
+    let churn: Vec<(ElementaryEvent, ElementaryEvent)> = (0..RETAG_DIRTY)
+        .map(|k| {
+            let prefix = Prefix::nth_slash24((u64::from(k) * 48_271 % 1_000_000) as u32);
+            let withdraw = ElementaryEvent::Withdraw {
+                timestamp: 1,
+                prefix,
+            };
+            let announce = ElementaryEvent::Announce {
+                timestamp: 0,
+                prefix,
+                attrs: rib.get(&prefix).expect("announced").attrs.clone(),
+            };
+            (withdraw, announce)
+        })
+        .collect();
+    let mut applier = Applier::new(swift, routing.clone(), ReroutingPolicy::allow_all());
+    let probe = Prefix::nth_slash24(48_271);
+    c.bench_function("resync/retag_22k_of_1m", |b| {
+        b.iter(|| {
+            for (withdraw, _) in &churn {
+                applier.note_event(PeerId(1), withdraw);
+            }
+            applier.resync_after_convergence();
+            assert_eq!(applier.forwarding_next_hop(&probe), Some(PeerId(2)));
+            for (_, announce) in &churn {
+                applier.note_event(PeerId(1), announce);
+            }
+            applier.resync_after_convergence();
+            assert_eq!(applier.forwarding_next_hop(&probe), Some(PeerId(1)));
+        })
+    });
+}
+
+criterion_group!(benches, bench_applier, bench_resync);
 criterion_main!(benches);

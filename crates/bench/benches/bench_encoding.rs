@@ -68,7 +68,7 @@ fn bench_reroute(c: &mut Criterion) {
         })
     });
     c.bench_function("encoding/lookup", |b| {
-        b.iter(|| std::hint::black_box(built.lookup(&Prefix::nth_slash24(17))))
+        b.iter(|| std::hint::black_box(built.lookup(&t, &Prefix::nth_slash24(17))))
     });
 }
 

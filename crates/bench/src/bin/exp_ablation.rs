@@ -78,7 +78,11 @@ fn main() {
                 let two_stage = TwoStageTable::build(&table, &enc, &ReroutingPolicy::allow_all());
                 for burst in &session.bursts {
                     if let Some(eval) = evaluate_burst(&session, burst, &infer) {
-                        perfs.push(two_stage.encoding_performance(&eval.predicted, &eval.links));
+                        perfs.push(two_stage.encoding_performance(
+                            &table,
+                            &eval.predicted,
+                            &eval.links,
+                        ));
                     }
                 }
             }

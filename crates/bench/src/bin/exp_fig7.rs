@@ -37,7 +37,7 @@ fn main() {
             let two_stage = TwoStageTable::build(&table, &enc, &ReroutingPolicy::allow_all());
             for burst in &session.bursts {
                 if let Some(eval) = evaluate_burst(&session, burst, &config) {
-                    let perf = two_stage.encoding_performance(&eval.predicted, &eval.links);
+                    let perf = two_stage.encoding_performance(&table, &eval.predicted, &eval.links);
                     perfs.push(perf);
                     if eval.burst_size >= 10_000 {
                         perfs_large.push(perf);

@@ -301,10 +301,14 @@ mod tests {
             )
         };
         assert!(t.adj_rib_in(PeerId(1)).unwrap().is_empty());
-        assert!(t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0)));
+        assert!(t
+            .announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0))
+            .is_some());
         assert_eq!(t.adj_rib_in(PeerId(1)).unwrap().len(), 1);
         // Re-announcement is an implicit withdrawal: the route is replaced.
-        assert!(t.announce(PeerId(1), p(1), route(1, &[3, 6], None, 5)));
+        assert!(t
+            .announce(PeerId(1), p(1), route(1, &[3, 6], None, 5))
+            .is_some());
         let rib = t.adj_rib_in(PeerId(1)).unwrap();
         assert_eq!(rib.len(), 1);
         assert_eq!(rib.get(&p(1)).unwrap().as_path(), &AsPath::new([3u32, 6]));
@@ -383,7 +387,7 @@ mod tests {
     }
 
     fn announce(t: &mut RoutingTable, prefix: Prefix, route: Route) {
-        assert!(t.announce(route.peer, prefix, route));
+        assert!(t.announce(route.peer, prefix, route).is_some());
     }
 
     fn withdraw(t: &mut RoutingTable, prefix: Prefix, peer: u32) -> bool {

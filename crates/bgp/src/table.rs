@@ -22,6 +22,18 @@
 //! peer's storage. Withdrawing — or clearing a peer — never interns and never
 //! grows a slot array, so withdrawals for prefixes the table has never seen
 //! cost one failed probe.
+//!
+//! # The id space
+//!
+//! Ids are handed out densely in first-announcement order and never reused:
+//! a prefix keeps its id after losing every route, and a clone of the table
+//! keeps every id. That makes an id a stable array index for state kept
+//! *beside* the table — the forwarding table's stage-1 tags are such an array
+//! — and the id accessors ([`RoutingTable::prefix_id`],
+//! [`RoutingTable::candidates_by_id`], [`RoutingTable::ids`],
+//! [`RoutingTable::routed_ids`]) let that state be maintained without going
+//! back through the dictionary. Two tables number independently: an id means
+//! nothing to a table that did not hand it out.
 
 use crate::as_path::{AsLink, Asn};
 use crate::message::ElementaryEvent;
@@ -92,6 +104,23 @@ impl RoutingTable {
         *self.interner.prefix(id)
     }
 
+    /// The id of `prefix`: one probe of the table's dictionary. `None` for a
+    /// prefix no peer ever announced.
+    pub fn prefix_id(&self, prefix: &Prefix) -> Option<PrefixId> {
+        self.interner.get(prefix)
+    }
+
+    /// Number of ids handed out so far — the length an array indexed by
+    /// [`PrefixId::index`] needs to cover every prefix the table has seen.
+    pub fn id_count(&self) -> usize {
+        self.interner.len()
+    }
+
+    /// Every id handed out so far, routed or not, in id order.
+    pub fn ids(&self) -> impl Iterator<Item = PrefixId> {
+        (0..self.interner.len() as u32).map(PrefixId)
+    }
+
     /// Applies a per-prefix event received from `peer`.
     ///
     /// Returns `false` (and changes nothing) if the peer is not registered.
@@ -123,8 +152,10 @@ impl RoutingTable {
     }
 
     /// Bulk-announces a prefix from a peer (convenience used by generators).
-    pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> bool {
-        self.insert(peer, prefix, route).is_some()
+    /// Returns the prefix's id, `None` (and changes nothing) if the peer is
+    /// not registered.
+    pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
+        self.insert(peer, prefix, route)
     }
 
     /// Installs or replaces `peer`'s route for `prefix` — the only place a
@@ -138,18 +169,14 @@ impl RoutingTable {
 
     /// Withdraws every route learned from `peer` while keeping the peer
     /// registered: the state of a BGP session that just went down but may
-    /// re-establish. Returns the prefixes whose route from `peer` was
-    /// withdrawn, in no particular order (unregistered peers yield an empty
-    /// list).
-    pub fn clear_peer(&mut self, peer: PeerId) -> Vec<Prefix> {
+    /// re-establish. Returns the ids of the prefixes whose route from `peer`
+    /// was withdrawn, in id order (unregistered peers yield an empty list).
+    pub fn clear_peer(&mut self, peer: PeerId) -> Vec<PrefixId> {
         let Some(state) = self.peers.get_mut(&peer) else {
             return Vec::new();
         };
         let routes = std::mem::take(&mut state.routes);
-        routes
-            .iter()
-            .map(|(id, _)| *self.interner.prefix(id))
-            .collect()
+        routes.iter().map(|(id, _)| id).collect()
     }
 
     /// Total number of prefixes with at least one route.
@@ -158,9 +185,8 @@ impl RoutingTable {
     }
 
     /// The ids that currently have a route from some peer, in id order.
-    fn routed_ids(&self) -> impl Iterator<Item = PrefixId> + '_ {
-        (0..self.interner.len() as u32)
-            .map(PrefixId)
+    pub fn routed_ids(&self) -> impl Iterator<Item = PrefixId> + '_ {
+        self.ids()
             .filter(|id| self.candidates_of(Some(*id)).next().is_some())
     }
 
@@ -198,6 +224,12 @@ impl RoutingTable {
     /// passes over one prefix's candidates cost one hash probe.
     pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> + Clone {
         self.candidates_of(self.interner.get(prefix))
+    }
+
+    /// [`RoutingTable::candidates`] of the prefix behind `id`, without the
+    /// probe: one slot read per peer.
+    pub fn candidates_by_id(&self, id: PrefixId) -> impl Iterator<Item = &Route> + Clone {
+        self.candidates_of(Some(id))
     }
 
     /// Every routed prefix with its candidate routes, in ascending prefix
@@ -388,7 +420,7 @@ mod tests {
         assert_eq!(t.best(&p(0)).unwrap().peer, PeerId(2));
         assert_eq!(t.prefix_count(), 30, "every prefix kept an alternate");
         // The session can re-establish: announcements flow again.
-        assert!(t.announce(PeerId(3), p(0), route(3, &[3, 6])));
+        assert!(t.announce(PeerId(3), p(0), route(3, &[3, 6])).is_some());
         assert_eq!(t.adj_rib_in(PeerId(3)).unwrap().len(), 1);
         // Re-registering adopts a new AS number without touching the RIB.
         t.add_peer(PeerId(3), Asn(33));

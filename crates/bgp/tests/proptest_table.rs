@@ -93,14 +93,19 @@ fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Resul
         }
         0 => {}
         1 => {
-            let cleared: BTreeSet<Prefix> = table.clear_peer(peer).into_iter().collect();
+            let cleared = table.clear_peer(peer);
+            prop_assert!(cleared.windows(2).all(|w| w[0] < w[1]), "id order");
+            let cleared: BTreeSet<Prefix> =
+                cleared.into_iter().map(|id| table.prefix_of(id)).collect();
             let expected: BTreeSet<Prefix> = model.rib(peer).iter().map(|(q, _)| *q).collect();
             prop_assert_eq!(cleared, expected);
             model.routes.retain(|(q, _), _| *q != peer);
         }
         2 | 3 => {
             let r = route(peer, hops, t);
-            prop_assert_eq!(table.announce(peer, prefix, r.clone()), known);
+            let id = table.announce(peer, prefix, r.clone());
+            prop_assert_eq!(id.map(|id| table.prefix_of(id)), known.then_some(prefix));
+            prop_assert_eq!(id, table.prefix_id(&prefix).filter(|_| known));
             if known {
                 model.routes.insert((peer, prefix), r);
             }
@@ -201,6 +206,18 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
         got.sort_by_key(|r| r.peer);
         prop_assert_eq!(got, model.candidates(prefix));
     }
+    // The id view: ids round-trip through the dictionary, answer like their
+    // prefix, and the routed ones are exactly the routed prefixes.
+    prop_assert_eq!(table.ids().count(), table.id_count());
+    for id in table.ids() {
+        let prefix = table.prefix_of(id);
+        prop_assert_eq!(table.prefix_id(&prefix), Some(id));
+        let mut got: Vec<&Route> = table.candidates_by_id(id).collect();
+        got.sort_by_key(|r| r.peer);
+        prop_assert_eq!(got, model.candidates(&prefix));
+    }
+    let routed_ids: BTreeSet<Prefix> = table.routed_ids().map(|id| table.prefix_of(id)).collect();
+    prop_assert_eq!(&routed_ids, &routed);
     let bests: Vec<(Prefix, &Route)> = table.best_routes().map(|(q, r)| (*q, r)).collect();
     let expected_bests: Vec<(Prefix, &Route)> = ordered
         .iter()

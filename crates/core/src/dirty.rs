@@ -60,6 +60,17 @@ impl<I: DenseId> DirtySet<I> {
         self.ids.clear();
     }
 
+    /// Empties the set, yielding the marked ids in ascending order. The list
+    /// is sorted and drained in place, so it keeps its capacity.
+    pub(crate) fn drain_sorted(&mut self) -> std::vec::Drain<'_, I>
+    where
+        I: Ord,
+    {
+        self.clear_bitmap();
+        self.ids.sort_unstable();
+        self.ids.drain(..)
+    }
+
     /// Empties the set, returning the marked ids.
     pub(crate) fn take(&mut self) -> Vec<I> {
         self.clear_bitmap();

@@ -15,10 +15,11 @@
 use crate::config::EncodingConfig;
 use crate::encoding::tag::TagLayout;
 use std::collections::{BTreeMap, HashMap};
-use swift_bgp::{AsLink, AsPath, PeerId, RoutingTable};
+use std::hash::BuildHasher;
+use swift_bgp::{AsLink, AsPath, FoldBuildHasher, PeerId, RoutingTable};
 
 /// The per-position link dictionaries produced by the allocator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EncodingPlan {
     /// `per_position[i]` maps links at position `i + 1` to their code (≥ 1).
     per_position: Vec<BTreeMap<AsLink, u64>>,
@@ -28,7 +29,11 @@ pub struct EncodingPlan {
 
 impl EncodingPlan {
     /// Builds a plan from explicit `(position, link, prefix count)` statistics.
-    pub fn from_counts(counts: &HashMap<(usize, AsLink), usize>, config: &EncodingConfig) -> Self {
+    /// The map's iteration order does not matter: candidates are sorted.
+    pub fn from_counts<S: BuildHasher>(
+        counts: &HashMap<(usize, AsLink), usize, S>,
+        config: &EncodingConfig,
+    ) -> Self {
         let mut per_position: Vec<BTreeMap<AsLink, u64>> = vec![BTreeMap::new(); config.max_depth];
 
         // Candidates above the prefix-count threshold, within the encoded
@@ -68,10 +73,17 @@ impl EncodingPlan {
 
     /// Builds a plan from the best routes of a routing table (counting, for
     /// every `(position, link)` pair, how many prefixes' best paths use it).
+    /// Counting is order-independent, so the table is walked in id order —
+    /// no prefix is sorted or hashed — and links beyond the encoded depth,
+    /// which `from_counts` would discard, are not counted at all.
     pub fn from_routing_table(table: &RoutingTable, config: &EncodingConfig) -> Self {
-        let mut counts: HashMap<(usize, AsLink), usize> = HashMap::new();
-        for (_, route) in table.best_routes() {
-            for (i, link) in route.as_path().links().enumerate() {
+        let mut counts: HashMap<(usize, AsLink), usize, FoldBuildHasher> = HashMap::default();
+        for id in table.ids() {
+            let candidates = table.candidates_by_id(id);
+            let Some(best) = candidates.max_by(|a, b| a.compare_preference(b)) else {
+                continue;
+            };
+            for (i, link) in best.as_path().links().take(config.max_depth).enumerate() {
                 *counts.entry((i + 1, link)).or_insert(0) += 1;
             }
         }
@@ -96,11 +108,12 @@ impl EncodingPlan {
         self.code_of(position, link).is_some()
     }
 
-    /// The positions at which `link` is encoded.
-    pub fn positions_of(&self, link: &AsLink) -> Vec<usize> {
-        (1..=self.per_position.len())
-            .filter(|pos| self.encodes(*pos, link))
-            .collect()
+    /// The `(position, code)` pairs at which `link` is encoded, by position.
+    pub fn codes_of<'a>(&'a self, link: &'a AsLink) -> impl Iterator<Item = (usize, u64)> + 'a {
+        self.per_position
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, codes)| Some((i + 1, *codes.get(link)?)))
     }
 
     /// Number of encoded positions (the configured maximum depth).
@@ -270,7 +283,11 @@ mod tests {
         assert_eq!(codes[1], plan.code_of(2, &AsLink::new(5, 6)).unwrap());
         assert_eq!(codes[2], 0, "link (6,7) not encoded");
         assert_eq!(codes[3], 0, "path has no 4th link");
-        assert_eq!(plan.positions_of(&AsLink::new(5, 6)), vec![2]);
+        let code = plan.code_of(2, &AsLink::new(5, 6)).unwrap();
+        assert_eq!(
+            plan.codes_of(&AsLink::new(5, 6)).collect::<Vec<_>>(),
+            vec![(2, code)]
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`backup`] — pre-computation of per-prefix backup next-hops;
 //! * [`two_stage`] — the two-stage forwarding table and reroute-rule
 //!   installation;
-//! * [`partitioned`] — prefix-range partitioning of the two-stage table
-//!   (applier sharding).
+//! * [`partitioned`] — the prefix-range partitioning rule of applier
+//!   sharding.
 
 pub mod allocator;
 pub mod backup;
@@ -18,7 +18,7 @@ pub mod two_stage;
 
 pub use allocator::EncodingPlan;
 pub use backup::{select_backup, BackupTable, PrefixBackups};
-pub use partitioned::{PartitionedTable, PrefixPartitioner};
+pub use partitioned::PrefixPartitioner;
 pub use policy::ReroutingPolicy;
 pub use tag::{TagLayout, TagRule};
 pub use two_stage::{RerouteId, Stage2Rule, TwoStageTable};

@@ -10,6 +10,32 @@
 //! requires a number of stage-2 rule installations that is independent of N —
 //! and so is the work of finding them.
 //!
+//! # Stage 1 layout
+//!
+//! Stage 1 is a flat array of tags indexed by the [`PrefixId`] of the
+//! *owning* [`RoutingTable`] — the table this forwarding table was built from
+//! (or a clone of it: `Clone` preserves ids) and is refreshed against. The
+//! forwarding table keeps no dictionary of its own: a retag works on ids from
+//! end to end (dirty id → that id's candidates → tag → array write), and a
+//! by-prefix read ([`TwoStageTable::tag_of`], [`TwoStageTable::lookup`], …)
+//! takes the owning table and resolves the prefix through *its* dictionary,
+//! one probe, before the array read. Ids of another table — a partition's
+//! restricted table numbers its prefixes independently — index nothing here;
+//! [`TwoStageTable::partition_clone`] translates.
+//!
+//! * **No tag** is the reserved word `NO_TAG` (all ones). A real tag never
+//!   equals it: `build` refuses a layout that uses all 64 bits, so bit 63 of
+//!   every tag is clear. Ids at or beyond the array's end have no tag either.
+//! * **Growth.** `build` sizes the array for the ids handed out so far. A
+//!   prefix first announced later gets an id beyond the end; the array grows
+//!   to cover it (amortised doubling, filled with `NO_TAG`) the first time
+//!   that id is given a tag. Removing the tag of an id beyond the end is a
+//!   no-op, and the array never shrinks: ids are never reused.
+//! * **One writer.** The private `set_tag` is the only code that writes
+//!   `stage1`, its `tagged` count and `backup_refs` (`build` and
+//!   `refresh_ids` retag through it, `partition_clone` fills its copy through
+//!   it).
+//!
 //! # The backup-in-use index
 //!
 //! A reroute for link `l` at position `d` needs one rule per backup next-hop
@@ -18,10 +44,8 @@
 //! every `(position, code, next-hop slot)` the number of stage-1 tags whose
 //! position-`d` field is `code` and whose slot-`d` field is that next-hop.
 //! Invariant: `backup_refs` equals that count over the current `stage1`, for
-//! every triple with a non-zero code and next-hop. It is maintained in
-//! exactly one place, the private `set_tag`, which is the only code that
-//! writes `stage1` (`build` and `refresh_prefixes` retag through it,
-//! `partition_clone` fills its copy through it).
+//! every triple with a non-zero code and next-hop; `set_tag` moves a prefix's
+//! references from its old tag to its new one.
 //! [`TwoStageTable::install_reroute_tracked`] reads one row of it per
 //! (link, position): O(rules), whatever the table size.
 //! `crates/core/tests/proptest_install_index.rs` checks the index against a
@@ -33,7 +57,7 @@ use crate::encoding::backup::select_backup_among;
 use crate::encoding::policy::ReroutingPolicy;
 use crate::encoding::tag::{TagLayout, TagRule};
 use std::collections::{BTreeMap, BTreeSet};
-use swift_bgp::{AsLink, PeerId, Prefix, PrefixMap, PrefixSet, Route, RoutingTable};
+use swift_bgp::{AsLink, PeerId, Prefix, PrefixId, PrefixSet, Route, RoutingTable};
 
 /// Identifier of one installed reroute (one accepted inference's batch of
 /// stage-2 rules), handed out by [`TwoStageTable::install_reroute_tracked`]
@@ -62,14 +86,19 @@ pub struct Stage2Rule {
 const PRIMARY_PRIORITY: u32 = 10;
 const REROUTE_PRIORITY: u32 = 100;
 
+/// "No tag" marker of `TwoStageTable::stage1` (see "Stage 1 layout").
+const NO_TAG: u64 = u64::MAX;
+
 /// The SWIFTED router's two-stage forwarding table.
 #[derive(Debug, Clone)]
 pub struct TwoStageTable {
     layout: TagLayout,
     plan: EncodingPlan,
-    /// Stage 1: prefix → tag. Probed (lookups, retags), never iterated in
-    /// order. Written only by `set_tag`.
-    stage1: PrefixMap<u64>,
+    /// Stage 1: the tag of each of the owning table's prefix ids, `NO_TAG`
+    /// where there is none. Written only by `set_tag`.
+    stage1: Vec<u64>,
+    /// Number of `stage1` entries holding a tag.
+    tagged: usize,
     /// `backup_refs[d - 1][code * refs_stride + nh]`: stage-1 tags with
     /// `code` at position `d` and next-hop `nh` in backup slot `d` (see the
     /// module docs). Rows grow on first use.
@@ -86,7 +115,8 @@ pub struct TwoStageTable {
 }
 
 impl TwoStageTable {
-    /// Builds the table from the router's routing state.
+    /// Builds the table from the router's routing state; `table` becomes its
+    /// owning table (see "Stage 1 layout").
     ///
     /// The plan is derived from the best paths, the backup next-hops honour
     /// `policy`, and one default stage-2 rule per known next-hop is installed.
@@ -95,10 +125,19 @@ impl TwoStageTable {
     /// *offline* part of the scheme (§5: pre-computed before any outage); they
     /// stay fixed until the next full `build`. Stage-1 tags, by contrast, can
     /// be refreshed per prefix as routes change — see
-    /// [`TwoStageTable::refresh_prefixes`].
+    /// [`TwoStageTable::refresh_ids`].
+    ///
+    /// # Panics
+    ///
+    /// If the tag layout uses all 64 bits: the all-ones word is reserved for
+    /// "no tag" (the paper's tags are 48 bits).
     pub fn build(table: &RoutingTable, config: &EncodingConfig, policy: &ReroutingPolicy) -> Self {
         let plan = EncodingPlan::from_routing_table(table, config);
         let layout = plan.layout(config);
+        assert!(
+            layout.total_bits() < 64,
+            "a 64-bit tag layout leaves no word to mark \"no tag\""
+        );
 
         // Index the next-hops: every peer, capped by the slot width. Index 0 is
         // reserved for "no next-hop", so peers start at 1.
@@ -127,7 +166,8 @@ impl TwoStageTable {
         let mut ts = TwoStageTable {
             layout,
             plan,
-            stage1: PrefixMap::default(),
+            stage1: vec![NO_TAG; table.id_count()],
+            tagged: 0,
             backup_refs: vec![Vec::new(); config.max_depth],
             refs_stride: nexthops.len() + 1,
             stage2,
@@ -136,21 +176,17 @@ impl TwoStageTable {
             max_depth: config.max_depth,
             next_reroute: 0,
         };
-        // Tag every prefix through the same two steps the incremental
-        // refresh uses — build and refresh cannot drift apart — but walk the
-        // table in its own order instead of probing it once per prefix.
-        ts.stage1.reserve(table.prefix_count());
-        for (prefix, candidates) in table.routed() {
-            let tag = ts.compute_tag(candidates, policy);
-            ts.set_tag(*prefix, tag);
-        }
+        // Tag every prefix through the incremental refresh itself — build and
+        // refresh cannot drift apart — walking the table's ids in id order
+        // (tagging is order-independent; an id without a route gets no tag).
+        ts.refresh_ids(table, policy, table.ids());
         ts
     }
 
-    /// Recomputes the stage-1 entry of each given prefix from the current
-    /// routing state: tag (AS-path codes, primary and backup next-hops) for
-    /// routed prefixes, removal for prefixes without any remaining route.
-    /// Returns the number of entries touched.
+    /// Recomputes the stage-1 entry of each given id of the owning `table`
+    /// from the current routing state: tag (AS-path codes, primary and backup
+    /// next-hops) for routed prefixes, no tag for prefixes without any
+    /// remaining route. Returns the number of entries touched.
     ///
     /// This is the incremental half of `resync_after_convergence`: after BGP
     /// reconverges, only the prefixes whose routes changed during the outage
@@ -158,37 +194,44 @@ impl TwoStageTable {
     /// offline-precomputed state) are reused as-is. Callers that suspect the
     /// plan itself has rotted (e.g. after massive topology churn) should
     /// rebuild with [`TwoStageTable::build`] instead.
-    pub fn refresh_prefixes<I>(
+    pub fn refresh_ids<I>(
         &mut self,
         table: &RoutingTable,
         policy: &ReroutingPolicy,
-        prefixes: I,
+        ids: I,
     ) -> usize
     where
-        I: IntoIterator<Item = Prefix>,
+        I: IntoIterator<Item = PrefixId>,
     {
         let mut touched = 0;
-        for prefix in prefixes {
+        for id in ids {
             touched += 1;
-            let tag = self.compute_tag(table.candidates(&prefix), policy);
-            self.set_tag(prefix, tag);
+            let tag = self.compute_tag(table.candidates_by_id(id), policy);
+            self.set_tag(id, tag);
         }
         touched
     }
 
-    /// Sets (or, with `None`, removes) the stage-1 entry of `prefix` and
-    /// moves its references in the backup-in-use index from the old tag to
-    /// the new one. The only writer of `stage1` and `backup_refs`.
-    fn set_tag(&mut self, prefix: Prefix, tag: Option<u64>) {
-        let old = match tag {
-            Some(tag) => self.stage1.insert(prefix, tag),
-            None => self.stage1.remove(&prefix),
-        };
-        if old == tag {
+    /// Sets (or, with `None`, removes) the stage-1 entry of `id` and moves
+    /// its references in the backup-in-use index from the old tag to the new
+    /// one. The only writer of `stage1`, `tagged` and `backup_refs`.
+    fn set_tag(&mut self, id: PrefixId, tag: Option<u64>) {
+        let new = tag.unwrap_or(NO_TAG);
+        if self.stage1.len() <= id.index() {
+            if new == NO_TAG {
+                return;
+            }
+            self.stage1.resize(id.index() + 1, NO_TAG);
+        }
+        let old = std::mem::replace(&mut self.stage1[id.index()], new);
+        if old == new {
             return;
         }
-        for (tag, counted) in [(old, true), (tag, false)] {
-            let Some(tag) = tag else { continue };
+        self.tagged = self.tagged + usize::from(new != NO_TAG) - usize::from(old != NO_TAG);
+        for (tag, counted) in [(old, true), (new, false)] {
+            if tag == NO_TAG {
+                continue;
+            }
             for pos in 1..=self.max_depth {
                 let code = self.layout.get_position(tag, pos) as usize;
                 let nh = self.layout.get_nexthop(tag, pos) as usize;
@@ -210,9 +253,8 @@ impl TwoStageTable {
     }
 
     /// The stage-1 tag of a prefix with the given candidate routes, or `None`
-    /// if there are none. Shared by `build` and `refresh_prefixes`; best path
-    /// and every backup slot are passes over the same candidates, so the
-    /// caller resolves the prefix once.
+    /// if there are none. Best path and every backup slot are passes over the
+    /// same candidates, so the caller resolves the prefix once.
     fn compute_tag<'a>(
         &self,
         candidates: impl Iterator<Item = &'a Route> + Clone,
@@ -242,9 +284,18 @@ impl TwoStageTable {
         Some(tag)
     }
 
-    /// The tag of `prefix`, if it has one.
-    pub fn tag_of(&self, prefix: &Prefix) -> Option<u64> {
-        self.stage1.get(prefix).copied()
+    /// The tag stored for `id` of the owning table, if it has one.
+    fn tag_at(&self, id: PrefixId) -> Option<u64> {
+        self.stage1
+            .get(id.index())
+            .copied()
+            .filter(|tag| *tag != NO_TAG)
+    }
+
+    /// The tag of `prefix`, if it has one. `table` is the owning table: it
+    /// resolves the prefix (see "Stage 1 layout").
+    pub fn tag_of(&self, table: &RoutingTable, prefix: &Prefix) -> Option<u64> {
+        self.tag_at(table.prefix_id(prefix)?)
     }
 
     /// The dense tag slot assigned to `peer`, if the peer is indexed.
@@ -266,6 +317,13 @@ impl TwoStageTable {
 
     /// Number of stage-1 entries (tagged prefixes).
     pub fn stage1_len(&self) -> usize {
+        self.tagged
+    }
+
+    /// Length of the stage-1 array: one slot per id of the owning table the
+    /// array has had to cover, tagged or not — never more than that table's
+    /// [`RoutingTable::id_count`].
+    pub fn stage1_slots(&self) -> usize {
         self.stage1.len()
     }
 
@@ -287,9 +345,10 @@ impl TwoStageTable {
             .len()
     }
 
-    /// Looks up the forwarding next-hop of `prefix` through both stages.
-    pub fn lookup(&self, prefix: &Prefix) -> Option<PeerId> {
-        let tag = self.tag_of(prefix)?;
+    /// Looks up the forwarding next-hop of `prefix` through both stages;
+    /// `table` is the owning table, as for [`TwoStageTable::tag_of`].
+    pub fn lookup(&self, table: &RoutingTable, prefix: &Prefix) -> Option<PeerId> {
+        let tag = self.tag_of(table, prefix)?;
         self.stage2
             .iter()
             .filter(|r| r.rule.matches(tag))
@@ -314,11 +373,7 @@ impl TwoStageTable {
         self.next_reroute += 1;
         let mut installed = 0usize;
         for link in links {
-            for pos in self.plan.positions_of(link) {
-                let code = self
-                    .plan
-                    .code_of(pos, link)
-                    .expect("positions_of only returns encoded positions");
+            for (pos, code) in self.plan.codes_of(link) {
                 // One rule per backup next-hop actually used by tagged prefixes
                 // crossing this link at this position, in ascending next-hop
                 // order (`lookup` breaks priority ties by stage-2 position):
@@ -401,21 +456,25 @@ impl TwoStageTable {
         &self.stage2
     }
 
-    /// A structural clone restricted to the stage-1 entries selected by
-    /// `keep`: the offline-precomputed state (encoding plan, tag layout,
-    /// next-hop index — §5) is cloned verbatim so every partition tags and
-    /// encodes exactly like the global table, only the default stage-2 rules
-    /// carry over (SWIFT rules belong to whichever partition installed them)
-    /// and the reroute-id space starts fresh. The building block of
-    /// [`crate::encoding::PartitionedTable`].
-    pub fn partition_clone<F>(&self, keep: F) -> Self
-    where
-        F: Fn(&Prefix) -> bool,
-    {
+    /// The forwarding table of one partition of the routing state: a
+    /// structural clone owned by `restricted`, a routing table holding a
+    /// subset of the prefixes of `table` (this table's owning table) with
+    /// all of their routes. The offline-precomputed state (encoding plan, tag
+    /// layout, next-hop index — §5) is cloned verbatim so the partition tags
+    /// and encodes exactly like the global table, only the default stage-2
+    /// rules carry over (SWIFT rules belong to whichever partition installed
+    /// them) and the reroute-id space starts fresh.
+    ///
+    /// `restricted` numbers its prefixes independently of `table`, so each
+    /// tag is carried over by prefix — restricted id → prefix → global id →
+    /// tag — into an array indexed by the *restricted* ids. The building
+    /// block of [`crate::pipeline::partition_appliers`].
+    pub fn partition_clone(&self, table: &RoutingTable, restricted: &RoutingTable) -> Self {
         let mut part = TwoStageTable {
             layout: self.layout.clone(),
             plan: self.plan.clone(),
-            stage1: PrefixMap::default(),
+            stage1: vec![NO_TAG; restricted.id_count()],
+            tagged: 0,
             backup_refs: vec![Vec::new(); self.max_depth],
             refs_stride: self.refs_stride,
             stage2: self
@@ -429,10 +488,8 @@ impl TwoStageTable {
             max_depth: self.max_depth,
             next_reroute: 0,
         };
-        for (prefix, tag) in &self.stage1 {
-            if keep(prefix) {
-                part.set_tag(*prefix, Some(*tag));
-            }
+        for id in restricted.ids() {
+            part.set_tag(id, self.tag_of(table, &restricted.prefix_of(id)));
         }
         part
     }
@@ -441,34 +498,34 @@ impl TwoStageTable {
     /// whose tag lets SWIFT actually reroute them around `links` — i.e. their
     /// path crosses an inferred link at an encoded position *and* a backup
     /// next-hop is provisioned in that slot.
-    pub fn encoding_performance(&self, predicted: &PrefixSet, links: &[AsLink]) -> f64 {
+    /// `table` is the owning table, as for [`TwoStageTable::tag_of`].
+    pub fn encoding_performance(
+        &self,
+        table: &RoutingTable,
+        predicted: &PrefixSet,
+        links: &[AsLink],
+    ) -> f64 {
         if predicted.is_empty() {
             return 1.0;
         }
         let reroutable = predicted
             .iter()
-            .filter(|p| self.is_reroutable(p, links))
+            .filter(|p| self.is_reroutable(table, p, links))
             .count();
         reroutable as f64 / predicted.len() as f64
     }
 
-    /// Returns `true` if `prefix`'s tag allows rerouting around any of `links`.
-    pub fn is_reroutable(&self, prefix: &Prefix, links: &[AsLink]) -> bool {
-        let Some(tag) = self.tag_of(prefix) else {
+    /// Returns `true` if `prefix`'s tag allows rerouting around any of
+    /// `links`; `table` is the owning table, as for [`TwoStageTable::tag_of`].
+    pub fn is_reroutable(&self, table: &RoutingTable, prefix: &Prefix, links: &[AsLink]) -> bool {
+        let Some(tag) = self.tag_of(table, prefix) else {
             return false;
         };
-        for link in links {
-            for pos in 1..=self.max_depth {
-                if let Some(code) = self.plan.code_of(pos, link) {
-                    if self.layout.get_position(tag, pos) == code
-                        && self.layout.get_nexthop(tag, pos) != 0
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        links.iter().any(|link| {
+            self.plan.codes_of(link).any(|(pos, code)| {
+                self.layout.get_position(tag, pos) == code && self.layout.get_nexthop(tag, pos) != 0
+            })
+        })
     }
 }
 
@@ -535,9 +592,9 @@ mod tests {
         assert_eq!(ts.swift_rule_count(), 0);
         // Lookups follow the primary next-hop (peer 2 for everything).
         for i in 0..30 {
-            assert_eq!(ts.lookup(&p(i)), Some(PeerId(2)), "prefix {i}");
+            assert_eq!(ts.lookup(&table, &p(i)), Some(PeerId(2)), "prefix {i}");
         }
-        assert_eq!(ts.lookup(&p(999)), None);
+        assert_eq!(ts.lookup(&table, &p(999)), None);
     }
 
     #[test]
@@ -557,14 +614,14 @@ mod tests {
         // Every prefix is now forwarded to peer 3 (the only endpoint-avoiding
         // backup for (2,5)).
         for i in 0..30 {
-            assert_eq!(ts.lookup(&p(i)), Some(PeerId(3)), "prefix {i}");
+            assert_eq!(ts.lookup(&table, &p(i)), Some(PeerId(3)), "prefix {i}");
         }
         // Installing the same reroute again is a no-op.
         assert_eq!(ts.install_reroute(&[AsLink::new(2, 5)]), 0);
         // Clearing restores primary forwarding.
         let cleared = ts.clear_swift_rules();
         assert_eq!(cleared, installed);
-        assert_eq!(ts.lookup(&p(0)), Some(PeerId(2)));
+        assert_eq!(ts.lookup(&table, &p(0)), Some(PeerId(2)));
     }
 
     #[test]
@@ -581,16 +638,19 @@ mod tests {
         let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
         let all: PrefixSet = (0..30).map(p).collect();
         // (2,5) is encoded and every prefix has a backup (peer 3): performance 1.
-        let perf_25 = ts.encoding_performance(&all, &[AsLink::new(2, 5)]);
+        let perf_25 = ts.encoding_performance(&table, &all, &[AsLink::new(2, 5)]);
         assert!((perf_25 - 1.0).abs() < 1e-9, "got {perf_25}");
         // (5,6) is encoded but no backup avoids both endpoints: performance 0.
-        let perf_56 = ts.encoding_performance(&all, &[AsLink::new(5, 6)]);
+        let perf_56 = ts.encoding_performance(&table, &all, &[AsLink::new(5, 6)]);
         assert!(perf_56.abs() < 1e-9, "got {perf_56}");
         // Unknown link: nothing reroutable.
-        assert_eq!(ts.encoding_performance(&all, &[AsLink::new(77, 88)]), 0.0);
+        assert_eq!(
+            ts.encoding_performance(&table, &all, &[AsLink::new(77, 88)]),
+            0.0
+        );
         // Empty prediction is trivially fully covered.
         assert_eq!(
-            ts.encoding_performance(&PrefixSet::new(), &[AsLink::new(2, 5)]),
+            ts.encoding_performance(&table, &PrefixSet::new(), &[AsLink::new(2, 5)]),
             1.0
         );
     }
@@ -599,9 +659,9 @@ mod tests {
     fn tags_differ_between_prefixes_with_different_paths() {
         let table = fig1_table(10);
         let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
-        let t6 = ts.tag_of(&p(0)).unwrap();
-        let t7 = ts.tag_of(&p(10)).unwrap();
-        let t8 = ts.tag_of(&p(20)).unwrap();
+        let t6 = ts.tag_of(&table, &p(0)).unwrap();
+        let t7 = ts.tag_of(&table, &p(10)).unwrap();
+        let t8 = ts.tag_of(&table, &p(20)).unwrap();
         assert_eq!(
             ts.layout().get_position(t6, 1),
             ts.layout().get_position(t7, 1),
@@ -613,7 +673,7 @@ mod tests {
             "position 3 distinguishes (6,7) from (6,8)"
         );
         // Same-path prefixes share the same tag.
-        assert_eq!(t6, ts.tag_of(&p(1)).unwrap());
+        assert_eq!(t6, ts.tag_of(&table, &p(1)).unwrap());
     }
 
     #[test]
@@ -634,7 +694,7 @@ mod tests {
         // Removing the real one restores primary forwarding.
         assert_eq!(ts.remove_reroute(id_a), installed_a);
         assert_eq!(ts.swift_rule_count(), 0);
-        assert_eq!(ts.lookup(&p(0)), Some(PeerId(2)));
+        assert_eq!(ts.lookup(&table, &p(0)), Some(PeerId(2)));
         // Removing an already-removed reroute is a no-op.
         assert_eq!(ts.remove_reroute(id_a), 0);
     }
@@ -663,14 +723,14 @@ mod tests {
         assert_eq!(ts.remove_reroute(id_a), 0);
         assert_eq!(ts.swift_rule_count(), installed_a);
         assert_eq!(
-            ts.lookup(&p(0)),
+            ts.lookup(&table, &p(0)),
             Some(PeerId(3)),
             "the younger reroute still redirects traffic"
         );
         // Last claim released: now the rules really leave the data plane.
         assert_eq!(ts.remove_reroute(id_b), installed_a);
         assert_eq!(ts.swift_rule_count(), 0);
-        assert_eq!(ts.lookup(&p(0)), Some(PeerId(2)));
+        assert_eq!(ts.lookup(&table, &p(0)), Some(PeerId(2)));
     }
 
     #[test]
@@ -678,7 +738,7 @@ mod tests {
         let mut table = fig1_table(10);
         let policy = ReroutingPolicy::allow_all();
         let mut ts = TwoStageTable::build(&table, &config(), &policy);
-        assert_eq!(ts.lookup(&p(0)), Some(PeerId(2)));
+        assert_eq!(ts.lookup(&table, &p(0)), Some(PeerId(2)));
 
         // Peer 2 withdraws p(0): after a refresh of just that prefix the
         // lookup follows the new best route; other prefixes are untouched.
@@ -689,9 +749,19 @@ mod tests {
                 prefix: p(0),
             },
         );
-        assert_eq!(ts.refresh_prefixes(&table, &policy, [p(0)]), 1);
-        assert_eq!(ts.lookup(&p(0)), Some(PeerId(3)), "new best is peer 3");
-        assert_eq!(ts.lookup(&p(1)), Some(PeerId(2)));
+        let ids: Vec<PrefixId> = table.ids().collect();
+        assert_eq!(
+            table.prefix_of(ids[1]),
+            p(1),
+            "ids follow announcement order"
+        );
+        assert_eq!(ts.refresh_ids(&table, &policy, [ids[0]]), 1);
+        assert_eq!(
+            ts.lookup(&table, &p(0)),
+            Some(PeerId(3)),
+            "new best is peer 3"
+        );
+        assert_eq!(ts.lookup(&table, &p(1)), Some(PeerId(2)));
 
         // All peers withdraw p(1): the stage-1 entry disappears.
         for peer in [2u32, 3, 4] {
@@ -703,16 +773,20 @@ mod tests {
                 },
             );
         }
-        ts.refresh_prefixes(&table, &policy, [p(1)]);
-        assert_eq!(ts.lookup(&p(1)), None);
+        ts.refresh_ids(&table, &policy, [ids[1]]);
+        assert_eq!(ts.lookup(&table, &p(1)), None);
         assert_eq!(ts.stage1_len(), 29);
 
         // Refreshing every prefix of an *unchanged* table is a no-op: the
         // per-prefix path and the bulk build agree entry for entry.
         let rebuilt = TwoStageTable::build(&table, &config(), &policy);
-        ts.refresh_prefixes(&table, &policy, (0..30).map(p));
+        ts.refresh_ids(&table, &policy, table.ids());
         for i in 0..30 {
-            assert_eq!(ts.tag_of(&p(i)), rebuilt.tag_of(&p(i)), "prefix {i}");
+            assert_eq!(
+                ts.tag_of(&table, &p(i)),
+                rebuilt.tag_of(&table, &p(i)),
+                "prefix {i}"
+            );
         }
     }
 
@@ -726,5 +800,109 @@ mod tests {
         }
         let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
         assert!(ts.stage2_len() <= 63);
+    }
+
+    /// Withdraws `prefix` on `peer`.
+    fn withdraw(table: &mut RoutingTable, peer: u32, prefix: Prefix) {
+        let event = swift_bgp::ElementaryEvent::Withdraw {
+            timestamp: 0,
+            prefix,
+        };
+        table.apply(PeerId(peer), &event);
+    }
+
+    #[test]
+    fn id_order_build_matches_the_sorted_walk() {
+        // Ids out of prefix order (announced descending), one id that lost
+        // every route and one that lost its best route after interning.
+        let mut table = RoutingTable::new();
+        for peer in [2u32, 3, 4] {
+            table.add_peer(PeerId(peer), Asn(peer));
+        }
+        for i in (0..60u32).rev() {
+            let origin = 6 + i % 3;
+            table.announce(PeerId(2), p(i), route(2, &[2, 5, 6, origin]));
+            table.announce(PeerId(3), p(i), route(3, &[3, 6, origin, 9]));
+            if i % 4 == 0 {
+                table.announce(PeerId(4), p(i), route(4, &[4, 5 + i % 2, origin]));
+            }
+        }
+        for peer in [2u32, 3, 4] {
+            withdraw(&mut table, peer, p(8));
+        }
+        withdraw(&mut table, 2, p(9));
+        let policy = ReroutingPolicy::allow_all();
+        let ts = TwoStageTable::build(&table, &config(), &policy);
+
+        // The plan, from the sorted best-route walk on the default hasher.
+        let mut counts = std::collections::HashMap::new();
+        for (_, best) in table.best_routes() {
+            for (i, link) in best.as_path().links().enumerate() {
+                *counts.entry((i + 1, link)).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(ts.plan(), &EncodingPlan::from_counts(&counts, &config()));
+        assert!(
+            ts.plan().total_encoded_links() >= 4,
+            "the plan is not empty"
+        );
+
+        // The tags, prefix by prefix in ascending prefix order.
+        let mut routed = 0;
+        for (prefix, candidates) in table.routed() {
+            routed += 1;
+            let tag = ts.compute_tag(candidates, &policy);
+            assert!(tag.is_some());
+            assert_eq!(ts.tag_of(&table, prefix), tag, "{prefix}");
+        }
+        assert_eq!(routed, 59);
+        assert_eq!(ts.stage1_len(), routed);
+        assert_eq!(ts.tag_of(&table, &p(8)), None, "interned, unrouted");
+        assert_eq!(ts.stage1_slots(), table.id_count());
+    }
+
+    #[test]
+    fn stage1_grows_for_prefixes_announced_after_build() {
+        let mut table = fig1_table(10);
+        let policy = ReroutingPolicy::allow_all();
+        let mut ts = TwoStageTable::build(&table, &config(), &policy);
+        assert_eq!(ts.stage1_slots(), 30);
+
+        // A prefix first announced after the build has an id past the array:
+        // no tag until it is refreshed, then the array covers it.
+        let late = table
+            .announce(PeerId(3), p(500), route(3, &[3, 6, 7]))
+            .unwrap();
+        assert_eq!(late.index(), 30);
+        assert_eq!(ts.lookup(&table, &p(500)), None);
+        ts.refresh_ids(&table, &policy, [late]);
+        assert_eq!(ts.lookup(&table, &p(500)), Some(PeerId(3)));
+        assert_eq!((ts.stage1_len(), ts.stage1_slots()), (31, 31));
+        assert_eq!(ts.lookup(&table, &p(501)), None, "never announced");
+
+        // It loses its only route: the tag goes, the slot stays.
+        withdraw(&mut table, 3, p(500));
+        ts.refresh_ids(&table, &policy, [late]);
+        assert_eq!(ts.lookup(&table, &p(500)), None);
+        assert_eq!((ts.stage1_len(), ts.stage1_slots()), (30, 31));
+
+        // Removing the tag of an id past the end grows nothing.
+        let later = table
+            .announce(PeerId(3), p(600), route(3, &[3, 6, 7]))
+            .unwrap();
+        withdraw(&mut table, 3, p(600));
+        ts.refresh_ids(&table, &policy, [later]);
+        assert_eq!((ts.stage1_len(), ts.stage1_slots()), (30, 31));
+    }
+
+    #[test]
+    #[should_panic(expected = "no tag")]
+    fn a_64_bit_layout_is_refused() {
+        let wide = EncodingConfig {
+            total_bits: 64,
+            path_bits: 4,
+            ..config()
+        };
+        TwoStageTable::build(&fig1_table(10), &wide, &ReroutingPolicy::allow_all());
     }
 }

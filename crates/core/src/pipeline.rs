@@ -36,6 +36,17 @@
 //! crate's shared `DirtySet`), so marking is an array write. An event that
 //! changed nothing (unregistered peer, withdrawal of a route the peer does
 //! not hold) returns no id and marks nothing.
+//!
+//! The ids never turn back into prefixes: stage 1 of the forwarding table is
+//! an array over the same id space (see the "Stage 1 layout" section of
+//! [`crate::encoding::two_stage`]), so the resync drains the set in id order
+//! — in place, the list keeps its capacity from one cycle to the next — and
+//! for each id reads that id's candidates from the table, computes the tag
+//! and writes the array slot. Session registration and teardown retag the
+//! ids the table hands back for the routes they announce or clear the same
+//! way. The dictionary is probed only where a *prefix* comes in from outside:
+//! once per event by the mirror, and once per by-prefix read
+//! ([`Applier::forwarding_next_hop`]).
 
 use crate::config::SwiftConfig;
 use crate::dirty::DirtySet;
@@ -140,12 +151,23 @@ impl Applier {
     /// applier sharding, where each shard owns one partition of the global
     /// forwarding table and a routing table restricted to that partition's
     /// prefixes. See [`partition_appliers`].
+    ///
+    /// `table` must be the owning table of `forwarding`: the table it was
+    /// built from ([`TwoStageTable::build`], or
+    /// [`TwoStageTable::partition_clone`] for a restricted table) or a clone
+    /// of it — `Clone` preserves prefix ids, and stage 1 is indexed by them.
+    /// A forwarding table built from any other table would silently read and
+    /// retag the wrong slots.
     pub fn from_parts(
         config: SwiftConfig,
         table: RoutingTable,
         forwarding: TwoStageTable,
         policy: ReroutingPolicy,
     ) -> Self {
+        debug_assert!(
+            forwarding.stage1_slots() <= table.id_count(),
+            "stage 1 has slots for ids the routing table never handed out"
+        );
         Applier {
             config,
             policy,
@@ -254,7 +276,7 @@ impl Applier {
 
     /// The next-hop currently used to forward traffic for `prefix`.
     pub fn forwarding_next_hop(&self, prefix: &Prefix) -> Option<PeerId> {
-        self.forwarding.lookup(prefix)
+        self.forwarding.lookup(&self.table, prefix)
     }
 
     /// Called once BGP has fully reconverged: removes the stage-2 rules of
@@ -268,13 +290,8 @@ impl Applier {
         for (_, id) in std::mem::take(&mut self.outstanding) {
             removed += self.forwarding.remove_reroute(id);
         }
-        let mut dirty = self.dirty.take();
-        dirty.sort_unstable();
-        self.forwarding.refresh_prefixes(
-            &self.table,
-            &self.policy,
-            dirty.iter().map(|id| self.table.prefix_of(*id)),
-        );
+        self.forwarding
+            .refresh_ids(&self.table, &self.policy, self.dirty.drain_sorted());
         removed
     }
 
@@ -308,13 +325,12 @@ impl Applier {
     {
         self.sync_rib();
         self.table.add_peer(peer, asn);
-        let mut announced = Vec::new();
-        for (prefix, route) in routes {
-            self.table.announce(peer, prefix, route);
-            announced.push(prefix);
-        }
+        let announced: Vec<PrefixId> = routes
+            .into_iter()
+            .filter_map(|(prefix, route)| self.table.announce(peer, prefix, route))
+            .collect();
         self.forwarding
-            .refresh_prefixes(&self.table, &self.policy, announced.iter().copied());
+            .refresh_ids(&self.table, &self.policy, announced.iter().copied());
         announced.len()
     }
 
@@ -336,7 +352,7 @@ impl Applier {
         }
         let withdrawn = self.table.clear_peer(peer);
         self.forwarding
-            .refresh_prefixes(&self.table, &self.policy, withdrawn.iter().copied());
+            .refresh_ids(&self.table, &self.policy, withdrawn.iter().copied());
         (rules_removed, withdrawn.len())
     }
 
@@ -373,12 +389,14 @@ impl Applier {
 /// index — tags and rule bits are identical to the unpartitioned table's),
 /// then each applier receives:
 ///
-/// * the forwarding-table partition owning its prefix range
-///   ([`TwoStageTable::partition_clone`]);
-/// * a routing table restricted to that range: **every** peer is present
-///   (routes for a prefix live in the prefix's partition, whichever session
-///   announced them — shared backup peers span partitions), but only the
-///   routes of owned prefixes are announced;
+/// * a routing table restricted to its prefix range: **every** peer is
+///   present (routes for a prefix live in the prefix's partition, whichever
+///   session announced them — shared backup peers span partitions), but only
+///   the routes of owned prefixes are announced;
+/// * the forwarding-table partition owned by that restricted table
+///   ([`TwoStageTable::partition_clone`]): the restricted table numbers its
+///   prefixes on its own, so the partition's stage 1 is indexed by *its*
+///   ids, not the global table's;
 /// * its own action log, dirty set, claim tracking and deferred-RIB buffer.
 ///
 /// With one partition this is exactly [`Applier::new`] on the original table
@@ -395,21 +413,20 @@ pub fn partition_appliers(
         return vec![Applier::new(config.clone(), table, policy.clone())];
     }
     let global = TwoStageTable::build(&table, &config.encoding, policy);
-    (0..k)
-        .map(|i| {
-            let mut restricted = RoutingTable::new();
-            for (peer, asn) in table.peers() {
-                restricted.add_peer(peer, asn);
-            }
-            for (peer, _) in table.peers() {
-                let rib = table.adj_rib_in(peer).expect("peer just listed");
-                for (prefix, route) in rib.iter() {
-                    if partitioner.partition_of(prefix) == i {
-                        restricted.announce(peer, *prefix, route.clone());
-                    }
-                }
-            }
-            let forwarding = global.partition_clone(|p| partitioner.partition_of(p) == i);
+    let mut restricted = vec![RoutingTable::new(); k];
+    for (peer, asn) in table.peers() {
+        for part in &mut restricted {
+            part.add_peer(peer, asn);
+        }
+        let rib = table.adj_rib_in(peer).expect("peer just listed");
+        for (prefix, route) in rib.iter() {
+            restricted[partitioner.partition_of(prefix)].announce(peer, *prefix, route.clone());
+        }
+    }
+    restricted
+        .into_iter()
+        .map(|restricted| {
+            let forwarding = global.partition_clone(&table, &restricted);
             Applier::from_parts(config.clone(), restricted, forwarding, policy.clone())
         })
         .collect()

@@ -329,13 +329,14 @@ mod tests {
         assert_eq!(removed_inc, removed_reb);
         assert_eq!(incremental.forwarding().swift_rule_count(), 0);
 
-        let fi = incremental.forwarding();
-        let fr = rebuilt.forwarding();
+        let (fi, ti) = (incremental.forwarding(), incremental.routing_table());
+        let (fr, tr) = (rebuilt.forwarding(), rebuilt.routing_table());
         assert_eq!(fi.stage1_len(), fr.stage1_len());
         assert_eq!(fi.stage2_rules(), fr.stage2_rules());
         for i in 0..300 {
-            assert_eq!(fi.tag_of(&p(i)), fr.tag_of(&p(i)), "tag of prefix {i}");
-            assert_eq!(fi.lookup(&p(i)), fr.lookup(&p(i)), "lookup of prefix {i}");
+            let prefix = p(i);
+            assert_eq!(fi.tag_of(ti, &prefix), fr.tag_of(tr, &prefix), "tag {i}");
+            assert_eq!(fi.lookup(ti, &prefix), fr.lookup(tr, &prefix), "lookup {i}");
         }
     }
 

@@ -5,13 +5,20 @@
 //!   The reference here is the stage-1 scan the library used to run, written
 //!   over the public accessors (`tag_of`, `layout()`, `plan()`): after every
 //!   step of a random announce / withdraw / path-change / resync / direct
-//!   `refresh_prefixes` / session teardown / session registration / install
-//!   sequence — and on a `partition_clone` of the table — both must push the
+//!   `refresh_ids` / session teardown / session registration / install
+//!   sequence — and on a `partition_clone` of the table, whose restricted
+//!   routing table numbers its prefixes differently — both must push the
 //!   same stage-2 entries in the same order and count the same rules.
-//! * **incremental resync equals rebuild** — the id-keyed dirty set must
-//!   retag exactly what changed: `resync_after_convergence` and
-//!   `resync_with_rebuild` forward every prefix identically, and tag it
-//!   identically whenever the rebuild arrived at the same encoding plan.
+//! * **incremental resync equals rebuild** — the id-keyed dirty set and the
+//!   id-indexed stage 1 must retag exactly what changed:
+//!   `resync_after_convergence` and `resync_with_rebuild` forward every
+//!   prefix identically, and tag it identically whenever the rebuild arrived
+//!   at the same encoding plan.
+//!
+//! Both hold where the stage-1 array has to *grow*: the random steps draw
+//! from `LATE` prefixes the seed table never holds, and every case ends with
+//! a fixed tail on a prefix no step can have touched — first announced after
+//! the build, retagged, withdrawn again — beside one that is never announced.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -29,14 +36,23 @@ use swift_core::{EncodingConfig, SwiftConfig};
 /// 3 and 4 are backup providers. All four are in the table at build time, so
 /// all four own a next-hop slot.
 const PEERS: u32 = 4;
+/// Prefix indexes the seed table draws from.
 const PREFIXES: u32 = 32;
+/// Further indexes only the random steps draw from: a prefix among them is
+/// first announced after the forwarding table was built, if at all.
+const LATE: u32 = 8;
+/// Indexes reserved for the fixed tail of each case.
+const FRESH: u32 = 4;
+/// Never announced by anything.
+const NEVER: u32 = 1_000;
 
 fn p(i: u32) -> Prefix {
     Prefix::nth_slash24(i)
 }
 
+/// Every prefix that can ever carry a tag.
 fn universe() -> Vec<Prefix> {
-    (0..PREFIXES).map(p).collect()
+    (0..PREFIXES + LATE + FRESH).map(p).collect()
 }
 
 /// A path from `peer` over a tiny AS universe, so paths share links at every
@@ -88,7 +104,12 @@ type Op = (u8, u32, u32, (u32, u32));
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
-        (0u8..12, 1u32..PEERS + 1, 0u32..PREFIXES, (0u32..3, 0u32..4)),
+        (
+            0u8..12,
+            1u32..PEERS + 1,
+            0u32..PREFIXES + LATE,
+            (0u32..3, 0u32..4),
+        ),
         1..40,
     )
 }
@@ -97,13 +118,17 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 /// the refcount index replaced: per link and encoded position, one rule per
 /// backup next-hop carried by a tag crossing the link there, ascending by
 /// next-hop slot.
-fn scan_rules(fw: &TwoStageTable, peers: &[PeerId], links: &[AsLink]) -> Vec<Stage2Rule> {
+fn scan_rules(
+    fw: &TwoStageTable,
+    table: &RoutingTable,
+    peers: &[PeerId],
+    links: &[AsLink],
+) -> Vec<Stage2Rule> {
     let mut rules = Vec::new();
     for link in links {
-        for pos in fw.plan().positions_of(link) {
-            let code = fw.plan().code_of(pos, link).expect("encoded position");
+        for (pos, code) in fw.plan().codes_of(link) {
             let mut backups_in_use = BTreeSet::new();
-            for tag in universe().iter().filter_map(|prefix| fw.tag_of(prefix)) {
+            for tag in universe().iter().filter_map(|q| fw.tag_of(table, q)) {
                 if fw.layout().get_position(tag, pos) == code {
                     let nh = fw.layout().get_nexthop(tag, pos);
                     if nh != 0 {
@@ -131,11 +156,16 @@ fn scan_rules(fw: &TwoStageTable, peers: &[PeerId], links: &[AsLink]) -> Vec<Sta
 
 /// Installs `links` on a copy of `fw` and compares what was pushed, and the
 /// number of new data-plane rules, with the scan.
-fn check_install(fw: &TwoStageTable, peers: &[PeerId], links: &[AsLink]) -> Result<(), String> {
+fn check_install(
+    fw: &TwoStageTable,
+    table: &RoutingTable,
+    peers: &[PeerId],
+    links: &[AsLink],
+) -> Result<(), String> {
     let mut installed = fw.clone();
     let before = installed.stage2_len();
     let (id, count) = installed.install_reroute_tracked(links);
-    let expected: Vec<Stage2Rule> = scan_rules(fw, peers, links)
+    let expected: Vec<Stage2Rule> = scan_rules(fw, table, peers, links)
         .into_iter()
         .map(|rule| Stage2Rule {
             reroute: Some(id),
@@ -157,22 +187,81 @@ fn check_install(fw: &TwoStageTable, peers: &[PeerId], links: &[AsLink]) -> Resu
     Ok(())
 }
 
+/// The routing table of one partition: every peer of `table`, the routes of
+/// the prefixes `keep` selects — numbered in its own order.
+fn restrict(table: &RoutingTable, keep: impl Fn(&Prefix) -> bool) -> RoutingTable {
+    let mut restricted = RoutingTable::new();
+    for (peer, asn) in table.peers() {
+        restricted.add_peer(peer, asn);
+        let rib = table.adj_rib_in(peer).expect("peer just listed");
+        for (prefix, route) in rib.iter().filter(|(prefix, _)| keep(prefix)) {
+            restricted.announce(peer, *prefix, route.clone());
+        }
+    }
+    restricted
+}
+
 /// The index answers like the scan for every single link, for all links at
 /// once and for an unencoded link — on the table and on a partition of it.
-fn check_index(fw: &TwoStageTable, peers: &[PeerId]) -> Result<(), String> {
+/// `table` is the owning table of `fw`.
+fn check_index(fw: &TwoStageTable, table: &RoutingTable, peers: &[PeerId]) -> Result<(), String> {
+    prop_assert!(fw.stage1_slots() <= table.id_count());
+    let tagged = universe()
+        .into_iter()
+        .filter(|q| fw.tag_of(table, q).is_some());
+    prop_assert_eq!(fw.stage1_len(), tagged.count());
+    prop_assert_eq!(fw.lookup(table, &p(NEVER)), None);
     let links = all_links();
     for link in &links {
-        check_install(fw, peers, &[*link])?;
+        check_install(fw, table, peers, &[*link])?;
     }
-    check_install(fw, peers, &links)?;
-    check_install(fw, peers, &[AsLink::new(900, 901)])?;
-    let part = fw.partition_clone(|prefix| (prefix.addr() >> 8) & 1 == 0);
+    check_install(fw, table, peers, &links)?;
+    check_install(fw, table, peers, &[AsLink::new(900, 901)])?;
+    // The partition owning every other /24. Its restricted table interns
+    // only those, so its ids differ from `table`'s wherever an odd /24 was
+    // announced before an even one.
+    let kept = |prefix: &Prefix| (prefix.addr() >> 8) & 1 == 0;
+    let restricted = restrict(table, kept);
+    let part = fw.partition_clone(table, &restricted);
     prop_assert_eq!(part.swift_rule_count(), 0);
+    prop_assert_eq!(part.stage1_slots(), restricted.id_count());
+    // It holds the tag of every prefix its table knows (`fw` may be stale:
+    // a prefix whose routes are all gone, not yet retagged, is not carried).
     for prefix in universe() {
-        let kept = (prefix.addr() >> 8) & 1 == 0;
-        prop_assert_eq!(part.tag_of(&prefix), fw.tag_of(&prefix).filter(|_| kept));
+        let known = restricted.prefix_id(&prefix).is_some();
+        prop_assert_eq!(known, kept(&prefix) && table.best(&prefix).is_some());
+        prop_assert_eq!(
+            part.tag_of(&restricted, &prefix),
+            fw.tag_of(table, &prefix).filter(|_| known)
+        );
     }
-    check_install(&part, peers, &links)
+    check_install(&part, &restricted, peers, &links)
+}
+
+/// Convergence on `applier`: the incremental resync against the rebuild.
+fn check_resync(applier: &mut Applier) -> Result<(), String> {
+    let mut rebuilt = applier.clone();
+    let removed = applier.resync_after_convergence();
+    prop_assert_eq!(removed, rebuilt.resync_with_rebuild());
+    let (inc, reb) = (applier.forwarding(), rebuilt.forwarding());
+    prop_assert_eq!(inc.swift_rule_count(), 0);
+    prop_assert_eq!(inc.stage1_len(), reb.stage1_len());
+    let same_plan = inc.plan() == reb.plan();
+    for prefix in universe().into_iter().chain([p(NEVER)]) {
+        prop_assert_eq!(
+            applier.forwarding_next_hop(&prefix),
+            rebuilt.forwarding_next_hop(&prefix)
+        );
+        let tags = (
+            inc.tag_of(applier.table(), &prefix),
+            reb.tag_of(rebuilt.table(), &prefix),
+        );
+        prop_assert_eq!(tags.0.is_some(), tags.1.is_some());
+        if same_plan {
+            prop_assert_eq!(tags.0, tags.1);
+        }
+    }
+    Ok(())
 }
 
 fn inference(link: AsLink, time: u64) -> InferenceResult {
@@ -212,13 +301,13 @@ proptest! {
         }
         let policy = ReroutingPolicy::allow_all();
         let mut applier = Applier::new(config(), table, policy.clone());
-        check_index(applier.forwarding(), &peers)?;
+        check_index(applier.forwarding(), applier.table(), &peers)?;
 
         let links = all_links();
         for (k, (kind, peer, i, (x, y))) in ops.iter().enumerate() {
             let t = k as u64 + 1;
             match kind {
-                // Announcement: a new route or a path change.
+                // Announcement: a new route, a path change or a new prefix.
                 0..=2 => applier.note_event(
                     PeerId(*peer),
                     &ElementaryEvent::Announce {
@@ -237,7 +326,7 @@ proptest! {
                     let link = links[(*i + *x) as usize % links.len()];
                     let fw = applier.forwarding().clone();
                     let action = applier.apply_inference(PeerId(*peer), &inference(link, t));
-                    let expected = scan_rules(&fw, &peers, &[link])
+                    let expected = scan_rules(&fw, applier.table(), &peers, &[link])
                         .iter()
                         .filter(|rule| {
                             !fw.stage2_rules()
@@ -247,26 +336,11 @@ proptest! {
                         .count();
                     prop_assert_eq!(action.rules_installed, expected);
                 }
-                // Convergence: the incremental resync against the rebuild.
-                6 | 7 => {
-                    let mut rebuilt = applier.clone();
-                    let removed = applier.resync_after_convergence();
-                    prop_assert_eq!(removed, rebuilt.resync_with_rebuild());
-                    let (inc, reb) = (applier.forwarding(), rebuilt.forwarding());
-                    prop_assert_eq!(inc.swift_rule_count(), 0);
-                    prop_assert_eq!(inc.stage1_len(), reb.stage1_len());
-                    let same_plan = format!("{:?}", inc.plan()) == format!("{:?}", reb.plan());
-                    for prefix in universe() {
-                        prop_assert_eq!(inc.lookup(&prefix), reb.lookup(&prefix));
-                        prop_assert_eq!(inc.tag_of(&prefix).is_some(), reb.tag_of(&prefix).is_some());
-                        if same_plan {
-                            prop_assert_eq!(inc.tag_of(&prefix), reb.tag_of(&prefix));
-                        }
-                    }
-                }
+                6 | 7 => check_resync(&mut applier)?,
                 8 => {
                     applier.teardown_session(PeerId(*peer));
                 }
+                // Registration; past `PREFIXES` it announces late prefixes.
                 9 => {
                     let routes: Vec<(Prefix, Route)> = (0..*i)
                         .map(|j| (p(j), route(*peer, x + j, y + j / 3, t)))
@@ -277,11 +351,45 @@ proptest! {
                 // stage 1 there is partly current, partly stale.
                 _ => {
                     let mut fw = applier.forwarding().clone();
-                    fw.refresh_prefixes(applier.table(), &policy, (0..*i).step_by(3).map(p));
-                    check_index(&fw, &peers)?;
+                    let table = applier.table();
+                    let ids = (0..*i).step_by(3).filter_map(|j| table.prefix_id(&p(j)));
+                    fw.refresh_ids(table, &policy, ids);
+                    check_index(&fw, table, &peers)?;
                 }
             }
-            check_index(applier.forwarding(), &peers)?;
+            check_index(applier.forwarding(), applier.table(), &peers)?;
         }
+
+        // The fixed tail: a prefix no step above can have announced gets its
+        // id — one past the stage-1 array — only now.
+        let fresh = p(PREFIXES + LATE + ops.len() as u32 % FRESH);
+        let t = ops.len() as u64 + 1;
+        check_resync(&mut applier)?;
+        let (tagged, slots) = (applier.forwarding().stage1_len(), applier.forwarding().stage1_slots());
+        prop_assert_eq!(applier.table().prefix_id(&fresh), None);
+        prop_assert_eq!(applier.forwarding_next_hop(&fresh), None);
+        applier.note_event(
+            PeerId(1),
+            &ElementaryEvent::Announce { timestamp: t, prefix: fresh, attrs: route(1, 1, 2, t).attrs },
+        );
+        let id = applier.table().prefix_id(&fresh).expect("interned by the announcement");
+        prop_assert_eq!(id.index() + 1, applier.table().id_count());
+        prop_assert!(slots <= id.index(), "the build cannot have sized for it");
+        // Interned, not retagged yet.
+        prop_assert_eq!(applier.forwarding_next_hop(&fresh), None);
+        prop_assert_eq!(applier.forwarding().stage1_slots(), slots);
+        check_resync(&mut applier)?;
+        prop_assert_eq!(applier.forwarding_next_hop(&fresh), Some(PeerId(1)));
+        prop_assert_eq!(applier.forwarding().stage1_len(), tagged + 1);
+        // The array grew to cover it.
+        prop_assert_eq!(applier.forwarding().stage1_slots(), id.index() + 1);
+        check_index(applier.forwarding(), applier.table(), &peers)?;
+        // It loses its only route: no tag, one entry fewer, the slot stays.
+        applier.note_event(PeerId(1), &ElementaryEvent::Withdraw { timestamp: t + 1, prefix: fresh });
+        check_resync(&mut applier)?;
+        prop_assert_eq!(applier.forwarding_next_hop(&fresh), None);
+        prop_assert_eq!(applier.forwarding().stage1_len(), tagged);
+        prop_assert_eq!(applier.forwarding().stage1_slots(), id.index() + 1);
+        check_index(applier.forwarding(), applier.table(), &peers)?;
     }
 }

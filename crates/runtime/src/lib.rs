@@ -40,7 +40,7 @@
 //!   is partitioned across `applier_shards` applier threads, each owning one
 //!   prefix-range partition of the
 //!   [`TwoStageTable`](swift_core::TwoStageTable) (shared global encoding
-//!   plan — see [`PartitionedTable`](swift_core::encoding::PartitionedTable))
+//!   plan — see [`partition_appliers`](swift_core::pipeline::partition_appliers))
 //!   plus the routing state of that range. Shard workers route each processed
 //!   event to the applier shard owning the event's prefix, so rule installs
 //!   of different sessions proceed concurrently with no shared locks; within
@@ -128,7 +128,7 @@ pub struct RuntimeConfig {
     pub applier_capacity: usize,
     /// Number of applier shards the serialized pipeline half is partitioned
     /// across (prefix-range partitioning of the forwarding table — see
-    /// [`swift_core::encoding::PartitionedTable`]). `1` (the default) is the
+    /// [`swift_core::pipeline::partition_appliers`]). `1` (the default) is the
     /// single-applier behaviour, kept as the decision-equivalence reference;
     /// ignored in deterministic inline mode.
     pub applier_shards: usize,

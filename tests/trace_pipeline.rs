@@ -109,8 +109,11 @@ fn encoding_covers_most_predicted_prefixes_at_18_bits() {
             }
         }
         let Some(result) = accepted else { continue };
-        let perf =
-            two_stage.encoding_performance(&result.prediction.predicted, &result.links.links);
+        let perf = two_stage.encoding_performance(
+            &table,
+            &result.prediction.predicted,
+            &result.links.links,
+        );
         // Large bursts come from heavily-used links, which the 18-bit plan
         // encodes; the backup-provisioned fraction of the table bounds the rest.
         if burst.withdrawn.len() >= 2_500 {
