@@ -86,10 +86,12 @@ const HOT_PATH_FILES: &[&str] = &[
 /// per-event path and are what the latency metrics are made of.
 const INSTANT_NOW_ALLOWED_FNS: &[&str] = &["new", "shard_loop", "applier_loop"];
 
-/// The files `hot-path-alloc` polices: the inference scorer and the
-/// forwarding table's retag loop. In `kernels.rs` every function body is hot
-/// (the crate exists for the allocation-free pass); in the other files only
-/// the functions in [`ALLOC_HOT_FNS`] are.
+/// The files `hot-path-alloc` polices: the inference scorer, the forwarding
+/// table's retag loop and the RIB mirror's per-event path. In `kernels.rs`
+/// every function body is hot (the crate exists for the allocation-free
+/// pass); in the other `swift-core` files only the functions in
+/// [`ALLOC_HOT_FNS`] are, in the `crates/bgp/` files only those in
+/// [`ALLOC_HOT_MIRROR_FNS`].
 const ALLOC_HOT_FILES: &[&str] = &[
     "crates/core/src/inference/kernels.rs",
     "crates/core/src/inference/fit_score.rs",
@@ -97,6 +99,9 @@ const ALLOC_HOT_FILES: &[&str] = &[
     "crates/core/src/inference/counters.rs",
     "crates/core/src/encoding/two_stage.rs",
     "crates/core/src/encoding/backup.rs",
+    "crates/bgp/src/rib.rs",
+    "crates/bgp/src/table.rs",
+    "crates/bgp/src/as_path.rs",
 ];
 
 /// The scoring hot path proper: the per-trial / per-event functions where a
@@ -137,6 +142,22 @@ const ALLOC_HOT_FNS: &[&str] = &[
     "compute_tag",
     "set_tag",
     "select_backup_among",
+];
+
+/// The RIB mirror's hot functions, policed in the `crates/bgp/` files of
+/// [`ALLOC_HOT_FILES`] only (names as common as `insert` and `remove` must
+/// not reach into the `swift-core` files): what `RoutingTable::apply_owned`
+/// runs per event (a route is a flat record: installing one is array
+/// writes, withdrawing one frees nothing) and the `AsPath` reads every
+/// candidate comparison of a retag goes through; whole-table queries beside
+/// them (`clear_peer`, `prefixes_via_links`, the link counts) stay off.
+const ALLOC_HOT_MIRROR_FNS: &[&str] = &[
+    "apply_owned",
+    "insert",
+    "remove",
+    "hops",
+    "links",
+    "link_at_position",
 ];
 
 /// Constructors in `kernels.rs` allowed to allocate: building the
@@ -420,13 +441,19 @@ fn check_bare_applier(file: &SourceFile, out: &mut Vec<Finding>) {
 /// `hot-path-alloc`: flags per-call heap allocation (`Vec::new()`,
 /// `IdBitSet::new()`, `vec![...]`) inside the fused-kernel scoring hot path
 /// and the stage-1 retag loop. In `kernels.rs` every non-constructor body is
-/// policed; in the other files only the hot functions ([`ALLOC_HOT_FNS`])
-/// are. Test code
-/// never fires, and a pragma with a reason exempts a line — but the kernel
+/// policed; in the other files only the hot functions ([`ALLOC_HOT_FNS`],
+/// or [`ALLOC_HOT_MIRROR_FNS`] under `crates/bgp/`) are. Test code never
+/// fires, and a pragma with a reason exempts a line — but the kernel
 /// bodies themselves are expected to stay pragma-free (capacity belongs in
 /// `ScoreScratch`, not in a justified allocation).
 fn check_hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
     let kernels = file.rel.ends_with("/kernels.rs");
+    let mirror = file.rel.starts_with("crates/bgp/");
+    let hot_fns = if mirror {
+        ALLOC_HOT_MIRROR_FNS
+    } else {
+        ALLOC_HOT_FNS
+    };
     for i in 0..file.tokens.len() {
         let vec_new = match_seq(&file.tokens, i, &["Vec", ":", ":", "new", "(", ")"]);
         let bitset_new = match_seq(&file.tokens, i, &["IdBitSet", ":", ":", "new", "(", ")"]);
@@ -440,7 +467,7 @@ fn check_hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
         }
         let hot = match file.enclosing_fn(line) {
             Some(f) if kernels => !ALLOC_KERNEL_CTORS.contains(&f.name.as_str()),
-            Some(f) => ALLOC_HOT_FNS.contains(&f.name.as_str()),
+            Some(f) => hot_fns.contains(&f.name.as_str()),
             None => false,
         };
         if !hot {
@@ -456,6 +483,10 @@ fn check_hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
         let contract = if file.rel.contains("/encoding/") {
             "in the stage-1 retag loop — it runs once per dirty prefix of a resync and \
              allocates nothing: hoist the buffer to the caller"
+        } else if mirror {
+            "on the RIB mirror's per-event path — a route is one flat record, so \
+             applying an event is array writes and reading a path follows no pointer: \
+             keep the buffer in the table, or build it in the caller"
         } else {
             "on the inference scoring hot path — the fused kernels are \
              allocation-free by contract: reuse the engine-owned `ScoreScratch` \

@@ -197,6 +197,25 @@ fn hot_path_alloc_polices_the_retag_loop() {
 }
 
 #[test]
+fn hot_path_alloc_polices_the_rib_mirror() {
+    // What the mirror runs per event and the path reads of a retag are on
+    // the list; ordered iteration and the per-teardown clear are not.
+    let findings = check_as("crates/bgp/src/rib.rs", "hot_path_alloc_mirror.rs");
+    assert_eq!(count(&findings, "hot-path-alloc"), 3, "{findings:?}");
+    assert!(findings[0].message.contains("RIB mirror"));
+    // The same source outside the policed files is out of scope.
+    let elsewhere = check_as("crates/bgp/src/session.rs", "hot_path_alloc_mirror.rs");
+    assert_eq!(count(&elsewhere, "hot-path-alloc"), 0, "{elsewhere:?}");
+    // The mirror's names are the mirror's: a policed `swift-core` file may
+    // have an `insert` of its own that is not on any hot path.
+    let core = check_as(
+        "crates/core/src/inference/counters.rs",
+        "hot_path_alloc_mirror.rs",
+    );
+    assert_eq!(count(&core, "hot-path-alloc"), 0, "{core:?}");
+}
+
+#[test]
 fn pragma_rule_flags_malformed_unknown_and_reasonless() {
     let findings = check_as("crates/core/src/fixture.rs", "pragmas.rs");
     assert_eq!(count(&findings, "pragma"), 3, "{findings:?}");

@@ -15,13 +15,17 @@
 //!   repo benchmark's `bigtable_inline` pays for it — 22 000 scattered
 //!   withdrawals on a 1 M-prefix, two-peer table, a resync, the announcements
 //!   restoring them, a second resync. The body ends in the state it started
-//!   in, so iterations are alike.
+//!   in, so iterations are alike;
+//! * `mirror/withdraw_reannounce_22k_of_1m`: the same 44 000 events applied
+//!   to the bare [`RoutingTable`] — the RIB mirror alone, no dirty set, no
+//!   retag: what a withdrawal and the announcement restoring it cost when a
+//!   route is (or is not) a flat record.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
-    RouteAttributes, RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
+    RoutingTable,
 };
 use swift_core::encoding::{PrefixPartitioner, ReroutingPolicy, TwoStageTable};
 use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
@@ -215,7 +219,7 @@ fn bench_applier(c: &mut Criterion) {
             routed: PER_SESSION as usize,
         },
         prediction: Prediction {
-            already_withdrawn: PrefixSet::new(),
+            already_withdrawn: Arc::default(),
             predicted: Arc::new((0..PER_SESSION).map(|i| p(0, i)).collect()),
         },
     };
@@ -285,6 +289,23 @@ fn bench_resync(c: &mut Criterion) {
             (withdraw, announce)
         })
         .collect();
+    let mut mirror = routing.clone();
+    c.bench_function("mirror/withdraw_reannounce_22k_of_1m", |b| {
+        b.iter(|| {
+            for (withdraw, _) in &churn {
+                mirror.apply(PeerId(1), withdraw);
+            }
+            for (_, announce) in &churn {
+                mirror.apply(PeerId(1), announce);
+            }
+        })
+    });
+    assert_eq!(
+        mirror.adj_rib_in(PeerId(1)).map(|rib| rib.len()),
+        Some(rib.len())
+    );
+    drop(mirror);
+
     let mut applier = Applier::new(swift, routing.clone(), ReroutingPolicy::allow_all());
     let probe = Prefix::nth_slash24(48_271);
     c.bench_function("resync/retag_22k_of_1m", |b| {

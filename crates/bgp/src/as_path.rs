@@ -8,8 +8,55 @@
 //! link between the first and second ASes in the path (the link adjacent to the
 //! router's next-hop AS is "depth 0" and is handled by ordinary local
 //! fast-reroute, so SWIFT encodes positions starting at 1).
+//!
+//! # Storage
+//!
+//! An [`AsPath`] keeps up to five hops **in place**: a length byte and a
+//! `[Asn; 5]` inside the record, no heap block behind it. Five is not tuned,
+//! it is what fits: the `Vec<Asn>` this replaced had a 24-byte header
+//! (pointer, capacity, length), and 24 bytes at 8-byte alignment hold a tag,
+//! a length and 5 × 4 bytes of hops. The rule is that *the record does not
+//! grow* — `size_of::<AsPath>()` is still 24 and [`crate::Route`] /
+//! [`crate::ElementaryEvent`] are still 88 bytes (pinned by a unit test
+//! below) — so everything that merely moves routes and events (batches,
+//! queues, the deferred-RIB buffer) pays nothing for it. A longer path
+//! **spills**: its hops live in one boxed slice, behind the same
+//! [`AsPath::hops`] every accessor goes through, so no caller can tell.
+//!
+//! What that buys: a route is one flat record. Withdrawing it frees nothing
+//! (it used to `free` the path block — per withdrawal, in burst order, on a
+//! cold line), announcing it allocates nothing, cloning a table, an event or
+//! an interner copies bytes, and comparing the candidates of a prefix reads
+//! the hops where the route lies instead of chasing a pointer per candidate.
+//! `crates/core/tests/alloc_free_event_path.rs` holds the per-event path to
+//! zero allocator calls.
+//!
+//! Equality, ordering and hashing are those of the hop slice (`[Asn]`), as
+//! they were for the `Vec`: a path of at most five hops is always stored in
+//! place, so equal paths also have equal representations, and path ids,
+//! encoding plans and the benchmark's pinned digests did not move.
+//!
+//! Is five enough? On the repo benchmark's tables every path fits (seed 1,
+//! share of routes by hop count):
+//!
+//! | table | routes | 2 hops | 3 hops | 4 hops | longer |
+//! |---|---|---|---|---|---|
+//! | `corpus_inline` / `corpus_sharded` | 611 612 | 68.6 % | 18.9 % | 12.5 % | — |
+//! | `bigtable_inline` | 1 949 751 | 59.0 % | 24.6 % | 16.4 % | — |
+//! | `pathchange_inline` | 779 832 | 59.1 % | 24.6 % | 16.3 % | — |
+//!
+//! Real tables are longer: the public route collectors (RouteViews, RIPE
+//! RIS, and the yearly BGP reports built on them) put the *mean* AS-path
+//! length a collector peer sees at 4–6 hops, prepending included. A real
+//! full table therefore spills a sizeable minority of its routes; those pay
+//! what every route paid before (one block, one pointer), not more. The
+//! spill is a tested path, not a corner: the property tests drive every
+//! accessor across the boundary in both directions
+//! (`crates/bgp/tests/proptests.rs`) and the allocation test replays its
+//! cycle over 9-hop paths.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An Autonomous System number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,14 +146,27 @@ impl fmt::Display for AsLink {
     }
 }
 
+/// Hops an [`AsPath`] holds in place (see the module's "Storage" section:
+/// what fits in the 24 bytes of the `Vec` header the array replaced).
+const INLINE_HOPS: usize = 5;
+
+/// Where a path's hops live. Invariant: `Inline::len <= INLINE_HOPS`, and a
+/// path of at most `INLINE_HOPS` hops is always `Inline` (every constructor
+/// goes through [`AsPath::new`]), so equal paths have equal representations.
+#[derive(Clone)]
+enum Hops {
+    Inline { len: u8, hops: [Asn; INLINE_HOPS] },
+    Spilled(Box<[Asn]>),
+}
+
 /// An AS path: the sequence of ASes a route traverses, nearest AS first.
 ///
 /// `AsPath::new([2, 5, 6])` is the path through neighbour AS 2, then AS 5, then
 /// origin AS 6 — matching the notation `(2 5 6)` in the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-pub struct AsPath {
-    hops: Vec<Asn>,
-}
+///
+/// Equality, ordering and hashing are those of [`AsPath::hops`].
+#[derive(Clone)]
+pub struct AsPath(Hops);
 
 impl AsPath {
     /// Builds a path from a sequence of AS numbers, nearest first.
@@ -115,52 +175,81 @@ impl AsPath {
         I: IntoIterator<Item = T>,
         T: Into<Asn>,
     {
-        AsPath {
-            hops: hops.into_iter().map(Into::into).collect(),
+        let mut iter = hops.into_iter().map(Into::into);
+        let mut inline = [Asn(0); INLINE_HOPS];
+        let mut len = 0;
+        while len < INLINE_HOPS {
+            match iter.next() {
+                Some(hop) => inline[len] = hop,
+                None => break,
+            }
+            len += 1;
+        }
+        match iter.next() {
+            None => AsPath(Hops::Inline {
+                len: len as u8,
+                hops: inline,
+            }),
+            Some(hop) => {
+                let mut spilled = Vec::with_capacity(INLINE_HOPS + 1 + iter.size_hint().0);
+                spilled.extend_from_slice(&inline);
+                spilled.push(hop);
+                spilled.extend(iter);
+                AsPath(Hops::Spilled(spilled.into_boxed_slice()))
+            }
         }
     }
 
     /// The empty path (used for locally-originated routes).
     pub fn empty() -> Self {
-        AsPath { hops: Vec::new() }
+        AsPath(Hops::Inline {
+            len: 0,
+            hops: [Asn(0); INLINE_HOPS],
+        })
     }
 
     /// Number of ASes in the path.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.hops().len()
     }
 
     /// Returns `true` if the path has no hops.
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.hops().is_empty()
     }
 
-    /// The ASes in order, nearest first.
+    /// The ASes in order, nearest first — the one read path every other
+    /// accessor goes through.
+    #[inline]
     pub fn hops(&self) -> &[Asn] {
-        &self.hops
+        match &self.0 {
+            // `len <= INLINE_HOPS` always; `min` says so without a bounds
+            // check, so the read has no panic path.
+            Hops::Inline { len, hops } => &hops[..usize::from(*len).min(INLINE_HOPS)],
+            Hops::Spilled(hops) => hops,
+        }
     }
 
     /// The neighbouring AS (first hop), i.e. the BGP next-hop AS.
     pub fn first_hop(&self) -> Option<Asn> {
-        self.hops.first().copied()
+        self.hops().first().copied()
     }
 
     /// The origin AS (last hop).
     pub fn origin(&self) -> Option<Asn> {
-        self.hops.last().copied()
+        self.hops().last().copied()
     }
 
     /// Returns `true` if `asn` appears anywhere in the path.
+    #[inline]
     pub fn contains_as(&self, asn: Asn) -> bool {
-        self.hops.contains(&asn)
+        self.hops().contains(&asn)
     }
 
     /// Prepends an AS (standard BGP export behaviour).
     pub fn prepend(&self, asn: impl Into<Asn>) -> AsPath {
-        let mut hops = Vec::with_capacity(self.hops.len() + 1);
-        hops.push(asn.into());
-        hops.extend_from_slice(&self.hops);
-        AsPath { hops }
+        AsPath::new(std::iter::once(asn.into()).chain(self.hops().iter().copied()))
     }
 
     /// Returns `true` if prepending `asn` would create an AS loop.
@@ -171,19 +260,22 @@ impl AsPath {
     /// Iterates over the directed links of the path, nearest first.
     ///
     /// The path `(2 5 6)` yields `(2,5)` then `(5,6)`.
+    #[inline]
     pub fn links(&self) -> impl Iterator<Item = AsLink> + '_ {
-        self.hops.windows(2).map(|w| AsLink::new(w[0], w[1]))
+        self.hops().windows(2).map(|w| AsLink::new(w[0], w[1]))
     }
 
     /// The link at 1-based position `pos` (position 1 = first link), if any.
     ///
     /// This matches the paper's tag layout where the first encoded bit group
     /// represents the first link of the AS path.
+    #[inline]
     pub fn link_at_position(&self, pos: usize) -> Option<AsLink> {
-        if pos == 0 || pos >= self.hops.len() {
+        let hops = self.hops();
+        if pos == 0 || pos >= hops.len() {
             return None;
         }
-        Some(AsLink::new(self.hops[pos - 1], self.hops[pos]))
+        Some(AsLink::new(hops[pos - 1], hops[pos]))
     }
 
     /// The 1-based position of the first occurrence of `link` (directed), if
@@ -213,26 +305,68 @@ impl AsPath {
     /// SWIFT's safety rule (§4.2) selects backup paths avoiding *both*
     /// endpoints of every inferred link, because the common endpoint of an
     /// aggregated link set is not known in advance.
+    #[inline]
     pub fn visits_endpoint_of(&self, link: &AsLink) -> bool {
         self.contains_as(link.from) || self.contains_as(link.to)
     }
 
     /// Returns `true` if the path contains a repeated AS (a routing loop).
     pub fn has_loop(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.hops.len());
-        self.hops.iter().any(|h| !seen.insert(*h))
+        let hops = self.hops();
+        let mut seen = std::collections::HashSet::with_capacity(hops.len());
+        hops.iter().any(|h| !seen.insert(*h))
     }
 
     /// Number of links in the path (`len() - 1`, or 0 for empty paths).
     pub fn link_count(&self) -> usize {
-        self.hops.len().saturating_sub(1)
+        self.len().saturating_sub(1)
+    }
+}
+
+impl Default for AsPath {
+    fn default() -> Self {
+        AsPath::empty()
+    }
+}
+
+impl PartialEq for AsPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.hops() == other.hops()
+    }
+}
+
+impl Eq for AsPath {}
+
+impl PartialOrd for AsPath {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AsPath {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.hops().cmp(other.hops())
+    }
+}
+
+impl Hash for AsPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hops().hash(state);
+    }
+}
+
+impl fmt::Debug for AsPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AsPath")
+            .field("hops", &self.hops())
+            .finish()
     }
 }
 
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, h) in self.hops.iter().enumerate() {
+        for (i, h) in self.hops().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -343,6 +477,38 @@ mod tests {
         assert_eq!(path(&[2, 5, 6]).len(), 3);
         assert!(!path(&[2]).is_empty());
         assert!(AsPath::empty().is_empty());
+    }
+
+    #[test]
+    fn a_path_is_a_flat_record_that_does_not_grow() {
+        use crate::{ElementaryEvent, Route};
+        use std::mem::size_of;
+        // The 24 bytes of the `Vec` header the in-place array replaced, and
+        // the records that embed a path exactly as large as they were.
+        assert_eq!(size_of::<AsPath>(), 24);
+        assert_eq!(size_of::<Option<AsPath>>(), 24);
+        assert_eq!(size_of::<Route>(), 88);
+        assert_eq!(size_of::<Option<Route>>(), 88);
+        assert_eq!(size_of::<ElementaryEvent>(), 88);
+    }
+
+    #[test]
+    fn the_boundary_spills_and_compares_by_hops() {
+        let at = path(&[1, 2, 3, 4, 5]);
+        let over = path(&[1, 2, 3, 4, 5, 6]);
+        assert!(matches!(at.0, Hops::Inline { len: 5, .. }));
+        assert!(matches!(over.0, Hops::Spilled(_)));
+        assert_eq!(at.prepend(0u32), path(&[0, 1, 2, 3, 4, 5]));
+        assert_eq!(over.hops().len(), 6);
+        assert_eq!(
+            at.prepend(0u32).link_at_position(5),
+            over.link_at_position(4)
+        );
+        assert!(at < over && over < path(&[1, 2, 3, 4, 6]));
+        assert_eq!(
+            format!("{:?}", path(&[2, 5])),
+            "AsPath { hops: [Asn(2), Asn(5)] }"
+        );
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! AS-path interning: dense [`PathId`]s over shared path storage.
+//! AS-path interning: dense [`PathId`]s over deduplicated path storage.
 //!
 //! Internet routing tables are heavily redundant at the AS-path level: a full
 //! table of ~900k prefixes typically carries well under 100k *distinct* AS
 //! paths, because every prefix originated by the same AS behind the same
 //! provider chain shares one path. The SWIFT inference hot path (RIB seeding,
-//! per-link counters, trace replay) used to clone a heap-allocated [`AsPath`]
-//! per prefix and per event; interning replaces those clones with a `u32`
-//! [`PathId`] into a [`PathInterner`], and cloning an interner (or an
-//! [`InternedRib`]) only copies `Arc` pointers — the path allocations
-//! themselves are shared.
+//! per-link counters, trace replay) therefore works on a `u32` [`PathId`]
+//! into a [`PathInterner`] instead of a path per prefix and per event.
+//!
+//! The interner holds its paths **by value**: an [`AsPath`] is a flat 24-byte
+//! record (see the "Storage" section of [`crate::as_path`]), so `paths[id]` is
+//! the path itself and an index probe compares hops where the bucket lies —
+//! no pointer is followed on either side. Cloning an interner (or an
+//! [`InternedRib`]) copies those records; only a path too long to be stored
+//! in place owns a heap block, and a clone copies that block.
 
 use crate::as_path::AsPath;
 use crate::prefix::{FoldBuildHasher, Prefix};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A dense identifier for an interned [`AsPath`].
 ///
@@ -31,18 +34,18 @@ impl PathId {
 
 /// Deduplicating storage for [`AsPath`]s.
 ///
-/// [`PathInterner::intern`] returns the same [`PathId`] for equal paths;
-/// lookups by id are O(1). Cloning an interner shares the underlying path
-/// allocations (`Arc`), so seeding several consumers from one interned RIB
-/// does not duplicate path storage.
+/// [`PathInterner::intern`] returns the same [`PathId`] for equal paths, in
+/// first-seen order; lookups by id are one array read. Each distinct path is
+/// held twice, as `paths[id]` and as its key in the index — 48 bytes per
+/// distinct path, nothing per prefix.
 ///
 /// The index hashes with the in-crate [`crate::FoldHasher`] (one
 /// multiplication per hop): every announcement interns its path, so the
 /// probe sits on the inference engine's per-event path.
 #[derive(Debug, Clone, Default)]
 pub struct PathInterner {
-    paths: Vec<Arc<AsPath>>,
-    index: HashMap<Arc<AsPath>, PathId, FoldBuildHasher>,
+    paths: Vec<AsPath>,
+    index: HashMap<AsPath, PathId, FoldBuildHasher>,
 }
 
 impl PathInterner {
@@ -56,7 +59,7 @@ impl PathInterner {
         if let Some(id) = self.index.get(path) {
             return *id;
         }
-        self.insert_new(Arc::new(path.clone()))
+        self.insert_new(path.clone())
     }
 
     /// Interns an owned path without cloning (the path is dropped if an equal
@@ -65,13 +68,13 @@ impl PathInterner {
         if let Some(id) = self.index.get(&path) {
             return *id;
         }
-        self.insert_new(Arc::new(path))
+        self.insert_new(path)
     }
 
-    fn insert_new(&mut self, arc: Arc<AsPath>) -> PathId {
+    fn insert_new(&mut self, path: AsPath) -> PathId {
         let id = PathId(u32::try_from(self.paths.len()).expect("more than u32::MAX paths"));
-        self.paths.push(Arc::clone(&arc));
-        self.index.insert(arc, id);
+        self.paths.push(path.clone());
+        self.index.insert(path, id);
         id
     }
 
@@ -80,16 +83,11 @@ impl PathInterner {
         &self.paths[id.index()]
     }
 
-    /// The shared handle behind `id` (an `Arc` clone, no path copy).
-    pub fn get_arc(&self, id: PathId) -> Arc<AsPath> {
-        Arc::clone(&self.paths[id.index()])
-    }
-
     /// The interned paths in id order, from the one whose [`PathId::index`]
     /// is `first` — how a consumer keeping per-path data catches up with the
     /// paths interned since it last looked. Panics if `first > len()`.
     pub fn paths_from(&self, first: usize) -> impl Iterator<Item = &AsPath> {
-        self.paths[first..].iter().map(|arc| &**arc)
+        self.paths[first..].iter()
     }
 
     /// The id of `path` if it is already interned.
@@ -111,10 +109,10 @@ impl PathInterner {
 /// An Adj-RIB-In snapshot with interned paths: `(Prefix, PathId)` entries over
 /// a [`PathInterner`].
 ///
-/// This is the zero-copy seeding format for the SWIFT inference pipeline: the
-/// trace corpus materialises sessions into an `InternedRib`, and consumers
-/// (per-session counters, engines) share its path storage instead of cloning
-/// one `AsPath` per prefix.
+/// This is the seeding format for the SWIFT inference pipeline: the trace
+/// corpus materialises sessions into an `InternedRib`, and consumers
+/// (per-session counters, engines) copy its interner — one record per
+/// distinct path — instead of one `AsPath` per prefix.
 #[derive(Debug, Clone, Default)]
 pub struct InternedRib {
     interner: PathInterner,
@@ -233,12 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_path_storage() {
+    fn a_clone_keeps_every_id() {
         let mut i = PathInterner::new();
-        let id = i.intern(&path(&[2, 5, 6]));
-        let clone = i.clone();
-        assert!(Arc::ptr_eq(&i.get_arc(id), &clone.get_arc(id)));
-        assert_eq!(clone.get(id), i.get(id));
+        let short = i.intern(&path(&[2, 5, 6]));
+        let spilled = i.intern(&path(&[2, 5, 6, 7, 8, 9, 10]));
+        let mut clone = i.clone();
+        for id in [short, spilled] {
+            assert_eq!(clone.get(id), i.get(id));
+            assert_eq!(clone.intern(i.get(id)), id);
+        }
+        // The two number independently from here on.
+        assert_eq!(clone.intern(&path(&[9, 9])).index(), 2);
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
 //!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
-//!   dense [`PathId`]s, the zero-copy seeding format of the inference hot path.
+//!   dense [`PathId`]s, the seeding format of the inference hot path.
 //!
 //! The crate is dependency-free and fully deterministic; all timestamps are
 //! virtual microseconds ([`Timestamp`]).

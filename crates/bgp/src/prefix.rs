@@ -6,7 +6,7 @@
 //! table), so a compact `(u32, u8)` representation is used throughout.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::str::FromStr;
@@ -274,9 +274,18 @@ impl FromStr for Prefix {
 
 /// An ordered set of prefixes with the set algebra SWIFT's evaluation metrics
 /// need (intersection / difference cardinalities for TPR / FPR computation).
+///
+/// Stored as one sorted, duplicate-free `Vec<Prefix>`: a prediction is built
+/// once from an id walk and then only read, so building is a sort and a
+/// dedup of one allocation (no node per 11 prefixes), `contains` a binary
+/// search and the algebra a merge. The price is that [`PrefixSet::insert`] /
+/// [`PrefixSet::remove`] shift the tail — they are for sets built a few
+/// prefixes at a time; bulk construction goes through `collect` or
+/// `From<Vec<Prefix>>`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixSet {
-    inner: BTreeSet<Prefix>,
+    /// Strictly ascending.
+    inner: Vec<Prefix>,
 }
 
 impl PrefixSet {
@@ -297,31 +306,52 @@ impl PrefixSet {
 
     /// Inserts a prefix; returns `true` if it was not already present.
     pub fn insert(&mut self, p: Prefix) -> bool {
-        self.inner.insert(p)
+        match self.inner.binary_search(&p) {
+            Ok(_) => false,
+            Err(at) => {
+                self.inner.insert(at, p);
+                true
+            }
+        }
     }
 
     /// Removes a prefix; returns `true` if it was present.
     pub fn remove(&mut self, p: &Prefix) -> bool {
-        self.inner.remove(p)
+        match self.inner.binary_search(p) {
+            Ok(at) => {
+                self.inner.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, p: &Prefix) -> bool {
-        self.inner.contains(p)
+        self.inner.binary_search(p).is_ok()
     }
 
     /// Iterates over the prefixes in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = &Prefix> {
+    pub fn iter(&self) -> std::slice::Iter<'_, Prefix> {
         self.inner.iter()
     }
 
     /// Number of prefixes present in both sets.
     pub fn intersection_len(&self, other: &PrefixSet) -> usize {
-        if self.len() <= other.len() {
-            self.inner.iter().filter(|p| other.contains(p)).count()
-        } else {
-            other.inner.iter().filter(|p| self.contains(p)).count()
+        let (mut a, mut b) = (self.inner.as_slice(), other.inner.as_slice());
+        let mut common = 0;
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            match x.cmp(y) {
+                Ordering::Less => a = &a[1..],
+                Ordering::Greater => b = &b[1..],
+                Ordering::Equal => {
+                    common += 1;
+                    a = &a[1..];
+                    b = &b[1..];
+                }
+            }
         }
+        common
     }
 
     /// Number of prefixes in `self` but not in `other`.
@@ -331,29 +361,47 @@ impl PrefixSet {
 
     /// Union of the two sets.
     pub fn union(&self, other: &PrefixSet) -> PrefixSet {
-        let mut out = self.clone();
-        out.inner.extend(other.inner.iter().copied());
-        out
+        let (mut a, mut b) = (self.inner.as_slice(), other.inner.as_slice());
+        let mut inner = Vec::with_capacity(a.len() + b.len());
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            let order = x.cmp(y);
+            if order != Ordering::Greater {
+                inner.push(*x);
+                a = &a[1..];
+            } else {
+                inner.push(*y);
+            }
+            if order != Ordering::Less {
+                b = &b[1..];
+            }
+        }
+        inner.extend_from_slice(a);
+        inner.extend_from_slice(b);
+        PrefixSet { inner }
+    }
+}
+
+impl From<Vec<Prefix>> for PrefixSet {
+    /// The set of the vector's prefixes: sorted and deduplicated in place,
+    /// both no-ops on an already ascending vector.
+    fn from(mut inner: Vec<Prefix>) -> Self {
+        if !inner.windows(2).all(|w| w[0] < w[1]) {
+            inner.sort_unstable();
+            inner.dedup();
+        }
+        PrefixSet { inner }
     }
 }
 
 impl FromIterator<Prefix> for PrefixSet {
     fn from_iter<T: IntoIterator<Item = Prefix>>(iter: T) -> Self {
-        PrefixSet {
-            inner: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Prefix> for PrefixSet {
-    fn extend<T: IntoIterator<Item = Prefix>>(&mut self, iter: T) {
-        self.inner.extend(iter)
+        PrefixSet::from(iter.into_iter().collect::<Vec<_>>())
     }
 }
 
 impl<'a> IntoIterator for &'a PrefixSet {
     type Item = &'a Prefix;
-    type IntoIter = std::collections::btree_set::Iter<'a, Prefix>;
+    type IntoIter = std::slice::Iter<'a, Prefix>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.inner.iter()
@@ -362,7 +410,7 @@ impl<'a> IntoIterator for &'a PrefixSet {
 
 impl IntoIterator for PrefixSet {
     type Item = Prefix;
-    type IntoIter = std::collections::btree_set::IntoIter<Prefix>;
+    type IntoIter = std::vec::IntoIter<Prefix>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.inner.into_iter()
@@ -470,6 +518,19 @@ mod tests {
         assert_eq!(a.union(&b).len(), 150);
         assert!(a.contains(&Prefix::nth_slash24(10)));
         assert!(!a.contains(&Prefix::nth_slash24(120)));
+    }
+
+    #[test]
+    fn prefix_set_from_unsorted_duplicates() {
+        let order = [7u32, 3, 9, 3, 1, 7];
+        let collected: PrefixSet = order.iter().map(|i| Prefix::nth_slash24(*i)).collect();
+        let sorted: Vec<Prefix> = [1u32, 3, 7, 9].map(Prefix::nth_slash24).to_vec();
+        assert_eq!(collected.iter().copied().collect::<Vec<_>>(), sorted);
+        assert_eq!(collected, PrefixSet::from(sorted.clone()));
+        assert_eq!(collected.clone().into_iter().collect::<Vec<_>>(), sorted);
+        assert_eq!(collected.union(&PrefixSet::new()), collected);
+        assert_eq!(PrefixSet::new().union(&collected), collected);
+        assert_eq!(collected.intersection_len(&PrefixSet::new()), 0);
     }
 
     #[test]

@@ -20,8 +20,13 @@
 //!
 //! The table interns every prefix once (`PrefixInterner`: `Prefix` → dense
 //! [`PrefixId`], ids never reused) and each peer keeps `PeerRoutes`: a 4-byte
-//! slot per id pointing into a route slab with a free list. Applying an
-//! event is one hash probe plus array writes; nothing on that path is ordered.
+//! slot per id pointing into a route slab with a free list. A route is one
+//! flat 88-byte record — its AS path sits inside it (see "Storage" in
+//! [`crate::as_path`]; only a path longer than five hops, or a community
+//! list, which no generator here attaches, owns a heap block) — so applying
+//! an event is one hash probe plus array writes: an announcement moves the
+//! record into its slab entry, a withdrawal drops it where it lies and
+//! frees nothing. Nothing on that path is ordered.
 //! The invariants (`ids[prefixes[i]] == i`; non-vacant slots point at
 //! distinct live slab entries, the rest of the slab is the free list) are
 //! maintained in exactly three functions —
@@ -178,14 +183,19 @@ impl PeerRoutes {
         self.routes[*slot as usize] = Some(route);
     }
 
-    /// Removes the route for `id`; never grows the slot array.
-    pub(crate) fn remove(&mut self, id: PrefixId) -> Option<Route> {
-        let slot = std::mem::replace(self.slots.get_mut(id.index())?, VACANT);
+    /// Removes the route for `id`, dropping the record where it lies;
+    /// returns whether there was one. Never grows the slot array.
+    pub(crate) fn remove(&mut self, id: PrefixId) -> bool {
+        let Some(slot) = self.slots.get_mut(id.index()) else {
+            return false;
+        };
+        let slot = std::mem::replace(slot, VACANT);
         if slot == VACANT {
-            return None;
+            return false;
         }
         self.free.push(slot);
-        self.routes[slot as usize].take()
+        self.routes[slot as usize] = None;
+        true
     }
 
     /// Length of the id-indexed slot array (what a withdrawal must not grow).

@@ -146,7 +146,7 @@ impl RoutingTable {
             ElementaryEvent::Withdraw { prefix, .. } => {
                 let state = self.peers.get_mut(&peer)?;
                 let id = self.interner.get(&prefix)?;
-                state.routes.remove(id).map(|_| id)
+                state.routes.remove(id).then_some(id)
             }
         }
     }

@@ -1,7 +1,12 @@
 //! Property-based tests for the BGP substrate.
 
 use proptest::prelude::*;
-use swift_bgp::{AsLink, AsPath, Asn, BgpMessage, MessageStream, Prefix, PrefixSet};
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher, BuildHasherDefault};
+use swift_bgp::{
+    AsLink, AsPath, Asn, BgpMessage, FoldBuildHasher, MessageStream, PathInterner, Prefix,
+    PrefixSet,
+};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::new(addr, len).unwrap())
@@ -9,6 +14,46 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 
 fn arb_as_path() -> impl Strategy<Value = AsPath> {
     proptest::collection::vec(1u32..10_000, 0..12).prop_map(AsPath::new)
+}
+
+/// Hop lists of 0..=12 ASes — both sides of the in-place capacity (5) — over
+/// few enough AS numbers that loops and repeated links are common.
+fn arb_hops() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(1u32..12, 0..13)
+}
+
+/// `path` answers every accessor the way the plain hop list `model` does.
+fn check_against_model(path: &AsPath, model: &[Asn]) -> Result<(), String> {
+    prop_assert_eq!(path.hops(), model);
+    prop_assert_eq!(path.len(), model.len());
+    prop_assert_eq!(path.is_empty(), model.is_empty());
+    prop_assert_eq!(path.first_hop(), model.first().copied());
+    prop_assert_eq!(path.origin(), model.last().copied());
+    let links: Vec<AsLink> = model.windows(2).map(|w| AsLink::new(w[0], w[1])).collect();
+    prop_assert_eq!(path.links().collect::<Vec<_>>(), links.clone());
+    prop_assert_eq!(path.link_count(), links.len());
+    for pos in 0..=model.len() + 1 {
+        let expected = pos.checked_sub(1).and_then(|i| links.get(i)).copied();
+        prop_assert_eq!(path.link_at_position(pos), expected);
+    }
+    for link in links
+        .iter()
+        .copied()
+        .chain([AsLink::new(3, 4), AsLink::new(4, 3)])
+    {
+        let expected = links.iter().position(|l| *l == link).map(|i| i + 1);
+        prop_assert_eq!(path.position_of_link(&link), expected);
+    }
+    let distinct: BTreeSet<Asn> = model.iter().copied().collect();
+    prop_assert_eq!(path.has_loop(), distinct.len() < model.len());
+    let shown: Vec<String> = model.iter().map(|asn| asn.0.to_string()).collect();
+    prop_assert_eq!(path.to_string(), format!("({})", shown.join(" ")));
+    // Hashes as the hop slice does, under the interner's hasher and std's.
+    let fold = FoldBuildHasher::default();
+    prop_assert_eq!(fold.hash_one(path), fold.hash_one(model));
+    let sip = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+    prop_assert_eq!(sip.hash_one(path), sip.hash_one(model));
+    Ok(())
 }
 
 proptest! {
@@ -65,6 +110,90 @@ proptest! {
         prop_assert_eq!(q.len(), path.len() + 1);
         prop_assert_eq!(q.first_hop(), Some(Asn(asn)));
         prop_assert_eq!(&q.hops()[1..], path.hops());
+    }
+
+    /// An `AsPath` is its hop list, whether the hops sit in place or spilled:
+    /// every prefix of a random hop list (so every length up to it, the
+    /// capacity and its two neighbours included) against the `Vec` model.
+    #[test]
+    fn as_path_matches_the_hop_list_model(hops in arb_hops(), other in arb_hops(), asn in 1u32..12) {
+        let model: Vec<Asn> = hops.iter().copied().map(Asn).collect();
+        let other_model: Vec<Asn> = other.iter().copied().map(Asn).collect();
+        let other_path = AsPath::new(other.iter().copied());
+        for k in 0..=model.len() {
+            let model = &model[..k];
+            let path = AsPath::new(model.iter().copied());
+            check_against_model(&path, model)?;
+            prop_assert_eq!(path.clone(), path.clone());
+            prop_assert_eq!(path == other_path, model == other_model.as_slice());
+            prop_assert_eq!(path.cmp(&other_path), model.cmp(other_model.as_slice()));
+            prop_assert_eq!(path.partial_cmp(&other_path), Some(model.cmp(other_model.as_slice())));
+            // Prepending crosses the boundary when k is the capacity.
+            let mut longer = vec![Asn(asn)];
+            longer.extend_from_slice(model);
+            check_against_model(&path.prepend(asn), &longer)?;
+            prop_assert_eq!(path.prepend(asn), AsPath::new(longer.iter().copied()));
+            prop_assert_eq!(path.would_loop(Asn(asn)), model.contains(&Asn(asn)));
+        }
+    }
+
+    /// The by-value interner numbers paths in first-seen order, whichever of
+    /// `intern` / `intern_owned` saw them first, and gives each one back.
+    #[test]
+    fn interner_ids_follow_first_seen_order(
+        pool in proptest::collection::vec(arb_hops(), 1..12),
+        picks in proptest::collection::vec((0usize..1_000, any::<bool>()), 0..60),
+    ) {
+        let mut interner = PathInterner::new();
+        let mut first_seen: Vec<&Vec<u32>> = Vec::new();
+        for (pick, owned) in picks {
+            let hops = &pool[pick % pool.len()];
+            let path = AsPath::new(hops.iter().copied());
+            let expected = first_seen.iter().position(|seen| *seen == hops);
+            prop_assert_eq!(interner.lookup(&path).map(|id| id.index()), expected);
+            let id = if owned { interner.intern_owned(path.clone()) } else { interner.intern(&path) };
+            prop_assert_eq!(id.index(), expected.unwrap_or(first_seen.len()));
+            if expected.is_none() {
+                first_seen.push(hops);
+            }
+            prop_assert_eq!(interner.get(id), &path);
+            prop_assert_eq!(interner.len(), first_seen.len());
+        }
+        let clone = interner.clone();
+        for from in 0..=first_seen.len() {
+            let tail: Vec<AsPath> = first_seen[from..].iter().map(|h| AsPath::new(h.iter().copied())).collect();
+            prop_assert_eq!(clone.paths_from(from).cloned().collect::<Vec<_>>(), tail);
+        }
+    }
+
+    /// A `PrefixSet` built from an unsorted list with duplicates is the
+    /// `BTreeSet` of that list: order, membership, algebra, insert / remove.
+    #[test]
+    fn prefix_set_matches_the_btree_model(
+        a in proptest::collection::vec(0u32..300, 0..200),
+        b in proptest::collection::vec(0u32..300, 0..200),
+        probe in 0u32..300,
+    ) {
+        let prefixes = |v: &[u32]| -> Vec<Prefix> { v.iter().map(|i| Prefix::nth_slash24(*i)).collect() };
+        let (ma, mb): (BTreeSet<Prefix>, BTreeSet<Prefix>) =
+            (prefixes(&a).into_iter().collect(), prefixes(&b).into_iter().collect());
+        let sa: PrefixSet = prefixes(&a).into_iter().collect();
+        let sb = PrefixSet::from(prefixes(&b));
+        prop_assert_eq!(sa.iter().collect::<Vec<_>>(), ma.iter().collect::<Vec<_>>());
+        prop_assert_eq!(sb.clone().into_iter().collect::<Vec<_>>(), mb.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(sa.len(), ma.len());
+        let probe = Prefix::nth_slash24(probe);
+        prop_assert_eq!(sa.contains(&probe), ma.contains(&probe));
+        prop_assert_eq!(sa.intersection_len(&sb), ma.intersection(&mb).count());
+        prop_assert_eq!(sa.difference_len(&sb), ma.difference(&mb).count());
+        let union: PrefixSet = ma.union(&mb).copied().collect();
+        prop_assert_eq!(sa.union(&sb), union);
+        let (mut grown, mut shrunk) = (sa.clone(), sa.clone());
+        prop_assert_eq!(grown.insert(probe), !ma.contains(&probe));
+        prop_assert_eq!(shrunk.remove(&probe), ma.contains(&probe));
+        prop_assert!(grown.contains(&probe) && !shrunk.contains(&probe));
+        prop_assert_eq!(grown.len() - shrunk.len(), 1);
+        prop_assert!(grown.iter().zip(grown.iter().skip(1)).all(|(x, y)| x < y));
     }
 
     /// PrefixSet intersection/difference cardinalities are consistent.

@@ -66,15 +66,16 @@ impl<I: DenseId> DirtySet<I> {
     where
         I: Ord,
     {
-        self.clear_bitmap();
         self.ids.sort_unstable();
-        self.ids.drain(..)
+        self.drain()
     }
 
-    /// Empties the set, returning the marked ids.
-    pub(crate) fn take(&mut self) -> Vec<I> {
+    /// Empties the set, yielding the marked ids in marking order. Drained in
+    /// place like [`DirtySet::drain_sorted`]: the next marks do not regrow
+    /// the list.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, I> {
         self.clear_bitmap();
-        std::mem::take(&mut self.ids)
+        self.ids.drain(..)
     }
 
     fn clear_bitmap(&mut self) {

@@ -26,8 +26,8 @@
 //!   withdrawn and over which path; two global bitsets split the id space
 //!   into *routed* and *withdrawn*.
 //! * **Path ids** ([`PathId`], from the [`PathInterner`]): every distinct AS
-//!   path is stored once; seeding from an [`InternedRib`] shares the storage
-//!   (`Arc` clones only). When a path is first seen its *distinct* links are
+//!   path is stored once; seeding from an [`InternedRib`] copies its
+//!   interner (one flat record per distinct path). When a path is first seen its *distinct* links are
 //!   resolved to link ids once and appended to one flat arena
 //!   (`path_links`, delimited by `path_end`) — an event then walks a slice of
 //!   that arena instead of re-deriving the links from the hops (a looped
@@ -197,8 +197,8 @@ impl LinkCounters {
         c
     }
 
-    /// Creates counters seeded from an interned RIB, sharing its path storage
-    /// (no per-prefix path clones).
+    /// Creates counters seeded from an interned RIB: its interner is copied
+    /// (a record per distinct path), no path is cloned per prefix.
     pub fn from_interned(rib: &InternedRib) -> Self {
         let mut c = LinkCounters {
             interner: rib.interner().clone(),
@@ -463,9 +463,11 @@ impl LinkCounters {
     }
 
     /// Links whose `W(l)` changed since the last call, drained in first-change
-    /// order. Feeds the incremental candidate ranking in the engine.
-    pub fn take_dirty(&mut self) -> Vec<LinkId> {
-        self.dirty.take()
+    /// order (in place: the feed keeps its capacity, so the withdrawals after
+    /// an attempt do not regrow it). Feeds the incremental candidate ranking
+    /// in the engine.
+    pub fn take_dirty(&mut self) -> std::vec::Drain<'_, LinkId> {
+        self.dirty.drain()
     }
 
     /// The current path of `prefix`, if still routed.
@@ -698,8 +700,9 @@ impl LinkCounters {
     /// current path crosses an inferred link).
     ///
     /// This path genuinely needs materialised union ids (the output is the
-    /// prefix lists), so it builds them in the reusable scratch buffer: the
-    /// dense words are cleared in place and only grow once per session.
+    /// prefix lists), so it builds them in the reusable scratch buffers: the
+    /// dense words are cleared in place and only grow once per session, and
+    /// each output set is one `Vec`, sorted once.
     pub fn crossing_prefixes(&self, links: &[AsLink]) -> (PrefixSet, PrefixSet) {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
@@ -713,16 +716,15 @@ impl LinkCounters {
         } else {
             s.stats.scratch_reuse += 1;
         }
-        let withdrawn = s
-            .union_buf
-            .intersection_ids(&self.withdrawn_bits)
-            .map(|id| self.prefixes[id as usize])
-            .collect();
-        let routed = s
-            .union_buf
-            .intersection_ids(&self.routed_bits)
-            .map(|id| self.prefixes[id as usize])
-            .collect();
+        let (union, ids) = (&s.union_buf, &mut s.ids);
+        let mut behind = |bits: &IdBitSet| -> PrefixSet {
+            ids.clear();
+            union.intersection_into(bits, ids);
+            let prefixes: Vec<Prefix> = ids.iter().map(|id| self.prefixes[*id as usize]).collect();
+            PrefixSet::from(prefixes)
+        };
+        let withdrawn = behind(&self.withdrawn_bits);
+        let routed = behind(&self.routed_bits);
         (withdrawn, routed)
     }
 
@@ -1029,15 +1031,16 @@ mod tests {
     #[test]
     fn dirty_tracking_follows_w_changes() {
         fn drain(c: &mut LinkCounters) -> Vec<AsLink> {
-            c.take_dirty().into_iter().map(|id| c.link(id)).collect()
+            let ids: Vec<LinkId> = c.take_dirty().collect();
+            ids.into_iter().map(|id| c.link(id)).collect()
         }
         let mut c = fig4_counters();
-        assert!(c.take_dirty().is_empty(), "seeding never dirties W");
+        assert_eq!(c.take_dirty().len(), 0, "seeding never dirties W");
         c.on_withdraw(p(2));
         assert_eq!(drain(&mut c), vec![AsLink::new(2, 5), AsLink::new(5, 6)]);
-        assert!(c.take_dirty().is_empty(), "drained");
+        assert_eq!(c.take_dirty().len(), 0, "drained");
         c.on_announce(p(10), AsPath::new([2u32, 9]));
-        assert!(c.take_dirty().is_empty(), "announcements do not change W");
+        assert_eq!(c.take_dirty().len(), 0, "announcements do not change W");
         c.start_burst([p(2)]);
         assert_eq!(
             drain(&mut c),

@@ -27,7 +27,9 @@
 //! array updates of its path's links by [`LinkId`](super::counters::LinkId)
 //! and a push onto the detector's window; an announcement adds the path
 //! interner's probe. Nothing on that path allocates, orders a tree or touches
-//! a link by name.
+//! a link by name (`tests/alloc_free_event_path.rs` counts the allocator
+//! calls: zero outside the calls that open or close a burst or run an
+//! attempt).
 //!
 //! An inference attempt ranks candidates through the incrementally maintained
 //! [`LinkRanker`] (fed by the counters' dirty-link feed) and scores link sets
@@ -109,8 +111,8 @@ impl InferenceEngine {
         Self::with_counters(config, counters)
     }
 
-    /// Creates an engine seeded from an interned RIB, sharing its path
-    /// storage (no per-prefix path clones).
+    /// Creates an engine seeded from an interned RIB (its interner is
+    /// copied; no path is cloned per prefix).
     pub fn from_interned(config: InferenceConfig, rib: &InternedRib) -> Self {
         let counters = LinkCounters::from_interned(rib);
         Self::with_counters(config, counters)
@@ -298,6 +300,7 @@ impl InferenceEngine {
             links,
             prediction,
         };
+        // Two handle copies and a short link list: the prefix sets are shared.
         self.accepted = Some(result.clone());
         (EngineStatus::Accepted, Some(result))
     }

@@ -93,6 +93,9 @@ pub struct ScoreScratch {
     /// (`crossing_prefixes` behind `predict`). Kept dense so `clear_all`
     /// retains capacity.
     pub(crate) union_buf: IdBitSet,
+    /// The ids `crossing_prefixes` reads off `union_buf`, before they become
+    /// prefixes.
+    pub(crate) ids: Vec<u32>,
     /// Running union of the greedy aggregation's current link set
     /// (`agg_seed` / `agg_trial` / `agg_accept` on `LinkCounters`).
     pub(crate) agg: IdBitSet,
@@ -108,6 +111,7 @@ impl Default for ScoreScratch {
             // the buffers grow once to the session's id-space size and then
             // every later burst reuses the words in place.
             union_buf: IdBitSet::with_capacity(0),
+            ids: Vec::new(),
             agg: IdBitSet::with_capacity(0),
             stats: KernelStats::default(),
         }

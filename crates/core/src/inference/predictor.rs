@@ -13,8 +13,9 @@ use swift_bgp::{Prefix, PrefixSet};
 #[derive(Debug, Clone, Default)]
 pub struct Prediction {
     /// Prefixes whose pre-burst path traversed an inferred link and that were
-    /// already withdrawn when the inference was made.
-    pub already_withdrawn: PrefixSet,
+    /// already withdrawn when the inference was made. A shared handle like
+    /// `predicted`: the engine keeps the accepted result and hands out a copy.
+    pub already_withdrawn: Arc<PrefixSet>,
     /// Prefixes whose current path traverses an inferred link and that are
     /// still routed — these are the prefixes SWIFT reroutes (the "predicted
     /// future withdrawals" of §6.3). A shared handle: the reroute action, the
@@ -50,7 +51,7 @@ pub fn predict(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
     }
     let (already_withdrawn, predicted) = counters.crossing_prefixes(&links.links);
     Prediction {
-        already_withdrawn,
+        already_withdrawn: Arc::new(already_withdrawn),
         predicted: Arc::new(predicted),
     }
 }
@@ -72,7 +73,7 @@ pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Predictio
         .map(|(p, _)| *p)
         .collect();
     Prediction {
-        already_withdrawn,
+        already_withdrawn: Arc::new(already_withdrawn),
         predicted: Arc::new(predicted),
     }
 }

@@ -99,7 +99,7 @@ impl SessionEngine {
 }
 
 /// Builds one [`SessionEngine`] per peering session of `table`, seeding each
-/// from the session's interned Adj-RIB-In (paths shared, no per-prefix
+/// from the session's interned Adj-RIB-In (paths interned, no per-prefix
 /// clones). The single shared seeding path of `SwiftRouter` and the sharded
 /// runtime.
 pub fn session_engines(
@@ -627,7 +627,7 @@ mod tests {
                 routed: n as usize,
             },
             prediction: crate::inference::Prediction {
-                already_withdrawn: PrefixSet::new(),
+                already_withdrawn: Arc::default(),
                 predicted: Arc::new((0..n).map(|i| bp(s, i)).collect()),
             },
         }

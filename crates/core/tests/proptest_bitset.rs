@@ -97,7 +97,8 @@ proptest! {
 
         for (a, b) in [(&ha, &hb), (&ha, &db), (&da, &hb), (&da, &db)] {
             prop_assert_eq!(a.intersection_count(b), model_inter.len());
-            let inter: Vec<u32> = a.intersection_ids(b).collect();
+            let mut inter = Vec::new();
+            a.intersection_into(b, &mut inter);
             prop_assert_eq!(&inter, &model_inter);
 
             let mut u = a.clone();

@@ -279,7 +279,7 @@ fn inference(link: AsLink, time: u64) -> InferenceResult {
             routed: 0,
         },
         prediction: Prediction {
-            already_withdrawn: PrefixSet::new(),
+            already_withdrawn: Arc::default(),
             predicted: Arc::new(PrefixSet::new()),
         },
     }
