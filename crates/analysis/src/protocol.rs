@@ -3,10 +3,10 @@
 //! `crates/analysis/protocol/runtime.protocol`.
 //!
 //! The runtime's correctness argument leans on properties the compiler
-//! cannot see: lifecycle messages broadcast to *all* K appliers (a missed
-//! broadcast is a silent hang — an applier that never hears a `Barrier`
-//! never acks it), every `Barrier(seq)` answered by exactly one ack per
-//! applier shard, no data traffic after `Shutdown`, `Resync` replies
+//! cannot see: lifecycle messages broadcast to *all* shard workers (a missed
+//! broadcast is a silent hang — a shard that never hears a `Barrier` never
+//! forwards it, and the applier's quorum never fills), every `Barrier(seq)`
+//! answered by exactly one ack, no data traffic after `Shutdown`, `Resync` replies
 //! bounded to one per request, and protocol `match`es kept wildcard-free so
 //! a new variant cannot be silently dropped. This module extracts every
 //! send/recv site of the protocol enums from `runtime/src` (over the

@@ -18,7 +18,6 @@
 //! | `unbounded-channel` | `mpsc::channel()` (unbounded) only for reply/barrier control channels; data paths use `sync_channel` |
 //! | `thread-spawn` | threads are spawned only by `swift-runtime` and the bench harnesses |
 //! | `lifecycle-send` | lifecycle/barrier messages are never shed: no `try_send` of `Register`/`Teardown`/`Barrier`/`Resync`/`Shutdown`/`ShardDone` |
-//! | `bare-applier` | bench/harness code branches on `try_applier()` instead of the K≥2-panicking `RuntimeReport::applier()` |
 //! | `hot-path-alloc` | the fused-kernel scoring hot path stays allocation-free: no `Vec::new()` / `IdBitSet::new()` / `vec![...]` in kernel bodies or the hot scoring functions — capacity lives in the engine-owned `ScoreScratch`; likewise the resync's stage-1 retag loop (`refresh_ids`, `compute_tag`, `set_tag`, `select_backup_among`): nothing allocated per dirty prefix |
 //! | `pragma` | every `swift-lint` pragma is well-formed, names a known rule and carries a reason |
 //! | `protocol` | the `ShardMsg`/`ApplierMsg` traffic matches the declared automaton: broadcasts loop over the fan-out collection, nothing follows a terminal message, acks/replies are exactly-once, quorums are gated (see [`crate::protocol`]) |
@@ -39,8 +38,6 @@ pub const RULE_UNBOUNDED_CHANNEL: &str = "unbounded-channel";
 pub const RULE_THREAD_SPAWN: &str = "thread-spawn";
 /// Rule key: `try_send` of a lifecycle/barrier message.
 pub const RULE_LIFECYCLE_SEND: &str = "lifecycle-send";
-/// Rule key: `RuntimeReport::applier()` in bench code.
-pub const RULE_BARE_APPLIER: &str = "bare-applier";
 /// Rule key: per-call heap allocation on the inference scoring hot path.
 pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Rule key: malformed or unknown pragma.
@@ -66,7 +63,6 @@ pub const KNOWN_RULES: &[&str] = &[
     RULE_UNBOUNDED_CHANNEL,
     RULE_THREAD_SPAWN,
     RULE_LIFECYCLE_SEND,
-    RULE_BARE_APPLIER,
     RULE_HOT_PATH_ALLOC,
     RULE_PROTOCOL,
     RULE_PROTOCOL_WILDCARD,
@@ -86,83 +82,86 @@ const HOT_PATH_FILES: &[&str] = &[
 /// per-event path and are what the latency metrics are made of.
 const INSTANT_NOW_ALLOWED_FNS: &[&str] = &["new", "shard_loop", "applier_loop"];
 
-/// The files `hot-path-alloc` polices: the inference scorer, the forwarding
-/// table's retag loop and the RIB mirror's per-event path. In `kernels.rs`
-/// every function body is hot (the crate exists for the allocation-free
-/// pass); in the other `swift-core` files only the functions in
-/// [`ALLOC_HOT_FNS`] are, in the `crates/bgp/` files only those in
-/// [`ALLOC_HOT_MIRROR_FNS`].
-const ALLOC_HOT_FILES: &[&str] = &[
-    "crates/core/src/inference/kernels.rs",
-    "crates/core/src/inference/fit_score.rs",
-    "crates/core/src/inference/aggregate.rs",
-    "crates/core/src/inference/counters.rs",
-    "crates/core/src/encoding/two_stage.rs",
-    "crates/core/src/encoding/backup.rs",
-    "crates/bgp/src/rib.rs",
-    "crates/bgp/src/table.rs",
-    "crates/bgp/src/as_path.rs",
-];
+/// Which function bodies of a `hot-path-alloc` file are hot.
+enum HotFns {
+    /// Every function but the constructors (`new`, `default`,
+    /// `with_capacity`): building the engine-owned scratch is the one place
+    /// capacity is created.
+    AllButConstructors,
+    /// Exactly these.
+    Only(&'static [&'static str]),
+}
 
-/// The scoring hot path proper: the per-trial / per-event functions where a
-/// fresh `Vec`/`IdBitSet` would allocate once per greedy step or ranking
-/// drain — and the counters' per-event path itself (`on_withdraw`,
-/// `announce_interned`: every withdrawal and announcement of every session)
-/// with the ranker's per-attempt fold (`update`, `ranking`, `rank_into`).
-/// Reference implementations (`*_scan`, `*_materialized`, `union_bits`,
-/// `rescore`, `rank_link_ids`) deliberately stay outside this list — their
-/// allocations are the baseline the kernels are measured against. The last
-/// four are the stage-1 retag loop of the post-convergence resync, run once
-/// per dirty prefix (22 k per cycle at 1 M prefixes); `build` and
-/// `partition_clone` beside them size their arrays once and stay off.
-const ALLOC_HOT_FNS: &[&str] = &[
-    "on_withdraw",
-    "announce_interned",
-    "ranking",
-    "rank_into",
-    "score_link_set",
-    "infer_with_scorer",
-    "update",
-    "union_counts",
-    "union_counts_of",
-    "fused_counts",
-    "union_counts_buffered",
-    "wp",
-    "w_union",
-    "p_union",
-    "agg_seed",
-    "agg_trial",
-    "agg_accept",
-    "crossing_prefixes",
-    "seed",
-    "trial",
-    "accept",
-    "score_set",
-    "refresh_ids",
-    "compute_tag",
-    "set_tag",
-    "select_backup_among",
+/// What `hot-path-alloc` polices: each file with the functions that are hot
+/// *in that file* — a name as common as `insert` or `update` polices only the
+/// file it lives in.
+///
+/// * `kernels.rs` exists for the allocation-free pass: every body is hot.
+/// * The scorer files: the per-trial / per-event functions where a fresh
+///   `Vec`/`IdBitSet` would allocate once per greedy step or ranking drain,
+///   the counters' per-event path (`on_withdraw`, `announce_interned`: every
+///   withdrawal and announcement of every session) and the ranker's
+///   per-attempt fold (`update`, `ranking`, `rank_into`). Reference
+///   implementations (`*_scan`, `*_materialized`, `union_bits`, `rescore`,
+///   `rank_link_ids`) deliberately stay off — their allocations are the
+///   baseline the kernels are measured against.
+/// * The encoding files: the stage-1 retag loop of the post-convergence
+///   resync, run once per dirty prefix (22 k per cycle at 1 M prefixes);
+///   `build` beside it sizes its arrays once and stays off.
+/// * The `crates/bgp/` files: what `RoutingTable::apply_owned` runs per event
+///   (a route is a flat record: installing one is array writes, withdrawing
+///   one frees nothing) and the `AsPath` reads every candidate comparison of
+///   a retag goes through; whole-table queries beside them (`clear_peer`,
+///   `prefixes_via_links`, the link counts) stay off.
+const ALLOC_HOT: &[(&str, HotFns)] = &[
+    (
+        "crates/core/src/inference/kernels.rs",
+        HotFns::AllButConstructors,
+    ),
+    (
+        "crates/core/src/inference/fit_score.rs",
+        HotFns::Only(&["score_link_set", "update", "ranking", "rank_into"]),
+    ),
+    (
+        "crates/core/src/inference/aggregate.rs",
+        HotFns::Only(&["infer_with_scorer", "seed", "trial", "accept", "score_set"]),
+    ),
+    (
+        "crates/core/src/inference/counters.rs",
+        HotFns::Only(&[
+            "on_withdraw",
+            "announce_interned",
+            "union_counts",
+            "union_counts_of",
+            "fused_counts",
+            "union_counts_buffered",
+            "wp",
+            "w_union",
+            "p_union",
+            "agg_seed",
+            "agg_trial",
+            "agg_accept",
+            "crossing_prefixes",
+        ]),
+    ),
+    (
+        "crates/core/src/encoding/two_stage.rs",
+        HotFns::Only(&["refresh_ids", "compute_tag", "set_tag"]),
+    ),
+    (
+        "crates/core/src/encoding/backup.rs",
+        HotFns::Only(&["select_backup_among"]),
+    ),
+    ("crates/bgp/src/rib.rs", HotFns::Only(&["insert", "remove"])),
+    (
+        "crates/bgp/src/table.rs",
+        HotFns::Only(&["apply_owned", "insert"]),
+    ),
+    (
+        "crates/bgp/src/as_path.rs",
+        HotFns::Only(&["hops", "links", "link_at_position"]),
+    ),
 ];
-
-/// The RIB mirror's hot functions, policed in the `crates/bgp/` files of
-/// [`ALLOC_HOT_FILES`] only (names as common as `insert` and `remove` must
-/// not reach into the `swift-core` files): what `RoutingTable::apply_owned`
-/// runs per event (a route is a flat record: installing one is array
-/// writes, withdrawing one frees nothing) and the `AsPath` reads every
-/// candidate comparison of a retag goes through; whole-table queries beside
-/// them (`clear_peer`, `prefixes_via_links`, the link counts) stay off.
-const ALLOC_HOT_MIRROR_FNS: &[&str] = &[
-    "apply_owned",
-    "insert",
-    "remove",
-    "hops",
-    "links",
-    "link_at_position",
-];
-
-/// Constructors in `kernels.rs` allowed to allocate: building the
-/// engine-owned scratch is the one place capacity is created.
-const ALLOC_KERNEL_CTORS: &[&str] = &["new", "default", "with_capacity"];
 
 /// The message-enum variants that make up the lifecycle/barrier protocol —
 /// shedding any of these would break in-band ordering or the barrier quorum.
@@ -192,11 +191,8 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     if thread_spawn_scope(&file.rel) {
         check_thread_spawn(file, &mut out);
     }
-    if file.rel.starts_with("crates/bench/") {
-        check_bare_applier(file, &mut out);
-    }
-    if ALLOC_HOT_FILES.contains(&file.rel.as_str()) {
-        check_hot_path_alloc(file, &mut out);
+    if let Some((_, hot_fns)) = ALLOC_HOT.iter().find(|(rel, _)| *rel == file.rel) {
+        check_hot_path_alloc(file, hot_fns, &mut out);
     }
     out
 }
@@ -414,46 +410,14 @@ fn check_lifecycle_send(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// `bare-applier`: flags `.applier()` in bench code — it panics at
-/// `applier_shards >= 2`; harnesses branch on `try_applier()` or use the
-/// aggregate accessors instead.
-fn check_bare_applier(file: &SourceFile, out: &mut Vec<Finding>) {
-    for i in 0..file.tokens.len() {
-        if !match_seq(&file.tokens, i, &[".", "applier", "(", ")"]) {
-            continue;
-        }
-        let line = file.tokens[i + 1].line;
-        if file.in_test(line) || file.allowed(RULE_BARE_APPLIER, line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: RULE_BARE_APPLIER,
-            path: file.rel.clone(),
-            line,
-            message: "`RuntimeReport::applier()` in bench code panics at `applier_shards >= 2` \
-                      — branch on `try_applier()` or use the aggregate accessors \
-                      (`swift_rule_count()`, `pending_events()`, `forwarding_next_hop()`)"
-                .into(),
-        });
-    }
-}
-
 /// `hot-path-alloc`: flags per-call heap allocation (`Vec::new()`,
 /// `IdBitSet::new()`, `vec![...]`) inside the fused-kernel scoring hot path
-/// and the stage-1 retag loop. In `kernels.rs` every non-constructor body is
-/// policed; in the other files only the hot functions ([`ALLOC_HOT_FNS`],
-/// or [`ALLOC_HOT_MIRROR_FNS`] under `crates/bgp/`) are. Test code never
-/// fires, and a pragma with a reason exempts a line — but the kernel
-/// bodies themselves are expected to stay pragma-free (capacity belongs in
-/// `ScoreScratch`, not in a justified allocation).
-fn check_hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
-    let kernels = file.rel.ends_with("/kernels.rs");
+/// and the stage-1 retag loop: the functions [`ALLOC_HOT`] lists for `file`.
+/// Test code never fires, and a pragma with a reason exempts a line — but the
+/// kernel bodies themselves are expected to stay pragma-free (capacity
+/// belongs in `ScoreScratch`, not in a justified allocation).
+fn check_hot_path_alloc(file: &SourceFile, hot_fns: &HotFns, out: &mut Vec<Finding>) {
     let mirror = file.rel.starts_with("crates/bgp/");
-    let hot_fns = if mirror {
-        ALLOC_HOT_MIRROR_FNS
-    } else {
-        ALLOC_HOT_FNS
-    };
     for i in 0..file.tokens.len() {
         let vec_new = match_seq(&file.tokens, i, &["Vec", ":", ":", "new", "(", ")"]);
         let bitset_new = match_seq(&file.tokens, i, &["IdBitSet", ":", ":", "new", "(", ")"]);
@@ -465,11 +429,12 @@ fn check_hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
         if file.in_test(line) || file.allowed(RULE_HOT_PATH_ALLOC, line) {
             continue;
         }
-        let hot = match file.enclosing_fn(line) {
-            Some(f) if kernels => !ALLOC_KERNEL_CTORS.contains(&f.name.as_str()),
-            Some(f) => hot_fns.contains(&f.name.as_str()),
-            None => false,
-        };
+        let hot = file.enclosing_fn(line).is_some_and(|f| match hot_fns {
+            HotFns::AllButConstructors => {
+                !["new", "default", "with_capacity"].contains(&f.name.as_str())
+            }
+            HotFns::Only(fns) => fns.contains(&f.name.as_str()),
+        });
         if !hot {
             continue;
         }

@@ -6,7 +6,7 @@
 //!   every `send` on a bounded (`sync_channel`) queue can block; a cycle of
 //!   such edges through the thread graph is a deadlock waiting for the right
 //!   queue depths. The runtime's design is a DAG (producers → shard workers
-//!   → applier shards, with control acks flowing back on *unbounded*
+//!   → the applier, with control acks flowing back on *unbounded*
 //!   channels precisely so they cannot close a blocking cycle) and this
 //!   check keeps it one.
 //! * **lock-order acyclicity** — `Mutex` acquisitions are collected per

@@ -1,7 +1,9 @@
 // Fixture for the RIB-mirror half of the `hot-path-alloc` rule: what
 // `RoutingTable::apply_owned` runs per event, and the `AsPath` reads a retag
-// makes per candidate, are policed like the kernels. Checked as
-// `crates/bgp/src/rib.rs` (expected findings: the three VIOLATION lines).
+// makes per candidate, are policed like the kernels, each name in
+// the file it lives in. Checked as `crates/bgp/src/rib.rs` (`insert`,
+// `remove`) and `crates/bgp/src/as_path.rs` (`hops`): between them the three
+// VIOLATION lines.
 
 fn insert() {
     let displaced: Vec<u32> = Vec::new(); // VIOLATION: a list per announcement

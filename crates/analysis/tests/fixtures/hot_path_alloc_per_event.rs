@@ -1,7 +1,9 @@
 // Fixture for the per-event half of the `hot-path-alloc` rule: the counters'
 // event handlers and the ranker's per-attempt fold are policed like the
-// kernels. Checked as `crates/core/src/inference/counters.rs` (expected
-// findings: the four VIOLATION lines).
+// kernels, each name in the file it lives in. Checked as
+// `crates/core/src/inference/counters.rs` (the event handlers) and
+// `crates/core/src/inference/fit_score.rs` (the ranker's fold): between them
+// the four VIOLATION lines.
 
 fn on_withdraw() {
     let links: Vec<u32> = Vec::new(); // VIOLATION: per-withdrawal Vec

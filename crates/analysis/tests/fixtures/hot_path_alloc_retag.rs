@@ -24,8 +24,8 @@ fn build() {
     drop(stage1);
 }
 
-fn partition_clone() {
-    // Once per partition: off the list.
+fn clear_swift_rules() {
+    // Once per resync: off the list.
     let refs: Vec<Vec<u32>> = Vec::new();
     drop(refs);
 }

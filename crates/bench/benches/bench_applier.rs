@@ -1,13 +1,10 @@
 //! Criterion micro-benchmarks of the applier — the serialized half of the
 //! pipeline — at corpus scale (16 sessions × 65 536 prefixes = 1 M stage-1
-//! entries, each session in its own /8 block):
+//! entries):
 //!
-//! * reroute-rule install / remove and stage-1 refresh on the single global
-//!   [`TwoStageTable`] versus the prefix-range partitions
-//!   [`partition_appliers`] makes of it (each partition's forwarding table
-//!   with the restricted routing table that owns it). The install reads the
-//!   backup-in-use index, so it costs the same on both — the pair is the
-//!   number the "does partitioning still earn its keep" question needs;
+//! * reroute-rule install / remove (a read of the backup-in-use index:
+//!   O(rules), whatever the table size) and a 1 024-prefix stage-1 refresh on
+//!   the router-wide [`TwoStageTable`];
 //! * the two per-event entry points of [`Applier`]: the RIB-mirror apply
 //!   (`note_event`, a withdrawal and the announcement restoring it) and
 //!   `apply_inference` (install + action log, with the resync that undoes it);
@@ -27,17 +24,15 @@ use swift_bgp::{
     AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
     RoutingTable,
 };
-use swift_core::encoding::{PrefixPartitioner, ReroutingPolicy, TwoStageTable};
+use swift_core::encoding::{ReroutingPolicy, TwoStageTable};
 use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
-use swift_core::pipeline::{partition_appliers, Applier};
+use swift_core::pipeline::Applier;
 use swift_core::{EncodingConfig, SwiftConfig};
 
 const SESSIONS: u32 = 16;
 const PER_SESSION: u32 = 65_536;
-const PARTITIONS: usize = 4;
 
-/// Session `s`'s `i`-th prefix, block-spaced exactly like the soak corpus:
-/// each session's 65 536-slot block fills one /8.
+/// Session `s`'s `i`-th prefix, block-spaced like the soak corpus.
 fn p(s: u32, i: u32) -> Prefix {
     Prefix::nth_slash24(s * PER_SESSION + i)
 }
@@ -85,14 +80,6 @@ fn refresh_set() -> Vec<Prefix> {
         .collect()
 }
 
-/// The ids `table` gave the prefixes of `prefixes` it knows.
-fn ids_in(table: &RoutingTable, prefixes: &[Prefix]) -> Vec<PrefixId> {
-    prefixes
-        .iter()
-        .filter_map(|prefix| table.prefix_id(prefix))
-        .collect()
-}
-
 fn bench_applier(c: &mut Criterion) {
     let routing = table();
     let policy = ReroutingPolicy::allow_all();
@@ -104,20 +91,6 @@ fn bench_applier(c: &mut Criterion) {
     assert_eq!(global.stage1_len(), (SESSIONS * PER_SESSION) as usize);
     // Session 0's first-hop link: on every one of its 65 536 paths.
     let links = [AsLink::new(100, 101)];
-    let partitioner = PrefixPartitioner::new(PARTITIONS);
-    let home = partitioner.partition_of(&p(0, 0));
-    // Each partition's forwarding table and the restricted table owning it.
-    let partitions: Vec<(TwoStageTable, RoutingTable)> =
-        partition_appliers(&swift, routing.clone(), &policy, &partitioner)
-            .iter()
-            .map(|applier| (applier.forwarding().clone(), applier.table().clone()))
-            .collect();
-    let tagged: usize = partitions.iter().map(|(fw, _)| fw.stage1_len()).sum();
-    assert_eq!(
-        tagged,
-        global.stage1_len(),
-        "every tag in exactly one partition"
-    );
 
     // Install + remove as a pair, so the table returns to its pre-iteration
     // state.
@@ -130,44 +103,17 @@ fn bench_applier(c: &mut Criterion) {
         })
     });
 
-    let mut partitioned = partitions[home].0.clone();
-    c.bench_function("applier/install_remove_partitioned4_1m", |b| {
-        b.iter(|| {
-            let (id, installed) = partitioned.install_reroute_tracked(&links);
-            let removed = partitioned.remove_reroute(id);
-            std::hint::black_box((installed, removed))
-        })
-    });
-
     let refresh = refresh_set();
-    let refresh_ids = ids_in(&routing, &refresh);
-    assert_eq!(refresh_ids.len(), refresh.len());
+    let refresh_ids: Vec<PrefixId> = refresh
+        .iter()
+        .map(|prefix| routing.prefix_id(prefix).expect("announced"))
+        .collect();
     let mut single = global.clone();
     c.bench_function("applier/refresh_1024_single_1m", |b| {
         b.iter(|| {
             std::hint::black_box(single.refresh_ids(&routing, &policy, refresh_ids.iter().copied()))
         })
     });
-
-    // The same prefixes, each on its home partition under that partition's
-    // own id.
-    let mut partitioned: Vec<(TwoStageTable, &RoutingTable, Vec<PrefixId>)> = partitions
-        .iter()
-        .map(|(fw, owner)| (fw.clone(), owner, ids_in(owner, &refresh)))
-        .collect();
-    let split_ids: usize = partitioned.iter().map(|(_, _, ids)| ids.len()).sum();
-    assert_eq!(split_ids, refresh.len());
-    c.bench_function("applier/refresh_1024_partitioned4_1m", |b| {
-        b.iter(|| {
-            let mut touched = 0;
-            for (fw, owner, ids) in &mut partitioned {
-                touched += fw.refresh_ids(owner, &policy, ids.iter().copied());
-            }
-            std::hint::black_box(touched)
-        })
-    });
-    drop(partitioned);
-    drop(partitions);
 
     let mut applier = Applier::from_parts(swift, routing.clone(), global, policy);
 

@@ -1,17 +1,14 @@
 //! Criterion micro-benchmarks of the runtime's ingest dispatch path: what
 //! one event costs between the wire and the shard queue.
 //!
-//! Three comparisons:
+//! Two comparisons:
 //!
 //! * **stamp** — the per-event timestamp alone: a syscall-backed
 //!   `Instant::now()` (the pre-`IngestHandle` runtime stamped every event
 //!   this way) vs an atomic load of the coarse epoch clock;
-//! * **dispatch** — the full ingest → shard-queue path through a real
-//!   sharded runtime, with the clock refreshed every event
-//!   (`clock_refresh_interval = 1`, the old per-event-`now` behaviour) vs
-//!   the batched coarse-clock default;
-//! * **producers** — the same event volume pushed by 1 vs 2 concurrent
-//!   `IngestHandle`s, the serialized-funnel-vs-multi-producer comparison.
+//! * **producers** — the full ingest → shard-queue path through a real
+//!   sharded runtime, the same event volume pushed by 1 vs 2 concurrent
+//!   `IngestHandle`s: the serialized-funnel-vs-multi-producer comparison.
 //!
 //! Run with `-- --quick-check` (CI) to execute every body once instead of
 //! timing it — a rot check for the harness, not a measurement.
@@ -43,12 +40,9 @@ fn events(sessions: u32) -> Vec<(PeerId, ElementaryEvent)> {
         .collect()
 }
 
-fn runtime(clock_refresh_interval: usize) -> ShardedRuntime {
+fn runtime() -> ShardedRuntime {
     ShardedRuntime::new(
-        RuntimeConfig {
-            clock_refresh_interval,
-            ..RuntimeConfig::sharded(1)
-        },
+        RuntimeConfig::sharded(1),
         SwiftConfig::default(),
         RoutingTable::new(),
         ReroutingPolicy::allow_all(),
@@ -84,28 +78,8 @@ fn bench_stamp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full dispatch path, ingest → shard queue → drained, 50k events.
-fn bench_dispatch(c: &mut Criterion) {
-    let stream = events(8);
-    let mut group = c.benchmark_group("ingest/dispatch_50k");
-    group.bench_function("refresh_every_event", |b| {
-        b.iter(|| {
-            let mut rt = runtime(1);
-            rt.ingest_stream(stream.iter().cloned());
-            rt.finish().metrics.events
-        })
-    });
-    group.bench_function("batched_coarse_clock", |b| {
-        b.iter(|| {
-            let mut rt = runtime(256);
-            rt.ingest_stream(stream.iter().cloned());
-            rt.finish().metrics.events
-        })
-    });
-    group.finish();
-}
-
-/// The same volume from 1 vs 2 producer handles (sessions disjoint).
+/// The full dispatch path, ingest → shard queue → drained, 50k events: the
+/// same volume from 1 vs 2 producer handles (sessions disjoint).
 fn bench_producers(c: &mut Criterion) {
     let stream = events(8);
     let split: Vec<Vec<(PeerId, ElementaryEvent)>> = {
@@ -118,7 +92,7 @@ fn bench_producers(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest/producers_50k");
     group.bench_function("one_handle", |b| {
         b.iter(|| {
-            let rt = runtime(256);
+            let rt = runtime();
             let mut handle = rt.handle();
             handle.ingest_stream(stream.iter().cloned());
             handle.finish();
@@ -127,7 +101,7 @@ fn bench_producers(c: &mut Criterion) {
     });
     group.bench_function("two_handles", |b| {
         b.iter(|| {
-            let rt = runtime(256);
+            let rt = runtime();
             std::thread::scope(|scope| {
                 for source in &split {
                     let mut handle = rt.handle();
@@ -143,5 +117,5 @@ fn bench_producers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stamp, bench_dispatch, bench_producers);
+criterion_group!(benches, bench_stamp, bench_producers);
 criterion_main!(benches);

@@ -27,20 +27,17 @@
 //! The ≥4× @ 8-shard target assumes ≥8 physical cores; the harness prints the
 //! available parallelism so CI boxes with fewer cores read as what they are.
 //!
-//! Every run appends one record (config, `git describe`, per-mode rows) to
-//! the `--bench-out` trajectory file, so the checked-in file accumulates a
-//! history of sweeps rather than holding only the latest. With
+//! With `--bench-out PATH` the run appends one record (config,
+//! `git describe`, per-mode rows) to the trajectory file at `PATH`, which
+//! accumulates a history of sweeps; without the flag nothing is written. With
 //! `--metrics-out PATH` the sweep also streams JSON lines — a registry
 //! snapshot and a per-stage latency summary per sharded mode — through the
 //! same `swift_telemetry` exporter the soak harness uses, and re-validates
 //! the emitted stream before exiting.
 //!
 //! Usage: `exp_concurrency [--smoke] [--shards 1,2,4,8] [--ingest-threads N]
-//! [--applier-shards K] [--bench-out PATH] [--metrics-out PATH]`
+//! [--bench-out PATH] [--metrics-out PATH]`
 //!   `--smoke` runs a reduced sweep with scaled-down thresholds (used by CI).
-//!   `--applier-shards K` partitions the applier stage K ways by prefix
-//!   range (decisions are made in the session engines, so the sweep's
-//!   equivalence assertion is unaffected by K).
 
 use std::path::Path;
 use std::time::Instant;
@@ -71,7 +68,6 @@ fn main() {
     let args = ExpArgs::parse();
     let smoke = args.flag("--smoke");
     let ingest_threads = args.usize_value("--ingest-threads", 1).max(1);
-    let applier_shards = args.usize_value("--applier-shards", 1).max(1);
     let shard_counts: Vec<usize> = args.usize_list("--shards").unwrap_or_else(|| {
         if smoke {
             vec![1, 2]
@@ -79,10 +75,7 @@ fn main() {
             vec![1, 2, 4, 8]
         }
     });
-    let bench_out = args
-        .value("--bench-out")
-        .unwrap_or("BENCH_concurrency.json")
-        .to_string();
+    let bench_out = args.value("--bench-out").map(str::to_string);
     let metrics_out = args.value("--metrics-out").map(str::to_string);
     let mut metrics = metrics_out.as_deref().map(|p| {
         JsonLinesWriter::create(Path::new(p)).unwrap_or_else(|e| panic!("creating {p}: {e}"))
@@ -136,9 +129,7 @@ fn main() {
 
     let cores = available_cores();
     println!("exp_concurrency — sharded multi-session runtime vs single-threaded baseline");
-    println!(
-        "available parallelism: {cores} core(s), ingest-threads: {ingest_threads}, applier-shards: {applier_shards}\n"
-    );
+    println!("available parallelism: {cores} core(s), ingest-threads: {ingest_threads}\n");
 
     for sweep in &sweeps {
         let trace_config = MultiSessionConfig {
@@ -190,7 +181,6 @@ fn main() {
                 .u64("burst", sweep.burst as u64)
                 .u64("events", events.len() as u64)
                 .u64("shards", shards as u64)
-                .u64("applier_shards", applier_shards as u64)
                 .u64("producers", producers as u64)
         };
         runs.push(
@@ -241,10 +231,7 @@ fn main() {
         };
         for &shards in &shard_counts {
             let mut runtime = ShardedRuntime::new(
-                RuntimeConfig {
-                    applier_shards,
-                    ..RuntimeConfig::sharded(shards)
-                },
+                RuntimeConfig::sharded(shards),
                 swift_config.clone(),
                 trace.table.clone(),
                 ReroutingPolicy::allow_all(),
@@ -283,10 +270,7 @@ fn main() {
                  diverged from the baseline"
             );
 
-            let label = format!(
-                "s={shards} a={applier_shards} p={}",
-                report.metrics.producers
-            );
+            let label = format!("s={shards} p={}", report.metrics.producers);
             println!(
                 "{}  (resync {:.3} s)",
                 mode_line(
@@ -370,22 +354,23 @@ fn main() {
         println!("metrics stream: {lines} JSON lines written to {path} (validated)\n");
     }
 
-    let record = JsonObject::new()
-        .str("git", &git_describe())
-        .u64("unix_time", unix_time())
-        .str("tier", if smoke { "smoke" } else { "full" })
-        .u64("cores", cores as u64)
-        .u64("ingest_threads", ingest_threads as u64)
-        .u64("applier_shards", applier_shards as u64)
-        .raw(
-            "shards",
-            &json_array(shard_counts.iter().map(|s| s.to_string())),
-        )
-        .raw("runs", &json_array(runs))
-        .finish();
-    let records = append_trajectory(Path::new(&bench_out), &record)
-        .unwrap_or_else(|e| panic!("appending to {bench_out}: {e}"));
-    println!("trajectory appended to {bench_out} ({records} run records)\n");
+    if let Some(bench_out) = bench_out {
+        let record = JsonObject::new()
+            .str("git", &git_describe())
+            .u64("unix_time", unix_time())
+            .str("tier", if smoke { "smoke" } else { "full" })
+            .u64("cores", cores as u64)
+            .u64("ingest_threads", ingest_threads as u64)
+            .raw(
+                "shards",
+                &json_array(shard_counts.iter().map(|s| s.to_string())),
+            )
+            .raw("runs", &json_array(runs))
+            .finish();
+        let records = append_trajectory(Path::new(&bench_out), &record)
+            .unwrap_or_else(|e| panic!("appending to {bench_out}: {e}"));
+        println!("trajectory appended to {bench_out} ({records} run records)\n");
+    }
 
     if smoke {
         println!("smoke sweep done: every mode reached the baseline's per-session decisions");

@@ -26,19 +26,17 @@
 //! reach identical per-session reroute decisions — the soak's numbers are
 //! only trustworthy because the work is provably the same. Reported per
 //! mode: wall time, events/s, resyncs and rules removed, reroute latency
-//! p50/p99, per-shard and per-applier queue high-waters, one line per
-//! applier shard (installs, deferred-RIB high-water and events folded at
-//! resync), and the sampled per-stage reroute breakdown (queue wait vs
-//! inference vs applier wait vs install, p50/p99 from the runtime's merged
-//! `swift_telemetry` histograms). With `--applier-shards K` the serialized
-//! applier stage is partitioned K ways by prefix range; K = 1 is the
-//! single-applier reference.
+//! p50/p99, per-shard and applier queue high-waters, the applier's line
+//! (installs, deferred-RIB high-water and events folded at resync), and the
+//! sampled per-stage reroute breakdown (queue wait vs inference vs applier
+//! wait vs install, p50/p99 from the runtime's merged `swift_telemetry`
+//! histograms).
 //!
 //! Observability plumbing exercised every run:
 //!
-//! * the run **appends** one record (config + `git describe` + all mode
-//!   rows) to the `BENCH_soak.json` trajectory — history accumulates across
-//!   runs instead of being overwritten (`--bench-out PATH` overrides);
+//! * `--bench-out PATH` **appends** one record (config + `git describe` + all
+//!   mode rows) to the trajectory file at `PATH` — history accumulates across
+//!   runs instead of being overwritten; without the flag nothing is written;
 //! * `--metrics-out PATH` streams JSON-lines telemetry: live registry
 //!   snapshots at logarithmically-spaced resync points plus one summary
 //!   line per mode (wall, ev/s, per-shard events, per-applier installs,
@@ -55,9 +53,9 @@
 //! tier (213 sessions × 10k prefixes, ~2.1M-prefix vantage table — run it on
 //! a multi-core box with a few GB of memory).
 //!
-//! Usage: `exp_soak [--smoke] [--shards 2,4] [--applier-shards K]
-//! [--ingest-threads N] [--no-churn] [--bench-out PATH]
-//! [--metrics-out PATH] [--no-overhead-check]`
+//! Usage: `exp_soak [--smoke] [--shards 2,4] [--ingest-threads N]
+//! [--no-churn] [--bench-out PATH] [--metrics-out PATH]
+//! [--no-overhead-check]`
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -250,11 +248,9 @@ fn validate_metrics_stream(path: &str, modes: usize) {
 /// Replays the whole corpus through one runtime configuration from a single
 /// producer (the runtime's default handle), honouring the stream's lifecycle
 /// markers and convergence points.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     label: &str,
     shards: usize,
-    applier_shards: usize,
     template: &SoakReplay<'_>,
     table: &swift_bgp::RoutingTable,
     swift: &SwiftConfig,
@@ -262,10 +258,7 @@ fn drive(
     exporter: &mut Option<MetricsExporter>,
 ) -> SoakOutcome {
     let mut runtime = ShardedRuntime::new(
-        RuntimeConfig {
-            applier_shards,
-            ..RuntimeConfig::sharded(shards)
-        },
+        RuntimeConfig::sharded(shards),
         swift.clone(),
         table.clone(),
         ReroutingPolicy::allow_all(),
@@ -332,7 +325,6 @@ fn drive(
 fn drive_multi(
     label: &str,
     shards: usize,
-    applier_shards: usize,
     producers: usize,
     convergence_markers: usize,
     template: &SoakReplay<'_>,
@@ -343,10 +335,7 @@ fn drive_multi(
 ) -> SoakOutcome {
     assert!(shards > 0, "multi-producer ingest needs a sharded runtime");
     let mut runtime = ShardedRuntime::new(
-        RuntimeConfig {
-            applier_shards,
-            ..RuntimeConfig::sharded(shards)
-        },
+        RuntimeConfig::sharded(shards),
         swift.clone(),
         table.clone(),
         ReroutingPolicy::allow_all(),
@@ -481,9 +470,8 @@ fn drive_multi(
     }
 }
 
-/// One line per applier shard: where installs landed, how deep its queue
-/// and deferred-RIB buffer got, and how long it was actually busy — the
-/// satellite view behind the aggregate `adepth` column.
+/// The applier's line: installs, how deep its queue and deferred-RIB buffer
+/// got, and how long it was actually busy.
 fn print_per_applier(metrics: &swift_runtime::RuntimeMetrics) {
     for a in &metrics.per_applier {
         println!(
@@ -576,15 +564,8 @@ fn measure_tracing_overhead(rounds: usize) -> (f64, f64) {
     (secs(sampled) / secs(floor) - 1.0, noise)
 }
 
-/// One `BENCH_soak.json` trajectory entry, hand-rolled (no JSON dependency).
-#[allow(clippy::too_many_arguments)]
-fn bench_row(
-    label: &str,
-    shards: usize,
-    applier_shards: usize,
-    outcome: &SoakOutcome,
-    rate: f64,
-) -> String {
+/// One `--bench-out` trajectory entry, hand-rolled (no JSON dependency).
+fn bench_row(label: &str, shards: usize, outcome: &SoakOutcome, rate: f64) -> String {
     let m = &outcome.report.metrics;
     let pending_hw = m
         .per_applier
@@ -600,14 +581,13 @@ fn bench_row(
         .sum();
     format!(
         concat!(
-            "{{\"label\":\"{}\",\"shards\":{},\"applier_shards\":{},\"producers\":{},",
+            "{{\"label\":\"{}\",\"shards\":{},\"producers\":{},",
             "\"wall_s\":{:.6},\"ev_per_s\":{:.1},\"reroute_p50_us\":{},\"reroute_p99_us\":{},",
             "\"shard_queue_hw\":{},\"applier_queue_hw\":{},\"rib_pending_hw\":{},",
             "\"installs\":{},\"resyncs\":{},\"rules_removed\":{}}}"
         ),
         label,
         shards,
-        applier_shards,
         outcome.producers,
         secs(outcome.pipeline),
         rate,
@@ -627,11 +607,7 @@ fn main() {
     let smoke = args.flag("--smoke");
     let churn = !args.flag("--no-churn");
     let ingest_threads = args.usize_value("--ingest-threads", 1).max(1);
-    let applier_shards = args.usize_value("--applier-shards", 1).max(1);
-    let bench_out = args
-        .value("--bench-out")
-        .unwrap_or("BENCH_soak.json")
-        .to_string();
+    let bench_out = args.value("--bench-out").map(str::to_string);
     let metrics_out = args.value("--metrics-out").map(str::to_string);
     let overhead_check = !args.flag("--no-overhead-check");
     let shard_counts: Vec<usize> =
@@ -698,14 +674,13 @@ fn main() {
 
     println!("exp_soak — corpus soak replay through the sharded runtime");
     println!(
-        "tier: {} | sessions={} table={}/session bursts={} flaps scheduled={} ingest-threads={} applier-shards={} | {} core(s)\n",
+        "tier: {} | sessions={} table={}/session bursts={} flaps scheduled={} ingest-threads={} | {} core(s)\n",
         if smoke { "smoke" } else { "full" },
         corpus.num_sessions(),
         corpus.config().table_size,
         corpus.total_bursts(),
         flaps.len(),
         ingest_threads,
-        applier_shards,
         swift_bench::harness::available_cores(),
     );
 
@@ -742,7 +717,6 @@ fn main() {
     let baseline = drive(
         "inline",
         0,
-        1,
         &template,
         &table,
         &swift_config,
@@ -781,18 +755,17 @@ fn main() {
     if let Some(exporter) = exporter.as_mut() {
         exporter.mode_summary("inline", &baseline, events);
     }
-    let mut bench_rows = vec![bench_row("inline", 0, 1, &baseline, base_rate)];
+    let mut bench_rows = vec![bench_row("inline", 0, &baseline, base_rate)];
 
     // --- Sharded modes ----------------------------------------------------
     for &shards in &shard_counts {
-        let label = format!("s={shards} a={applier_shards} p={ingest_threads}");
+        let label = format!("s={shards} p={ingest_threads}");
         let outcome = if ingest_threads > 1 {
             // The baseline counted one trailing resync beyond the stream's
             // markers; the coordinator serves exactly the in-stream ones.
             drive_multi(
                 &label,
                 shards,
-                applier_shards,
                 ingest_threads,
                 baseline.resyncs - 1,
                 &template,
@@ -805,7 +778,6 @@ fn main() {
             drive(
                 &label,
                 shards,
-                applier_shards,
                 &template,
                 &table,
                 &swift_config,
@@ -852,7 +824,7 @@ fn main() {
             exporter.mode_summary(&label, &outcome, events);
         }
         let rate = events as f64 / secs(outcome.pipeline);
-        bench_rows.push(bench_row(&label, shards, applier_shards, &outcome, rate));
+        bench_rows.push(bench_row(&label, shards, &outcome, rate));
     }
 
     if let Some(exporter) = exporter.take() {
@@ -864,24 +836,25 @@ fn main() {
 
     // One trajectory record per run — the file accumulates history instead
     // of being overwritten (legacy single-run files are replaced).
-    let record = JsonObject::new()
-        .str("git", &git_describe())
-        .u64("unix_time", unix_time())
-        .str("tier", if smoke { "smoke" } else { "full" })
-        .raw(
-            "shards",
-            &json_array(shard_counts.iter().map(|s| s.to_string())),
-        )
-        .u64("applier_shards", applier_shards as u64)
-        .u64("ingest_threads", ingest_threads as u64)
-        .bool("churn", churn)
-        .u64("events", events)
-        .f64("tracing_overhead_pct", overhead * 100.0)
-        .raw("runs", &json_array(bench_rows))
-        .finish();
-    let records = append_trajectory(Path::new(&bench_out), &record)
-        .unwrap_or_else(|e| panic!("appending to {bench_out}: {e}"));
-    println!("\ntrajectory appended to {bench_out} ({records} run records)");
+    if let Some(bench_out) = bench_out {
+        let record = JsonObject::new()
+            .str("git", &git_describe())
+            .u64("unix_time", unix_time())
+            .str("tier", if smoke { "smoke" } else { "full" })
+            .raw(
+                "shards",
+                &json_array(shard_counts.iter().map(|s| s.to_string())),
+            )
+            .u64("ingest_threads", ingest_threads as u64)
+            .bool("churn", churn)
+            .u64("events", events)
+            .f64("tracing_overhead_pct", overhead * 100.0)
+            .raw("runs", &json_array(bench_rows))
+            .finish();
+        let records = append_trajectory(Path::new(&bench_out), &record)
+            .unwrap_or_else(|e| panic!("appending to {bench_out}: {e}"));
+        println!("\ntrajectory appended to {bench_out} ({records} run records)");
+    }
 
     println!(
         "soak done: every surviving session's reroute decisions are identical across all modes"

@@ -118,7 +118,7 @@ pub fn max_queue_depth(metrics: &RuntimeMetrics) -> usize {
         .unwrap_or(0)
 }
 
-/// The deepest queue high-water across all applier shards of a run.
+/// The applier queue's high-water of a run (0 in inline mode).
 pub fn max_applier_depth(metrics: &RuntimeMetrics) -> usize {
     metrics
         .per_applier

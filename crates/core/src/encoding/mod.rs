@@ -5,20 +5,16 @@
 //! * [`policy`] — operator rerouting policies;
 //! * [`backup`] — pre-computation of per-prefix backup next-hops;
 //! * [`two_stage`] — the two-stage forwarding table and reroute-rule
-//!   installation;
-//! * [`partitioned`] — the prefix-range partitioning rule of applier
-//!   sharding.
+//!   installation.
 
 pub mod allocator;
 pub mod backup;
-pub mod partitioned;
 pub mod policy;
 pub mod tag;
 pub mod two_stage;
 
 pub use allocator::EncodingPlan;
 pub use backup::{select_backup, BackupTable, PrefixBackups};
-pub use partitioned::PrefixPartitioner;
 pub use policy::ReroutingPolicy;
 pub use tag::{TagLayout, TagRule};
 pub use two_stage::{RerouteId, Stage2Rule, TwoStageTable};

@@ -19,9 +19,7 @@
 //! end to end (dirty id → that id's candidates → tag → array write), and a
 //! by-prefix read ([`TwoStageTable::tag_of`], [`TwoStageTable::lookup`], …)
 //! takes the owning table and resolves the prefix through *its* dictionary,
-//! one probe, before the array read. Ids of another table — a partition's
-//! restricted table numbers its prefixes independently — index nothing here;
-//! [`TwoStageTable::partition_clone`] translates.
+//! one probe, before the array read.
 //!
 //! * **No tag** is the reserved word `NO_TAG` (all ones). A real tag never
 //!   equals it: `build` refuses a layout that uses all 64 bits, so bit 63 of
@@ -33,8 +31,7 @@
 //!   no-op, and the array never shrinks: ids are never reused.
 //! * **One writer.** The private `set_tag` is the only code that writes
 //!   `stage1`, its `tagged` count and `backup_refs` (`build` and
-//!   `refresh_ids` retag through it, `partition_clone` fills its copy through
-//!   it).
+//!   `refresh_ids` retag through it).
 //!
 //! # The backup-in-use index
 //!
@@ -454,44 +451,6 @@ impl TwoStageTable {
     /// The stage-2 rules, for inspection.
     pub fn stage2_rules(&self) -> &[Stage2Rule] {
         &self.stage2
-    }
-
-    /// The forwarding table of one partition of the routing state: a
-    /// structural clone owned by `restricted`, a routing table holding a
-    /// subset of the prefixes of `table` (this table's owning table) with
-    /// all of their routes. The offline-precomputed state (encoding plan, tag
-    /// layout, next-hop index — §5) is cloned verbatim so the partition tags
-    /// and encodes exactly like the global table, only the default stage-2
-    /// rules carry over (SWIFT rules belong to whichever partition installed
-    /// them) and the reroute-id space starts fresh.
-    ///
-    /// `restricted` numbers its prefixes independently of `table`, so each
-    /// tag is carried over by prefix — restricted id → prefix → global id →
-    /// tag — into an array indexed by the *restricted* ids. The building
-    /// block of [`crate::pipeline::partition_appliers`].
-    pub fn partition_clone(&self, table: &RoutingTable, restricted: &RoutingTable) -> Self {
-        let mut part = TwoStageTable {
-            layout: self.layout.clone(),
-            plan: self.plan.clone(),
-            stage1: vec![NO_TAG; restricted.id_count()],
-            tagged: 0,
-            backup_refs: vec![Vec::new(); self.max_depth],
-            refs_stride: self.refs_stride,
-            stage2: self
-                .stage2
-                .iter()
-                .filter(|r| !r.swift_installed)
-                .cloned()
-                .collect(),
-            nexthop_index: self.nexthop_index.clone(),
-            nexthops: self.nexthops.clone(),
-            max_depth: self.max_depth,
-            next_reroute: 0,
-        };
-        for id in restricted.ids() {
-            part.set_tag(id, self.tag_of(table, &restricted.prefix_of(id)));
-        }
-        part
     }
 
     /// Encoding performance (§6.4): among `predicted` prefixes, the fraction

@@ -83,7 +83,7 @@ pub fn infer_links_ranked(
 /// Reference implementation of [`infer_links`] whose set counts come from the
 /// full-RIB scan baseline ([`LinkCounters::w_union_scan`] /
 /// [`LinkCounters::p_union_scan`]) — the pre-index behaviour, kept for the
-/// property tests and the `exp_scale` speedup measurements.
+/// property tests and the `bench_inference` speedup measurements.
 pub fn infer_links_scan(counters: &LinkCounters, config: &InferenceConfig) -> InferredLinks {
     infer_with_scorer(
         counters,

@@ -46,8 +46,7 @@
 //! `O(candidate links × words)` bitset unions instead of
 //! `O(RIB × path length)` scans. The scan implementations survive as
 //! [`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`] —
-//! reference baselines for the property tests and the `exp_scale` speedup
-//! measurements.
+//! reference baselines for the property tests and `bench_inference`.
 //!
 //! A re-announcement only touches the links on which the old and the new
 //! path *differ*: a link on both keeps its index bit and its `P` count. So a
@@ -593,8 +592,8 @@ impl LinkCounters {
 
     /// Reference implementation of [`LinkCounters::union_counts`] that
     /// materialises a fresh union per call — the pre-kernel hot path, kept
-    /// for the equivalence property tests and the `bench_inference` /
-    /// `exp_scale` fused-vs-materialized measurements.
+    /// for the equivalence property tests and the `bench_inference`
+    /// fused-vs-materialized measurements.
     pub fn union_counts_materialized(&self, links: &[AsLink]) -> (usize, usize) {
         let union = self.union_bits(links);
         (
@@ -729,7 +728,7 @@ impl LinkCounters {
     }
 
     /// Reference implementation of [`LinkCounters::w_union`] by full scan —
-    /// kept for property tests and as the `exp_scale` speedup baseline.
+    /// kept as the baseline of the property tests and `bench_inference`.
     pub fn w_union_scan(&self, links: &[AsLink]) -> usize {
         self.withdrawn()
             .filter(|(_, path)| path.crosses_any(links))

@@ -124,8 +124,8 @@ pub fn score_link_set_materialized(
 
 /// Reference implementation of [`score_link_set`] using the full-RIB scans
 /// ([`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`]); the
-/// baseline the `exp_scale` experiment and the property tests compare the
-/// index against.
+/// baseline the property tests and `bench_inference` compare the index
+/// against.
 pub fn score_link_set_scan(
     counters: &LinkCounters,
     links: &[AsLink],

@@ -57,7 +57,8 @@ pub fn predict(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
 }
 
 /// Reference implementation of [`predict`] by full scan over the tracked
-/// prefixes — kept for the property tests and the `exp_scale` baseline.
+/// prefixes — kept as the baseline of the property tests and
+/// `bench_inference`.
 pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
     if links.is_empty() {
         return Prediction::default();

@@ -147,17 +147,14 @@ impl Applier {
         Self::from_parts(config, table, forwarding, policy)
     }
 
-    /// Assembles an applier from pre-built parts — the constructor behind
-    /// applier sharding, where each shard owns one partition of the global
-    /// forwarding table and a routing table restricted to that partition's
-    /// prefixes. See [`partition_appliers`].
+    /// Assembles an applier from pre-built parts, for callers that build (and
+    /// time) the forwarding table themselves.
     ///
     /// `table` must be the owning table of `forwarding`: the table it was
-    /// built from ([`TwoStageTable::build`], or
-    /// [`TwoStageTable::partition_clone`] for a restricted table) or a clone
-    /// of it — `Clone` preserves prefix ids, and stage 1 is indexed by them.
-    /// A forwarding table built from any other table would silently read and
-    /// retag the wrong slots.
+    /// built from ([`TwoStageTable::build`]) or a clone of it — `Clone`
+    /// preserves prefix ids, and stage 1 is indexed by them. A forwarding
+    /// table built from any other table would silently read and retag the
+    /// wrong slots.
     pub fn from_parts(
         config: SwiftConfig,
         table: RoutingTable,
@@ -381,61 +378,9 @@ impl Applier {
     }
 }
 
-/// Splits the serialized pipeline half into `partitioner.partitions()`
-/// independent appliers — the core of applier sharding.
-///
-/// The global forwarding table is built **once** from the full routing state
-/// (so every partition shares the same encoding plan, tag layout and next-hop
-/// index — tags and rule bits are identical to the unpartitioned table's),
-/// then each applier receives:
-///
-/// * a routing table restricted to its prefix range: **every** peer is
-///   present (routes for a prefix live in the prefix's partition, whichever
-///   session announced them — shared backup peers span partitions), but only
-///   the routes of owned prefixes are announced;
-/// * the forwarding-table partition owned by that restricted table
-///   ([`TwoStageTable::partition_clone`]): the restricted table numbers its
-///   prefixes on its own, so the partition's stage 1 is indexed by *its*
-///   ids, not the global table's;
-/// * its own action log, dirty set, claim tracking and deferred-RIB buffer.
-///
-/// With one partition this is exactly [`Applier::new`] on the original table
-/// — the decision-equivalence reference, bit-identical to the pre-sharding
-/// applier.
-pub fn partition_appliers(
-    config: &SwiftConfig,
-    table: RoutingTable,
-    policy: &ReroutingPolicy,
-    partitioner: &crate::encoding::PrefixPartitioner,
-) -> Vec<Applier> {
-    let k = partitioner.partitions();
-    if k == 1 {
-        return vec![Applier::new(config.clone(), table, policy.clone())];
-    }
-    let global = TwoStageTable::build(&table, &config.encoding, policy);
-    let mut restricted = vec![RoutingTable::new(); k];
-    for (peer, asn) in table.peers() {
-        for part in &mut restricted {
-            part.add_peer(peer, asn);
-        }
-        let rib = table.adj_rib_in(peer).expect("peer just listed");
-        for (prefix, route) in rib.iter() {
-            restricted[partitioner.partition_of(prefix)].announce(peer, *prefix, route.clone());
-        }
-    }
-    restricted
-        .into_iter()
-        .map(|restricted| {
-            let forwarding = global.partition_clone(&table, &restricted);
-            Applier::from_parts(config.clone(), restricted, forwarding, policy.clone())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::PrefixPartitioner;
     use swift_bgp::{AsPath, RouteAttributes};
 
     fn p(i: u32) -> Prefix {
@@ -561,175 +506,6 @@ mod tests {
             applier.resync_after_convergence();
             assert!(applier.dirty.ids().is_empty() && applier.dirty.bitmap_is_clear());
             assert_eq!(applier.forwarding_next_hop(&p(3)), Some(PeerId(2)));
-        }
-    }
-
-    /// Prefix `i` of session `s`: one /8 block per session — the
-    /// `SESSION_PREFIX_SPACING` layout applier sharding relies on.
-    fn bp(s: u32, i: u32) -> Prefix {
-        Prefix::nth_slash24(s * 65_536 + i)
-    }
-
-    /// `sessions` primary peers in distinct /8 blocks plus one shared backup
-    /// peer whose alternates span every block.
-    fn block_table(sessions: u32, n: u32) -> RoutingTable {
-        let mut t = RoutingTable::new();
-        let backup = PeerId(1_000);
-        t.add_peer(backup, Asn(1_000));
-        for s in 0..sessions {
-            let peer = PeerId(s + 1);
-            let base = 100 + s * 1_000;
-            t.add_peer(peer, Asn(base));
-            for i in 0..n {
-                let mut attrs =
-                    RouteAttributes::from_path(AsPath::new([base, base + 1, base + 10 + i % 3]));
-                attrs.local_pref = Some(200);
-                t.announce(peer, bp(s, i), Route::new(peer, attrs, 0));
-                t.announce(
-                    backup,
-                    bp(s, i),
-                    Route::new(
-                        backup,
-                        RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7])),
-                        0,
-                    ),
-                );
-            }
-        }
-        t
-    }
-
-    fn block_config() -> SwiftConfig {
-        SwiftConfig {
-            encoding: crate::config::EncodingConfig {
-                min_prefixes_per_link: 5,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    /// A hand-built accepted inference of session `s`: its first-hop link
-    /// failed, all its prefixes predicted.
-    fn inference_for(s: u32, n: u32, time: u64) -> crate::inference::InferenceResult {
-        let base = 100 + s * 1_000;
-        crate::inference::InferenceResult {
-            time,
-            withdrawals_seen: n as usize,
-            links: crate::inference::InferredLinks {
-                links: vec![AsLink::new(base, base + 1)],
-                score: crate::inference::fit_score::Score {
-                    ws: 1.0,
-                    ps: 1.0,
-                    fs: 1.0,
-                },
-                withdrawn: 0,
-                routed: n as usize,
-            },
-            prediction: crate::inference::Prediction {
-                already_withdrawn: Arc::default(),
-                predicted: Arc::new((0..n).map(|i| bp(s, i)).collect()),
-            },
-        }
-    }
-
-    #[test]
-    fn partition_appliers_match_the_single_applier() {
-        let sessions = 3u32;
-        let n = 40u32;
-        let partitioner = PrefixPartitioner::new(2);
-        let mut single = Applier::new(
-            block_config(),
-            block_table(sessions, n),
-            crate::encoding::ReroutingPolicy::allow_all(),
-        );
-        let mut split = partition_appliers(
-            &block_config(),
-            block_table(sessions, n),
-            &crate::encoding::ReroutingPolicy::allow_all(),
-            &partitioner,
-        );
-        assert_eq!(split.len(), 2);
-        // Build equivalence: every prefix forwards identically through its
-        // home partition's applier.
-        for s in 0..sessions {
-            for i in 0..n {
-                let prefix = bp(s, i);
-                let home = partitioner.partition_of(&prefix);
-                assert_eq!(
-                    split[home].forwarding_next_hop(&prefix),
-                    single.forwarding_next_hop(&prefix),
-                    "session {s} prefix {i}"
-                );
-            }
-        }
-        // Install equivalence: each session's inference installs the same
-        // number of data-plane rules on its home applier as on the single
-        // applier, and redirects the same prefixes.
-        for s in 0..sessions {
-            let result = inference_for(s, n, u64::from(s) * 1_000);
-            let home = partitioner.partition_of(&bp(s, 0));
-            let got = split[home].apply_inference(PeerId(s + 1), &result);
-            let want = single.apply_inference(PeerId(s + 1), &result);
-            assert_eq!(got.rules_installed, want.rules_installed, "session {s}");
-            assert!(got.rules_installed >= 1, "session {s} installed nothing");
-            assert_eq!(
-                split[home].forwarding_next_hop(&bp(s, 0)),
-                Some(PeerId(1_000)),
-                "session {s} rerouted to the backup"
-            );
-        }
-        let split_rules: usize = split
-            .iter()
-            .map(|a| a.forwarding().swift_rule_count())
-            .sum();
-        assert_eq!(split_rules, single.forwarding().swift_rule_count());
-        // Teardown equivalence: tearing session 1 down on its home applier
-        // removes its rules and routes there; the sibling partition and the
-        // other sessions' state are untouched.
-        let victim = PeerId(2);
-        let home = partitioner.partition_of(&bp(1, 0));
-        let (rules_split, routes_split) = split[home].teardown_session(victim);
-        let (rules_single, routes_single) = single.teardown_session(victim);
-        assert_eq!(rules_split, rules_single);
-        assert_eq!(routes_split, routes_single);
-        assert_eq!(
-            split[home].forwarding_next_hop(&bp(1, 0)),
-            single.forwarding_next_hop(&bp(1, 0)),
-            "after teardown the backup peer serves the block"
-        );
-        let sibling = 1 - home;
-        assert_eq!(
-            split[sibling].table().adj_rib_in(victim).unwrap().len(),
-            0,
-            "the victim never announced into the sibling partition"
-        );
-    }
-
-    #[test]
-    fn single_partition_is_the_identity() {
-        let mut split = partition_appliers(
-            &block_config(),
-            block_table(2, 30),
-            &crate::encoding::ReroutingPolicy::allow_all(),
-            &PrefixPartitioner::new(1),
-        );
-        assert_eq!(split.len(), 1);
-        let single = Applier::new(
-            block_config(),
-            block_table(2, 30),
-            crate::encoding::ReroutingPolicy::allow_all(),
-        );
-        let solo = &mut split[0];
-        assert_eq!(
-            solo.table().prefixes().count(),
-            single.table().prefixes().count()
-        );
-        for s in 0..2u32 {
-            assert_eq!(
-                solo.forwarding_next_hop(&bp(s, 0)),
-                single.forwarding_next_hop(&bp(s, 0))
-            );
         }
     }
 }

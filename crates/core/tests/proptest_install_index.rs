@@ -6,9 +6,8 @@
 //!   over the public accessors (`tag_of`, `layout()`, `plan()`): after every
 //!   step of a random announce / withdraw / path-change / resync / direct
 //!   `refresh_ids` / session teardown / session registration / install
-//!   sequence — and on a `partition_clone` of the table, whose restricted
-//!   routing table numbers its prefixes differently — both must push the
-//!   same stage-2 entries in the same order and count the same rules.
+//!   sequence both must push the same stage-2 entries in the same order and
+//!   count the same rules.
 //! * **incremental resync equals rebuild** — the id-keyed dirty set and the
 //!   id-indexed stage 1 must retag exactly what changed:
 //!   `resync_after_convergence` and `resync_with_rebuild` forward every
@@ -187,23 +186,8 @@ fn check_install(
     Ok(())
 }
 
-/// The routing table of one partition: every peer of `table`, the routes of
-/// the prefixes `keep` selects — numbered in its own order.
-fn restrict(table: &RoutingTable, keep: impl Fn(&Prefix) -> bool) -> RoutingTable {
-    let mut restricted = RoutingTable::new();
-    for (peer, asn) in table.peers() {
-        restricted.add_peer(peer, asn);
-        let rib = table.adj_rib_in(peer).expect("peer just listed");
-        for (prefix, route) in rib.iter().filter(|(prefix, _)| keep(prefix)) {
-            restricted.announce(peer, *prefix, route.clone());
-        }
-    }
-    restricted
-}
-
 /// The index answers like the scan for every single link, for all links at
-/// once and for an unencoded link — on the table and on a partition of it.
-/// `table` is the owning table of `fw`.
+/// once and for an unencoded link. `table` is the owning table of `fw`.
 fn check_index(fw: &TwoStageTable, table: &RoutingTable, peers: &[PeerId]) -> Result<(), String> {
     prop_assert!(fw.stage1_slots() <= table.id_count());
     let tagged = universe()
@@ -216,26 +200,7 @@ fn check_index(fw: &TwoStageTable, table: &RoutingTable, peers: &[PeerId]) -> Re
         check_install(fw, table, peers, &[*link])?;
     }
     check_install(fw, table, peers, &links)?;
-    check_install(fw, table, peers, &[AsLink::new(900, 901)])?;
-    // The partition owning every other /24. Its restricted table interns
-    // only those, so its ids differ from `table`'s wherever an odd /24 was
-    // announced before an even one.
-    let kept = |prefix: &Prefix| (prefix.addr() >> 8) & 1 == 0;
-    let restricted = restrict(table, kept);
-    let part = fw.partition_clone(table, &restricted);
-    prop_assert_eq!(part.swift_rule_count(), 0);
-    prop_assert_eq!(part.stage1_slots(), restricted.id_count());
-    // It holds the tag of every prefix its table knows (`fw` may be stale:
-    // a prefix whose routes are all gone, not yet retagged, is not carried).
-    for prefix in universe() {
-        let known = restricted.prefix_id(&prefix).is_some();
-        prop_assert_eq!(known, kept(&prefix) && table.best(&prefix).is_some());
-        prop_assert_eq!(
-            part.tag_of(&restricted, &prefix),
-            fw.tag_of(table, &prefix).filter(|_| known)
-        );
-    }
-    check_install(&part, &restricted, peers, &links)
+    check_install(fw, table, peers, &[AsLink::new(900, 901)])
 }
 
 /// Convergence on `applier`: the incremental resync against the rebuild.

@@ -18,8 +18,8 @@
 //! * **Clock** — events are stamped with a coarse epoch clock
 //!   ([`EpochClock`]): one shared `AtomicU64` of nanoseconds since the
 //!   runtime's base instant, refreshed by each producer every
-//!   [`crate::RuntimeConfig::clock_refresh_interval`] events (and at every
-//!   batch dispatch) instead of a syscall-backed `Instant::now()` per event.
+//!   `CLOCK_REFRESH_INTERVAL` events (and at every batch dispatch) instead
+//!   of a syscall-backed `Instant::now()` per event.
 //!   Latency percentiles trade at most one refresh interval of skew for an
 //!   ingest path that is an atomic load.
 //! * **Counters** — drop counts and queue high-waters are recorded
@@ -43,6 +43,11 @@ use swift_telemetry::{Counter, FlightKind, FlightRecorder, TraceSampler, TraceSt
 
 use crate::worker::{IngestEvent, SessionRegistration, ShardMsg};
 use crate::{shard_of, BackpressurePolicy};
+
+/// Events between two refreshes of the coarse ingest clock, per producer
+/// handle: the ingest path stays an atomic load at the cost of up to one
+/// interval of latency-stamp skew.
+const CLOCK_REFRESH_INTERVAL: usize = 256;
 
 /// Seeds a fresh [`SessionEngine`] from a session's announced routes — the
 /// single registration-seeding path shared by the inline runtime and the
@@ -165,7 +170,6 @@ pub struct IngestHandle {
     events: u64,
     /// Events ingested since the last epoch refresh.
     since_refresh: usize,
-    refresh_interval: usize,
     /// 1-in-N pipeline-trace sampler (per producer, so concurrent handles
     /// sample independently without sharing hot-path state).
     sampler: TraceSampler,
@@ -173,7 +177,7 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
-    pub(crate) fn new(shared: Arc<ProducerShared>, refresh_interval: usize) -> Self {
+    pub(crate) fn new(shared: Arc<ProducerShared>) -> Self {
         let shards = shared.shard_txs.len();
         let batch = shared.batch_size;
         let sampler = TraceSampler::every(shared.trace_interval);
@@ -184,7 +188,6 @@ impl IngestHandle {
             max_depth: vec![0; shards],
             events: 0,
             since_refresh: 0,
-            refresh_interval: refresh_interval.max(1),
             sampler,
             finished: false,
         }
@@ -206,7 +209,7 @@ impl IngestHandle {
             self.shared.clock.refresh();
         }
         self.since_refresh += 1;
-        if self.since_refresh >= self.refresh_interval {
+        if self.since_refresh >= CLOCK_REFRESH_INTERVAL {
             self.since_refresh = 0;
         }
         self.events += 1;
@@ -422,7 +425,7 @@ impl Clone for IngestHandle {
     /// A clone is a **new producer**: it shares the runtime's queues, clock
     /// and accumulator, but owns fresh empty buffers and zeroed counters.
     fn clone(&self) -> Self {
-        IngestHandle::new(Arc::clone(&self.shared), self.refresh_interval)
+        IngestHandle::new(Arc::clone(&self.shared))
     }
 }
 

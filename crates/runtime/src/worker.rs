@@ -4,16 +4,13 @@
 //!
 //! * **shard workers** — each owns the [`SessionEngine`]s of the sessions
 //!   hashed onto it and turns ingested events into engine verdicts;
-//! * **applier shards** — each owns one [`Applier`] (a prefix-range partition
-//!   of the forwarding table, the routing state of that range, its own
-//!   action log) and serializes the rule installs and resyncs of its range.
-//!   With one applier shard (the default) this is exactly the old single
-//!   `swift-applier` thread.
+//! * **the applier** — one thread owning the one [`Applier`] (the router-wide
+//!   forwarding table, the routing state, the action log); it serializes
+//!   rule installs and resyncs.
 //!
-//! Shard workers route each processed event to the applier shard owning the
-//! event's prefix ([`PrefixPartitioner`]); lifecycle messages (register,
-//! teardown, barriers) are broadcast to every applier shard so each can
-//! maintain its slice of the state in-band with the event stream.
+//! Shard workers forward every processed event — with any accepted inference
+//! attached — and every lifecycle message (register, teardown, barriers) to
+//! the applier, in-band with the event stream.
 //!
 //! All channels are bounded ([`std::sync::mpsc::sync_channel`]); a full shard
 //! queue pushes back on the ingest thread (or sheds load, depending on the
@@ -27,7 +24,6 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route};
-use swift_core::encoding::PrefixPartitioner;
 use swift_core::inference::{EngineStatus, InferenceResult, KernelStats};
 use swift_core::pipeline::{Applier, SessionEngine};
 use swift_telemetry::{Counter, Gauge, LogHistogram, Registry, StageHistograms, TraceStamp};
@@ -109,19 +105,19 @@ pub(crate) enum ShardMsg {
     /// A batch of events for this shard's sessions.
     Batch(Vec<IngestEvent>),
     /// A session (re-)registration: the shard adopts the engine and forwards
-    /// the routing-state half to the applier shards in-band.
+    /// the routing-state half to the applier in-band.
     Register(Box<SessionRegistration>),
     /// A session teardown: the shard drops the engine and forwards the
-    /// cleanup request to the applier shards in-band.
+    /// cleanup request to the applier in-band.
     Teardown(PeerId),
-    /// Flush marker: forward an ack to every applier shard and keep going.
+    /// Flush marker: forward an ack to the applier and keep going.
     Barrier(u64),
     /// Drain and exit.
     Shutdown,
 }
 
 /// Everything a mid-run session registration carries: the engine half for the
-/// session's home shard and the routing-state half for the applier shards.
+/// session's home shard and the routing-state half for the applier.
 #[derive(Debug)]
 pub(crate) struct SessionRegistration {
     pub peer: PeerId,
@@ -130,7 +126,7 @@ pub(crate) struct SessionRegistration {
     pub routes: Vec<(Prefix, Route)>,
 }
 
-/// One event after engine processing, on its way to an applier shard.
+/// One event after engine processing, on its way to the applier.
 #[derive(Debug)]
 pub(crate) struct ProcessedEvent {
     pub peer: PeerId,
@@ -146,19 +142,17 @@ pub(crate) struct ProcessedEvent {
 /// Shard/controller → applier messages.
 #[derive(Debug)]
 pub(crate) enum ApplierMsg {
-    /// Processed events of this applier's prefix range from one shard, in
-    /// that shard's order.
+    /// Processed events from one shard, in that shard's order.
     Batch(Vec<ProcessedEvent>),
-    /// Routing-state half of a session registration, restricted to this
-    /// applier's prefix range (forwarded by the session's home shard, so it
-    /// is ordered with the session's events).
+    /// Routing-state half of a session registration (forwarded by the
+    /// session's home shard, so it is ordered with the session's events).
     Register {
         peer: PeerId,
         asn: Asn,
         routes: Vec<(Prefix, Route)>,
     },
     /// Routing-state half of a session teardown: remove the departed peer's
-    /// SWIFT rules and RIB-mirror routes from this applier's range.
+    /// SWIFT rules and RIB-mirror routes.
     Teardown(PeerId),
     /// Barrier ack from one shard (the barrier's sequence number).
     Barrier(u64),
@@ -186,18 +180,16 @@ pub(crate) struct ShardWorkerReport {
     pub busy: Duration,
 }
 
-/// What one applier shard reports back when it exits.
+/// What the applier thread reports back when it exits.
 #[derive(Debug)]
 pub(crate) struct ApplierReport {
-    pub idx: usize,
     pub applier: Applier,
-    /// Ingest → reroute-rules-installed latency, in nanoseconds (log-linear
-    /// histogram: cross-applier merges are exact).
+    /// Ingest → reroute-rules-installed latency, in nanoseconds.
     pub reroute_latency: LogHistogram,
-    /// Per-stage spans of traced events reaching this applier
-    /// (`applier_wait` and `install` populated here).
+    /// Per-stage spans of traced events (`applier_wait` and `install`
+    /// populated here).
     pub stages: StageHistograms,
-    /// Events folded into this shard's deferred RIB buffer.
+    /// Events folded into the deferred RIB buffer.
     pub events: u64,
     /// Batches received.
     pub batches: u64,
@@ -214,14 +206,14 @@ pub(crate) struct ApplierReport {
     pub resyncs: u64,
 }
 
-/// A shard worker's sending side of one applier shard: the channel plus the
-/// depth gauges backing the per-applier queue high-water metric.
+/// A shard worker's sending side of the applier: the channel plus the depth
+/// gauges backing the applier queue's high-water metric.
 pub(crate) struct ApplierLink {
     pub tx: SyncSender<ApplierMsg>,
     /// Batches currently in (or racing into) the queue.
     pub depth: Arc<AtomicUsize>,
     /// High-water mark of `depth`, clamped to the queue capacity by senders —
-    /// the registry gauge `applier.N.queue.high`, so live snapshots see it.
+    /// the registry gauge `applier.0.queue.high`, so live snapshots see it.
     pub high: Gauge,
 }
 
@@ -230,9 +222,8 @@ pub(crate) struct ShardWorker {
     pub shard: usize,
     pub engines: BTreeMap<PeerId, SessionEngine>,
     pub rx: Receiver<ShardMsg>,
-    pub appliers: Vec<ApplierLink>,
-    pub partitioner: PrefixPartitioner,
-    /// Physical capacity of each applier queue, for clamping the high-water.
+    pub applier: ApplierLink,
+    /// Physical capacity of the applier queue, for clamping the high-water.
     pub applier_capacity: usize,
     pub depth: Arc<AtomicUsize>,
     pub clock: Arc<EpochClock>,
@@ -258,15 +249,13 @@ fn send_batch(link: &ApplierLink, capacity: usize, batch: Vec<ProcessedEvent>) -
 }
 
 /// The shard worker loop: process each batch through the shard's engines and
-/// forward everything (with any accepted inference attached) to the applier
-/// shard owning each event's prefix.
+/// forward everything (with any accepted inference attached) to the applier.
 pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     let ShardWorker {
         shard,
         mut engines,
         rx,
-        appliers,
-        partitioner,
+        applier,
         applier_capacity,
         depth,
         clock,
@@ -287,8 +276,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 batches_ctr.inc();
                 first.get_or_insert_with(Instant::now);
-                let mut outs: Vec<Vec<ProcessedEvent>> =
-                    (0..appliers.len()).map(|_| Vec::new()).collect();
+                let mut out = Vec::with_capacity(batch.len());
                 for IngestEvent {
                     peer,
                     event,
@@ -324,11 +312,8 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     // coarse stamp is always ≤ the precise reading.
                     latency.record(clock.precise().saturating_sub(ingest));
                     events_ctr.inc();
-                    // An accepted inference rides with its triggering event,
-                    // so it installs on the applier shard owning the
-                    // session's prefix range.
-                    let home = partitioner.partition_of(&event.prefix());
-                    outs[home].push(ProcessedEvent {
+                    // An accepted inference rides with its triggering event.
+                    out.push(ProcessedEvent {
                         peer,
                         event,
                         result,
@@ -337,13 +322,8 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     });
                 }
                 last = Some(Instant::now());
-                for (link, out) in appliers.iter().zip(outs) {
-                    if out.is_empty() {
-                        continue;
-                    }
-                    if send_batch(link, applier_capacity, out).is_err() {
-                        break 'outer; // applier gone; nothing left to do
-                    }
+                if send_batch(&applier, applier_capacity, out).is_err() {
+                    break 'outer; // applier gone; nothing left to do
                 }
             }
             ShardMsg::Register(reg) => {
@@ -354,43 +334,26 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     routes,
                 } = *reg;
                 engines.insert(peer, engine);
-                // Every applier shard learns the peer; each receives only the
-                // routes of its own prefix range.
-                let mut split: Vec<Vec<(Prefix, Route)>> = vec![Vec::new(); appliers.len()];
-                for (prefix, route) in routes {
-                    split[partitioner.partition_of(&prefix)].push((prefix, route));
-                }
-                for (link, routes) in appliers.iter().zip(split) {
-                    if link
-                        .tx
-                        .send(ApplierMsg::Register { peer, asn, routes })
-                        .is_err()
-                    {
-                        break 'outer;
-                    }
+                let sent = applier.tx.send(ApplierMsg::Register { peer, asn, routes });
+                if sent.is_err() {
+                    break 'outer;
                 }
             }
             ShardMsg::Teardown(peer) => {
                 engines.remove(&peer);
-                for link in &appliers {
-                    if link.tx.send(ApplierMsg::Teardown(peer)).is_err() {
-                        break 'outer;
-                    }
+                if applier.tx.send(ApplierMsg::Teardown(peer)).is_err() {
+                    break 'outer;
                 }
             }
             ShardMsg::Barrier(seq) => {
-                for link in &appliers {
-                    if link.tx.send(ApplierMsg::Barrier(seq)).is_err() {
-                        break 'outer;
-                    }
+                if applier.tx.send(ApplierMsg::Barrier(seq)).is_err() {
+                    break 'outer;
                 }
             }
             ShardMsg::Shutdown => break 'outer,
         }
     }
-    for link in &appliers {
-        let _ = link.tx.send(ApplierMsg::ShardDone);
-    }
+    let _ = applier.tx.send(ApplierMsg::ShardDone);
     ShardWorkerReport {
         shard,
         sessions: sessions.max(engines.len()),
@@ -405,37 +368,35 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     }
 }
 
-/// Everything one applier shard thread owns.
+/// Everything the applier thread owns.
 pub(crate) struct ApplierWorker {
-    pub idx: usize,
     pub applier: Applier,
     pub rx: Receiver<ApplierMsg>,
-    /// Acks back to the controller: `(applier index, barrier seq)`.
-    pub barrier_tx: Sender<(usize, u64)>,
-    /// Shard workers feeding this applier — the barrier/shutdown quorum.
+    /// Acks back to the controller: the completed barrier's seq.
+    pub barrier_tx: Sender<u64>,
+    /// Shard workers feeding the applier — the barrier/shutdown quorum.
     pub workers: usize,
     pub clock: Arc<EpochClock>,
     pub depth: Arc<AtomicUsize>,
-    /// Registry counter `applier.N.events` — live source of truth, read back
+    /// Registry counter `applier.0.events` — live source of truth, read back
     /// into the exit report.
     pub events_ctr: Counter,
-    /// Registry counter `applier.N.batches`.
+    /// Registry counter `applier.0.batches`.
     pub batches_ctr: Counter,
-    /// Registry counter `applier.N.installs`.
+    /// Registry counter `applier.0.installs`.
     pub installs_ctr: Counter,
-    /// Registry counter `applier.N.resyncs`.
+    /// Registry counter `applier.0.resyncs`.
     pub resyncs_ctr: Counter,
-    /// Registry gauge `applier.N.pending.high` (deferred-RIB high water).
+    /// Registry gauge `applier.0.pending.high` (deferred-RIB high water).
     pub pending_gauge: Gauge,
 }
 
-/// The applier-shard loop: fold every processed event of this shard's prefix
-/// range into the (deferred) routing state, install the rules of accepted
-/// inferences in arrival order, answer barrier and resync requests, and exit
-/// once every shard worker has said goodbye.
+/// The applier loop: fold every processed event into the (deferred) routing
+/// state, install the rules of accepted inferences in arrival order, answer
+/// barrier and resync requests, and exit once every shard worker has said
+/// goodbye.
 pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
     let ApplierWorker {
-        idx,
         mut applier,
         rx,
         barrier_tx,
@@ -498,7 +459,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
                 *acks += 1;
                 if *acks == workers {
                     barrier_acks.remove(&seq);
-                    let _ = barrier_tx.send((idx, seq));
+                    let _ = barrier_tx.send(seq);
                 }
             }
             ApplierMsg::Resync(reply) => {
@@ -513,7 +474,6 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         }
     }
     ApplierReport {
-        idx,
         applier,
         reroute_latency,
         stages,

@@ -3,6 +3,12 @@
 //! single-threaded [`SwiftRouter`]'s, for any shard count. (The *global*
 //! action interleaving across sessions is scheduling-dependent by design;
 //! per-session decisions are not.)
+//!
+//! Every session's prefixes straddle three /8 blocks, as a real full-table
+//! session's do: a reroute must cover the predicted prefixes wherever they
+//! sit in the address space, which is why the forwarding table is one table
+//! behind one applier and not cut by prefix range. The safety check at the
+//! end fails if an accepted inference reaches only part of it (or nothing).
 
 use proptest::prelude::*;
 use swift_bgp::{
@@ -33,8 +39,16 @@ fn config() -> SwiftConfig {
     }
 }
 
+/// /24s per /8 block.
+const SLASH8: u32 = 65_536;
+
+/// The shared backup peer: an alternate route for every prefix, over paths
+/// that touch no session's links.
+const BACKUP: PeerId = PeerId(1_000);
+
+/// Prefix `idx` of `session`, dealt round-robin over three /8 blocks.
 fn p(session: u32, idx: u32) -> Prefix {
-    Prefix::nth_slash24(session * PREFIXES_PER_SESSION + idx)
+    Prefix::nth_slash24((idx % 3) * SLASH8 + session * PREFIXES_PER_SESSION + idx)
 }
 
 /// A path within one session's AS neighbourhood; `variant` picks the shape.
@@ -48,9 +62,11 @@ fn path(session: u32, idx: u32, variant: u32) -> AsPath {
     }
 }
 
-/// Per-session tables: each peer announces its own prefix block.
+/// Per-session tables: each peer announces its own prefixes as the preferred
+/// route, the backup peer an alternate for each.
 fn table() -> RoutingTable {
     let mut t = RoutingTable::new();
+    t.add_peer(BACKUP, Asn(1_000));
     for s in 0..SESSIONS {
         let peer = PeerId(s + 1);
         t.add_peer(peer, Asn(100 + s * 1_000));
@@ -58,6 +74,8 @@ fn table() -> RoutingTable {
             let mut attrs = RouteAttributes::from_path(path(s, i, i));
             attrs.local_pref = Some(200);
             t.announce(peer, p(s, i), Route::new(peer, attrs, 0));
+            let alternate = RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7]));
+            t.announce(BACKUP, p(s, i), Route::new(BACKUP, alternate, 0));
         }
     }
     t
@@ -102,9 +120,11 @@ fn materialize(stream: &[(u32, bool, u32, u32)]) -> Vec<(PeerId, ElementaryEvent
 }
 
 proptest! {
-    /// Per-session accepted reroutes of the sharded runtime (2 and 3 shards,
+    /// Per-session accepted reroutes of the sharded runtime (1 to 3 shards,
     /// real threads) equal the single-threaded router's on random interleaved
-    /// streams; the deterministic inline mode equals it globally.
+    /// streams, installed-rule counts included, and leave no predicted prefix
+    /// on a failed link; the deterministic inline mode equals the router
+    /// globally.
     #[test]
     fn sharded_reroutes_equal_single_threaded(stream in arb_stream()) {
         let events = materialize(&stream);
@@ -133,7 +153,7 @@ proptest! {
         }
 
         // Sharded modes: identical per session.
-        for shards in [2usize, 3] {
+        for shards in [1usize, 2, 3] {
             let mut runtime = ShardedRuntime::new(
                 RuntimeConfig {
                     batch_size: 7, // force mid-burst batch boundaries
@@ -160,7 +180,20 @@ proptest! {
                     prop_assert_eq!(a.time, b.time);
                     prop_assert_eq!(&a.links, &b.links);
                     prop_assert_eq!(&a.predicted, &b.predicted);
+                    prop_assert_eq!(a.rules_installed, b.rules_installed);
                 }
+            }
+            // Lemma 3.3 on the final data plane: whichever /8 a predicted
+            // prefix sits in, it no longer forwards over an inferred link.
+            for action in &report.actions {
+                let unsafe_left = report.applier().unsafe_reroutes(&action.predicted, &action.links);
+                prop_assert!(
+                    unsafe_left.is_empty(),
+                    "{} of {} predicted prefixes still cross {:?}",
+                    unsafe_left.len(),
+                    action.predicted.len(),
+                    action.links
+                );
             }
         }
     }

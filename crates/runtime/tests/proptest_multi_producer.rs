@@ -1,21 +1,23 @@
 //! Multi-producer equivalence property: on random interleaved multi-session
 //! streams split into random K-way source partitions (sessions disjoint
 //! across sources), the K-producer sharded replay reaches — per session —
-//! exactly the decisions of the single-producer sharded replay and of the
-//! deterministic inline mode, including a mid-run teardown + re-register on
-//! one source.
+//! exactly the decisions (installed-rule counts included) of the
+//! single-producer sharded replay and of the deterministic inline mode,
+//! including a mid-run teardown + re-register on one source, and ends with an
+//! identical set of SWIFT rules in the data plane.
 //!
 //! This is the contract `exp_soak --ingest-threads N` rests on: as long as
 //! each session is pinned to one `IngestHandle`, the producer count is
 //! invisible in the decision stream.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use swift_bgp::{
     AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
 };
-use swift_core::encoding::ReroutingPolicy;
+use swift_core::encoding::{ReroutingPolicy, TagRule};
 use swift_core::{EncodingConfig, InferenceConfig, RerouteAction, SwiftConfig};
-use swift_runtime::{RuntimeConfig, ShardedRuntime};
+use swift_runtime::{RuntimeConfig, RuntimeReport, ShardedRuntime};
 
 const SESSIONS: u32 = 3;
 const PREFIXES_PER_SESSION: u32 = 60;
@@ -23,6 +25,10 @@ const PREFIXES_PER_SESSION: u32 = 60;
 /// The flapped session: torn down and re-registered mid-run on whichever
 /// source it is pinned to.
 const CHURNED: PeerId = PeerId(1);
+
+/// The shared backup peer: an alternate route for every prefix of every
+/// session, so accepted inferences install rules.
+const BACKUP: PeerId = PeerId(1_000);
 
 /// Thresholds scaled down so random 300-event streams form bursts and
 /// trigger accepted inferences often.
@@ -57,9 +63,11 @@ fn path(session: u32, idx: u32, variant: u32) -> AsPath {
     }
 }
 
-/// Per-session tables: each peer announces its own prefix block.
+/// Per-session tables: each peer announces its own prefix block as the
+/// preferred route, the backup peer an alternate for each prefix.
 fn table() -> RoutingTable {
     let mut t = RoutingTable::new();
+    t.add_peer(BACKUP, Asn(1_000));
     for s in 0..SESSIONS {
         let peer = PeerId(s + 1);
         t.add_peer(peer, Asn(100 + s * 1_000));
@@ -67,6 +75,8 @@ fn table() -> RoutingTable {
             let mut attrs = RouteAttributes::from_path(path(s, i, i));
             attrs.local_pref = Some(200);
             t.announce(peer, p(s, i), Route::new(peer, attrs, 0));
+            let alternate = RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7]));
+            t.announce(BACKUP, p(s, i), Route::new(BACKUP, alternate, 0));
         }
     }
     t
@@ -121,13 +131,30 @@ fn materialize(stream: &[(u32, bool, u32, u32)]) -> Vec<(PeerId, ElementaryEvent
         .collect()
 }
 
-/// The per-session `(time, links, predicted)` projection both runs are
-/// compared on.
-fn decisions_for(actions: &[RerouteAction], peer: PeerId) -> Vec<(u64, String, usize)> {
+/// The per-session `(time, links, predicted, rules_installed)` projection
+/// the runs are compared on.
+fn decisions_for(actions: &[RerouteAction], peer: PeerId) -> Vec<(u64, String, usize, usize)> {
     actions
         .iter()
         .filter(|a| a.session == peer)
-        .map(|a| (a.time, format!("{:?}", a.links), a.predicted.len()))
+        .map(|a| {
+            (
+                a.time,
+                format!("{:?}", a.links),
+                a.predicted.len(),
+                a.rules_installed,
+            )
+        })
+        .collect()
+}
+
+/// The SWIFT-installed rules left in the data plane when the run ended.
+fn swift_rules(report: &RuntimeReport) -> BTreeSet<TagRule> {
+    let rules = report.applier().forwarding().stage2_rules();
+    rules
+        .iter()
+        .filter(|r| r.swift_installed)
+        .map(|r| r.rule)
         .collect()
 }
 
@@ -145,12 +172,11 @@ fn partition(
 }
 
 /// Replays the churned session's teardown + re-register after its
-/// `churn_after`-th event, inline with the stream. Returns the runtime's
-/// actions.
+/// `churn_after`-th event, inline with the stream.
 fn run_inline_with_churn(
     events: &[(PeerId, ElementaryEvent)],
     churn_after: usize,
-) -> Vec<RerouteAction> {
+) -> RuntimeReport {
     let mut runtime = ShardedRuntime::new(
         RuntimeConfig::deterministic(),
         config(),
@@ -168,7 +194,7 @@ fn run_inline_with_churn(
         }
         runtime.ingest(*peer, event.clone());
     }
-    runtime.finish().actions
+    runtime.finish()
 }
 
 /// The same run through `k` producer threads on a sharded runtime; the
@@ -179,7 +205,7 @@ fn run_producers_with_churn(
     shards: usize,
     k: usize,
     churn_after: usize,
-) -> Vec<RerouteAction> {
+) -> RuntimeReport {
     let runtime = ShardedRuntime::new(
         RuntimeConfig {
             batch_size: 7, // force mid-burst batch boundaries
@@ -208,14 +234,15 @@ fn run_producers_with_churn(
             });
         }
     });
-    runtime.finish().actions
+    runtime.finish()
 }
 
 proptest! {
     /// K-producer sharded replay (K ∈ {1, 2, 3}, real threads) is
     /// decision-identical per session to the single-producer sharded replay
     /// and to the deterministic inline mode, on random streams with a
-    /// mid-run teardown + re-register of one session.
+    /// mid-run teardown + re-register of one session; the final installed
+    /// rule sets are identical too.
     #[test]
     fn k_producers_equal_single_producer_and_inline(
         stream in arb_stream(),
@@ -234,11 +261,13 @@ proptest! {
 
         for s in 0..SESSIONS {
             let peer = PeerId(s + 1);
-            let want = decisions_for(&inline, peer);
+            let want = decisions_for(&inline.actions, peer);
             // Single producer vs inline, then K producers vs inline — the
             // vendored prop_assert_eq! reports both sides on divergence.
-            prop_assert_eq!(&decisions_for(&single, peer), &want);
-            prop_assert_eq!(&decisions_for(&multi, peer), &want);
+            prop_assert_eq!(&decisions_for(&single.actions, peer), &want);
+            prop_assert_eq!(&decisions_for(&multi.actions, peer), &want);
         }
+        prop_assert_eq!(&swift_rules(&single), &swift_rules(&inline));
+        prop_assert_eq!(&swift_rules(&multi), &swift_rules(&inline));
     }
 }

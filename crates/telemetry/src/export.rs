@@ -384,8 +384,8 @@ impl JsonLinesWriter {
 
 /// Appends one run record to an append-only JSON-array trajectory file.
 ///
-/// If the file is missing, empty, or does not parse as a JSON array (e.g. the
-/// pre-trajectory `BENCH_soak.json` format), a fresh single-record array is
+/// If the file is missing, empty, or does not parse as a JSON array, a fresh
+/// single-record array is
 /// written; otherwise the record is spliced in before the closing bracket so
 /// the history grows one entry per run. Returns the number of records now in
 /// the file.

@@ -95,7 +95,7 @@ pub const BACKUP_PEER: PeerId = PeerId(1_000_000);
 impl MultiSessionTrace {
     /// Generates the workload deterministically from `config`.
     ///
-    /// Each session's RIB mirrors the `exp_scale` shape: 40 Zipf-weighted
+    /// Each session's RIB has a realistic link-weight skew: 40 Zipf-weighted
     /// second hops behind the peer (the heaviest carrying roughly a quarter
     /// of the table), an optional third and fourth hop. Each session's burst
     /// withdraws `burst_size` prefixes behind its heaviest link (fewer if
