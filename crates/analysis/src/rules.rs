@@ -100,8 +100,9 @@ enum HotFns {
 /// * The scorer files: the per-trial / per-event functions where a fresh
 ///   `Vec`/`IdBitSet` would allocate once per greedy step or ranking drain,
 ///   the counters' per-event path (`on_withdraw`, `announce_interned`: every
-///   withdrawal and announcement of every session) and the ranker's
-///   per-attempt fold (`update`, `ranking`, `rank_into`). Reference
+///   withdrawal and announcement of every session), the ranker's
+///   per-attempt fold (`update`, `ranking`, `rank_into`) and the crossing
+///   count an attempt turned down before the chain stops at. Reference
 ///   implementations (`*_scan`, `*_materialized`, `union_bits`, `rescore`,
 ///   `rank_link_ids`) deliberately stay off — their allocations are the
 ///   baseline the kernels are measured against.
@@ -138,8 +139,9 @@ const ALLOC_HOT: &[(&str, HotFns)] = &[
             "wp",
             "w_union",
             "p_union",
+            "crossing_count",
             "agg_seed",
-            "agg_trial",
+            "agg_delta",
             "agg_accept",
             "crossing_prefixes",
         ]),

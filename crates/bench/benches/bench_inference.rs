@@ -323,9 +323,10 @@ fn bench_kernel_raw(c: &mut Criterion) {
 }
 
 /// The greedy aggregation chain end to end: the incremental running-union
-/// scorer (O(k) kernel passes) against the recompute-every-trial baseline
-/// (O(k²)). The 64-way fanout makes every link tie on FS, so the chain
-/// actually walks all candidates.
+/// scorer (one fused pass for the seed, then a delta count per trial over
+/// the candidate's own ids) against the recompute-every-trial baseline
+/// (O(k²) passes). The 64-way fanout makes every link tie on FS, so the
+/// chain actually walks all candidates.
 fn bench_greedy_chain(c: &mut Criterion) {
     let config = InferenceConfig::default();
     let mut group = c.benchmark_group("kernels/greedy_chain");

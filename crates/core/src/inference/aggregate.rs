@@ -113,13 +113,15 @@ pub fn infer_links_materialized(
 /// aggregate.
 ///
 /// The fused variant keeps a *running union* of the current aggregate in the
-/// counters' kernel scratch: seeding costs one pass over the seed's crossing
-/// set, each trial fuses `[running ∪ candidate]` in one pass, and accepting a
-/// candidate ORs it into the running words — O(1) passes per candidate, so a
-/// greedy chain over k candidates is O(k) passes instead of the O(k²) the
-/// recounting references pay by re-unioning the explicit set each trial.
+/// counters' kernel scratch, and the chain carries the aggregate's `(W, P)`:
+/// seeding costs one fused pass over the seed's crossing set, each trial
+/// adds what the candidate brings that the aggregate lacks (a delta count
+/// over the candidate's own ids or marked words, no sweep of the aggregate),
+/// and accepting a candidate ORs it into the running words. A greedy chain
+/// over k candidates is one pass plus k candidate-sized trials, where the
+/// recounting references re-union the explicit set each trial (O(k²)).
 enum SetScorer {
-    /// Incremental counting over the scratch-resident running union.
+    /// Delta counting against the scratch-resident running union.
     Fused,
     /// From-scratch recounting of the explicit trial set through `f` — the
     /// reference shape (scan or materialized union) for tests and benches.
@@ -146,10 +148,19 @@ impl SetScorer {
         }
     }
 
-    /// Counts of the current aggregate extended by `candidate`, uncommitted.
-    fn trial(&mut self, c: &LinkCounters, candidate: LinkId) -> (usize, usize) {
+    /// Counts of the current aggregate (whose counts are `base`) extended by
+    /// `candidate`, uncommitted.
+    fn trial(
+        &mut self,
+        c: &LinkCounters,
+        base: (usize, usize),
+        candidate: LinkId,
+    ) -> (usize, usize) {
         match self {
-            SetScorer::Fused => c.agg_trial(candidate),
+            SetScorer::Fused => {
+                let (w, p) = c.agg_delta(candidate);
+                (base.0 + w, base.1 + p)
+            }
             SetScorer::Rescore { f, set } => {
                 set.push(c.link(candidate));
                 let counts = f(c, set);
@@ -221,6 +232,7 @@ fn infer_with_scorer(
     let mut aggregate: Vec<LinkId> = Vec::with_capacity(4);
     aggregate.push(top_id);
     let seed_counts = scorer.seed(counters, top_id);
+    let mut aggregate_counts = seed_counts;
     let mut aggregate_score = score(seed_counts);
     // An aggregate's shared endpoints are at most the two of its seed.
     let top_link = counters.link(top_id);
@@ -235,10 +247,12 @@ fn infer_with_scorer(
         if still_a.is_none() && still_b.is_none() {
             continue;
         }
-        let trial_score = score(scorer.trial(counters, *candidate));
+        let trial_counts = scorer.trial(counters, aggregate_counts, *candidate);
+        let trial_score = score(trial_counts);
         if trial_score.fs > aggregate_score.fs + config.fs_tolerance {
             scorer.accept(counters, *candidate);
             aggregate.push(*candidate);
+            aggregate_counts = trial_counts;
             aggregate_score = trial_score;
             shared = (still_a, still_b);
         }
@@ -253,9 +267,13 @@ fn infer_with_scorer(
         .map(|(_, (id, _))| *id)
         .collect();
 
-    // A single-link result is the seed alone: its counts are already known.
+    // A single-link result is the seed alone, and a result with no tie
+    // outside the aggregate is the aggregate (which holds the seed): either
+    // way its counts are already known.
     let ((withdrawn, routed), score) = if ids.len() == 1 {
         (seed_counts, top_score)
+    } else if ids.len() == aggregate.len() {
+        (aggregate_counts, aggregate_score)
     } else {
         let counts = scorer.score_set(counters, &ids);
         (counts, score(counts))

@@ -61,10 +61,23 @@
 //! so the new burst starts from exactly the state the paper's algorithm
 //! assumes. Its cost is the withdrawn prefixes, the window and the links —
 //! never the table.
+//!
+//! The purge keeps one invariant the engine relies on: **`crosses(l) ⊆ routed
+//! ∪ withdrawn`**. A prefix enters `crosses(l)` only when it is announced over
+//! a path through `l`, stays there while withdrawn in the current burst, and
+//! leaves when it moves to a path avoiding `l` or is purged as `Gone`. So
+//! `|crosses(l)|` is exactly the routed prefixes crossing `l` (`P(l)`) plus
+//! the ones crossing it that are withdrawn *now*, and no set `S` holding `l`
+//! has `W(S) + P(S)` below it. `W(l)` is not that withdrawn part: it counts
+//! withdrawal *events* since the burst start, so a prefix withdrawn and then
+//! re-announced over `l` in the same burst is in both `W(l)` and `P(l)`, and
+//! `W(l) + P(l)` can exceed `|crosses(l)|`. Anything that bounds a prediction
+//! size by a link must read [`LinkCounters::crossing_count`], not
+//! [`LinkCounters::wp_of`].
 
 use crate::dirty::{DenseId, DirtySet};
 use crate::inference::bitset::IdBitSet;
-use crate::inference::kernels::{fused_wp, KernelStats, ScoreScratch};
+use crate::inference::kernels::{delta_union_counts, fused_wp, KernelStats, ScoreScratch};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -614,14 +627,22 @@ impl LinkCounters {
         (e.w as usize, e.p as usize)
     }
 
+    /// `|crosses(l)|`: the prefixes whose tracked path crosses `id`, routed
+    /// or withdrawn in this burst. A lower bound on `W(S) + P(S)` of every
+    /// set `S` holding the link (see the module docs), read without a kernel
+    /// pass.
+    pub fn crossing_count(&self, id: LinkId) -> usize {
+        self.links[id.index()].crosses.count()
+    }
+
     /// Seeds the scratch-resident greedy aggregate with `seed`'s crossing set
     /// and returns its fused `(W, P)`.
     ///
-    /// Together with [`LinkCounters::agg_trial`] and
+    /// Together with [`LinkCounters::agg_delta`] and
     /// [`LinkCounters::agg_accept`] this gives the greedy common-endpoint
-    /// aggregation an O(1)-per-candidate running union: a trial fuses the
-    /// current aggregate with one more crossing set instead of re-unioning
-    /// the whole link set from scratch (O(k²) → O(k) over a greedy chain).
+    /// aggregation a running union: a trial counts what one crossing set adds
+    /// to it, in time proportional to that set, instead of re-unioning the
+    /// whole link set from scratch or re-sweeping the aggregate.
     pub fn agg_seed(&self, seed: LinkId) -> (usize, usize) {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
@@ -643,23 +664,20 @@ impl LinkCounters {
         )
     }
 
-    /// Fused `(W, P)` of the current aggregate extended by `candidate`,
-    /// without committing the extension.
-    pub fn agg_trial(&self, candidate: LinkId) -> (usize, usize) {
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        let srcs: [&IdBitSet; 2] = [&s.agg, &self.links[candidate.index()].crosses];
-        fused_wp(
-            &srcs,
+    /// The withdrawn and routed prefixes `candidate` would add to the current
+    /// aggregate, without committing the extension: the aggregate's `(W, P)`
+    /// plus these is the extended set's.
+    pub fn agg_delta(&self, candidate: LinkId) -> (usize, usize) {
+        delta_union_counts(
+            &self.links[candidate.index()].crosses,
+            &self.scratch.borrow().agg,
             &self.withdrawn_bits,
             &self.routed_bits,
-            &mut s.pass,
-            &mut s.stats,
         )
     }
 
     /// Folds `candidate`'s crossing set into the running aggregate (call
-    /// after a successful [`LinkCounters::agg_trial`]).
+    /// after a successful trial).
     pub fn agg_accept(&self, candidate: LinkId) {
         let mut scratch = self.scratch.borrow_mut();
         scratch

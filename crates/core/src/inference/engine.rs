@@ -28,15 +28,28 @@
 //! and a push onto the detector's window; an announcement adds the path
 //! interner's probe. Nothing on that path allocates, orders a tree or touches
 //! a link by name (`tests/alloc_free_event_path.rs` counts the allocator
-//! calls: zero outside the calls that open or close a burst or run an
-//! attempt).
+//! calls: zero outside the calls that open or close a burst or run the
+//! greedy chain).
 //!
 //! An inference attempt ranks candidates through the incrementally maintained
 //! [`LinkRanker`] (fed by the counters' dirty-link feed) and scores link sets
 //! through the inverted prefix-bitset index — no full-RIB scans, link ids
-//! end to end. The selected set carries its exact `(W(S), P(S))`, so the
-//! history model's plausibility cap is applied before
-//! [`predict`] materialises any prefix set: a rejected attempt builds none.
+//! end to end. The history model's cap is held against the attempt twice,
+//! each time before the work it would waste:
+//!
+//! * **Before the greedy chain.** Every set the chain can return holds the
+//!   top-ranked link, so the size of that link's crossing set
+//!   ([`LinkCounters::crossing_count`], a popcount or a posting-list length)
+//!   is a floor under the set's `W(S) + P(S)`. An attempt whose top link
+//!   already crosses more prefixes than the cap is turned down there: it
+//!   costs the ranker fold, the ranking and that count — no aggregate seed,
+//!   no trial, no kernel pass, no allocation.
+//! * **Before the prediction.** The selected set carries its exact
+//!   `(W(S), P(S))`, so an implausible one is turned down before
+//!   [`predict`] materialises any prefix set.
+//!
+//! Both are exact: an attempt is accepted or rejected at the same withdrawal
+//! as when the cap was held against a built prediction.
 
 use crate::config::InferenceConfig;
 use crate::inference::aggregate::{infer_links, infer_links_ranked, InferredLinks};
@@ -283,15 +296,25 @@ impl InferenceEngine {
 
         self.ranker.update(self.counters.take_dirty());
         let ranking = self.ranker.ranking(&self.counters, &self.config);
+        let cap = self
+            .config
+            .use_history
+            .then(|| self.config.plausibility_cap(seen))
+            .flatten();
+        // Whatever set the chain returns holds the top-ranked link, and every
+        // prefix crossing it is routed or withdrawn now: its crossing set is
+        // a floor under the set's (W, P), so above the cap the chain cannot
+        // produce a plausible set and is not run.
+        if let (Some(cap), Some((top, _))) = (cap, ranking.first()) {
+            if self.counters.crossing_count(*top) > cap {
+                return (EngineStatus::RejectedByHistory, None);
+            }
+        }
         let links = infer_links_ranked(&self.counters, ranking, &self.config);
         // The set's own (W, P) is the size of the prediction it would yield:
         // an implausible one is turned down before any prefix set is built.
-        if self.config.use_history {
-            if let Some(cap) = self.config.plausibility_cap(seen) {
-                if links.total_affected() > cap {
-                    return (EngineStatus::RejectedByHistory, None);
-                }
-            }
+        if cap.is_some_and(|cap| links.total_affected() > cap) {
+            return (EngineStatus::RejectedByHistory, None);
         }
         let prediction = predict(&self.counters, &links);
         let result = InferenceResult {
@@ -414,10 +437,12 @@ mod tests {
         assert!(statuses.contains(&EngineStatus::RejectedByHistory));
     }
 
-    /// The history model holds its cap against the selected set's own
-    /// `(W, P)`: a rejected attempt materialises no union for a prediction,
-    /// and attempts reject and accept at the same withdrawals as when the
-    /// cap was held against a built one.
+    /// The history model holds its cap against the top link's crossing set
+    /// before the greedy chain and against the selected set's own `(W, P)`
+    /// before the prediction: a rejected attempt here seeds no aggregate,
+    /// runs no kernel pass and materialises no union, and attempts reject and
+    /// accept at the same withdrawals as when the cap was held against a
+    /// built prediction.
     #[test]
     fn rejected_attempts_build_no_prediction() {
         use EngineStatus::{Accepted, RejectedByHistory};
@@ -428,22 +453,27 @@ mod tests {
             let (status, result) = engine.process(ev);
             if matches!(status, Accepted | RejectedByHistory) {
                 assert_eq!(result.is_some(), status == Accepted);
-                // Unions materialised into scratch: the greedy chain's seed,
-                // and the prediction's if one was built.
+                // Unions materialised into scratch (the greedy chain's seed,
+                // and the prediction's if one was built) and fused passes.
                 let stats = engine.take_kernel_stats();
-                attempts.push((i, status, stats.scratch_reuse + stats.scratch_growth));
+                let unions = stats.scratch_reuse + stats.scratch_growth;
+                let passes = stats.dense + stats.sparse + stats.mixed;
+                attempts.push((i, status, unions, passes));
             }
         }
         assert_eq!(
             attempts,
             vec![
-                (199, RejectedByHistory, 1),
-                (399, RejectedByHistory, 1),
-                (599, RejectedByHistory, 1),
-                (799, RejectedByHistory, 1),
-                (999, Accepted, 2),
+                (199, RejectedByHistory, 0, 0),
+                (399, RejectedByHistory, 0, 0),
+                (599, RejectedByHistory, 0, 0),
+                (799, RejectedByHistory, 0, 0),
+                // The seed's union and pass, the prediction's union; the
+                // three trials are delta counts.
+                (999, Accepted, 2, 1),
             ]
         );
+        assert_eq!(engine.attempts(), 5, "turned-down attempts still count");
         let accepted = engine.accepted().expect("accepted at the force threshold");
         assert_eq!(accepted.links.total_affected(), 2_000);
         assert_eq!(accepted.prediction.total_affected(), 2_000);

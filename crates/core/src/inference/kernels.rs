@@ -19,14 +19,22 @@
 //!   merge walks the sources in id order (deduplicating on the fly) and
 //!   membership-tests each id against the masks; no block buffer is touched.
 //!
+//! The greedy chain's trials do not need a pass over the aggregate at all.
+//! [`delta_union_counts`] counts only what one candidate *adds* to a
+//! materialised aggregate `A`: `|c ∖ A ∩ withdrawn|` and `|c ∖ A ∩ routed|`,
+//! walking `c`'s own ids (a posting list) or its marked words (a dense set)
+//! and reading `A` and the masks at those words only. The caller adds the
+//! aggregate's carried `(W, P)`.
+//!
 //! The per-pass state (source partitions and merge cursors) lives in a
 //! [`ScoreScratch`] owned by the engine's [`super::counters::LinkCounters`],
 //! so steady-state scoring performs **zero heap allocation** — the
 //! `hot-path-alloc` lint in `swift-analysis` enforces this for every kernel
 //! body. The scratch also carries the reusable union buffers for the few
 //! paths that genuinely need materialised ids (`crossing_prefixes`, the
-//! incremental greedy aggregate) plus the [`KernelStats`] dispatch counters
-//! exported through the telemetry registry.
+//! greedy aggregate) plus the [`KernelStats`] dispatch counters exported
+//! through the telemetry registry. A delta trial is not a fused pass and is
+//! not counted in them.
 
 use crate::inference::bitset::{IdBitSet, Parts, BLOCK_BITS, BLOCK_WORDS};
 
@@ -83,9 +91,10 @@ pub(crate) struct PassScratch {
 ///
 /// One instance lives inside each `LinkCounters` (one per BGP session engine);
 /// it is never shared across threads. All capacity — pass state, the
-/// materialised-union buffer and the incremental greedy aggregate — is reused
-/// across calls, which is what makes the steady-state scoring path
-/// allocation-free.
+/// materialised-union buffer and the greedy aggregate — is reused across
+/// calls, which is what makes the steady-state scoring path allocation-free:
+/// a greedy chain costs one fused pass for its seed and a delta trial per
+/// candidate, each proportional to the candidate, not to the aggregate.
 #[derive(Debug, Clone)]
 pub struct ScoreScratch {
     pub(crate) pass: PassScratch,
@@ -97,7 +106,7 @@ pub struct ScoreScratch {
     /// prefixes.
     pub(crate) ids: Vec<u32>,
     /// Running union of the greedy aggregation's current link set
-    /// (`agg_seed` / `agg_trial` / `agg_accept` on `LinkCounters`).
+    /// (`agg_seed` / `agg_delta` / `agg_accept` on `LinkCounters`).
     pub(crate) agg: IdBitSet,
     /// Dispatch and reuse counters since the last drain.
     pub(crate) stats: KernelStats,
@@ -381,6 +390,90 @@ fn block_wp(
     (w, p)
 }
 
+/// What a candidate adds to an aggregate: `|c ∖ A ∩ withdrawn|` and
+/// `|c ∖ A ∩ routed|`, for any sparse/dense mix of the four sets.
+///
+/// The walk is `candidate`'s: its ids for a posting list, its marked words
+/// for a dense set. `aggregate` and the masks are read at those words only.
+/// Heap allocation: none.
+pub fn delta_union_counts(
+    candidate: &IdBitSet,
+    aggregate: &IdBitSet,
+    withdrawn: &IdBitSet,
+    routed: &IdBitSet,
+) -> (usize, usize) {
+    let mut agg = WordReader::new(aggregate.parts());
+    let mut wmask = WordReader::new(withdrawn.parts());
+    let mut rmask = WordReader::new(routed.parts());
+    let (mut w, mut p) = (0usize, 0usize);
+    // Called with ascending word indices, as every reader requires.
+    let mut count = |i: usize, word: u64| {
+        let new = word & !agg.word(i);
+        if new != 0 {
+            w += (new & wmask.word(i)).count_ones() as usize;
+            p += (new & rmask.word(i)).count_ones() as usize;
+        }
+    };
+    match candidate.parts() {
+        Parts::Sparse(ids) => {
+            for &id in ids {
+                count(id as usize / 64, 1u64 << (id % 64));
+            }
+        }
+        Parts::Dense(d) => {
+            for (s, &summary) in d.summary.iter().enumerate() {
+                let mut blocks = summary;
+                while blocks != 0 {
+                    let b = s * 64 + blocks.trailing_zeros() as usize;
+                    blocks &= blocks - 1;
+                    let start = b * BLOCK_WORDS;
+                    let end = (start + BLOCK_WORDS).min(d.words.len());
+                    for (i, &word) in (start..end).zip(&d.words[start..end]) {
+                        if word != 0 {
+                            count(i, word);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (w, p)
+}
+
+/// Reads a set one 64-bit word at a time, at word indices that never
+/// decrease: a dense set indexes its words, a posting list moves a cursor
+/// forward and assembles the word from the ids that fall in it.
+struct WordReader<'a> {
+    parts: Parts<'a>,
+    cursor: usize,
+}
+
+impl<'a> WordReader<'a> {
+    fn new(parts: Parts<'a>) -> Self {
+        WordReader { parts, cursor: 0 }
+    }
+
+    /// Word `i` of the set (zero beyond its extent).
+    #[inline]
+    fn word(&mut self, i: usize) -> u64 {
+        match self.parts {
+            Parts::Dense(d) => d.words.get(i).copied().unwrap_or(0),
+            Parts::Sparse(ids) => {
+                let rest = &ids[self.cursor..];
+                self.cursor += rest.partition_point(|&id| (id as usize / 64) < i);
+                let mut word = 0;
+                for &id in &ids[self.cursor..] {
+                    if id as usize / 64 != i {
+                        break;
+                    }
+                    word |= 1u64 << (id % 64);
+                }
+                word
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +580,29 @@ mod tests {
         assert_eq!(
             fused_union_counts(&srcs, &withdrawn, &routed, &mut scratch),
             (1, 0)
+        );
+    }
+
+    #[test]
+    fn delta_counts_only_what_the_candidate_adds() {
+        let agg = dense_of(0, &[1, 200, 700]);
+        let withdrawn = dense_of(2_048, &[1, 70, 700, 701, 1_500]);
+        let routed = sparse_of(&[200, 300, 1_600]);
+        // 1, 200 and 700 are already in the aggregate; 70, 701 and 1 500 are
+        // new withdrawn ids, 300 and 1 600 new routed ones, 450 is in neither.
+        let ids = [1, 70, 200, 300, 450, 700, 701, 1_500, 1_600];
+        for candidate in [sparse_of(&ids), dense_of(0, &ids)] {
+            assert_eq!(
+                delta_union_counts(&candidate, &agg, &withdrawn, &routed),
+                (3, 2),
+                "candidate dense: {}",
+                candidate.is_dense()
+            );
+        }
+        let empty = IdBitSet::new();
+        assert_eq!(
+            delta_union_counts(&empty, &agg, &withdrawn, &routed),
+            (0, 0)
         );
     }
 

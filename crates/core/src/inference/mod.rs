@@ -38,5 +38,5 @@ pub use fit_score::{
     fit_score_value, path_share, rank_links, score_link, score_link_set,
     score_link_set_materialized, score_link_set_scan, withdrawal_share, LinkRanker, Score,
 };
-pub use kernels::{fused_union_counts, KernelStats, ScoreScratch};
+pub use kernels::{delta_union_counts, fused_union_counts, KernelStats, ScoreScratch};
 pub use predictor::{predict, predict_scan, predicted_prefixes, Prediction};

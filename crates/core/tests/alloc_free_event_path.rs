@@ -8,10 +8,12 @@
 //! * every [`Applier::note_event_owned`] of a withdrawal burst and of the
 //!   announcements restoring it (eager RIB mirror), and
 //! * every [`SessionEngine::process`] call of the same cycle that sits on the
-//!   per-event path proper: not one that opens or closes a burst
+//!   per-event path proper, and every one that runs an attempt the history
+//!   model turns down before the greedy chain (ranker fold, ranking and the
+//!   top link's crossing count); not one that opens or closes a burst
 //!   (`start_burst` re-seeds the counters, the close drops the accepted
-//!   result) and not one that runs an inference attempt (ranking and
-//!   prediction allocate by design),
+//!   result) and not one that runs the chain (the selected link list and
+//!   the prediction allocate by design),
 //!
 //! and asserts zero `alloc` and zero `dealloc` calls across them. The same
 //! cycle over 9-hop paths — longer than a path holds in place — costs exactly
@@ -149,6 +151,8 @@ struct Seen {
     engine: (u64, u64),
     /// How many `process` calls that was, and how many were set aside.
     engine_calls: (usize, usize),
+    /// Watched calls whose attempt was turned down before the greedy chain.
+    turned_down: usize,
     accepted: usize,
 }
 
@@ -167,10 +171,16 @@ fn replay(
         let before = calls();
         let (status, result) = engine.process(&event);
         let after = calls();
-        if state(engine) == before_state {
+        // Drained after every call, so a zero reading is this call's: a
+        // rejection that ran no kernel never reached the chain.
+        let ran_no_kernel = engine.take_kernel_stats().is_zero();
+        let turned_down = ran_no_kernel && status == EngineStatus::RejectedByHistory;
+        let (in_burst, attempts) = state(engine);
+        if in_burst == before_state.0 && (attempts == before_state.1 || turned_down) {
             seen.engine.0 += after.0 - before.0;
             seen.engine.1 += after.1 - before.1;
             seen.engine_calls.0 += 1;
+            seen.turned_down += usize::from(turned_down);
         } else {
             seen.engine_calls.1 += 1;
         }
@@ -222,10 +232,13 @@ fn the_per_event_path_never_calls_the_allocator() {
 
     let short = measured_cycle(&[]);
     assert_eq!(short.accepted, 1, "the burst was inferred and rerouted");
-    // Set aside: the burst's opening call, its attempts and its close.
+    // The first attempt (cap 1 000 at 250 withdrawals) meets link (1, 100)
+    // crossing 1 334 prefixes and is watched; set aside are the burst's
+    // opening call, its accepted attempt and its close.
+    assert_eq!(short.turned_down, 1, "{short:?}");
     let (watched, set_aside) = short.engine_calls;
     assert_eq!(watched + set_aside, events);
-    assert!((2..=8).contains(&set_aside), "{short:?}");
+    assert_eq!(set_aside, 3, "{short:?}");
     assert_eq!(short.applier, (0, 0), "RIB mirror, 4-hop paths: {short:?}");
     assert_eq!(short.engine, (0, 0), "engine, 4-hop paths: {short:?}");
 
@@ -233,6 +246,7 @@ fn the_per_event_path_never_calls_the_allocator() {
     let long = measured_cycle(&[4, 5, 6, 7, 8]);
     assert_eq!(long.accepted, 1);
     assert_eq!(long.engine_calls, short.engine_calls);
+    assert_eq!(long.turned_down, short.turned_down);
     assert_eq!(long.applier, (0, withdrawn as u64), "{long:?}");
     assert_eq!(long.engine, (0, 0), "{long:?}");
 }

@@ -1,16 +1,17 @@
 //! Property tests for the inverted prefix-bitset index behind
 //! [`LinkCounters`]: on random RIBs, event streams and burst boundaries, the
 //! bitset-based `w_union` / `p_union` / `crossing_prefixes` / `predict` must
-//! equal the naive full-scan implementations they replaced; and, step by step
+//! equal the naive full-scan implementations they replaced; step by step
 //! against a naive model, the dense-id counters keep every count they
-//! maintain.
+//! maintain; and, attempt after attempt, the engine (with its early
+//! turn-down and its delta trials) decides what the scan reference decides.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use swift_bgp::{AsLink, AsPath, Prefix, PrefixSet};
+use swift_bgp::{AsLink, AsPath, ElementaryEvent, Prefix, PrefixSet, RouteAttributes, SECOND};
 use swift_core::inference::{
-    infer_links, infer_links_scan, predict, predict_scan, rank_links, LinkCounters, LinkRanker,
-    Score,
+    infer_links, infer_links_scan, predict, predict_scan, rank_links, EngineStatus,
+    InferenceEngine, LinkCounters, LinkRanker, Score,
 };
 use swift_core::InferenceConfig;
 
@@ -167,6 +168,15 @@ impl Model {
             .count()
     }
 
+    /// Prefixes withdrawn now whose path crossed `link` (not `W(link)`: a
+    /// prefix re-announced since its withdrawal is in `W` but not here).
+    fn withdrawn_now(&self, link: &AsLink) -> usize {
+        self.slots
+            .values()
+            .filter(|slot| matches!(slot, Slot::Withdrawn(path) if path.crosses_link(link)))
+            .count()
+    }
+
     fn count(&self, routed: bool) -> usize {
         self.slots
             .values()
@@ -189,6 +199,16 @@ fn check_against_model(
         let want = (model.w.get(l).copied().unwrap_or(0), model.p(l));
         if c.wp(l) != want || (c.w(l), c.p(l)) != want {
             return Err(format!("wp({l}) = {:?}, model says {want:?}", c.wp(l)));
+        }
+        // The crossing set is the routed and the withdrawn-now prefixes over
+        // the link: the floor the engine holds the history model's cap
+        // against before the greedy chain.
+        let crossing = c.link_id(l).map_or(0, |id| c.crossing_count(id));
+        let want = model.withdrawn_now(l) + model.p(l);
+        if crossing != want {
+            return Err(format!(
+                "crossing_count({l}) = {crossing}, model says {want} (withdrawn now + P)"
+            ));
         }
     }
     let got = (c.total_withdrawals(), c.routed_count(), c.withdrawn_count());
@@ -377,6 +397,102 @@ proptest! {
             ranker.update(c.take_dirty());
             if let Err(msg) = check_against_model(&c, &model, &mut ranker, &cfg) {
                 prop_assert!(false, "step {} ({:?}): {}", step, (kind, i), msg);
+            }
+        }
+    }
+
+    /// Engine-level, attempt after attempt: on a random RIB over a few ASes
+    /// (so links carry many prefixes) and a stream of bursts in which
+    /// withdrawn prefixes come back over the path they had, and others move,
+    /// every `process` that makes an attempt decides what the full-scan
+    /// reference decides on the same counters: the same status under the
+    /// history model's cap (small enough to turn attempts down, often before
+    /// the chain) and, when accepted, the same links, score, carried `(W, P)`
+    /// and withdrawal count.
+    #[test]
+    fn engine_attempts_match_the_scan_reference(
+        rib in proptest::collection::vec((0u32..80, proptest::collection::vec(1u32..7, 1..5)), 0..100),
+        events in proptest::collection::vec(
+            (0u8..10, 0u32..80, proptest::collection::vec(1u32..7, 1..5), 0u64..40),
+            0..250,
+        ),
+        caps in proptest::collection::vec(1usize..6, 3..4),
+        force_threshold in 8usize..40,
+    ) {
+        let cfg = InferenceConfig {
+            burst_start_threshold: 3,
+            burst_stop_threshold: 1,
+            triggering_threshold: 1,
+            plausibility_table: vec![
+                (2, caps[0]),
+                (4, caps[0] + caps[1]),
+                (6, caps[0] + caps[1] + caps[2]),
+            ],
+            force_threshold,
+            ..Default::default()
+        };
+        let seed: Vec<(Prefix, AsPath)> = rib
+            .iter()
+            .map(|(i, hops)| (p(*i), AsPath::new(hops.iter().copied())))
+            .collect();
+        let mut engine = InferenceEngine::new(cfg.clone(), seed.iter().map(|(a, b)| (a, b)));
+        // The last path each prefix was announced with (a RIB entry repeated
+        // later overrides the earlier one, as in the counters), and the
+        // prefixes the stream has withdrawn and not brought back.
+        let mut paths: BTreeMap<u32, AsPath> = rib
+            .iter()
+            .map(|(i, hops)| (*i, AsPath::new(hops.iter().copied())))
+            .collect();
+        let mut withdrawn: Vec<u32> = Vec::new();
+        let mut t = 0;
+        for (step, (kind, i, hops, gap)) in events.iter().enumerate() {
+            // Milliseconds apart inside a burst; a 30 s silence (one event in
+            // 40) closes it.
+            t += if *gap == 0 { 30 * SECOND } else { gap * 1_000 };
+            let event = match kind {
+                0..=3 => {
+                    withdrawn.push(*i);
+                    ElementaryEvent::Withdraw { timestamp: t, prefix: p(*i) }
+                }
+                _ => {
+                    // Kinds 4 to 7 bring a withdrawn prefix back over the
+                    // path it had; the others announce a new path.
+                    let new_path = AsPath::new(hops.iter().copied());
+                    let (prefix, path) = if *kind < 8 && !withdrawn.is_empty() {
+                        let back = withdrawn.swap_remove(*i as usize % withdrawn.len());
+                        (back, paths.get(&back).cloned().unwrap_or(new_path))
+                    } else {
+                        (*i, new_path)
+                    };
+                    paths.insert(prefix, path.clone());
+                    ElementaryEvent::Announce {
+                        timestamp: t,
+                        prefix: p(prefix),
+                        attrs: RouteAttributes::from_path(path),
+                    }
+                }
+            };
+            let (status, result) = engine.process(&event);
+            if !matches!(status, EngineStatus::Accepted | EngineStatus::RejectedByHistory) {
+                prop_assert!(result.is_none());
+                continue;
+            }
+            let reference = infer_links_scan(engine.counters(), &cfg);
+            let seen = engine.withdrawals_in_burst();
+            let cap = cfg.plausibility_cap(seen);
+            let want = if cap.is_some_and(|cap| reference.total_affected() > cap) {
+                EngineStatus::RejectedByHistory
+            } else {
+                EngineStatus::Accepted
+            };
+            prop_assert!(
+                status == want,
+                "step {step}: {status:?}, the reference's {:?} against cap {cap:?} says {want:?}",
+                (reference.withdrawn, reference.routed)
+            );
+            if let Some(result) = result {
+                prop_assert_eq!(&result.links, &reference);
+                prop_assert_eq!(result.withdrawals_seen, seen);
             }
         }
     }

@@ -1,17 +1,18 @@
 //! Property tests for the fused bitset kernels behind the inference scorer:
 //! on random RIBs, event streams, burst boundaries and representation mixes,
 //! the single-pass fused `(w, p)` kernel must equal both the materialized
-//! union it replaced and the naive full-scan reference; the incremental
-//! greedy aggregation must select the same link sets as the recompute
-//! baselines; and the dense chunk-summary bitmap must stay consistent with
-//! the words it summarizes through every mutation.
+//! union it replaced and the naive full-scan reference; the delta count a
+//! greedy trial makes must equal a set model; the incremental greedy
+//! aggregation must select the same link sets as the recompute baselines;
+//! and the dense chunk-summary bitmap must stay consistent with the words it
+//! summarizes through every mutation.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use swift_bgp::{AsLink, AsPath, Prefix};
 use swift_core::inference::{
-    fused_union_counts, infer_links, infer_links_materialized, infer_links_scan, IdBitSet,
-    LinkCounters, ScoreScratch,
+    delta_union_counts, fused_union_counts, infer_links, infer_links_materialized,
+    infer_links_scan, IdBitSet, LinkCounters, ScoreScratch,
 };
 use swift_core::InferenceConfig;
 
@@ -151,19 +152,22 @@ proptest! {
         let fused = infer_links(&c, &cfg);
         let materialized = infer_links_materialized(&c, &cfg);
         let scan = infer_links_scan(&c, &cfg);
-        prop_assert_eq!(&fused.links, &materialized.links);
-        prop_assert_eq!(&fused.links, &scan.links);
-        prop_assert_eq!(fused.score, materialized.score);
+        // Links, score and the carried (W, P), which the fused chain adds up
+        // from delta trials and the references recount.
+        prop_assert_eq!(&fused, &materialized);
+        prop_assert_eq!(&fused, &scan);
     }
 
-    /// The raw kernel equals a BTreeSet model on arbitrary sparse/dense
-    /// representation mixes of sources and masks, and scratch reuse across
-    /// calls never changes an answer.
+    /// The raw kernels equal a BTreeSet model on arbitrary sparse/dense
+    /// representation mixes of sources and masks: the fused pass counts the
+    /// sources' union, the delta count what each source adds to a (dense)
+    /// aggregate; scratch reuse across calls never changes an answer.
     #[test]
     fn kernel_matches_model_on_rep_mixes(
         sources in proptest::collection::vec(arb_bitset(), 0..6),
         withdrawn in arb_bitset(),
         routed in arb_bitset(),
+        aggregate in proptest::collection::vec(0u32..6_000, 0..50),
     ) {
         let sets: Vec<IdBitSet> =
             sources.iter().map(|(ids, dense)| bitset_of(ids, *dense)).collect();
@@ -179,6 +183,24 @@ proptest! {
         prop_assert_eq!(fused_union_counts(&refs, &wmask, &rmask, &mut scratch), want);
         // Second pass through the now-warm scratch: same answer.
         prop_assert_eq!(fused_union_counts(&refs, &wmask, &rmask, &mut scratch), want);
+
+        // Every source in turn as the candidate of a delta trial, against an
+        // aggregate holding the first half of each source's ids: every
+        // candidate overlaps it.
+        let mut in_agg: BTreeSet<u32> = aggregate.iter().copied().collect();
+        for (ids, _) in &sources {
+            in_agg.extend(&ids[..ids.len() / 2]);
+        }
+        let agg = bitset_of(&in_agg.iter().copied().collect::<Vec<_>>(), true);
+        for ((ids, _), candidate) in sources.iter().zip(&sets) {
+            let added: BTreeSet<u32> =
+                ids.iter().copied().filter(|id| !in_agg.contains(id)).collect();
+            let want = (
+                added.iter().filter(|&&id| wmask.test(id)).count(),
+                added.iter().filter(|&&id| rmask.test(id)).count(),
+            );
+            prop_assert_eq!(delta_union_counts(candidate, &agg, &wmask, &rmask), want);
+        }
     }
 
     /// The dense chunk-summary bitmap stays consistent with the words it
