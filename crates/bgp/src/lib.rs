@@ -13,7 +13,8 @@
 //!   and UPDATE/WITHDRAW semantics the paper's algorithms consume.
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once behind
-//!   a table-wide [`PrefixId`] dictionary.
+//!   a table-wide [`PrefixInterner`] (`Prefix` → dense [`PrefixId`]), the
+//!   dictionary the inference engine's counters use too.
 //! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
 //!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
@@ -38,8 +39,8 @@ pub use as_path::{AsLink, AsPath, Asn};
 pub use attributes::{Community, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
-pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixMap, PrefixSet};
-pub use rib::{AdjRibIn, PrefixId, Route};
+pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};
+pub use rib::{AdjRibIn, PrefixId, PrefixInterner, Route};
 pub use session::{MessageStream, PeerId, Session, SessionId};
 pub use table::RoutingTable;
 

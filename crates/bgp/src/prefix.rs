@@ -6,9 +6,8 @@
 //! table), so a compact `(u32, u8)` representation is used throughout.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 
 /// Errors produced when parsing or constructing a [`Prefix`].
@@ -45,30 +44,24 @@ impl std::error::Error for PrefixError {}
 /// assert!(p.contains(&"10.1.2.0/24".parse().unwrap()));
 /// assert_eq!(p.to_string(), "10.0.0.0/8");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: u32,
     len: u8,
 }
 
-/// One `u64` write per prefix, so a [`PrefixMap`] probe hashes with a single
-/// multiplication (the derived impl would feed the two fields separately).
-impl Hash for Prefix {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(u64::from(self.addr) << 8 | u64::from(self.len));
-    }
-}
-
-/// The in-crate multiplicative hasher, behind [`PrefixMap`] and the
-/// [`crate::PathInterner`] index: each written word is folded in with one
-/// multiplication by an odd 64-bit constant, and `finish` xors the
+/// The in-crate multiplicative hasher, behind the [`crate::PathInterner`]
+/// index and the maps keyed by AS links: each written word is folded in
+/// with one multiplication by an odd 64-bit constant, and `finish` xors the
 /// well-mixed high half onto the low half (the hash table takes its bucket
 /// index from the low bits, which a bare product leaves as a function of the
-/// key's low bits alone — and a /24's low address byte is always zero).
+/// key's low bits alone).
 ///
 /// It trades the default hasher's resistance to crafted collisions for a
-/// probe several times cheaper; the maps it serves sit on the per-event path
-/// of the RIB mirror and the inference engine.
+/// probe several times cheaper; every announcement interns its path, so the
+/// path index sits on the inference engine's per-event path. The prefix
+/// dictionaries do not hash through it: [`crate::PrefixInterner`] is its own
+/// packed index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FoldHasher(u64);
 
@@ -106,10 +99,6 @@ impl Hasher for FoldHasher {
 
 /// [`FoldHasher`] as a map's `BuildHasher`.
 pub type FoldBuildHasher = BuildHasherDefault<FoldHasher>;
-
-/// A hash map keyed by [`Prefix`] using [`FoldHasher`]: probed, never
-/// iterated in order.
-pub type PrefixMap<V> = HashMap<Prefix, V, FoldBuildHasher>;
 
 impl Prefix {
     /// The default route `0.0.0.0/0`.
@@ -415,11 +404,6 @@ impl IntoIterator for PrefixSet {
     fn into_iter(self) -> Self::IntoIter {
         self.inner.into_iter()
     }
-}
-
-/// Total order helper used by tests: compares display forms.
-pub fn display_cmp(a: &Prefix, b: &Prefix) -> Ordering {
-    a.to_string().cmp(&b.to_string())
 }
 
 #[cfg(test)]

@@ -18,27 +18,29 @@
 //!
 //! # Storage and its invariants
 //!
-//! The table interns every prefix once (`PrefixInterner`: `Prefix` → dense
+//! The table interns every prefix once ([`PrefixInterner`]: `Prefix` → dense
 //! [`PrefixId`], ids never reused) and each peer keeps `PeerRoutes`: a 4-byte
 //! slot per id pointing into a route slab with a free list. A route is one
 //! flat 88-byte record — its AS path sits inside it (see "Storage" in
 //! [`crate::as_path`]; only a path longer than five hops, or a community
 //! list, which no generator here attaches, owns a heap block) — so applying
-//! an event is one hash probe plus array writes: an announcement moves the
-//! record into its slab entry, a withdrawal drops it where it lies and
-//! frees nothing. Nothing on that path is ordered.
-//! The invariants (`ids[prefixes[i]] == i`; non-vacant slots point at
-//! distinct live slab entries, the rest of the slab is the free list) are
-//! maintained in exactly three functions —
+//! an event is one probe of the interner's packed index (one cache line on
+//! a hit) plus array writes: an announcement moves the record into its slab
+//! entry, a withdrawal drops it where it lies and frees nothing. Nothing on
+//! that path is ordered.
+//! The invariants (the index maps `prefixes[i]` to `i`; non-vacant slots
+//! point at distinct live slab entries, the rest of the slab is the free
+//! list) are maintained in exactly three functions —
 //! `PrefixInterner::intern`, `PeerRoutes::insert` and `PeerRoutes::remove` —
 //! and checked against a plain ordered-map model by
-//! `crates/bgp/tests/proptest_table.rs`. Ordered iteration
+//! `crates/bgp/tests/proptest_table.rs` (the interner alone against a map
+//! model by `crates/bgp/tests/proptests.rs`). Ordered iteration
 //! ([`AdjRibIn::iter`]) sorts on demand: it is used by generators, engine
 //! seeding and the forwarding-table build, never per event.
 
 use crate::as_path::{AsLink, AsPath};
 use crate::attributes::RouteAttributes;
-use crate::prefix::{Prefix, PrefixMap};
+use crate::prefix::Prefix;
 use crate::session::PeerId;
 use crate::Timestamp;
 use std::cmp::Ordering;
@@ -90,8 +92,9 @@ impl Route {
     }
 }
 
-/// Dense table-wide id of a prefix, handed out by a [`PrefixInterner`] in
-/// first-announcement order.
+/// Dense id of a prefix, handed out by a [`PrefixInterner`] in first-seen
+/// order: table-wide for a [`crate::table::RoutingTable`]'s interner,
+/// session-local for an inference engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixId(pub(crate) u32);
 
@@ -102,38 +105,207 @@ impl PrefixId {
     }
 }
 
-/// The table-wide `Prefix` ↔ [`PrefixId`] dictionary.
+impl From<PrefixId> for u32 {
+    fn from(id: PrefixId) -> u32 {
+        id.0
+    }
+}
+
+/// Width of the id field of a [`PrefixInterner`] slot; the key takes the 38
+/// bits above it.
+const ID_BITS: u32 = 26;
+
+/// The id field of a slot. Also the interner's id cap: ids are handed out
+/// below it, so at most 2^26 − 1 prefixes are interned.
+const ID_MASK: u64 = (1 << ID_BITS) - 1;
+
+/// An unoccupied slot. No prefix packs to it: its key would have length 63.
+const EMPTY: u64 = u64::MAX;
+
+/// The interner's max load, in eighths: the index doubles before more than
+/// 7/8 of its slots would be occupied.
+const MAX_LOAD_EIGHTHS: usize = 7;
+
+/// Fewest slots a non-empty index has.
+const MIN_SLOTS: usize = 16;
+
+/// A prefix as a slot key: `addr << 6 | len`, 38 bits.
+#[inline]
+fn key(prefix: &Prefix) -> u64 {
+    u64::from(prefix.addr()) << 6 | u64::from(prefix.len())
+}
+
+/// The id the next new prefix gets when `interned` prefixes already have
+/// one; `None` past the cap.
+fn next_id(interned: usize) -> Option<u32> {
+    (interned < ID_MASK as usize).then_some(interned as u32)
+}
+
+/// Whether `n` occupied slots out of `slots` stay within the max load.
+fn fits(n: usize, slots: usize) -> bool {
+    n * 8 <= slots * MAX_LOAD_EIGHTHS
+}
+
+/// The `Prefix` ↔ [`PrefixId`] dictionary: a routing table's (behind every
+/// [`AdjRibIn`] probe) and an inference engine's (behind every event its
+/// counters see).
 ///
-/// Invariant: `ids[prefixes[i]] == i` for every `i`, and ids are never
-/// reused or freed — a prefix that lost all its routes keeps its id, so the
-/// per-peer slot arrays indexed by it stay valid. Only an announcement
-/// interns; withdrawals look up.
+/// # Layout
+///
+/// `prefixes[id]` is the prefix behind an id. The other direction is an
+/// insert-only open-addressing index with linear probing: each slot is one
+/// `u64` packing the key (`addr << 6 | len`, 38 bits) above the id (26
+/// bits), so a probe that hits reads one cache line, and compares the key
+/// where it reads the id. The slot count is a power of two; a key's home
+/// slot is the low bits of its product with an odd constant, with the
+/// product's high half folded onto them. The fold matters: consecutive /24s
+/// have keys 2^14 apart, and with the product's top bits alone (Fibonacci
+/// hashing) a lookup among a million of them walks ~13 slots on average;
+/// with the fold it walks ~1.2 at that table's load of ½.
+/// The index doubles before its load would pass 7/8 (`MAX_LOAD_EIGHTHS`),
+/// so it costs 9.1 to 18.3 bytes per prefix, plus 8 for the `prefixes`
+/// entry. Ids are never freed, so the index has no tombstones.
+///
+/// # Invariants
+///
+/// The slot holding `prefixes[i]`'s key holds id `i`, and it is reached from
+/// that key's home slot without crossing an empty one. Ids are handed out
+/// densely in first-seen order and never reused — a prefix that lost all its
+/// routes keeps its id, so arrays indexed by ids stay valid — and a clone
+/// keeps every id. Only an announcement interns; withdrawals look up.
+///
+/// # Id cap
+///
+/// At most 2^26 − 1 (~67 M) prefixes: [`PrefixInterner::intern`] panics on
+/// the next one. A full IPv4 table is ~1 M prefixes, so one session or one
+/// router would have to announce ~60 full tables' worth of distinct
+/// prefixes, which no BGP speaker holds.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PrefixInterner {
-    ids: PrefixMap<u32>,
+pub struct PrefixInterner {
+    /// Packed `key << ID_BITS | id` slots, or [`EMPTY`]; a power of two
+    /// long, or empty until the first intern.
+    slots: Vec<u64>,
     prefixes: Vec<Prefix>,
 }
 
 impl PrefixInterner {
-    pub(crate) fn len(&self) -> usize {
+    /// Creates an empty interner; the index is allocated on first intern.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of ids handed out.
+    pub fn len(&self) -> usize {
         self.prefixes.len()
     }
 
-    pub(crate) fn get(&self, prefix: &Prefix) -> Option<PrefixId> {
-        self.ids.get(prefix).map(|id| PrefixId(*id))
+    /// Returns `true` if nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.prefixes.is_empty()
     }
 
-    pub(crate) fn intern(&mut self, prefix: Prefix) -> PrefixId {
-        let next = self.prefixes.len() as u32;
-        let id = *self.ids.entry(prefix).or_insert(next);
-        if id == next {
-            self.prefixes.push(prefix);
+    /// Number of slots in the index.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Sizes the index, once, for `additional` more prefixes: interning that
+    /// many new ones afterwards never grows it.
+    pub fn reserve(&mut self, additional: usize) {
+        let needed = self.len() + additional;
+        if !fits(needed, self.slots.len()) {
+            let mut slots = self.slots.len().max(MIN_SLOTS);
+            while !fits(needed, slots) {
+                slots *= 2;
+            }
+            self.rehash(slots);
         }
+        self.prefixes.reserve_exact(additional);
+    }
+
+    /// The id of `prefix`, if it was ever interned.
+    #[inline]
+    pub fn get(&self, prefix: &Prefix) -> Option<PrefixId> {
+        self.probe(key(prefix)).ok()
+    }
+
+    /// The id of `prefix`, handing out the next one if it is new.
+    ///
+    /// Panics past the id cap (see the type docs).
+    pub fn intern(&mut self, prefix: Prefix) -> PrefixId {
+        let key = key(&prefix);
+        let mut at = match self.probe(key) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        let id = next_id(self.len()).expect("more than 2^26 - 1 interned prefixes");
+        if !fits(self.len() + 1, self.slots.len()) {
+            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
+            at = self.vacant(key);
+        }
+        self.slots[at] = key << ID_BITS | u64::from(id);
+        self.prefixes.push(prefix);
         PrefixId(id)
     }
 
-    pub(crate) fn prefix(&self, id: PrefixId) -> &Prefix {
+    /// The prefix behind `id`. Panics if `id` came from another interner.
+    #[inline]
+    pub fn prefix(&self, id: PrefixId) -> &Prefix {
         &self.prefixes[id.index()]
+    }
+
+    /// The interned prefixes, in id order.
+    pub fn prefixes(&self) -> &[Prefix] {
+        &self.prefixes
+    }
+
+    /// `key`'s home slot: the low bits of its product with an odd constant,
+    /// the product's high half folded onto them.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h ^ h >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// Walks from `key`'s home slot: its id if the key is held, otherwise
+    /// the empty slot that ends the walk (0 in an index with no slots).
+    #[inline]
+    fn probe(&self, key: u64) -> Result<PrefixId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY {
+                return Err(at);
+            }
+            if slot >> ID_BITS == key {
+                return Ok(PrefixId((slot & ID_MASK) as u32));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The empty slot a key known to be absent goes into.
+    fn vacant(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        while self.slots[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Moves every occupied slot into a fresh index of `slots` slots, each
+    /// re-probed from its home there.
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for slot in old.into_iter().filter(|slot| *slot != EMPTY) {
+            let at = self.vacant(slot >> ID_BITS);
+            self.slots[at] = slot;
+        }
     }
 }
 
@@ -296,6 +468,54 @@ mod tests {
         let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().copied()));
         attrs.local_pref = lp;
         Route::new(PeerId(peer), attrs, t)
+    }
+
+    /// The cap is the id field's width: the last id it hands out still packs
+    /// beside the widest key without reaching the empty marker, and the next
+    /// intern is refused — checked on the arithmetic, not on 67 M prefixes.
+    #[test]
+    fn interner_id_cap_matches_the_packed_id_width() {
+        let cap = ID_MASK as usize;
+        assert_eq!(cap, (1 << 26) - 1);
+        assert_eq!(next_id(0), Some(0));
+        assert_eq!(next_id(cap - 1), Some(cap as u32 - 1));
+        assert_eq!(next_id(cap), None);
+        assert_eq!(next_id(u32::MAX as usize + 1), None, "no silent wrap");
+        for prefix in [Prefix::DEFAULT, "255.255.255.255/32".parse().unwrap()] {
+            assert!(key(&prefix) < 1 << (64 - ID_BITS), "key fits 38 bits");
+            for id in [0, cap as u64 - 1] {
+                let slot = key(&prefix) << ID_BITS | id;
+                assert_ne!(slot, EMPTY);
+                assert_eq!((slot >> ID_BITS, slot & ID_MASK), (key(&prefix), id));
+            }
+        }
+    }
+
+    /// `reserve(n)` sizes the index once: n new prefixes after it never
+    /// rehash, the (n + 1)-th past the load limit doubles it.
+    #[test]
+    fn interner_reserve_sizes_the_index_once() {
+        for n in [1usize, 14, 15, 100, 896, 897, 5_000] {
+            let mut interner = PrefixInterner::new();
+            interner.reserve(n);
+            let slots = interner.capacity();
+            assert!(slots.is_power_of_two() && fits(n, slots));
+            assert!(slots == MIN_SLOTS || !fits(n, slots / 2), "smallest fit");
+            for i in 0..n as u32 {
+                assert_eq!(interner.intern(p(i)).index(), i as usize);
+            }
+            assert_eq!(interner.capacity(), slots, "{n} prefixes grew the index");
+            interner.intern(p(n as u32));
+            let grown = if fits(n + 1, slots) { slots } else { slots * 2 };
+            assert_eq!(interner.capacity(), grown);
+            for i in 0..=n as u32 {
+                assert_eq!(interner.get(&p(i)).map(PrefixId::index), Some(i as usize));
+            }
+        }
+        let mut empty = PrefixInterner::new();
+        assert_eq!((empty.capacity(), empty.get(&p(0))), (0, None));
+        empty.reserve(0);
+        assert_eq!(empty.capacity(), 0, "nothing to size for");
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! # Single-copy storage
 //!
 //! Every route is stored once, in its peer's id-indexed slots (see
-//! [`crate::rib`]); the table adds the shared prefix dictionary. There is no
-//! per-prefix candidate map: the router-wide questions ([`RoutingTable::best`],
-//! [`RoutingTable::candidates`], …) resolve the prefix to its id with one hash
-//! probe and read that id's slot in each peer. The one invariant the table
+//! [`crate::rib`]); the table adds the shared prefix dictionary, a
+//! [`PrefixInterner`] whose packed index answers a hit from one cache line.
+//! There is no per-prefix candidate map: the router-wide questions
+//! ([`RoutingTable::best`], [`RoutingTable::candidates`], …) resolve the
+//! prefix to its id with one probe of that index and read that id's slot in
+//! each peer. The one invariant the table
 //! itself owns is that a peer's slots are indexed by *this* table's ids, which
 //! holds because the private `insert` is the only place a route enters a
 //! peer's storage. Withdrawing — or clearing a peer — never interns and never

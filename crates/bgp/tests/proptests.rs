@@ -1,11 +1,11 @@
 //! Property-based tests for the BGP substrate.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use swift_bgp::{
     AsLink, AsPath, Asn, BgpMessage, FoldBuildHasher, MessageStream, PathInterner, Prefix,
-    PrefixSet,
+    PrefixInterner, PrefixSet,
 };
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -164,6 +164,65 @@ proptest! {
             let tail: Vec<AsPath> = first_seen[from..].iter().map(|h| AsPath::new(h.iter().copied())).collect();
             prop_assert_eq!(clone.paths_from(from).cloned().collect::<Vec<_>>(), tail);
         }
+    }
+
+    /// The packed prefix index is a `HashMap<Prefix, u32>` handing out ids in
+    /// first-seen order: random intern / get sequences over a small address
+    /// pool (so prefixes repeat, and masking makes `a/8` and `a/16` share an
+    /// address) at every length 0..=32 — the all-zero and all-one addresses
+    /// sit next to the empty-slot marker — through several doublings, and a
+    /// clone keeps every id.
+    #[test]
+    fn prefix_interner_matches_the_map_model(
+        pool in proptest::collection::vec(any::<u32>(), 1..20),
+        ops in proptest::collection::vec((0usize..1_000, 0u8..=32, any::<bool>()), 0..1_500),
+    ) {
+        let addrs: Vec<u32> = [0, u32::MAX, 0x0A00_0000].into_iter().chain(pool).collect();
+        let mut interner = PrefixInterner::new();
+        let mut model: HashMap<Prefix, u32> = HashMap::new();
+        let mut first_seen: Vec<Prefix> = Vec::new();
+        let mut doublings = 0;
+        for (pick, len, intern) in ops {
+            let prefix = Prefix::new(addrs[pick % addrs.len()], len).unwrap();
+            let before = interner.capacity();
+            if intern {
+                let next = model.len() as u32;
+                let expected = *model.entry(prefix).or_insert(next);
+                if expected == next {
+                    first_seen.push(prefix);
+                }
+                prop_assert_eq!(interner.intern(prefix).index(), expected as usize);
+            } else {
+                prop_assert_eq!(interner.get(&prefix).map(|id| id.index() as u32), model.get(&prefix).copied());
+            }
+            doublings += usize::from(before != 0 && interner.capacity() == 2 * before);
+            prop_assert_eq!(interner.len(), model.len());
+        }
+        prop_assert_eq!(interner.prefixes(), first_seen.as_slice());
+        // 16 → 32 → 64 → 128 slots before the 100th prefix.
+        prop_assert!(model.len() < 100 || doublings >= 3, "{} prefixes, {} doublings", model.len(), doublings);
+        let seen = model.len();
+        let mut clone = interner.clone();
+        for (prefix, id) in &model {
+            for copy in [&interner, &clone] {
+                let got = copy.get(prefix).expect("interned");
+                prop_assert_eq!(got.index(), *id as usize);
+                prop_assert_eq!(copy.prefix(got), prefix);
+            }
+        }
+        for len in 0..=32 {
+            for addr in [0, u32::MAX] {
+                let prefix = Prefix::new(addr, len).unwrap();
+                let fresh = !model.contains_key(&prefix);
+                let expected = model.get(&prefix).map_or(model.len(), |id| *id as usize);
+                prop_assert_eq!(clone.intern(prefix).index(), expected);
+                if fresh {
+                    model.insert(prefix, expected as u32);
+                }
+            }
+        }
+        // The original is untouched: the two number apart from the clone on.
+        prop_assert_eq!((interner.len(), clone.len()), (seen, model.len()));
     }
 
     /// A `PrefixSet` built from an unsorted list with duplicates is the

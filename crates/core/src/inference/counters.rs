@@ -17,14 +17,15 @@
 //! # Data layout
 //!
 //! Every withdrawal of every session runs through here, so the per-event
-//! path is one hash probe plus array indexing. Everything is keyed by one of
-//! three dense id spaces, each handed out in first-seen order and never
-//! reused:
+//! path is one probe of a packed prefix index (one cache line on a hit)
+//! plus array indexing. Everything is keyed by one of three dense id spaces,
+//! each handed out in first-seen order and never reused:
 //!
-//! * **Prefix ids** (`u32`): `ids` is the one per-event probe (a
-//!   [`PrefixMap`]); `state[id]` says whether the prefix is routed or
-//!   withdrawn and over which path; two global bitsets split the id space
-//!   into *routed* and *withdrawn*.
+//! * **Prefix ids** (`u32`): `ids` is the one per-event probe, a
+//!   [`PrefixInterner`] — the same dictionary type as the RIB mirror's, with
+//!   this session's own numbering; `state[id]` says whether the prefix is
+//!   routed or withdrawn and over which path; two global bitsets split the
+//!   id space into *routed* and *withdrawn*.
 //! * **Path ids** ([`PathId`], from the [`PathInterner`]): every distinct AS
 //!   path is stored once; seeding from an [`InternedRib`] copies its
 //!   interner (one flat record per distinct path). When a path is first seen its *distinct* links are
@@ -82,7 +83,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use swift_bgp::{
-    AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix, PrefixMap,
+    AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix, PrefixInterner,
     PrefixSet,
 };
 
@@ -137,10 +138,8 @@ pub struct LinkCounters {
     path_end: Vec<u32>,
     /// The distinct links of every interned path, in path order.
     path_links: Vec<LinkId>,
-    /// Prefix → dense id.
-    ids: PrefixMap<u32>,
-    /// Dense id → prefix.
-    prefixes: Vec<Prefix>,
+    /// Prefix ↔ dense id: the one per-event probe.
+    ids: PrefixInterner,
     /// Dense id → tracking state.
     state: Vec<SlotState>,
     /// Ids of still-routed prefixes.
@@ -179,8 +178,7 @@ impl Default for LinkCounters {
             interner: PathInterner::default(),
             path_end: Vec::new(),
             path_links: Vec::new(),
-            ids: PrefixMap::default(),
-            prefixes: Vec::new(),
+            ids: PrefixInterner::new(),
             state: Vec::new(),
             routed_bits: IdBitSet::new(),
             withdrawn_bits: IdBitSet::with_capacity(0),
@@ -219,7 +217,6 @@ impl LinkCounters {
         c.index_new_paths();
         let n = rib.len();
         c.ids.reserve(n);
-        c.prefixes.reserve_exact(n);
         c.state.reserve_exact(n);
         for (prefix, pid) in rib.entries() {
             c.announce_interned(*prefix, *pid);
@@ -269,7 +266,7 @@ impl LinkCounters {
         self.total_withdrawals += 1;
         // Withdrawals for prefixes we never had a route for (BGP noise) still
         // count towards W(t) but touch no link counter.
-        let Some(&id) = self.ids.get(&prefix) else {
+        let Some(id) = self.ids.get(&prefix).map(u32::from) else {
             return;
         };
         let SlotState::Routed(pid) = self.state[id as usize] else {
@@ -311,10 +308,8 @@ impl LinkCounters {
     /// the old and the new path differ have their index bit moved; paths are
     /// a handful of links, so the membership tests below are a few compares.
     fn announce_interned(&mut self, prefix: Prefix, new_pid: PathId) {
-        let next = u32::try_from(self.prefixes.len()).expect("more than u32::MAX prefixes");
-        let id = *self.ids.entry(prefix).or_insert(next);
-        if id == next {
-            self.prefixes.push(prefix);
+        let id = u32::from(self.ids.intern(prefix));
+        if id as usize == self.state.len() {
             self.state.push(SlotState::Gone);
         }
         // The old path's links still indexed under `id`, and whether they
@@ -383,7 +378,7 @@ impl LinkCounters {
         let mut kept: Vec<u32> = Vec::new();
         for prefix in window {
             self.total_withdrawals += 1;
-            if let Some(&id) = self.ids.get(&prefix) {
+            if let Some(id) = self.ids.get(&prefix).map(u32::from) {
                 if matches!(self.state[id as usize], SlotState::Withdrawn(_)) {
                     kept.push(id);
                 }
@@ -484,7 +479,7 @@ impl LinkCounters {
 
     /// The current path of `prefix`, if still routed.
     pub fn current_path(&self, prefix: &Prefix) -> Option<&AsPath> {
-        match self.state[*self.ids.get(prefix)? as usize] {
+        match self.state[self.ids.get(prefix)?.index()] {
             SlotState::Routed(pid) => Some(self.interner.get(pid)),
             _ => None,
         }
@@ -494,7 +489,7 @@ impl LinkCounters {
     pub fn is_withdrawn(&self, prefix: &Prefix) -> bool {
         self.ids
             .get(prefix)
-            .is_some_and(|&id| matches!(self.state[id as usize], SlotState::Withdrawn(_)))
+            .is_some_and(|id| matches!(self.state[id.index()], SlotState::Withdrawn(_)))
     }
 
     /// Number of prefixes withdrawn (with a known pre-withdrawal path).
@@ -509,22 +504,24 @@ impl LinkCounters {
 
     /// Iterates over the still-routed prefixes and their current paths.
     pub fn routed(&self) -> impl Iterator<Item = (&Prefix, &AsPath)> {
-        self.state
+        self.ids
+            .prefixes()
             .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| match s {
-                SlotState::Routed(pid) => Some((&self.prefixes[i], self.interner.get(*pid))),
+            .zip(&self.state)
+            .filter_map(move |(prefix, s)| match s {
+                SlotState::Routed(pid) => Some((prefix, self.interner.get(*pid))),
                 _ => None,
             })
     }
 
     /// Iterates over the withdrawn prefixes and the path they had.
     pub fn withdrawn(&self) -> impl Iterator<Item = (&Prefix, &AsPath)> {
-        self.state
+        self.ids
+            .prefixes()
             .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| match s {
-                SlotState::Withdrawn(pid) => Some((&self.prefixes[i], self.interner.get(*pid))),
+            .zip(&self.state)
+            .filter_map(move |(prefix, s)| match s {
+                SlotState::Withdrawn(pid) => Some((prefix, self.interner.get(*pid))),
                 _ => None,
             })
     }
@@ -734,10 +731,11 @@ impl LinkCounters {
             s.stats.scratch_reuse += 1;
         }
         let (union, ids) = (&s.union_buf, &mut s.ids);
+        let known = self.ids.prefixes();
         let mut behind = |bits: &IdBitSet| -> PrefixSet {
             ids.clear();
             union.intersection_into(bits, ids);
-            let prefixes: Vec<Prefix> = ids.iter().map(|id| self.prefixes[*id as usize]).collect();
+            let prefixes: Vec<Prefix> = ids.iter().map(|id| known[*id as usize]).collect();
             PrefixSet::from(prefixes)
         };
         let withdrawn = behind(&self.withdrawn_bits);
@@ -990,6 +988,21 @@ mod tests {
         );
         assert_eq!(a.routed_count(), b.routed_count());
         assert_eq!(a.total_withdrawals(), b.total_withdrawals());
+    }
+
+    /// Seeding sizes the prefix index once, up front: a RIB just past a
+    /// doubling boundary ends at exactly the size `reserve` picks for it.
+    #[test]
+    fn from_interned_sizes_the_prefix_index_once() {
+        for n in [15u32, 897, 3_585] {
+            let rib: InternedRib = (0..n).map(|i| (p(i), AsPath::new([2u32, i % 7]))).collect();
+            let c = LinkCounters::from_interned(&rib);
+            let mut reserved = PrefixInterner::new();
+            reserved.reserve(n as usize);
+            assert_eq!(c.ids.capacity(), reserved.capacity(), "{n} prefixes");
+            assert_eq!(c.ids.len(), n as usize);
+            assert_eq!(c.routed_count(), n as usize);
+        }
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use fit_score::{
     score_link_set_materialized, score_link_set_scan, withdrawal_share, LinkRanker, Score,
 };
 pub use kernels::{delta_union_counts, fused_union_counts, KernelStats, ScoreScratch};
-pub use predictor::{predict, predict_scan, predicted_prefixes, Prediction};
+pub use predictor::{predict, predict_scan, Prediction};

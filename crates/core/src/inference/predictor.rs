@@ -7,7 +7,7 @@
 use crate::inference::aggregate::InferredLinks;
 use crate::inference::counters::LinkCounters;
 use std::sync::Arc;
-use swift_bgp::{Prefix, PrefixSet};
+use swift_bgp::PrefixSet;
 
 /// The prefix-level view of an inference.
 #[derive(Debug, Clone, Default)]
@@ -79,17 +79,12 @@ pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Predictio
     }
 }
 
-/// Convenience: the predicted prefixes as a vector (sorted).
-pub fn predicted_prefixes(counters: &LinkCounters, links: &InferredLinks) -> Vec<Prefix> {
-    predict(counters, links).predicted.iter().copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::InferenceConfig;
     use crate::inference::aggregate::infer_links;
-    use swift_bgp::AsPath;
+    use swift_bgp::{AsPath, Prefix};
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
@@ -136,9 +131,7 @@ mod tests {
         assert!(!pred.predicted.contains(&p(36)));
         assert!(!pred.predicted.contains(&p(31)));
         // The prediction is exactly the still-routed prefixes crossing (5,6).
-        let as_vec = predicted_prefixes(&c, &inferred);
-        assert_eq!(as_vec.len(), 20);
-        assert!(as_vec.iter().all(|q| (10..30).contains(&{
+        assert!(pred.predicted.iter().all(|q| (10..30).contains(&{
             // recover index from the deterministic /24 numbering
             (q.addr() - Prefix::nth_slash24(0).addr()) >> 8
         })));
