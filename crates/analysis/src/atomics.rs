@@ -31,9 +31,8 @@
 
 use crate::lexer::TokenKind;
 use crate::parser;
-use crate::rules::RULE_ATOMIC_ORDERING;
 use crate::topology;
-use crate::{json_escape, Finding, SourceFile, Workspace};
+use crate::{json_escape, Finding, SourceFile, Workspace, RULE_ATOMIC_ORDERING};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Atomic methods that take an `Ordering` and write the value.

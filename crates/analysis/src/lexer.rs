@@ -1,10 +1,10 @@
-//! A small token-level Rust lexer, shared by every rule and by the topology
-//! extractor.
+//! A small token-level Rust lexer, shared by every check.
 //!
 //! The lexer is deliberately not a full Rust parser: it produces a flat,
 //! line-mapped token stream that is *comment- and string-aware* — the two
-//! properties the lint rules actually need (`Instant::now` inside a string
-//! literal or a comment must never fire a finding). It handles:
+//! properties the checks actually need (a `send` or an `Ordering::Relaxed`
+//! inside a string literal or a comment must never fire a finding). It
+//! handles:
 //!
 //! * line comments (`//`, `///`, `//!`) and nested block comments,
 //!   collected separately so pragma comments stay inspectable;

@@ -1,53 +1,80 @@
 //! # swift-analysis
 //!
-//! A self-contained static-analysis pass over the SWIFT workspace: a
-//! workspace lint plus a concurrency-topology checker that together enforce
-//! in CI the runtime invariants PRs 3–6 only stated in prose ("lifecycle
-//! messages are never shed", "no per-event `Instant::now()`", "data paths
-//! are bounded", "barriers complete in order").
+//! A self-contained static-analysis pass over the SWIFT runtime: the checks
+//! that need a parser of its sources because neither the compiler, clippy
+//! nor a test can express them ("barriers complete in order", "lifecycle
+//! messages are never shed", "data paths are bounded", "handshake flags are
+//! Release/Acquire-paired").
 //!
 //! The layers:
 //!
 //! 1. [`lexer`] — a token-level Rust lexer (comment/string/raw-string aware,
-//!    line-mapped) shared by every rule;
+//!    line-mapped) shared by every check;
 //! 2. [`parser`] — an item/fn-granularity AST over the token stream (enums,
 //!    atomic fields, fn bodies as statement/call trees, match arms) for the
 //!    semantic checks;
-//! 3. [`rules`] — the lint engine: repo-specific rules with rustc-style
-//!    findings and `// swift-lint: allow(<rule>) -- <reason>` pragmas;
-//! 4. [`topology`] — a concurrency-topology extractor that parses the
+//! 3. [`topology`] — a concurrency-topology extractor that parses the
 //!    runtime's channel construction into a thread/channel graph, emits DOT
 //!    and JSON, and statically checks deadlock-freedom-shaped properties
-//!    (no cycle of blocking sends, lock-order acyclicity);
-//! 5. [`protocol`] — a message-protocol verifier that checks every
+//!    (no cycle of blocking sends, lock-order acyclicity, bounded data
+//!    channels);
+//! 4. [`protocol`] — a message-protocol verifier that checks every
 //!    `ShardMsg`/`ApplierMsg` send/recv site against the declared automaton
 //!    in `crates/analysis/protocol/runtime.protocol` and emits it as
 //!    `protocol.{dot,json}`;
-//! 6. [`atomics`] — an atomic-ordering auditor that classifies every atomic
+//! 5. [`atomics`] — an atomic-ordering auditor that classifies every atomic
 //!    op into a role (flag/watermark/gauge/counter/statistic) and enforces
-//!    the ordering rule the role implies;
-//! 7. [`sarif`] — SARIF 2.1.0 export so CI annotates findings inline.
+//!    the ordering rule the role implies.
+//!
+//! A finding is exempted by a `// swift-lint: allow(<rule>) -- <reason>`
+//! pragma on its line or the line above; [`check_pragmas`] reports every
+//! pragma that is malformed, names an unknown rule or gives no reason.
+//!
+//! The repo's other invariants are enforced by running them: the
+//! allocation-free hot paths by `crates/core/tests/alloc_free_event_path.rs`
+//! (a counting global allocator), the clock and thread discipline by
+//! clippy's `disallowed-methods` (root `clippy.toml`), bare unwraps by
+//! `clippy::unwrap_used` at the library crate roots.
 //!
 //! Run it with `cargo run -p swift-analysis --release -- check` (add
-//! `--json`/`--sarif` for CI artifacts). No external dependencies: the
+//! `--json` for the findings on stdout). No external dependencies: the
 //! build environment is offline.
+
+#![warn(clippy::unwrap_used)]
 
 pub mod atomics;
 pub mod lexer;
 pub mod parser;
 pub mod protocol;
-pub mod rules;
-pub mod sarif;
 pub mod topology;
 
 use lexer::{lex, matching_close, Comment, Lexed, Token, TokenKind};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// One lint finding, printed rustc-style as `path:line: rule: message`.
+/// Rule key: malformed or unknown pragma.
+pub const RULE_PRAGMA: &str = "pragma";
+/// Rule key: message-protocol violation against the declared automaton
+/// (spec drift, missed broadcast, a shed lifecycle message, data send after
+/// a terminal message, ack/reply/quorum breakage). Checked by [`protocol`].
+pub const RULE_PROTOCOL: &str = "protocol";
+/// Rule key: wildcard `_` match arm on a protocol enum. Checked by
+/// [`protocol`].
+pub const RULE_PROTOCOL_WILDCARD: &str = "protocol-wildcard";
+/// Rule key: atomic-ordering violation (a handshake flag without
+/// Release/Acquire pairing, a channel-edge proof, or a pragma; or an
+/// unclassifiable op mix). Checked by [`atomics`].
+pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
+/// Rule key: the analyzer's own runtime exceeded the `--budget-ms` cap.
+pub const RULE_BUDGET: &str = "budget";
+
+/// Every rule key a pragma may name in `allow(...)`.
+pub const KNOWN_RULES: &[&str] = &[RULE_PROTOCOL, RULE_PROTOCOL_WILDCARD, RULE_ATOMIC_ORDERING];
+
+/// One finding, printed rustc-style as `path:line: rule: message`.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The rule key that fired (e.g. `unwrap`, `instant-now`).
+    /// The rule key that fired (e.g. `protocol`, `topology`).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -77,7 +104,7 @@ pub struct Pragma {
     /// The rule key the pragma allows.
     pub rule: String,
     /// The justification after `--` (empty string if missing — itself a
-    /// finding, see [`rules::check_pragmas`]).
+    /// finding, see [`check_pragmas`]).
     pub reason: String,
 }
 
@@ -98,7 +125,7 @@ pub struct FnSpan {
     pub end_line: u32,
 }
 
-/// One lexed + annotated source file, ready for the rules.
+/// One lexed + annotated source file, ready for the checks.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
@@ -110,7 +137,7 @@ pub struct SourceFile {
     /// Parsed `swift-lint` pragmas.
     pub pragmas: Vec<Pragma>,
     /// Closed line ranges covered by `#[cfg(test)]` / `#[test]` items —
-    /// rules skip findings inside them.
+    /// checks skip findings inside them.
     pub test_ranges: Vec<(u32, u32)>,
     /// Function spans, in source order.
     pub fns: Vec<FnSpan>,
@@ -191,6 +218,41 @@ fn parse_pragmas(comments: &[Comment]) -> Vec<Pragma> {
             line: c.line,
             rule: rule.trim().to_string(),
             reason,
+        });
+    }
+    out
+}
+
+/// `pragma`: every `swift-lint` pragma of `file` must be
+/// `allow(<known-rule>) -- <reason>` — malformed pragmas, unknown rules and
+/// missing reasons are findings so a typo cannot silently disable a check.
+pub fn check_pragmas(file: &SourceFile) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for p in &file.pragmas {
+        let message = if p.rule.is_empty() {
+            "malformed `swift-lint` pragma — expected \
+             `// swift-lint: allow(<rule>) -- <reason>`"
+                .to_string()
+        } else if !KNOWN_RULES.contains(&p.rule.as_str()) {
+            format!(
+                "unknown rule `{}` in `swift-lint` pragma — known rules: {}",
+                p.rule,
+                KNOWN_RULES.join(", ")
+            )
+        } else if p.reason.is_empty() {
+            format!(
+                "`swift-lint: allow({})` without a `-- <reason>` justification suppresses \
+                 nothing — state why the exemption is sound",
+                p.rule
+            )
+        } else {
+            continue;
+        };
+        out.push(Finding {
+            rule: RULE_PRAGMA,
+            path: file.rel.clone(),
+            line: p.line,
+            message,
         });
     }
     out
@@ -396,21 +458,33 @@ mod tests {
     fn pragmas_parse_rule_and_reason() {
         let f = SourceFile::parse(
             "x.rs",
-            "let a = 1; // swift-lint: allow(unwrap) -- invariant: seeded above\n",
+            "let a = 1; // swift-lint: allow(atomic-ordering) -- reader only polls\n",
         );
         assert_eq!(f.pragmas.len(), 1);
-        assert_eq!(f.pragmas[0].rule, "unwrap");
-        assert_eq!(f.pragmas[0].reason, "invariant: seeded above");
-        assert!(f.allowed("unwrap", 1));
-        assert!(f.allowed("unwrap", 2), "pragma covers the next line too");
-        assert!(!f.allowed("unwrap", 3));
-        assert!(!f.allowed("instant-now", 1));
+        assert_eq!(f.pragmas[0].rule, "atomic-ordering");
+        assert_eq!(f.pragmas[0].reason, "reader only polls");
+        assert!(f.allowed("atomic-ordering", 1));
+        assert!(
+            f.allowed("atomic-ordering", 2),
+            "pragma covers the next line too"
+        );
+        assert!(!f.allowed("atomic-ordering", 3));
+        assert!(!f.allowed("protocol", 1));
+        assert!(check_pragmas(&f).is_empty());
     }
 
     #[test]
     fn pragma_without_reason_does_not_suppress() {
-        let f = SourceFile::parse("x.rs", "// swift-lint: allow(unwrap)\nfoo.unwrap();\n");
-        assert!(!f.allowed("unwrap", 2));
+        let f = SourceFile::parse(
+            "x.rs",
+            "// swift-lint: allow(protocol)\ntx.try_send(ShardMsg::Barrier(1));\n",
+        );
+        assert!(!f.allowed("protocol", 2));
+        assert_eq!(
+            check_pragmas(&f).len(),
+            1,
+            "the reasonless pragma is a finding"
+        );
     }
 
     #[test]

@@ -1,26 +1,28 @@
-//! The `swift-analysis` CLI: `check` runs the workspace lint, the
+//! The `swift-analysis` CLI: `check` runs the pragma check, the
 //! concurrency-topology checker, the message-protocol verifier and the
 //! atomic-ordering auditor, prints rustc-style findings, writes the
-//! artifacts (topology + protocol DOT/JSON, atomics classification, SARIF)
-//! and exits nonzero on any finding so CI can gate on it. `rules` lists the
-//! rule keys for pragma authors.
+//! artifacts (topology + protocol DOT/JSON, atomics classification,
+//! findings JSON) and exits nonzero on any finding so CI can gate on it.
+//! `rules` lists the rule keys for pragma authors.
+
+#![warn(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 use swift_analysis::{
-    atomics, find_workspace_root, json_escape, protocol, rules, sarif, topology, Finding, Workspace,
+    atomics, check_pragmas, find_workspace_root, json_escape, protocol, topology, Finding,
+    Workspace, KNOWN_RULES, RULE_BUDGET,
 };
 
 const USAGE: &str = "usage: swift-analysis <command> [options]
 
 commands:
-  check      run the workspace lint + topology + protocol + atomics checks
-  rules      list the lint rule keys accepted by `swift-lint: allow(...)`
+  check      run the pragma + topology + protocol + atomics checks
+  rules      list the rule keys accepted by `swift-lint: allow(...)`
 
 options (check):
   --json             print findings as a JSON array on stdout
-  --sarif            also write findings.sarif (SARIF 2.1.0) to the out-dir
   --root <dir>       workspace root (default: walk up from the cwd)
   --out-dir <dir>    artifact directory (default: <root>/target/analysis)
   --budget-ms <n>    fail (rule `budget`) if the whole check takes longer
@@ -31,7 +33,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),
         Some("rules") => {
-            for rule in rules::KNOWN_RULES {
+            for rule in KNOWN_RULES {
                 println!("{rule}");
             }
             ExitCode::SUCCESS
@@ -46,7 +48,6 @@ fn main() -> ExitCode {
 /// Parsed `check` options.
 struct Opts {
     json: bool,
-    sarif: bool,
     root: Option<PathBuf>,
     out_dir: Option<PathBuf>,
     budget_ms: Option<u64>,
@@ -55,7 +56,6 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         json: false,
-        sarif: false,
         root: None,
         out_dir: None,
         budget_ms: None,
@@ -64,7 +64,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--sarif" => opts.sarif = true,
             "--root" => {
                 opts.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
             }
@@ -86,6 +85,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the analyzer times its own run against --budget-ms"
+)]
 fn check(args: &[String]) -> ExitCode {
     let started = Instant::now();
     let opts = match parse_opts(args) {
@@ -118,11 +121,8 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    // Layer: the lint rules.
-    let mut findings: Vec<Finding> = Vec::new();
-    for file in &ws.files {
-        findings.extend(rules::check_file(file));
-    }
+    // Layer: the pragmas every other layer honours.
+    let mut findings: Vec<Finding> = ws.files.iter().flat_map(check_pragmas).collect();
 
     // Layer: the topology checks.
     let report = topology::check(&ws);
@@ -167,7 +167,7 @@ fn check(args: &[String]) -> ExitCode {
         let took = started.elapsed().as_millis() as u64;
         if took > budget {
             findings.push(Finding {
-                rule: rules::RULE_BUDGET,
+                rule: RULE_BUDGET,
                 path: "workspace".into(),
                 line: 0,
                 message: format!(
@@ -183,14 +183,7 @@ fn check(args: &[String]) -> ExitCode {
     let out_dir = opts
         .out_dir
         .unwrap_or_else(|| root.join("target").join("analysis"));
-    if let Err(e) = write_artifacts(
-        &out_dir,
-        &report,
-        &proto,
-        &atomics_report,
-        &findings,
-        opts.sarif,
-    ) {
+    if let Err(e) = write_artifacts(&out_dir, &report, &proto, &atomics_report, &findings) {
         eprintln!(
             "swift-analysis: failed to write artifacts under {}: {e}",
             out_dir.display()
@@ -251,15 +244,14 @@ fn check(args: &[String]) -> ExitCode {
     }
 }
 
-/// Writes `topology.{dot,json}`, `protocol.{dot,json}`, `atomics.json`,
-/// `findings.json` and (with `--sarif`) `findings.sarif` under `dir`.
+/// Writes `topology.{dot,json}`, `protocol.{dot,json}`, `atomics.json` and
+/// `findings.json` under `dir`.
 fn write_artifacts(
     dir: &PathBuf,
     report: &topology::TopologyReport,
     proto: &protocol::ProtocolReport,
     atomics_report: &atomics::AtomicsReport,
     findings: &[Finding],
-    emit_sarif: bool,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("topology.dot"), topology::to_dot(&report.topology))?;
@@ -268,9 +260,6 @@ fn write_artifacts(
     std::fs::write(dir.join("protocol.json"), protocol::to_json(proto))?;
     std::fs::write(dir.join("atomics.json"), atomics::to_json(atomics_report))?;
     std::fs::write(dir.join("findings.json"), findings_json(findings))?;
-    if emit_sarif {
-        std::fs::write(dir.join("findings.sarif"), sarif::to_sarif(findings))?;
-    }
     Ok(())
 }
 

@@ -1,12 +1,11 @@
 //! The parser layer: an item/fn-granularity AST over the token streams of
 //! [`crate::lexer`].
 //!
-//! PR 7's rules and topology extractor work straight off the token stream;
-//! the semantic checks added in PR 9 (the protocol verifier and the
-//! atomic-ordering auditor) need *structure*: which `fn` a call sits in,
-//! whether a send is inside a broadcast loop, what a `match` scrutinizes and
-//! which variants its arms cover. This module builds exactly that much
-//! structure — and no more:
+//! The topology extractor works straight off the token stream; the
+//! protocol verifier and the atomic-ordering auditor need *structure*:
+//! which `fn` a call sits in, whether a send is inside a broadcast loop,
+//! what a `match` scrutinizes and which variants its arms cover. This
+//! module builds exactly that much structure — and no more:
 //!
 //! * **items** — `enum` definitions (name + variant list), struct fields
 //!   whose type is an `Atomic*` (name + atomic type, tuple fields as

@@ -7,7 +7,8 @@
 //! broadcast is a silent hang — a shard that never hears a `Barrier` never
 //! forwards it, and the applier's quorum never fills), every `Barrier(seq)`
 //! answered by exactly one ack, no data traffic after `Shutdown`, `Resync` replies
-//! bounded to one per request, and protocol `match`es kept wildcard-free so
+//! bounded to one per request, no lifecycle message ever `try_send`-shed
+//! under backpressure, and protocol `match`es kept wildcard-free so
 //! a new variant cannot be silently dropped. This module extracts every
 //! send/recv site of the protocol enums from `runtime/src` (over the
 //! [`crate::parser`] AST), builds the per-channel message-sequence
@@ -19,8 +20,7 @@
 
 use crate::lexer::TokenKind;
 use crate::parser::{self, Arm};
-use crate::rules::{RULE_PROTOCOL, RULE_PROTOCOL_WILDCARD};
-use crate::{json_escape, Finding, SourceFile, Workspace};
+use crate::{json_escape, Finding, SourceFile, Workspace, RULE_PROTOCOL, RULE_PROTOCOL_WILDCARD};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Workspace-relative path of the protocol spec.
@@ -42,7 +42,8 @@ pub struct StateSpec {
 pub struct MsgSpec {
     /// The enum variant's name.
     pub name: String,
-    /// `data` (sheddable payload) or `lifecycle` (in-band, never shed).
+    /// `data` (sheddable payload) or `lifecycle` (in-band, never shed: a
+    /// `try_send` of it is a finding).
     pub kind: String,
     /// If set, every send site must sit in a loop whose header contains
     /// this substring (the fan-out collection).
@@ -553,7 +554,27 @@ pub fn check_files(spec: &ProtocolSpec, files: &[&SourceFile]) -> ProtocolReport
         }
     }
 
-    // 5. Terminal ordering: no data-kind send after (or looping with) a
+    // 5. Lifecycle messages are never shed: only data may be `try_send`.
+    for s in sends.iter().filter(|s| s.method == "try_send") {
+        let lifecycle = spec
+            .channel(&s.channel)
+            .and_then(|c| c.msgs.iter().find(|m| m.name == s.variant))
+            .is_some_and(|m| m.kind == "lifecycle");
+        if lifecycle && !allowed(RULE_PROTOCOL, &s.file, s.line) {
+            findings.push(Finding {
+                rule: RULE_PROTOCOL,
+                path: s.file.clone(),
+                line: s.line,
+                message: format!(
+                    "`try_send` of lifecycle message `{}::{}` — lifecycle messages are never \
+                     shed (in-band ordering, barrier quorum): use the blocking `send`",
+                    s.channel, s.variant
+                ),
+            });
+        }
+    }
+
+    // 6. Terminal ordering: no data-kind send after (or looping with) a
     // terminal send in the same function.
     for chan in &spec.channels {
         let data: BTreeSet<&str> = chan
@@ -590,7 +611,7 @@ pub fn check_files(spec: &ProtocolSpec, files: &[&SourceFile]) -> ProtocolReport
         }
     }
 
-    // 6. Ack/reply/quorum discipline in the handling arms.
+    // 7. Ack/reply/quorum discipline in the handling arms.
     for m in &matches {
         let Some(chan) = spec.channel(&m.channel) else {
             continue;

@@ -23,7 +23,7 @@
 //! send/recv sites are attributed to the thread whose spawned body function
 //! (transitively) contains them, producers to `ingest.rs`, everything else
 //! to the coordinating caller thread. Those conventions are themselves part
-//! of what the lint enforces — the workspace self-check pins them, so a new
+//! of what the checker enforces — the workspace self-check pins them, so a new
 //! channel or thread that the extractor cannot classify fails CI loudly
 //! instead of silently vanishing from the graph.
 
@@ -309,12 +309,14 @@ pub fn extract(files: &[&SourceFile]) -> Topology {
     // Pass 3: channel constructions.
     for f in files {
         for i in 0..f.tokens.len() {
-            let sync = match_seq(&f.tokens, i, &["mpsc", ":", ":", "sync_channel", "("]);
-            let unbounded = match_seq(&f.tokens, i, &["mpsc", ":", ":", "channel", "("]);
+            let sync = match_seq(&f.tokens, i, &["mpsc", ":", ":", "sync_channel"]);
+            let unbounded = match_seq(&f.tokens, i, &["mpsc", ":", ":", "channel"]);
             if !(sync || unbounded) || f.in_test(f.tokens[i].line) {
                 continue;
             }
-            let open = i + 4;
+            let Some(open) = call_open_paren(&f.tokens, i + 3) else {
+                continue;
+            };
             let close = matching_close(&f.tokens, open);
             let capacity: String = if sync {
                 f.tokens[open + 1..close.min(f.tokens.len())]
@@ -483,6 +485,32 @@ fn channel_bindings(tokens: &[Token], at: usize) -> Vec<String> {
         }
     }
     Vec::new()
+}
+
+/// For a call whose name token sits at `name`, returns the index of the
+/// opening `(`, skipping an optional turbofish (`mpsc::channel::<T>()`).
+fn call_open_paren(tokens: &[Token], name: usize) -> Option<usize> {
+    let mut j = name + 1;
+    if match_seq(tokens, j, &[":", ":", "<"]) {
+        let mut depth = 0usize;
+        let mut k = j + 2;
+        while k < tokens.len() {
+            match tokens[k].text.as_str() {
+                "<" => depth += 1,
+                ">" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        k += 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+        j = k;
+    }
+    (tokens.get(j)?.text == "(").then_some(j)
 }
 
 /// Classifies a channel by its binding names (control channels) or its

@@ -1,14 +1,15 @@
-//! Fixture tests for every lint rule and both topology checks, plus the
-//! workspace self-check: the real tree must be clean and its extracted
-//! topology must match the runtime's documented shape.
+//! Fixture tests for the pragma check, the topology checks, the protocol
+//! verifier and the atomics auditor, plus the workspace self-check: the real
+//! tree must be clean and its extracted topology must match the runtime's
+//! documented shape.
 //!
 //! The fixtures live under `tests/fixtures/` (a subdirectory, so cargo does
 //! not compile them as test targets — several contain deliberate
 //! violations). Each is checked under a synthetic workspace-relative path
-//! that puts it in the right rule scope.
+//! that puts it in the right scope.
 
 use std::path::{Path, PathBuf};
-use swift_analysis::{atomics, protocol, rules, sarif, topology, Finding, SourceFile, Workspace};
+use swift_analysis::{atomics, check_pragmas, protocol, topology, Finding, SourceFile, Workspace};
 
 /// The mini ShardMsg spec the protocol violation fixtures are checked
 /// against (the real spec needs the full two-channel mirror in
@@ -44,179 +45,53 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
 }
 
-/// Runs the lint rules over a fixture as if it sat at `rel` in the tree.
-fn check_as(rel: &str, name: &str) -> Vec<Finding> {
-    rules::check_file(&SourceFile::parse(rel, &fixture(name)))
-}
-
 fn count(findings: &[Finding], rule: &str) -> usize {
     findings.iter().filter(|f| f.rule == rule).count()
 }
 
 #[test]
-fn instant_now_fires_once_on_the_hot_path() {
-    let findings = check_as("crates/runtime/src/worker.rs", "instant_now.rs");
-    assert_eq!(
-        count(&findings, "instant-now"),
-        1,
-        "exactly the VIOLATION line: literals, comments, allowlisted fns, \
-         pragma'd and test code must not fire: {findings:?}"
-    );
-    assert_eq!(findings.len(), 1, "no other rule fires: {findings:?}");
-    assert!(findings[0].message.contains("EpochClock"));
-}
-
-#[test]
-fn instant_now_is_out_of_scope_off_the_hot_path() {
-    let findings = check_as("crates/traces/src/fixture.rs", "instant_now.rs");
-    assert_eq!(count(&findings, "instant-now"), 0);
-}
-
-#[test]
-fn unwrap_fires_on_bare_and_reasonless_pragma_sites() {
-    let findings = check_as("crates/traces/src/fixture.rs", "unwrap.rs");
-    assert_eq!(
-        count(&findings, "unwrap"),
-        2,
-        "the bare site and the site under a reasonless pragma: {findings:?}"
-    );
-    assert_eq!(
-        count(&findings, "pragma"),
-        1,
-        "the reasonless pragma is itself flagged: {findings:?}"
-    );
+fn pragma_rule_flags_malformed_unknown_and_reasonless() {
+    let f = SourceFile::parse("crates/core/src/fixture.rs", &fixture("pragmas.rs"));
+    let findings = check_pragmas(&f);
+    assert_eq!(count(&findings, "pragma"), 3, "{findings:?}");
     assert_eq!(findings.len(), 3, "{findings:?}");
-}
-
-#[test]
-fn unwrap_is_out_of_scope_in_bench_code() {
-    let findings = check_as("crates/bench/src/bin/fixture.rs", "unwrap.rs");
-    assert_eq!(count(&findings, "unwrap"), 0);
 }
 
 #[test]
 fn unbounded_channel_fires_once_even_with_turbofish() {
-    let findings = check_as("crates/runtime/src/lib.rs", "unbounded.rs");
+    let f = SourceFile::parse("crates/runtime/src/lib.rs", &fixture("unbounded.rs"));
+    let report = topology::check_files(&[&f], &[&f]);
+    let unbounded: Vec<&Finding> = report
+        .findings
+        .iter()
+        .filter(|f| f.message.contains("is unbounded"))
+        .collect();
     assert_eq!(
-        count(&findings, "unbounded-channel"),
+        unbounded.len(),
         1,
-        "control bindings, sync_channel, pragma'd and test code must not \
-         fire: {findings:?}"
+        "control bindings, sync_channel and test code must not fire: {:#?}",
+        report.findings
     );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-}
-
-#[test]
-fn thread_spawn_fires_on_path_and_builder_forms() {
-    let findings = check_as("crates/traces/src/fixture.rs", "thread_spawn.rs");
-    assert_eq!(count(&findings, "thread-spawn"), 2, "{findings:?}");
-    assert_eq!(findings.len(), 2, "{findings:?}");
-}
-
-#[test]
-fn thread_spawn_is_in_scope_only_outside_runtime_and_bench() {
-    for rel in [
-        "crates/runtime/src/lib.rs",
-        "crates/bench/src/bin/fixture.rs",
-    ] {
-        let findings = check_as(rel, "thread_spawn.rs");
-        assert_eq!(count(&findings, "thread-spawn"), 0, "{rel}");
-    }
+    assert_eq!(unbounded[0].line, 10, "the VIOLATION line");
 }
 
 #[test]
 fn lifecycle_send_fires_only_on_lifecycle_payloads() {
-    let findings = check_as("crates/runtime/src/worker.rs", "lifecycle_send.rs");
+    let report = protocol_check("lifecycle_send.rs");
     assert_eq!(
-        count(&findings, "lifecycle-send"),
+        report.findings.len(),
         1,
-        "shedding data batches and blocking lifecycle sends are fine: {findings:?}"
+        "shedding data batches, blocking lifecycle sends and the pragma'd probe \
+         are fine: {:#?}",
+        report.findings
     );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-}
-
-#[test]
-fn hot_path_alloc_polices_every_kernel_body() {
-    let findings = check_as("crates/core/src/inference/kernels.rs", "hot_path_alloc.rs");
-    assert_eq!(
-        count(&findings, "hot-path-alloc"),
-        4,
-        "exactly the four VIOLATION lines: constructors, the pragma'd fn, \
-         literals, comments and test code must not fire: {findings:?}"
+    let finding = &report.findings[0];
+    assert_eq!((finding.rule, finding.line), ("protocol", 18));
+    assert!(
+        finding.message.contains("`ShardMsg::Barrier`"),
+        "{finding:?}"
     );
-    assert_eq!(findings.len(), 4, "no other rule fires: {findings:?}");
-    assert!(findings[0].message.contains("ScoreScratch"));
-}
-
-#[test]
-fn hot_path_alloc_scopes_to_hot_fns_outside_kernels() {
-    // In the other scorer files only the listed hot functions are policed:
-    // `block_wp` and `helper_off_hot_list` are ordinary code there.
-    let findings = check_as(
-        "crates/core/src/inference/fit_score.rs",
-        "hot_path_alloc.rs",
-    );
-    assert_eq!(count(&findings, "hot-path-alloc"), 2, "{findings:?}");
-    // And off the hot-file list entirely, the rule is out of scope.
-    let elsewhere = check_as("crates/core/src/fixture.rs", "hot_path_alloc.rs");
-    assert_eq!(count(&elsewhere, "hot-path-alloc"), 0, "{elsewhere:?}");
-}
-
-#[test]
-fn hot_path_alloc_polices_the_per_event_path() {
-    // The counters' event handlers and the ranker's fold are on the list,
-    // each in the file it lives in; the per-burst and per-path functions
-    // beside them are not.
-    for rel in [
-        "crates/core/src/inference/counters.rs",
-        "crates/core/src/inference/fit_score.rs",
-    ] {
-        let findings = check_as(rel, "hot_path_alloc_per_event.rs");
-        assert_eq!(count(&findings, "hot-path-alloc"), 2, "{rel}: {findings:?}");
-        assert_eq!(findings.len(), 2, "no other rule fires: {findings:?}");
-    }
-}
-
-#[test]
-fn hot_path_alloc_polices_the_retag_loop() {
-    // What a resync runs per dirty prefix is on the list; the per-table
-    // `build` and the per-resync `clear_swift_rules` beside it are not.
-    let findings = check_as(
-        "crates/core/src/encoding/two_stage.rs",
-        "hot_path_alloc_retag.rs",
-    );
-    assert_eq!(count(&findings, "hot-path-alloc"), 3, "{findings:?}");
-    assert_eq!(findings.len(), 3, "no other rule fires: {findings:?}");
-    assert!(findings[0].message.contains("retag loop"));
-}
-
-#[test]
-fn hot_path_alloc_polices_the_rib_mirror() {
-    // What the mirror runs per event and the path reads of a retag are on
-    // the list; ordered iteration and the per-teardown clear are not.
-    let findings = check_as("crates/bgp/src/rib.rs", "hot_path_alloc_mirror.rs");
-    assert_eq!(count(&findings, "hot-path-alloc"), 2, "{findings:?}");
-    assert!(findings[0].message.contains("RIB mirror"));
-    // `hops` is hot where paths live.
-    let path_reads = check_as("crates/bgp/src/as_path.rs", "hot_path_alloc_mirror.rs");
-    assert_eq!(count(&path_reads, "hot-path-alloc"), 1, "{path_reads:?}");
-    // The same source outside the policed files is out of scope.
-    let elsewhere = check_as("crates/bgp/src/session.rs", "hot_path_alloc_mirror.rs");
-    assert_eq!(count(&elsewhere, "hot-path-alloc"), 0, "{elsewhere:?}");
-    // The mirror's names are the mirror's: a policed `swift-core` file may
-    // have an `insert` of its own that is not on any hot path.
-    let core = check_as(
-        "crates/core/src/inference/counters.rs",
-        "hot_path_alloc_mirror.rs",
-    );
-    assert_eq!(count(&core, "hot-path-alloc"), 0, "{core:?}");
-}
-
-#[test]
-fn pragma_rule_flags_malformed_unknown_and_reasonless() {
-    let findings = check_as("crates/core/src/fixture.rs", "pragmas.rs");
-    assert_eq!(count(&findings, "pragma"), 3, "{findings:?}");
-    assert_eq!(findings.len(), 3, "{findings:?}");
+    assert!(finding.message.contains("never shed"), "{finding:?}");
 }
 
 #[test]
@@ -366,80 +241,6 @@ fn atomics_unpaired_release_store_flags_only_the_relaxed_load() {
     assert!(report.findings[0].message.contains("Acquire"));
 }
 
-/// The SARIF export parses as JSON and carries the 2.1.0 schema shape:
-/// version, one run with a named driver declaring the fired rules, and one
-/// result per finding with a physical location whose startLine is 1-based.
-#[test]
-fn sarif_export_has_the_2_1_0_shape() {
-    use swift_telemetry::export::Json;
-    let findings = vec![
-        Finding {
-            rule: "protocol",
-            path: "crates/analysis/protocol/runtime.protocol".into(),
-            line: 0,
-            message: "spec drift with a \"quoted\" detail".into(),
-        },
-        Finding {
-            rule: "atomic-ordering",
-            path: "crates/runtime/src/lib.rs".into(),
-            line: 896,
-            message: "flag pair".into(),
-        },
-    ];
-    let log = Json::parse(&sarif::to_sarif(&findings)).expect("SARIF is valid JSON");
-    assert_eq!(log.get("version").and_then(Json::as_str), Some("2.1.0"));
-    assert!(log
-        .get("$schema")
-        .and_then(Json::as_str)
-        .is_some_and(|s| s.contains("sarif-schema-2.1.0")));
-    let runs = log
-        .get("runs")
-        .and_then(Json::as_array)
-        .expect("runs array");
-    assert_eq!(runs.len(), 1);
-    let driver = runs[0]
-        .get("tool")
-        .and_then(|t| t.get("driver"))
-        .expect("tool.driver");
-    assert_eq!(
-        driver.get("name").and_then(Json::as_str),
-        Some("swift-analysis")
-    );
-    let rule_ids: Vec<&str> = driver
-        .get("rules")
-        .and_then(Json::as_array)
-        .expect("driver.rules")
-        .iter()
-        .filter_map(|r| r.get("id").and_then(Json::as_str))
-        .collect();
-    assert!(rule_ids.contains(&"protocol") && rule_ids.contains(&"atomic-ordering"));
-    let results = runs[0]
-        .get("results")
-        .and_then(Json::as_array)
-        .expect("results array");
-    assert_eq!(results.len(), 2);
-    for r in results {
-        assert!(r.get("ruleId").and_then(Json::as_str).is_some());
-        assert!(r
-            .get("message")
-            .and_then(|m| m.get("text"))
-            .and_then(Json::as_str)
-            .is_some());
-        let region = r
-            .get("locations")
-            .and_then(Json::as_array)
-            .and_then(|l| l.first())
-            .and_then(|l| l.get("physicalLocation"))
-            .and_then(|p| p.get("region"))
-            .expect("physicalLocation.region");
-        let start = region
-            .get("startLine")
-            .and_then(Json::as_u64)
-            .expect("startLine");
-        assert!(start >= 1, "SARIF regions are 1-based, got {start}");
-    }
-}
-
 /// End-to-end exit codes through the real binary: 0 on the clean workspace,
 /// 1 on a synthetic workspace with a violation, 2 on usage errors.
 #[test]
@@ -452,7 +253,7 @@ fn cli_exit_codes_gate_correctly() {
     let scratch = std::env::temp_dir().join(format!("swift-analysis-test-{}", std::process::id()));
 
     let clean = std::process::Command::new(bin)
-        .args(["check", "--sarif", "--budget-ms", "10000", "--root"])
+        .args(["check", "--budget-ms", "10000", "--root"])
         .arg(&root)
         .arg("--out-dir")
         .arg(scratch.join("artifacts"))
@@ -471,7 +272,6 @@ fn cli_exit_codes_gate_correctly() {
         "protocol.json",
         "atomics.json",
         "findings.json",
-        "findings.sarif",
     ] {
         assert!(
             scratch.join("artifacts").join(artifact).is_file(),
@@ -499,7 +299,7 @@ fn cli_exit_codes_gate_correctly() {
     std::fs::write(dirty.join("Cargo.toml"), "[workspace]\n").expect("manifest");
     std::fs::write(
         dirty.join("crates/x/src/lib.rs"),
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
+        fixture("atomics_flag_relaxed.rs"),
     )
     .expect("source");
     let violating = std::process::Command::new(bin)
@@ -511,7 +311,7 @@ fn cli_exit_codes_gate_correctly() {
         .expect("binary runs");
     assert_eq!(violating.status.code(), Some(1));
     let json = String::from_utf8_lossy(&violating.stdout);
-    assert!(json.contains("\"rule\": \"unwrap\""), "{json}");
+    assert!(json.contains("\"rule\": \"atomic-ordering\""), "{json}");
 
     let usage = std::process::Command::new(bin)
         .arg("frobnicate")
@@ -522,8 +322,8 @@ fn cli_exit_codes_gate_correctly() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
-/// The self-check the CI leg gates on: the real workspace is clean under
-/// every rule, and the extracted topology matches the runtime's documented
+/// The self-check the CI leg gates on: every pragma in the real workspace is
+/// well-formed, and the extracted topology matches the runtime's documented
 /// shape (producer/coordinator/shard/applier over two bounded data paths
 /// and two unbounded control channels, both graphs acyclic).
 #[test]
@@ -539,14 +339,8 @@ fn workspace_is_clean_and_topology_matches_the_design() {
         ws.files.len()
     );
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for file in &ws.files {
-        findings.extend(rules::check_file(file));
-    }
-    assert!(
-        findings.is_empty(),
-        "workspace must be lint-clean: {findings:#?}"
-    );
+    let pragmas: Vec<Finding> = ws.files.iter().flat_map(check_pragmas).collect();
+    assert!(pragmas.is_empty(), "{pragmas:#?}");
 
     let report = topology::check(&ws);
     assert!(report.findings.is_empty(), "{:#?}", report.findings);

@@ -1,4 +1,4 @@
-// Fixture for the `pragma` rule. Expected findings: exactly THREE `pragma`
+// Fixture for the `pragma` check. Expected findings: exactly THREE `pragma`
 // findings — a malformed pragma, an unknown rule, and a missing reason.
 
 fn malformed() {
@@ -10,9 +10,9 @@ fn unknown_rule() {
 }
 
 fn missing_reason() {
-    // swift-lint: allow(unwrap)
+    // swift-lint: allow(atomic-ordering)
 }
 
 fn well_formed() {
-    // swift-lint: allow(unwrap) -- this one is fine and produces no finding
+    // swift-lint: allow(protocol) -- this one is fine and produces no finding
 }

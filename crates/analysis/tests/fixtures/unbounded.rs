@@ -1,6 +1,8 @@
-// Fixture for the `unbounded-channel` rule. Checked as if it were
-// `crates/runtime/src/lib.rs`. Expected findings: exactly ONE, on the line
-// marked VIOLATION.
+// Fixture for the topology checker's bounded-data-path check. Checked as if
+// it were `crates/runtime/src/lib.rs`. Expected "data channel … is
+// unbounded" findings: exactly ONE, on the line marked VIOLATION. (Every
+// channel here is also an orphan — nothing sends or receives on it — which
+// is a separate finding.)
 
 use std::sync::mpsc;
 
@@ -18,12 +20,6 @@ fn control_channels_may_be_unbounded() {
     let (reply_tx, reply_rx) = mpsc::channel::<u64>();
     let (barrier_tx, barrier_rx) = mpsc::channel::<(usize, u64)>();
     drop((reply_tx, reply_rx, barrier_tx, barrier_rx));
-}
-
-fn justified() {
-    // swift-lint: allow(unbounded-channel) -- fixture: drained synchronously before the sender can enqueue twice
-    let (tx, rx) = mpsc::channel::<u64>();
-    drop((tx, rx));
 }
 
 #[cfg(test)]

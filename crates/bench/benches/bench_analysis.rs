@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the static-analysis pipeline over the
 //! runtime crate's real sources: lexing, item/fn parsing, and the full
-//! semantic check (lint rules + topology + protocol verifier + atomics
+//! semantic check (pragmas + topology + protocol verifier + atomics
 //! auditor).
 //!
 //! The CI budget gate asserts the whole-workspace release run stays under
@@ -13,7 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::{Path, PathBuf};
-use swift_analysis::{atomics, lexer, parser, protocol, rules, topology, SourceFile, Workspace};
+use swift_analysis::{
+    atomics, check_pragmas, lexer, parser, protocol, topology, SourceFile, Workspace,
+};
 
 /// The workspace root, resolved from this crate's manifest dir.
 fn workspace_root() -> PathBuf {
@@ -85,9 +87,9 @@ fn bench_parse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full semantic pass the CI leg runs, minus process startup: lint
-/// rules and both concurrency checkers over the loaded workspace, plus the
-/// protocol verifier and atomics auditor.
+/// The full semantic pass the CI leg runs, minus process startup: the
+/// pragma check and the topology checker over the loaded workspace, plus
+/// the protocol verifier and atomics auditor.
 fn bench_check(c: &mut Criterion) {
     let ws = Workspace::load(&workspace_root()).expect("workspace loads");
     let mut group = c.benchmark_group("analysis/check_workspace");
@@ -95,7 +97,7 @@ fn bench_check(c: &mut Criterion) {
         b.iter(|| {
             let mut findings = 0usize;
             for file in &ws.files {
-                findings += rules::check_file(file).len();
+                findings += check_pragmas(file).len();
             }
             findings += topology::check(&ws).findings.len();
             findings += protocol::check(&ws).findings.len();

@@ -13,6 +13,11 @@
 //! Run with `-- --quick-check` (CI) to execute every body once instead of
 //! timing it — a rot check for the harness, not a measurement.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a harness times wall-clock phases and drives the runtime from producer threads"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -39,6 +39,11 @@
 //! [--bench-out PATH] [--metrics-out PATH]`
 //!   `--smoke` runs a reduced sweep with scaled-down thresholds (used by CI).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a harness times wall-clock phases and drives the runtime from producer threads"
+)]
+
 use std::path::Path;
 use std::time::Instant;
 use swift_bench::harness::{available_cores, git_describe, mode_line, secs, unix_time, ExpArgs};

@@ -57,6 +57,11 @@
 //! [--no-churn] [--bench-out PATH] [--metrics-out PATH]
 //! [--no-overhead-check]`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a harness times wall-clock phases and drives the runtime from producer threads"
+)]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Barrier, Mutex};
@@ -321,7 +326,10 @@ fn drive(
 /// (`convergence_markers`, known from the baseline pass) — the producers'
 /// own streams gate the timing, so no extra merge pass runs on the main
 /// thread.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the multi-producer replay's knobs, each passed once from `main`"
+)]
 fn drive_multi(
     label: &str,
     shards: usize,

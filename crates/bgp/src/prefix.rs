@@ -131,7 +131,10 @@ impl Prefix {
     ///
     /// A `len` of 0 is the default route, not an "empty" prefix, so there is
     /// deliberately no `is_empty` counterpart.
-    #[allow(clippy::len_without_is_empty)]
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "`len` is the prefix length in bits; a prefix is never empty"
+    )]
     pub fn len(&self) -> u8 {
         self.len
     }

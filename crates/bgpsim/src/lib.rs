@@ -24,6 +24,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 pub mod collector;
 pub mod engine;

@@ -28,9 +28,10 @@
 //!
 //! The per-pass state (source partitions and merge cursors) lives in a
 //! [`ScoreScratch`] owned by the engine's [`super::counters::LinkCounters`],
-//! so steady-state scoring performs **zero heap allocation** — the
-//! `hot-path-alloc` lint in `swift-analysis` enforces this for every kernel
-//! body. The scratch also carries the reusable union buffers for the few
+//! so steady-state scoring performs **zero heap allocation** —
+//! `tests/alloc_free_event_path.rs` runs both kernels on a warm scratch over
+//! every representation mix under a counting allocator and fails on any
+//! allocation. The scratch also carries the reusable union buffers for the few
 //! paths that genuinely need materialised ids (`crossing_prefixes`, the
 //! greedy aggregate) plus the [`KernelStats`] dispatch counters exported
 //! through the telemetry registry. A delta trial is not a fused pass and is

@@ -35,6 +35,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 pub mod config;
 mod dirty;

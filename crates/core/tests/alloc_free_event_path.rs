@@ -1,39 +1,64 @@
-//! The per-event path does not call the allocator.
+//! The hot paths do not call the allocator.
 //!
-//! What in-place AS paths (`swift_bgp::as_path`, "Storage") buy, enforced: a
-//! route is one flat record, so withdrawing it frees nothing and announcing
-//! it allocates nothing. A counting `#[global_allocator]` watches, after one
-//! warm-up cycle has grown every buffer to its steady size,
+//! A counting `#[global_allocator]` watches each path once a warm-up has
+//! grown every buffer it reuses to its steady size, and asserts what it
+//! asked of the allocator:
 //!
-//! * every [`Applier::note_event_owned`] of a withdrawal burst and of the
-//!   announcements restoring it (eager RIB mirror), and
-//! * every [`SessionEngine::process`] call of the same cycle that sits on the
-//!   per-event path proper, and every one that runs an attempt the history
+//! * **the per-event path** — every [`Applier::note_event_owned`] of a
+//!   withdrawal burst and of the announcements restoring it (eager RIB
+//!   mirror), and every [`SessionEngine::process`] call of the same cycle
+//!   that sits on the per-event path proper or runs an attempt the history
 //!   model turns down before the greedy chain (ranker fold, ranking and the
 //!   top link's crossing count); not one that opens or closes a burst
 //!   (`start_burst` re-seeds the counters, the close drops the accepted
-//!   result) and not one that runs the chain (the selected link list and
-//!   the prediction allocate by design),
+//!   result) and not the accepting one (below);
+//! * **its parts, one by one** — [`LinkCounters`]' withdrawal and
+//!   announcement handlers with the [`LinkRanker`] fold of their dirty links
+//!   after every event, and the RIB mirror's [`RoutingTable::apply_owned`]
+//!   with the AS-path reads ([`AsPath::hops`], [`AsPath::links`],
+//!   [`AsPath::link_at_position`]) a retag makes of the routes it restores;
+//! * **the retag** — the resync's stage-1 retag of the 1 334 prefixes the
+//!   cycle's recovery re-announced, with no reroute outstanding;
+//! * **an install** — [`TwoStageTable::install_reroute_tracked`] on a table
+//!   that has installed and removed the same reroute before;
+//! * **both scoring kernels** — [`fused_union_counts`] (dense, mixed and
+//!   all-sparse sources, including the sparse k-way merge) on a warm
+//!   [`ScoreScratch`], and [`delta_union_counts`] on every sparse/dense mix
+//!   of candidate, aggregate and masks.
 //!
-//! and asserts zero `alloc` and zero `dealloc` calls across them. The same
-//! cycle over 9-hop paths — longer than a path holds in place — costs exactly
-//! the spill: one `dealloc` per withdrawn route, still no `alloc` (an
-//! announcement moves its heap block into the table, and the engine finds the
-//! path already interned).
+//! Each costs zero `alloc` and zero `dealloc` calls, with one exception the
+//! storage of AS paths makes: over 9-hop paths — longer than a path holds in
+//! place — a withdrawal frees the route's spilled block, so the RIB mirror
+//! costs one `dealloc` per withdrawn route and still no `alloc` (an
+//! announcement moves its heap block into the table, and the engine finds
+//! the path already interned).
+//!
+//! **The accepting attempt** allocates what it hands out, and nothing else:
+//! its rank + greedy chain and its prediction are each pinned to an exact
+//! count, every allocation named where the count is stated.
+//!
+//! Every path that reads AS paths runs over 4-hop and over 9-hop (spilled)
+//! paths; the kernels see only id sets.
 
-// `GlobalAlloc` is an unsafe trait by signature; the impl below only counts
-// and forwards to `System`.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait by signature; the impl below only counts \
+              and forwards to `System`"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use swift_bgp::{
-    AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable, SECOND,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
+    SECOND,
 };
 use swift_core::encoding::ReroutingPolicy;
-use swift_core::inference::EngineStatus;
+use swift_core::inference::{
+    delta_union_counts, fused_union_counts, infer_links_ranked, predict, EngineStatus, IdBitSet,
+    KernelStats, LinkCounters, LinkRanker, ScoreScratch,
+};
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
-use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig};
+use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig, TwoStageTable};
 
 thread_local! {
     // Const-initialised and without destructors: reading them never
@@ -71,14 +96,32 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `(alloc + realloc, dealloc)` calls this thread has made so far.
-fn calls() -> (u64, u64) {
-    (ALLOCS.with(Cell::get), DEALLOCS.with(Cell::get))
+/// Runs `f` and returns its value with the `(alloc + realloc, dealloc)`
+/// calls this thread made inside it. Each test runs on a thread of its own,
+/// so nothing else moves the counters in between.
+fn watch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let calls = || (ALLOCS.with(Cell::get), DEALLOCS.with(Cell::get));
+    let before = calls();
+    let out = f();
+    let after = calls();
+    (out, (after.0 - before.0, after.1 - before.1))
 }
 
 const PREFIXES: u32 = 4_000;
 const PRIMARY: PeerId = PeerId(1);
 const BACKUP: PeerId = PeerId(2);
+/// The failed link: every third prefix of the primary session crosses it.
+const FAILED: AsLink = AsLink {
+    from: Asn(1),
+    to: Asn(100),
+};
+/// The withdrawal at which the history model first accepts: at 250 the cap
+/// (1 000) is below the 1 334 prefixes crossing [`FAILED`], at 500 (2 000)
+/// it is not.
+const ACCEPTED_AT: usize = 500;
+/// The two path shapes every path-reading test runs over: four hops held in
+/// place, and nine, which spill to the heap.
+const TAILS: [&[u32]; 2] = [&[], &[4, 5, 6, 7, 8]];
 
 /// The paper's thresholds ÷ 10, so a 1 334-withdrawal burst opens, runs
 /// attempts and is accepted.
@@ -116,12 +159,17 @@ fn table(tail: &[u32]) -> RoutingTable {
     t
 }
 
-/// One cycle starting at `start`: link (1, 100) fails — every third prefix of
-/// the primary session is withdrawn — and a minute later each comes back with
-/// its original attributes.
+/// The primary session's prefixes behind [`FAILED`], in withdrawal order.
+fn failed_prefixes() -> Vec<Prefix> {
+    (0..PREFIXES).step_by(3).map(Prefix::nth_slash24).collect()
+}
+
+/// One cycle starting at `start`: [`FAILED`] fails — its prefixes are
+/// withdrawn — and a minute later each comes back with its original
+/// attributes.
 fn cycle(table: &RoutingTable, start: u64) -> (Vec<ElementaryEvent>, Vec<ElementaryEvent>) {
     let rib = table.adj_rib_in(PRIMARY).expect("primary session");
-    let failed: Vec<Prefix> = (0..PREFIXES).step_by(3).map(Prefix::nth_slash24).collect();
+    let failed = failed_prefixes();
     let burst = failed
         .iter()
         .zip(0u64..)
@@ -153,7 +201,10 @@ struct Seen {
     engine_calls: (usize, usize),
     /// Watched calls whose attempt was turned down before the greedy chain.
     turned_down: usize,
-    accepted: usize,
+    /// `withdrawals_seen` of every accepted inference.
+    accepted: Vec<usize>,
+    /// The same across the recovery's resync: the retag alone.
+    retag: (u64, u64),
 }
 
 /// Feeds one phase through the engine and then the applier, the way the
@@ -167,35 +218,29 @@ fn replay(
 ) {
     for event in events {
         let state = |e: &SessionEngine| (e.engine().in_burst(), e.engine().attempts());
-        let before_state = state(engine);
-        let before = calls();
-        let (status, result) = engine.process(&event);
-        let after = calls();
+        let before = state(engine);
+        let ((status, result), calls) = watch(|| engine.process(&event));
         // Drained after every call, so a zero reading is this call's: a
         // rejection that ran no kernel never reached the chain.
         let ran_no_kernel = engine.take_kernel_stats().is_zero();
         let turned_down = ran_no_kernel && status == EngineStatus::RejectedByHistory;
         let (in_burst, attempts) = state(engine);
-        if in_burst == before_state.0 && (attempts == before_state.1 || turned_down) {
-            seen.engine.0 += after.0 - before.0;
-            seen.engine.1 += after.1 - before.1;
+        if in_burst == before.0 && (attempts == before.1 || turned_down) {
+            seen.engine.0 += calls.0;
+            seen.engine.1 += calls.1;
             seen.engine_calls.0 += 1;
             seen.turned_down += usize::from(turned_down);
         } else {
             seen.engine_calls.1 += 1;
         }
         if status == EngineStatus::Accepted {
-            applier.apply_inference(
-                PRIMARY,
-                &result.expect("accepted inferences carry a result"),
-            );
-            seen.accepted += 1;
+            let result = result.expect("accepted inferences carry a result");
+            applier.apply_inference(PRIMARY, &result);
+            seen.accepted.push(result.withdrawals_seen);
         }
-        let before = calls();
-        applier.note_event_owned(PRIMARY, event);
-        let after = calls();
-        seen.applier.0 += after.0 - before.0;
-        seen.applier.1 += after.1 - before.1;
+        let (_, calls) = watch(|| applier.note_event_owned(PRIMARY, event));
+        seen.applier.0 += calls.0;
+        seen.applier.1 += calls.1;
     }
 }
 
@@ -208,30 +253,40 @@ fn measured_cycle(tail: &[u32]) -> Seen {
         .remove(&PRIMARY)
         .expect("primary session");
     let mut applier = Applier::new(config, table.clone(), ReroutingPolicy::allow_all());
-    let probe = Prefix::nth_slash24(0);
+    let failed = failed_prefixes();
+    let forwarding = |applier: &Applier, hop| {
+        failed
+            .iter()
+            .all(|prefix| applier.forwarding_next_hop(prefix) == Some(hop))
+    };
     let mut seen = Seen::default();
     for start in [SECOND, 900 * SECOND] {
         // Built before any counting: an event owns its attributes.
         let (burst, recovery) = cycle(&table, start);
         seen = Seen::default();
         replay(&mut engine, &mut applier, burst, &mut seen);
+        // Also removes the burst's reroute (that removal allocates): not
+        // watched.
         applier.resync_after_convergence();
-        assert_eq!(applier.forwarding_next_hop(&probe), Some(BACKUP));
+        assert!(forwarding(&applier, BACKUP), "retagged onto the backup");
         replay(&mut engine, &mut applier, recovery, &mut seen);
-        applier.resync_after_convergence();
-        assert_eq!(applier.forwarding_next_hop(&probe), Some(PRIMARY));
+        // No reroute is outstanding any more: this resync is the retag of
+        // the re-announced prefixes and nothing else.
+        let (removed, retag) = watch(|| applier.resync_after_convergence());
+        assert_eq!(removed, 0);
+        assert!(forwarding(&applier, PRIMARY), "retagged onto the primary");
+        seen.retag = retag;
     }
     seen
 }
 
-/// One test, so nothing else runs on this thread between the counter reads.
 #[test]
 fn the_per_event_path_never_calls_the_allocator() {
-    let withdrawn = (0..PREFIXES).step_by(3).count();
+    let withdrawn = failed_prefixes().len();
     let events = 2 * withdrawn;
 
-    let short = measured_cycle(&[]);
-    assert_eq!(short.accepted, 1, "the burst was inferred and rerouted");
+    let short = measured_cycle(TAILS[0]);
+    assert_eq!(short.accepted, [ACCEPTED_AT], "the burst was rerouted");
     // The first attempt (cap 1 000 at 250 withdrawals) meets link (1, 100)
     // crossing 1 334 prefixes and is watched; set aside are the burst's
     // opening call, its accepted attempt and its close.
@@ -243,10 +298,249 @@ fn the_per_event_path_never_calls_the_allocator() {
     assert_eq!(short.engine, (0, 0), "engine, 4-hop paths: {short:?}");
 
     // Nine hops spill: the withdrawal frees the route's block, nothing more.
-    let long = measured_cycle(&[4, 5, 6, 7, 8]);
-    assert_eq!(long.accepted, 1);
+    let long = measured_cycle(TAILS[1]);
+    assert_eq!(long.accepted, short.accepted);
     assert_eq!(long.engine_calls, short.engine_calls);
     assert_eq!(long.turned_down, short.turned_down);
     assert_eq!(long.applier, (0, withdrawn as u64), "{long:?}");
     assert_eq!(long.engine, (0, 0), "{long:?}");
+}
+
+#[test]
+fn the_counters_event_handlers_and_ranker_fold_never_call_the_allocator() {
+    let cfg = config().inference;
+    for tail in TAILS {
+        let label = format!("{}-hop paths", 4 + tail.len());
+        let table = table(tail);
+        let rib = table.adj_rib_in(PRIMARY).expect("primary session");
+        let mut counters = LinkCounters::from_rib(rib.iter().map(|(p, r)| (p, &r.attrs.as_path)));
+        let mut ranker = LinkRanker::new();
+        let failed = failed_prefixes();
+        let restored: Vec<(Prefix, &AsPath)> = failed
+            .iter()
+            .map(|p| (*p, &rib.get(p).expect("announced").attrs.as_path))
+            .collect();
+        let mut seen = Vec::new();
+        // The first burst grows the dirty and candidate sets to the links
+        // the failure touches; the second is measured.
+        for _ in 0..2 {
+            counters.start_burst(std::iter::empty());
+            ranker.reset();
+            let (crossing, calls) = watch(|| {
+                for prefix in &failed {
+                    counters.on_withdraw(*prefix);
+                    ranker.update(counters.take_dirty());
+                }
+                let crossing = ranker
+                    .ranking(&counters, &cfg)
+                    .first()
+                    .map(|(id, _)| counters.crossing_count(*id));
+                for (prefix, path) in &restored {
+                    counters.on_announce_path(*prefix, path);
+                    ranker.update(counters.take_dirty());
+                }
+                crossing
+            });
+            assert_eq!(
+                crossing,
+                Some(failed.len()),
+                "{label}: the failed link leads"
+            );
+            seen.push(calls);
+        }
+        assert_eq!(seen[1], (0, 0), "{label}: {seen:?}");
+    }
+}
+
+#[test]
+fn the_rib_mirror_and_path_reads_never_call_the_allocator() {
+    for tail in TAILS {
+        let label = format!("{}-hop paths", 4 + tail.len());
+        let source = table(tail);
+        let mut mirror = source.clone();
+        let failed = failed_prefixes();
+        let mut seen = Vec::new();
+        // The first cycle settles every route's storage; the second is
+        // measured.
+        for start in [SECOND, 900 * SECOND] {
+            // Built before any counting: an event owns its attributes.
+            let (burst, recovery) = cycle(&source, start);
+            let mut calls = (0, 0);
+            for event in burst.into_iter().chain(recovery) {
+                let (changed, c) = watch(|| mirror.apply_owned(PRIMARY, event));
+                assert!(changed.is_some(), "{label}: every event changes a route");
+                calls = (calls.0 + c.0, calls.1 + c.1);
+            }
+            let rib = mirror.adj_rib_in(PRIMARY).expect("primary session");
+            let (links, reads) = watch(|| {
+                let mut links = 0;
+                for prefix in &failed {
+                    let path = &rib.get(prefix).expect("restored").attrs.as_path;
+                    assert_eq!(path.hops().len(), 4 + tail.len());
+                    assert_eq!(path.link_at_position(1), Some(FAILED));
+                    links += path.links().count();
+                }
+                links
+            });
+            assert_eq!(links, failed.len() * (3 + tail.len()), "{label}");
+            seen.push((calls, reads));
+        }
+        // Nine hops spill: a withdrawal frees the route's block, and the
+        // announcement restoring it moves the event's block in.
+        let mirrored = if tail.is_empty() {
+            (0, 0)
+        } else {
+            (0, failed.len() as u64)
+        };
+        assert_eq!(seen[1], (mirrored, (0, 0)), "{label}: {seen:?}");
+    }
+}
+
+#[test]
+fn the_retag_never_calls_the_allocator() {
+    for tail in TAILS {
+        let seen = measured_cycle(tail);
+        assert_eq!(seen.retag, (0, 0), "{}-hop paths", 4 + tail.len());
+    }
+}
+
+#[test]
+fn an_install_never_calls_the_allocator() {
+    for tail in TAILS {
+        let table = table(tail);
+        let policy = ReroutingPolicy::allow_all();
+        let mut forwarding = TwoStageTable::build(&table, &config().encoding, &policy);
+        // Warm-up: the first install grows stage 2, and the removal keeps
+        // its capacity.
+        let (id, rules) = forwarding.install_reroute_tracked(&[FAILED]);
+        forwarding.remove_reroute(id);
+        let ((id, again), calls) = watch(|| forwarding.install_reroute_tracked(&[FAILED]));
+        assert_eq!(calls, (0, 0), "{}-hop paths", 4 + tail.len());
+        assert!(rules > 0 && again == rules, "{rules} rules, then {again}");
+        assert_eq!(forwarding.remove_reroute(id), rules);
+    }
+}
+
+/// A set holding every `stride`-th id from `first` below `end`, in the
+/// requested representation.
+fn id_set(dense: bool, first: u32, stride: usize, end: u32) -> IdBitSet {
+    let mut set = if dense {
+        IdBitSet::with_capacity(end as usize)
+    } else {
+        IdBitSet::new()
+    };
+    for id in (first..end).step_by(stride) {
+        set.set(id);
+    }
+    assert_eq!(
+        set.is_dense(),
+        dense,
+        "stride {stride} keeps the representation"
+    );
+    set
+}
+
+#[test]
+fn the_scoring_kernels_never_call_the_allocator() {
+    const END: u32 = 64 * 512;
+    let (dense_a, dense_b) = (id_set(true, 0, 5, END), id_set(true, 2, 7, END));
+    let spread = [id_set(false, 3, 1_000, END), id_set(false, 7, 1_500, END)];
+    // Sparse lists the block path beats the merge on: one id per 40 bits
+    // each, one per 13 together.
+    let crowded = [0, 13, 26].map(|first| id_set(false, first, 40, END));
+    let fused_mixes: [Vec<&IdBitSet>; 4] = [
+        vec![&dense_a, &dense_b],
+        vec![&dense_a, &spread[0]],
+        spread.iter().collect(),
+        crowded.iter().collect(),
+    ];
+    let (dense_mask, sparse_mask) = (id_set(true, 1, 3, END), id_set(false, 0, 50, END));
+    let masks = [(&dense_mask, &sparse_mask), (&sparse_mask, &dense_mask)];
+    let aggregates = [&dense_b, &spread[1]];
+    let candidates = [&dense_a, &spread[0], &crowded[1]];
+
+    let mut scratch = ScoreScratch::new();
+    let pass = |scratch: &mut ScoreScratch| {
+        let mut counts = Vec::with_capacity(64);
+        let (_, calls) = watch(|| {
+            for (withdrawn, routed) in masks {
+                for sources in &fused_mixes {
+                    counts.push(fused_union_counts(sources, withdrawn, routed, scratch));
+                }
+                for candidate in candidates {
+                    for aggregate in aggregates {
+                        counts.push(delta_union_counts(candidate, aggregate, withdrawn, routed));
+                    }
+                }
+            }
+        });
+        (counts, calls, scratch.take_stats())
+    };
+    // The warm-up grows the scratch's partition and cursor vectors to the
+    // three sources of the widest mix.
+    let (warm, _, _) = pass(&mut scratch);
+    let (counts, calls, stats) = pass(&mut scratch);
+    assert_eq!(counts, warm);
+    assert!(counts.iter().all(|&(w, p)| w + p > 0), "{counts:?}");
+    assert_eq!(calls, (0, 0));
+    // Per mask pairing: the dense pair, then the merge over the spread
+    // lists, and the block path over a mix and over the crowded lists.
+    let dispatched = KernelStats {
+        dense: 2,
+        sparse: 2,
+        mixed: 4,
+        ..KernelStats::default()
+    };
+    assert_eq!(stats, dispatched);
+}
+
+#[test]
+fn the_accepted_attempt_allocates_only_its_outputs() {
+    let cfg = config().inference;
+    for tail in TAILS {
+        let label = format!("{}-hop paths", 4 + tail.len());
+        let table = table(tail);
+        let rib = table.adj_rib_in(PRIMARY).expect("primary session");
+        let mut counters = LinkCounters::from_rib(rib.iter().map(|(p, r)| (p, &r.attrs.as_path)));
+        let mut ranker = LinkRanker::new();
+        let failed = failed_prefixes();
+        let mut seen = Vec::new();
+        // The engine's accepting attempt, taken apart: the first round grows
+        // the ranker's and the scratch's buffers, the second is measured.
+        for _ in 0..2 {
+            counters.start_burst(std::iter::empty());
+            ranker.reset();
+            for prefix in &failed[..ACCEPTED_AT] {
+                counters.on_withdraw(*prefix);
+            }
+            let (links, chain) = watch(|| {
+                ranker.update(counters.take_dirty());
+                infer_links_ranked(&counters, ranker.ranking(&counters, &cfg), &cfg)
+            });
+            let (prediction, prediction_calls) = watch(|| predict(&counters, &links));
+            assert_eq!(links.links, [FAILED], "{label}");
+            assert_eq!(
+                (links.withdrawn, links.routed),
+                (ACCEPTED_AT, failed.len() - ACCEPTED_AT),
+                "{label}"
+            );
+            assert_eq!(prediction.total_affected(), failed.len(), "{label}");
+            seen.push((chain, prediction_calls));
+            for prefix in &failed[ACCEPTED_AT..] {
+                counters.on_withdraw(*prefix);
+            }
+            for (prefix, route) in rib.iter() {
+                counters.on_announce_path(*prefix, &route.attrs.as_path);
+            }
+        }
+        // Rank + greedy chain, 3 allocations, 2 of them freed on return:
+        // * the aggregate's link list, `Vec::with_capacity(4)` in
+        //   `infer_with_scorer` (freed);
+        // * the selected link ids, collected from the ranking (freed);
+        // * `InferredLinks::links`, the result.
+        // Prediction, 4 allocations, none freed: `crossing_prefixes` collects
+        // the withdrawn and the routed prefixes behind the set into one
+        // `Vec` each, and `predict` puts each `PrefixSet` behind an `Arc`.
+        assert_eq!(seen[1], ((3, 2), (4, 0)), "{label}: {seen:?}");
+    }
 }

@@ -11,6 +11,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 pub mod convergence;
 pub mod cost;

@@ -80,6 +80,10 @@ pub(crate) struct EpochClock {
 }
 
 impl EpochClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock's base instant: read once per runtime, never per event"
+    )]
     pub(crate) fn new() -> Self {
         EpochClock {
             base: Instant::now(),
@@ -203,7 +207,11 @@ impl IngestHandle {
     /// session's home shard. Dispatches the shard's batch when full,
     /// honouring the configured backpressure policy.
     pub fn ingest(&mut self, peer: PeerId, event: ElementaryEvent) {
-        // swift-lint: allow(instant-now) -- one-time run-start stamp: OnceLock makes this a single atomic load after the first event, not a per-event clock read
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one-time run-start stamp: OnceLock makes this a single atomic load after \
+                      the first event, not a per-event clock read"
+        )]
         self.shared.started.get_or_init(Instant::now);
         if self.since_refresh == 0 {
             self.shared.clock.refresh();

@@ -72,6 +72,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 pub mod ingest;
 mod worker;
@@ -440,6 +441,10 @@ impl ShardedRuntime {
             resyncs_ctr: registry.counter("applier.0.resyncs"),
             pending_gauge: registry.gauge("applier.0.pending.high"),
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the runtime owns the applier thread"
+        )]
         let applier_handle = std::thread::Builder::new()
             .name("swift-applier".into())
             .spawn(move || worker::applier_loop(applier_worker))
@@ -467,6 +472,10 @@ impl ShardedRuntime {
                 batches_ctr: registry.counter(&format!("shard.{i}.batches")),
                 kernels: worker::KernelCounters::from_registry(&registry),
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the runtime owns the shard worker threads"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("swift-shard-{i}"))
                 .spawn(move || worker::shard_loop(worker))
@@ -578,6 +587,11 @@ impl ShardedRuntime {
     pub fn ingest(&mut self, peer: PeerId, event: ElementaryEvent) {
         match self.mode.as_mut().expect("runtime live") {
             Mode::Inline(inline) => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one-time run-start stamp: OnceLock makes this a single atomic load \
+                              after the first event, not a per-event clock read"
+                )]
                 self.started.get_or_init(Instant::now);
                 self.events += 1;
                 inline.events_ctr.inc();
@@ -1365,6 +1379,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the runtime from concurrent producer threads"
+    )]
     fn concurrent_producers_reach_inline_decisions_with_well_defined_metrics() {
         let peers = 4u32;
         let n = 200u32;
@@ -1418,6 +1436,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the runtime from concurrent producer threads"
+    )]
     fn producer_counters_merge_across_handles_under_drop_newest() {
         // Two producers against saturated tiny queues: the report's drop
         // count and high-water must reflect *both* handles' counters merged

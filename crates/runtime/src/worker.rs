@@ -250,6 +250,11 @@ fn send_batch(link: &ApplierLink, capacity: usize, batch: Vec<ProcessedEvent>) -
 
 /// The shard worker loop: process each batch through the shard's engines and
 /// forward everything (with any accepted inference attached) to the applier.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-batch wall-clock stamps (first and last batch) on the consumer side, off the \
+              per-event ingest path"
+)]
 pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     let ShardWorker {
         shard,
@@ -395,6 +400,10 @@ pub(crate) struct ApplierWorker {
 /// state, install the rules of accepted inferences in arrival order, answer
 /// barrier and resync requests, and exit once every shard worker has said
 /// goodbye.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-message busy-time stamps on the applier thread, off the per-event ingest path"
+)]
 pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
     let ApplierWorker {
         mut applier,

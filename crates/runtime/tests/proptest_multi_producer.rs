@@ -200,6 +200,10 @@ fn run_inline_with_churn(
 /// The same run through `k` producer threads on a sharded runtime; the
 /// producer owning the churned session performs the teardown + re-register
 /// through its own handle at the same per-session position.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test drives the runtime from concurrent producer threads"
+)]
 fn run_producers_with_churn(
     events: &[(PeerId, ElementaryEvent)],
     shards: usize,

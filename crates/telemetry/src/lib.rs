@@ -24,6 +24,8 @@
 //! runtime's hot path and must never drag a build graph (or an
 //! allocator-happy serializer) in with it.
 
+#![warn(clippy::unwrap_used)]
+
 pub mod export;
 pub mod flight;
 pub mod histogram;

@@ -162,6 +162,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test increments one counter from several threads"
+    )]
     fn counters_are_shared_across_threads() {
         let r = Registry::new();
         let c = r.counter("x");

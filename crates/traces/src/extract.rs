@@ -64,7 +64,10 @@ pub fn extract_from_times(times: &[Timestamp], config: &ExtractConfig) -> Vec<Ex
     let mut window_start = 0usize; // index of the first withdrawal in the window
     let mut in_burst = false;
     let mut burst_first = 0usize;
-    #[allow(unused_assignments)]
+    #[allow(
+        unused_assignments,
+        reason = "the initial value is a placeholder every burst overwrites before reading"
+    )]
     let mut burst_last = 0usize;
 
     for (i, &t) in times.iter().enumerate() {

@@ -22,6 +22,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 pub mod corpus;
 pub mod extract;

@@ -19,6 +19,7 @@
 //! the experiment harness reproducing every table and figure of the paper.
 
 #![deny(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub use swift_bgp as bgp;
 pub use swift_bgpsim as bgpsim;
