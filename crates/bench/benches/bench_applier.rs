@@ -13,6 +13,10 @@
 //!   withdrawals on a 1 M-prefix, two-peer table, a resync, the announcements
 //!   restoring them, a second resync. The body ends in the state it started
 //!   in, so iterations are alike;
+//! * `resync/retag_3k_of_240k_12_sessions`: the same cycle on `corpus_inline`'s
+//!   shape — 12 sessions and a shared backup, one or two candidates per
+//!   prefix, 3 000 scattered prefixes — where a retag's cost is the walk over
+//!   the peers;
 //! * `mirror/withdraw_reannounce_22k_of_1m`: the same 44 000 events applied
 //!   to the bare [`RoutingTable`] — the RIB mirror alone, no dirty set, no
 //!   retag: what a withdrawal and the announcement restoring it cost when a
@@ -32,35 +36,26 @@ use swift_core::{EncodingConfig, SwiftConfig};
 const SESSIONS: u32 = 16;
 const PER_SESSION: u32 = 65_536;
 
-/// Session `s`'s `i`-th prefix, block-spaced like the soak corpus.
-fn p(s: u32, i: u32) -> Prefix {
-    Prefix::nth_slash24(s * PER_SESSION + i)
-}
-
-/// 16 sessions × 65 536 prefixes behind per-session remote links, plus one
-/// shared backup peer with disjoint paths over every prefix.
-fn table() -> RoutingTable {
+/// `sessions` sessions × `per_session` prefixes behind per-session remote
+/// links, plus one shared backup peer with a disjoint path for every
+/// `backup_every`-th prefix of each session.
+fn table(sessions: u32, per_session: u32, backup_every: u32) -> RoutingTable {
     let mut t = RoutingTable::new();
     let backup = PeerId(1_000);
     t.add_peer(backup, Asn(1_000));
-    for s in 0..SESSIONS {
+    for s in 0..sessions {
         let peer = PeerId(s + 1);
         let base = 100 + s * 1_000;
         t.add_peer(peer, Asn(base));
-        for i in 0..PER_SESSION {
-            let mut attrs =
-                RouteAttributes::from_path(AsPath::new([base, base + 1, base + 10 + i % 3]));
-            attrs.local_pref = Some(200);
-            t.announce(peer, p(s, i), Route::new(peer, attrs, 0));
-            t.announce(
-                backup,
-                p(s, i),
-                Route::new(
-                    backup,
-                    RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7])),
-                    0,
-                ),
-            );
+        for i in 0..per_session {
+            let prefix = Prefix::nth_slash24(s * per_session + i);
+            let hops = [base, base + 1, base + 10 + i % 3];
+            let attrs = RouteAttributes::from_path(AsPath::new(hops)).with_local_pref(200);
+            t.announce(peer, prefix, Route::new(peer, attrs, 0));
+            if i % backup_every == 0 {
+                let attrs = RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7]));
+                t.announce(backup, prefix, Route::new(backup, attrs, 0));
+            }
         }
     }
     t
@@ -73,15 +68,8 @@ fn config() -> EncodingConfig {
     }
 }
 
-/// Prefixes spread over all sessions for the refresh benches.
-fn refresh_set() -> Vec<Prefix> {
-    (0..1_024u32)
-        .map(|i| p(i % SESSIONS, (i * 37) % PER_SESSION))
-        .collect()
-}
-
 fn bench_applier(c: &mut Criterion) {
-    let routing = table();
+    let routing = table(SESSIONS, PER_SESSION, 1);
     let policy = ReroutingPolicy::allow_all();
     let swift = SwiftConfig {
         encoding: config(),
@@ -103,10 +91,13 @@ fn bench_applier(c: &mut Criterion) {
         })
     });
 
-    let refresh = refresh_set();
-    let refresh_ids: Vec<PrefixId> = refresh
+    // 1 024 prefixes spread over all sessions: refreshed, or each withdrawn
+    // from its session and announced again with its original attributes.
+    let session = |id| PeerId(id / PER_SESSION + 1);
+    let churn_1k = churn(&routing, SESSIONS * PER_SESSION, 1_024, session);
+    let refresh_ids: Vec<PrefixId> = churn_1k
         .iter()
-        .map(|prefix| routing.prefix_id(prefix).expect("announced"))
+        .map(|(_, withdraw, _)| routing.prefix_id(&withdraw.prefix()).expect("announced"))
         .collect();
     let mut single = global.clone();
     c.bench_function("applier/refresh_1024_single_1m", |b| {
@@ -117,32 +108,12 @@ fn bench_applier(c: &mut Criterion) {
 
     let mut applier = Applier::from_parts(swift, routing.clone(), global, policy);
 
-    // 1 024 prefixes spread over all sessions: each withdrawn from its
-    // session, then announced again with its original attributes.
-    let churn: Vec<(PeerId, ElementaryEvent, ElementaryEvent)> = refresh
-        .iter()
-        .zip(0u32..)
-        .map(|(prefix, i)| {
-            let peer = PeerId(i % SESSIONS + 1);
-            let rib = routing.adj_rib_in(peer).expect("session is in the table");
-            let withdraw = ElementaryEvent::Withdraw {
-                timestamp: 1,
-                prefix: *prefix,
-            };
-            let announce = ElementaryEvent::Announce {
-                timestamp: 2,
-                prefix: *prefix,
-                attrs: rib.get(prefix).expect("announced").attrs.clone(),
-            };
-            (peer, withdraw, announce)
-        })
-        .collect();
     c.bench_function("applier/note_event_withdraw_announce_1m", |b| {
         b.iter(|| {
-            for (peer, withdraw, _) in &churn {
+            for (peer, withdraw, _) in &churn_1k {
                 applier.note_event(*peer, withdraw);
             }
-            for (peer, _, announce) in &churn {
+            for (peer, _, announce) in &churn_1k {
                 applier.note_event(*peer, announce);
             }
         })
@@ -166,7 +137,7 @@ fn bench_applier(c: &mut Criterion) {
         },
         prediction: Prediction {
             already_withdrawn: Arc::default(),
-            predicted: Arc::new((0..PER_SESSION).map(|i| p(0, i)).collect()),
+            predicted: Arc::new((0..PER_SESSION).map(Prefix::nth_slash24).collect()),
         },
     };
     c.bench_function("applier/apply_inference_1m", |b| {
@@ -180,6 +151,10 @@ fn bench_applier(c: &mut Criterion) {
 
 const RETAG_PREFIXES: u32 = 1_000_000;
 const RETAG_DIRTY: u32 = 22_000;
+/// `corpus_inline`'s shape: 12 sessions of 20 000 prefixes, half of them
+/// also behind the shared backup — one or two candidates per prefix.
+const CORPUS_SESSIONS: u32 = 12;
+const CORPUS_PER_SESSION: u32 = 20_000;
 
 /// One primary session (LOCAL_PREF 200) and one backup peer over the same
 /// 1 M prefixes — the shape of the repo benchmark's `bigtable_inline`.
@@ -189,40 +164,30 @@ fn two_peer_table() -> RoutingTable {
     t.add_peer(primary, Asn(1));
     t.add_peer(backup, Asn(2));
     for i in 0..RETAG_PREFIXES {
-        let mut attrs = RouteAttributes::from_path(AsPath::new([
-            1u32,
-            100 + i % 7,
-            200 + i % 31,
-            300 + i % 101,
-        ]));
-        attrs.local_pref = Some(200);
-        t.announce(
-            primary,
-            Prefix::nth_slash24(i),
-            Route::new(primary, attrs, 0),
-        );
+        let prefix = Prefix::nth_slash24(i);
+        let hops = [1u32, 100 + i % 7, 200 + i % 31, 300 + i % 101];
+        let attrs = RouteAttributes::from_path(AsPath::new(hops)).with_local_pref(200);
+        t.announce(primary, prefix, Route::new(primary, attrs, 0));
         let alternate = RouteAttributes::from_path(AsPath::new([2u32, 400 + i % 5, 500 + i % 13]));
-        t.announce(
-            backup,
-            Prefix::nth_slash24(i),
-            Route::new(backup, alternate, 0),
-        );
+        t.announce(backup, prefix, Route::new(backup, alternate, 0));
     }
     t
 }
 
-fn bench_resync(c: &mut Criterion) {
-    let routing = two_peer_table();
-    let swift = SwiftConfig {
-        encoding: config(),
-        ..Default::default()
-    };
-    // 22 000 prefixes scattered over the table (48 271 is coprime to 10^6),
-    // withdrawn by the primary session and restored with their attributes.
-    let rib = routing.adj_rib_in(PeerId(1)).expect("primary session");
-    let churn: Vec<(ElementaryEvent, ElementaryEvent)> = (0..RETAG_DIRTY)
+/// `(session, withdrawal, announcement restoring it)` per churned prefix.
+type Churn = Vec<(PeerId, ElementaryEvent, ElementaryEvent)>;
+
+/// The churn of `dirty` prefixes scattered over the table's first `prefixes`
+/// ids (48 271 is prime, so coprime to each table size here), each withdrawn by
+/// `session(id)`. The announcement carries the route's own attributes, so a
+/// cycle ends where it started.
+fn churn(routing: &RoutingTable, prefixes: u32, dirty: u32, session: fn(u32) -> PeerId) -> Churn {
+    (0..dirty)
         .map(|k| {
-            let prefix = Prefix::nth_slash24((u64::from(k) * 48_271 % 1_000_000) as u32);
+            let index = (u64::from(k) * 48_271 % u64::from(prefixes)) as u32;
+            let (peer, prefix) = (session(index), Prefix::nth_slash24(index));
+            let rib = routing.adj_rib_in(peer).expect("session is in the table");
+            let attrs = rib.get(&prefix).expect("announced").attrs.clone();
             let withdraw = ElementaryEvent::Withdraw {
                 timestamp: 1,
                 prefix,
@@ -230,44 +195,69 @@ fn bench_resync(c: &mut Criterion) {
             let announce = ElementaryEvent::Announce {
                 timestamp: 0,
                 prefix,
-                attrs: rib.get(&prefix).expect("announced").attrs.clone(),
+                attrs,
             };
-            (withdraw, announce)
+            (peer, withdraw, announce)
         })
-        .collect();
+        .collect()
+}
+
+/// One retag cycle per iteration: every churned prefix withdrawn, a resync,
+/// the announcements restoring them, a second resync. The first churned
+/// prefix checks that each resync moved it.
+fn bench_retag(c: &mut Criterion, name: &str, routing: RoutingTable, churn: &Churn) {
+    let swift = SwiftConfig {
+        encoding: config(),
+        ..Default::default()
+    };
+    let mut applier = Applier::new(swift, routing, ReroutingPolicy::allow_all());
+    let (session, probe) = (churn[0].0, churn[0].1.prefix());
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            for (peer, withdraw, _) in churn {
+                applier.note_event(*peer, withdraw);
+            }
+            applier.resync_after_convergence();
+            assert_ne!(applier.forwarding_next_hop(&probe), Some(session));
+            for (peer, _, announce) in churn {
+                applier.note_event(*peer, announce);
+            }
+            applier.resync_after_convergence();
+            assert_eq!(applier.forwarding_next_hop(&probe), Some(session));
+        })
+    });
+}
+
+fn bench_resync(c: &mut Criterion) {
+    let routing = two_peer_table();
+    let churn_22k = churn(&routing, RETAG_PREFIXES, RETAG_DIRTY, |_| PeerId(1));
     let mut mirror = routing.clone();
     c.bench_function("mirror/withdraw_reannounce_22k_of_1m", |b| {
         b.iter(|| {
-            for (withdraw, _) in &churn {
-                mirror.apply(PeerId(1), withdraw);
+            for (peer, withdraw, _) in &churn_22k {
+                mirror.apply(*peer, withdraw);
             }
-            for (_, announce) in &churn {
-                mirror.apply(PeerId(1), announce);
+            for (peer, _, announce) in &churn_22k {
+                mirror.apply(*peer, announce);
             }
         })
     });
     assert_eq!(
         mirror.adj_rib_in(PeerId(1)).map(|rib| rib.len()),
-        Some(rib.len())
+        routing.adj_rib_in(PeerId(1)).map(|rib| rib.len())
     );
     drop(mirror);
+    bench_retag(c, "resync/retag_22k_of_1m", routing, &churn_22k);
 
-    let mut applier = Applier::new(swift, routing.clone(), ReroutingPolicy::allow_all());
-    let probe = Prefix::nth_slash24(48_271);
-    c.bench_function("resync/retag_22k_of_1m", |b| {
-        b.iter(|| {
-            for (withdraw, _) in &churn {
-                applier.note_event(PeerId(1), withdraw);
-            }
-            applier.resync_after_convergence();
-            assert_eq!(applier.forwarding_next_hop(&probe), Some(PeerId(2)));
-            for (_, announce) in &churn {
-                applier.note_event(PeerId(1), announce);
-            }
-            applier.resync_after_convergence();
-            assert_eq!(applier.forwarding_next_hop(&probe), Some(PeerId(1)));
-        })
-    });
+    let routing = table(CORPUS_SESSIONS, CORPUS_PER_SESSION, 2);
+    let session = |id| PeerId(id / CORPUS_PER_SESSION + 1);
+    let churn_3k = churn(
+        &routing,
+        CORPUS_SESSIONS * CORPUS_PER_SESSION,
+        3_000,
+        session,
+    );
+    bench_retag(c, "resync/retag_3k_of_240k_12_sessions", routing, &churn_3k);
 }
 
 criterion_group!(benches, bench_applier, bench_resync);

@@ -234,6 +234,21 @@ impl RoutingTable {
         self.candidates_of(Some(id))
     }
 
+    /// Calls `f(i, route)` for every candidate route of `ids[i]`, for every
+    /// `i`: [`RoutingTable::candidates_by_id`] of several ids in one walk of
+    /// the peers. The walk is peer-major, so each id's routes arrive in peer
+    /// order, as `candidates_by_id` yields them, and one peer's slot reads
+    /// for the whole slice are independent of each other.
+    pub fn for_each_candidate<'a>(&'a self, ids: &[PrefixId], mut f: impl FnMut(usize, &'a Route)) {
+        for state in self.peers.values() {
+            for (i, id) in ids.iter().enumerate() {
+                if let Some(route) = state.routes.get(*id) {
+                    f(i, route);
+                }
+            }
+        }
+    }
+
     /// Every routed prefix with its candidate routes, in ascending prefix
     /// order: the whole-table pass (plan building, the forwarding-table
     /// build) that resolves no prefix by hash.

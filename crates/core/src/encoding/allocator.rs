@@ -16,7 +16,7 @@ use crate::config::EncodingConfig;
 use crate::encoding::tag::TagLayout;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
-use swift_bgp::{AsLink, AsPath, FoldBuildHasher, PeerId, RoutingTable};
+use swift_bgp::{AsLink, AsPath, FoldBuildHasher, RoutingTable};
 
 /// The per-position link dictionaries produced by the allocator.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -88,11 +88,6 @@ impl EncodingPlan {
             }
         }
         Self::from_counts(&counts, config)
-    }
-
-    /// Builds a plan from the Adj-RIB-In of a single peer.
-    pub fn from_peer_rib(table: &RoutingTable, peer: PeerId, config: &EncodingConfig) -> Self {
-        Self::from_counts(&table.positional_link_counts(peer), config)
     }
 
     /// The code of `link` at 1-based `position`, if encoded.

@@ -33,6 +33,36 @@
 //!   `stage1`, its `tagged` count and `backup_refs` (`build` and
 //!   `refresh_ids` retag through it).
 //!
+//! # The retag
+//!
+//! [`TwoStageTable::refresh_ids`] is the one retag loop (`build`, the
+//! resync, registration and teardown call it), and what it pays for is
+//! memory latency: per peer a slot, the route behind it (88 bytes, two or
+//! three cache lines), then the stage-1 word. One id at a time, those misses
+//! queue. So ids go in batches of B = [`TwoStageTable::RETAG_BATCH`], each
+//! in two phases:
+//!
+//! 1. **Gather.** [`RoutingTable::for_each_candidate`] walks the peers once
+//!    for the batch and puts each id's routes, in peer order, in a stack
+//!    buffer of K = [`TwoStageTable::RETAG_GATHER`]; it also reads each
+//!    route's peer and path length, and each id's stage-1 word. These reads
+//!    do not depend on each other, so their misses overlap.
+//! 2. **Compute and write.** Each tag is computed from the buffer — the best
+//!    route and every position's backup ([`select_backup_among`]) — and
+//!    written through `set_tag`.
+//!
+//! B = 16: on `bench_applier`'s `resync/*` tables (2-vCPU x86-64) 8 was
+//! slower and 32 no faster. K = 8 holds a prefix announced by eight peers;
+//! one with more is computed from a second walk
+//! ([`RoutingTable::candidates_by_id`]). Both keep peer order, so the tags
+//! are those of a one-id-at-a-time retag.
+//!
+//! **Duplicates.** An id may repeat, within a batch too: registration passes
+//! the ids of the routes it announces as given. So phase 1 keeps none of
+//! the values it reads; `set_tag` reads the old tag when it writes, and a
+//! repeated id moves its `backup_refs` from the tag its first occurrence
+//! wrote, not from a stale word read in phase 1.
+//!
 //! # The backup-in-use index
 //!
 //! A reroute for link `l` at position `d` needs one rule per backup next-hop
@@ -53,7 +83,7 @@ use crate::encoding::allocator::EncodingPlan;
 use crate::encoding::backup::select_backup_among;
 use crate::encoding::policy::ReroutingPolicy;
 use crate::encoding::tag::{TagLayout, TagRule};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use swift_bgp::{AsLink, PeerId, Prefix, PrefixId, PrefixSet, Route, RoutingTable};
 
 /// Identifier of one installed reroute (one accepted inference's batch of
@@ -104,14 +134,19 @@ pub struct TwoStageTable {
     refs_stride: usize,
     /// Stage 2: rules, scanned highest priority first.
     stage2: Vec<Stage2Rule>,
-    /// Dense index of next-hops used in tags.
-    nexthop_index: BTreeMap<PeerId, u64>,
+    /// The next-hops used in tags, ascending: `nexthops[i]` has slot `i + 1`.
     nexthops: Vec<PeerId>,
     max_depth: usize,
     next_reroute: u32,
 }
 
 impl TwoStageTable {
+    /// Ids per retag batch (see "The retag").
+    pub const RETAG_BATCH: usize = 16;
+
+    /// Candidate routes a retag gathers per id (see "The retag").
+    pub const RETAG_GATHER: usize = 8;
+
     /// Builds the table from the router's routing state; `table` becomes its
     /// owning table (see "Stage 1 layout").
     ///
@@ -138,27 +173,23 @@ impl TwoStageTable {
 
         // Index the next-hops: every peer, capped by the slot width. Index 0 is
         // reserved for "no next-hop", so peers start at 1.
-        let mut nexthop_index = BTreeMap::new();
-        let mut nexthops = Vec::new();
-        for (peer, _) in table.peers() {
-            if nexthops.len() + 1 >= config.max_nexthops() {
-                break;
-            }
-            nexthops.push(peer);
-            nexthop_index.insert(peer, nexthops.len() as u64);
-        }
+        let nexthops: Vec<PeerId> = table
+            .peers()
+            .map(|(peer, _)| peer)
+            .take(config.max_nexthops().saturating_sub(1))
+            .collect();
 
         // Default stage-2 rules: forward on the primary next-hop slot.
-        let mut stage2 = Vec::new();
-        for (peer, idx) in &nexthop_index {
-            stage2.push(Stage2Rule {
+        let stage2 = (1..)
+            .zip(&nexthops)
+            .map(|(idx, peer)| Stage2Rule {
                 priority: PRIMARY_PRIORITY,
-                rule: layout.primary_rule(*idx),
+                rule: layout.primary_rule(idx),
                 next_hop: *peer,
                 swift_installed: false,
                 reroute: None,
-            });
-        }
+            })
+            .collect();
 
         let mut ts = TwoStageTable {
             layout,
@@ -168,7 +199,6 @@ impl TwoStageTable {
             backup_refs: vec![Vec::new(); config.max_depth],
             refs_stride: nexthops.len() + 1,
             stage2,
-            nexthop_index,
             nexthops,
             max_depth: config.max_depth,
             next_reroute: 0,
@@ -191,6 +221,9 @@ impl TwoStageTable {
     /// offline-precomputed state) are reused as-is. Callers that suspect the
     /// plan itself has rotted (e.g. after massive topology churn) should
     /// rebuild with [`TwoStageTable::build`] instead.
+    ///
+    /// Ids may repeat. They are retagged in batches of
+    /// [`TwoStageTable::RETAG_BATCH`], each in two phases (see "The retag").
     pub fn refresh_ids<I>(
         &mut self,
         table: &RoutingTable,
@@ -200,13 +233,45 @@ impl TwoStageTable {
     where
         I: IntoIterator<Item = PrefixId>,
     {
+        let mut ids = ids.into_iter().peekable();
+        let Some(&first) = ids.peek() else {
+            return 0;
+        };
         let mut touched = 0;
-        for id in ids {
-            touched += 1;
-            let tag = self.compute_tag(table.candidates_by_id(id), policy);
-            self.set_tag(id, tag);
+        // Entries past a batch's `n` ids or an id's count are stale, unread.
+        let mut batch = [first; Self::RETAG_BATCH];
+        let mut gathered = [[None; Self::RETAG_GATHER]; Self::RETAG_BATCH];
+        loop {
+            let mut n = 0;
+            for (slot, id) in batch.iter_mut().zip(&mut ids) {
+                *slot = id;
+                n += 1;
+            }
+            // Phase 1. The `black_box` reads only fetch cache lines.
+            let mut counts = [0; Self::RETAG_BATCH];
+            table.for_each_candidate(&batch[..n], |i, route| {
+                if let Some(at) = gathered[i].get_mut(counts[i]) {
+                    *at = Some(route);
+                }
+                counts[i] += 1;
+                std::hint::black_box((route.peer, route.as_path().len()));
+            });
+            for id in &batch[..n] {
+                std::hint::black_box(self.stage1.get(id.index()).copied());
+            }
+            // Phase 2, in list order.
+            for ((id, routes), count) in batch[..n].iter().zip(&gathered).zip(counts) {
+                let tag = match routes.get(..count) {
+                    Some(routes) => self.compute_tag(routes.iter().flatten().copied(), policy),
+                    None => self.compute_tag(table.candidates_by_id(*id), policy),
+                };
+                self.set_tag(*id, tag);
+            }
+            touched += n;
+            if n < Self::RETAG_BATCH {
+                return touched;
+            }
         }
-        touched
     }
 
     /// Sets (or, with `None`, removes) the stage-1 entry of `id` and moves
@@ -260,8 +325,8 @@ impl TwoStageTable {
         let best = candidates.clone().max_by(|a, b| a.compare_preference(b))?;
         let mut tag = 0u64;
         // Slot 0: the primary next-hop.
-        if let Some(idx) = self.nexthop_index.get(&best.peer) {
-            tag = self.layout.set_nexthop(tag, 0, *idx);
+        if let Some(idx) = self.nexthop_slot(best.peer) {
+            tag = self.layout.set_nexthop(tag, 0, idx);
         }
         // Per position d: the code of the path's link there (0 when not
         // encoded) and, in slot d, the backup next-hop protecting it.
@@ -273,8 +338,8 @@ impl TwoStageTable {
                 tag = self.layout.set_position(tag, pos, code);
             }
             if let Some(peer) = select_backup_among(candidates.clone(), best.peer, &link, policy) {
-                if let Some(idx) = self.nexthop_index.get(&peer) {
-                    tag = self.layout.set_nexthop(tag, pos, *idx);
+                if let Some(idx) = self.nexthop_slot(peer) {
+                    tag = self.layout.set_nexthop(tag, pos, idx);
                 }
             }
         }
@@ -299,7 +364,8 @@ impl TwoStageTable {
     ///
     /// Slot 0 is reserved for "no next-hop", so indexed peers start at 1.
     pub fn nexthop_slot(&self, peer: PeerId) -> Option<u64> {
-        self.nexthop_index.get(&peer).copied()
+        let at = self.nexthops.binary_search(&peer).ok()?;
+        Some(at as u64 + 1)
     }
 
     /// The encoding plan in use.
@@ -486,6 +552,26 @@ impl TwoStageTable {
             })
         })
     }
+
+    /// Backup coverage, read off stage 1: among the (tagged prefix,
+    /// position) pairs whose tag encodes the link at that position, the
+    /// share whose tag also carries a backup next-hop for it — the pairs a
+    /// reroute of that link can move. 1.0 when no pair is encoded.
+    pub fn backup_coverage(&self) -> f64 {
+        let (mut encoded, mut covered) = (0, 0);
+        for tag in self.stage1.iter().filter(|tag| **tag != NO_TAG) {
+            for pos in 1..=self.max_depth {
+                if self.layout.get_position(*tag, pos) != 0 {
+                    encoded += 1;
+                    covered += u32::from(self.layout.get_nexthop(*tag, pos) != 0);
+                }
+            }
+        }
+        if encoded == 0 {
+            return 1.0;
+        }
+        f64::from(covered) / f64::from(encoded)
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +698,81 @@ mod tests {
             ts.encoding_performance(&table, &PrefixSet::new(), &[AsLink::new(2, 5)]),
             1.0
         );
+    }
+
+    /// Fig. 1 with no LOCAL_PREF: peer 3's paths are the shortest, so it is
+    /// the primary everywhere, and peers 2 and 4 offer the longer alternates.
+    fn shortest_first_table() -> RoutingTable {
+        let mut t = RoutingTable::new();
+        for peer in [2u32, 3, 4] {
+            t.add_peer(PeerId(peer), Asn(peer));
+        }
+        // AS 6's prefixes, then AS 7's and AS 8's behind it.
+        for (block, tail) in [(0u32, &[][..]), (10, &[7]), (20, &[8])] {
+            for i in block..block + 10 {
+                for hops in [&[2u32, 5, 6][..], &[4, 5, 6], &[3, 6]] {
+                    let path: Vec<u32> = hops.iter().chain(tail).copied().collect();
+                    t.announce(PeerId(hops[0]), p(i), route(hops[0], &path));
+                }
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn tags_carry_no_backup_where_every_alternate_meets_the_link() {
+        let table = shortest_first_table();
+        let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
+        let tag = ts.tag_of(&table, &p(0)).unwrap();
+        let layout = ts.layout();
+        assert_eq!(
+            layout.get_nexthop(tag, 0),
+            ts.nexthop_slot(PeerId(3)).unwrap()
+        );
+        // Primary path (3 6): a backup for (3,6) must avoid AS 3 and AS 6,
+        // and every alternate ends in AS 6. Position 2 is past the path.
+        assert_ne!(layout.get_position(tag, 1), 0, "(3,6) is encoded");
+        assert_eq!(layout.get_nexthop(tag, 1), 0);
+        assert_eq!(layout.get_nexthop(tag, 2), 0);
+        // No encoded (prefix, position) pair of the table has a backup.
+        assert_eq!(ts.backup_coverage(), 0.0);
+    }
+
+    #[test]
+    fn tags_carry_a_disjoint_backup_except_beside_the_origin() {
+        // Peer 9 offers a path to AS 8's prefixes that avoids AS 3 and AS 6.
+        let mut table = shortest_first_table();
+        table.add_peer(PeerId(9), Asn(9));
+        for i in 20..30 {
+            table.announce(PeerId(9), p(i), route(9, &[9, 11, 8]));
+        }
+        let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
+        let tag = ts.tag_of(&table, &p(20)).unwrap();
+        let layout = ts.layout();
+        // Best is still peer 3 (3 6 8): the tie with (9 11 8) goes to the
+        // lower peer id. (3,6) is protected by peer 9; (6,8) cannot be, as
+        // every path visits the origin AS 8.
+        assert_eq!(
+            layout.get_nexthop(tag, 0),
+            ts.nexthop_slot(PeerId(3)).unwrap()
+        );
+        assert_eq!(
+            layout.get_nexthop(tag, 1),
+            ts.nexthop_slot(PeerId(9)).unwrap()
+        );
+        assert_ne!(layout.get_position(tag, 2), 0, "(6,8) is encoded");
+        assert_eq!(layout.get_nexthop(tag, 2), 0);
+        // Encoded pairs: (3,6) for all 30 prefixes, (6,7) and (6,8) for ten
+        // each; covered: (3,6) of AS 8's ten.
+        assert!((ts.backup_coverage() - 10.0 / 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_empty_table_has_no_tags_and_full_backup_coverage() {
+        let table = RoutingTable::new();
+        let ts = TwoStageTable::build(&table, &config(), &ReroutingPolicy::allow_all());
+        assert_eq!((ts.stage1_len(), ts.stage1_slots()), (0, 0));
+        assert_eq!(ts.backup_coverage(), 1.0);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   with the AS-path reads ([`AsPath::hops`], [`AsPath::links`],
 //!   [`AsPath::link_at_position`]) a retag makes of the routes it restores;
 //! * **the retag** — the resync's stage-1 retag of the 1 334 prefixes the
-//!   cycle's recovery re-announced, with no reroute outstanding;
+//!   cycle's recovery re-announced, with no reroute outstanding: its batched
+//!   path, and its per-id walk for the one prefix with more candidates than
+//!   a retag gathers;
 //! * **an install** — [`TwoStageTable::install_reroute_tracked`] on a table
 //!   that has installed and removed the same reroute before;
 //! * **both scoring kernels** — [`fused_union_counts`] (dense, mixed and
@@ -110,6 +112,9 @@ fn watch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
 const PREFIXES: u32 = 4_000;
 const PRIMARY: PeerId = PeerId(1);
 const BACKUP: PeerId = PeerId(2);
+/// Peers announcing only prefix 0, one of the [`FAILED`] prefixes: with the
+/// primary and the backup it has more candidates than a retag gathers.
+const CROWD: u32 = TwoStageTable::RETAG_GATHER as u32;
 /// The failed link: every third prefix of the primary session crosses it.
 const FAILED: AsLink = AsLink {
     from: Asn(1),
@@ -142,11 +147,19 @@ fn config() -> SwiftConfig {
 }
 
 /// A primary session (LOCAL_PREF 200) whose paths are four varying hops plus
-/// `tail`, and a backup peer with a disjoint two-hop path for every prefix.
+/// `tail`, a backup peer with a disjoint two-hop path for every prefix, and
+/// [`CROWD`] peers with a longer path, three hops plus `tail`, for prefix 0.
 fn table(tail: &[u32]) -> RoutingTable {
     let mut t = RoutingTable::new();
     t.add_peer(PRIMARY, Asn(1));
     t.add_peer(BACKUP, Asn(2));
+    for k in 0..CROWD {
+        let (peer, asn) = (PeerId(10 + k), 10 + k);
+        t.add_peer(peer, Asn(asn));
+        let path = AsPath::new([asn, 600, 700 + k].iter().chain(tail).copied());
+        let attrs = RouteAttributes::from_path(path);
+        t.announce(peer, Prefix::nth_slash24(0), Route::new(peer, attrs, 0));
+    }
     for i in 0..PREFIXES {
         let hops = [1, 100 + i % 3, 200 + i % 7, 300 + i % 11];
         let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().chain(tail).copied()));
@@ -399,6 +412,11 @@ fn the_rib_mirror_and_path_reads_never_call_the_allocator() {
 #[test]
 fn the_retag_never_calls_the_allocator() {
     for tail in TAILS {
+        let crowded = table(tail).candidates(&Prefix::nth_slash24(0)).count();
+        assert!(
+            crowded > TwoStageTable::RETAG_GATHER,
+            "{crowded} candidates"
+        );
         let seen = measured_cycle(tail);
         assert_eq!(seen.retag, (0, 0), "{}-hop paths", 4 + tail.len());
     }

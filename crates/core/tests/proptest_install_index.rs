@@ -14,19 +14,28 @@
 //!   prefix identically, and tag it identically whenever the rebuild arrived
 //!   at the same encoding plan.
 //!
+//! * **the retag equals its reference** — after every resync, and for every
+//!   id of a direct `refresh_ids`, a prefix's tag is the one
+//!   `reference_tag` computes prefix by prefix from the public accessors and
+//!   `select_backup_among`, with no batches.
+//!
 //! Both hold where the stage-1 array has to *grow*: the random steps draw
 //! from `LATE` prefixes the seed table never holds, and every case ends with
 //! a fixed tail on a prefix no step can have touched — first announced after
 //! the build, retagged, withdrawn again — beside one that is never announced.
+//! They hold for the retag's batch edges: direct refreshes take id lists of
+//! 1, B − 1, B, B + 1 and 2B + 3 ids (B = `TwoStageTable::RETAG_BATCH`), each
+//! id twice in a row, and a registration announces one prefix twice; and for
+//! prefixes with more candidates than a retag gathers (`CROWDED`).
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixSet, Route, RouteAttributes,
-    RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
+    RouteAttributes, RoutingTable,
 };
-use swift_core::encoding::{ReroutingPolicy, Stage2Rule, TwoStageTable};
+use swift_core::encoding::{select_backup_among, ReroutingPolicy, Stage2Rule, TwoStageTable};
 use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
 use swift_core::pipeline::Applier;
 use swift_core::{EncodingConfig, SwiftConfig};
@@ -35,6 +44,11 @@ use swift_core::{EncodingConfig, SwiftConfig};
 /// 3 and 4 are backup providers. All four are in the table at build time, so
 /// all four own a next-hop slot.
 const PEERS: u32 = 4;
+/// Further peers, also in the table at build time, that announce only the
+/// `CROWDED` prefixes: those hold more candidates than a retag gathers.
+const CROWD: u32 = TwoStageTable::RETAG_GATHER as u32 + 1;
+/// The seed table's crowded prefixes: indexes `0..CROWDED`.
+const CROWDED: u32 = 3;
 /// Prefix indexes the seed table draws from.
 const PREFIXES: u32 = 32;
 /// Further indexes only the random steps draw from: a prefix among them is
@@ -73,7 +87,7 @@ fn route(peer: u32, x: u32, y: u32, t: u64) -> Route {
 /// Every link a generated path can contain.
 fn all_links() -> Vec<AsLink> {
     let mut links = BTreeSet::new();
-    for peer in 1..=PEERS {
+    for peer in 1..=PEERS + CROWD {
         for x in 0..3 {
             for y in 0..4 {
                 links.extend(path(peer, x, y).links());
@@ -203,11 +217,55 @@ fn check_index(fw: &TwoStageTable, table: &RoutingTable, peers: &[PeerId]) -> Re
     check_install(fw, table, peers, &[AsLink::new(900, 901)])
 }
 
-/// Convergence on `applier`: the incremental resync against the rebuild.
+/// The tag `prefix` must carry, from `table`'s current routes: the best
+/// route's next-hop in slot 0 and, per position of its path, the link's code
+/// and the backup `select_backup_among` picks — the retag, one prefix at a
+/// time, over the public accessors.
+fn reference_tag(
+    fw: &TwoStageTable,
+    table: &RoutingTable,
+    policy: &ReroutingPolicy,
+    prefix: &Prefix,
+) -> Option<u64> {
+    let (layout, plan) = (fw.layout(), fw.plan());
+    let best = table.best(prefix)?;
+    let slot = |peer| fw.nexthop_slot(peer).unwrap_or(0);
+    let mut tag = layout.set_nexthop(0, 0, slot(best.peer));
+    for pos in 1..=plan.max_depth() {
+        let Some(link) = best.as_path().link_at_position(pos) else {
+            break;
+        };
+        tag = layout.set_position(tag, pos, plan.code_of(pos, &link).unwrap_or(0));
+        let backup = select_backup_among(table.candidates(prefix), best.peer, &link, policy);
+        tag = layout.set_nexthop(tag, pos, backup.map_or(0, slot));
+    }
+    Some(tag)
+}
+
+/// Every prefix in `prefixes` carries its reference tag.
+fn check_tags<'a>(
+    fw: &TwoStageTable,
+    table: &RoutingTable,
+    prefixes: impl IntoIterator<Item = &'a Prefix>,
+) -> Result<(), String> {
+    let policy = ReroutingPolicy::allow_all();
+    for prefix in prefixes {
+        let (tag, expected) = (
+            fw.tag_of(table, prefix),
+            reference_tag(fw, table, &policy, prefix),
+        );
+        prop_assert!(tag == expected, "{prefix}: {tag:?}, expected {expected:?}");
+    }
+    Ok(())
+}
+
+/// Convergence on `applier`: the incremental resync against the rebuild and
+/// the reference. Every prefix is current after a resync.
 fn check_resync(applier: &mut Applier) -> Result<(), String> {
     let mut rebuilt = applier.clone();
     let removed = applier.resync_after_convergence();
     prop_assert_eq!(removed, rebuilt.resync_with_rebuild());
+    check_tags(applier.forwarding(), applier.table(), &universe())?;
     let (inc, reb) = (applier.forwarding(), rebuilt.forwarding());
     prop_assert_eq!(inc.swift_rule_count(), 0);
     prop_assert_eq!(inc.stage1_len(), reb.stage1_len());
@@ -257,9 +315,14 @@ proptest! {
         ops in arb_ops(),
     ) {
         let mut table = RoutingTable::new();
-        let peers: Vec<PeerId> = (1..=PEERS).map(PeerId).collect();
+        let peers: Vec<PeerId> = (1..=PEERS + CROWD).map(PeerId).collect();
         for peer in &peers {
             table.add_peer(*peer, Asn(peer.0));
+        }
+        for peer in PEERS + 1..=PEERS + CROWD {
+            for i in 0..CROWDED {
+                table.announce(PeerId(peer), p(i), route(peer, peer + i, i, 0));
+            }
         }
         for (peer, i, x, y) in &seed {
             table.announce(PeerId(*peer), p(*i), route(*peer, *x, *y, 0));
@@ -267,6 +330,7 @@ proptest! {
         let policy = ReroutingPolicy::allow_all();
         let mut applier = Applier::new(config(), table, policy.clone());
         check_index(applier.forwarding(), applier.table(), &peers)?;
+        check_tags(applier.forwarding(), applier.table(), &universe())?;
 
         let links = all_links();
         for (k, (kind, peer, i, (x, y))) in ops.iter().enumerate() {
@@ -305,21 +369,32 @@ proptest! {
                 8 => {
                     applier.teardown_session(PeerId(*peer));
                 }
-                // Registration; past `PREFIXES` it announces late prefixes.
+                // Registration; past `PREFIXES` it announces late prefixes,
+                // and it announces its first prefix a second time, last.
                 9 => {
-                    let routes: Vec<(Prefix, Route)> = (0..*i)
+                    let mut routes: Vec<(Prefix, Route)> = (0..*i)
                         .map(|j| (p(j), route(*peer, x + j, y + j / 3, t)))
                         .collect();
+                    routes.extend(routes.first().map(|(q, _)| (*q, route(*peer, x + 1, *y, t))));
                     applier.register_session(PeerId(*peer), Asn(*peer), routes);
                 }
-                // A direct refresh of a few prefixes on a copy of the table:
-                // stage 1 there is partly current, partly stale.
+                // A direct refresh on a copy of the table, where stage 1 is
+                // partly current, partly stale: a list of a batch-edge
+                // length, each id twice in a row.
                 _ => {
                     let mut fw = applier.forwarding().clone();
                     let table = applier.table();
-                    let ids = (0..*i).step_by(3).filter_map(|j| table.prefix_id(&p(j)));
-                    fw.refresh_ids(table, &policy, ids);
+                    let all: Vec<PrefixId> = table.ids().collect();
+                    let b = TwoStageTable::RETAG_BATCH;
+                    let len = [1, b - 1, b, b + 1, 2 * b + 3][*i as usize % 5];
+                    let stride = *y as usize + 1;
+                    let ids: Vec<PrefixId> = (0..len)
+                        .map(|j| all[(*x as usize + j / 2 * stride) % all.len()])
+                        .collect();
+                    prop_assert_eq!(fw.refresh_ids(table, &policy, ids.iter().copied()), len);
                     check_index(&fw, table, &peers)?;
+                    let refreshed: Vec<Prefix> = ids.iter().map(|id| table.prefix_of(*id)).collect();
+                    check_tags(&fw, table, &refreshed)?;
                 }
             }
             check_index(applier.forwarding(), applier.table(), &peers)?;

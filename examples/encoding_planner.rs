@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example encoding_planner`
 
 use swift::bgp::AsLink;
-use swift::core::encoding::{BackupTable, EncodingPlan, ReroutingPolicy, TwoStageTable};
+use swift::core::encoding::{EncodingPlan, ReroutingPolicy, TwoStageTable};
 use swift::core::EncodingConfig;
 use swift::traces::{Corpus, TraceConfig};
 
@@ -42,18 +42,16 @@ fn main() {
 
     let config = EncodingConfig::default();
     let policy = ReroutingPolicy::allow_all();
-    let backups = BackupTable::compute(&table, config.max_depth, &policy);
-    println!(
-        "\nBackup next-hop coverage (depth {}): {:.1}% of protectable (prefix, position) pairs",
-        config.max_depth,
-        100.0 * backups.coverage(&table)
-    );
-
     let mut two_stage = TwoStageTable::build(&table, &config, &policy);
     println!(
-        "Two-stage table: {} stage-1 tags, {} default stage-2 rules",
+        "\nTwo-stage table: {} stage-1 tags, {} default stage-2 rules",
         two_stage.stage1_len(),
         two_stage.stage2_len()
+    );
+    println!(
+        "Backup next-hop coverage (depth {}): {:.1}% of encoded (prefix, position) pairs carry a backup",
+        config.max_depth,
+        100.0 * two_stage.backup_coverage()
     );
 
     // Simulate an inference on the most-used position-1 link.

@@ -23,12 +23,13 @@
 #
 # Printed per workload and gated metric: both medians with their quartiles,
 # how B's median compares, B's wins and the parent's interquartile range —
-# over all pairs — then the verdict. A pair is *disturbed* when either of
+# over all pairs — then two verdicts. The first applies the rule to all
+# pairs, as choosing-metrics words it. A pair is *disturbed* when either of
 # its runs reports `host.round_spread` above 0.05 (rounds are identical work,
 # so the box was busy for most of that run: benchmark/README.md, "Trusting a
-# run"); its numbers are shown but no verdict rests on it: the verdict applies
-# the rule to the quiet pairs alone and says how many there were. On a box
-# where every pair is disturbed the table still reads, and decides nothing.
+# run"); the second verdict applies the rule to the quiet pairs alone and
+# says how many there were. On a box where every pair is disturbed it
+# decides nothing, and the verdict on all pairs is the one that reads.
 # Every run's output is kept under benchmark/target/swift-benchmark-out/ab/.
 set -euo pipefail
 
@@ -92,10 +93,11 @@ def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
 print(f"seed {seed}, {pairs} pairs, A = parent, B = change. Medians, quartiles and wins are over all "
-      f"pairs; the verdict is over the quiet ones (host.round_spread <= {SPREAD_LIMIT} on both sides)\n")
+      f"pairs; so is the first verdict, the second is over the quiet ones (host.round_spread <= "
+      f"{SPREAD_LIMIT} on both sides)\n")
 print("| workload | metric | A median [q1, q3] | B median [q1, q3] | B better by | B wins | A's IQR "
-      "| quiet pairs | verdict on them |")
-print("|---|---|---|---|---|---|---|---|---|")
+      "| verdict on all pairs | quiet pairs | verdict on them |")
+print("|---|---|---|---|---|---|---|---|---|---|")
 def compare(name, lower, runs):
     a, b = [x[name] for x, _ in runs], [y[name] for _, y in runs]
     (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
@@ -103,6 +105,18 @@ def compare(name, lower, runs):
     losses = sum((y > x) if lower else (y < x) for x, y in zip(a, b))
     gain = (am - bm) / am if lower else (bm - am) / am
     return (a1, am, a3), (b1, bm, b3), wins, losses, gain
+def verdict(m, runs):
+    if len(runs) < 2:
+        return "none: too few pairs"
+    (q1, qa, q3), (_, qb, _), wins, losses, gain = compare(m["name"], m["better"] == "lower", runs)
+    apart = abs(qb - qa) > q3 - q1
+    if wins >= 0.9 * len(runs) and apart and gain > 0:
+        return f"gain ({gain:+.1%}, {wins}/{len(runs)})"
+    if -gain > m["bound"]:
+        return f"worse beyond the {m['bound']:.0%} bound ({gain:+.1%})"
+    if losses >= 0.9 * len(runs) and apart:
+        return f"worse, inside the bound ({gain:+.1%}, {losses}/{len(runs)} lost)"
+    return "no verdict"
 for workload in sys.argv[5:]:
     runs = [(run(f"{out}/a.{workload}.{i}.txt"), run(f"{out}/b.{workload}.{i}.txt"))
             for i in range(1, pairs + 1)]
@@ -111,19 +125,7 @@ for workload in sys.argv[5:]:
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         (a1, am, a3), (b1, bm, b3), wins, _, gain = compare(name, lower, runs)
-        if len(quiet) < 2:
-            verdict = "none: too few quiet pairs"
-        else:
-            (q1, qa, q3), (_, qb, _), qwins, qlosses, qgain = compare(name, lower, quiet)
-            apart = abs(qb - qa) > q3 - q1
-            if qwins >= 0.9 * len(quiet) and apart and qgain > 0:
-                verdict = f"gain ({qgain:+.1%}, {qwins}/{len(quiet)})"
-            elif -qgain > m["bound"]:
-                verdict = f"worse beyond the {m['bound']:.0%} bound ({qgain:+.1%})"
-            elif qlosses >= 0.9 * len(quiet) and apart:
-                verdict = f"worse, inside the bound ({qgain:+.1%}, {qlosses}/{len(quiet)} lost)"
-            else:
-                verdict = "no verdict"
         print(f"| {workload} | {name} | {am:.5g} [{a1:.5g}, {a3:.5g}] | {bm:.5g} [{b1:.5g}, {b3:.5g}] "
-              f"| {gain:+.1%} | {wins}/{len(runs)} | {a3 - a1:.3g} | {len(quiet)}/{len(runs)} | {verdict} |")
+              f"| {gain:+.1%} | {wins}/{len(runs)} | {a3 - a1:.3g} | {verdict(m, runs)} "
+              f"| {len(quiet)}/{len(runs)} | {verdict(m, quiet)} |")
 PY
