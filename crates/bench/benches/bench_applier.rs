@@ -20,7 +20,9 @@
 //! * `mirror/withdraw_reannounce_22k_of_1m`: the same 44 000 events applied
 //!   to the bare [`RoutingTable`] — the RIB mirror alone, no dirty set, no
 //!   retag: what a withdrawal and the announcement restoring it cost when a
-//!   route is (or is not) a flat record.
+//!   route is (or is not) a flat record;
+//! * `mirror/apply_all_22k_of_1m`: the same churn through
+//!   [`RoutingTable::apply_all`], the batched fold the applier uses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -239,6 +241,17 @@ fn bench_resync(c: &mut Criterion) {
             }
             for (peer, _, announce) in &churn_22k {
                 mirror.apply(*peer, announce);
+            }
+        })
+    });
+    let withdrawals: Vec<_> = churn_22k.iter().map(|(p, w, _)| (*p, w.clone())).collect();
+    let announcements: Vec<_> = churn_22k.iter().map(|(p, _, a)| (*p, a.clone())).collect();
+    let mut batch = Vec::with_capacity(churn_22k.len());
+    c.bench_function("mirror/apply_all_22k_of_1m", |b| {
+        b.iter(|| {
+            for events in [&withdrawals, &announcements] {
+                batch.extend_from_slice(events);
+                mirror.apply_all(&mut batch, |_| {});
             }
         })
     });

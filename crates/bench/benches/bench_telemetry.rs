@@ -11,9 +11,8 @@
 //! * **dispatch** — the full ingest → shard-queue path through a real
 //!   sharded runtime with pipeline tracing off (`trace_sample_interval = 0`),
 //!   at the default 1-in-1024 sampling, and at the pathological
-//!   trace-everything setting. The soak harness asserts the 1-in-1024
-//!   overhead stays under 2 % of the untraced path; this group is where the
-//!   same comparison is measured in isolation.
+//!   trace-everything setting. This group is the repo's one measure of what
+//!   1-in-1024 sampling costs the untraced path.
 //!
 //! Run with `-- --quick-check` (CI) to execute every body once instead of
 //! timing it — a rot check for the harness, not a measurement.

@@ -36,6 +36,26 @@
 //! [`RoutingTable::routed_ids`]) let that state be maintained without going
 //! back through the dictionary. Two tables number independently: an id means
 //! nothing to a table that did not hand it out.
+//!
+//! # Applying a batch
+//!
+//! An event starts with a dictionary probe that misses the cache on a large
+//! table, and everything after it waits for the id. When events come one at
+//! a time between other work, those misses never overlap.
+//! [`RoutingTable::apply_all`] takes events [`RoutingTable::APPLY_BATCH`] at
+//! a time, in two phases:
+//!
+//! 1. every event's prefix is looked up (never interned) and its id kept in
+//!    a stack array: independent probes, whose misses overlap;
+//! 2. the events are applied in order, each through the one body behind
+//!    [`RoutingTable::apply_owned`], handed the id phase 1 found.
+//!
+//! A found id is still the prefix's id in phase 2, because ids are never
+//! freed or reused, whatever the earlier events of the batch did. A prefix
+//! phase 1 did not find is looked up again: an earlier announcement of the
+//! same batch may have interned it since. So the batch is exactly one
+//! `apply_owned` per event, in order. (Phase 1 also reading each id's slot
+//! and route record, as the retag's gather does, measured slower.)
 
 use crate::as_path::{AsLink, Asn};
 use crate::message::ElementaryEvent;
@@ -60,6 +80,10 @@ struct PeerState {
 }
 
 impl RoutingTable {
+    /// Events per batch of [`RoutingTable::apply_all`] (see "Applying a
+    /// batch").
+    pub const APPLY_BATCH: usize = 16;
+
     /// Creates an empty routing table.
     pub fn new() -> Self {
         Self::default()
@@ -139,15 +163,53 @@ impl RoutingTable {
     /// id of the prefix whose routes changed, `None` when nothing did: the
     /// peer is not registered, or it withdrew a route it does not hold.
     pub fn apply_owned(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<PrefixId> {
+        self.apply_found(peer, event, None)
+    }
+
+    /// Applies every event of `events`, in order, and calls `changed` with
+    /// each id [`RoutingTable::apply_owned`] would return. Drains `events` in
+    /// place, so the buffer keeps its capacity. Works in batches of
+    /// [`RoutingTable::APPLY_BATCH`], each in two phases (see "Applying a
+    /// batch").
+    pub fn apply_all(
+        &mut self,
+        events: &mut Vec<(PeerId, ElementaryEvent)>,
+        mut changed: impl FnMut(PrefixId),
+    ) {
+        let mut found = [None; Self::APPLY_BATCH];
+        let mut events = events.drain(..);
+        while !events.as_slice().is_empty() {
+            let n = events.len().min(Self::APPLY_BATCH);
+            // Phase 1: the batch's dictionary probes, whose misses overlap.
+            for (id, (_, event)) in found.iter_mut().zip(events.as_slice()) {
+                *id = self.interner.get(&event.prefix());
+            }
+            // Phase 2, in order.
+            for (id, (peer, event)) in found.iter().zip(events.by_ref().take(n)) {
+                if let Some(id) = self.apply_found(peer, event, *id) {
+                    changed(id);
+                }
+            }
+        }
+    }
+
+    /// The body of [`RoutingTable::apply_owned`], given the prefix's id if
+    /// the caller already looked it up; `None` looks it up.
+    fn apply_found(
+        &mut self,
+        peer: PeerId,
+        event: ElementaryEvent,
+        found: Option<PrefixId>,
+    ) -> Option<PrefixId> {
         match event {
             ElementaryEvent::Announce {
                 timestamp,
                 prefix,
                 attrs,
-            } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp)),
+            } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp), found),
             ElementaryEvent::Withdraw { prefix, .. } => {
                 let state = self.peers.get_mut(&peer)?;
-                let id = self.interner.get(&prefix)?;
+                let id = found.or_else(|| self.interner.get(&prefix))?;
                 state.routes.remove(id).then_some(id)
             }
         }
@@ -157,14 +219,21 @@ impl RoutingTable {
     /// Returns the prefix's id, `None` (and changes nothing) if the peer is
     /// not registered.
     pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
-        self.insert(peer, prefix, route)
+        self.insert(peer, prefix, route, None)
     }
 
-    /// Installs or replaces `peer`'s route for `prefix` — the only place a
-    /// prefix is interned and a route enters a peer's storage.
-    fn insert(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
+    /// Installs or replaces `peer`'s route for `prefix`, whose id is `found`
+    /// if the caller already looked it up — the only place a prefix is
+    /// interned and a route enters a peer's storage.
+    fn insert(
+        &mut self,
+        peer: PeerId,
+        prefix: Prefix,
+        route: Route,
+        found: Option<PrefixId>,
+    ) -> Option<PrefixId> {
         let state = self.peers.get_mut(&peer)?;
-        let id = self.interner.intern(prefix);
+        let id = found.unwrap_or_else(|| self.interner.intern(prefix));
         state.routes.insert(id, route);
         Some(id)
     }

@@ -5,11 +5,15 @@
 //! events from unknown peers, duplicate withdrawals, withdrawals of prefixes
 //! nobody ever announced and implicit withdrawals by re-announcement — must
 //! leave every query of the table equal to the model's answer.
+//!
+//! The batched fold, `RoutingTable::apply_all`, is checked against the
+//! per-event `apply_owned` it must equal, on streams at the batch's edges.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
+    RoutingTable,
 };
 
 /// Peers 1..=4 can be registered; 5 never is, so its events must bounce.
@@ -254,6 +258,67 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
     Ok(())
 }
 
+/// The stream lengths the batch test draws: one event, a batch less one, a
+/// batch, a batch plus one, and two batches plus one.
+const STREAM_LENGTHS: [usize; 5] = [1, 15, 16, 17, 33];
+
+/// One event of a stream: `(kind, peer, (prefix index, back), path hops)`.
+type StreamOp = (u8, u32, (u32, usize), Vec<u32>);
+
+fn arb_stream() -> impl Strategy<Value = (usize, Vec<StreamOp>)> {
+    let op = (
+        0u8..3,
+        1u32..PEERS + 1,
+        (0u32..PREFIXES, 1usize..16),
+        proptest::collection::vec(1u32..9, 1..5),
+    );
+    (
+        0..STREAM_LENGTHS.len(),
+        proptest::collection::vec(op, 33..34),
+    )
+}
+
+/// One event per op, over peers 1..=5 (5 never registered): announcements
+/// of any of the first `ANNOUNCED` prefixes, withdrawals of any prefix (the
+/// last 8 never announced), and withdrawals by the peer of the event `back`
+/// places earlier of the prefix it touched — so a prefix announced earlier
+/// in a batch, new ones included, is withdrawn in it.
+fn stream_events(ops: &[StreamOp]) -> Vec<(PeerId, ElementaryEvent)> {
+    let mut events: Vec<(PeerId, ElementaryEvent)> = Vec::new();
+    for (k, (kind, peer, (i, back), hops)) in ops.iter().enumerate() {
+        let timestamp = k as u64;
+        let (peer, prefix) = match (kind, k.checked_sub(*back)) {
+            (0, _) => {
+                let attrs = route(PeerId(*peer), hops, timestamp).attrs;
+                let prefix = p(*i % ANNOUNCED);
+                let announce = ElementaryEvent::Announce {
+                    timestamp,
+                    prefix,
+                    attrs,
+                };
+                events.push((PeerId(*peer), announce));
+                continue;
+            }
+            (2, Some(j)) => (events[j].0, events[j].1.prefix()),
+            _ => (PeerId(*peer), p(*i)),
+        };
+        events.push((peer, ElementaryEvent::Withdraw { timestamp, prefix }));
+    }
+    events
+}
+
+/// Everything a routing table holds: its peers, and every id's prefix and
+/// candidate routes, in id order.
+type TableState = (Vec<(PeerId, Asn)>, Vec<(Prefix, Vec<Route>)>);
+
+fn state(table: &RoutingTable) -> TableState {
+    let ids = table.ids().map(|id| {
+        let routes = table.candidates_by_id(id).cloned().collect();
+        (table.prefix_of(id), routes)
+    });
+    (table.peers().collect(), ids.collect())
+}
+
 proptest! {
     /// After every step of a random operation sequence the table answers
     /// every query like the ordered-map model, and a clone of it does too.
@@ -266,5 +331,40 @@ proptest! {
             check(&table, &model)?;
         }
         check(&table.clone(), &model)?;
+    }
+
+    /// `apply_all` is `apply_owned` one event at a time: on a seeded table,
+    /// a stream of 1, 15, 16, 17 or 33 events leaves the same table and
+    /// reports the same changed ids, in the same order. The stream is then
+    /// applied a second time through the same buffer, now over prefixes
+    /// the table knows.
+    #[test]
+    fn applying_a_batch_equals_applying_each_event(
+        seed in proptest::collection::vec((1u32..PEERS, 0u32..ANNOUNCED / 2), 0..24),
+        stream in arb_stream(),
+    ) {
+        let mut batched = RoutingTable::new();
+        for peer in 1..PEERS {
+            batched.add_peer(PeerId(peer), Asn(100 + peer));
+        }
+        for (peer, i) in &seed {
+            batched.announce(PeerId(*peer), p(*i), route(PeerId(*peer), &[*peer], 0));
+        }
+        let mut single = batched.clone();
+        let (length, ops) = stream;
+        let events = stream_events(&ops[..STREAM_LENGTHS[length]]);
+        let mut buffer = Vec::new();
+        for _ in 0..2 {
+            let expected: Vec<PrefixId> = events
+                .iter()
+                .filter_map(|(peer, event)| single.apply_owned(*peer, event.clone()))
+                .collect();
+            buffer.extend(events.iter().cloned());
+            let mut changed = Vec::new();
+            batched.apply_all(&mut buffer, |id| changed.push(id));
+            prop_assert!(buffer.is_empty() && buffer.capacity() >= events.len());
+            prop_assert_eq!(changed, expected);
+            prop_assert_eq!(state(&batched), state(&single));
+        }
     }
 }

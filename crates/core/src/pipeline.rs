@@ -20,22 +20,26 @@
 //! Keeping the Adj-RIB-In mirrors in sync is bookkeeping for the *slow* path
 //! (the post-convergence resync); it is explicitly not needed to decide or
 //! install a reroute (§3: SWIFT exists because per-event FIB maintenance
-//! cannot keep up during a burst). The applier therefore supports two modes:
-//! **eager** (every event applied to the routing table immediately — the
-//! legacy `SwiftRouter` behaviour, convenient for tests and interactive
-//! inspection) and **deferred** (events buffered and folded into the table
-//! only when a resync or an explicit [`Applier::sync_rib`] needs it — the
-//! runtime's mode, keeping the applier thread off the hot path).
+//! cannot keep up during a burst). So the applier buffers events, and
+//! [`Applier::sync_rib`], the one fold path, folds the buffer into the table
+//! through [`RoutingTable::apply_all`], whose batches overlap the events'
+//! dictionary misses. Every sync point folds first: a resync, a session
+//! registration or teardown, and every reader that needs the current mirror
+//! ([`Applier::unsafe_reroutes`]). In **eager** mode (the default, run by
+//! `SwiftRouter` and the inline runtime) a full batch of
+//! [`RoutingTable::APPLY_BATCH`] events folds as well; in **deferred** mode
+//! ([`Applier::with_deferred_rib`], the sharded runtime's applier thread)
+//! nothing else does, which keeps per-event work off that thread's queue.
 //!
 //! # The dirty set
 //!
 //! Whichever mode folds an event, the prefix whose routes it changed is
 //! marked dirty for the next resync's stage-1 retag. The set is keyed by the
-//! routing table's [`PrefixId`] — the id [`RoutingTable::apply_owned`] returns
-//! from the one probe it makes anyway — as an id list plus a seen-bitmap (the
-//! crate's shared `DirtySet`), so marking is an array write. An event that
-//! changed nothing (unregistered peer, withdrawal of a route the peer does
-//! not hold) returns no id and marks nothing.
+//! routing table's [`PrefixId`] — the id the fold hands back from the probe
+//! it makes anyway — as an id list plus a seen-bitmap (the crate's shared
+//! `DirtySet`), so marking is an array write. An event that changed nothing
+//! (unregistered peer, withdrawal of a route the peer does not hold) returns
+//! no id and marks nothing.
 //!
 //! The ids never turn back into prefixes: stage 1 of the forwarding table is
 //! an array over the same id space (see the "Stage 1 layout" section of
@@ -134,14 +138,14 @@ pub struct Applier {
     /// whose inference installed them (so a session teardown can remove just
     /// that session's rules).
     outstanding: Vec<(PeerId, RerouteId)>,
-    /// Events not yet folded into `table` (deferred mode only).
+    /// Events not yet folded into `table`; sized for one batch.
     pending: Vec<(PeerId, ElementaryEvent)>,
     deferred_rib: bool,
 }
 
 impl Applier {
-    /// Builds an applier with **eager** RIB maintenance (every event applied
-    /// to the routing table as it arrives).
+    /// Builds an applier with **eager** RIB maintenance (events folded into
+    /// the routing table a batch at a time).
     pub fn new(config: SwiftConfig, table: RoutingTable, policy: ReroutingPolicy) -> Self {
         let forwarding = TwoStageTable::build(&table, &config.encoding, &policy);
         Self::from_parts(config, table, forwarding, policy)
@@ -173,15 +177,15 @@ impl Applier {
             actions: Vec::new(),
             dirty: DirtySet::default(),
             outstanding: Vec::new(),
-            pending: Vec::new(),
+            pending: Vec::with_capacity(RoutingTable::APPLY_BATCH),
             deferred_rib: false,
         }
     }
 
     /// Switches the applier to **deferred** RIB maintenance: events are
-    /// buffered and folded into the routing table only when a resync (or an
-    /// explicit [`Applier::sync_rib`]) needs the table — the mode the sharded
-    /// runtime's applier thread runs in, keeping per-event work off its queue.
+    /// folded into the routing table only at sync points (see "Deferred RIB
+    /// maintenance") — the mode the sharded runtime's applier thread runs
+    /// in, keeping per-event work off its queue.
     pub fn with_deferred_rib(mut self) -> Self {
         self.deferred_rib = true;
         self
@@ -197,8 +201,8 @@ impl Applier {
         &self.policy
     }
 
-    /// The routing table. In deferred mode this reflects only the events
-    /// already folded in by [`Applier::sync_rib`] or a resync.
+    /// The routing table, as of the last fold (see "Deferred RIB
+    /// maintenance"); [`Applier::sync_rib`] folds the rest.
     pub fn table(&self) -> &RoutingTable {
         &self.table
     }
@@ -218,40 +222,30 @@ impl Applier {
         self.pending.len()
     }
 
-    /// Records one per-prefix event: applied to the routing table immediately
-    /// (eager mode) or buffered for the next [`Applier::sync_rib`] (deferred
-    /// mode). Either way a prefix whose routes the event changed joins the
-    /// dirty set the next resync retags.
+    /// Records one per-prefix event: buffered, and folded into the routing
+    /// table with the next full batch (eager mode) or at the next sync point.
+    /// A prefix whose routes the event changed then joins the dirty set the
+    /// next resync retags.
     pub fn note_event(&mut self, peer: PeerId, event: &ElementaryEvent) {
         self.note_event_owned(peer, event.clone());
     }
 
-    /// [`Applier::note_event`] taking the event by value — lets deferred-mode
-    /// callers (the runtime's applier thread, which owns the events it pulled
-    /// off its queue) buffer without a clone.
+    /// [`Applier::note_event`] taking the event by value — lets callers that
+    /// own their events (the runtimes) buffer them without a clone.
     pub fn note_event_owned(&mut self, peer: PeerId, event: ElementaryEvent) {
-        if self.deferred_rib {
-            self.pending.push((peer, event));
-        } else {
-            self.fold(peer, event);
+        self.pending.push((peer, event));
+        if !self.deferred_rib && self.pending.len() >= RoutingTable::APPLY_BATCH {
+            self.sync_rib();
         }
     }
 
-    /// Applies one event to the RIB mirror and marks its prefix dirty if the
-    /// table changed — the single path of the eager and the deferred mode.
-    fn fold(&mut self, peer: PeerId, event: ElementaryEvent) {
-        if let Some(id) = self.table.apply_owned(peer, event) {
-            self.dirty.mark(id);
-        }
-    }
-
-    /// Folds every buffered event into the routing table (no-op in eager
-    /// mode). Returns the number of events applied.
+    /// Folds every buffered event into the routing table, in order, marking
+    /// each prefix whose routes changed dirty — the one fold path of both
+    /// modes. Returns the number of events applied.
     pub fn sync_rib(&mut self) -> usize {
         let applied = self.pending.len();
-        for (peer, event) in std::mem::take(&mut self.pending) {
-            self.fold(peer, event);
-        }
+        let dirty = &mut self.dirty;
+        self.table.apply_all(&mut self.pending, |id| dirty.mark(id));
         applied
     }
 
@@ -355,8 +349,10 @@ impl Applier {
 
     /// Safety check (Lemma 3.3): returns the prefixes among `predicted` whose
     /// *current* forwarding next-hop still offers a path crossing one of the
-    /// inferred links — ideally none after a reroute.
-    pub fn unsafe_reroutes(&self, predicted: &PrefixSet, links: &[AsLink]) -> PrefixSet {
+    /// inferred links — ideally none after a reroute. Folds the buffered
+    /// events first: the answer reads the current mirror.
+    pub fn unsafe_reroutes(&mut self, predicted: &PrefixSet, links: &[AsLink]) -> PrefixSet {
+        self.sync_rib();
         predicted
             .iter()
             .filter(|prefix| {

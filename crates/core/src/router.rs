@@ -61,8 +61,9 @@ impl SwiftRouter {
         self.applier.config()
     }
 
-    /// The current routing table.
-    pub fn routing_table(&self) -> &RoutingTable {
+    /// The current routing table, with every event handled so far folded in.
+    pub fn routing_table(&mut self) -> &RoutingTable {
+        self.applier.sync_rib();
         self.applier.table()
     }
 
@@ -141,7 +142,7 @@ impl SwiftRouter {
     /// Safety check (Lemma 3.3): returns the prefixes among `predicted` whose
     /// *current* forwarding next-hop still offers a path crossing one of the
     /// inferred links — ideally none after a reroute.
-    pub fn unsafe_reroutes(&self, predicted: &PrefixSet, links: &[AsLink]) -> PrefixSet {
+    pub fn unsafe_reroutes(&mut self, predicted: &PrefixSet, links: &[AsLink]) -> PrefixSet {
         self.applier.unsafe_reroutes(predicted, links)
     }
 }
@@ -329,8 +330,9 @@ mod tests {
         assert_eq!(removed_inc, removed_reb);
         assert_eq!(incremental.forwarding().swift_rule_count(), 0);
 
-        let (fi, ti) = (incremental.forwarding(), incremental.routing_table());
-        let (fr, tr) = (rebuilt.forwarding(), rebuilt.routing_table());
+        // Both resyncs folded every event, so the applier's table is current.
+        let (fi, ti) = (incremental.forwarding(), incremental.applier().table());
+        let (fr, tr) = (rebuilt.forwarding(), rebuilt.applier().table());
         assert_eq!(fi.stage1_len(), fr.stage1_len());
         assert_eq!(fi.stage2_rules(), fr.stage2_rules());
         for i in 0..300 {

@@ -6,12 +6,13 @@
 //!
 //! * **the per-event path** — every [`Applier::note_event_owned`] of a
 //!   withdrawal burst and of the announcements restoring it (eager RIB
-//!   mirror), and every [`SessionEngine::process`] call of the same cycle
-//!   that sits on the per-event path proper or runs an attempt the history
-//!   model turns down before the greedy chain (ranker fold, ranking and the
-//!   top link's crossing count); not one that opens or closes a burst
-//!   (`start_burst` re-seeds the counters, the close drops the accepted
-//!   result) and not the accepting one (below);
+//!   mirror, folding a batch at a time), the [`Applier::sync_rib`] that folds
+//!   each phase's last, partial batch, and every [`SessionEngine::process`]
+//!   call of the same cycle that sits on the per-event path proper or runs an
+//!   attempt the history model turns down before the greedy chain (ranker
+//!   fold, ranking and the top link's crossing count); not one that opens or
+//!   closes a burst (`start_burst` re-seeds the counters, the close drops the
+//!   accepted result) and not the accepting one (below);
 //! * **its parts, one by one** — [`LinkCounters`]' withdrawal and
 //!   announcement handlers with the [`LinkRanker`] fold of their dirty links
 //!   after every event, and the RIB mirror's [`RoutingTable::apply_owned`]
@@ -206,7 +207,8 @@ fn cycle(table: &RoutingTable, start: u64) -> (Vec<ElementaryEvent>, Vec<Element
 /// Allocator calls seen inside the watched calls of one cycle.
 #[derive(Debug, Default, PartialEq)]
 struct Seen {
-    /// `(allocs, deallocs)` across every `note_event_owned`.
+    /// `(allocs, deallocs)` across every `note_event_owned` and each
+    /// phase's closing `sync_rib`.
     applier: (u64, u64),
     /// The same across the `process` calls on the per-event path proper.
     engine: (u64, u64),
@@ -221,7 +223,7 @@ struct Seen {
 }
 
 /// Feeds one phase through the engine and then the applier, the way the
-/// inline runtime does, counting allocator calls inside the two watched calls
+/// inline runtime does, counting allocator calls inside the watched calls
 /// only.
 fn replay(
     engine: &mut SessionEngine,
@@ -255,6 +257,12 @@ fn replay(
         seen.applier.0 += calls.0;
         seen.applier.1 += calls.1;
     }
+    // The phase's last, partial batch folds here, at the sync point; it
+    // counts with the per-event path.
+    let (folded, calls) = watch(|| applier.sync_rib());
+    assert_eq!(folded, failed_prefixes().len() % RoutingTable::APPLY_BATCH);
+    seen.applier.0 += calls.0;
+    seen.applier.1 += calls.1;
 }
 
 /// Runs a warm-up cycle, then the same cycle a quarter of an hour later, and
@@ -297,6 +305,12 @@ fn measured_cycle(tail: &[u32]) -> Seen {
 fn the_per_event_path_never_calls_the_allocator() {
     let withdrawn = failed_prefixes().len();
     let events = 2 * withdrawn;
+    // Each phase folds full batches as it goes and a partial one at the end.
+    let batch = RoutingTable::APPLY_BATCH;
+    assert!(
+        withdrawn >= 2 * batch && withdrawn % batch != 0,
+        "{withdrawn}"
+    );
 
     let short = measured_cycle(TAILS[0]);
     assert_eq!(short.accepted, [ACCEPTED_AT], "the burst was rerouted");

@@ -412,6 +412,7 @@ proptest! {
             PeerId(1),
             &ElementaryEvent::Announce { timestamp: t, prefix: fresh, attrs: route(1, 1, 2, t).attrs },
         );
+        applier.sync_rib();
         let id = applier.table().prefix_id(&fresh).expect("interned by the announcement");
         prop_assert_eq!(id.index() + 1, applier.table().id_count());
         prop_assert!(slots <= id.index(), "the build cannot have sized for it");

@@ -130,9 +130,8 @@ pub struct RuntimeConfig {
     /// producer carries a [`swift_telemetry::TraceStamp`] through
     /// ingest → shard → applier, populating the per-stage histograms of
     /// [`RuntimeMetrics::stages`]. Rounded down to a power of two; `0`
-    /// disables tracing. At the default 1-in-1024 the overhead on the ingest
-    /// dispatch loop is < 2% (measured by `exp_soak --measure-overhead` and
-    /// `bench_telemetry`).
+    /// disables tracing. `bench_telemetry` measures what the default
+    /// 1-in-1024 costs on the ingest dispatch loop.
     pub trace_sample_interval: usize,
 }
 
@@ -781,7 +780,9 @@ impl ShardedRuntime {
             .map(|s| s.elapsed())
             .unwrap_or(Duration::ZERO);
         match mode {
-            Mode::Inline(inline) => {
+            Mode::Inline(mut inline) => {
+                // The last partial batch folds: the report's mirror is current.
+                inline.applier.sync_rib();
                 // Inline processing has no queueing, so no latency samples
                 // exist: the empty histograms honestly summarise to count 0
                 // rather than fabricating zeros.
@@ -1362,6 +1363,126 @@ mod tests {
             report.applier().forwarding().swift_rule_count()
         };
         assert!(report_rules > 0, "peer 1's reroute rules survive");
+    }
+
+    /// The peers, and every id's prefix and candidate routes, in id order.
+    type MirrorState = (Vec<(PeerId, Asn)>, Vec<(Prefix, Vec<Route>)>);
+
+    fn mirror_state(table: &RoutingTable) -> MirrorState {
+        let ids = table.ids().map(|id| {
+            let routes = table.candidates_by_id(id).cloned().collect();
+            (table.prefix_of(id), routes)
+        });
+        (table.peers().collect(), ids.collect())
+    }
+
+    /// With a partial batch pending, each sync point of the inline runtime —
+    /// teardown, registration, resync, `finish` — folds it first: after each
+    /// one the mirror equals a table fed the same events one `apply_owned`
+    /// at a time.
+    #[test]
+    fn inline_sync_points_fold_the_pending_partial_batch() {
+        let n = 40u32;
+        let table = multi_table(2, n);
+        let routes: Vec<(Prefix, Route)> = table
+            .adj_rib_in(PeerId(2))
+            .unwrap()
+            .iter()
+            .map(|(prefix, route)| (*prefix, route.clone()))
+            .collect();
+        let mut reference = table.clone();
+        let mut runtime = ShardedRuntime::new(
+            RuntimeConfig::deterministic(),
+            config(),
+            table,
+            ReroutingPolicy::allow_all(),
+        );
+        let attrs = RouteAttributes::from_path(AsPath::new([2u32, 40_000]));
+        let mirror = |runtime: &ShardedRuntime| match runtime.mode.as_ref() {
+            Some(Mode::Inline(inline)) => (
+                inline.applier.pending_events(),
+                mirror_state(inline.applier.table()),
+            ),
+            _ => panic!("a deterministic runtime runs inline"),
+        };
+        for step in 0..4u32 {
+            // Withdrawals on both sessions, a path change, and a new prefix
+            // announced and withdrawn again: five events, a partial batch.
+            let fresh = p(10_000 + step);
+            let events = [
+                (
+                    1,
+                    ElementaryEvent::Withdraw {
+                        timestamp: 0,
+                        prefix: p(step),
+                    },
+                ),
+                (
+                    2,
+                    ElementaryEvent::Withdraw {
+                        timestamp: 0,
+                        prefix: p(n + step),
+                    },
+                ),
+                (
+                    2,
+                    ElementaryEvent::Announce {
+                        timestamp: 0,
+                        prefix: p(step),
+                        attrs: attrs.clone(),
+                    },
+                ),
+                (
+                    1,
+                    ElementaryEvent::Announce {
+                        timestamp: 0,
+                        prefix: fresh,
+                        attrs: attrs.clone(),
+                    },
+                ),
+                (
+                    1,
+                    ElementaryEvent::Withdraw {
+                        timestamp: 0,
+                        prefix: fresh,
+                    },
+                ),
+            ];
+            let pending = events.len();
+            for (peer, event) in events {
+                reference.apply_owned(PeerId(peer), event.clone());
+                runtime.ingest(PeerId(peer), event);
+            }
+            assert_eq!(mirror(&runtime).0, pending, "step {step}");
+            match step {
+                0 => {
+                    runtime.teardown_session(PeerId(2));
+                    reference.clear_peer(PeerId(2));
+                }
+                1 => {
+                    runtime.register_session(PeerId(2), Asn(2), routes.clone());
+                    reference.add_peer(PeerId(2), Asn(2));
+                    for (prefix, route) in routes.iter().cloned() {
+                        reference.announce(PeerId(2), prefix, route);
+                    }
+                }
+                2 => {
+                    runtime.resync_after_convergence();
+                }
+                _ => break,
+            }
+            assert_eq!(
+                mirror(&runtime),
+                (0, mirror_state(&reference)),
+                "step {step}"
+            );
+        }
+        let report = runtime.finish();
+        assert_eq!(report.pending_events(), 0);
+        assert_eq!(
+            mirror_state(report.applier().table()),
+            mirror_state(&reference)
+        );
     }
 
     /// Splits the interleaved burst stream into `k` per-source streams with
