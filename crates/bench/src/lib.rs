@@ -1,17 +1,14 @@
 //! # swift-bench
 //!
-//! Experiment harness regenerating every table and figure of the SWIFT paper's
-//! measurement and evaluation sections. Each `exp_*` binary in `src/bin/`
-//! prints the rows/series of one paper artefact; the Criterion benches in
-//! `benches/` measure the hot paths of the implementation itself.
-//!
-//! This library hosts the pieces shared by the binaries: the evaluation corpus
-//! configuration (a scaled-down but distribution-faithful version of the
-//! paper's November-2016 dataset — see `DESIGN.md` and `EXPERIMENTS.md` for the
-//! scaling notes) and the per-burst inference evaluation pipeline.
+//! The SWIFT paper's measurement and evaluation artefacts as records
+//! ([`eval`], driven by `swift-bench eval [artefact…]` and pinned by
+//! `tests/eval.rs`), the per-burst inference evaluation they share, and the
+//! runtime harnesses' helpers. The Criterion benches in `benches/` measure
+//! the hot paths of the implementation itself.
 
 #![warn(clippy::all)]
 
+pub mod eval;
 pub mod harness;
 
 use std::collections::BTreeMap;
@@ -20,7 +17,7 @@ use swift_bgp::{PeerId, PrefixSet, Timestamp};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Classification;
 use swift_core::{InferenceConfig, RerouteAction};
-use swift_traces::{Corpus, MaterializedBurst, SessionTrace, TraceConfig};
+use swift_traces::{MaterializedBurst, SessionTrace};
 
 /// The per-session projection of a reroute action log: `(time, links,
 /// predicted size)` per session, in acceptance order. Per-session
@@ -46,41 +43,11 @@ pub fn per_session_decisions(
     decisions
 }
 
-/// The scaled evaluation corpus used by the trace-driven experiments
-/// (Fig. 6, Table 2, Fig. 7, Fig. 8).
-///
-/// Scaling relative to the paper's dataset (documented in EXPERIMENTS.md):
-/// 60 sessions instead of 213, 30k-prefix session tables instead of full
-/// Internet tables, burst sizes capped at half the table. Distribution shapes
-/// (Pareto tail, rates, head/middle/tail split, popularity) are unchanged.
-pub fn eval_trace_config() -> TraceConfig {
-    TraceConfig {
-        num_peers: 60,
-        table_size: 30_000,
-        bursts_per_peer_mean: 12.0,
-        seed: 0x51f7_2017,
-        ..TraceConfig::default()
-    }
-}
-
-/// The catalog-only corpus used by the Fig. 2 measurements (full 213 peers —
-/// the catalog is cheap because nothing is materialised).
-pub fn catalog_trace_config() -> TraceConfig {
-    TraceConfig {
-        num_peers: 213,
-        bursts_per_peer_mean: 15.7,
-        seed: 0x51f7_2016,
-        ..TraceConfig::default()
-    }
-}
-
 /// The outcome of running the SWIFT inference on one corpus burst.
 #[derive(Debug, Clone)]
 pub struct BurstEvaluation {
     /// The burst's total withdrawal count (failure-related ones).
     pub burst_size: usize,
-    /// Whether an inference was accepted during the burst.
-    pub inferred: bool,
     /// Withdrawals received when the inference was accepted.
     pub withdrawals_at_inference: usize,
     /// Time (relative to burst start) when the inference was accepted.
@@ -100,9 +67,6 @@ pub struct BurstEvaluation {
     /// The predicted prefix set (for the encoding experiments), shared with
     /// the inference result.
     pub predicted: Arc<PrefixSet>,
-    /// Whether the inferred links are exactly/partly right is evaluated by the
-    /// simulation experiment; trace bursts carry their synthetic failed link.
-    pub failed_link: swift_bgp::AsLink,
 }
 
 /// Runs the SWIFT inference engine over one materialised burst of a session.
@@ -151,7 +115,6 @@ pub fn evaluate_burst(
 
     Some(BurstEvaluation {
         burst_size: burst.withdrawn.len(),
-        inferred: true,
         withdrawals_at_inference: result.withdrawals_seen,
         inference_delay: result.time.saturating_sub(burst_start),
         localization,
@@ -160,37 +123,13 @@ pub fn evaluate_burst(
         falsely_predicted,
         links: result.links.links.clone(),
         predicted: predicted_future,
-        failed_link: burst.failed_link,
     })
-}
-
-/// Materialises every session of `corpus` and evaluates every burst with the
-/// given inference configuration. Sessions are processed one at a time to
-/// bound memory.
-pub fn evaluate_corpus(corpus: &Corpus, config: &InferenceConfig) -> Vec<BurstEvaluation> {
-    let mut out = Vec::new();
-    for s in 0..corpus.num_sessions() {
-        let session = corpus.materialize_session(s);
-        for burst in &session.bursts {
-            if let Some(eval) = evaluate_burst(&session, burst, config) {
-                out.push(eval);
-            }
-        }
-    }
-    out
-}
-
-/// The monitored peer id used by `SessionTrace::routing_table`.
-pub const MONITORED_PEER: PeerId = PeerId(1);
-
-/// Formats a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swift_traces::{Corpus, TraceConfig};
 
     #[test]
     fn evaluate_burst_produces_consistent_metrics() {
@@ -224,26 +163,5 @@ mod tests {
         }
         // At least one burst in the session is large enough to be evaluated.
         assert!(evaluated >= 1, "no burst evaluated");
-    }
-
-    #[test]
-    fn corpus_evaluation_runs_end_to_end() {
-        let corpus = Corpus::generate(TraceConfig {
-            num_peers: 2,
-            table_size: 6_000,
-            bursts_per_peer_mean: 2.0,
-            ..TraceConfig::small()
-        });
-        let evals = evaluate_corpus(&corpus, &InferenceConfig::default());
-        for e in &evals {
-            assert!(e.inferred);
-            assert!(e.burst_size > 0);
-        }
-    }
-
-    #[test]
-    fn pct_formatting() {
-        assert_eq!(pct(0.5), "50.0%");
-        assert_eq!(pct(0.987), "98.7%");
     }
 }

@@ -47,10 +47,7 @@ impl ConvergenceResult {
         let total = probes.len().max(1) as f64;
         let mut series = vec![(0, 1.0)];
         for (i, t) in times.iter().enumerate() {
-            let remaining = (times.len() - (i + 1)) as f64 + (probes.len() - times.len()) as f64
-                - (probes.len() - times.len()) as f64;
             let down = (times.len() - (i + 1)) as f64;
-            let _ = remaining;
             series.push((*t, down / total));
         }
         series

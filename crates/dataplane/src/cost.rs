@@ -5,7 +5,10 @@
 //! [24, 64]) and the pacing at which withdrawals arrive from the upstream
 //! neighbour (itself limited by that neighbour's per-prefix processing). The
 //! default values below reproduce Table 1's downtime slope
-//! (≈380 µs per withdrawn prefix: 10k → 3.8 s, …, 290k → 109 s).
+//! (≈380 µs per withdrawn prefix: 10k → 3.8 s, …, 290k → 109 s). Any FIB cost
+//! in the cited range is below the 380 µs upstream gap, so the FIB is never
+//! the bottleneck and the FIB cost moves Table 1 only by the last prefix's
+//! update (282 − 128 µs ≈ 0.15 ms across the range).
 
 use swift_bgp::Timestamp;
 
@@ -35,24 +38,6 @@ impl Default for FibCostModel {
 }
 
 impl FibCostModel {
-    /// The paper's lower-bound per-prefix cost (128 µs).
-    pub fn fast() -> Self {
-        FibCostModel {
-            per_prefix_update: 128,
-            per_rule_update: 128,
-            upstream_message_gap: 380,
-        }
-    }
-
-    /// The paper's upper-bound per-prefix cost (282 µs).
-    pub fn slow() -> Self {
-        FibCostModel {
-            per_prefix_update: 282,
-            per_rule_update: 282,
-            upstream_message_gap: 380,
-        }
-    }
-
     /// Time to update `n` per-prefix FIB entries back-to-back.
     pub fn prefix_updates(&self, n: usize) -> Timestamp {
         self.per_prefix_update * n as Timestamp
@@ -79,13 +64,6 @@ mod tests {
         // 290k prefixes → ≈ 110 s, the paper's 109 s within a couple percent.
         let total = per * 290_000;
         assert!((109 * SECOND..112 * SECOND).contains(&total));
-    }
-
-    #[test]
-    fn bounds_match_cited_range() {
-        assert_eq!(FibCostModel::fast().per_prefix_update, 128);
-        assert_eq!(FibCostModel::slow().per_prefix_update, 282);
-        assert!(FibCostModel::fast().prefix_updates(10) < FibCostModel::slow().prefix_updates(10));
     }
 
     #[test]

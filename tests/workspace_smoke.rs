@@ -27,7 +27,7 @@ fn umbrella_reexports_are_reachable() {
     let config = TraceConfig::small();
     assert!(config.table_size > 0);
 
-    let cost = FibCostModel::fast();
+    let cost = FibCostModel::default();
     assert!(cost.prefix_updates(1_000) > 0);
 
     let one_second: Timestamp = SECOND;
