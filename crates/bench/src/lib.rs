@@ -2,46 +2,20 @@
 //!
 //! The SWIFT paper's measurement and evaluation artefacts as records
 //! ([`eval`], driven by `swift-bench eval [artefact…]` and pinned by
-//! `tests/eval.rs`), the per-burst inference evaluation they share, and the
-//! runtime harnesses' helpers. The Criterion benches in `benches/` measure
-//! the hot paths of the implementation itself.
+//! `tests/eval.rs`) and the per-burst inference evaluation they share. The
+//! Criterion benches in `benches/` measure the hot paths of the
+//! implementation itself.
 
 #![warn(clippy::all)]
 
 pub mod eval;
-pub mod harness;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use swift_bgp::{PeerId, PrefixSet, Timestamp};
+use swift_bgp::{PrefixSet, Timestamp};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Classification;
-use swift_core::{InferenceConfig, RerouteAction};
+use swift_core::InferenceConfig;
 use swift_traces::{MaterializedBurst, SessionTrace};
-
-/// The per-session projection of a reroute action log: `(time, links,
-/// predicted size)` per session, in acceptance order. Per-session
-/// subsequences are deterministic across runtime modes while the global
-/// interleaving is scheduling-dependent, so this projection is what the
-/// concurrency and soak harnesses compare across configurations.
-pub fn per_session_decisions(
-    actions: &[RerouteAction],
-    peers: impl IntoIterator<Item = PeerId>,
-) -> BTreeMap<PeerId, Vec<String>> {
-    let mut decisions: BTreeMap<PeerId, Vec<String>> =
-        peers.into_iter().map(|p| (p, Vec::new())).collect();
-    for a in actions {
-        if let Some(list) = decisions.get_mut(&a.session) {
-            list.push(format!(
-                "t={} links={:?} predicted={}",
-                a.time,
-                a.links,
-                a.predicted.len()
-            ));
-        }
-    }
-    decisions
-}
 
 /// The outcome of running the SWIFT inference on one corpus burst.
 #[derive(Debug, Clone)]

@@ -35,8 +35,8 @@ fn scaled() -> EvalInputs {
     }
 }
 
-/// One record per line, values in Rust's shortest round-trip notation
-/// (`JsonObject::f64` keeps three decimals, too few for an exact pin).
+/// One record per line, values in Rust's shortest round-trip notation so
+/// that reading them back is exact.
 fn to_json(records: &[EvalRecord]) -> String {
     let lines: Vec<String> = (records.iter())
         .map(|r| {

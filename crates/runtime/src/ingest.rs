@@ -295,7 +295,7 @@ impl IngestHandle {
     /// the runtime shut down (the handle outlived it — late traffic is
     /// shed), a panic while the runtime is live (a worker crashed; shedding
     /// silently there would break the lossless `Block` contract and let a
-    /// long soak grind on against a dead shard).
+    /// long run grind on against a dead shard).
     fn on_disconnected(&self, shard: usize) {
         // Acquire pairs with the Release store in `Runtime::shutdown` (see
         // the atomic-ordering auditor's `flag` role): observing the flag

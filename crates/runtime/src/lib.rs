@@ -370,7 +370,7 @@ pub struct ShardedRuntime {
     /// The live metrics registry: worker counters and gauges all live here,
     /// so [`ShardedRuntime::registry`] snapshots never stop the run.
     registry: Registry,
-    /// Ring of recent lifecycle events, dumped by harnesses on failure.
+    /// Ring of recent lifecycle events, for a failing run's post-mortem.
     flight: FlightRecorder,
     /// The runtime's epoch clock (also created in inline mode, so flight
     /// events and snapshots carry comparable timestamps).
@@ -547,8 +547,7 @@ impl ShardedRuntime {
 
     /// The runtime's lifecycle flight recorder: session register/teardown,
     /// barriers, resyncs, shed batches and shutdown, in a fixed-size ring.
-    /// Harnesses arm a [`swift_telemetry::DumpOnPanic`] on it so assertion
-    /// failures dump the recent history.
+    /// [`FlightRecorder::dump`] renders the recent history when a run fails.
     pub fn flight(&self) -> FlightRecorder {
         self.flight.clone()
     }

@@ -3,12 +3,15 @@
 //! across sources), the K-producer sharded replay reaches — per session —
 //! exactly the decisions (installed-rule counts included) of the
 //! single-producer sharded replay and of the deterministic inline mode,
-//! including a mid-run teardown + re-register on one source, and ends with an
-//! identical set of SWIFT rules in the data plane.
+//! including a mid-run teardown + re-register on one source and
+//! `resync_after_convergence` between producer segments, removes the same
+//! number of rules at every resync, and ends with an identical set of SWIFT
+//! rules in the data plane.
 //!
-//! This is the contract `exp_soak --ingest-threads N` rests on: as long as
-//! each session is pinned to one `IngestHandle`, the producer count is
-//! invisible in the decision stream.
+//! This is the runtime's multi-producer contract: as long as each session is
+//! pinned to one `IngestHandle`, the producer count is invisible in the
+//! decision stream, and a resync called once every producer of a segment has
+//! finished sees that whole segment.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -160,57 +163,95 @@ fn swift_rules(report: &RuntimeReport) -> BTreeSet<TagRule> {
 
 /// Sessions disjoint across sources: session s (1-based peers) → source
 /// (s - 1) % k, each source preserving the merged order of its sessions.
+/// Each event keeps its position in the merged stream.
 fn partition(
-    events: &[(PeerId, ElementaryEvent)],
+    events: &[(usize, PeerId, ElementaryEvent)],
     k: usize,
-) -> Vec<Vec<(PeerId, ElementaryEvent)>> {
+) -> Vec<Vec<(usize, PeerId, ElementaryEvent)>> {
     let mut sources = vec![Vec::new(); k];
-    for (peer, event) in events {
-        sources[(peer.0 as usize - 1) % k].push((*peer, event.clone()));
+    for (at, peer, event) in events {
+        sources[(peer.0 as usize - 1) % k].push((*at, *peer, event.clone()));
     }
     sources
 }
 
-/// Replays the churned session's teardown + re-register after its
-/// `churn_after`-th event, inline with the stream.
-fn run_inline_with_churn(
+/// What a run produced: its report and the rules each resync removed.
+type Run = (RuntimeReport, Vec<usize>);
+
+/// Replays the stream inline: the churned session's teardown + re-register
+/// just before the event at position `churn_at`, and a resync before the
+/// event at each position in `resync_at` (sorted; a position equal to the
+/// stream length resyncs after its last event).
+fn run_inline(
     events: &[(PeerId, ElementaryEvent)],
-    churn_after: usize,
-) -> RuntimeReport {
+    churn_at: Option<usize>,
+    resync_at: &[usize],
+) -> Run {
     let mut runtime = ShardedRuntime::new(
         RuntimeConfig::deterministic(),
         config(),
         table(),
         ReroutingPolicy::allow_all(),
     );
-    let mut seen = 0usize;
-    for (peer, event) in events {
-        if *peer == CHURNED {
-            if seen == churn_after {
-                runtime.teardown_session(CHURNED);
-                runtime.register_session(CHURNED, Asn(100), churned_routes());
-            }
-            seen += 1;
+    let mut removed = Vec::new();
+    for at in 0..=events.len() {
+        for _ in resync_at.iter().filter(|r| **r == at) {
+            removed.push(runtime.resync_after_convergence());
+        }
+        let Some((peer, event)) = events.get(at) else {
+            break;
+        };
+        if churn_at == Some(at) {
+            runtime.teardown_session(CHURNED);
+            runtime.register_session(CHURNED, Asn(100), churned_routes());
         }
         runtime.ingest(*peer, event.clone());
     }
-    runtime.finish()
+    (runtime.finish(), removed)
 }
 
-/// The same run through `k` producer threads on a sharded runtime; the
+/// Ingests one segment of the stream through `k` fresh handles, one
+/// producer thread each, and returns once every producer has finished. The
 /// producer owning the churned session performs the teardown + re-register
-/// through its own handle at the same per-session position.
+/// through its own handle just before the event at position `churn_at`.
 #[expect(
     clippy::disallowed_methods,
     reason = "the test drives the runtime from concurrent producer threads"
 )]
-fn run_producers_with_churn(
+fn ingest_segment(
+    runtime: &ShardedRuntime,
+    segment: &[(usize, PeerId, ElementaryEvent)],
+    k: usize,
+    churn_at: Option<usize>,
+) {
+    std::thread::scope(|scope| {
+        for source in partition(segment, k) {
+            let mut handle = runtime.handle();
+            scope.spawn(move || {
+                for (at, peer, event) in source {
+                    if churn_at == Some(at) {
+                        handle.teardown_session(CHURNED);
+                        handle.register_session(CHURNED, Asn(100), churned_routes());
+                    }
+                    handle.ingest(peer, event);
+                }
+                handle.finish();
+            });
+        }
+    });
+}
+
+/// The same run through `k` producer threads on a sharded runtime: the
+/// stream is cut at each resync position, and each resync runs once every
+/// producer of the segment before it has finished.
+fn run_producers(
     events: &[(PeerId, ElementaryEvent)],
     shards: usize,
     k: usize,
-    churn_after: usize,
-) -> RuntimeReport {
-    let runtime = ShardedRuntime::new(
+    churn_at: Option<usize>,
+    resync_at: &[usize],
+) -> Run {
+    let mut runtime = ShardedRuntime::new(
         RuntimeConfig {
             batch_size: 7, // force mid-burst batch boundaries
             ..RuntimeConfig::sharded(shards)
@@ -219,49 +260,50 @@ fn run_producers_with_churn(
         table(),
         ReroutingPolicy::allow_all(),
     );
-    std::thread::scope(|scope| {
-        for source in partition(events, k) {
-            let mut handle = runtime.handle();
-            scope.spawn(move || {
-                let mut seen = 0usize;
-                for (peer, event) in source {
-                    if peer == CHURNED {
-                        if seen == churn_after {
-                            handle.teardown_session(CHURNED);
-                            handle.register_session(CHURNED, Asn(100), churned_routes());
-                        }
-                        seen += 1;
-                    }
-                    handle.ingest(peer, event);
-                }
-                handle.finish();
-            });
-        }
-    });
-    runtime.finish()
+    let positioned: Vec<(usize, PeerId, ElementaryEvent)> = (events.iter().enumerate())
+        .map(|(at, (peer, event))| (at, *peer, event.clone()))
+        .collect();
+    let mut removed = Vec::new();
+    let mut start = 0;
+    for &end in resync_at {
+        ingest_segment(&runtime, &positioned[start..end], k, churn_at);
+        removed.push(runtime.resync_after_convergence());
+        start = end;
+    }
+    ingest_segment(&runtime, &positioned[start..], k, churn_at);
+    (runtime.finish(), removed)
 }
 
 proptest! {
     /// K-producer sharded replay (K ∈ {1, 2, 3}, real threads) is
     /// decision-identical per session to the single-producer sharded replay
     /// and to the deterministic inline mode, on random streams with a
-    /// mid-run teardown + re-register of one session; the final installed
-    /// rule sets are identical too.
+    /// mid-run teardown + re-register of one session and up to three
+    /// resyncs between producer segments; every resync removes the same
+    /// number of rules, and the final installed rule sets are identical too.
     #[test]
     fn k_producers_equal_single_producer_and_inline(
         stream in arb_stream(),
         k in 1usize..=3,
         churn_slot in 0u32..150,
+        resync_slots in proptest::collection::vec(0usize..300, 0..4),
     ) {
         let events = materialize(&stream);
-        let churned_events = events.iter().filter(|(p, _)| *p == CHURNED).count();
-        // A churn point inside the session's stream (or none, when the
-        // random slot falls past its last event) — identical across runs.
-        let churn_after = churn_slot as usize % (churned_events + 1);
+        let churned: Vec<usize> = (events.iter().enumerate())
+            .filter(|(_, (p, _))| *p == CHURNED)
+            .map(|(at, _)| at)
+            .collect();
+        // A churn point before one of the session's events (or none, when
+        // the random slot falls past its last event) — identical across runs.
+        let churn_at = churned.get(churn_slot as usize % (churned.len() + 1)).copied();
+        // Resync points anywhere in the stream, its end included.
+        let mut resync_at: Vec<usize> =
+            resync_slots.iter().map(|r| r % (events.len() + 1)).collect();
+        resync_at.sort_unstable();
 
-        let inline = run_inline_with_churn(&events, churn_after);
-        let single = run_producers_with_churn(&events, 2, 1, churn_after);
-        let multi = run_producers_with_churn(&events, 2, k, churn_after);
+        let (inline, inline_removed) = run_inline(&events, churn_at, &resync_at);
+        let (single, single_removed) = run_producers(&events, 2, 1, churn_at, &resync_at);
+        let (multi, multi_removed) = run_producers(&events, 2, k, churn_at, &resync_at);
 
         for s in 0..SESSIONS {
             let peer = PeerId(s + 1);
@@ -271,6 +313,8 @@ proptest! {
             prop_assert_eq!(&decisions_for(&single.actions, peer), &want);
             prop_assert_eq!(&decisions_for(&multi.actions, peer), &want);
         }
+        prop_assert_eq!(&single_removed, &inline_removed);
+        prop_assert_eq!(&multi_removed, &inline_removed);
         prop_assert_eq!(&swift_rules(&single), &swift_rules(&inline));
         prop_assert_eq!(&swift_rules(&multi), &swift_rules(&inline));
     }

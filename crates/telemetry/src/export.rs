@@ -1,16 +1,9 @@
-//! Hand-rolled JSON emission, validation, and trajectory files.
+//! Hand-rolled JSON emission and validation.
 //!
 //! The crate is dependency-free, so JSON support is written out by hand over
-//! the closed schema we emit: a [`JsonObject`] builder for rendering, a
-//! minimal recursive-descent [`Json`] parser so harnesses and CI can
-//! round-trip-validate what they wrote (no python in the CI leg), a
-//! [`JsonLinesWriter`] for periodic snapshot streams, and
-//! [`append_trajectory`] for the append-only `BENCH_*.json` run history the
-//! ROADMAP asks for.
-
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::Path;
+//! the closed schema we emit: a [`JsonObject`] builder for rendering and a
+//! minimal recursive-descent [`Json`] parser so what was written can be read
+//! back and checked (no python needed).
 
 /// Escapes `s` for inclusion in a JSON string literal (quotes not included).
 pub fn json_escape(s: &str) -> String {
@@ -26,19 +19,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Renders an iterator of pre-rendered JSON values as a JSON array.
-pub fn json_array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
     out
 }
 
@@ -65,25 +45,6 @@ impl JsonObject {
         self.buf.push_str("\": ");
     }
 
-    /// Adds an unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    /// Adds a float field, rendered with up to 3 decimal places (non-finite
-    /// values become `null` — JSON has no NaN).
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v:.3}"));
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
     /// Adds a string field (escaped).
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
@@ -93,15 +54,8 @@ impl JsonObject {
         self
     }
 
-    /// Adds a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a field whose value is already-rendered JSON (nested object or
-    /// array). The caller guarantees `raw` is valid JSON.
+    /// Adds a field whose value is already-rendered JSON (a number, nested
+    /// object or array). The caller guarantees `raw` is valid JSON.
     pub fn raw(mut self, k: &str, raw: &str) -> Self {
         self.key(k);
         self.buf.push_str(raw);
@@ -116,18 +70,6 @@ impl JsonObject {
         self.buf.push('}');
         self.buf
     }
-}
-
-/// Renders a [`HistogramSummary`](crate::HistogramSummary) as a JSON object.
-pub fn summary_object(s: &crate::HistogramSummary) -> String {
-    JsonObject::new()
-        .u64("count", s.count)
-        .u64("p50", s.p50)
-        .u64("p90", s.p90)
-        .u64("p99", s.p99)
-        .u64("max", s.max)
-        .f64("mean", s.mean)
-        .finish()
 }
 
 /// A parsed JSON value — the read half of the closed schema.
@@ -347,74 +289,6 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
         .map_err(|e| format!("bad number at offset {start}: {e}"))
 }
 
-/// A writer emitting one JSON object per line (the exporter's stream format).
-#[derive(Debug)]
-pub struct JsonLinesWriter {
-    out: BufWriter<File>,
-    lines: usize,
-}
-
-impl JsonLinesWriter {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(JsonLinesWriter {
-            out: BufWriter::new(File::create(path)?),
-            lines: 0,
-        })
-    }
-
-    /// Writes one pre-rendered JSON object as a line.
-    pub fn emit(&mut self, line: &str) -> std::io::Result<()> {
-        self.out.write_all(line.as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Number of lines emitted so far.
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
-    /// Flushes buffered lines to disk.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Appends one run record to an append-only JSON-array trajectory file.
-///
-/// If the file is missing, empty, or does not parse as a JSON array, a fresh
-/// single-record array is
-/// written; otherwise the record is spliced in before the closing bracket so
-/// the history grows one entry per run. Returns the number of records now in
-/// the file.
-pub fn append_trajectory(path: &Path, record: &str) -> std::io::Result<usize> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let prior = match Json::parse(&existing) {
-        Ok(Json::Arr(items)) => items.len(),
-        _ => 0,
-    };
-    let mut out = String::from("[\n");
-    if prior > 0 {
-        // Keep the existing records verbatim: everything between the
-        // outermost brackets.
-        let open = existing.find('[').map_or(0, |i| i + 1);
-        let close = existing.rfind(']').unwrap_or(existing.len());
-        out.push_str(existing[open..close].trim_matches(['\n', ' ', '\t', '\r']));
-        out.push_str(",\n");
-    }
-    out.push_str(record);
-    out.push_str("\n]\n");
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)?;
-    f.write_all(out.as_bytes())?;
-    Ok(prior + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,24 +296,19 @@ mod tests {
     #[test]
     fn builder_renders_ordered_fields() {
         let s = JsonObject::new()
-            .u64("a", 1)
+            .raw("a", "1")
             .str("b", "x\"y")
-            .f64("c", 1.5)
-            .bool("d", true)
             .raw("e", "[1, 2]")
             .finish();
-        assert_eq!(
-            s,
-            r#"{"a": 1, "b": "x\"y", "c": 1.500, "d": true, "e": [1, 2]}"#
-        );
+        assert_eq!(s, r#"{"a": 1, "b": "x\"y", "e": [1, 2]}"#);
         assert_eq!(JsonObject::new().finish(), "{}");
     }
 
     #[test]
     fn parser_round_trips_builder_output() {
         let s = JsonObject::new()
-            .u64("count", 42)
-            .f64("mean", 1.25)
+            .raw("count", "42")
+            .raw("mean", "1.25")
             .str("mode", "sharded/4")
             .raw("stages", "[{\"p50\": 3}]")
             .finish();
@@ -472,51 +341,5 @@ mod tests {
         let nasty = "line1\nline2\t\"quoted\" \\slash\u{1} ünïcode";
         let rendered = format!("\"{}\"", json_escape(nasty));
         assert_eq!(Json::parse(&rendered).expect("valid").as_str(), Some(nasty));
-    }
-
-    #[test]
-    fn trajectory_appends_and_replaces_legacy_content() {
-        let dir = std::env::temp_dir().join(format!("swift-telemetry-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("traj.json");
-
-        // Legacy (non-array) content is replaced by a fresh trajectory.
-        std::fs::write(&path, "not json").expect("seed");
-        assert_eq!(append_trajectory(&path, "{\"run\": 1}").expect("append"), 1);
-        assert_eq!(append_trajectory(&path, "{\"run\": 2}").expect("append"), 2);
-        assert_eq!(append_trajectory(&path, "{\"run\": 3}").expect("append"), 3);
-
-        let content = std::fs::read_to_string(&path).expect("read");
-        let v = Json::parse(&content).expect("trajectory stays valid JSON");
-        let runs: Vec<u64> = v
-            .as_array()
-            .expect("array")
-            .iter()
-            .map(|r| r.get("run").and_then(Json::as_u64).expect("run key"))
-            .collect();
-        assert_eq!(runs, [1, 2, 3]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_lines_writer_counts_lines() {
-        let dir = std::env::temp_dir().join(format!("swift-telemetry-jl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("metrics.jsonl");
-        let mut w = JsonLinesWriter::create(&path).expect("create");
-        w.emit(&JsonObject::new().u64("a", 1).finish())
-            .expect("emit");
-        w.emit(&JsonObject::new().u64("a", 2).finish())
-            .expect("emit");
-        w.flush().expect("flush");
-        assert_eq!(w.lines(), 2);
-        let content = std::fs::read_to_string(&path).expect("read");
-        let parsed: Vec<Json> = content
-            .lines()
-            .map(|l| Json::parse(l).expect("each line parses"))
-            .collect();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].get("a").and_then(Json::as_u64), Some(2));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

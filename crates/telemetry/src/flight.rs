@@ -1,13 +1,11 @@
 //! Flight recorder: a fixed-size ring of recent lifecycle events.
 //!
-//! Churn-equivalence failures in the soak harness are painful to debug
-//! because the interesting history (which sessions registered, which
-//! barriers completed, which batches were shed) is gone by the time the
-//! assertion fires. The flight recorder keeps the last `capacity` lifecycle
-//! events in a ring — data-path events are *not* recorded, so the ring stays
-//! off the hot path — and [`FlightRecorder::dump`] renders them
-//! oldest-first. [`DumpOnPanic`] arms a scope guard that prints the dump when
-//! unwinding, so a panicking soak run leaves its recent history on stderr.
+//! Churn-equivalence failures are painful to debug because the interesting
+//! history (which sessions registered, which barriers completed, which
+//! batches were shed) is gone by the time the assertion fires. The flight
+//! recorder keeps the last `capacity` lifecycle events in a ring — data-path
+//! events are *not* recorded, so the ring stays off the hot path — and
+//! [`FlightRecorder::dump`] renders them oldest-first.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -25,8 +23,6 @@ pub enum FlightKind {
     Resync,
     /// Data batches were shed under `DropNewest` backpressure.
     Drop,
-    /// A corpus convergence point was reached.
-    Converged,
     /// The runtime began shutdown.
     Shutdown,
 }
@@ -39,7 +35,6 @@ impl FlightKind {
             FlightKind::Barrier => "barrier",
             FlightKind::Resync => "resync",
             FlightKind::Drop => "drop",
-            FlightKind::Converged => "converged",
             FlightKind::Shutdown => "shutdown",
         }
     }
@@ -61,7 +56,7 @@ pub struct FlightEvent {
 }
 
 /// The ring itself. Cloning shares the buffer, so the runtime can hand one
-/// recorder to every worker and the harness.
+/// recorder to every worker and to its caller.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<FlightInner>>,
@@ -147,35 +142,6 @@ impl FlightRecorder {
     }
 }
 
-/// Scope guard that dumps a [`FlightRecorder`] to stderr if the scope unwinds.
-///
-/// Arm it at the top of a harness run; on a clean exit the guard is disarmed
-/// (or simply dropped without panicking) and prints nothing.
-#[derive(Debug)]
-pub struct DumpOnPanic {
-    recorder: FlightRecorder,
-    context: String,
-}
-
-impl DumpOnPanic {
-    /// Arms the guard for `recorder`, tagging any dump with `context`.
-    pub fn arm(recorder: &FlightRecorder, context: impl Into<String>) -> Self {
-        DumpOnPanic {
-            recorder: recorder.clone(),
-            context: context.into(),
-        }
-    }
-}
-
-impl Drop for DumpOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("=== panic during {} ===", self.context);
-            eprintln!("{}", self.recorder.dump());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +171,6 @@ mod tests {
         for needle in ["barrier", "rendezvous #1", "resync", "drop", "shed=17"] {
             assert!(dump.contains(needle), "missing {needle}:\n{dump}");
         }
-    }
-
-    #[test]
-    fn guard_is_silent_without_a_panic() {
-        let fr = FlightRecorder::with_capacity(2);
-        let guard = DumpOnPanic::arm(&fr, "test scope");
-        fr.record(1, FlightKind::Shutdown, "clean");
-        drop(guard);
-        assert_eq!(fr.recorded(), 1);
     }
 
     #[test]

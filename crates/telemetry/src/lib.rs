@@ -13,12 +13,12 @@
 //! - [`TraceStamp`] / [`TraceSampler`] / [`StageHistograms`]: sampled 1-in-N
 //!   pipeline tracing attributing reroute latency to queue wait vs inference
 //!   vs install.
-//! - [`JsonObject`] / [`Json`] / [`JsonLinesWriter`] / [`append_trajectory`]:
-//!   hand-rolled (dependency-free) JSON-lines export and the append-only
-//!   `BENCH_*.json` run trajectory, with a parser so CI validates what the
-//!   harnesses emit.
-//! - [`FlightRecorder`] / [`DumpOnPanic`]: a fixed-size ring of recent
-//!   lifecycle events dumped when a soak assertion fires.
+//! - [`JsonObject`] / [`Json`]: a hand-rolled (dependency-free) JSON object
+//!   builder and parser, with which `swift-bench`'s tier-1 test writes and
+//!   reads its pinned paper-artefact records.
+//! - [`FlightRecorder`]: a fixed-size ring of recent lifecycle events
+//!   (registers, teardowns, barriers, resyncs, sheds, shutdown) that a
+//!   failing run can dump for its post-mortem.
 //!
 //! Like `swift-analysis`, the crate has zero dependencies: it sits under the
 //! runtime's hot path and must never drag a build graph (or an
@@ -32,10 +32,8 @@ pub mod histogram;
 pub mod registry;
 pub mod trace;
 
-pub use export::{
-    append_trajectory, json_array, json_escape, summary_object, Json, JsonLinesWriter, JsonObject,
-};
-pub use flight::{DumpOnPanic, FlightEvent, FlightKind, FlightRecorder};
+pub use export::{json_escape, Json, JsonObject};
+pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use histogram::{
     bucket_floor, bucket_of, HistogramSummary, LogHistogram, GROUP_BITS, MAX_BUCKETS,
 };

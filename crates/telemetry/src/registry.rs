@@ -77,7 +77,7 @@ impl Gauge {
 ///
 /// Registration takes a short mutex; reads and increments never do. The
 /// registry itself is cheaply cloneable (an `Arc` around the table) so the
-/// runtime can hand it to harnesses for live snapshots.
+/// runtime can hand it to any thread for live snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     names: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,

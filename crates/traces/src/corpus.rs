@@ -172,8 +172,8 @@ type RibParts = (InternedRib, PrefixSet, BTreeMap<AsLink, Vec<Prefix>>);
 /// session's prefix space disjoint *and* inside the injective range of
 /// [`Prefix::nth_slash24`] (`i < 2^24 - 2^16`) for up to 254 sessions
 /// (enforced by [`Corpus::generate`]) — a requirement of the corpus-wide
-/// vantage table the soak replay builds, where all sessions' RIBs coexist in
-/// one router.
+/// vantage table [`crate::SoakReplay::vantage_table`] builds, where all
+/// sessions' RIBs coexist in one router.
 pub const SESSION_PREFIX_SPACING: u32 = 65_536;
 
 /// One session's materialised Adj-RIB-In plus the burst-building index — the
@@ -277,8 +277,8 @@ impl Corpus {
 
     /// Materialises one session's RIB (with the per-link index bursts are
     /// built from) **without** materialising any burst's message stream —
-    /// the entry point of the streaming soak replay, which expands bursts
-    /// one at a time with [`Corpus::materialize_burst`].
+    /// bursts are then expanded one at a time with
+    /// [`Corpus::materialize_burst`].
     pub fn session_rib(&self, idx: usize) -> SessionRib {
         let meta = &self.sessions[idx];
         let mut rng = StdRng::seed_from_u64(meta.seed);

@@ -8,7 +8,8 @@
 //!   preserving each session's internal order;
 //! * [`MultiSessionTrace`] — a synthetic multi-session workload (per-session
 //!   Zipf-skewed RIBs, a shared backup provider, one concurrent withdrawal
-//!   burst per session) sized for the `exp_concurrency` scaling experiment.
+//!   burst per session). Its table is the vantage router of the benchmark's
+//!   `bigtable_inline` and `pathchange_inline` workloads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,29 +191,6 @@ impl MultiSessionTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The merged stream as `(peer, event)` pairs (cloned) — the shape
-    /// `swift_runtime::ShardedRuntime::ingest_stream` consumes.
-    pub fn event_pairs(&self) -> impl Iterator<Item = (PeerId, ElementaryEvent)> + '_ {
-        self.events.iter().map(|e| (e.peer, e.event.clone()))
-    }
-
-    /// Splits the merged stream into `k` per-source streams with **sessions
-    /// disjoint across sources** (session peer id `p` goes to source
-    /// `(p - 1) % k`, matching the `PeerId(1..=sessions)` layout of
-    /// [`MultiSessionTrace::generate`]), each source preserving the merged
-    /// stream's order for its sessions. Feeding source `i` to its own
-    /// `swift_runtime::IngestHandle` therefore honours the handle's
-    /// session-pinning rule. `k` is clamped to at least 1.
-    pub fn partition_sources(&self, k: usize) -> Vec<Vec<(PeerId, ElementaryEvent)>> {
-        let k = k.max(1);
-        let mut sources: Vec<Vec<(PeerId, ElementaryEvent)>> = vec![Vec::new(); k];
-        for e in &self.events {
-            let source = (e.peer.0 as usize).saturating_sub(1) % k;
-            sources[source].push((e.peer, e.event.clone()));
-        }
-        sources
-    }
 }
 
 #[cfg(test)]
@@ -290,44 +268,5 @@ mod tests {
         let head_peers: std::collections::BTreeSet<u32> =
             a.events.iter().take(9).map(|e| e.peer.0).collect();
         assert_eq!(head_peers.len(), 3, "all sessions active from the start");
-    }
-
-    #[test]
-    fn partition_sources_splits_sessions_disjointly_in_order() {
-        let trace = MultiSessionTrace::generate(&MultiSessionConfig {
-            sessions: 5,
-            prefixes_per_session: 2_000,
-            burst_size: 200,
-            ..Default::default()
-        });
-        for k in [1usize, 2, 3] {
-            let sources = trace.partition_sources(k);
-            assert_eq!(sources.len(), k);
-            // Disjoint cover: total length preserved, each session entirely
-            // within one source.
-            assert_eq!(sources.iter().map(Vec::len).sum::<usize>(), trace.len());
-            let mut owner: BTreeMap<PeerId, usize> = BTreeMap::new();
-            for (i, source) in sources.iter().enumerate() {
-                for (peer, _) in source {
-                    assert_eq!(
-                        *owner.entry(*peer).or_insert(i),
-                        i,
-                        "session {peer:?} split across sources at k={k}"
-                    );
-                }
-            }
-            // Order preserved: each source is the merged stream filtered to
-            // its sessions.
-            for (i, source) in sources.iter().enumerate() {
-                let expected: Vec<(PeerId, ElementaryEvent)> = trace
-                    .event_pairs()
-                    .filter(|(peer, _)| owner.get(peer) == Some(&i))
-                    .collect();
-                assert_eq!(source, &expected, "k={k} source {i}");
-            }
-        }
-        // k=1 is the merged stream itself.
-        let single = trace.partition_sources(1);
-        assert_eq!(single[0].len(), trace.len());
     }
 }

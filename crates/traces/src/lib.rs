@@ -9,12 +9,11 @@
 //!   materialisation) and the vantage routing-table builder;
 //! * [`extract`] — the sliding-window burst extraction of §2.2.1;
 //! * [`interleave`] — multi-session interleaved streams (per-session stream
-//!   merging and the synthetic concurrent-burst workload the sharded runtime
-//!   is benchmarked on);
-//! * [`soak`] — the streaming corpus-scale replay: a lazy k-way merge of
-//!   every session's bursts with session up/down lifecycle markers and
-//!   convergence points, sized so the full month-long corpus flows through
-//!   without materialising every message stream.
+//!   merging and the synthetic multi-session table generator behind the
+//!   benchmark's `bigtable_inline` and `pathchange_inline` workloads);
+//! * [`soak`] — the corpus's vantage router: every session's primary routes
+//!   plus two shared backup providers in one routing table, the table the
+//!   benchmark's corpus workloads replay against.
 //!
 //! The corpus consumes and produces only `swift-bgp` types, so everything that
 //! runs on it (the SWIFT inference engine in particular) exercises exactly the
@@ -36,6 +35,4 @@ pub use corpus::{
 pub use extract::{extract_bursts, extract_from_times, ExtractConfig, ExtractedBurst};
 pub use interleave::{interleave_streams, InterleavedEvent, MultiSessionConfig, MultiSessionTrace};
 pub use model::{BurstRateModel, BurstShape, BurstSizeModel};
-pub use soak::{
-    pick_feasible_flaps, ReplayItem, SoakConfig, SoakReplay, SOAK_BACKUP_A, SOAK_BACKUP_B,
-};
+pub use soak::{SoakConfig, SoakReplay, SOAK_BACKUP_A, SOAK_BACKUP_B};

@@ -1,38 +1,12 @@
-//! Corpus-scale streaming soak replay: the month-long, all-sessions input of
-//! the sharded runtime's endurance experiment (`exp_soak`).
-//!
-//! [`crate::interleave::interleave_streams`] merges *materialised* streams —
-//! fine for a handful of synthetic bursts, hopeless for the full corpus (213
-//! sessions × a month of bursts ≈ millions of events whose streams would all
-//! have to sit in memory at once). This module replays the same corpus
-//! **streamingly**:
-//!
-//! * each session is a cursor: its RIB is materialised once
-//!   ([`Corpus::session_rib`]), but each burst's message stream is expanded
-//!   only when the replay clock reaches the burst's start and is dropped as
-//!   soon as it is consumed — at any moment only the *currently active*
-//!   bursts exist in memory ([`SoakReplay::materialized_bursts_high_water`]
-//!   proves it);
-//! * a binary heap merges the per-session cursors by `(timestamp, peer)`,
-//!   producing exactly the order the materialised interleave would (tested
-//!   against it), so the sharded runtime's determinism guarantees carry over;
-//! * the merged stream is annotated with **lifecycle markers**
-//!   ([`ReplayItem::SessionDown`] / [`ReplayItem::SessionUp`] around
-//!   configured session flaps) and **convergence points**
-//!   ([`ReplayItem::Converged`] whenever the corpus goes quiet for
-//!   [`SoakConfig::convergence_gap`]) — the cues `exp_soak` turns into
-//!   `teardown_session` / `register_session` / `resync_after_convergence`
-//!   calls on the runtime.
+//! The corpus's vantage router: one routing table holding every session's
+//! primary routes plus two shared backup providers, the multi-session
+//! analogue of [`crate::corpus::SessionTrace::routing_table`]. The repo
+//! benchmark's corpus workloads replay their bursts against it.
 
-use crate::corpus::{BurstMeta, Corpus, SessionRib};
+use crate::corpus::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use swift_bgp::{
-    AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable, Timestamp,
-    SECOND,
-};
+use swift_bgp::{AsPath, Asn, PeerId, Route, RouteAttributes, RoutingTable};
 
 /// First shared backup provider of the vantage router (alternate for ~95 % of
 /// every session's prefixes).
@@ -41,393 +15,44 @@ pub const SOAK_BACKUP_A: PeerId = PeerId(900_001);
 /// Second shared backup provider (~60 % coverage).
 pub const SOAK_BACKUP_B: PeerId = PeerId(900_002);
 
-/// One item of the merged soak replay, in global time order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayItem {
-    /// The session (re-)established at `time`: the driver should register it
-    /// on the runtime (engine + routes) before feeding further events.
-    SessionUp {
-        /// Virtual time of the re-establishment.
-        time: Timestamp,
-        /// The session that came back.
-        peer: PeerId,
-    },
-    /// One per-prefix event received on `peer`'s session.
-    Event {
-        /// The session the event was received on.
-        peer: PeerId,
-        /// The event itself (its timestamp is the replay clock).
-        event: ElementaryEvent,
-    },
-    /// The corpus went quiet for at least [`SoakConfig::convergence_gap`]:
-    /// BGP has reconverged, and the driver should run
-    /// `resync_after_convergence`.
-    Converged {
-        /// Virtual time at which convergence is declared (quiet-gap start
-        /// plus the configured gap).
-        time: Timestamp,
-    },
-    /// The session dropped at `time`: the driver should tear it down on the
-    /// runtime.
-    SessionDown {
-        /// Virtual time of the session loss.
-        time: Timestamp,
-        /// The departed session.
-        peer: PeerId,
-    },
-}
+/// Configuration of [`SoakReplay`]. It has no settings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SoakConfig;
 
-impl ReplayItem {
-    /// The item's position on the replay clock.
-    pub fn time(&self) -> Timestamp {
-        match self {
-            ReplayItem::SessionUp { time, .. } => *time,
-            ReplayItem::Event { event, .. } => event.timestamp(),
-            ReplayItem::Converged { time } => *time,
-            ReplayItem::SessionDown { time, .. } => *time,
-        }
-    }
-}
-
-/// Configuration of the soak replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoakConfig {
-    /// A quiet gap of at least this long (virtual time) counts as BGP
-    /// reconvergence and emits [`ReplayItem::Converged`].
-    pub convergence_gap: Timestamp,
-    /// Session flaps: `(session index, burst index)` pairs — the session
-    /// drops right after that burst's last event and re-establishes just
-    /// before its next burst starts. A flap is skipped (and counted in
-    /// [`SoakReplay::flaps_skipped`]) when the schedule leaves no room for
-    /// it: the flapped burst overlaps another of the session's bursts, is
-    /// the session's last, or ends less than two ticks before the next one.
-    pub flaps: Vec<(usize, usize)>,
-}
-
-impl Default for SoakConfig {
-    fn default() -> Self {
-        SoakConfig {
-            convergence_gap: 600 * SECOND,
-            flaps: Vec::new(),
-        }
-    }
-}
-
-/// Picks up to `max` flap points (one per session) whose catalog schedule
-/// conservatively guarantees the replay can honour them — the single source
-/// of flap feasibility for harnesses and tests, so they cannot drift from
-/// the cursor's runtime rule.
-///
-/// A burst `b` qualifies when every earlier burst of the session ends before
-/// `b` starts (so `b` is the only active burst when it finishes) and the
-/// next burst starts strictly after `b`'s conservative end plus the two
-/// ticks the down/up markers need. "Conservative end" is
-/// `start + 2 × max(duration, 1 s) + 2`: materialisation paces events over
-/// `duration().max(SECOND)` with under one extra nominal duration of
-/// per-event jitter, so every event of the burst falls strictly before this
-/// bound (sub-second catalogued durations included).
-pub fn pick_feasible_flaps(corpus: &Corpus, max: usize) -> Vec<(usize, usize)> {
-    let end_of = |b: &BurstMeta| b.start + b.duration().max(SECOND) * 2 + 2;
-    let mut flaps = Vec::new();
-    for idx in 0..corpus.num_sessions() {
-        if flaps.len() >= max {
-            break;
-        }
-        let bursts = &corpus.session_meta(idx).bursts;
-        for b in 0..bursts.len().saturating_sub(1) {
-            let isolated = bursts[..b]
-                .iter()
-                .all(|prev| end_of(prev) < bursts[b].start)
-                && bursts[b + 1].start > end_of(&bursts[b]) + 2;
-            if isolated {
-                flaps.push((idx, b));
-                break;
-            }
-        }
-    }
-    flaps
-}
-
-/// Lifecycle markers a cursor has scheduled but not yet emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MarkerKind {
-    Down,
-    Up,
-}
-
-/// One materialised burst being consumed.
-#[derive(Debug, Clone)]
-struct ActiveBurst {
-    burst_idx: usize,
-    events: Vec<ElementaryEvent>,
-    /// Next event to emit; invariant: `pos < events.len()`.
-    pos: usize,
-}
-
-impl ActiveBurst {
-    fn head_time(&self) -> Timestamp {
-        self.events[self.pos].timestamp()
-    }
-}
-
-/// What a cursor would emit next.
-enum Choice {
-    Marker,
-    /// Position in `active` of the burst whose head is due.
-    Burst(usize),
-}
-
-/// One session's half of the streaming merge: the materialised RIB, the burst
-/// catalog, and the (lazily expanded) active bursts.
-#[derive(Debug, Clone)]
-struct SessionCursor {
-    peer: PeerId,
-    asn: Asn,
-    /// The session catalog's RNG seed (vantage-table backup coverage).
-    seed: u64,
-    rib: SessionRib,
-    bursts: Vec<BurstMeta>,
-    next_burst: usize,
-    active: Vec<ActiveBurst>,
-    markers: VecDeque<(Timestamp, MarkerKind)>,
-    flap_after: BTreeSet<usize>,
-    active_high_water: usize,
-    flaps_skipped: usize,
-}
-
-impl SessionCursor {
-    fn new(corpus: &Corpus, idx: usize, flap_after: BTreeSet<usize>) -> Self {
-        let meta = corpus.session_meta(idx);
-        // A flap on a burst index the session does not have can never
-        // trigger: count it as skipped up front instead of silently losing
-        // it.
-        let (flap_after, invalid): (BTreeSet<usize>, BTreeSet<usize>) =
-            flap_after.into_iter().partition(|b| *b < meta.bursts.len());
-        SessionCursor {
-            peer: meta.peer,
-            asn: meta.peer_asn,
-            seed: meta.seed,
-            rib: corpus.session_rib(idx),
-            bursts: meta.bursts.clone(),
-            next_burst: 0,
-            active: Vec::new(),
-            markers: VecDeque::new(),
-            flap_after,
-            active_high_water: 0,
-            flaps_skipped: invalid.len(),
-        }
-    }
-
-    /// Expands catalog bursts into `active` until the next unexpanded burst
-    /// starts strictly after everything currently due (a burst's events never
-    /// precede its catalogued start, so later bursts cannot owe earlier
-    /// events).
-    fn ensure_materialized(&mut self, corpus: &Corpus) {
-        while self.next_burst < self.bursts.len() {
-            let start = self.bursts[self.next_burst].start;
-            if let Some((due, _)) = self.choose() {
-                if start > due {
-                    break;
-                }
-            }
-            let burst = corpus.materialize_burst(&self.rib, &self.bursts[self.next_burst]);
-            let events: Vec<ElementaryEvent> = burst.stream.elementary_events().collect();
-            if events.is_empty() {
-                if self.flap_after.remove(&self.next_burst) {
-                    self.flaps_skipped += 1;
-                }
-            } else {
-                self.active.push(ActiveBurst {
-                    burst_idx: self.next_burst,
-                    events,
-                    pos: 0,
-                });
-                self.active_high_water = self.active_high_water.max(self.active.len());
-            }
-            self.next_burst += 1;
-        }
-    }
-
-    /// The cursor's next emission, among pending markers and active-burst
-    /// heads: earliest time wins, markers win time ties, and burst ties go to
-    /// the earlier burst (the order the materialised interleave's stable sort
-    /// produces).
-    fn choose(&self) -> Option<(Timestamp, Choice)> {
-        let marker = self.markers.front().map(|(t, _)| *t);
-        let mut burst: Option<(Timestamp, usize, usize)> = None;
-        for (pos, b) in self.active.iter().enumerate() {
-            let key = (b.head_time(), b.burst_idx);
-            if burst.map_or(true, |(t, bi, _)| key < (t, bi)) {
-                burst = Some((key.0, key.1, pos));
-            }
-        }
-        match (marker, burst) {
-            (None, None) => None,
-            (Some(mt), None) => Some((mt, Choice::Marker)),
-            (None, Some((t, _, pos))) => Some((t, Choice::Burst(pos))),
-            (Some(mt), Some((t, _, pos))) => {
-                if mt <= t {
-                    Some((mt, Choice::Marker))
-                } else {
-                    Some((t, Choice::Burst(pos)))
-                }
-            }
-        }
-    }
-
-    /// The time of the cursor's next emission, expanding bursts as needed.
-    fn head_time(&mut self, corpus: &Corpus) -> Option<Timestamp> {
-        self.ensure_materialized(corpus);
-        self.choose().map(|(t, _)| t)
-    }
-
-    /// Emits the cursor's next item.
-    fn pop_item(&mut self, corpus: &Corpus) -> Option<ReplayItem> {
-        self.ensure_materialized(corpus);
-        let (_, choice) = self.choose()?;
-        match choice {
-            Choice::Marker => {
-                let (time, kind) = self.markers.pop_front().expect("marker chosen");
-                Some(match kind {
-                    MarkerKind::Down => ReplayItem::SessionDown {
-                        time,
-                        peer: self.peer,
-                    },
-                    MarkerKind::Up => ReplayItem::SessionUp {
-                        time,
-                        peer: self.peer,
-                    },
-                })
-            }
-            Choice::Burst(pos) => {
-                let event = {
-                    let b = &mut self.active[pos];
-                    let event = b.events[b.pos].clone();
-                    b.pos += 1;
-                    event
-                };
-                if self.active[pos].pos == self.active[pos].events.len() {
-                    // Burst consumed: free its stream and, if a flap is
-                    // scheduled here, plan the down/up markers.
-                    let finished = self.active.swap_remove(pos);
-                    let last = finished
-                        .events
-                        .last()
-                        .expect("consumed burst had events")
-                        .timestamp();
-                    self.maybe_schedule_flap(finished.burst_idx, last);
-                }
-                Some(ReplayItem::Event {
-                    peer: self.peer,
-                    event,
-                })
-            }
-        }
-    }
-
-    /// Schedules the down/up markers of a flap configured after `burst_idx`,
-    /// if the session's schedule leaves room for one (see
-    /// [`SoakConfig::flaps`]).
-    fn maybe_schedule_flap(&mut self, burst_idx: usize, last_event: Timestamp) {
-        if !self.flap_after.remove(&burst_idx) {
-            return;
-        }
-        let feasible = self.active.is_empty()
-            && self.next_burst == burst_idx + 1
-            && self.next_burst < self.bursts.len()
-            && self.bursts[self.next_burst].start > last_event + 2;
-        if !feasible {
-            self.flaps_skipped += 1;
-            return;
-        }
-        self.markers.push_back((last_event + 1, MarkerKind::Down));
-        self.markers
-            .push_back((self.bursts[self.next_burst].start - 1, MarkerKind::Up));
-    }
-}
-
-/// The streaming k-way merged replay of a whole corpus. Obtain with
-/// [`SoakReplay::new`] and consume as an iterator of [`ReplayItem`]s.
+/// A corpus seen from its vantage router. Obtain with [`SoakReplay::new`].
 #[derive(Debug, Clone)]
 pub struct SoakReplay<'a> {
     corpus: &'a Corpus,
-    config: SoakConfig,
-    cursors: Vec<SessionCursor>,
-    /// Min-heap over `(next emission time, peer id, cursor index)` — the same
-    /// `(timestamp, peer)` order `interleave_streams` sorts by.
-    heap: BinaryHeap<Reverse<(Timestamp, u32, usize)>>,
-    last_time: Option<Timestamp>,
-    pending: Option<ReplayItem>,
-    /// Configured flaps naming a session the corpus does not have.
-    invalid_flaps: usize,
 }
 
 impl<'a> SoakReplay<'a> {
-    /// Builds the replay: materialises every session's RIB (but no burst
-    /// stream) and seeds the merge heap.
-    pub fn new(corpus: &'a Corpus, config: SoakConfig) -> Self {
-        let mut flaps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); corpus.num_sessions()];
-        let mut invalid_flaps = 0usize;
-        for &(session, burst) in &config.flaps {
-            if session < flaps.len() {
-                flaps[session].insert(burst);
-            } else {
-                // A flap on a session the corpus does not have can never
-                // trigger: counted as skipped, not silently dropped.
-                invalid_flaps += 1;
-            }
-        }
-        let mut cursors: Vec<SessionCursor> = flaps
-            .into_iter()
-            .enumerate()
-            .map(|(idx, flap_after)| SessionCursor::new(corpus, idx, flap_after))
-            .collect();
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (idx, cursor) in cursors.iter_mut().enumerate() {
-            if let Some(t) = cursor.head_time(corpus) {
-                heap.push(Reverse((t, cursor.peer.0, idx)));
-            }
-        }
-        SoakReplay {
-            corpus,
-            config,
-            cursors,
-            heap,
-            last_time: None,
-            pending: None,
-            invalid_flaps,
-        }
-    }
-
-    /// The corpus being replayed.
-    pub fn corpus(&self) -> &Corpus {
-        self.corpus
-    }
-
-    /// The sessions of the replay, as `(peer, asn)` pairs in session order.
-    pub fn session_peers(&self) -> impl Iterator<Item = (PeerId, Asn)> + '_ {
-        self.cursors.iter().map(|c| (c.peer, c.asn))
+    /// The vantage router of `corpus`.
+    pub fn new(corpus: &'a Corpus, _config: SoakConfig) -> Self {
+        SoakReplay { corpus }
     }
 
     /// The vantage router's routing table: every session primary
     /// (LOCAL_PREF 200) plus the two shared backup providers
     /// ([`SOAK_BACKUP_A`], [`SOAK_BACKUP_B`]) whose synthetic paths avoid the
-    /// sessions' AS hierarchies — the multi-session analogue of
-    /// [`crate::corpus::SessionTrace::routing_table`].
+    /// sessions' AS hierarchies. Sessions are materialised one at a time.
     pub fn vantage_table(&self) -> RoutingTable {
         let mut table = RoutingTable::new();
         table.add_peer(SOAK_BACKUP_A, Asn(8_000_001));
         table.add_peer(SOAK_BACKUP_B, Asn(8_000_002));
-        for cursor in &self.cursors {
-            table.add_peer(cursor.peer, cursor.asn);
-            let mut rng = StdRng::seed_from_u64(cursor.seed ^ 0x50a6_cafe);
-            for (prefix, route) in Self::primary_routes(cursor) {
-                table.announce(cursor.peer, prefix, route);
+        for idx in 0..self.corpus.num_sessions() {
+            let meta = self.corpus.session_meta(idx);
+            let (peer, rib) = (meta.peer, self.corpus.session_rib(idx));
+            table.add_peer(peer, meta.peer_asn);
+            let mut rng = StdRng::seed_from_u64(meta.seed ^ 0x50a6_cafe);
+            for (prefix, path) in rib.rib.iter() {
+                let mut attrs = RouteAttributes::from_path(path.clone());
+                attrs.local_pref = Some(200);
+                table.announce(peer, *prefix, Route::new(peer, attrs, 0));
                 if rng.gen_bool(0.95) {
                     let alt = AsPath::new([8_000_001u32, 8_100_000 + (prefix.addr() % 1_000)]);
                     table.announce(
                         SOAK_BACKUP_A,
-                        prefix,
+                        *prefix,
                         Route::new(SOAK_BACKUP_A, RouteAttributes::from_path(alt), 0),
                     );
                 }
@@ -435,7 +60,7 @@ impl<'a> SoakReplay<'a> {
                     let alt = AsPath::new([8_000_002u32, 8_200_000 + (prefix.addr() % 1_000)]);
                     table.announce(
                         SOAK_BACKUP_B,
-                        prefix,
+                        *prefix,
                         Route::new(SOAK_BACKUP_B, RouteAttributes::from_path(alt), 0),
                     );
                 }
@@ -443,157 +68,12 @@ impl<'a> SoakReplay<'a> {
         }
         table
     }
-
-    /// The primary routes of one session — exactly what
-    /// [`SoakReplay::vantage_table`] announced for it, so re-registering a
-    /// flapped session with these restores its initial state.
-    pub fn session_routes(&self, peer: PeerId) -> Option<Vec<(Prefix, Route)>> {
-        self.cursors
-            .iter()
-            .find(|c| c.peer == peer)
-            .map(|c| Self::primary_routes(c).collect())
-    }
-
-    fn primary_routes(cursor: &SessionCursor) -> impl Iterator<Item = (Prefix, Route)> + '_ {
-        cursor.rib.rib.iter().map(move |(prefix, path)| {
-            let mut attrs = RouteAttributes::from_path(path.clone());
-            attrs.local_pref = Some(200);
-            (*prefix, Route::new(cursor.peer, attrs, 0))
-        })
-    }
-
-    /// The most burst streams any single session held in memory at once —
-    /// the streaming replay's laziness witness (compare with the session's
-    /// total burst count).
-    pub fn materialized_bursts_high_water(&self) -> usize {
-        self.cursors
-            .iter()
-            .map(|c| c.active_high_water)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Configured flaps that had to be skipped: the burst schedule left no
-    /// room (see [`SoakConfig::flaps`]), or the flap named a session/burst
-    /// the corpus does not have.
-    pub fn flaps_skipped(&self) -> usize {
-        self.invalid_flaps + self.cursors.iter().map(|c| c.flaps_skipped).sum::<usize>()
-    }
-
-    /// Splits the replay into `k` per-source streams — the input shape of
-    /// the runtime's multi-producer ingest (`swift_runtime::IngestHandle`):
-    ///
-    /// * **sessions are disjoint across sources** (session `i` goes to
-    ///   source `i % k`), so pinning each source to one ingest handle
-    ///   preserves per-session ordering;
-    /// * each source sees its sessions' events and lifecycle markers in
-    ///   exactly the order the merged replay emits them;
-    /// * [`ReplayItem::Converged`] markers are **broadcast**: every source
-    ///   observes the identical convergence sequence at the identical
-    ///   position relative to its own events, so K producers can rendezvous
-    ///   on them to run `resync_after_convergence` at the same logical point
-    ///   as a single-producer replay.
-    ///
-    /// `k` is clamped to at least 1; with more sources than sessions the
-    /// surplus sources carry only convergence markers.
-    ///
-    /// Each source runs its own clone of the lazy merge and filters it, so
-    /// memory stays bounded by the active bursts (times `k`) while the merge
-    /// work is paid once per source — the sources are meant to be consumed
-    /// on `k` separate producer threads, where that work parallelizes.
-    pub fn partition_sources(&self, k: usize) -> Vec<SourceReplay<'a>> {
-        let k = k.max(1);
-        (0..k)
-            .map(|source| SourceReplay {
-                replay: self.clone(),
-                sessions: self
-                    .cursors
-                    .iter()
-                    .enumerate()
-                    .filter(|(idx, _)| idx % k == source)
-                    .map(|(_, c)| c.peer)
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
-/// One producer's slice of a [`SoakReplay`]: the events and lifecycle
-/// markers of its pinned sessions, plus every (broadcast) convergence
-/// marker. Obtain from [`SoakReplay::partition_sources`].
-#[derive(Debug, Clone)]
-pub struct SourceReplay<'a> {
-    replay: SoakReplay<'a>,
-    sessions: BTreeSet<PeerId>,
-}
-
-impl SourceReplay<'_> {
-    /// The sessions pinned to this source.
-    pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.sessions.iter().copied()
-    }
-
-    /// Flaps the underlying (full) replay had to skip so far — every source
-    /// replays the whole merge, so any fully-consumed source reports the
-    /// corpus-wide count (see [`SoakReplay::flaps_skipped`]).
-    pub fn flaps_skipped(&self) -> usize {
-        self.replay.flaps_skipped()
-    }
-}
-
-impl Iterator for SourceReplay<'_> {
-    type Item = ReplayItem;
-
-    fn next(&mut self) -> Option<ReplayItem> {
-        loop {
-            let item = self.replay.next()?;
-            let keep = match &item {
-                ReplayItem::Converged { .. } => true,
-                ReplayItem::Event { peer, .. }
-                | ReplayItem::SessionDown { peer, .. }
-                | ReplayItem::SessionUp { peer, .. } => self.sessions.contains(peer),
-            };
-            if keep {
-                return Some(item);
-            }
-        }
-    }
-}
-
-impl Iterator for SoakReplay<'_> {
-    type Item = ReplayItem;
-
-    fn next(&mut self) -> Option<ReplayItem> {
-        if let Some(item) = self.pending.take() {
-            return Some(item);
-        }
-        let Reverse((time, _, idx)) = self.heap.pop()?;
-        let item = self.cursors[idx]
-            .pop_item(self.corpus)
-            .expect("cursor with a heap entry has a head");
-        if let Some(t) = self.cursors[idx].head_time(self.corpus) {
-            self.heap.push(Reverse((t, self.cursors[idx].peer.0, idx)));
-        }
-        let quiet_since = self.last_time;
-        self.last_time = Some(time);
-        if let Some(last) = quiet_since {
-            if time.saturating_sub(last) >= self.config.convergence_gap {
-                self.pending = Some(item);
-                return Some(ReplayItem::Converged {
-                    time: last + self.config.convergence_gap,
-                });
-            }
-        }
-        Some(item)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::TraceConfig;
-    use crate::interleave::interleave_streams;
-    use swift_bgp::MessageStream;
 
     fn small_corpus() -> Corpus {
         Corpus::generate(TraceConfig {
@@ -604,257 +84,48 @@ mod tests {
         })
     }
 
-    /// The fully-materialised reference: every burst stream of every session,
-    /// session-by-session in burst order (the stable-sort input order of
-    /// `interleave_streams`).
-    fn materialized_reference(corpus: &Corpus) -> Vec<(PeerId, ElementaryEvent)> {
-        let mut streams: Vec<(PeerId, MessageStream)> = Vec::new();
-        for idx in 0..corpus.num_sessions() {
-            let session = corpus.materialize_session(idx);
-            for burst in &session.bursts {
-                streams.push((session.meta.peer, burst.stream.clone()));
-            }
+    /// FNV-1a over every peer and every candidate route of every prefix, in
+    /// the table's own order: equal digests mean the same announcements in
+    /// the same sequence.
+    fn table_digest(table: &RoutingTable) -> String {
+        let mut text = String::new();
+        for (peer, asn) in table.peers() {
+            text.push_str(&format!("peer {} {asn}\n", peer.0));
         }
-        let refs: Vec<(PeerId, &MessageStream)> = streams.iter().map(|(p, s)| (*p, s)).collect();
-        interleave_streams(&refs)
-            .into_iter()
-            .map(|e| (e.peer, e.event))
-            .collect()
-    }
-
-    #[test]
-    fn streaming_replay_matches_materialized_interleave() {
-        let corpus = small_corpus();
-        let expected = materialized_reference(&corpus);
-        assert!(!expected.is_empty());
-        let replay = SoakReplay::new(&corpus, SoakConfig::default());
-        let got: Vec<(PeerId, ElementaryEvent)> = replay
-            .filter_map(|item| match item {
-                ReplayItem::Event { peer, event } => Some((peer, event)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(got.len(), expected.len());
-        for (i, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
-            assert_eq!(a, b, "event {i} diverged");
+        for id in table.ids() {
+            text.push_str(&table.prefix_of(id).to_string());
+            for route in table.candidates_by_id(id) {
+                let a = &route.attrs;
+                text.push_str(&format!(
+                    " | {} {} {} {:?} {:?} {:?} {}",
+                    route.peer.0,
+                    a.as_path,
+                    a.origin,
+                    a.local_pref,
+                    a.med,
+                    a.communities,
+                    route.learned_at
+                ));
+            }
+            text.push('\n');
         }
-    }
-
-    #[test]
-    fn replay_is_lazy_and_time_ordered() {
-        let corpus = small_corpus();
-        let mut replay = SoakReplay::new(&corpus, SoakConfig::default());
-        assert_eq!(
-            replay.materialized_bursts_high_water(),
-            1,
-            "construction expands at most each session's first due burst"
-        );
-        let mut last = 0;
-        let mut events = 0usize;
-        for item in replay.by_ref() {
-            let t = item.time();
-            assert!(t >= last, "replay clock went backwards: {t} < {last}");
-            last = t;
-            if matches!(item, ReplayItem::Event { .. }) {
-                events += 1;
-            }
-        }
-        assert!(events > 0);
-        // The corpus spreads each session's bursts over a month, so no
-        // session ever needed all of its burst streams at once.
-        assert!(
-            replay.materialized_bursts_high_water() < corpus.total_bursts(),
-            "high-water {} should stay below the corpus total {}",
-            replay.materialized_bursts_high_water(),
-            corpus.total_bursts()
-        );
-    }
-
-    #[test]
-    fn convergence_markers_fire_on_quiet_gaps() {
-        let corpus = small_corpus();
-        let gap = 600 * SECOND;
-        let items: Vec<ReplayItem> = SoakReplay::new(
-            &corpus,
-            SoakConfig {
-                convergence_gap: gap,
-                flaps: Vec::new(),
-            },
-        )
-        .collect();
-        let converged = items
-            .iter()
-            .filter(|i| matches!(i, ReplayItem::Converged { .. }))
-            .count();
-        assert!(
-            converged > 0,
-            "a month-long corpus with minute-long bursts has quiet gaps"
-        );
-        // Every marker sits inside a genuinely quiet stretch: the items
-        // around it are at least `gap` apart.
-        for (i, item) in items.iter().enumerate() {
-            if matches!(item, ReplayItem::Converged { .. }) {
-                assert!(i > 0 && i + 1 < items.len());
-                assert!(items[i + 1].time() - items[i - 1].time() >= gap);
-            }
-        }
-    }
-
-    #[test]
-    fn flaps_emit_ordered_lifecycle_markers() {
-        let corpus = small_corpus();
-        let flaps = pick_feasible_flaps(&corpus, 1);
-        let (session, burst) = *flaps.first().expect("a feasible flap exists");
-        let peer = corpus.session_meta(session).peer;
-        let mut replay = SoakReplay::new(
-            &corpus,
-            SoakConfig {
-                flaps: vec![(session, burst)],
-                ..SoakConfig::default()
-            },
-        );
-        let items: Vec<ReplayItem> = replay.by_ref().collect();
-        assert_eq!(replay.flaps_skipped(), 0, "the chosen flap was feasible");
-        let down_at = items
-            .iter()
-            .position(|i| matches!(i, ReplayItem::SessionDown { peer: p, .. } if *p == peer))
-            .expect("one SessionDown");
-        let up_at = items
-            .iter()
-            .position(|i| matches!(i, ReplayItem::SessionUp { peer: p, .. } if *p == peer))
-            .expect("one SessionUp");
-        assert!(down_at < up_at, "down before up");
-        // The session is silent while down.
-        for item in &items[down_at + 1..up_at] {
-            if let ReplayItem::Event { peer: p, .. } = item {
-                assert_ne!(*p, peer, "no events while the session is down");
-            }
-        }
-        // The session speaks again after coming back.
-        assert!(
-            items[up_at + 1..]
-                .iter()
-                .any(|i| matches!(i, ReplayItem::Event { peer: p, .. } if *p == peer)),
-            "the re-established session replays its next burst"
-        );
-        // Exactly one flap was configured.
-        let downs = items
-            .iter()
-            .filter(|i| matches!(i, ReplayItem::SessionDown { .. }))
-            .count();
-        let ups = items
-            .iter()
-            .filter(|i| matches!(i, ReplayItem::SessionUp { .. }))
-            .count();
-        assert_eq!((downs, ups), (1, 1));
-    }
-
-    #[test]
-    fn partition_sources_is_a_disjoint_cover_with_broadcast_convergence() {
-        let corpus = small_corpus();
-        let flaps = pick_feasible_flaps(&corpus, 1);
-        let config = SoakConfig {
-            flaps,
-            ..SoakConfig::default()
-        };
-        let full: Vec<ReplayItem> = SoakReplay::new(&corpus, config.clone()).collect();
-        let converged_times: Vec<_> = full
-            .iter()
-            .filter(|i| matches!(i, ReplayItem::Converged { .. }))
-            .map(|i| i.time())
-            .collect();
-        assert!(!converged_times.is_empty());
-        for k in [1usize, 2, 3, 7] {
-            let template = SoakReplay::new(&corpus, config.clone());
-            let sources = template.partition_sources(k);
-            assert_eq!(sources.len(), k);
-            // Sessions are disjoint across sources and cover the corpus.
-            let mut seen = BTreeSet::new();
-            for source in &sources {
-                for peer in source.peers() {
-                    assert!(seen.insert(peer), "session {peer:?} pinned twice");
-                }
-            }
-            assert_eq!(seen.len(), corpus.num_sessions());
-
-            let streams: Vec<Vec<ReplayItem>> = sources.into_iter().map(|s| s.collect()).collect();
-            // Convergence markers are broadcast: every source sees the full
-            // sequence.
-            for stream in &streams {
-                let got: Vec<_> = stream
-                    .iter()
-                    .filter(|i| matches!(i, ReplayItem::Converged { .. }))
-                    .map(|i| i.time())
-                    .collect();
-                assert_eq!(got, converged_times, "k={k}");
-            }
-            // Non-convergence items: each source's stream is exactly the
-            // full replay filtered to its sessions (order preserved), and
-            // together they cover every item.
-            let total: usize = streams
-                .iter()
-                .map(|s| {
-                    s.iter()
-                        .filter(|i| !matches!(i, ReplayItem::Converged { .. }))
-                        .count()
-                })
-                .sum();
-            let full_total = full
-                .iter()
-                .filter(|i| !matches!(i, ReplayItem::Converged { .. }))
-                .count();
-            assert_eq!(total, full_total, "k={k}");
-            for stream in &streams {
-                let sessions: BTreeSet<PeerId> = stream
-                    .iter()
-                    .filter_map(|i| match i {
-                        ReplayItem::Event { peer, .. }
-                        | ReplayItem::SessionDown { peer, .. }
-                        | ReplayItem::SessionUp { peer, .. } => Some(*peer),
-                        ReplayItem::Converged { .. } => None,
-                    })
-                    .collect();
-                let expected: Vec<&ReplayItem> = full
-                    .iter()
-                    .filter(|i| match i {
-                        ReplayItem::Event { peer, .. }
-                        | ReplayItem::SessionDown { peer, .. }
-                        | ReplayItem::SessionUp { peer, .. } => sessions.contains(peer),
-                        ReplayItem::Converged { .. } => false,
-                    })
-                    .collect();
-                let got: Vec<&ReplayItem> = stream
-                    .iter()
-                    .filter(|i| !matches!(i, ReplayItem::Converged { .. }))
-                    .collect();
-                assert_eq!(got, expected, "k={k}: per-source order is the merged order");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_sources_surplus_sources_carry_only_convergence() {
-        let corpus = small_corpus();
-        let template = SoakReplay::new(&corpus, SoakConfig::default());
-        let k = corpus.num_sessions() + 3;
-        let sources = template.partition_sources(k);
-        let empty = &sources[corpus.num_sessions()];
-        assert_eq!(empty.peers().count(), 0);
-        let items: Vec<ReplayItem> = sources[corpus.num_sessions()].clone().collect();
-        assert!(!items.is_empty(), "convergence markers still broadcast");
-        assert!(items
-            .iter()
-            .all(|i| matches!(i, ReplayItem::Converged { .. })));
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{hash:016x}")
     }
 
     #[test]
     fn vantage_table_covers_every_session_with_backups() {
         let corpus = small_corpus();
-        let replay = SoakReplay::new(&corpus, SoakConfig::default());
-        let table = replay.vantage_table();
+        let table = SoakReplay::new(&corpus, SoakConfig).vantage_table();
+        // Pinned: the benchmark's corpus workloads replay against this table,
+        // so any change to it fails here before it moves their digests.
+        assert_eq!(table_digest(&table), "39dc5e49f7754fa8");
         assert_eq!(table.peer_count(), corpus.num_sessions() + 2);
         let mut total = 0usize;
-        for (peer, _) in replay.session_peers() {
+        for idx in 0..corpus.num_sessions() {
+            let peer = corpus.session_meta(idx).peer;
             let rib = table.adj_rib_in(peer).unwrap();
             assert!(!rib.is_empty());
             total += rib.len();
@@ -871,13 +142,5 @@ mod tests {
             backup_a * 100 >= total * 90,
             "~95 % coverage expected, got {backup_a}/{total}"
         );
-        // Re-registration routes replay exactly the table's announcements.
-        let (peer, _) = replay.session_peers().next().unwrap();
-        let routes = replay.session_routes(peer).unwrap();
-        assert_eq!(routes.len(), table.adj_rib_in(peer).unwrap().len());
-        for (prefix, route) in &routes {
-            let announced = table.adj_rib_in(peer).unwrap().get(prefix).unwrap();
-            assert_eq!(route.as_path(), announced.as_path());
-        }
     }
 }

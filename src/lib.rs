@@ -13,10 +13,11 @@
 //!   engine concurrently;
 //! * [`dataplane`] — data-plane convergence/downtime model;
 //! * [`telemetry`] — metrics registry, mergeable log-linear histograms,
-//!   sampled pipeline tracing, flight recorder and the JSON-lines exporter.
+//!   sampled pipeline tracing, flight recorder and a small JSON builder and
+//!   parser.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
-//! the experiment harness reproducing every table and figure of the paper.
+//! `swift-bench eval`, which reproduces every table and figure of the paper.
 
 #![deny(missing_docs)]
 #![warn(clippy::unwrap_used)]
