@@ -25,13 +25,12 @@
 //!   [`RoutingTable::apply_all`], the batched fold the applier uses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
-    RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
+    RouteAttributes, RoutingTable,
 };
 use swift_core::encoding::{ReroutingPolicy, TwoStageTable};
-use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
+use swift_core::inference::{InferenceResult, InferredLinks, Prediction, PrefixSnapshot, Score};
 use swift_core::pipeline::Applier;
 use swift_core::{EncodingConfig, SwiftConfig};
 
@@ -138,8 +137,11 @@ fn bench_applier(c: &mut Criterion) {
             routed: PER_SESSION as usize,
         },
         prediction: Prediction {
-            already_withdrawn: Arc::default(),
-            predicted: Arc::new((0..PER_SESSION).map(Prefix::nth_slash24).collect()),
+            already_withdrawn: PrefixSnapshot::default(),
+            predicted: (0..PER_SESSION)
+                .map(Prefix::nth_slash24)
+                .collect::<PrefixSet>()
+                .into(),
         },
     };
     c.bench_function("applier/apply_inference_1m", |b| {

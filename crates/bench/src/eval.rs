@@ -369,14 +369,16 @@ fn corpus_pass(inputs: &EvalInputs) -> CorpusPass {
             for ev in burst.stream.elementary_events() {
                 if ev.is_withdraw() && burst.withdrawn.contains(&ev.prefix()) {
                     let bgp = seconds(ev.timestamp() - start);
-                    let predicted = eval.as_ref().filter(|e| e.predicted.contains(&ev.prefix()));
+                    let predicted = eval
+                        .as_ref()
+                        .filter(|e| e.predicted.prefixes().contains(&ev.prefix()));
                     let swift = predicted.map_or(bgp, |e| seconds(e.inference_delay).min(bgp));
                     pass.swift_s.push(swift);
                     pass.bgp_s.push(bgp);
                 }
             }
             if let Some(e) = &eval {
-                let perf = two_stage.encoding_performance(&table, &e.predicted, &e.links);
+                let perf = two_stage.encoding_performance(&table, e.predicted.prefixes(), &e.links);
                 pass.encoding.push((e.burst_size, perf));
             }
             pass.history.extend(eval);
@@ -580,13 +582,14 @@ fn sim(ctx: &Ctx<'_>, out: &mut Out) {
             tally[0].add(&end.links.links, &link);
             if let Some(res) = early {
                 tally[1].add(&res.links.links, &link);
-                let already = &res.prediction.already_withdrawn;
+                let already = res.prediction.already_withdrawn.prefixes();
                 let future: PrefixSet = withdrawn
                     .iter()
                     .filter(|p| !already.contains(p))
                     .copied()
                     .collect();
-                let c = Classification::from_sets(&res.prediction.predicted, &future, rib.len());
+                let predicted = res.prediction.predicted.prefixes();
+                let c = Classification::from_sets(predicted, &future, rib.len());
                 tally[1].cpr.push(c.tpr());
                 tally[1].fpr.push(c.fpr());
             }

@@ -10,11 +10,10 @@
 
 pub mod eval;
 
-use std::sync::Arc;
 use swift_bgp::{PrefixSet, Timestamp};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Classification;
-use swift_core::InferenceConfig;
+use swift_core::{InferenceConfig, PrefixSnapshot};
 use swift_traces::{MaterializedBurst, SessionTrace};
 
 /// The outcome of running the SWIFT inference on one corpus burst.
@@ -40,7 +39,7 @@ pub struct BurstEvaluation {
     pub links: Vec<swift_bgp::AsLink>,
     /// The predicted prefix set (for the encoding experiments), shared with
     /// the inference result.
-    pub predicted: Arc<PrefixSet>,
+    pub predicted: PrefixSnapshot,
 }
 
 /// Runs the SWIFT inference engine over one materialised burst of a session.
@@ -82,10 +81,12 @@ pub fn evaluate_burst(
     let predicted_all = result.prediction.affected();
     let predicted_future = result.prediction.predicted.clone();
 
+    let future = predicted_future.prefixes();
+
     let localization = Classification::from_sets(&predicted_all, &actual, universe);
-    let prediction = Classification::from_sets(&predicted_future, &future_actual, universe);
-    let correctly_predicted = predicted_future.intersection_len(&future_actual);
-    let falsely_predicted = predicted_future.len() - predicted_future.intersection_len(&actual);
+    let prediction = Classification::from_sets(future, &future_actual, universe);
+    let correctly_predicted = future.intersection_len(&future_actual);
+    let falsely_predicted = future.len() - future.intersection_len(&actual);
 
     Some(BurstEvaluation {
         burst_size: burst.withdrawn.len(),

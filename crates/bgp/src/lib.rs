@@ -14,7 +14,8 @@
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once behind
 //!   a table-wide [`PrefixInterner`] (`Prefix` → dense [`PrefixId`]), the
-//!   dictionary the inference engine's counters use too.
+//!   dictionary the inference engine's counters use too. Its id → prefix
+//!   [`PrefixList`] is chunked and shared by clones and snapshots.
 //! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
 //!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
@@ -41,7 +42,7 @@ pub use attributes::{Community, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
 pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};
-pub use rib::{AdjRibIn, PrefixId, PrefixInterner, Route};
+pub use rib::{AdjRibIn, PrefixId, PrefixInterner, PrefixList, Route};
 pub use session::{MessageStream, PeerId, Session, SessionId};
 pub use table::RoutingTable;
 

@@ -282,8 +282,8 @@ pub struct PrefixSet {
 
 impl PrefixSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        PrefixSet { inner: Vec::new() }
     }
 
     /// Number of prefixes in the set.

@@ -28,7 +28,7 @@
 //! a hit) plus array writes: an announcement moves the record into its slab
 //! entry, a withdrawal drops it where it lies and frees nothing. Nothing on
 //! that path is ordered.
-//! The invariants (the index maps `prefixes[i]` to `i`; non-vacant slots
+//! The invariants (the index maps the prefix of id `i` to `i`; non-vacant slots
 //! point at distinct live slab entries, the rest of the slab is the free
 //! list) are maintained in exactly three functions —
 //! `PrefixInterner::intern`, `PeerRoutes::insert` and `PeerRoutes::remove` —
@@ -44,6 +44,7 @@ use crate::prefix::Prefix;
 use crate::session::PeerId;
 use crate::Timestamp;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A route for one prefix learned from one peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,13 +147,136 @@ fn fits(n: usize, slots: usize) -> bool {
     n * 8 <= slots * MAX_LOAD_EIGHTHS
 }
 
+/// Prefixes per chunk of a [`PrefixList`], as a power of two.
+const CHUNK_BITS: u32 = 12;
+
+/// One chunk of a [`PrefixList`].
+type Chunk = [Prefix; PrefixList::CHUNK];
+
+/// Newest ids a [`PrefixList`] holds inline before writing them to its
+/// open chunk together: a write to a chunk behind an `Arc` first checks,
+/// with a locked instruction, that no snapshot shares it, and one such
+/// check per prefix stalled a million-prefix seeding by 10–15 % (2-vCPU
+/// x86-64). A divisor of the chunk size.
+const TAIL: usize = 16;
+
+/// A [`PrefixInterner`]'s id → prefix list, kept in fixed-size chunks that
+/// its copies share.
+///
+/// The prefix behind id `i` is [`PrefixList::get`]`(i)`: slot
+/// `i % CHUNK` of chunk `i / CHUNK`, or, for the newest ids, an inline
+/// tail of up to 16 prefixes. Every chunk is allocated whole, once,
+/// behind an `Arc`. The full chunks, and the list of them, are immutable
+/// and shared; the open chunk after them is copied on the first write after
+/// it was shared. So a clone — what [`PrefixInterner::snapshot`] hands out
+/// — costs two reference-count bumps and a copy of the tail, no
+/// allocation, and reads the same prefixes for ever: whatever its source
+/// interns later lands where the clone does not read (its own tail, past
+/// the clone's length in a copy of the open chunk, in new chunks, in a copy
+/// of the chunk list). Filling a chunk moves it to the full ones without a
+/// copy.
+///
+/// A clone keeps alive every chunk it indexes: the full ones shared with
+/// every other copy, and the open one privately once its source has written
+/// to it — at most one partial chunk per clone.
+#[derive(Debug, Clone)]
+pub struct PrefixList {
+    /// The full chunks, in id order.
+    full: Arc<Vec<Arc<Chunk>>>,
+    /// The chunk after them, holding the ids up to the tail; `None` while
+    /// there are none.
+    open: Option<Arc<Chunk>>,
+    /// The last `len % TAIL` ids.
+    tail: [Prefix; TAIL],
+    /// Number of ids.
+    len: usize,
+}
+
+impl Default for PrefixList {
+    fn default() -> Self {
+        PrefixList {
+            full: Arc::default(),
+            open: None,
+            tail: [Prefix::DEFAULT; TAIL],
+            len: 0,
+        }
+    }
+}
+
+impl PrefixList {
+    /// Prefixes per chunk (32 KiB of them).
+    pub const CHUNK: usize = 1 << CHUNK_BITS;
+
+    /// Number of prefixes, one per id.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the list holds no prefix.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of ids written to chunks: all but the tail.
+    fn chunked(&self) -> usize {
+        self.len - self.len % TAIL
+    }
+
+    /// The prefix behind id `id`. Panics if `id >= len()`.
+    #[inline]
+    pub fn get(&self, id: usize) -> &Prefix {
+        assert!(id < self.len, "id {id} is past the list's {}", self.len);
+        if id >= self.chunked() {
+            return &self.tail[id % TAIL];
+        }
+        let chunk = match self.full.get(id >> CHUNK_BITS) {
+            Some(chunk) => chunk,
+            None => self
+                .open
+                .as_ref()
+                .expect("the open chunk holds the ids past the full ones"),
+        };
+        &chunk[id & (Self::CHUNK - 1)]
+    }
+
+    /// The prefixes in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &Prefix> + Clone {
+        let open = self.chunked() & (Self::CHUNK - 1);
+        self.full
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .chain(self.open.iter().flat_map(move |chunk| &chunk[..open]))
+            .chain(&self.tail[..self.len % TAIL])
+    }
+
+    /// Appends the prefix of the next id. A full tail moves to the open
+    /// chunk, and a full open chunk to the full ones.
+    fn push(&mut self, prefix: Prefix) {
+        self.tail[self.len % TAIL] = prefix;
+        self.len += 1;
+        if self.len % TAIL != 0 {
+            return;
+        }
+        let at = (self.len - TAIL) & (Self::CHUNK - 1);
+        let open = self
+            .open
+            .get_or_insert_with(|| Arc::new([Prefix::DEFAULT; Self::CHUNK]));
+        Arc::make_mut(open)[at..at + TAIL].copy_from_slice(&self.tail);
+        if at + TAIL == Self::CHUNK {
+            let full = self.open.take().expect("just written");
+            Arc::make_mut(&mut self.full).push(full);
+        }
+    }
+}
+
 /// The `Prefix` ↔ [`PrefixId`] dictionary: a routing table's (behind every
 /// [`AdjRibIn`] probe) and an inference engine's (behind every event its
 /// counters see).
 ///
 /// # Layout
 ///
-/// `prefixes[id]` is the prefix behind an id. The other direction is an
+/// The id → prefix direction is a [`PrefixList`], shared by clones and
+/// snapshots. The other direction is an
 /// insert-only open-addressing index with linear probing: each slot is one
 /// `u64` packing the key (`addr << 6 | len`, 38 bits) above the id (26
 /// bits), so a probe that hits reads one cache line, and compares the key
@@ -163,16 +287,17 @@ fn fits(n: usize, slots: usize) -> bool {
 /// hashing) a lookup among a million of them walks ~13 slots on average;
 /// with the fold it walks ~1.2 at that table's load of ½.
 /// The index doubles before its load would pass 7/8 (`MAX_LOAD_EIGHTHS`),
-/// so it costs 9.1 to 18.3 bytes per prefix, plus 8 for the `prefixes`
-/// entry. Ids are never freed, so the index has no tombstones.
+/// so it costs 9.1 to 18.3 bytes per prefix, plus 8 for the list entry,
+/// which a clone shares. Ids are never freed, so the index has no
+/// tombstones.
 ///
 /// # Invariants
 ///
-/// The slot holding `prefixes[i]`'s key holds id `i`, and it is reached from
-/// that key's home slot without crossing an empty one. Ids are handed out
-/// densely in first-seen order and never reused — a prefix that lost all its
-/// routes keeps its id, so arrays indexed by ids stay valid — and a clone
-/// keeps every id. Only an announcement interns; withdrawals look up.
+/// The slot holding `prefixes.get(i)`'s key holds id `i`, and it is reached
+/// from that key's home slot without crossing an empty one. Ids are handed
+/// out densely in first-seen order and never reused — a prefix that lost all
+/// its routes keeps its id, so arrays indexed by ids stay valid — and a
+/// clone keeps every id. Only an announcement interns; withdrawals look up.
 ///
 /// # Id cap
 ///
@@ -185,7 +310,7 @@ pub struct PrefixInterner {
     /// Packed `key << ID_BITS | id` slots, or [`EMPTY`]; a power of two
     /// long, or empty until the first intern.
     slots: Vec<u64>,
-    prefixes: Vec<Prefix>,
+    prefixes: PrefixList,
 }
 
 impl PrefixInterner {
@@ -220,7 +345,6 @@ impl PrefixInterner {
             }
             self.rehash(slots);
         }
-        self.prefixes.reserve_exact(additional);
     }
 
     /// The id of `prefix`, if it was ever interned.
@@ -251,12 +375,18 @@ impl PrefixInterner {
     /// The prefix behind `id`. Panics if `id` came from another interner.
     #[inline]
     pub fn prefix(&self, id: PrefixId) -> &Prefix {
-        &self.prefixes[id.index()]
+        self.prefixes.get(id.index())
     }
 
     /// The interned prefixes, in id order.
-    pub fn prefixes(&self) -> &[Prefix] {
+    pub fn prefixes(&self) -> &PrefixList {
         &self.prefixes
+    }
+
+    /// The interned prefixes as they are now, for as long as the caller
+    /// keeps them: reference-count bumps, no copy (see [`PrefixList`]).
+    pub fn snapshot(&self) -> PrefixList {
+        self.prefixes.clone()
     }
 
     /// `key`'s home slot: the low bits of its product with an odd constant,
@@ -516,6 +646,58 @@ mod tests {
         assert_eq!((empty.capacity(), empty.get(&p(0))), (0, None));
         empty.reserve(0);
         assert_eq!(empty.capacity(), 0, "nothing to size for");
+    }
+
+    /// A snapshot reads the prefixes it was taken over for ever, however far
+    /// its source interns past it — into the open chunk it shares, across
+    /// chunk boundaries, and through a clone that interns elsewhere.
+    #[test]
+    fn a_snapshot_never_sees_later_interns() {
+        let chunk = PrefixList::CHUNK as u32;
+        let mut interner = PrefixInterner::new();
+        for i in 0..chunk + 21 {
+            interner.intern(p(i));
+        }
+        let snap = interner.snapshot();
+        let open = |list: &PrefixList| list.open.clone().expect("a partial chunk");
+        assert!(
+            Arc::ptr_eq(&open(&snap), &open(&interner.prefixes)),
+            "shared"
+        );
+        let mut clone = interner.clone();
+        for i in chunk + 21..3 * chunk {
+            interner.intern(p(i));
+        }
+        clone.intern(p(9 * chunk));
+        assert_eq!(snap.len(), chunk as usize + 21);
+        assert!(snap.iter().copied().eq((0..chunk + 21).map(p)));
+        // Ids in the shared open chunk, and in the snapshot's own tail.
+        assert_eq!(*snap.get(chunk as usize + 15), p(chunk + 15));
+        assert_eq!(*snap.get(chunk as usize + 20), p(chunk + 20));
+        assert_eq!(interner.prefixes().len(), 3 * chunk as usize);
+        assert_eq!(
+            interner.prefixes.full.len(),
+            3,
+            "the open chunk moved on filling"
+        );
+        assert!(interner
+            .prefixes()
+            .iter()
+            .copied()
+            .eq((0..3 * chunk).map(p)));
+        assert_eq!(*clone.prefix(PrefixId(chunk + 21)), p(9 * chunk));
+        assert_eq!(interner.get(&p(9 * chunk)), None);
+        assert!(Arc::ptr_eq(&snap.full[0], &interner.prefixes.full[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the list")]
+    fn an_id_past_the_snapshot_panics() {
+        let mut interner = PrefixInterner::new();
+        interner.intern(p(0));
+        let snap = interner.snapshot();
+        interner.intern(p(1));
+        snap.get(1);
     }
 
     #[test]

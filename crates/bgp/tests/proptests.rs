@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use swift_bgp::{
     AsLink, AsPath, Asn, BgpMessage, FoldBuildHasher, MessageStream, PathInterner, Prefix,
-    PrefixInterner, PrefixSet,
+    PrefixInterner, PrefixList, PrefixSet,
 };
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -20,6 +20,23 @@ fn arb_as_path() -> impl Strategy<Value = AsPath> {
 /// few enough AS numbers that loops and repeated links are common.
 fn arb_hops() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(1u32..12, 0..13)
+}
+
+/// `list` has `model`'s length and reads it at both ends and on both sides
+/// of every chunk boundary.
+fn spot_check(list: &PrefixList, model: &[Prefix]) -> Result<(), String> {
+    prop_assert_eq!(list.len(), model.len());
+    let chunk = PrefixList::CHUNK;
+    let boundaries = (1..=model.len() / chunk).flat_map(|c| [c * chunk - 1, c * chunk]);
+    for id in [0, model.len().saturating_sub(1)]
+        .into_iter()
+        .chain(boundaries)
+    {
+        if id < model.len() {
+            prop_assert_eq!(list.get(id), &model[id]);
+        }
+    }
+    Ok(())
 }
 
 /// `path` answers every accessor the way the plain hop list `model` does.
@@ -198,7 +215,7 @@ proptest! {
             doublings += usize::from(before != 0 && interner.capacity() == 2 * before);
             prop_assert_eq!(interner.len(), model.len());
         }
-        prop_assert_eq!(interner.prefixes(), first_seen.as_slice());
+        prop_assert_eq!(interner.prefixes().iter().copied().collect::<Vec<_>>(), first_seen);
         // 16 → 32 → 64 → 128 slots before the 100th prefix.
         prop_assert!(model.len() < 100 || doublings >= 3, "{} prefixes, {} doublings", model.len(), doublings);
         let seen = model.len();
@@ -223,6 +240,64 @@ proptest! {
         }
         // The original is untouched: the two number apart from the clone on.
         prop_assert_eq!((interner.len(), clone.len()), (seen, model.len()));
+    }
+
+    /// The chunked id → prefix list against a `Vec` model: interleaved runs
+    /// of interns (fresh prefixes and a repeat), snapshots and clones, over
+    /// several chunk boundaries. Every snapshot reads exactly the prefixes
+    /// below its length at creation, whatever its source and the source's
+    /// clones intern afterwards; clones that intern different prefixes never
+    /// see each other's.
+    #[test]
+    fn prefix_list_snapshots_and_clones_match_the_vec_model(
+        ops in proptest::collection::vec((0u8..4, 1usize..1_500), 1..10),
+    ) {
+        // Each interner with its model; the first clone forks the second.
+        let mut live: Vec<(PrefixInterner, Vec<Prefix>)> = vec![(PrefixInterner::new(), Vec::new())];
+        let mut snaps: Vec<(PrefixList, Vec<Prefix>)> = Vec::new();
+        // Fresh prefixes are numbered across all interners: no two share one.
+        let mut fresh = 0u32;
+        for (step, (op, n)) in ops.into_iter().enumerate() {
+            let which = step % live.len();
+            match op {
+                0 | 1 => {
+                    let (interner, model) = &mut live[which];
+                    for _ in 0..n {
+                        let prefix = Prefix::nth_slash24(fresh);
+                        fresh += 1;
+                        prop_assert_eq!(interner.intern(prefix).index(), model.len());
+                        model.push(prefix);
+                    }
+                    prop_assert_eq!(interner.intern(model[n % model.len()]).index(), n % model.len());
+                }
+                2 => snaps.push((live[which].0.snapshot(), live[which].1.clone())),
+                _ if live.len() < 3 => {
+                    let copy = live[which].clone();
+                    live.push(copy);
+                }
+                _ => {}
+            }
+            for (list, model) in &snaps {
+                spot_check(list, model)?;
+            }
+            for (interner, model) in &live {
+                spot_check(interner.prefixes(), model)?;
+            }
+        }
+        for (list, model) in &snaps {
+            prop_assert!(list.iter().eq(model.iter()), "a snapshot drifted");
+            prop_assert!((0..model.len()).all(|id| list.get(id) == &model[id]));
+        }
+        for (interner, model) in &live {
+            prop_assert!(interner.prefixes().iter().eq(model.iter()));
+            let mine: BTreeSet<&Prefix> = model.iter().collect();
+            // What only another clone interned is unknown here.
+            for (_, theirs) in &live {
+                for prefix in theirs.iter().filter(|p| !mine.contains(p)) {
+                    prop_assert_eq!(interner.get(prefix), None);
+                }
+            }
+        }
     }
 
     /// A `PrefixSet` built from an unsorted list with duplicates is the

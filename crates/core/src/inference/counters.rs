@@ -40,7 +40,7 @@
 //!   the ranking and the greedy aggregation all carry `LinkId`s.
 //!   `link_ids`, the one `AsLink → LinkId` map, is consulted only where
 //!   links enter or leave by name: when a new path is interned, and in the
-//!   by-name queries (`w`/`p`/`wp`, `union_counts`, `crossing_prefixes`)
+//!   by-name queries (`w`/`p`/`wp`, `union_counts`, `crossing_ids`)
 //!   that tests, tools and the prediction of an *accepted* inference use.
 //!
 //! [`LinkCounters::w_union`] / [`LinkCounters::p_union`] are
@@ -84,7 +84,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use swift_bgp::{
     AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix, PrefixInterner,
-    PrefixSet,
+    PrefixList,
 };
 
 /// Largest candidate-set size scored through the stack-resident source array
@@ -709,15 +709,32 @@ impl LinkCounters {
         self.union_counts(links).1
     }
 
-    /// The prefixes behind a link set, split into `(withdrawn, routed)` —
-    /// the index-driven form of the §4.2 prediction (reroute everything whose
+    /// The ids behind a link set, split into `(withdrawn, routed)` — the
+    /// index-driven form of the §4.2 prediction (reroute everything whose
     /// current path crosses an inferred link).
     ///
-    /// This path genuinely needs materialised union ids (the output is the
-    /// prefix lists), so it builds them in the reusable scratch buffers: the
-    /// dense words are cleared in place and only grow once per session, and
-    /// each output set is one `Vec`, sorted once.
-    pub fn crossing_prefixes(&self, links: &[AsLink]) -> (PrefixSet, PrefixSet) {
+    /// Each output is one intersection of the set's crossing ids with the
+    /// withdrawn or the routed ids, into a set of its own exact size (see
+    /// [`IdBitSet::intersection`]), whose form `sizes` — the set's
+    /// `(W(S), P(S))` — picks. A one-link set intersects the link's own
+    /// crossing set; a larger one first builds their union in the reusable
+    /// scratch buffer (its dense words are cleared in place and grow once
+    /// per session). Nothing here sorts, hashes or reads a prefix.
+    pub(crate) fn crossing_ids(
+        &self,
+        links: &[AsLink],
+        sizes: (usize, usize),
+    ) -> (IdBitSet, IdBitSet) {
+        let split = |union: &IdBitSet| {
+            (
+                union.intersection(&self.withdrawn_bits, sizes.0),
+                union.intersection(&self.routed_bits, sizes.1),
+            )
+        };
+        let mut ids = self.resolve(links);
+        if let (Some(only), None) = (ids.next(), ids.next()) {
+            return split(&self.links[only.index()].crosses);
+        }
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         let before = s.union_buf.heap_bytes();
@@ -730,17 +747,20 @@ impl LinkCounters {
         } else {
             s.stats.scratch_reuse += 1;
         }
-        let (union, ids) = (&s.union_buf, &mut s.ids);
-        let known = self.ids.prefixes();
-        let mut behind = |bits: &IdBitSet| -> PrefixSet {
-            ids.clear();
-            union.intersection_into(bits, ids);
-            let prefixes: Vec<Prefix> = ids.iter().map(|id| known[*id as usize]).collect();
-            PrefixSet::from(prefixes)
-        };
-        let withdrawn = behind(&self.withdrawn_bits);
-        let routed = behind(&self.routed_bits);
-        (withdrawn, routed)
+        split(&s.union_buf)
+    }
+
+    /// The session's id → prefix list as it is now: what a set of ids from
+    /// [`LinkCounters::crossing_ids`] reads its prefixes from, for as long
+    /// as it is kept. Reference-count bumps, no copy.
+    pub(crate) fn prefix_list(&self) -> PrefixList {
+        self.ids.snapshot()
+    }
+
+    /// The prefix behind a session-local id.
+    #[cfg(test)]
+    fn prefix_of(&self, id: u32) -> Prefix {
+        *self.ids.prefixes().get(id as usize)
     }
 
     /// Reference implementation of [`LinkCounters::w_union`] by full scan —
@@ -767,6 +787,7 @@ impl LinkCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swift_bgp::PrefixSet;
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
@@ -948,7 +969,9 @@ mod tests {
             c.on_withdraw(p(30 + i));
         }
         let set = [AsLink::new(5, 6)];
-        let (withdrawn, routed) = c.crossing_prefixes(&set);
+        let (withdrawn, routed) = c.crossing_ids(&set, c.union_counts(&set));
+        let behind =
+            |ids: &IdBitSet| -> PrefixSet { ids.ids().map(|id| c.prefix_of(id)).collect() };
         let scan_withdrawn: PrefixSet = c
             .withdrawn()
             .filter(|(_, path)| path.crosses_any(&set))
@@ -959,10 +982,9 @@ mod tests {
             .filter(|(_, path)| path.crosses_any(&set))
             .map(|(q, _)| *q)
             .collect();
-        assert_eq!(withdrawn, scan_withdrawn);
-        assert_eq!(routed, scan_routed);
-        assert_eq!(withdrawn.len(), 11);
-        assert_eq!(routed.len(), 10);
+        assert_eq!(behind(&withdrawn), scan_withdrawn);
+        assert_eq!(behind(&routed), scan_routed);
+        assert_eq!((withdrawn.count(), routed.count()), (11, 10));
     }
 
     #[test]

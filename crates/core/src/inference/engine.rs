@@ -46,7 +46,13 @@
 //!   no trial, no kernel pass, no allocation.
 //! * **Before the prediction.** The selected set carries its exact
 //!   `(W(S), P(S))`, so an implausible one is turned down before
-//!   [`predict`] materialises any prefix set.
+//!   [`predict`] builds its two id sets.
+//!
+//! An accepted attempt's [`predict`] lists no prefix either: it intersects
+//! the set's crossing ids with the withdrawn and the routed ids into two
+//! [`PrefixSnapshot`](super::PrefixSnapshot)s over a reference-counted
+//! snapshot of the session's prefix list. Whoever reads the prefixes sorts
+//! them, once.
 //!
 //! Both are exact: an attempt is accepted or rejected at the same withdrawal
 //! as when the cap was held against a built prediction.
@@ -468,9 +474,10 @@ mod tests {
                 (399, RejectedByHistory, 0, 0),
                 (599, RejectedByHistory, 0, 0),
                 (799, RejectedByHistory, 0, 0),
-                // The seed's union and pass, the prediction's union; the
-                // three trials are delta counts.
-                (999, Accepted, 2, 1),
+                // The seed's union and pass; the three trials are delta
+                // counts, and the one-link prediction intersects the link's
+                // own crossing set, building no union.
+                (999, Accepted, 1, 1),
             ]
         );
         assert_eq!(engine.attempts(), 5, "turned-down attempts still count");
@@ -561,6 +568,51 @@ mod tests {
         }
         assert!(engine.in_burst());
         check(&mut engine, "end of stream");
+    }
+
+    /// A prediction reads the prefixes it was made over for ever: after the
+    /// session interns more than a chunk of never-seen prefixes over the
+    /// inferred link, and after its engine is torn down and the session
+    /// re-seeded.
+    #[test]
+    fn a_prediction_outlives_new_prefixes_and_teardown() {
+        use crate::inference::predictor::predict_scan;
+        use swift_bgp::PrefixList;
+        let table = rib(5_000);
+        let mut engine = InferenceEngine::new(small_config(), table.iter().map(|(a, b)| (a, b)));
+        for ev in withdraw_events(600, 10_000) {
+            engine.process(&ev);
+        }
+        let result = engine.force_infer(6 * SECOND);
+        let reference = predict_scan(engine.counters(), &result.links);
+        let prediction = &result.prediction;
+        assert_eq!(result.links.links, [AsLink::new(5, 6)]);
+        assert_eq!(
+            (
+                prediction.already_withdrawn.len(),
+                prediction.predicted.len()
+            ),
+            (result.links.withdrawn, result.links.routed)
+        );
+        assert_eq!((result.links.withdrawn, result.links.routed), (600, 4_400));
+        let fresh = PrefixList::CHUNK as u32 + 100;
+        for i in 0..fresh {
+            engine.process(&ElementaryEvent::Announce {
+                timestamp: 7 * SECOND + u64::from(i),
+                prefix: p(100_000 + i),
+                attrs: RouteAttributes::from_path(AsPath::new([2u32, 5, 6, 7])),
+            });
+        }
+        assert_eq!(engine.counters().routed_count(), 4_450 + fresh as usize);
+        drop(engine);
+        let reseeded = InferenceEngine::new(small_config(), rib(300).iter().map(|(a, b)| (a, b)));
+        assert_eq!(reseeded.counters().routed_count(), 350);
+        assert_eq!(prediction.predicted, reference.predicted);
+        assert_eq!(prediction.already_withdrawn, reference.already_withdrawn);
+        assert!(prediction
+            .predicted
+            .iter()
+            .all(|q| q.addr() < p(5_000).addr()));
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! so steady-state scoring performs **zero heap allocation** —
 //! `tests/alloc_free_event_path.rs` runs both kernels on a warm scratch over
 //! every representation mix under a counting allocator and fails on any
-//! allocation. The scratch also carries the reusable union buffers for the few
-//! paths that genuinely need materialised ids (`crossing_prefixes`, the
-//! greedy aggregate) plus the [`KernelStats`] dispatch counters exported
+//! allocation. The scratch also carries the reusable union buffers for the
+//! two paths that need a materialised union (the greedy aggregate, and the
+//! prediction's `crossing_ids` over more than one link) plus the [`KernelStats`] dispatch
+//! counters exported
 //! through the telemetry registry. A delta trial is not a fused pass and is
 //! not counted in them.
 
@@ -99,13 +100,10 @@ pub(crate) struct PassScratch {
 #[derive(Debug, Clone)]
 pub struct ScoreScratch {
     pub(crate) pass: PassScratch,
-    /// Reusable materialised union for the paths that need actual ids
-    /// (`crossing_prefixes` behind `predict`). Kept dense so `clear_all`
-    /// retains capacity.
+    /// Reusable materialised union for a prediction over several links
+    /// (`crossing_ids` behind `predict`), which intersects it into its two
+    /// id sets. Kept dense so `clear_all` retains capacity.
     pub(crate) union_buf: IdBitSet,
-    /// The ids `crossing_prefixes` reads off `union_buf`, before they become
-    /// prefixes.
-    pub(crate) ids: Vec<u32>,
     /// Running union of the greedy aggregation's current link set
     /// (`agg_seed` / `agg_delta` / `agg_accept` on `LinkCounters`).
     pub(crate) agg: IdBitSet,
@@ -121,7 +119,6 @@ impl Default for ScoreScratch {
             // the buffers grow once to the session's id-space size and then
             // every later burst reuses the words in place.
             union_buf: IdBitSet::with_capacity(0),
-            ids: Vec::new(),
             agg: IdBitSet::with_capacity(0),
             stats: KernelStats::default(),
         }

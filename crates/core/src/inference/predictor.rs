@@ -3,30 +3,149 @@
 //! SWIFT is deliberately conservative: because BGP messages cannot tell which
 //! subset of the prefixes crossing a failed link actually lost connectivity,
 //! *all* prefixes whose current path traverses an inferred link are rerouted.
+//!
+//! The reroute itself needs only the links (the install is O(rules)), so the
+//! accepting event does not list the prefixes either: [`predict`] takes the
+//! two sets as session-local prefix ids, in one pass each over the crossing
+//! ids, beside a snapshot of the session's id → prefix list. A
+//! [`PrefixSnapshot`] turns them into prefixes when someone reads them.
 
 use crate::inference::aggregate::InferredLinks;
+use crate::inference::bitset::IdBitSet;
 use crate::inference::counters::LinkCounters;
-use std::sync::Arc;
-use swift_bgp::PrefixSet;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+use swift_bgp::{Prefix, PrefixList, PrefixSet};
+
+/// A set of prefixes as an inference found it: session-local prefix ids
+/// over a snapshot of the session's id → prefix list, turned into a sorted
+/// [`PrefixSet`] only when someone reads the prefixes.
+///
+/// Building one costs a pass over the crossing ids into the smaller form
+/// (1 bit per session id, or 4 bytes per member) and reference-count bumps
+/// for the list; no prefix is read. [`PrefixSnapshot::len`] is known from the
+/// start; [`PrefixSnapshot::iter`] and [`PrefixSnapshot::prefixes`] sort the
+/// set on the first call and keep it. Clones share all of it, the sorted set
+/// included.
+///
+/// A snapshot never changes: it reads the same prefixes after later events,
+/// after the session interns prefixes it had never seen, and after the
+/// session is torn down. To that end it keeps alive the chunks of the id →
+/// prefix list it indexes (see [`PrefixList`]): the full ones, shared with
+/// the session for as long as that lives, and at most one partial chunk of
+/// its own. Equality compares contents.
+#[derive(Clone, Default)]
+pub struct PrefixSnapshot(Option<Arc<Snapshot>>);
+
+/// A non-empty [`PrefixSnapshot`].
+struct Snapshot {
+    len: usize,
+    /// The members, as ids into `list`.
+    ids: IdBitSet,
+    list: PrefixList,
+    /// The members as prefixes, built on the first read.
+    sorted: OnceLock<PrefixSet>,
+}
+
+impl PrefixSnapshot {
+    /// The `len` prefixes behind `ids` in `list`.
+    fn new(ids: IdBitSet, len: usize, list: PrefixList) -> Self {
+        debug_assert_eq!(ids.count(), len, "a prediction's size is its set's");
+        if len == 0 {
+            return PrefixSnapshot::default();
+        }
+        PrefixSnapshot(Some(Arc::new(Snapshot {
+            len,
+            ids,
+            list,
+            sorted: OnceLock::new(),
+        })))
+    }
+
+    /// Number of prefixes. Reads no prefix.
+    pub fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |s| s.len)
+    }
+
+    /// Returns `true` if the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The prefixes, in ascending order: sorted on the first call (by this
+    /// handle or a clone), then read.
+    pub fn prefixes(&self) -> &PrefixSet {
+        static EMPTY: PrefixSet = PrefixSet::new();
+        match &self.0 {
+            None => &EMPTY,
+            Some(s) => s
+                .sorted
+                .get_or_init(|| s.ids.ids().map(|id| *s.list.get(id as usize)).collect()),
+        }
+    }
+
+    /// Iterates over the prefixes in ascending order (see
+    /// [`PrefixSnapshot::prefixes`]).
+    pub fn iter(&self) -> std::slice::Iter<'_, Prefix> {
+        self.prefixes().iter()
+    }
+}
+
+impl From<PrefixSet> for PrefixSnapshot {
+    /// A snapshot whose prefixes are already listed (a scan's, a
+    /// hand-built prediction's).
+    fn from(set: PrefixSet) -> Self {
+        if set.is_empty() {
+            return PrefixSnapshot::default();
+        }
+        PrefixSnapshot(Some(Arc::new(Snapshot {
+            len: set.len(),
+            ids: IdBitSet::new(),
+            list: PrefixList::default(),
+            sorted: OnceLock::from(set),
+        })))
+    }
+}
+
+impl PartialEq for PrefixSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (self.is_empty() || self.prefixes() == other.prefixes())
+    }
+}
+
+impl Eq for PrefixSnapshot {}
+
+impl fmt::Debug for PrefixSnapshot {
+    /// The size, and the prefixes if they were read already: printing
+    /// unread ones would sort them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sorted = self.0.as_ref().and_then(|s| s.sorted.get());
+        f.debug_struct("PrefixSnapshot")
+            .field("len", &self.len())
+            .field("prefixes", &sorted)
+            .finish()
+    }
+}
 
 /// The prefix-level view of an inference.
 #[derive(Debug, Clone, Default)]
 pub struct Prediction {
     /// Prefixes whose pre-burst path traversed an inferred link and that were
-    /// already withdrawn when the inference was made. A shared handle like
-    /// `predicted`: the engine keeps the accepted result and hands out a copy.
-    pub already_withdrawn: Arc<PrefixSet>,
+    /// already withdrawn when the inference was made.
+    pub already_withdrawn: PrefixSnapshot,
     /// Prefixes whose current path traverses an inferred link and that are
     /// still routed — these are the prefixes SWIFT reroutes (the "predicted
-    /// future withdrawals" of §6.3). A shared handle: the reroute action, the
-    /// action log and the runtime's report all hold this one set.
-    pub predicted: Arc<PrefixSet>,
+    /// future withdrawals" of §6.3). The reroute action, the action log and
+    /// the runtime's report all hold this one snapshot.
+    pub predicted: PrefixSnapshot,
 }
 
 impl Prediction {
     /// Every prefix the inference marks as affected (withdrawn or predicted).
     pub fn affected(&self) -> PrefixSet {
-        self.already_withdrawn.union(&self.predicted)
+        self.already_withdrawn
+            .prefixes()
+            .union(self.predicted.prefixes())
     }
 
     /// Number of prefixes that would be rerouted.
@@ -43,16 +162,23 @@ impl Prediction {
 
 /// Computes the prediction for `links` from the current per-session counters.
 ///
-/// Runs on the inverted prefix-bitset index: the affected prefixes are read
-/// off the per-link bitsets instead of scanning every RIB entry's path.
+/// Runs on the inverted prefix-bitset index: the links' crossing ids (one
+/// link's own set, or the union of several) intersected with the withdrawn
+/// and the routed ids, over a snapshot of the session's prefix list. That
+/// is `O(ids / 64)` word operations, or one bit read per entry of a
+/// posting-list crossing set (fewer than ids / 32 entries); no prefix is
+/// read, sorted or hashed. `links` must be what the link selection returned
+/// for `counters` as they are now: its `(W(S), P(S))` are the two sets'
+/// sizes.
 pub fn predict(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
     if links.is_empty() {
         return Prediction::default();
     }
-    let (already_withdrawn, predicted) = counters.crossing_prefixes(&links.links);
+    let (withdrawn, routed) = counters.crossing_ids(&links.links, (links.withdrawn, links.routed));
+    let list = counters.prefix_list();
     Prediction {
-        already_withdrawn: Arc::new(already_withdrawn),
-        predicted: Arc::new(predicted),
+        already_withdrawn: PrefixSnapshot::new(withdrawn, links.withdrawn, list.clone()),
+        predicted: PrefixSnapshot::new(routed, links.routed, list),
     }
 }
 
@@ -74,8 +200,8 @@ pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Predictio
         .map(|(p, _)| *p)
         .collect();
     Prediction {
-        already_withdrawn: Arc::new(already_withdrawn),
-        predicted: Arc::new(predicted),
+        already_withdrawn: already_withdrawn.into(),
+        predicted: predicted.into(),
     }
 }
 
@@ -128,8 +254,8 @@ mod tests {
         assert_eq!(pred.rerouted_count(), 20);
         assert_eq!(pred.affected().len(), 30);
         // Unrelated prefixes are not predicted.
-        assert!(!pred.predicted.contains(&p(36)));
-        assert!(!pred.predicted.contains(&p(31)));
+        assert!(!pred.predicted.prefixes().contains(&p(36)));
+        assert!(!pred.predicted.prefixes().contains(&p(31)));
         // The prediction is exactly the still-routed prefixes crossing (5,6).
         assert!(pred.predicted.iter().all(|q| (10..30).contains(&{
             // recover index from the deterministic /24 numbering

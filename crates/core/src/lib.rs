@@ -47,7 +47,7 @@ pub mod router;
 
 pub use config::{EncodingConfig, InferenceConfig, SwiftConfig};
 pub use encoding::{EncodingPlan, ReroutingPolicy, TwoStageTable};
-pub use inference::{InferenceEngine, InferenceResult, InferredLinks, Prediction};
+pub use inference::{InferenceEngine, InferenceResult, InferredLinks, Prediction, PrefixSnapshot};
 pub use metrics::{Classification, LatencyRecorder, LatencySummary, Quadrant};
 pub use pipeline::{session_engines, Applier, SessionEngine};
 pub use router::{RerouteAction, SwiftRouter};

@@ -58,7 +58,6 @@ use crate::encoding::{RerouteId, ReroutingPolicy, TwoStageTable};
 use crate::inference::{EngineStatus, InferenceEngine, InferenceResult};
 use crate::router::RerouteAction;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use swift_bgp::{
     AsLink, Asn, ElementaryEvent, InternedRib, PeerId, Prefix, PrefixId, PrefixSet, Route,
     RoutingTable,
@@ -258,7 +257,7 @@ impl Applier {
             session: peer,
             time: result.time,
             links: result.links.links.clone(),
-            predicted: Arc::clone(&result.prediction.predicted),
+            predicted: result.prediction.predicted.clone(),
             rules_installed,
         };
         self.actions.push(action.clone());

@@ -19,10 +19,9 @@
 
 use crate::config::SwiftConfig;
 use crate::encoding::{ReroutingPolicy, TwoStageTable};
-use crate::inference::{EngineStatus, InferenceEngine};
+use crate::inference::{EngineStatus, InferenceEngine, PrefixSnapshot};
 use crate::pipeline::{session_engines, Applier, SessionEngine};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use swift_bgp::{AsLink, ElementaryEvent, PeerId, Prefix, PrefixSet, RoutingTable, Timestamp};
 
 /// What the router did in response to an accepted inference.
@@ -35,8 +34,9 @@ pub struct RerouteAction {
     /// The inferred failed links.
     pub links: Vec<AsLink>,
     /// The prefixes predicted as affected (and therefore rerouted) — the
-    /// inference's own set, shared rather than copied.
-    pub predicted: Arc<PrefixSet>,
+    /// inference's own snapshot, shared rather than copied, and listed only
+    /// when read.
+    pub predicted: PrefixSnapshot,
     /// Number of stage-2 rules installed — the number of data-plane updates.
     pub rules_installed: usize,
 }
@@ -250,7 +250,7 @@ mod tests {
         assert!(action.links.contains(&AsLink::new(5, 6)));
         // The AS 7 prefixes (indices 100..200) are predicted although not yet
         // withdrawn.
-        assert!(action.predicted.contains(&p(150)));
+        assert!(action.predicted.prefixes().contains(&p(150)));
         // Rules installed are few — not one per prefix.
         assert!(
             action.rules_installed <= 8,
@@ -268,7 +268,7 @@ mod tests {
         let action = &actions[0];
         // Safety: no predicted prefix may still be forwarded onto a next-hop
         // whose announced path crosses an inferred link.
-        let unsafe_set = router.unsafe_reroutes(&action.predicted, &action.links);
+        let unsafe_set = router.unsafe_reroutes(action.predicted.prefixes(), &action.links);
         assert!(
             unsafe_set.is_empty(),
             "{} prefixes still forwarded through the outage",

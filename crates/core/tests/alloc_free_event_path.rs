@@ -38,7 +38,10 @@
 //!
 //! **The accepting attempt** allocates what it hands out, and nothing else:
 //! its rank + greedy chain and its prediction are each pinned to an exact
-//! count, every allocation named where the count is stated.
+//! count, every allocation named where the count is stated; the
+//! prediction's bytes are bounded by its two id sets, below the 8 bytes per
+//! prefix a listed prediction took; and the events after it, with the
+//! prediction held, call the allocator zero times.
 //!
 //! Every path that reads AS paths runs over 4-hop and over 9-hop (spilled)
 //! paths; the kernels see only id sets.
@@ -68,11 +71,12 @@ thread_local! {
     // allocates, and the test harness's other threads do not disturb them.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
     // `try_with`: a thread being torn down may free after its locals are gone.
-    let _ = counter.try_with(|c| c.set(c.get() + 1));
+    let _ = counter.try_with(|c| c.set(c.get() + by));
 }
 
 struct Counting;
@@ -81,17 +85,19 @@ struct Counting;
 // `GlobalAlloc` contract; the bookkeeping beside it touches no heap.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(&ALLOCS);
+        bump(&ALLOCS, 1);
+        bump(&BYTES, layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(&DEALLOCS);
+        bump(&DEALLOCS, 1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(&ALLOCS);
+        bump(&ALLOCS, 1);
+        bump(&BYTES, new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -99,15 +105,32 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` and returns its value with the `(alloc + realloc, dealloc)`
-/// calls this thread made inside it. Each test runs on a thread of its own,
-/// so nothing else moves the counters in between.
-fn watch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
-    let calls = || (ALLOCS.with(Cell::get), DEALLOCS.with(Cell::get));
-    let before = calls();
+/// What a watched call asked of this thread's allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Asked {
+    /// `(alloc + realloc, dealloc)` calls.
+    calls: (u64, u64),
+    /// Bytes those `alloc` calls asked for, a `realloc` counting its new
+    /// size.
+    bytes: u64,
+}
+
+/// Runs `f` and returns its value with what this thread asked of the
+/// allocator inside it. Each test runs on a thread of its own, so nothing
+/// else moves the counters in between.
+fn watch<R>(f: impl FnOnce() -> R) -> (R, Asked) {
+    let read = || {
+        let get = |c: &'static std::thread::LocalKey<Cell<u64>>| c.with(Cell::get);
+        (get(&ALLOCS), get(&DEALLOCS), get(&BYTES))
+    };
+    let before = read();
     let out = f();
-    let after = calls();
-    (out, (after.0 - before.0, after.1 - before.1))
+    let after = read();
+    let asked = Asked {
+        calls: (after.0 - before.0, after.1 - before.1),
+        bytes: after.2 - before.2,
+    };
+    (out, asked)
 }
 
 const PREFIXES: u32 = 4_000;
@@ -234,7 +257,7 @@ fn replay(
     for event in events {
         let state = |e: &SessionEngine| (e.engine().in_burst(), e.engine().attempts());
         let before = state(engine);
-        let ((status, result), calls) = watch(|| engine.process(&event));
+        let ((status, result), Asked { calls, .. }) = watch(|| engine.process(&event));
         // Drained after every call, so a zero reading is this call's: a
         // rejection that ran no kernel never reached the chain.
         let ran_no_kernel = engine.take_kernel_stats().is_zero();
@@ -253,13 +276,13 @@ fn replay(
             applier.apply_inference(PRIMARY, &result);
             seen.accepted.push(result.withdrawals_seen);
         }
-        let (_, calls) = watch(|| applier.note_event_owned(PRIMARY, event));
+        let (_, Asked { calls, .. }) = watch(|| applier.note_event_owned(PRIMARY, event));
         seen.applier.0 += calls.0;
         seen.applier.1 += calls.1;
     }
     // The phase's last, partial batch folds here, at the sync point; it
     // counts with the per-event path.
-    let (folded, calls) = watch(|| applier.sync_rib());
+    let (folded, Asked { calls, .. }) = watch(|| applier.sync_rib());
     assert_eq!(folded, failed_prefixes().len() % RoutingTable::APPLY_BATCH);
     seen.applier.0 += calls.0;
     seen.applier.1 += calls.1;
@@ -293,7 +316,7 @@ fn measured_cycle(tail: &[u32]) -> Seen {
         replay(&mut engine, &mut applier, recovery, &mut seen);
         // No reroute is outstanding any more: this resync is the retag of
         // the re-announced prefixes and nothing else.
-        let (removed, retag) = watch(|| applier.resync_after_convergence());
+        let (removed, Asked { calls: retag, .. }) = watch(|| applier.resync_after_convergence());
         assert_eq!(removed, 0);
         assert!(forwarding(&applier, PRIMARY), "retagged onto the primary");
         seen.retag = retag;
@@ -353,7 +376,7 @@ fn the_counters_event_handlers_and_ranker_fold_never_call_the_allocator() {
         for _ in 0..2 {
             counters.start_burst(std::iter::empty());
             ranker.reset();
-            let (crossing, calls) = watch(|| {
+            let (crossing, Asked { calls, .. }) = watch(|| {
                 for prefix in &failed {
                     counters.on_withdraw(*prefix);
                     ranker.update(counters.take_dirty());
@@ -394,12 +417,13 @@ fn the_rib_mirror_and_path_reads_never_call_the_allocator() {
             let (burst, recovery) = cycle(&source, start);
             let mut calls = (0, 0);
             for event in burst.into_iter().chain(recovery) {
-                let (changed, c) = watch(|| mirror.apply_owned(PRIMARY, event));
+                let (changed, Asked { calls: c, .. }) =
+                    watch(|| mirror.apply_owned(PRIMARY, event));
                 assert!(changed.is_some(), "{label}: every event changes a route");
                 calls = (calls.0 + c.0, calls.1 + c.1);
             }
             let rib = mirror.adj_rib_in(PRIMARY).expect("primary session");
-            let (links, reads) = watch(|| {
+            let (links, Asked { calls: reads, .. }) = watch(|| {
                 let mut links = 0;
                 for prefix in &failed {
                     let path = &rib.get(prefix).expect("restored").attrs.as_path;
@@ -446,7 +470,8 @@ fn an_install_never_calls_the_allocator() {
         // its capacity.
         let (id, rules) = forwarding.install_reroute_tracked(&[FAILED]);
         forwarding.remove_reroute(id);
-        let ((id, again), calls) = watch(|| forwarding.install_reroute_tracked(&[FAILED]));
+        let ((id, again), Asked { calls, .. }) =
+            watch(|| forwarding.install_reroute_tracked(&[FAILED]));
         assert_eq!(calls, (0, 0), "{}-hop paths", 4 + tail.len());
         assert!(rules > 0 && again == rules, "{rules} rules, then {again}");
         assert_eq!(forwarding.remove_reroute(id), rules);
@@ -494,7 +519,7 @@ fn the_scoring_kernels_never_call_the_allocator() {
     let mut scratch = ScoreScratch::new();
     let pass = |scratch: &mut ScoreScratch| {
         let mut counts = Vec::with_capacity(64);
-        let (_, calls) = watch(|| {
+        let (_, Asked { calls, .. }) = watch(|| {
             for (withdrawn, routed) in masks {
                 for sources in &fused_mixes {
                     counts.push(fused_union_counts(sources, withdrawn, routed, scratch));
@@ -536,6 +561,8 @@ fn the_accepted_attempt_allocates_only_its_outputs() {
         let mut counters = LinkCounters::from_rib(rib.iter().map(|(p, r)| (p, &r.attrs.as_path)));
         let mut ranker = LinkRanker::new();
         let failed = failed_prefixes();
+        // Listed up front: the ordered walk of a RIB collects.
+        let routes: Vec<_> = rib.iter().collect();
         let mut seen = Vec::new();
         // The engine's accepting attempt, taken apart: the first round grows
         // the ranker's and the scratch's buffers, the second is measured.
@@ -545,11 +572,11 @@ fn the_accepted_attempt_allocates_only_its_outputs() {
             for prefix in &failed[..ACCEPTED_AT] {
                 counters.on_withdraw(*prefix);
             }
-            let (links, chain) = watch(|| {
+            let (links, Asked { calls: chain, .. }) = watch(|| {
                 ranker.update(counters.take_dirty());
                 infer_links_ranked(&counters, ranker.ranking(&counters, &cfg), &cfg)
             });
-            let (prediction, prediction_calls) = watch(|| predict(&counters, &links));
+            let (prediction, predicted) = watch(|| predict(&counters, &links));
             assert_eq!(links.links, [FAILED], "{label}");
             assert_eq!(
                 (links.withdrawn, links.routed),
@@ -557,22 +584,58 @@ fn the_accepted_attempt_allocates_only_its_outputs() {
                 "{label}"
             );
             assert_eq!(prediction.total_affected(), failed.len(), "{label}");
-            seen.push((chain, prediction_calls));
-            for prefix in &failed[ACCEPTED_AT..] {
-                counters.on_withdraw(*prefix);
-            }
-            for (prefix, route) in rib.iter() {
-                counters.on_announce_path(*prefix, &route.attrs.as_path);
-            }
+            // The rest of the burst and the recovery, with the prediction
+            // held: known prefixes only, so no chunk of the list it pins is
+            // touched.
+            let ((), held) = watch(|| {
+                for prefix in &failed[ACCEPTED_AT..] {
+                    counters.on_withdraw(*prefix);
+                }
+                for &(prefix, route) in &routes {
+                    counters.on_announce_path(*prefix, route.as_path());
+                }
+            });
+            seen.push((chain, predicted, held.calls));
+            assert_eq!(
+                prediction.predicted.iter().count(),
+                failed.len() - ACCEPTED_AT,
+                "{label}: read after the session moved on"
+            );
         }
         // Rank + greedy chain, 3 allocations, 2 of them freed on return:
         // * the aggregate's link list, `Vec::with_capacity(4)` in
         //   `infer_with_scorer` (freed);
         // * the selected link ids, collected from the ranking (freed);
         // * `InferredLinks::links`, the result.
-        // Prediction, 4 allocations, none freed: `crossing_prefixes` collects
-        // the withdrawn and the routed prefixes behind the set into one
-        // `Vec` each, and `predict` puts each `PrefixSet` behind an `Arc`.
-        assert_eq!(seen[1], ((3, 2), (4, 0)), "{label}: {seen:?}");
+        let (chain, predicted, held) = seen[1];
+        assert_eq!(chain, (3, 2), "{label}: {seen:?}");
+        // Prediction, 6 allocations, none freed. Each of the two sets — the
+        // 500 withdrawn ids and the 834 routed ones, both word-packed, as 1
+        // bit per session id is smaller than 4 B per member here — is:
+        // * its words, up to its last non-zero one (`IdBitSet::intersection`);
+        // * their summary, one word;
+        // * the `Arc` block of the snapshot, which shares the session's
+        //   prefix list by reference count.
+        // No prefix is listed or sorted.
+        assert_eq!(predicted.calls, (6, 0), "{label}: {seen:?}");
+        // Each set's bound: its ids in the smaller form, a summary word per
+        // 32 768 ids and the `Arc` block (under 256 B on a 64-bit target).
+        let bound = |members: usize| {
+            let dense = (PREFIXES as usize).div_ceil(64) * 8;
+            (dense.min(4 * members) + 8 + 256) as u64
+        };
+        let (withdrawn, routed) = (ACCEPTED_AT, failed.len() - ACCEPTED_AT);
+        assert!(
+            predicted.bytes <= bound(withdrawn) + bound(routed),
+            "{label}: {} bytes",
+            predicted.bytes
+        );
+        // The list it replaced cost 8 B per prefix.
+        assert!(
+            predicted.bytes < 8 * failed.len() as u64,
+            "{label}: {} bytes",
+            predicted.bytes
+        );
+        assert_eq!(held, (0, 0), "{label}: events while a snapshot is held");
     }
 }

@@ -97,9 +97,18 @@ proptest! {
 
         for (a, b) in [(&ha, &hb), (&ha, &db), (&da, &hb), (&da, &db)] {
             prop_assert_eq!(a.intersection_count(b), model_inter.len());
-            let mut inter = Vec::new();
-            a.intersection_into(b, &mut inter);
-            prop_assert_eq!(&inter, &model_inter);
+            // The built intersection, with the right size and a wrong one;
+            // told the right size it takes the smaller form: 1 bit per id up
+            // to its largest, or 4 bytes per member.
+            for members in [model_inter.len(), 0, model_inter.len() + 7] {
+                let built = a.intersection(b, members);
+                prop_assert_eq!(built.ids().collect::<Vec<_>>(), model_inter.clone());
+                prop_assert_eq!(built.check_summary_invariant(), Ok(()));
+                if members == model_inter.len() {
+                    let words = model_inter.last().map_or(0, |max| *max as usize / 64 + 1);
+                    prop_assert_eq!(built.is_dense(), 32 * members > 64 * words);
+                }
+            }
 
             let mut u = a.clone();
             u.union_with(b);

@@ -1,17 +1,18 @@
 //! Property tests for the inverted prefix-bitset index behind
 //! [`LinkCounters`]: on random RIBs, event streams and burst boundaries, the
-//! bitset-based `w_union` / `p_union` / `crossing_prefixes` / `predict` must
-//! equal the naive full-scan implementations they replaced; step by step
+//! bitset-based `w_union` / `p_union` / `predict` must equal the naive
+//! full-scan implementations they replaced, and a prediction keeps the
+//! prefixes it was made over whatever the session does next; step by step
 //! against a naive model, the dense-id counters keep every count they
 //! maintain; and, attempt after attempt, the engine (with its early
 //! turn-down and its delta trials) decides what the scan reference decides.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use swift_bgp::{AsLink, AsPath, ElementaryEvent, Prefix, PrefixSet, RouteAttributes, SECOND};
+use swift_bgp::{AsLink, AsPath, ElementaryEvent, Prefix, RouteAttributes, SECOND};
 use swift_core::inference::{
     infer_links, infer_links_scan, predict, predict_scan, rank_links, EngineStatus,
-    InferenceEngine, LinkCounters, LinkRanker, Score,
+    InferenceEngine, InferredLinks, LinkCounters, LinkRanker, Score,
 };
 use swift_core::InferenceConfig;
 
@@ -80,19 +81,21 @@ fn check_equivalences(c: &LinkCounters) -> Result<(), String> {
         if c.union_counts(set) != (c.w_union(set), c.p_union(set)) {
             return Err(format!("union_counts inconsistent on {set:?}"));
         }
-        let (withdrawn, routed) = c.crossing_prefixes(set);
-        let scan_withdrawn: PrefixSet = c
-            .withdrawn()
-            .filter(|(_, path)| path.crosses_any(set))
-            .map(|(q, _)| *q)
-            .collect();
-        let scan_routed: PrefixSet = c
-            .routed()
-            .filter(|(_, path)| path.crosses_any(set))
-            .map(|(q, _)| *q)
-            .collect();
-        if withdrawn != scan_withdrawn || routed != scan_routed {
-            return Err(format!("crossing_prefixes mismatch on {set:?}"));
+        // Any set, inferred or not, predicts what the scan predicts.
+        let (withdrawn, routed) = c.union_counts(set);
+        let links = InferredLinks {
+            links: set.clone(),
+            score: Score {
+                ws: 0.0,
+                ps: 0.0,
+                fs: 0.0,
+            },
+            withdrawn,
+            routed,
+        };
+        let (fast, slow) = (predict(c, &links), predict_scan(c, &links));
+        if fast.already_withdrawn != slow.already_withdrawn || fast.predicted != slow.predicted {
+            return Err(format!("predict mismatch on {set:?}"));
         }
     }
     // The maintained per-link counts agree with what the iterators say.
@@ -299,18 +302,55 @@ proptest! {
     }
 
     /// The full inference (link selection + prediction) agrees between the
-    /// indexed implementation and the scan baseline.
+    /// indexed implementation and the scan baseline, made at a random point
+    /// of the stream; and the prediction does not drift: after a second
+    /// batch of events — announcements of never-seen prefixes among them —
+    /// and a burst boundary, both its sets still read what the scan read
+    /// when the prediction was made.
     #[test]
-    fn inference_matches_scan_baseline(rib in arb_rib(), events in arb_events()) {
-        let c = build(&rib, &events);
+    fn inference_matches_scan_baseline(
+        rib in arb_rib(),
+        events in arb_events(),
+        at in 0usize..=120,
+        window in proptest::collection::vec(0u32..90, 0..10),
+        later in proptest::collection::vec((any::<bool>(), 0u32..200, arb_path()), 0..120),
+    ) {
+        let at = at.min(events.len());
+        let mut c = build(&rib, &events[..at]);
         let cfg = InferenceConfig::default();
         let fast = infer_links(&c, &cfg);
         let slow = infer_links_scan(&c, &cfg);
         prop_assert_eq!(&fast.links, &slow.links);
         let pf = predict(&c, &fast);
+        // The same prediction, not read until the session has moved on.
+        let unread = predict(&c, &fast);
         let ps = predict_scan(&c, &slow);
-        prop_assert_eq!(pf.already_withdrawn, ps.already_withdrawn);
-        prop_assert_eq!(pf.predicted, ps.predicted);
+        prop_assert_eq!(&pf.already_withdrawn, &ps.already_withdrawn);
+        prop_assert_eq!(&pf.predicted, &ps.predicted);
+        prop_assert_eq!(
+            (pf.already_withdrawn.len(), pf.predicted.len()),
+            (fast.withdrawn, fast.routed)
+        );
+        for (withdraw, i, hops) in events[at..].iter().chain(&later) {
+            if *withdraw {
+                c.on_withdraw(p(*i));
+            } else {
+                c.on_announce_path(p(*i), &AsPath::new(hops.iter().copied()));
+            }
+        }
+        // A burst boundary, then the batch again, backwards.
+        c.start_burst(window.iter().map(|i| p(*i)));
+        for (withdraw, i, hops) in later.iter().rev() {
+            if *withdraw {
+                c.on_withdraw(p(*i));
+            } else {
+                c.on_announce_path(p(*i), &AsPath::new(hops.iter().copied()));
+            }
+        }
+        drop(c);
+        prop_assert_eq!(&unread.already_withdrawn, &ps.already_withdrawn);
+        prop_assert_eq!(&unread.predicted, &ps.predicted);
+        prop_assert_eq!(unread.predicted.iter().count(), fast.routed);
     }
 
     /// The incrementally maintained candidate ranking equals the from-scratch

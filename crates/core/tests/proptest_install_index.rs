@@ -30,10 +30,9 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
-    RouteAttributes, RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
+    RoutingTable,
 };
 use swift_core::encoding::{select_backup_among, ReroutingPolicy, Stage2Rule, TwoStageTable};
 use swift_core::inference::{InferenceResult, InferredLinks, Prediction, Score};
@@ -301,10 +300,7 @@ fn inference(link: AsLink, time: u64) -> InferenceResult {
             withdrawn: 0,
             routed: 0,
         },
-        prediction: Prediction {
-            already_withdrawn: Arc::default(),
-            predicted: Arc::new(PrefixSet::new()),
-        },
+        prediction: Prediction::default(),
     }
 }
 

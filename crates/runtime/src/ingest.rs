@@ -16,7 +16,7 @@
 //!   guarantee is void (their *per-shard batches* interleave
 //!   nondeterministically).
 //! * **Clock** — events are stamped with a coarse epoch clock
-//!   ([`EpochClock`]): one shared `AtomicU64` of nanoseconds since the
+//!   (`EpochClock`): one shared `AtomicU64` of nanoseconds since the
 //!   runtime's base instant, refreshed by each producer every
 //!   `CLOCK_REFRESH_INTERVAL` events (and at every batch dispatch) instead
 //!   of a syscall-backed `Instant::now()` per event.

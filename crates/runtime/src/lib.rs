@@ -32,7 +32,7 @@
 //!   built-in default handle.
 //! * **Sessions are sharded, not events**: every peer is hashed onto one of N
 //!   worker shards, so one session's events are always processed in order by
-//!   one [`SessionEngine`](swift_core::pipeline::SessionEngine) — the
+//!   one [`SessionEngine`] — the
 //!   per-session verdict stream is identical to the single-threaded
 //!   [`SwiftRouter`](swift_core::SwiftRouter)'s, regardless of shard count —
 //!   provided each session stays pinned to one handle (see [`IngestHandle`]).

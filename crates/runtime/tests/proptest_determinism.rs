@@ -196,7 +196,7 @@ proptest! {
                 ReroutingPolicy::allow_all(),
             );
             for action in &report.actions {
-                let unsafe_left = data_plane.unsafe_reroutes(&action.predicted, &action.links);
+                let unsafe_left = data_plane.unsafe_reroutes(action.predicted.prefixes(), &action.links);
                 prop_assert!(
                     unsafe_left.is_empty(),
                     "{} of {} predicted prefixes still cross {:?}",

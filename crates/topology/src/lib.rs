@@ -16,7 +16,7 @@
 //!   connection radius;
 //! * [`graph`] — the AS graph structure with adjacency and reachability queries;
 //! * [`relationships`] — tier assignment and Gao–Rexford relationship labelling;
-//! * [`builder`] — the [`Topology`](builder::Topology) bundle (graph + tiers +
+//! * [`builder`] — the [`Topology`] bundle (graph + tiers +
 //!   relationships + per-AS originated prefixes) plus hand-built fixtures such
 //!   as the paper's Fig. 1 topology.
 

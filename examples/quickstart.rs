@@ -79,12 +79,14 @@ fn main() {
             );
             println!("  prefixes rerouted: {}", action.predicted.len());
             println!("  data-plane rules installed: {}", action.rules_installed);
-            let sample = action.predicted.iter().next().unwrap();
-            println!(
-                "  e.g. {} now forwarded via {:?}",
-                sample,
-                router.forwarding_next_hop(sample)
-            );
+            // An inference may predict no prefix that is still routed.
+            if let Some(sample) = action.predicted.iter().next() {
+                println!(
+                    "  e.g. {} now forwarded via {:?}",
+                    sample,
+                    router.forwarding_next_hop(sample)
+                );
+            }
         }
         None => println!("no inference was triggered (burst too small?)"),
     }

@@ -80,7 +80,7 @@ fn fig1_outage_is_inferred_and_rerouted_end_to_end() {
     assert!(action.rules_installed <= 16);
 
     // The prediction covers the majority of the actually-withdrawn prefixes.
-    let covered = action.predicted.intersection_len(&withdrawn);
+    let covered = action.predicted.prefixes().intersection_len(&withdrawn);
     assert!(
         covered * 10 >= withdrawn.len() * 5,
         "only {covered} of {} withdrawn prefixes predicted",
@@ -89,7 +89,7 @@ fn fig1_outage_is_inferred_and_rerouted_end_to_end() {
 
     // Safety (Lemma 3.3): no rerouted prefix is sent to a next-hop whose path
     // crosses an inferred link.
-    let unsafe_set = router.unsafe_reroutes(&action.predicted, &action.links);
+    let unsafe_set = router.unsafe_reroutes(action.predicted.prefixes(), &action.links);
     assert!(unsafe_set.is_empty());
 }
 
@@ -179,7 +179,7 @@ fn generated_topology_outages_never_produce_unsafe_reroutes() {
                 // inferred link. Prefixes with no eligible backup keep their
                 // primary next-hop (and lose traffic exactly as vanilla BGP
                 // would, which the paper accepts); they are not "reroutes".
-                let unsafe_set = router.unsafe_reroutes(&action.predicted, &action.links);
+                let unsafe_set = router.unsafe_reroutes(action.predicted.prefixes(), &action.links);
                 let moved_and_unsafe: Vec<_> = unsafe_set
                     .iter()
                     .filter(|p| router.forwarding_next_hop(p) != Some(monitored))

@@ -111,7 +111,7 @@ fn encoding_covers_most_predicted_prefixes_at_18_bits() {
         let Some(result) = accepted else { continue };
         let perf = two_stage.encoding_performance(
             &table,
-            &result.prediction.predicted,
+            result.prediction.predicted.prefixes(),
             &result.links.links,
         );
         // Large bursts come from heavily-used links, which the 18-bit plan
