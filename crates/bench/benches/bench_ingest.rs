@@ -19,7 +19,7 @@
 )]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 use swift_bgp::{ElementaryEvent, PeerId, Prefix, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
@@ -71,7 +71,11 @@ fn bench_stamp(c: &mut Criterion) {
         })
     });
     group.bench_function("coarse_atomic_load", |b| {
-        let epoch = AtomicU64::new(42);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the probe times a bare Relaxed load, the operation `EpochClock::coarse` compiles to"
+        )]
+        let epoch = std::sync::atomic::AtomicU64::new(42);
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..10_000 {

@@ -270,7 +270,8 @@ pub struct ProducerCounters {
     /// Events this producer (or the merged set) stamped and dispatched,
     /// including any later shed.
     pub events: u64,
-    /// Per-shard events shed at ingest (load-shedding backpressure).
+    /// Per-shard events shed at ingest: a producer sheds only once the
+    /// runtime has shut down and its queues are gone.
     pub dropped: Vec<u64>,
     /// Per-shard queue high-water mark, in batches, as observed at enqueue.
     pub max_queue_depth: Vec<usize>,

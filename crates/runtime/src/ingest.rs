@@ -16,7 +16,7 @@
 //!   guarantee is void (their *per-shard batches* interleave
 //!   nondeterministically).
 //! * **Clock** — events are stamped with a coarse epoch clock
-//!   (`EpochClock`): one shared `AtomicU64` of nanoseconds since the
+//!   (`EpochClock`): one shared atomic word of nanoseconds since the
 //!   runtime's base instant, refreshed by each producer every
 //!   `CLOCK_REFRESH_INTERVAL` events (and at every batch dispatch) instead
 //!   of a syscall-backed `Instant::now()` per event.
@@ -26,13 +26,14 @@
 //!   per-handle-per-shard with no sharing on the hot path, and folded into
 //!   the runtime's [`swift_core::metrics::ProducerCounters`] accumulator when
 //!   the handle finishes ([`IngestHandle::finish`], or its `Drop`).
+//! * **Backpressure** — every send blocks while the shard's queue is full:
+//!   nothing is shed while the runtime is live.
 //!
 //! Handles hold `SyncSender` clones, so they never outlive the channels; a
 //! handle still alive after [`crate::ShardedRuntime::finish`] simply finds
 //! the queues disconnected and counts further events as dropped.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use swift_bgp::{Asn, ElementaryEvent, InternedRib, PeerId, Prefix, Route};
@@ -41,8 +42,9 @@ use swift_core::pipeline::SessionEngine;
 use swift_core::SwiftConfig;
 use swift_telemetry::{Counter, FlightKind, FlightRecorder, TraceSampler, TraceStamp};
 
+use crate::shard_of;
+use crate::sync::{EpochClock, QueueDepth, ShutdownFlag};
 use crate::worker::{IngestEvent, SessionRegistration, ShardMsg};
-use crate::{shard_of, BackpressurePolicy};
 
 /// Events between two refreshes of the coarse ingest clock, per producer
 /// handle: the ingest path stays an atomic load at the cost of up to one
@@ -64,73 +66,27 @@ pub(crate) fn engine_from_routes(
     SessionEngine::from_interned(peer, swift, &rib)
 }
 
-/// The runtime's coarse monotonic clock: nanoseconds since the runtime's
-/// construction, cached in one atomic word.
-///
-/// Producers *read* the cached value per event ([`EpochClock::coarse`], an
-/// atomic load) and *refresh* it only every few hundred events
-/// ([`EpochClock::refresh`]); consumers measuring latency read the precise
-/// value ([`EpochClock::precise`]) — they are off the ingest hot path and can
-/// afford the syscall. `refresh` uses `fetch_max`, so concurrent refreshers
-/// never move the cached epoch backwards.
-#[derive(Debug)]
-pub(crate) struct EpochClock {
-    base: Instant,
-    cached: AtomicU64,
-}
-
-impl EpochClock {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the clock's base instant: read once per runtime, never per event"
-    )]
-    pub(crate) fn new() -> Self {
-        EpochClock {
-            base: Instant::now(),
-            cached: AtomicU64::new(0),
-        }
-    }
-
-    /// The cached epoch, in nanoseconds since the base instant.
-    pub(crate) fn coarse(&self) -> u64 {
-        self.cached.load(Ordering::Relaxed)
-    }
-
-    /// Re-reads the real clock into the cache and returns it.
-    pub(crate) fn refresh(&self) -> u64 {
-        let now = self.precise();
-        self.cached.fetch_max(now, Ordering::Relaxed);
-        now
-    }
-
-    /// The real monotonic clock, in nanoseconds since the base instant.
-    pub(crate) fn precise(&self) -> u64 {
-        u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
 /// Everything the producers share with each other and with the runtime:
-/// channel ends, backpressure configuration, the epoch clock, the run-start
-/// stamp and the merged-counter accumulator.
+/// channel ends, queue depths, the epoch clock, the run-start stamp and the
+/// merged-counter accumulator.
 pub(crate) struct ProducerShared {
     pub(crate) shard_txs: Vec<SyncSender<ShardMsg>>,
     /// Per-shard in-flight batch counters (shared with the workers, which
     /// decrement on receive).
-    pub(crate) depth: Vec<Arc<AtomicUsize>>,
+    pub(crate) depth: Vec<QueueDepth>,
     pub(crate) batch_size: usize,
     pub(crate) queue_capacity: usize,
-    pub(crate) backpressure: BackpressurePolicy,
     pub(crate) clock: Arc<EpochClock>,
     /// First ingest across *all* producers — the run's wall-clock start.
     /// `OnceLock` so concurrent first events race safely to one stamp;
     /// shared with the runtime, which stamps it on inline ingests too.
     pub(crate) started: Arc<OnceLock<Instant>>,
-    /// Set by the runtime at shutdown, before the worker channels close.
+    /// Raised by the runtime at shutdown, before the worker channels close.
     /// Lets a handle distinguish "the runtime finished" (tolerated: late
     /// events are shed) from "a worker crashed while the runtime is live"
-    /// (fail fast — silently shedding there would violate the lossless
-    /// `Block` contract).
-    pub(crate) shutdown: AtomicBool,
+    /// (fail fast — silently shedding there would break the runtime's
+    /// lossless contract).
+    pub(crate) shutdown: ShutdownFlag,
     /// Swift configuration, for seeding engines of mid-run registrations.
     pub(crate) swift: SwiftConfig,
     /// Finished producers' counters, folded together. Touched only at
@@ -139,7 +95,8 @@ pub(crate) struct ProducerShared {
     /// Registry counter `ingest.events`, shared by every producer and bumped
     /// a batch at a time at dispatch (the per-event path stays counter-free).
     pub(crate) events_ctr: Counter,
-    /// Registry counter `ingest.dropped`, bumped when a batch is shed.
+    /// Registry counter `ingest.dropped`, bumped when a handle that outlived
+    /// the runtime sheds a batch.
     pub(crate) dropped_ctr: Counter,
     /// Lifecycle flight recorder (shed batches are lifecycle-worthy).
     pub(crate) flight: FlightRecorder,
@@ -166,8 +123,8 @@ pub struct IngestHandle {
     shared: Arc<ProducerShared>,
     /// Per-shard batch buffers owned by this producer alone.
     buffers: Vec<Vec<IngestEvent>>,
-    /// Per-shard events shed by this producer (DropNewest, or a vanished
-    /// runtime).
+    /// Per-shard events shed by this producer because the runtime had
+    /// already shut down.
     dropped: Vec<u64>,
     /// Per-shard queue high-water this producer observed at enqueue.
     max_depth: Vec<usize>,
@@ -205,7 +162,7 @@ impl IngestHandle {
     /// Ingests one per-prefix event received on the session with `peer`,
     /// stamping it with the coarse epoch clock and buffering it toward the
     /// session's home shard. Dispatches the shard's batch when full,
-    /// honouring the configured backpressure policy.
+    /// blocking while the shard's queue is full.
     pub fn ingest(&mut self, peer: PeerId, event: ElementaryEvent) {
         #[expect(
             clippy::disallowed_methods,
@@ -253,8 +210,7 @@ impl IngestHandle {
     /// Registers (or re-registers) a peering session through this handle,
     /// ordered in-band with the handle's ingested events: the session's home
     /// shard adopts a fresh engine seeded from `routes` and forwards the
-    /// routing-state half to the applier. Never shed, even under
-    /// [`BackpressurePolicy::DropNewest`].
+    /// routing-state half to the applier. Never shed.
     ///
     /// The in-band guarantee covers traffic *through this handle* — which is
     /// all of the session's traffic, under the pinning rule.
@@ -294,14 +250,11 @@ impl IngestHandle {
     /// A send found shard `shard`'s channel disconnected: tolerated after
     /// the runtime shut down (the handle outlived it — late traffic is
     /// shed), a panic while the runtime is live (a worker crashed; shedding
-    /// silently there would break the lossless `Block` contract and let a
-    /// long run grind on against a dead shard).
+    /// silently there would break the lossless contract and let a long run
+    /// grind on against a dead shard).
     fn on_disconnected(&self, shard: usize) {
-        // Acquire pairs with the Release store in `Runtime::shutdown` (see
-        // the atomic-ordering auditor's `flag` role): observing the flag
-        // must also observe the shutdown that raised it.
         assert!(
-            self.shared.shutdown.load(Ordering::Acquire),
+            self.shared.shutdown.is_raised(),
             "shard {shard} worker thread is gone while the runtime is live"
         );
     }
@@ -329,19 +282,18 @@ impl IngestHandle {
         self.close();
     }
 
-    /// Sends shard `shard`'s buffered batch, honouring the backpressure
-    /// policy.
+    /// Sends shard `shard`'s buffered batch, blocking while the queue is
+    /// full.
     ///
     /// The queue high-water mark is recorded only once the batch is actually
-    /// enqueued — a shed batch never occupied a queue slot, so it must not
-    /// raise the reported mark. The depth counter is approximate at the
-    /// edges: the worker decrements on receive (so the count includes the
-    /// one batch being unpacked), and with K concurrent producers it also
-    /// includes up to K−1 sibling batches that were counted but not yet
-    /// enqueued — the recorded mark is therefore an upper estimate, clamped
-    /// to the queue's physical capacity. A disconnected queue counts the
-    /// batch as dropped when the runtime has shut down, and panics when it
-    /// has not (a crashed worker — see [`IngestHandle::on_disconnected`]).
+    /// enqueued. The depth counter is approximate at the edges: the worker
+    /// decrements on receive (so the count includes the one batch being
+    /// unpacked), and with K concurrent producers it also includes up to K−1
+    /// sibling batches that were counted but not yet enqueued — the recorded
+    /// mark is therefore an upper estimate, clamped to the queue's physical
+    /// capacity. A disconnected queue counts the batch as dropped when the
+    /// runtime has shut down, and panics when it has not (a crashed worker —
+    /// see [`IngestHandle::on_disconnected`]).
     fn dispatch(&mut self, shard: usize) {
         if self.buffers[shard].is_empty() {
             return;
@@ -355,45 +307,21 @@ impl IngestHandle {
         );
         // The live `ingest.events` counter advances a batch at a time — the
         // per-event ingest path stays free of shared-counter traffic.
-        self.shared.events_ctr.add(batch.len() as u64);
-        let new_depth = self.shared.depth[shard].fetch_add(1, Ordering::Relaxed) + 1;
-        let high_water = new_depth.min(self.shared.queue_capacity.max(1));
-        match self.shared.backpressure {
-            BackpressurePolicy::Block => {
-                match self.shared.shard_txs[shard].send(ShardMsg::Batch(batch)) {
-                    Ok(()) => {
-                        self.max_depth[shard] = self.max_depth[shard].max(high_water);
-                    }
-                    Err(std::sync::mpsc::SendError(ShardMsg::Batch(batch))) => {
-                        self.on_disconnected(shard);
-                        self.shared.depth[shard].fetch_sub(1, Ordering::Relaxed);
-                        self.dropped[shard] += batch.len() as u64;
-                        self.note_shed(shard, batch.len());
-                    }
-                    Err(_) => unreachable!("send returns the rejected batch"),
-                }
-            }
-            BackpressurePolicy::DropNewest => {
-                match self.shared.shard_txs[shard].try_send(ShardMsg::Batch(batch)) {
-                    Ok(()) => {
-                        self.max_depth[shard] = self.max_depth[shard].max(high_water);
-                    }
-                    Err(TrySendError::Full(ShardMsg::Batch(batch))) => {
-                        self.shared.depth[shard].fetch_sub(1, Ordering::Relaxed);
-                        self.dropped[shard] += batch.len() as u64;
-                        self.note_shed(shard, batch.len());
-                    }
-                    Err(TrySendError::Disconnected(ShardMsg::Batch(batch))) => {
-                        self.on_disconnected(shard);
-                        self.shared.depth[shard].fetch_sub(1, Ordering::Relaxed);
-                        self.dropped[shard] += batch.len() as u64;
-                        self.note_shed(shard, batch.len());
-                    }
-                    Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                        unreachable!("try_send returns the rejected batch")
-                    }
-                }
-            }
+        let len = batch.len();
+        self.shared.events_ctr.add(len as u64);
+        let high_water = self.shared.depth[shard]
+            .inc()
+            .min(self.shared.queue_capacity.max(1));
+        if self.shared.shard_txs[shard]
+            .send(ShardMsg::Batch(batch))
+            .is_ok()
+        {
+            self.max_depth[shard] = self.max_depth[shard].max(high_water);
+        } else {
+            self.on_disconnected(shard);
+            self.shared.depth[shard].dec();
+            self.dropped[shard] += len as u64;
+            self.note_shed(shard, len);
         }
     }
 

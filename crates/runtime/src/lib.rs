@@ -18,7 +18,7 @@
 //!                           │      ...       │─▶ │  RoutingTable     │
 //!                           └───────────────┘    │  TwoStageTable    │
 //!                             bounded mpsc       │  rule installs +  │
-//!                             (backpressure)     │  resyncs, serial  │
+//!                             (blocking)         │  resyncs, serial  │
 //!                                                └─────────────────┘
 //! ```
 //!
@@ -27,9 +27,9 @@
 //!   shard and sends straight into the shard queues — no central dispatch
 //!   thread, no serialized stage in front of the shards. Events are stamped
 //!   by a coarse shared epoch clock instead of a per-event `Instant::now()`;
-//!   drop counters and queue high-waters are per-handle and merged when the
-//!   handles finish. [`ShardedRuntime::ingest`] is a thin wrapper over a
-//!   built-in default handle.
+//!   queue high-waters are per-handle and merged when the handles finish.
+//!   [`ShardedRuntime::ingest`] is a thin wrapper over a built-in default
+//!   handle.
 //! * **Sessions are sharded, not events**: every peer is hashed onto one of N
 //!   worker shards, so one session's events are always processed in order by
 //!   one [`SessionEngine`] — the
@@ -46,12 +46,44 @@
 //!   them all. Routing-RIB bookkeeping is deferred (see
 //!   [`Applier::with_deferred_rib`](swift_core::pipeline::Applier)) so the
 //!   applier stays off the per-event hot path.
-//! * **Bounded queues everywhere**: a full shard queue blocks the ingest (or
-//!   sheds the batch under [`BackpressurePolicy::DropNewest`], counted per
-//!   shard); a full applier queue blocks the shards.
+//! * **Bounded queues everywhere**: a full shard queue blocks the ingest; a
+//!   full applier queue blocks the shards. Nothing is shed while the runtime
+//!   is live.
 //! * **Deterministic mode** ([`RuntimeConfig::deterministic`]): zero shards,
 //!   no threads — the same pipeline types driven inline on the caller's
 //!   thread, bit-identical to `SwiftRouter`.
+//!
+//! ## Concurrency rules and their holders
+//!
+//! The runtime's concurrency surface is small: four channel constructions,
+//! three mutexes, one Release/Acquire flag and a few Relaxed counters. Each
+//! rule it relies on is held by the compiler, clippy or a running test:
+//!
+//! * **Data channels are bounded; nothing is shed.** The root `clippy.toml`
+//!   disallows `mpsc::channel` and `SyncSender::try_send`. The two unbounded
+//!   control channels (the flush's barrier ack, the resync's reply) carry at
+//!   most one message per outstanding call and say so in a reasoned
+//!   `#[expect]`.
+//! * **Every message is sent and handled.** The message enums are
+//!   crate-private, so rustc's `dead_code` names a variant nobody sends, and
+//!   `clippy::wildcard_enum_match_arm` with
+//!   `clippy::match_wildcard_for_single_variants` (below) makes every
+//!   `match` on them name each variant.
+//! * **Atomic orderings are fixed by type.** Raw atomics are disallowed; the
+//!   wrappers in the private `sync` module (and `swift_telemetry`'s
+//!   `Counter` / `Gauge`) choose the ordering once: one Release/Acquire
+//!   shutdown flag, Relaxed everywhere else.
+//! * **Barriers reach every shard; the applier acks at quorum, once.** The
+//!   flush asserts that the ack it receives is its own barrier's, and
+//!   `proptest_multi_producer` runs every case under a deadline, on queues
+//!   of capacity one too, so a lost barrier or a blocking-send cycle fails
+//!   with the flight recorder's dump instead of hanging.
+//! * **No data after a terminal message.** The tests' event counts: every
+//!   ingested event reaches a shard, and nothing is dropped.
+//! * **Lock order.** No function holds two of the three mutexes (the
+//!   producers' merged counters, the registry's name table, the flight
+//!   recorder's ring) at once, so no lock order exists to get wrong. This
+//!   rule is documented, not checked.
 //!
 //! ## Example
 //!
@@ -73,44 +105,31 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![warn(clippy::match_wildcard_for_single_variants)]
 
 pub mod ingest;
+mod sync;
 mod worker;
 
-use ingest::{EpochClock, ProducerShared};
+use ingest::ProducerShared;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
-use swift_core::inference::EngineStatus;
 use swift_core::metrics::{LatencySummary, ProducerCounters};
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
 use swift_core::{RerouteAction, SwiftConfig};
 use swift_telemetry::{
     Counter, FlightKind, FlightRecorder, Gauge, LogHistogram, Registry, StageHistograms,
 };
+use sync::{EpochClock, QueueDepth, ShutdownFlag};
 use worker::{ApplierMsg, ShardMsg};
 
 pub use ingest::IngestHandle;
-
-/// What to do when a shard's ingest queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block the ingest thread until the shard drains (lossless; the
-    /// default). This is the only policy under which the sharded runtime's
-    /// per-session decisions provably equal the single-threaded router's.
-    #[default]
-    Block,
-    /// Drop the overflowing batch and count it ([`ShardMetrics::dropped`]) —
-    /// load-shedding for overload experiments; inference quality degrades
-    /// gracefully (missed withdrawals lower WS/PS precision) but the runtime
-    /// never stalls the ingest.
-    DropNewest,
-}
 
 /// Configuration of the sharded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,8 +143,6 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// Bounded depth of the applier's queue, in batches.
     pub applier_capacity: usize,
-    /// Behaviour when a shard queue is full.
-    pub backpressure: BackpressurePolicy,
     /// Pipeline-trace sampling: every `trace_sample_interval`-th event per
     /// producer carries a [`swift_telemetry::TraceStamp`] through
     /// ingest → shard → applier, populating the per-stage histograms of
@@ -154,7 +171,6 @@ impl RuntimeConfig {
             batch_size: 256,
             queue_capacity: 64,
             applier_capacity: 256,
-            backpressure: BackpressurePolicy::Block,
             trace_sample_interval: 1_024,
         }
     }
@@ -180,7 +196,9 @@ pub struct ShardMetrics {
     pub events: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Events dropped at ingest under [`BackpressurePolicy::DropNewest`].
+    /// Events shed at ingest. Only a producer handle that outlives the
+    /// runtime sheds, and its counters reach no report, so this reads `0`:
+    /// it is the report's check that nothing was lost.
     pub dropped: u64,
     /// High-water mark of the shard's ingest queue, in batches — an upper
     /// estimate under concurrent producers (each producer's observation may
@@ -234,13 +252,11 @@ pub struct RuntimeMetrics {
     /// built-in default handle when [`ShardedRuntime::ingest`] was used.
     /// `0` in deterministic inline mode.
     pub producers: usize,
-    /// Events ingested (including any later dropped under
-    /// [`BackpressurePolicy::DropNewest`]; `events - dropped` were
-    /// processed). In sharded mode this counts what *finished* producers
-    /// ingested — finish or drop every handle before
-    /// [`ShardedRuntime::finish`].
+    /// Events ingested (`events - dropped` were processed). In sharded mode
+    /// this counts what *finished* producers ingested — finish or drop every
+    /// handle before [`ShardedRuntime::finish`].
     pub events: u64,
-    /// Events dropped across all shards.
+    /// Events dropped across all shards (see [`ShardMetrics::dropped`]).
     pub dropped: u64,
     /// First ingest → pipeline drained.
     pub wall: Duration,
@@ -322,8 +338,6 @@ struct Sharded {
     /// `applier.0.queue.high`), shared with the senders.
     applier_high: Gauge,
     barrier_rx: Receiver<u64>,
-    /// Number of barrier seqs fully acked (= highest completed seq + 1).
-    barrier_acked: u64,
     next_barrier: u64,
     /// The producer-side state shared by every [`IngestHandle`].
     shared: Arc<ProducerShared>,
@@ -374,7 +388,7 @@ pub struct ShardedRuntime {
     flight: FlightRecorder,
     /// The runtime's epoch clock (also created in inline mode, so flight
     /// events and snapshots carry comparable timestamps).
-    clock: Arc<ingest::EpochClock>,
+    clock: Arc<EpochClock>,
 }
 
 impl ShardedRuntime {
@@ -423,9 +437,13 @@ impl ShardedRuntime {
         }
 
         let applier_capacity = config.applier_capacity.max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one message in flight per outstanding flush/resync"
+        )]
         let (barrier_tx, barrier_rx) = mpsc::channel();
         let (applier_tx, applier_rx) = mpsc::sync_channel(applier_capacity);
-        let applier_depth = Arc::new(AtomicUsize::new(0));
+        let applier_depth = QueueDepth::default();
         let applier_high = registry.gauge("applier.0.queue.high");
         let applier_worker = worker::ApplierWorker {
             applier: Applier::new(swift.clone(), table, policy).with_deferred_rib(),
@@ -433,7 +451,7 @@ impl ShardedRuntime {
             barrier_tx,
             workers: shards,
             clock: Arc::clone(&clock),
-            depth: Arc::clone(&applier_depth),
+            depth: applier_depth.clone(),
             events_ctr: registry.counter("applier.0.events"),
             batches_ctr: registry.counter("applier.0.batches"),
             installs_ctr: registry.counter("applier.0.installs"),
@@ -454,18 +472,18 @@ impl ShardedRuntime {
         let mut depth = Vec::with_capacity(shards);
         for (i, engines) in partitions.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
-            let shard_depth = Arc::new(AtomicUsize::new(0));
+            let shard_depth = QueueDepth::default();
             let worker = worker::ShardWorker {
                 shard: i,
                 engines,
                 rx,
                 applier: worker::ApplierLink {
                     tx: applier_tx.clone(),
-                    depth: Arc::clone(&applier_depth),
+                    depth: applier_depth.clone(),
                     high: applier_high.clone(),
                 },
                 applier_capacity,
-                depth: Arc::clone(&shard_depth),
+                depth: shard_depth.clone(),
                 clock: Arc::clone(&clock),
                 events_ctr: registry.counter(&format!("shard.{i}.events")),
                 batches_ctr: registry.counter(&format!("shard.{i}.batches")),
@@ -489,10 +507,9 @@ impl ShardedRuntime {
             depth,
             batch_size: config.batch_size.max(1),
             queue_capacity: config.queue_capacity,
-            backpressure: config.backpressure,
             clock: Arc::clone(&clock),
             started: Arc::clone(&started),
-            shutdown: AtomicBool::new(false),
+            shutdown: ShutdownFlag::default(),
             swift: swift.clone(),
             merged: Mutex::new(ProducerCounters::for_shards(shards)),
             events_ctr: registry.counter("ingest.events"),
@@ -510,7 +527,6 @@ impl ShardedRuntime {
                 applier_handle,
                 applier_high,
                 barrier_rx,
-                barrier_acked: 0,
                 next_barrier: 0,
                 shared,
                 default_handle: Some(default_handle),
@@ -598,14 +614,8 @@ impl ShardedRuntime {
                 // attributes move into the table uncloned. The install reads
                 // stage-1 state that only a resync changes, so it does not
                 // care which side of the mirror update it runs on.
-                let accepted = inline.engines.get_mut(&peer).and_then(|engine| {
-                    let (status, result) = engine.process(&event);
-                    inline.kernels.record_attempt(engine, status);
-                    match status {
-                        EngineStatus::Accepted => result,
-                        _ => None,
-                    }
-                });
+                let accepted = (inline.engines.get_mut(&peer))
+                    .and_then(|engine| worker::accept(engine, &inline.kernels, &event));
                 inline.applier.note_event_owned(peer, event);
                 if let Some(result) = accepted {
                     inline.applier.apply_inference(peer, &result);
@@ -641,8 +651,7 @@ impl ShardedRuntime {
     /// events ingested on this session before the call are processed by the
     /// old engine (if any), events after it by the new one — in both inline
     /// and sharded mode, which is what keeps per-session decisions identical
-    /// across modes under churn. Lifecycle messages are never shed, even
-    /// under [`BackpressurePolicy::DropNewest`].
+    /// across modes under churn. Lifecycle messages are never shed.
     pub fn register_session<I>(&mut self, peer: PeerId, asn: Asn, routes: I)
     where
         I: IntoIterator<Item = (Prefix, Route)>,
@@ -717,16 +726,21 @@ impl ShardedRuntime {
                     .flush();
                 let seq = sharded.next_barrier;
                 sharded.next_barrier += 1;
+                // Recorded before the wait, so a flush that never returns
+                // leaves its barrier in a post-mortem dump.
+                self.flight.record(
+                    self.clock.precise(),
+                    FlightKind::Barrier,
+                    format!("seq={seq} sent to {} shards", sharded.shard_txs.len()),
+                );
                 for tx in &sharded.shard_txs {
                     tx.send(ShardMsg::Barrier(seq)).expect("shard thread alive");
                 }
                 // Each shard worker forwards the barrier to the applier, which
-                // acks once all workers' copies arrived. Barriers complete in
-                // order: block until ours is acked.
-                while sharded.barrier_acked <= seq {
-                    let done = sharded.barrier_rx.recv().expect("applier thread alive");
-                    sharded.barrier_acked = sharded.barrier_acked.max(done + 1);
-                }
+                // acks once all workers' copies arrived. `&mut self` means no
+                // other barrier is outstanding: the one ack must be ours.
+                let acked = sharded.barrier_rx.recv().expect("applier thread alive");
+                assert_eq!(acked, seq, "the applier acked another barrier");
                 self.flight.record(
                     self.clock.precise(),
                     FlightKind::Barrier,
@@ -746,6 +760,10 @@ impl ShardedRuntime {
             Mode::Sharded(sharded) => {
                 // The pipeline is already drained by the flush, so the
                 // rendezvous is just the applier's reply.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one message in flight per outstanding flush/resync"
+                )]
                 let (reply_tx, reply_rx) = mpsc::channel();
                 sharded
                     .applier_tx
@@ -813,14 +831,7 @@ impl ShardedRuntime {
             Mode::Sharded(mut sharded) => {
                 // From here on, handles finding a disconnected queue treat
                 // it as "the runtime finished" rather than a crashed worker.
-                // Release pairs with the Acquire load in
-                // `IngestHandle::on_disconnected`: a handle that observes the
-                // flag also observes everything shutdown published before it.
-                // (The disconnect itself is only observable after the worker
-                // exits, but that edge runs the wrong way for the flag — the
-                // atomics auditor wants the pair explicit, and it is free
-                // here, far off the hot path.)
-                sharded.shared.shutdown.store(true, Ordering::Release);
+                sharded.shared.shutdown.raise();
                 // The default handle is a producer like any other: finishing
                 // it flushes its buffers and folds its counters into the
                 // shared accumulator — external handles should already have
@@ -1142,70 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_sheds_load_instead_of_blocking() {
-        let peers = 2u32;
-        let n = 400u32;
-        let mut runtime = ShardedRuntime::new(
-            RuntimeConfig {
-                batch_size: 4,
-                queue_capacity: 1,
-                applier_capacity: 1,
-                backpressure: BackpressurePolicy::DropNewest,
-                ..RuntimeConfig::sharded(2)
-            },
-            config(),
-            multi_table(peers, n),
-            ReroutingPolicy::allow_all(),
-        );
-        runtime.ingest_stream(interleaved_bursts(peers, n));
-        let report = runtime.finish();
-        let processed: u64 = report.metrics.per_shard.iter().map(|m| m.events).sum();
-        assert_eq!(
-            processed + report.metrics.dropped,
-            u64::from(peers * n),
-            "every event is either processed or counted as dropped"
-        );
-    }
-
-    #[test]
-    fn drop_newest_high_water_stays_within_queue_capacity() {
-        // Saturate tiny queues so batches are provably shed, then check the
-        // reported high-water: a dropped batch never occupied a queue slot,
-        // so the mark must not exceed the channel capacity (the pre-fix code
-        // bumped the mark before the failed try_send and reported
-        // capacity + k).
-        let peers = 2u32;
-        let n = 2_000u32;
-        let queue_capacity = 1usize;
-        let mut runtime = ShardedRuntime::new(
-            RuntimeConfig {
-                batch_size: 2,
-                queue_capacity,
-                applier_capacity: 1,
-                backpressure: BackpressurePolicy::DropNewest,
-                ..RuntimeConfig::sharded(2)
-            },
-            config(),
-            multi_table(peers, n),
-            ReroutingPolicy::allow_all(),
-        );
-        runtime.ingest_stream(interleaved_bursts(peers, n));
-        let report = runtime.finish();
-        assert!(
-            report.metrics.dropped > 0,
-            "the run must actually saturate for this regression test to bite"
-        );
-        for m in &report.metrics.per_shard {
-            assert!(
-                m.max_queue_depth <= queue_capacity,
-                "shard {} reports max_queue_depth {} > queue capacity {queue_capacity}",
-                m.shard,
-                m.max_queue_depth
-            );
-        }
-    }
-
-    #[test]
     fn flush_on_empty_runtime_and_double_flush() {
         let mut runtime = ShardedRuntime::new(
             RuntimeConfig::sharded(2),
@@ -1229,28 +1176,40 @@ mod tests {
 
     #[test]
     fn flush_completes_after_dropped_batches() {
+        // The one drop path left: a handle that outlived the runtime sheds
+        // its batches onto disconnected queues. Its flushes must return
+        // rather than block on queues nobody drains, and every shed event
+        // must reach the live `ingest.dropped` counter and the flight
+        // recorder.
         let peers = 2u32;
         let n = 1_000u32;
-        let mut runtime = ShardedRuntime::new(
+        let runtime = ShardedRuntime::new(
             RuntimeConfig {
                 batch_size: 2,
                 queue_capacity: 1,
                 applier_capacity: 1,
-                backpressure: BackpressurePolicy::DropNewest,
                 ..RuntimeConfig::sharded(2)
             },
             config(),
             multi_table(peers, n),
             ReroutingPolicy::allow_all(),
         );
-        runtime.ingest_stream(interleaved_bursts(peers, n));
-        // The barrier is sent with a blocking send even under DropNewest, so
-        // the flush must drain everything still queued and return.
-        runtime.flush();
-        runtime.flush();
+        let registry = runtime.registry();
+        let flight = runtime.flight();
+        let mut orphan = runtime.handle();
         let report = runtime.finish();
-        let processed: u64 = report.metrics.per_shard.iter().map(|m| m.events).sum();
-        assert_eq!(processed + report.metrics.dropped, u64::from(peers * n));
+        assert_eq!(report.metrics.dropped, 0);
+        orphan.ingest_stream(interleaved_bursts(peers, n));
+        orphan.flush();
+        orphan.flush();
+        orphan.finish();
+        assert_eq!(registry.snapshot()["ingest.dropped"], u64::from(peers * n));
+        let kinds: Vec<FlightKind> = flight.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            *kinds.last().expect("events recorded"),
+            FlightKind::Drop,
+            "shed batches are recorded after the shutdown"
+        );
     }
 
     /// Drives a two-burst run with a mid-run teardown + re-register of peer 2
@@ -1552,56 +1511,6 @@ mod tests {
                     assert_eq!(a.predicted, b.predicted);
                 }
             }
-        }
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the test drives the runtime from concurrent producer threads"
-    )]
-    fn producer_counters_merge_across_handles_under_drop_newest() {
-        // Two producers against saturated tiny queues: the report's drop
-        // count and high-water must reflect *both* handles' counters merged
-        // (sum of drops, max of high-waters), and every event must be either
-        // processed or counted as dropped.
-        let peers = 2u32;
-        let n = 2_000u32;
-        let queue_capacity = 1usize;
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig {
-                batch_size: 2,
-                queue_capacity,
-                applier_capacity: 1,
-                backpressure: BackpressurePolicy::DropNewest,
-                ..RuntimeConfig::sharded(2)
-            },
-            config(),
-            multi_table(peers, n),
-            ReroutingPolicy::allow_all(),
-        );
-        let events = interleaved_bursts(peers, n);
-        std::thread::scope(|scope| {
-            for source in partition_by_session(&events, 2) {
-                let mut handle = runtime.handle();
-                scope.spawn(move || {
-                    handle.ingest_stream(source);
-                    handle.finish();
-                });
-            }
-        });
-        let report = runtime.finish();
-        assert!(report.metrics.dropped > 0, "the run must actually saturate");
-        assert_eq!(report.metrics.producers, 2);
-        let processed: u64 = report.metrics.per_shard.iter().map(|m| m.events).sum();
-        assert_eq!(processed + report.metrics.dropped, u64::from(peers * n));
-        for m in &report.metrics.per_shard {
-            assert!(
-                m.max_queue_depth <= queue_capacity,
-                "shard {} reports max_queue_depth {} > capacity {queue_capacity}",
-                m.shard,
-                m.max_queue_depth
-            );
         }
     }
 

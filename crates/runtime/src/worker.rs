@@ -12,14 +12,12 @@
 //! attached — and every lifecycle message (register, teardown, barriers) to
 //! the applier, in-band with the event stream.
 //!
-//! All channels are bounded ([`std::sync::mpsc::sync_channel`]); a full shard
-//! queue pushes back on the ingest thread (or sheds load, depending on the
-//! configured [`crate::BackpressurePolicy`]), and a full applier queue pushes
-//! back on the shards.
+//! The data channels are bounded ([`std::sync::mpsc::sync_channel`]): a full
+//! shard queue blocks the ingest thread, and a full applier queue blocks the
+//! shards. Nothing is shed.
 
-use crate::ingest::EpochClock;
+use crate::sync::{EpochClock, QueueDepth};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,18 +51,6 @@ impl KernelCounters {
         }
     }
 
-    /// Drains `engine`'s [`KernelStats`] into the registry if the event that
-    /// returned `status` made an inference attempt — the only place kernels
-    /// run, so every other event costs one compare here.
-    pub(crate) fn record_attempt(&self, engine: &SessionEngine, status: EngineStatus) {
-        if matches!(
-            status,
-            EngineStatus::Accepted | EngineStatus::RejectedByHistory
-        ) {
-            self.record(engine.take_kernel_stats());
-        }
-    }
-
     fn record(&self, stats: KernelStats) {
         if stats.dense > 0 {
             self.dense.add(stats.dense);
@@ -80,6 +66,33 @@ impl KernelCounters {
         }
         if stats.scratch_growth > 0 {
             self.scratch_growth.add(stats.scratch_growth);
+        }
+    }
+}
+
+/// One event through its session's engine, the step the inline runtime and
+/// the shard workers share: process it, drain the engine's [`KernelStats`]
+/// into `kernels` if the event made an inference attempt (the only place
+/// kernels run), and return the inference only if this event's attempt was
+/// accepted.
+#[inline]
+pub(crate) fn accept(
+    engine: &mut SessionEngine,
+    kernels: &KernelCounters,
+    event: &ElementaryEvent,
+) -> Option<InferenceResult> {
+    let (status, result) = engine.process(event);
+    match status {
+        EngineStatus::Accepted => {
+            kernels.record(engine.take_kernel_stats());
+            result
+        }
+        EngineStatus::RejectedByHistory => {
+            kernels.record(engine.take_kernel_stats());
+            None
+        }
+        EngineStatus::Idle | EngineStatus::WaitingForTrigger | EngineStatus::AlreadyAccepted => {
+            None
         }
     }
 }
@@ -211,7 +224,7 @@ pub(crate) struct ApplierReport {
 pub(crate) struct ApplierLink {
     pub tx: SyncSender<ApplierMsg>,
     /// Batches currently in (or racing into) the queue.
-    pub depth: Arc<AtomicUsize>,
+    pub depth: QueueDepth,
     /// High-water mark of `depth`, clamped to the queue capacity by senders —
     /// the registry gauge `applier.0.queue.high`, so live snapshots see it.
     pub high: Gauge,
@@ -225,7 +238,7 @@ pub(crate) struct ShardWorker {
     pub applier: ApplierLink,
     /// Physical capacity of the applier queue, for clamping the high-water.
     pub applier_capacity: usize,
-    pub depth: Arc<AtomicUsize>,
+    pub depth: QueueDepth,
     pub clock: Arc<EpochClock>,
     /// Registry counter `shard.N.events` — the live source of truth for the
     /// shard's event count (the exit report reads it back).
@@ -239,10 +252,10 @@ pub(crate) struct ShardWorker {
 /// Counts a batch into the applier's depth gauges and sends it. `Err` means
 /// the applier is gone (shutdown).
 fn send_batch(link: &ApplierLink, capacity: usize, batch: Vec<ProcessedEvent>) -> Result<(), ()> {
-    let observed = link.depth.fetch_add(1, Ordering::Relaxed) + 1;
+    let observed = link.depth.inc();
     link.high.record_max(observed.min(capacity) as u64);
     if link.tx.send(ApplierMsg::Batch(batch)).is_err() {
-        link.depth.fetch_sub(1, Ordering::Relaxed);
+        link.depth.dec();
         return Err(());
     }
     Ok(())
@@ -278,7 +291,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     'outer: while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(batch) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
+                depth.dec();
                 batches_ctr.inc();
                 first.get_or_insert_with(Instant::now);
                 let mut out = Vec::with_capacity(batch.len());
@@ -295,20 +308,11 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     if let Some(stamp) = trace.as_mut() {
                         stages.queue_wait.record(stamp.advance(clock.precise()));
                     }
-                    let result = match engines.get_mut(&peer) {
-                        Some(engine) => {
-                            let (status, result) = engine.process(&event);
-                            kernels.record_attempt(engine, status);
-                            match status {
-                                EngineStatus::Accepted => result,
-                                _ => None,
-                            }
-                        }
-                        // Unknown session: no engine, but the event still
-                        // reaches the applier's routing table — exactly the
-                        // single-threaded router's behaviour.
-                        None => None,
-                    };
+                    // Unknown session: no engine, but the event still
+                    // reaches the applier's routing table — exactly the
+                    // single-threaded router's behaviour.
+                    let result = (engines.get_mut(&peer))
+                        .and_then(|engine| accept(engine, &kernels, &event));
                     if let Some(stamp) = trace.as_mut() {
                         stages.inference.record(stamp.advance(clock.precise()));
                     }
@@ -382,7 +386,7 @@ pub(crate) struct ApplierWorker {
     /// Shard workers feeding the applier — the barrier/shutdown quorum.
     pub workers: usize,
     pub clock: Arc<EpochClock>,
-    pub depth: Arc<AtomicUsize>,
+    pub depth: QueueDepth,
     /// Registry counter `applier.0.events` — live source of truth, read back
     /// into the exit report.
     pub events_ctr: Counter,
@@ -419,7 +423,10 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         pending_gauge,
     } = w;
     let mut done = 0usize;
-    let mut barrier_acks: BTreeMap<u64, usize> = BTreeMap::new();
+    // `(seq, copies)` of the barrier being collected. `ShardedRuntime::flush`
+    // takes `&mut self` and blocks until its ack, so at most one barrier is
+    // ever outstanding and one pair is the whole state.
+    let mut barrier = (0u64, 0usize);
     let mut reroute_latency = LogHistogram::new();
     let mut stages = StageHistograms::new();
     let mut busy = Duration::ZERO;
@@ -430,7 +437,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         };
         match msg {
             ApplierMsg::Batch(batch) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
+                depth.dec();
                 let t0 = Instant::now();
                 batches_ctr.inc();
                 for mut processed in batch {
@@ -464,10 +471,16 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
                 busy += t0.elapsed();
             }
             ApplierMsg::Barrier(seq) => {
-                let acks = barrier_acks.entry(seq).or_insert(0);
-                *acks += 1;
-                if *acks == workers {
-                    barrier_acks.remove(&seq);
+                if barrier.0 != seq {
+                    barrier = (seq, 0);
+                }
+                barrier.1 += 1;
+                debug_assert!(
+                    barrier.1 <= workers,
+                    "barrier {seq}: copy {} from {workers} shard workers",
+                    barrier.1
+                );
+                if barrier.1 == workers {
                     let _ = barrier_tx.send(seq);
                 }
             }

@@ -12,17 +12,32 @@
 //! pinned to one `IngestHandle`, the producer count is invisible in the
 //! decision stream, and a resync called once every producer of a segment has
 //! finished sees that whole segment.
+//!
+//! It is also the runtime's deadlock check. Every case runs on queues of the
+//! default depth or of depth one, under a deadline: a barrier that misses a
+//! shard, an applier that never reaches its quorum or a cycle of blocking
+//! sends fails the case with the runtimes' flight-recorder dumps instead of
+//! hanging the suite. Each sharded run must drop nothing, count every event
+//! through the shards, and keep its queue high-waters within capacity.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use swift_bgp::{
     AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
 };
 use swift_core::encoding::{ReroutingPolicy, TagRule};
 use swift_core::{EncodingConfig, InferenceConfig, RerouteAction, SwiftConfig};
 use swift_runtime::{RuntimeConfig, RuntimeReport, ShardedRuntime};
+use swift_telemetry::FlightRecorder;
 
 const SESSIONS: u32 = 3;
+
+/// How long one case's three runs may take before the case fails as
+/// deadlocked. A case takes milliseconds; the slack covers a loaded host.
+const DEADLINE: Duration = Duration::from_secs(30);
 const PREFIXES_PER_SESSION: u32 = 60;
 
 /// The flapped session: torn down and re-registered mid-run on whichever
@@ -241,25 +256,29 @@ fn ingest_segment(
     });
 }
 
-/// The same run through `k` producer threads on a sharded runtime: the
-/// stream is cut at each resync position, and each resync runs once every
-/// producer of the segment before it has finished.
+/// The same run through `k` producer threads on a sharded runtime with the
+/// given queue depths: the stream is cut at each resync position, and each
+/// resync runs once every producer of the segment before it has finished.
+/// The runtime's flight recorder goes into `flights` first, so a case that
+/// misses its deadline can dump it.
 fn run_producers(
     events: &[(PeerId, ElementaryEvent)],
-    shards: usize,
+    runtime_config: &RuntimeConfig,
     k: usize,
     churn_at: Option<usize>,
     resync_at: &[usize],
+    flights: &Mutex<Vec<FlightRecorder>>,
 ) -> Run {
     let mut runtime = ShardedRuntime::new(
-        RuntimeConfig {
-            batch_size: 7, // force mid-burst batch boundaries
-            ..RuntimeConfig::sharded(shards)
-        },
+        runtime_config.clone(),
         config(),
         table(),
         ReroutingPolicy::allow_all(),
     );
+    flights
+        .lock()
+        .expect("flight list lock")
+        .push(runtime.flight());
     let positioned: Vec<(usize, PeerId, ElementaryEvent)> = (events.iter().enumerate())
         .map(|(at, (peer, event))| (at, *peer, event.clone()))
         .collect();
@@ -274,6 +293,79 @@ fn run_producers(
     (runtime.finish(), removed)
 }
 
+/// The three runs a case compares: inline, one producer, `k` producers.
+type Runs = (Run, Run, Run);
+
+/// Runs `case` on its own thread and returns its result, or panics with
+/// every recorded flight history once `DEADLINE` passes. A panic inside
+/// `case` is re-raised here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the watchdog runs each case on a thread it can abandon at the deadline"
+)]
+fn with_deadline(case: impl FnOnce(&Mutex<Vec<FlightRecorder>>) -> Runs + Send + 'static) -> Runs {
+    let flights = Arc::new(Mutex::new(Vec::new()));
+    let (done_tx, done_rx) = mpsc::sync_channel(1);
+    let recorders = Arc::clone(&flights);
+    let worker = std::thread::Builder::new()
+        .name("proptest-case".into())
+        .spawn(move || {
+            let _ = done_tx.send(case(&recorders));
+        })
+        .expect("spawn the case thread");
+    match done_rx.recv_timeout(DEADLINE) {
+        Ok(runs) => runs,
+        // The case thread dropped its sender without sending: it panicked.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the case thread panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            let dumps: Vec<String> = (flights.lock().expect("flight list lock").iter())
+                .map(FlightRecorder::dump)
+                .collect();
+            panic!(
+                "the case missed its {DEADLINE:?} deadline: a runtime is deadlocked.\n{}",
+                dumps.join("\n---\n")
+            );
+        }
+    }
+}
+
+/// Checks what a lossless sharded run owes whatever its queue depths: no
+/// event dropped, every ingested event counted through a shard, and every
+/// queue's high-water within its capacity.
+fn check_lossless(
+    report: &RuntimeReport,
+    events: usize,
+    runtime_config: &RuntimeConfig,
+) -> Result<(), String> {
+    let m = &report.metrics;
+    prop_assert_eq!(m.dropped, 0);
+    prop_assert_eq!(m.events, events as u64);
+    prop_assert_eq!(
+        m.per_shard.iter().map(|s| s.events).sum::<u64>(),
+        events as u64
+    );
+    for shard in &m.per_shard {
+        prop_assert!(
+            shard.max_queue_depth <= runtime_config.queue_capacity,
+            "shard {} high-water {} > capacity {}",
+            shard.shard,
+            shard.max_queue_depth,
+            runtime_config.queue_capacity
+        );
+    }
+    for applier in &m.per_applier {
+        prop_assert!(
+            applier.max_queue_depth <= runtime_config.applier_capacity,
+            "applier high-water {} > capacity {}",
+            applier.max_queue_depth,
+            runtime_config.applier_capacity
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// K-producer sharded replay (K ∈ {1, 2, 3}, real threads) is
     /// decision-identical per session to the single-producer sharded replay
@@ -281,12 +373,15 @@ proptest! {
     /// mid-run teardown + re-register of one session and up to three
     /// resyncs between producer segments; every resync removes the same
     /// number of rules, and the final installed rule sets are identical too.
+    /// Queues are of the default depth or of depth one, and the case runs
+    /// under a deadline (see the module docs).
     #[test]
     fn k_producers_equal_single_producer_and_inline(
         stream in arb_stream(),
         k in 1usize..=3,
         churn_slot in 0u32..150,
         resync_slots in proptest::collection::vec(0usize..300, 0..4),
+        tiny_queues in any::<bool>(),
     ) {
         let events = materialize(&stream);
         let churned: Vec<usize> = (events.iter().enumerate())
@@ -301,9 +396,26 @@ proptest! {
             resync_slots.iter().map(|r| r % (events.len() + 1)).collect();
         resync_at.sort_unstable();
 
-        let (inline, inline_removed) = run_inline(&events, churn_at, &resync_at);
-        let (single, single_removed) = run_producers(&events, 2, 1, churn_at, &resync_at);
-        let (multi, multi_removed) = run_producers(&events, 2, k, churn_at, &resync_at);
+        let mut sharded = RuntimeConfig {
+            batch_size: 7, // force mid-burst batch boundaries
+            ..RuntimeConfig::sharded(2)
+        };
+        if tiny_queues {
+            sharded.queue_capacity = 1;
+            sharded.applier_capacity = 1;
+        }
+        let (case_events, case_config) = (events.clone(), sharded.clone());
+        let ((inline, inline_removed), (single, single_removed), (multi, multi_removed)) =
+            with_deadline(move |flights| {
+                let (events, sharded) = (&case_events, &case_config);
+                (
+                    run_inline(events, churn_at, &resync_at),
+                    run_producers(events, sharded, 1, churn_at, &resync_at, flights),
+                    run_producers(events, sharded, k, churn_at, &resync_at, flights),
+                )
+            });
+        check_lossless(&single, events.len(), &sharded)?;
+        check_lossless(&multi, events.len(), &sharded)?;
 
         for s in 0..SESSIONS {
             let peer = PeerId(s + 1);

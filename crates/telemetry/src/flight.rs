@@ -17,11 +17,11 @@ pub enum FlightKind {
     Register,
     /// A session tore down.
     Teardown,
-    /// A barrier rendezvous completed.
+    /// A barrier was sent to the shards, or its rendezvous completed.
     Barrier,
     /// An applier resynchronised its deferred RIB.
     Resync,
-    /// Data batches were shed under `DropNewest` backpressure.
+    /// Data batches were shed by a producer that outlived the runtime.
     Drop,
     /// The runtime began shutdown.
     Shutdown,

@@ -20,9 +20,9 @@
 //!   (registers, teardowns, barriers, resyncs, sheds, shutdown) that a
 //!   failing run can dump for its post-mortem.
 //!
-//! Like `swift-analysis`, the crate has zero dependencies: it sits under the
-//! runtime's hot path and must never drag a build graph (or an
-//! allocator-happy serializer) in with it.
+//! The crate has zero dependencies: it sits under the runtime's hot path and
+//! must never drag a build graph (or an allocator-happy serializer) in with
+//! it.
 
 #![warn(clippy::unwrap_used)]
 

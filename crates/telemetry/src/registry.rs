@@ -8,6 +8,15 @@
 //! reads the whole set at any time without stopping the run. Snapshots are
 //! not a cross-counter atomic cut — each value is a relaxed load — which is
 //! the usual (and sufficient) contract for rate metrics.
+//!
+//! [`Counter`] and [`Gauge`] are ordering-fixed wrappers: every operation on
+//! them is Relaxed, which is correct because no reader uses a metric to gate
+//! access to other memory. The root `clippy.toml` disallows raw atomics
+//! elsewhere, so a metric cannot be read or bumped with another ordering.
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module defines `Counter` and `Gauge`, the Relaxed-only metric wrappers"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,10 +26,6 @@ use std::sync::{Arc, Mutex};
 ///
 /// Cloning shares the underlying atomic; increments are relaxed atomic adds
 /// (one `lock xadd`, no mutex) so handles are safe to bump on hot paths.
-///
-/// Atomic-ordering audit: role `counter` — a pure statistic. Relaxed is
-/// correct: no reader uses the value to gate access to other memory, so
-/// the op carries no happens-before obligation.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -45,11 +50,8 @@ impl Counter {
 }
 
 /// A gauge handle: a value that can move both ways, plus a high-water helper.
-///
-/// Atomic-ordering audit: role `watermark` (the `fetch_max` high-water op
-/// dominates the classification). Relaxed is correct for the same reason as
-/// [`Counter`]: gauge values are reporting data, never a synchronization
-/// signal.
+/// Relaxed, like [`Counter`]: gauge values are reporting data, never a
+/// synchronization signal.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
