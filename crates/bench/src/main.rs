@@ -1,7 +1,7 @@
 //! `swift-bench eval [artefact…]`: evaluates the paper's artefacts (all of
 //! them when none is named) at paper scale, prints every record, then each
-//! paper number as met or missed. A missed number is not an error; an
-//! unknown artefact exits 2.
+//! paper number as met or missed, with the known cause of a miss. A missed
+//! number is not an error; an unknown artefact exits 2.
 
 use std::process::ExitCode;
 use swift_bench::eval::{self, EvalInputs, PAPER};
@@ -28,11 +28,12 @@ fn main() -> ExitCode {
     let wanted = PAPER
         .iter()
         .filter(|row| names.is_empty() || names.contains(&row.0));
-    for row @ (artefact, metric, paper, tolerance, source) in wanted {
+    for row @ (artefact, metric, paper, tolerance, source, cause) in wanted {
         let (here, verdict) = eval::verdict(row, &records);
         let (paper, here) = (show(*paper), here.map_or("-".into(), show));
         let tolerance = format!("{tolerance:?}");
-        println!("{artefact:<7} {metric:<36} paper {paper:>7} {tolerance:<10} here {here:>8}  {verdict} ({source})");
+        let cause = cause.map_or(String::new(), |c| format!(", cause {c:?}").to_lowercase());
+        println!("{artefact:<7} {metric:<36} paper {paper:>7} {tolerance:<10} here {here:>8}  {verdict}{cause} ({source})");
     }
     ExitCode::SUCCESS
 }

@@ -1,17 +1,16 @@
 //! The tier-1 pin of the paper artefacts: every artefact of
 //! `swift_bench::eval` runs on scaled inputs and must reproduce
-//! `expected/eval.json` exactly. On drift the test lists every differing
+//! `expected/eval.txt` exactly. On drift the test lists every differing
 //! record, writes the full actual file next to the test binary and prints
 //! the `cp` command that re-pins it. The paper-scale inputs are the CLI's
 //! (`swift-bench eval`); only this file knows the scaled ones.
 
 use std::path::Path;
-use swift_bench::eval::{self, EvalInputs, EvalRecord, Tolerance, PAPER};
-use swift_telemetry::{Json, JsonObject};
+use swift_bench::eval::{self, Cause, EvalInputs, EvalRecord, Tolerance, PAPER};
 use swift_topology::TopologyConfig;
 use swift_traces::TraceConfig;
 
-const PINNED: &str = "expected/eval.json";
+const PINNED: &str = "expected/eval.txt";
 
 /// The paper's inputs scaled to run every artefact in a few seconds of a
 /// debug build. The simulator's threshold scales down with its topology.
@@ -35,46 +34,27 @@ fn scaled() -> EvalInputs {
     }
 }
 
-/// One record per line, values in Rust's shortest round-trip notation so
-/// that reading them back is exact.
-fn to_json(records: &[EvalRecord]) -> String {
-    let lines: Vec<String> = (records.iter())
-        .map(|r| {
-            (JsonObject::new().str("artefact", r.artefact))
-                .str("metric", &r.metric)
-                .raw("value", &r.value.to_string())
-                .finish()
-        })
-        .collect();
-    format!("[\n{}\n]\n", lines.join(",\n"))
+/// One `artefact metric value` line per record, the value in Rust's
+/// shortest round-trip notation so that reading it back is exact.
+fn to_text(records: &[EvalRecord]) -> String {
+    (records.iter())
+        .map(|r| format!("{} {} {}\n", r.artefact, r.metric, r.value))
+        .collect()
 }
 
-fn from_json(text: &str) -> Result<Vec<EvalRecord>, String> {
-    let json = Json::parse(text)?;
-    let items = json.as_array().ok_or("not an array")?;
-    let field = |item: &Json, key: &str| item.get(key).cloned().ok_or(format!("no `{key}`"));
-    (items.iter())
-        .map(|item| {
-            let name = field(item, "artefact")?;
-            let name = name.as_str().ok_or("`artefact` is not a string")?;
-            let artefact = eval::artefacts()
-                .find(|a| *a == name)
-                .ok_or(format!("unknown artefact `{name}`"))?;
-            let metric = field(item, "metric")?;
-            let metric = metric
-                .as_str()
-                .ok_or("`metric` is not a string")?
-                .to_string();
-            let value = field(item, "value")?
-                .as_f64()
-                .ok_or("`value` is not a number")?;
-            Ok(EvalRecord {
-                artefact,
-                metric,
-                value,
-            })
+fn from_text(text: &str) -> Result<Vec<EvalRecord>, String> {
+    let record = |line: &str| {
+        let [name, metric, value] = line.split_whitespace().collect::<Vec<_>>()[..] else {
+            return Err(format!("`{line}` is not `artefact metric value`"));
+        };
+        Ok(EvalRecord {
+            artefact: (eval::artefacts().find(|a| *a == name))
+                .ok_or(format!("unknown artefact `{name}`"))?,
+            metric: metric.to_string(),
+            value: value.parse().map_err(|e| format!("`{line}`: {e}"))?,
         })
-        .collect()
+    };
+    text.lines().map(record).collect()
 }
 
 /// Every `(artefact, metric, pinned, actual)` that differs; `-` stands for
@@ -117,14 +97,14 @@ fn every_artefact_reproduces_its_pinned_values() {
     let actual = eval::run(&scaled(), &[]).expect("every artefact is known");
     let pinned = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(PINNED))
         .map_err(|e| e.to_string())
-        .and_then(|text| from_json(&text));
+        .and_then(|text| from_text(&text));
     let drifted = match &pinned {
         Ok(pinned) => drift(pinned, &actual),
         Err(e) => vec![format!("{PINNED} is unreadable: {e}")],
     };
     if !drifted.is_empty() {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("eval.json");
-        std::fs::write(&out, to_json(&actual)).expect("write the actual records");
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("eval.txt");
+        std::fs::write(&out, to_text(&actual)).expect("write the actual records");
         panic!(
             "{} records drifted from {PINNED}:\n  {}\nre-pin with: cp {} {}/{PINNED}",
             drifted.len(),
@@ -136,7 +116,7 @@ fn every_artefact_reproduces_its_pinned_values() {
 }
 
 #[test]
-fn records_survive_a_json_round_trip_exactly() {
+fn records_survive_a_text_round_trip_exactly() {
     let records = vec![
         record("fig6", "b.good_share", 0.1 + 0.2),
         record("fig6", "b.inferred", 420.0),
@@ -144,8 +124,9 @@ fn records_survive_a_json_round_trip_exactly() {
         record("sim", "clean.early.cpr.p50", 1.0 / 3.0),
         record("fig8", "links.p50", 1e-9),
     ];
-    assert_eq!(from_json(&to_json(&records)), Ok(records));
-    assert!(from_json(r#"[{"artefact": "exp_x", "metric": "m", "value": 1}]"#).is_err());
+    assert_eq!(from_text(&to_text(&records)), Ok(records));
+    assert!(from_text("exp_x m 1").is_err());
+    assert!(from_text("fig6 b.inferred").is_err());
 }
 
 #[test]
@@ -198,4 +179,21 @@ fn paper_rows_name_known_artefacts_once() {
         );
     }
     assert!(eval::run(&scaled(), &["fig10"]).is_err());
+}
+
+#[test]
+fn every_missed_paper_number_names_its_cause() {
+    let count = |cause: Option<Cause>| PAPER.iter().filter(|row| row.5 == cause).count();
+    let counts = [
+        Some(Cause::Generator),
+        Some(Cause::Model),
+        Some(Cause::Scale),
+        Some(Cause::Swift),
+        Some(Cause::Open),
+        None,
+    ]
+    .map(count);
+    // 26 rows missed at paper scale, 15 met (README, "Reproducing the
+    // paper's figures and tables").
+    assert_eq!(counts, [5, 12, 3, 0, 6, 15]);
 }

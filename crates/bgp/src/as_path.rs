@@ -15,13 +15,15 @@
 //! `[Asn; 5]` inside the record, no heap block behind it. Five is not tuned,
 //! it is what fits: the `Vec<Asn>` this replaced had a 24-byte header
 //! (pointer, capacity, length), and 24 bytes at 8-byte alignment hold a tag,
-//! a length and 5 × 4 bytes of hops. The rule is that *the record does not
-//! grow* — `size_of::<AsPath>()` is still 24 and [`crate::Route`] /
-//! [`crate::ElementaryEvent`] are still 88 bytes (pinned by a unit test
-//! below) — so everything that merely moves routes and events (batches,
-//! queues, the deferred-RIB buffer) pays nothing for it. A longer path
-//! **spills**: its hops live in one boxed slice, behind the same
-//! [`AsPath::hops`] every accessor goes through, so no caller can tell.
+//! a length and 5 × 4 bytes of hops. The rule is that *the record stays at
+//! 64 bytes*: `size_of::<AsPath>()` is 24 and [`crate::Route`] /
+//! [`crate::ElementaryEvent`] are 64 bytes (pinned by a unit test below), so
+//! everything that merely moves routes and events (table copies, batches,
+//! queues, the deferred-RIB buffer) pays nothing for the path. A route
+//! carries no communities: a `Vec` of them cost 24 bytes per record and
+//! nothing set or read it. A longer path **spills**: its hops live in one
+//! boxed slice, behind the same [`AsPath::hops`] every accessor goes
+//! through, so no caller can tell.
 //!
 //! What that buys: a route is one flat record. Withdrawing it frees nothing
 //! (it used to `free` the path block — per withdrawal, in burst order, on a
@@ -484,12 +486,13 @@ mod tests {
         use crate::{ElementaryEvent, Route};
         use std::mem::size_of;
         // The 24 bytes of the `Vec` header the in-place array replaced, and
-        // the records that embed a path exactly as large as they were.
+        // the records that embed a path at one cache line each.
         assert_eq!(size_of::<AsPath>(), 24);
         assert_eq!(size_of::<Option<AsPath>>(), 24);
-        assert_eq!(size_of::<Route>(), 88);
-        assert_eq!(size_of::<Option<Route>>(), 88);
-        assert_eq!(size_of::<ElementaryEvent>(), 88);
+        assert_eq!(size_of::<crate::RouteAttributes>(), 48);
+        assert_eq!(size_of::<Route>(), 64);
+        assert_eq!(size_of::<Option<Route>>(), 64);
+        assert_eq!(size_of::<ElementaryEvent>(), 64);
     }
 
     #[test]

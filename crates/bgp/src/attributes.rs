@@ -2,10 +2,10 @@
 //!
 //! SWIFT's algorithms mostly consume the AS path, but the surrounding machinery
 //! (best-path selection, update packing, rerouting policy input) needs the
-//! standard attribute set: ORIGIN, LOCAL_PREF, MED and communities. The paper
-//! also notes (§2.1.1) that the widespread use of per-prefix communities defeats
-//! BGP update packing, which our trace generator models — hence communities are
-//! first-class here.
+//! attributes that decide between routes: ORIGIN, LOCAL_PREF and MED.
+//! Communities are not carried: nothing here sets or reads them, and a
+//! `Vec` of them would add 24 bytes to every route and event record (see
+//! "Storage" in [`crate::as_path`]).
 
 use crate::as_path::AsPath;
 use std::fmt;
@@ -44,33 +44,6 @@ impl fmt::Display for Origin {
     }
 }
 
-/// A BGP community value, stored as the conventional `ASN:value` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Community {
-    /// The AS half of the community.
-    pub asn: u16,
-    /// The value half of the community.
-    pub value: u16,
-}
-
-impl Community {
-    /// Creates a community from its two 16-bit halves.
-    pub fn new(asn: u16, value: u16) -> Self {
-        Community { asn, value }
-    }
-
-    /// The packed 32-bit representation (`asn << 16 | value`).
-    pub fn as_u32(&self) -> u32 {
-        (u32::from(self.asn) << 16) | u32::from(self.value)
-    }
-}
-
-impl fmt::Display for Community {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.asn, self.value)
-    }
-}
-
 /// The set of path attributes attached to an announced route.
 ///
 /// `local_pref` defaults to 100 as on most router platforms. Attribute equality
@@ -86,8 +59,6 @@ pub struct RouteAttributes {
     pub local_pref: Option<u32>,
     /// Multi-Exit Discriminator (lower is preferred).
     pub med: Option<u32>,
-    /// Standard communities attached to the route.
-    pub communities: Vec<Community>,
 }
 
 impl RouteAttributes {
@@ -120,19 +91,6 @@ impl RouteAttributes {
         self.med = Some(med);
         self
     }
-
-    /// Builder-style appender for a community.
-    pub fn with_community(mut self, c: Community) -> Self {
-        self.communities.push(c);
-        self
-    }
-
-    /// Returns `true` if the attributes (excluding the AS path itself) are
-    /// identical — the condition under which BGP update packing can group
-    /// prefixes into one UPDATE (§2.1.1).
-    pub fn packable_with(&self, other: &RouteAttributes) -> bool {
-        self == other
-    }
 }
 
 #[cfg(test)]
@@ -148,38 +106,19 @@ mod tests {
     }
 
     #[test]
-    fn community_packing() {
-        let c = Community::new(65000, 42);
-        assert_eq!(c.as_u32(), (65000u32 << 16) | 42);
-        assert_eq!(c.to_string(), "65000:42");
-    }
-
-    #[test]
     fn attribute_defaults() {
         let a = RouteAttributes::from_path(AsPath::new([1u32, 2, 3]));
         assert_eq!(a.effective_local_pref(), 100);
         assert_eq!(a.effective_med(), 0);
-        assert!(a.communities.is_empty());
     }
 
     #[test]
     fn builder_setters() {
         let a = RouteAttributes::from_path(AsPath::new([1u32]))
             .with_local_pref(200)
-            .with_med(10)
-            .with_community(Community::new(1, 2));
+            .with_med(10);
         assert_eq!(a.effective_local_pref(), 200);
         assert_eq!(a.effective_med(), 10);
-        assert_eq!(a.communities.len(), 1);
-    }
-
-    #[test]
-    fn packability_requires_identical_attributes() {
-        let base = RouteAttributes::from_path(AsPath::new([1u32, 2]));
-        let same = RouteAttributes::from_path(AsPath::new([1u32, 2]));
-        let with_comm = base.clone().with_community(Community::new(1, 1));
-        assert!(base.packable_with(&same));
-        assert!(!base.packable_with(&with_comm));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod session;
 pub mod table;
 
 pub use as_path::{AsLink, AsPath, Asn};
-pub use attributes::{Community, Origin, RouteAttributes};
+pub use attributes::{Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
 pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};

@@ -21,9 +21,9 @@
 //! The table interns every prefix once ([`PrefixInterner`]: `Prefix` → dense
 //! [`PrefixId`], ids never reused) and each peer keeps `PeerRoutes`: a 4-byte
 //! slot per id pointing into a route slab with a free list. A route is one
-//! flat 88-byte record — its AS path sits inside it (see "Storage" in
-//! [`crate::as_path`]; only a path longer than five hops, or a community
-//! list, which no generator here attaches, owns a heap block) — so applying
+//! flat 64-byte record — its AS path sits inside it (see "Storage" in
+//! [`crate::as_path`]; only a path longer than five hops owns a heap
+//! block) — so applying
 //! an event is one probe of the interner's packed index (one cache line on
 //! a hit) plus array writes: an announcement moves the record into its slab
 //! entry, a withdrawal drops it where it lies and frees nothing. Nothing on

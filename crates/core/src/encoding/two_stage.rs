@@ -37,8 +37,8 @@
 //!
 //! [`TwoStageTable::refresh_ids`] is the one retag loop (`build`, the
 //! resync, registration and teardown call it), and what it pays for is
-//! memory latency: per peer a slot, the route behind it (88 bytes, two or
-//! three cache lines), then the stage-1 word. One id at a time, those misses
+//! memory latency: per peer a slot, the route behind it (64 bytes, one or
+//! two cache lines), then the stage-1 word. One id at a time, those misses
 //! queue. So ids go in batches of B = [`TwoStageTable::RETAG_BATCH`], each
 //! in two phases:
 //!

@@ -13,9 +13,6 @@
 //! - [`TraceStamp`] / [`TraceSampler`] / [`StageHistograms`]: sampled 1-in-N
 //!   pipeline tracing attributing reroute latency to queue wait vs inference
 //!   vs install.
-//! - [`JsonObject`] / [`Json`]: a hand-rolled (dependency-free) JSON object
-//!   builder and parser, with which `swift-bench`'s tier-1 test writes and
-//!   reads its pinned paper-artefact records.
 //! - [`FlightRecorder`]: a fixed-size ring of recent lifecycle events
 //!   (registers, teardowns, barriers, resyncs, sheds, shutdown) that a
 //!   failing run can dump for its post-mortem.
@@ -26,13 +23,11 @@
 
 #![warn(clippy::unwrap_used)]
 
-pub mod export;
 pub mod flight;
 pub mod histogram;
 pub mod registry;
 pub mod trace;
 
-pub use export::{json_escape, Json, JsonObject};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use histogram::{
     bucket_floor, bucket_of, HistogramSummary, LogHistogram, GROUP_BITS, MAX_BUCKETS,
