@@ -64,7 +64,9 @@ fn bench_reroute(c: &mut Criterion) {
     c.bench_function("encoding/install_reroute", |b| {
         b.iter(|| {
             let mut ts = built.clone();
-            std::hint::black_box(ts.install_reroute(&[AsLink::new(2, 5), AsLink::new(5, 6)]))
+            std::hint::black_box(
+                ts.install_reroute_tracked(&[AsLink::new(2, 5), AsLink::new(5, 6)]),
+            )
         })
     });
     c.bench_function("encoding/lookup", |b| {

@@ -104,6 +104,11 @@ impl PrefixId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id whose [`PrefixId::index`] is `index` (for a bitmap of ids).
+    pub fn from_index(index: usize) -> Self {
+        PrefixId(index as u32)
+    }
 }
 
 impl From<PrefixId> for u32 {

@@ -10,19 +10,26 @@
 //!   total bit budget allows.
 //!
 //! Each position gets its own bit group sized `ceil(log2(#links + 1))` (code 0
-//! is reserved for "not encoded").
+//! is reserved for "not encoded"), and its own dictionary: a hash map on
+//! [`FoldBuildHasher`], which a retag probes for each encoded link of a best
+//! path. The codes stay deterministic: [`EncodingPlan::from_counts`] hands
+//! them out in its sorted candidate order, and nothing reads a map in
+//! iteration order.
 
 use crate::config::EncodingConfig;
 use crate::encoding::tag::TagLayout;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::BuildHasher;
-use swift_bgp::{AsLink, AsPath, FoldBuildHasher, RoutingTable};
+use swift_bgp::{AsLink, FoldBuildHasher, RoutingTable};
+
+/// One position's link dictionary: link → code (≥ 1).
+type Codes = HashMap<AsLink, u64, FoldBuildHasher>;
 
 /// The per-position link dictionaries produced by the allocator.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EncodingPlan {
     /// `per_position[i]` maps links at position `i + 1` to their code (≥ 1).
-    per_position: Vec<BTreeMap<AsLink, u64>>,
+    per_position: Vec<Codes>,
     /// Bits allocated per position.
     bits: Vec<u8>,
 }
@@ -34,7 +41,7 @@ impl EncodingPlan {
         counts: &HashMap<(usize, AsLink), usize, S>,
         config: &EncodingConfig,
     ) -> Self {
-        let mut per_position: Vec<BTreeMap<AsLink, u64>> = vec![BTreeMap::new(); config.max_depth];
+        let mut per_position: Vec<Codes> = vec![Codes::default(); config.max_depth];
 
         // Candidates above the prefix-count threshold, within the encoded
         // depth, highest count first (deterministic tie-break on position/link).
@@ -49,19 +56,14 @@ impl EncodingPlan {
 
         let budget = u32::from(config.path_bits);
         for (pos, link, _) in candidates {
-            let idx = pos - 1;
-            if per_position[idx].contains_key(&link) {
-                continue;
-            }
             // Bits needed if this link is added to its position.
-            let mut trial_sizes: Vec<usize> = per_position.iter().map(BTreeMap::len).collect();
-            trial_sizes[idx] += 1;
-            let needed: u32 = trial_sizes.iter().map(|n| bits_for(*n)).sum();
-            if needed > budget {
-                continue;
+            let sizes = (1..)
+                .zip(&per_position)
+                .map(|(p, m)| m.len() + usize::from(p == pos));
+            if sizes.map(bits_for).sum::<u32>() <= budget {
+                let code = per_position[pos - 1].len() as u64 + 1;
+                per_position[pos - 1].insert(link, code);
             }
-            let code = per_position[idx].len() as u64 + 1;
-            per_position[idx].insert(link, code);
         }
 
         let bits = per_position
@@ -98,11 +100,6 @@ impl EncodingPlan {
             .copied()
     }
 
-    /// Returns `true` if `link` is encoded at `position`.
-    pub fn encodes(&self, position: usize, link: &AsLink) -> bool {
-        self.code_of(position, link).is_some()
-    }
-
     /// The `(position, code)` pairs at which `link` is encoded, by position.
     pub fn codes_of<'a>(&'a self, link: &'a AsLink) -> impl Iterator<Item = (usize, u64)> + 'a {
         self.per_position
@@ -126,29 +123,17 @@ impl EncodingPlan {
         self.bits.iter().map(|b| u32::from(*b)).sum()
     }
 
-    /// Number of links encoded at `position`.
+    /// Number of links encoded at 1-based `position` (0 outside the plan).
     pub fn links_at(&self, position: usize) -> usize {
-        self.per_position
-            .get(position - 1)
-            .map(BTreeMap::len)
-            .unwrap_or(0)
+        position
+            .checked_sub(1)
+            .and_then(|i| self.per_position.get(i))
+            .map_or(0, Codes::len)
     }
 
     /// Total number of `(position, link)` codes assigned.
     pub fn total_encoded_links(&self) -> usize {
-        self.per_position.iter().map(BTreeMap::len).sum()
-    }
-
-    /// Computes the AS-path part codes of a path: for each encoded position,
-    /// the code of the path's link there (0 when not encoded or absent).
-    pub fn path_codes(&self, path: &AsPath) -> Vec<u64> {
-        (1..=self.max_depth())
-            .map(|pos| {
-                path.link_at_position(pos)
-                    .and_then(|link| self.code_of(pos, &link))
-                    .unwrap_or(0)
-            })
-            .collect()
+        self.per_position.iter().map(Codes::len).sum()
     }
 
     /// Builds the tag layout corresponding to this plan and `config`.
@@ -173,6 +158,7 @@ fn bits_for(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swift_bgp::AsPath;
 
     fn cfg(path_bits: u8, min: usize) -> EncodingConfig {
         EncodingConfig {
@@ -210,9 +196,9 @@ mod tests {
             ((2, (5, 9)), 100), // below the 1,500-prefix threshold
         ]);
         let plan = EncodingPlan::from_counts(&c, &cfg(18, 1_500));
-        assert!(plan.encodes(1, &AsLink::new(2, 5)));
-        assert!(plan.encodes(2, &AsLink::new(5, 6)));
-        assert!(!plan.encodes(2, &AsLink::new(5, 9)));
+        assert!(plan.code_of(1, &AsLink::new(2, 5)).is_some());
+        assert!(plan.code_of(2, &AsLink::new(5, 6)).is_some());
+        assert!(plan.code_of(2, &AsLink::new(5, 9)).is_none());
         assert_eq!(plan.total_encoded_links(), 2);
     }
 
@@ -220,8 +206,11 @@ mod tests {
     fn positions_beyond_max_depth_are_ignored() {
         let c = counts(&[((1, (2, 5)), 5_000), ((5, (9, 10)), 5_000)]);
         let plan = EncodingPlan::from_counts(&c, &cfg(18, 1_500));
-        assert!(plan.encodes(1, &AsLink::new(2, 5)));
-        assert!(!plan.encodes(5, &AsLink::new(9, 10)), "beyond max_depth 4");
+        assert!(plan.code_of(1, &AsLink::new(2, 5)).is_some());
+        assert!(
+            plan.code_of(5, &AsLink::new(9, 10)).is_none(),
+            "beyond max_depth 4"
+        );
         assert_eq!(plan.max_depth(), 4);
         assert_eq!(plan.code_of(0, &AsLink::new(2, 5)), None);
     }
@@ -240,10 +229,10 @@ mod tests {
         ]);
         let plan = EncodingPlan::from_counts(&c, &cfg(2, 1_500));
         assert_eq!(plan.links_at(1), 3);
-        assert!(plan.encodes(1, &AsLink::new(1, 10)));
-        assert!(plan.encodes(1, &AsLink::new(1, 11)));
-        assert!(plan.encodes(1, &AsLink::new(1, 12)));
-        assert!(!plan.encodes(1, &AsLink::new(1, 13)));
+        assert!(plan.code_of(1, &AsLink::new(1, 10)).is_some());
+        assert!(plan.code_of(1, &AsLink::new(1, 11)).is_some());
+        assert!(plan.code_of(1, &AsLink::new(1, 12)).is_some());
+        assert!(plan.code_of(1, &AsLink::new(1, 13)).is_none());
         assert_eq!(plan.total_path_bits(), 2);
         assert_eq!(plan.bits_per_position(), &[2, 0, 0, 0]);
     }
@@ -272,17 +261,16 @@ mod tests {
         let c = counts(&[((1, (2, 5)), 9_000), ((2, (5, 6)), 9_000)]);
         let plan = EncodingPlan::from_counts(&c, &cfg(18, 1_500));
         let path = AsPath::new([2u32, 5, 6, 7]);
-        let codes = plan.path_codes(&path);
-        assert_eq!(codes.len(), 4);
-        assert_eq!(codes[0], plan.code_of(1, &AsLink::new(2, 5)).unwrap());
-        assert_eq!(codes[1], plan.code_of(2, &AsLink::new(5, 6)).unwrap());
-        assert_eq!(codes[2], 0, "link (6,7) not encoded");
-        assert_eq!(codes[3], 0, "path has no 4th link");
-        let code = plan.code_of(2, &AsLink::new(5, 6)).unwrap();
+        let codes: Vec<Option<u64>> = (1..=plan.max_depth())
+            .map(|pos| plan.code_of(pos, &path.link_at_position(pos)?))
+            .collect();
+        // Each link is the first candidate of its position: code 1.
+        assert_eq!(codes, [Some(1), Some(1), None, None], "(6,7) not encoded");
         assert_eq!(
             plan.codes_of(&AsLink::new(5, 6)).collect::<Vec<_>>(),
-            vec![(2, code)]
+            vec![(2, 1)]
         );
+        assert_eq!(plan.codes_of(&AsLink::new(6, 7)).count(), 0);
     }
 
     #[test]
@@ -291,8 +279,8 @@ mod tests {
         let config = cfg(18, 1_500);
         let plan = EncodingPlan::from_counts(&c, &config);
         let layout = plan.layout(&config);
-        assert_eq!(layout.nexthop_slots, 5);
-        assert_eq!(layout.nexthop_bits, 6);
+        assert_eq!(layout.nexthop_slots(), 5);
+        assert_eq!(layout.nexthop_bits(), 6);
         assert!(layout.total_bits() <= 48);
     }
 
@@ -301,9 +289,20 @@ mod tests {
         let plan = EncodingPlan::from_counts(&HashMap::new(), &cfg(18, 1_500));
         assert_eq!(plan.total_encoded_links(), 0);
         assert_eq!(plan.total_path_bits(), 0);
-        assert_eq!(
-            plan.path_codes(&AsPath::new([1u32, 2, 3])),
-            vec![0, 0, 0, 0]
-        );
+        let path = AsPath::new([1u32, 2, 3]);
+        for (pos, link) in (1..).zip(path.links()) {
+            assert_eq!(plan.code_of(pos, &link), None);
+            assert_eq!(plan.codes_of(&link).count(), 0);
+        }
+    }
+
+    #[test]
+    fn links_at_is_zero_outside_the_plan() {
+        let c = counts(&[((1, (2, 5)), 9_000), ((4, (7, 8)), 9_000)]);
+        let plan = EncodingPlan::from_counts(&c, &cfg(18, 1_500));
+        assert_eq!(plan.links_at(0), 0, "positions are 1-based");
+        assert_eq!(plan.links_at(1), 1);
+        assert_eq!(plan.links_at(4), 1);
+        assert_eq!(plan.links_at(5), 0, "past max_depth");
     }
 }

@@ -44,11 +44,6 @@ impl ReroutingPolicy {
     pub fn rank_of(&self, peer: PeerId) -> i32 {
         self.ranks.get(&peer).copied().unwrap_or(0)
     }
-
-    /// Number of explicitly forbidden peers.
-    pub fn forbidden_count(&self) -> usize {
-        self.forbidden.len()
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +55,7 @@ mod tests {
         let p = ReroutingPolicy::allow_all();
         assert!(p.allows(PeerId(1)));
         assert_eq!(p.rank_of(PeerId(1)), 0);
-        assert_eq!(p.forbidden_count(), 0);
+        assert!(p.forbidden.is_empty());
     }
 
     #[test]
@@ -73,6 +68,6 @@ mod tests {
         assert!(p.allows(PeerId(1)));
         assert!(p.rank_of(PeerId(1)) < p.rank_of(PeerId(2)));
         assert_eq!(p.rank_of(PeerId(9)), 0);
-        assert_eq!(p.forbidden_count(), 1);
+        assert_eq!(p.forbidden.len(), 1);
     }
 }

@@ -17,105 +17,116 @@
 
 use std::fmt;
 
-/// Bit layout of a SWIFT tag.
+/// Bit layout of a SWIFT tag: the next-hop slots from bit 0 up, then the
+/// AS-path positions. [`TagLayout::new`] computes every group's offset and
+/// mask once, so a read or write is one load, one shift and one mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagLayout {
-    /// Bits allocated to each AS-path position (index 0 ⇒ position 1).
-    pub position_bits: Vec<u8>,
-    /// Bits allocated to each next-hop slot.
-    pub nexthop_bits: u8,
-    /// Number of next-hop slots (1 primary + max depth backups).
-    pub nexthop_slots: usize,
+    nexthop_bits: u8,
+    /// `nexthops[slot]`: next-hop slot `slot` (0 = primary).
+    nexthops: Vec<Group>,
+    /// `positions[pos - 1]`: AS-path position `pos`.
+    positions: Vec<Group>,
+}
+
+/// A bit group: `mask` holds its width's low bits, `shift` its offset. A
+/// group of width 0 (mask 0, shift 0) reads 0 and writes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Group {
+    shift: u32,
+    mask: u64,
+}
+
+impl Group {
+    fn new(shift: u32, bits: u8) -> Self {
+        let width = u32::from(bits.min(64));
+        let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let shift = if mask == 0 { 0 } else { shift };
+        Group { shift, mask }
+    }
+
+    fn in_place(self) -> u64 {
+        self.mask << self.shift
+    }
+
+    fn get(self, tag: u64) -> u64 {
+        (tag >> self.shift) & self.mask
+    }
+
+    fn set(self, tag: u64, value: u64) -> u64 {
+        (tag & !self.in_place()) | ((value & self.mask) << self.shift)
+    }
 }
 
 impl TagLayout {
     /// Creates a layout; panics if it does not fit in 64 bits (tags are stored
     /// in a `u64`; the paper's 48-bit MAC is the realistic upper bound).
     pub fn new(position_bits: Vec<u8>, nexthop_bits: u8, nexthop_slots: usize) -> Self {
-        let layout = TagLayout {
-            position_bits,
-            nexthop_bits,
-            nexthop_slots,
-        };
+        let widths = std::iter::repeat(nexthop_bits).take(nexthop_slots);
+        let mut shift = 0;
+        let mut groups: Vec<Group> = (widths.chain(position_bits))
+            .map(|bits| {
+                let group = Group::new(shift, bits);
+                shift += u32::from(bits);
+                group
+            })
+            .collect();
         assert!(
-            layout.total_bits() <= 64,
-            "tag layout needs {} bits, more than the 64 available",
-            layout.total_bits()
+            shift <= 64,
+            "tag layout needs {shift} bits, more than the 64 available"
         );
-        layout
+        let positions = groups.split_off(nexthop_slots);
+        TagLayout {
+            nexthop_bits,
+            nexthops: groups,
+            positions,
+        }
+    }
+
+    /// Bits allocated to each next-hop slot.
+    pub fn nexthop_bits(&self) -> u8 {
+        self.nexthop_bits
+    }
+
+    /// Number of next-hop slots (1 primary + max depth backups).
+    pub fn nexthop_slots(&self) -> usize {
+        self.nexthops.len()
     }
 
     /// Total bits used by the layout.
     pub fn total_bits(&self) -> u32 {
-        let path: u32 = self.position_bits.iter().map(|b| u32::from(*b)).sum();
-        path + u32::from(self.nexthop_bits) * self.nexthop_slots as u32
+        let groups = self.nexthops.iter().chain(&self.positions);
+        groups.map(|group| group.mask.count_ones()).sum()
     }
 
-    /// Number of encoded AS-path positions.
-    pub fn positions(&self) -> usize {
-        self.position_bits.len()
-    }
-
-    /// Bit offset of next-hop slot `slot` (slot 0 = primary).
-    fn nexthop_shift(&self, slot: usize) -> u32 {
-        assert!(slot < self.nexthop_slots, "slot {slot} out of range");
-        u32::from(self.nexthop_bits) * slot as u32
-    }
-
-    /// Bit offset of the group for AS-path position `pos` (1-based).
-    fn position_shift(&self, pos: usize) -> u32 {
-        assert!(
-            pos >= 1 && pos <= self.positions(),
-            "position {pos} out of range"
-        );
-        let nh_total = u32::from(self.nexthop_bits) * self.nexthop_slots as u32;
-        let before: u32 = self.position_bits[..pos - 1]
-            .iter()
-            .map(|b| u32::from(*b))
-            .sum();
-        nh_total + before
-    }
-
-    /// Mask (in place) of the group for position `pos`.
+    /// Mask (in place) of the group for position `pos` (1-based).
     pub fn position_mask(&self, pos: usize) -> u64 {
-        let bits = u32::from(self.position_bits[pos - 1]);
-        if bits == 0 {
-            return 0;
-        }
-        ((1u64 << bits) - 1) << self.position_shift(pos)
+        self.positions[pos - 1].in_place()
     }
 
     /// Mask (in place) of next-hop slot `slot`.
     pub fn nexthop_mask(&self, slot: usize) -> u64 {
-        let bits = u32::from(self.nexthop_bits);
-        if bits == 0 {
-            return 0;
-        }
-        ((1u64 << bits) - 1) << self.nexthop_shift(slot)
+        self.nexthops[slot].in_place()
     }
 
     /// Writes the link code of position `pos` into `tag`.
     pub fn set_position(&self, tag: u64, pos: usize, code: u64) -> u64 {
-        let mask = self.position_mask(pos);
-        let shifted = (code << self.position_shift(pos)) & mask;
-        (tag & !mask) | shifted
+        self.positions[pos - 1].set(tag, code)
     }
 
     /// Writes the next-hop index of slot `slot` into `tag`.
     pub fn set_nexthop(&self, tag: u64, slot: usize, index: u64) -> u64 {
-        let mask = self.nexthop_mask(slot);
-        let shifted = (index << self.nexthop_shift(slot)) & mask;
-        (tag & !mask) | shifted
+        self.nexthops[slot].set(tag, index)
     }
 
     /// Reads the link code of position `pos` from `tag`.
     pub fn get_position(&self, tag: u64, pos: usize) -> u64 {
-        (tag & self.position_mask(pos)) >> self.position_shift(pos)
+        self.positions[pos - 1].get(tag)
     }
 
     /// Reads the next-hop index of slot `slot` from `tag`.
     pub fn get_nexthop(&self, tag: u64, slot: usize) -> u64 {
-        (tag & self.nexthop_mask(slot)) >> self.nexthop_shift(slot)
+        self.nexthops[slot].get(tag)
     }
 
     /// A rule matching packets whose position `pos` equals `code` and whose
@@ -175,7 +186,7 @@ mod tests {
     fn total_bits_accounting() {
         let l = layout();
         assert_eq!(l.total_bits(), 2 + 3 + 2 + 4 * 4);
-        assert_eq!(l.positions(), 3);
+        assert_eq!((l.nexthop_bits(), l.nexthop_slots()), (4, 4));
     }
 
     #[test]
@@ -256,6 +267,12 @@ mod tests {
     #[should_panic(expected = "more than the 64 available")]
     fn oversized_layout_panics() {
         TagLayout::new(vec![32, 32], 8, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 100 bits")]
+    fn a_group_wider_than_a_tag_panics_with_the_layout_message() {
+        TagLayout::new(vec![100], 0, 0);
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl SwiftRouter {
         self.applier.resync_after_convergence()
     }
 
-    /// Reference resync: the pre-incremental full rebuild, kept as the
-    /// baseline `resync_after_convergence` is validated against.
-    pub fn resync_with_rebuild(&mut self) -> usize {
-        self.applier.resync_with_rebuild()
-    }
-
     /// Safety check (Lemma 3.3): returns the prefixes among `predicted` whose
     /// *current* forwarding next-hop still offers a path crossing one of the
     /// inferred links — ideally none after a reroute.
@@ -326,7 +320,7 @@ mod tests {
         let mut incremental = router.clone();
         let mut rebuilt = router;
         let removed_inc = incremental.resync_after_convergence();
-        let removed_reb = rebuilt.resync_with_rebuild();
+        let removed_reb = rebuilt.applier.resync_with_rebuild();
         assert_eq!(removed_inc, removed_reb);
         assert_eq!(incremental.forwarding().swift_rule_count(), 0);
 
@@ -355,7 +349,7 @@ mod tests {
         let mut incremental = router.clone();
         let mut rebuilt = router;
         incremental.resync_after_convergence();
-        rebuilt.resync_with_rebuild();
+        rebuilt.applier.resync_with_rebuild();
         assert_eq!(incremental.forwarding().swift_rule_count(), 0);
         assert_eq!(rebuilt.forwarding().swift_rule_count(), 0);
         for i in 0..300 {

@@ -62,8 +62,8 @@ fn main() {
         .filter_map(|(_, path)| path.link_at_position(1))
         .next();
     if let Some(link) = busiest {
-        if plan.encodes(1, &link) {
-            let installed = two_stage.install_reroute(&[link]);
+        if plan.code_of(1, &link).is_some() {
+            let installed = two_stage.install_reroute_tracked(&[link]).1;
             println!(
                 "\nRerouting around {link}: {installed} stage-2 rules installed (independent of the {}-prefix table)",
                 two_stage.stage1_len()
