@@ -1,16 +1,20 @@
 //! Criterion micro-benchmarks of the SWIFT inference hot path: counter
-//! updates, full inference runs at several burst sizes, and the indexed
-//! link-set scorer against its full-scan baseline.
+//! updates, full inference runs at several burst sizes, and the fused
+//! link-set scorer, greedy chain and prediction against the scans of the
+//! test-scope reference model (`crates/core/tests/reference/mod.rs`), each
+//! model built from the same counters outside the timed body.
 //!
 //! Run with `-- --quick-check` (CI) to execute every body once instead of
 //! timing it — a rot check for the harness, not a measurement.
 
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use reference::Model;
 use swift_bgp::{AsLink, AsPath, ElementaryEvent, InternedRib, Prefix};
 use swift_core::inference::{
-    fused_union_counts, infer_links, infer_links_materialized, infer_links_scan, predict,
-    predict_scan, score_link_set, score_link_set_materialized, score_link_set_scan, IdBitSet,
-    InferenceEngine, LinkCounters, ScoreScratch,
+    fused_union_counts, infer_links, predict, IdBitSet, InferenceEngine, LinkCounters, ScoreScratch,
 };
 use swift_core::InferenceConfig;
 
@@ -86,7 +90,7 @@ fn bench_counters_1m(c: &mut Criterion) {
             (Prefix::nth_slash24(i), paths)
         })
         .collect();
-    assert_eq!(counters.p(&AsLink::new(2, 100)), hit.len());
+    assert_eq!(counters.wp(&AsLink::new(2, 100)).1, hit.len());
 
     c.bench_function("counters/withdraw_1m", |b| {
         b.iter(|| {
@@ -154,7 +158,7 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 /// One full inference attempt (link selection + prefix prediction): the
-/// indexed implementation against the full-scan baseline it replaced.
+/// indexed implementation against the reference model's scans.
 fn bench_attempt_indexed_vs_scan(c: &mut Criterion) {
     let size = 40_000u32;
     let table = rib(size * 2);
@@ -163,6 +167,7 @@ fn bench_attempt_indexed_vs_scan(c: &mut Criterion) {
         counters.on_withdraw(Prefix::nth_slash24(i * 2));
     }
     let config = InferenceConfig::default();
+    let model = Model::of_counters(&counters);
     let mut group = c.benchmark_group("inference/attempt_80k_rib");
     group.bench_function("indexed", |b| {
         b.iter(|| {
@@ -172,8 +177,9 @@ fn bench_attempt_indexed_vs_scan(c: &mut Criterion) {
     });
     group.bench_function("scan", |b| {
         b.iter(|| {
-            let links = infer_links_scan(&counters, &config);
-            std::hint::black_box(predict_scan(&counters, &links).total_affected())
+            let links = model.infer(&config);
+            let (withdrawn, routed) = model.crossing(&links.links);
+            std::hint::black_box(withdrawn.len() + routed.len())
         })
     });
     group.finish();
@@ -224,27 +230,23 @@ fn counters_with_withdrawals(table: &[(Prefix, AsPath)]) -> LinkCounters {
     c
 }
 
-/// The fused single-pass set scorer against the materialized-union path it
-/// replaced (and, at the smallest size, the full-RIB scan) on an 8-link set.
+/// The fused single-pass `(W(S), P(S))` of an 8-link set (the set scorer's
+/// counts) and, at the smallest size, the model's scan.
 fn bench_kernel_score_set(c: &mut Criterion) {
-    let config = InferenceConfig::default();
     let set: Vec<AsLink> = (0..8).map(|j| AsLink::new(2, 100 + j)).collect();
     let mut group = c.benchmark_group("kernels/score_link_set");
     for &size in &[10_000u32, 100_000, 1_000_000] {
         // Striped layout: each link's prefixes interleave across the whole id
-        // space (the shape RIB seeding order actually produces), so the
-        // materialized path pays for a union spanning the full space.
+        // space (the shape RIB seeding order actually produces).
         let table = fanout_rib(size, 64, false);
         let counters = counters_with_withdrawals(&table);
         group.bench_with_input(BenchmarkId::new("fused", size), &size, |b, _| {
-            b.iter(|| std::hint::black_box(score_link_set(&counters, &set, &config)))
-        });
-        group.bench_with_input(BenchmarkId::new("materialized", size), &size, |b, _| {
-            b.iter(|| std::hint::black_box(score_link_set_materialized(&counters, &set, &config)))
+            b.iter(|| std::hint::black_box(counters.union_counts(&set)))
         });
         if size == 10_000 {
+            let model = Model::of_counters(&counters);
             group.bench_with_input(BenchmarkId::new("scan", size), &size, |b, _| {
-                b.iter(|| std::hint::black_box(score_link_set_scan(&counters, &set, &config)))
+                b.iter(|| std::hint::black_box(model.union_counts(&set)))
             });
         }
     }
@@ -324,9 +326,9 @@ fn bench_kernel_raw(c: &mut Criterion) {
 
 /// The greedy aggregation chain end to end: the incremental running-union
 /// scorer (one fused pass for the seed, then a delta count per trial over
-/// the candidate's own ids) against the recompute-every-trial baseline
-/// (O(k²) passes). The 64-way fanout makes every link tie on FS, so the
-/// chain actually walks all candidates.
+/// the candidate's own ids) and, at the smallest size, the model's chain,
+/// which rescans the RIB for every trial set. The 64-way fanout makes every
+/// link tie on FS, so the chain actually walks all candidates.
 fn bench_greedy_chain(c: &mut Criterion) {
     let config = InferenceConfig::default();
     let mut group = c.benchmark_group("kernels/greedy_chain");
@@ -336,9 +338,12 @@ fn bench_greedy_chain(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("incremental", size), &size, |b, _| {
             b.iter(|| std::hint::black_box(infer_links(&counters, &config)))
         });
-        group.bench_with_input(BenchmarkId::new("recompute", size), &size, |b, _| {
-            b.iter(|| std::hint::black_box(infer_links_materialized(&counters, &config)))
-        });
+        if size == 10_000 {
+            let model = Model::of_counters(&counters);
+            group.bench_with_input(BenchmarkId::new("scan", size), &size, |b, _| {
+                b.iter(|| std::hint::black_box(model.infer(&config)))
+            });
+        }
     }
     group.finish();
 }

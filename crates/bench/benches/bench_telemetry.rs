@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks of the telemetry layer: what observability
 //! costs on and off the hot path.
 //!
-//! Three comparisons:
+//! Three groups:
 //!
 //! * **counter** — a registry [`Counter`] increment (relaxed atomic add
 //!   behind an `Arc`) vs the raw local `u64 += 1` it shadows;
 //! * **histogram** — a [`LogHistogram`] record (bucket index from
-//!   `leading_zeros`, one vector slot) vs the ring-buffer
-//!   `LatencyRecorder::record` it replaced;
+//!   `leading_zeros`, one vector slot);
 //! * **dispatch** — the full ingest → shard-queue path through a real
 //!   sharded runtime with pipeline tracing off (`trace_sample_interval = 0`),
 //!   at the default 1-in-1024 sampling, and at the pathological
@@ -20,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use swift_bgp::{ElementaryEvent, PeerId, Prefix, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
-use swift_core::{LatencyRecorder, SwiftConfig};
+use swift_core::SwiftConfig;
 use swift_runtime::{RuntimeConfig, ShardedRuntime};
 use swift_telemetry::{LogHistogram, Registry};
 
@@ -79,7 +78,7 @@ fn bench_counter(c: &mut Criterion) {
     group.finish();
 }
 
-/// Recording one latency sample: log-linear histogram vs the sample ring.
+/// Recording one latency sample into the log-linear histogram.
 fn bench_histogram(c: &mut Criterion) {
     // Log-uniform-ish values so records land across many octaves, not one
     // hot bucket.
@@ -92,15 +91,6 @@ fn bench_histogram(c: &mut Criterion) {
                 h.record(v);
             }
             h.count()
-        })
-    });
-    group.bench_function("latency_ring", |b| {
-        b.iter(|| {
-            let mut r = LatencyRecorder::new(4_096);
-            for &v in &samples {
-                r.record(v);
-            }
-            r.recorded()
         })
     });
     group.finish();

@@ -6,8 +6,6 @@
 //! Criterion benches in `benches/` measure the hot paths of the
 //! implementation itself.
 
-#![warn(clippy::all)]
-
 pub mod eval;
 
 use swift_bgp::{PrefixSet, Timestamp};

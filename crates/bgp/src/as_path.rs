@@ -254,11 +254,6 @@ impl AsPath {
         AsPath::new(std::iter::once(asn.into()).chain(self.hops().iter().copied()))
     }
 
-    /// Returns `true` if prepending `asn` would create an AS loop.
-    pub fn would_loop(&self, asn: Asn) -> bool {
-        self.contains_as(asn)
-    }
-
     /// Iterates over the directed links of the path, nearest first.
     ///
     /// The path `(2 5 6)` yields `(2,5)` then `(5,6)`.
@@ -278,12 +273,6 @@ impl AsPath {
             return None;
         }
         Some(AsLink::new(hops[pos - 1], hops[pos]))
-    }
-
-    /// The 1-based position of the first occurrence of `link` (directed), if
-    /// the path traverses it.
-    pub fn position_of_link(&self, link: &AsLink) -> Option<usize> {
-        self.links().position(|l| l == *link).map(|i| i + 1)
     }
 
     /// Returns `true` if the path traverses `link` in the given direction.
@@ -310,18 +299,6 @@ impl AsPath {
     #[inline]
     pub fn visits_endpoint_of(&self, link: &AsLink) -> bool {
         self.contains_as(link.from) || self.contains_as(link.to)
-    }
-
-    /// Returns `true` if the path contains a repeated AS (a routing loop).
-    pub fn has_loop(&self) -> bool {
-        let hops = self.hops();
-        let mut seen = std::collections::HashSet::with_capacity(hops.len());
-        hops.iter().any(|h| !seen.insert(*h))
-    }
-
-    /// Number of links in the path (`len() - 1`, or 0 for empty paths).
-    pub fn link_count(&self) -> usize {
-        self.len().saturating_sub(1)
     }
 }
 
@@ -406,8 +383,6 @@ mod tests {
         assert_eq!(p.link_at_position(3), Some(AsLink::new(6, 8)));
         assert_eq!(p.link_at_position(4), None);
         assert_eq!(p.link_at_position(0), None);
-        assert_eq!(p.position_of_link(&AsLink::new(5, 6)), Some(2));
-        assert_eq!(p.position_of_link(&AsLink::new(6, 5)), None);
     }
 
     #[test]
@@ -424,11 +399,8 @@ mod tests {
         let p = path(&[5, 6]);
         let q = p.prepend(2u32);
         assert_eq!(q, path(&[2, 5, 6]));
-        assert!(!q.has_loop());
-        assert!(q.would_loop(Asn(5)));
-        assert!(!q.would_loop(Asn(9)));
-        let looped = path(&[2, 5, 2]);
-        assert!(looped.has_loop());
+        assert!(q.contains_as(Asn(5)));
+        assert!(!q.contains_as(Asn(9)));
     }
 
     #[test]
@@ -473,9 +445,9 @@ mod tests {
 
     #[test]
     fn link_count_and_len() {
-        assert_eq!(path(&[2, 5, 6]).link_count(), 2);
-        assert_eq!(path(&[2]).link_count(), 0);
-        assert_eq!(AsPath::empty().link_count(), 0);
+        assert_eq!(path(&[2, 5, 6]).links().count(), 2);
+        assert_eq!(path(&[2]).links().count(), 0);
+        assert_eq!(AsPath::empty().links().count(), 0);
         assert_eq!(path(&[2, 5, 6]).len(), 3);
         assert!(!path(&[2]).is_empty());
         assert!(AsPath::empty().is_empty());

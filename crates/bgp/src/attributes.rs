@@ -85,12 +85,6 @@ impl RouteAttributes {
         self.local_pref = Some(lp);
         self
     }
-
-    /// Builder-style setter for MED.
-    pub fn with_med(mut self, med: u32) -> Self {
-        self.med = Some(med);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,9 +108,8 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let a = RouteAttributes::from_path(AsPath::new([1u32]))
-            .with_local_pref(200)
-            .with_med(10);
+        let mut a = RouteAttributes::from_path(AsPath::new([1u32])).with_local_pref(200);
+        a.med = Some(10);
         assert_eq!(a.effective_local_pref(), 200);
         assert_eq!(a.effective_med(), 10);
     }

@@ -169,11 +169,6 @@ impl InternedRib {
     pub fn interner(&self) -> &PathInterner {
         &self.interner
     }
-
-    /// Number of distinct paths across all entries.
-    pub fn distinct_paths(&self) -> usize {
-        self.interner.len()
-    }
 }
 
 impl PartialEq for InternedRib {
@@ -254,7 +249,7 @@ mod tests {
         rib.push_owned(Prefix::nth_slash24(10), path(&[2, 9]));
         assert_eq!(rib.len(), 11);
         assert!(!rib.is_empty());
-        assert_eq!(rib.distinct_paths(), 2, "10 shared + 1 distinct");
+        assert_eq!(rib.interner().len(), 2, "10 shared + 1 distinct");
         assert_eq!(rib.get(0), (Prefix::nth_slash24(0), &path(&[2, 5, 6])));
         assert_eq!(rib.iter().count(), 11);
         let (p, a) = rib.iter().last().unwrap();

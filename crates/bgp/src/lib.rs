@@ -24,18 +24,16 @@
 //! The crate is dependency-free and fully deterministic; all timestamps are
 //! virtual microseconds ([`Timestamp`]).
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 
-pub mod as_path;
-pub mod attributes;
-pub mod interner;
-pub mod message;
-pub mod prefix;
-pub mod rib;
-pub mod session;
-pub mod table;
+mod as_path;
+mod attributes;
+mod interner;
+mod message;
+mod prefix;
+mod rib;
+mod session;
+mod table;
 
 pub use as_path::{AsLink, AsPath, Asn};
 pub use attributes::{Origin, RouteAttributes};

@@ -63,51 +63,12 @@ impl BgpMessage {
         }
     }
 
-    /// Convenience constructor: a packed announcement of several prefixes
-    /// sharing one attribute set.
-    pub fn announce_packed(
-        timestamp: Timestamp,
-        prefixes: Vec<Prefix>,
-        attrs: RouteAttributes,
-    ) -> Self {
-        BgpMessage {
-            timestamp,
-            kind: MessageKind::Update {
-                prefixes,
-                attrs,
-                withdrawn: Vec::new(),
-            },
-        }
-    }
-
-    /// Convenience constructor: a packed withdrawal of several prefixes.
-    pub fn withdraw_packed(timestamp: Timestamp, withdrawn: Vec<Prefix>) -> Self {
-        BgpMessage {
-            timestamp,
-            kind: MessageKind::Update {
-                prefixes: Vec::new(),
-                attrs: RouteAttributes::default(),
-                withdrawn,
-            },
-        }
-    }
-
     /// Convenience constructor: a keepalive.
     pub fn keepalive(timestamp: Timestamp) -> Self {
         BgpMessage {
             timestamp,
             kind: MessageKind::Keepalive,
         }
-    }
-
-    /// Returns `true` if the message withdraws at least one prefix.
-    pub fn has_withdrawals(&self) -> bool {
-        matches!(&self.kind, MessageKind::Update { withdrawn, .. } if !withdrawn.is_empty())
-    }
-
-    /// Returns `true` if the message announces at least one prefix.
-    pub fn has_announcements(&self) -> bool {
-        matches!(&self.kind, MessageKind::Update { prefixes, .. } if !prefixes.is_empty())
     }
 
     /// Number of prefixes withdrawn by this message.
@@ -200,11 +161,6 @@ impl ElementaryEvent {
     pub fn is_withdraw(&self) -> bool {
         matches!(self, ElementaryEvent::Withdraw { .. })
     }
-
-    /// Returns `true` for announcement events.
-    pub fn is_announce(&self) -> bool {
-        matches!(self, ElementaryEvent::Announce { .. })
-    }
 }
 
 #[cfg(test)]
@@ -220,14 +176,10 @@ mod tests {
     fn single_announce_and_withdraw() {
         let attrs = RouteAttributes::from_path(AsPath::new([2u32, 5, 6]));
         let a = BgpMessage::announce(10, p(1), attrs.clone());
-        assert!(a.has_announcements());
-        assert!(!a.has_withdrawals());
         assert_eq!(a.announcement_count(), 1);
         assert_eq!(a.withdrawal_count(), 0);
 
         let w = BgpMessage::withdraw(20, p(1));
-        assert!(w.has_withdrawals());
-        assert!(!w.has_announcements());
         assert_eq!(w.withdrawal_count(), 1);
     }
 
@@ -246,8 +198,8 @@ mod tests {
         assert_eq!(ev.len(), 3);
         assert!(ev[0].is_withdraw());
         assert_eq!(ev[0].prefix(), p(20));
-        assert!(ev[1].is_announce());
-        assert!(ev[2].is_announce());
+        assert!(!ev[1].is_withdraw());
+        assert!(!ev[2].is_withdraw());
         assert!(ev.iter().all(|e| e.timestamp() == 5));
     }
 
@@ -257,13 +209,18 @@ mod tests {
         assert!(k.elementary_events().is_empty());
         assert_eq!(k.withdrawal_count(), 0);
         assert_eq!(k.announcement_count(), 0);
-        assert!(!k.has_withdrawals());
-        assert!(!k.has_announcements());
     }
 
     #[test]
     fn packed_withdraw_counts() {
-        let m = BgpMessage::withdraw_packed(3, vec![p(1), p(2), p(3)]);
+        let m = BgpMessage {
+            timestamp: 3,
+            kind: MessageKind::Update {
+                prefixes: Vec::new(),
+                attrs: RouteAttributes::default(),
+                withdrawn: vec![p(1), p(2), p(3)],
+            },
+        };
         assert_eq!(m.withdrawal_count(), 3);
         assert_eq!(m.elementary_events().len(), 3);
         assert!(m.elementary_events().iter().all(|e| e.is_withdraw()));
@@ -272,8 +229,15 @@ mod tests {
     #[test]
     fn announce_packed_counts() {
         let attrs = RouteAttributes::from_path(AsPath::new([7u32]));
-        let m = BgpMessage::announce_packed(3, vec![p(1), p(2)], attrs);
+        let m = BgpMessage {
+            timestamp: 3,
+            kind: MessageKind::Update {
+                prefixes: vec![p(1), p(2)],
+                attrs,
+                withdrawn: Vec::new(),
+            },
+        };
         assert_eq!(m.announcement_count(), 2);
-        assert!(m.elementary_events().iter().all(|e| e.is_announce()));
+        assert!(m.elementary_events().iter().all(|e| !e.is_withdraw()));
     }
 }

@@ -117,11 +117,6 @@ impl Prefix {
         })
     }
 
-    /// Creates a prefix from dotted-quad octets and a length.
-    pub fn from_octets(a: u8, b: u8, c: u8, d: u8, len: u8) -> Result<Self, PrefixError> {
-        Self::new(u32::from_be_bytes([a, b, c, d]), len)
-    }
-
     /// The canonical (masked) network address.
     pub fn addr(&self) -> u32 {
         self.addr
@@ -137,11 +132,6 @@ impl Prefix {
     )]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// Returns `true` if this is the default route (`/0`).
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// The netmask corresponding to a prefix length.
@@ -167,16 +157,6 @@ impl Prefix {
     /// (i.e. every address in `other` is covered by `self`).
     pub fn contains(&self, other: &Prefix) -> bool {
         other.len >= self.len && (other.addr & self.netmask()) == self.addr
-    }
-
-    /// Returns `true` if `addr` falls within this prefix.
-    pub fn contains_addr(&self, addr: u32) -> bool {
-        (addr & self.netmask()) == self.addr
-    }
-
-    /// Returns `true` if the two prefixes share any address.
-    pub fn overlaps(&self, other: &Prefix) -> bool {
-        self.contains(other) || other.contains(self)
     }
 
     /// Splits this prefix into its two immediate more-specifics.
@@ -346,11 +326,6 @@ impl PrefixSet {
         common
     }
 
-    /// Number of prefixes in `self` but not in `other`.
-    pub fn difference_len(&self, other: &PrefixSet) -> usize {
-        self.len() - self.intersection_len(other)
-    }
-
     /// Union of the two sets.
     pub fn union(&self, other: &PrefixSet) -> PrefixSet {
         let (mut a, mut b) = (self.inner.as_slice(), other.inner.as_slice());
@@ -447,15 +422,12 @@ mod tests {
         assert!(!p24.contains(&p8));
         assert!(p8.contains(&p8));
         assert!(!p8.contains(&other));
-        assert!(p8.overlaps(&p24));
-        assert!(p24.overlaps(&p8));
-        assert!(!p8.overlaps(&other));
     }
 
     #[test]
     fn default_route_contains_everything() {
         let d = Prefix::DEFAULT;
-        assert!(d.is_default());
+        assert_eq!(d.len(), 0);
         for s in ["10.0.0.0/8", "255.255.255.255/32", "0.0.0.0/0"] {
             assert!(d.contains(&s.parse().unwrap()));
         }
@@ -470,7 +442,7 @@ mod tests {
         assert_eq!(hi.to_string(), "10.128.0.0/9");
         assert_eq!(lo.parent(), Some(p));
         assert_eq!(hi.parent(), Some(p));
-        assert!(Prefix::from_octets(1, 2, 3, 4, 32)
+        assert!(Prefix::new(u32::from_be_bytes([1, 2, 3, 4]), 32)
             .unwrap()
             .split()
             .is_none());
@@ -480,8 +452,9 @@ mod tests {
     #[test]
     fn contains_addr_matches_mask() {
         let p: Prefix = "192.168.0.0/16".parse().unwrap();
-        assert!(p.contains_addr(u32::from_be_bytes([192, 168, 42, 7])));
-        assert!(!p.contains_addr(u32::from_be_bytes([192, 169, 0, 1])));
+        let host = |addr: [u8; 4]| Prefix::new(u32::from_be_bytes(addr), 32).unwrap();
+        assert!(p.contains(&host([192, 168, 42, 7])));
+        assert!(!p.contains(&host([192, 169, 0, 1])));
     }
 
     #[test]
@@ -500,8 +473,6 @@ mod tests {
         let b: PrefixSet = (50..150).map(Prefix::nth_slash24).collect();
         assert_eq!(a.len(), 100);
         assert_eq!(a.intersection_len(&b), 50);
-        assert_eq!(a.difference_len(&b), 50);
-        assert_eq!(b.difference_len(&a), 50);
         assert_eq!(a.union(&b).len(), 150);
         assert!(a.contains(&Prefix::nth_slash24(10)));
         assert!(!a.contains(&Prefix::nth_slash24(120)));

@@ -570,14 +570,6 @@ impl<'a> AdjRibIn<'a> {
         self.iter().map(|(prefix, _)| prefix)
     }
 
-    /// Number of announced prefixes whose AS path traverses `link` (directed).
-    pub fn prefixes_via_link(&self, link: &AsLink) -> usize {
-        self.routes
-            .iter()
-            .filter(|(_, r)| r.as_path().crosses_link(link))
-            .count()
-    }
-
     /// Collects, in ascending order, the prefixes whose AS path traverses
     /// `link` (directed).
     pub fn prefix_set_via_link(&self, link: &AsLink) -> Vec<Prefix> {
@@ -742,10 +734,9 @@ mod tests {
         t.announce(PeerId(1), p(2), route(1, &[2, 5, 6, 8], None, 0));
         t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0));
         let rib = t.adj_rib_in(PeerId(1)).unwrap();
-        assert_eq!(rib.prefixes_via_link(&AsLink::new(5, 6)), 2);
-        assert_eq!(rib.prefixes_via_link(&AsLink::new(2, 5)), 3);
-        assert_eq!(rib.prefixes_via_link(&AsLink::new(6, 8)), 1);
-        assert_eq!(rib.prefixes_via_link(&AsLink::new(9, 9)), 0);
+        assert_eq!(rib.prefix_set_via_link(&AsLink::new(2, 5)).len(), 3);
+        assert_eq!(rib.prefix_set_via_link(&AsLink::new(6, 8)).len(), 1);
+        assert!(rib.prefix_set_via_link(&AsLink::new(9, 9)).is_empty());
         let via = rib.prefix_set_via_link(&AsLink::new(5, 6));
         assert_eq!(via, vec![p(1), p(2)]);
         assert_eq!(
@@ -773,8 +764,10 @@ mod tests {
         incomplete.attrs.origin = crate::attributes::Origin::Incomplete;
         assert_eq!(igp.compare_preference(&incomplete), Ordering::Greater);
 
-        let low_med = route(1, &[2, 6], None, 0).attrs.with_med(5);
-        let high_med = route(2, &[3, 6], None, 0).attrs.with_med(50);
+        let mut low_med = route(1, &[2, 6], None, 0).attrs;
+        low_med.med = Some(5);
+        let mut high_med = route(2, &[3, 6], None, 0).attrs;
+        high_med.med = Some(50);
         let low = Route::new(PeerId(1), low_med, 0);
         let high = Route::new(PeerId(2), high_med, 0);
         assert_eq!(low.compare_preference(&high), Ordering::Greater);
@@ -824,7 +817,8 @@ mod tests {
         // Peer 2 has the shortest path.
         assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(2));
         // Excluding peer 2, peers 1 and 3 tie on length; lowest peer id wins.
-        assert_eq!(t.best_excluding(&p(1), PeerId(2)).unwrap().peer, PeerId(1));
+        let excluding = t.alternative_avoiding(&p(1), PeerId(2), &[]);
+        assert_eq!(excluding.unwrap().peer, PeerId(1));
         assert_eq!(t.candidates(&p(1)).count(), 3);
     }
 

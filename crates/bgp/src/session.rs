@@ -260,7 +260,7 @@ mod tests {
         let ev: Vec<_> = s.elementary_events().collect();
         assert_eq!(ev.len(), 2);
         assert!(ev[0].is_withdraw());
-        assert!(ev[1].is_announce());
+        assert!(!ev[1].is_withdraw());
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl RoutingTable {
             .max_by(|a, b| a.compare_preference(b))
     }
 
-    /// The best route for a prefix among routes from peers other than `peer`.
-    pub fn best_excluding(&self, prefix: &Prefix, peer: PeerId) -> Option<&Route> {
-        self.alternative_avoiding(prefix, peer, &[])
-    }
-
     /// All candidate routes for a prefix, in no particular order. The
     /// iterator is cheap to clone: the prefix is resolved once, so several
     /// passes over one prefix's candidates cost one hash probe.
@@ -589,7 +584,8 @@ mod tests {
         // For AS 6 prefixes, (3 6) is shorter than (2 5 6).
         assert_eq!(t.best(&p(0)).unwrap().peer, PeerId(3));
         // Excluding peer 3, (2 5 6) and (4 5 6) tie; lowest peer id wins.
-        assert_eq!(t.best_excluding(&p(0), PeerId(3)).unwrap().peer, PeerId(2));
+        let excluding = t.alternative_avoiding(&p(0), PeerId(3), &[]);
+        assert_eq!(excluding.unwrap().peer, PeerId(2));
         assert_eq!(t.candidates(&p(0)).count(), 3);
     }
 

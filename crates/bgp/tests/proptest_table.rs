@@ -190,7 +190,6 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
                 .filter(|(_, r)| r.as_path().crosses_link(link))
                 .map(|(q, _)| *q)
                 .collect();
-            prop_assert_eq!(rib.prefixes_via_link(link), via.len());
             prop_assert_eq!(&rib.prefix_set_via_link(link), &via);
             prop_assert_eq!(&table.prefixes_via_links(peer, &[*link]), &via);
         }
@@ -240,10 +239,6 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
         prop_assert_eq!(&got, &candidates);
         for excluded in 1..=PEERS {
             let others = candidates.iter().copied().filter(|r| r.peer.0 != excluded);
-            prop_assert_eq!(
-                table.best_excluding(&prefix, PeerId(excluded)),
-                Model::best_among(others.clone())
-            );
             for avoid in [vec![], vec![Asn(3)], vec![Asn(2), Asn(7)]] {
                 let eligible = others
                     .clone()

@@ -54,15 +54,6 @@ impl GroundTruthBurst {
             .collect()
     }
 
-    /// Origins re-announced (path update) at least once during the burst.
-    pub fn updated_origins(&self) -> BTreeSet<Asn> {
-        self.captured
-            .iter()
-            .filter(|c| !c.is_withdraw())
-            .map(|c| c.origin)
-            .collect()
-    }
-
     /// Number of captured messages at origin granularity.
     pub fn len(&self) -> usize {
         self.captured.len()
@@ -106,14 +97,6 @@ impl GroundTruthBurst {
     /// for the localisation accuracy metrics, §6.2.1).
     pub fn withdrawn_prefixes(&self, topology: &Topology) -> PrefixSet {
         self.withdrawn_origins()
-            .into_iter()
-            .flat_map(|o| topology.originated_prefixes(o).iter().copied())
-            .collect()
-    }
-
-    /// The set of prefixes whose path was updated (not withdrawn).
-    pub fn updated_prefixes(&self, topology: &Topology) -> PrefixSet {
-        self.updated_origins()
             .into_iter()
             .flat_map(|o| topology.originated_prefixes(o).iter().copied())
             .collect()
@@ -166,7 +149,11 @@ mod tests {
             b.withdrawn_origins(),
             [Asn(6), Asn(8)].into_iter().collect()
         );
-        assert_eq!(b.updated_origins(), [Asn(7)].into_iter().collect());
+        let updated: Vec<Asn> = (b.captured.iter())
+            .filter(|c| !c.is_withdraw())
+            .map(|c| c.origin)
+            .collect();
+        assert_eq!(updated, [Asn(7)]);
     }
 
     #[test]
@@ -186,7 +173,10 @@ mod tests {
     fn prefix_sets_match_topology_origins() {
         let (topo, b) = burst();
         let withdrawn = b.withdrawn_prefixes(&topo);
-        let updated = b.updated_prefixes(&topo);
+        let updated: PrefixSet = (b.captured.iter())
+            .filter(|c| !c.is_withdraw())
+            .flat_map(|c| topo.originated_prefixes(c.origin).iter().copied())
+            .collect();
         assert_eq!(withdrawn.len(), 8);
         assert_eq!(updated.len(), 4);
         assert_eq!(withdrawn.intersection_len(&updated), 0);

@@ -48,7 +48,6 @@ pub struct Engine {
     queue: VecDeque<Msg>,
     monitor: Option<(Asn, Asn)>,
     captured: Vec<CapturedMessage>,
-    converged: bool,
 }
 
 impl Engine {
@@ -81,7 +80,6 @@ impl Engine {
             queue: VecDeque::new(),
             monitor: None,
             captured: Vec::new(),
-            converged: false,
         }
     }
 
@@ -99,14 +97,7 @@ impl Engine {
             let actions = speaker.exports_for(idx);
             self.enqueue(asn, idx, actions);
         }
-        let stats = self.drain_queue();
-        self.converged = true;
-        stats
-    }
-
-    /// Returns `true` once [`Engine::converge`] has completed.
-    pub fn is_converged(&self) -> bool {
-        self.converged
+        self.drain_queue()
     }
 
     /// Starts capturing the messages that `vantage` receives from `neighbor`.
@@ -438,7 +429,8 @@ mod tests {
         for &at in &nodes {
             for &origin in &nodes {
                 if let Some(path) = e.best_path(at, origin) {
-                    assert!(!path.has_loop(), "loop in path {path}");
+                    let distinct: std::collections::BTreeSet<_> = path.hops().iter().collect();
+                    assert_eq!(distinct.len(), path.len(), "loop in path {path}");
                 }
             }
         }

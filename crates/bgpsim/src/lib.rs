@@ -22,16 +22,12 @@
 //! assert!(burst.withdrawn_origins().contains(&Asn(8)));
 //! ```
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 
-pub mod collector;
-pub mod engine;
-pub mod policy;
-pub mod speaker;
+mod collector;
+mod engine;
+mod policy;
+mod speaker;
 
 pub use collector::{CapturedMessage, GroundTruthBurst};
 pub use engine::{Engine, RunStats};
-pub use policy::{can_export, local_pref, LOCAL_ORIGIN_PREF};
-pub use speaker::{BestRoute, CandidateRoute, ExportAction, OriginIdx, Speaker};

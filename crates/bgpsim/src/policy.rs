@@ -20,7 +20,7 @@ use swift_topology::Relationship;
 /// LOCAL_PREF assigned to a route according to the relationship with the
 /// neighbour it was learned from. Locally-originated routes use
 /// [`LOCAL_ORIGIN_PREF`].
-pub fn local_pref(learned_from: Relationship) -> u32 {
+pub(crate) fn local_pref(learned_from: Relationship) -> u32 {
     match learned_from {
         Relationship::Customer => 200,
         Relationship::Peer => 100,
@@ -28,16 +28,13 @@ pub fn local_pref(learned_from: Relationship) -> u32 {
     }
 }
 
-/// LOCAL_PREF of locally-originated routes (always wins).
-pub const LOCAL_ORIGIN_PREF: u32 = 300;
-
 /// Gao–Rexford export rule.
 ///
 /// `learned_from` is the relationship with the neighbour the best route was
 /// learned from (`None` for locally-originated routes); `to` is the
 /// relationship with the neighbour the route would be exported to. Returns
 /// `true` if the export is allowed.
-pub fn can_export(learned_from: Option<Relationship>, to: Relationship) -> bool {
+pub(crate) fn can_export(learned_from: Option<Relationship>, to: Relationship) -> bool {
     match learned_from {
         // Own routes and customer routes go to everyone.
         None | Some(Relationship::Customer) => true,
@@ -55,7 +52,6 @@ mod tests {
     fn preference_order_is_customer_peer_provider() {
         assert!(local_pref(Customer) > local_pref(Peer));
         assert!(local_pref(Peer) > local_pref(Provider));
-        assert!(LOCAL_ORIGIN_PREF > local_pref(Customer));
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! when producing message streams for the SWIFT algorithms). This is the same
 //! trick that makes C-BGP-scale simulations tractable.
 
-use crate::policy::{can_export, local_pref, LOCAL_ORIGIN_PREF};
+use crate::policy::{can_export, local_pref};
 use std::collections::{BTreeMap, BTreeSet};
 use swift_bgp::{AsPath, Asn};
 use swift_topology::Relationship;
 
 /// Index of an origin AS in the engine's dense origin table.
-pub type OriginIdx = usize;
+pub(crate) type OriginIdx = usize;
 
 /// A candidate route towards one origin, as learned from one neighbour.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidateRoute {
+pub(crate) struct CandidateRoute {
     /// The neighbour the route was learned from.
     pub neighbor: Asn,
     /// The AS path as received (starting with `neighbor`).
@@ -25,7 +25,7 @@ pub struct CandidateRoute {
 
 /// The chosen best route towards one origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BestRoute {
+pub(crate) enum BestRoute {
     /// The origin is this AS itself; the path is empty.
     SelfOriginated,
     /// Learned from a neighbour.
@@ -34,7 +34,7 @@ pub enum BestRoute {
 
 impl BestRoute {
     /// The AS path of the best route (empty for self-originated).
-    pub fn path(&self) -> AsPath {
+    pub(crate) fn path(&self) -> AsPath {
         match self {
             BestRoute::SelfOriginated => AsPath::empty(),
             BestRoute::Learned(c) => c.path.clone(),
@@ -42,7 +42,7 @@ impl BestRoute {
     }
 
     /// The neighbour the route was learned from, or `None` if self-originated.
-    pub fn learned_from(&self) -> Option<Asn> {
+    pub(crate) fn learned_from(&self) -> Option<Asn> {
         match self {
             BestRoute::SelfOriginated => None,
             BestRoute::Learned(c) => Some(c.neighbor),
@@ -52,7 +52,7 @@ impl BestRoute {
 
 /// Per-origin routing state of a speaker.
 #[derive(Debug, Clone, Default)]
-pub struct OriginState {
+pub(crate) struct OriginState {
     /// Routes received from each neighbour (Adj-RIB-In), keyed by neighbour.
     pub rib_in: BTreeMap<Asn, AsPath>,
     /// The currently selected best route, if any.
@@ -63,7 +63,7 @@ pub struct OriginState {
 
 /// The routing process of one AS.
 #[derive(Debug, Clone)]
-pub struct Speaker {
+pub(crate) struct Speaker {
     /// This speaker's AS number.
     pub asn: Asn,
     /// Adjacent ASes and the relationship of each neighbour relative to this AS.
@@ -74,7 +74,7 @@ pub struct Speaker {
 
 /// An export action produced by a best-route change.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExportAction {
+pub(crate) enum ExportAction {
     /// Announce `path` (already prepended with this speaker's ASN) to `to`.
     Announce {
         /// Target neighbour.
@@ -91,7 +91,11 @@ pub enum ExportAction {
 
 impl Speaker {
     /// Creates a speaker with the given neighbours and `origin_count` origins.
-    pub fn new(asn: Asn, neighbors: BTreeMap<Asn, Relationship>, origin_count: usize) -> Self {
+    pub(crate) fn new(
+        asn: Asn,
+        neighbors: BTreeMap<Asn, Relationship>,
+        origin_count: usize,
+    ) -> Self {
         Speaker {
             asn,
             neighbors,
@@ -100,20 +104,20 @@ impl Speaker {
     }
 
     /// The relationship of `neighbor` relative to this AS, if adjacent.
-    pub fn relationship(&self, neighbor: Asn) -> Option<Relationship> {
+    pub(crate) fn relationship(&self, neighbor: Asn) -> Option<Relationship> {
         self.neighbors.get(&neighbor).copied()
     }
 
     /// Removes the adjacency with `neighbor` (link failure). Routing state for
     /// routes learned from that neighbour must be cleaned up by the engine via
     /// [`Speaker::drop_neighbor_routes`].
-    pub fn remove_neighbor(&mut self, neighbor: Asn) -> bool {
+    pub(crate) fn remove_neighbor(&mut self, neighbor: Asn) -> bool {
         self.neighbors.remove(&neighbor).is_some()
     }
 
     /// Removes every Adj-RIB-In entry learned from `neighbor` and returns the
     /// affected origin indices.
-    pub fn drop_neighbor_routes(&mut self, neighbor: Asn) -> Vec<OriginIdx> {
+    pub(crate) fn drop_neighbor_routes(&mut self, neighbor: Asn) -> Vec<OriginIdx> {
         let mut affected = Vec::new();
         for (idx, state) in self.origins.iter_mut().enumerate() {
             if state.rib_in.remove(&neighbor).is_some() {
@@ -126,13 +130,13 @@ impl Speaker {
     }
 
     /// Marks this speaker as the originator of `origin_idx`.
-    pub fn originate(&mut self, origin_idx: OriginIdx) {
+    pub(crate) fn originate(&mut self, origin_idx: OriginIdx) {
         self.origins[origin_idx].best = Some(BestRoute::SelfOriginated);
     }
 
     /// Processes an incoming announcement from `from` for `origin_idx`.
     /// Returns the export actions triggered by any best-route change.
-    pub fn receive_announce(
+    pub(crate) fn receive_announce(
         &mut self,
         origin_idx: OriginIdx,
         from: Asn,
@@ -147,14 +151,18 @@ impl Speaker {
     }
 
     /// Processes an incoming withdrawal from `from` for `origin_idx`.
-    pub fn receive_withdraw(&mut self, origin_idx: OriginIdx, from: Asn) -> Vec<ExportAction> {
+    pub(crate) fn receive_withdraw(
+        &mut self,
+        origin_idx: OriginIdx,
+        from: Asn,
+    ) -> Vec<ExportAction> {
         self.origins[origin_idx].rib_in.remove(&from);
         self.reselect(origin_idx)
     }
 
     /// Recomputes the best route for `origin_idx` and, if it changed, produces
     /// the corresponding export actions.
-    pub fn reselect(&mut self, origin_idx: OriginIdx) -> Vec<ExportAction> {
+    pub(crate) fn reselect(&mut self, origin_idx: OriginIdx) -> Vec<ExportAction> {
         let new_best = self.compute_best(origin_idx);
         let state = &self.origins[origin_idx];
         if new_best == state.best {
@@ -196,7 +204,7 @@ impl Speaker {
     /// Computes the export actions implied by the current best route:
     /// announcements to neighbours the route may be exported to, withdrawals to
     /// neighbours that previously received a route but may no longer.
-    pub fn exports_for(&mut self, origin_idx: OriginIdx) -> Vec<ExportAction> {
+    pub(crate) fn exports_for(&mut self, origin_idx: OriginIdx) -> Vec<ExportAction> {
         let asn = self.asn;
         let neighbors: Vec<(Asn, Relationship)> =
             self.neighbors.iter().map(|(a, r)| (*a, *r)).collect();
@@ -238,17 +246,8 @@ impl Speaker {
     }
 
     /// The best path towards `origin_idx`, if reachable.
-    pub fn best_path(&self, origin_idx: OriginIdx) -> Option<AsPath> {
+    pub(crate) fn best_path(&self, origin_idx: OriginIdx) -> Option<AsPath> {
         self.origins[origin_idx].best.as_ref().map(BestRoute::path)
-    }
-
-    /// The local preference value of the best route towards `origin_idx`.
-    pub fn best_pref(&self, origin_idx: OriginIdx) -> Option<u32> {
-        let best = self.origins[origin_idx].best.as_ref()?;
-        Some(match best.learned_from() {
-            None => LOCAL_ORIGIN_PREF,
-            Some(n) => local_pref(self.relationship(n)?),
-        })
     }
 }
 
@@ -375,7 +374,6 @@ mod tests {
         // A learned route never displaces self-origination.
         s.receive_announce(1, Asn(1), AsPath::new([1u32, 99]));
         assert_eq!(s.best_path(1), Some(AsPath::empty()));
-        assert_eq!(s.best_pref(1), Some(LOCAL_ORIGIN_PREF));
     }
 
     #[test]

@@ -496,18 +496,19 @@ impl TwoStageTable {
             .count()
     }
 
-    /// Removes every SWIFT-installed rule (used once BGP has reconverged and
-    /// the ordinary routes are up to date again). Returns the number of
-    /// distinct data-plane rules removed (claims on a shared rule count
-    /// once).
-    pub fn clear_swift_rules(&mut self) -> usize {
+    /// Removes every SWIFT-installed rule that forwards to `peer`, whichever
+    /// reroutes claim it (used when the session with `peer` goes down and no
+    /// tag names it any longer). Returns the number of distinct data-plane
+    /// rules removed (claims on a shared rule count once).
+    pub fn remove_rules_to(&mut self, peer: PeerId) -> usize {
+        let to_peer = |r: &Stage2Rule| r.swift_installed && r.next_hop == peer;
         let distinct: BTreeSet<TagRule> = self
             .stage2
             .iter()
-            .filter(|r| r.swift_installed)
+            .filter(|r| to_peer(r))
             .map(|r| r.rule)
             .collect();
-        self.stage2.retain(|r| !r.swift_installed);
+        self.stage2.retain(|r| !to_peer(r));
         distinct.len()
     }
 
@@ -652,9 +653,8 @@ mod tests {
         }
         // Installing the same reroute again is a no-op.
         assert_eq!(ts.install_reroute_tracked(&[AsLink::new(2, 5)]).1, 0);
-        // Clearing restores primary forwarding.
-        let cleared = ts.clear_swift_rules();
-        assert_eq!(cleared, installed);
+        // Removing the rules to peer 3 restores primary forwarding.
+        assert_eq!(ts.remove_rules_to(PeerId(3)), installed);
         assert_eq!(ts.lookup(&table, &p(0)), Some(PeerId(2)));
     }
 

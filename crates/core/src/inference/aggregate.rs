@@ -43,15 +43,6 @@ impl InferredLinks {
         self.withdrawn + self.routed
     }
 
-    /// The ASes appearing as an endpoint of any inferred link. Backup paths
-    /// must avoid all of them (§4.2 safety rule).
-    pub fn endpoint_ases(&self) -> Vec<Asn> {
-        let mut ases: Vec<Asn> = self.links.iter().flat_map(|l| [l.from, l.to]).collect();
-        ases.sort();
-        ases.dedup();
-        ases
-    }
-
     /// The endpoint shared by every inferred link, if the set was produced by
     /// common-endpoint aggregation (single-link sets have no common endpoint
     /// requirement and return `None` unless trivially shared).
@@ -69,133 +60,20 @@ pub fn infer_links(counters: &LinkCounters, config: &InferenceConfig) -> Inferre
 }
 
 /// Selects the inferred link set from a precomputed ranking by link id (the
-/// engine's incremental [`crate::inference::fit_score::LinkRanker`], or the
-/// from-scratch ranking behind [`infer_links`]), scoring candidate sets
-/// through the inverted prefix-bitset index.
+/// engine's incremental [`crate::inference::LinkRanker`], or the
+/// from-scratch ranking behind [`infer_links`]).
+///
+/// The greedy chain keeps a *running union* of the current aggregate in the
+/// counters' kernel scratch and carries the aggregate's `(W, P)`: seeding
+/// costs one fused pass over the seed's crossing set, each trial adds what
+/// the candidate brings that the aggregate lacks (a delta count over the
+/// candidate's own ids or marked words, no sweep of the aggregate), and
+/// accepting a candidate ORs it into the running words. A greedy chain over
+/// k candidates is one pass plus k candidate-sized trials.
 pub fn infer_links_ranked(
     counters: &LinkCounters,
     ranking: &[(LinkId, Score)],
     config: &InferenceConfig,
-) -> InferredLinks {
-    infer_with_scorer(counters, ranking, config, &mut SetScorer::Fused)
-}
-
-/// Reference implementation of [`infer_links`] whose set counts come from the
-/// full-RIB scan baseline ([`LinkCounters::w_union_scan`] /
-/// [`LinkCounters::p_union_scan`]) — the pre-index behaviour, kept for the
-/// property tests and the `bench_inference` speedup measurements.
-pub fn infer_links_scan(counters: &LinkCounters, config: &InferenceConfig) -> InferredLinks {
-    infer_with_scorer(
-        counters,
-        &rank_link_ids(counters, config),
-        config,
-        &mut SetScorer::rescore(|c, set| (c.w_union_scan(set), c.p_union_scan(set))),
-    )
-}
-
-/// Reference implementation of [`infer_links`] whose greedy chain re-unions
-/// every trial set from scratch through the materialised-union path — the
-/// pre-kernel O(k²) behaviour, kept for the equivalence property tests and
-/// as the baseline of the `bench_inference` greedy-chain groups.
-pub fn infer_links_materialized(
-    counters: &LinkCounters,
-    config: &InferenceConfig,
-) -> InferredLinks {
-    infer_with_scorer(
-        counters,
-        &rank_link_ids(counters, config),
-        config,
-        &mut SetScorer::rescore(LinkCounters::union_counts_materialized),
-    )
-}
-
-/// How [`infer_with_scorer`] counts `(W(S), P(S))` of the growing greedy
-/// aggregate.
-///
-/// The fused variant keeps a *running union* of the current aggregate in the
-/// counters' kernel scratch, and the chain carries the aggregate's `(W, P)`:
-/// seeding costs one fused pass over the seed's crossing set, each trial
-/// adds what the candidate brings that the aggregate lacks (a delta count
-/// over the candidate's own ids or marked words, no sweep of the aggregate),
-/// and accepting a candidate ORs it into the running words. A greedy chain
-/// over k candidates is one pass plus k candidate-sized trials, where the
-/// recounting references re-union the explicit set each trial (O(k²)).
-enum SetScorer {
-    /// Delta counting against the scratch-resident running union.
-    Fused,
-    /// From-scratch recounting of the explicit trial set through `f` — the
-    /// reference shape (scan or materialized union) for tests and benches.
-    Rescore {
-        f: fn(&LinkCounters, &[AsLink]) -> (usize, usize),
-        set: Vec<AsLink>,
-    },
-}
-
-impl SetScorer {
-    fn rescore(f: fn(&LinkCounters, &[AsLink]) -> (usize, usize)) -> SetScorer {
-        SetScorer::Rescore { f, set: Vec::new() }
-    }
-
-    /// Resets the aggregate to `{seed}` and returns its counts.
-    fn seed(&mut self, c: &LinkCounters, seed: LinkId) -> (usize, usize) {
-        match self {
-            SetScorer::Fused => c.agg_seed(seed),
-            SetScorer::Rescore { f, set } => {
-                set.clear();
-                set.push(c.link(seed));
-                f(c, set)
-            }
-        }
-    }
-
-    /// Counts of the current aggregate (whose counts are `base`) extended by
-    /// `candidate`, uncommitted.
-    fn trial(
-        &mut self,
-        c: &LinkCounters,
-        base: (usize, usize),
-        candidate: LinkId,
-    ) -> (usize, usize) {
-        match self {
-            SetScorer::Fused => {
-                let (w, p) = c.agg_delta(candidate);
-                (base.0 + w, base.1 + p)
-            }
-            SetScorer::Rescore { f, set } => {
-                set.push(c.link(candidate));
-                let counts = f(c, set);
-                set.pop();
-                counts
-            }
-        }
-    }
-
-    /// Commits the last trialled `candidate` into the aggregate.
-    fn accept(&mut self, c: &LinkCounters, candidate: LinkId) {
-        match self {
-            SetScorer::Fused => c.agg_accept(candidate),
-            SetScorer::Rescore { set, .. } => set.push(c.link(candidate)),
-        }
-    }
-
-    /// Counts an arbitrary link set (the final max-set ∪ aggregate union).
-    fn score_set(&mut self, c: &LinkCounters, ids: &[LinkId]) -> (usize, usize) {
-        match self {
-            SetScorer::Fused => c.union_counts_of(ids),
-            SetScorer::Rescore { f, set } => {
-                set.clear();
-                set.extend(ids.iter().map(|id| c.link(*id)));
-                f(c, set)
-            }
-        }
-    }
-}
-
-fn infer_with_scorer(
-    counters: &LinkCounters,
-    ranking: &[(LinkId, Score)],
-    config: &InferenceConfig,
-    scorer: &mut SetScorer,
 ) -> InferredLinks {
     let Some((top_id, top_score)) = ranking.first().copied() else {
         return InferredLinks {
@@ -227,11 +105,9 @@ fn infer_with_scorer(
     // §4.2). Unaffected sibling links fail (b) because their still-routed
     // prefixes dilute the path share; siblings whose withdrawals are already
     // explained by the seed add nothing and are left to the max-FS tie rule.
-    // The per-trial counting state lives in the scorer (running union or
-    // reusable set buffer).
     let mut aggregate: Vec<LinkId> = Vec::with_capacity(4);
     aggregate.push(top_id);
-    let seed_counts = scorer.seed(counters, top_id);
+    let seed_counts = counters.agg_seed(top_id);
     let mut aggregate_counts = seed_counts;
     let mut aggregate_score = score(seed_counts);
     // An aggregate's shared endpoints are at most the two of its seed.
@@ -247,10 +123,11 @@ fn infer_with_scorer(
         if still_a.is_none() && still_b.is_none() {
             continue;
         }
-        let trial_counts = scorer.trial(counters, aggregate_counts, *candidate);
+        let (w, p) = counters.agg_delta(*candidate);
+        let trial_counts = (aggregate_counts.0 + w, aggregate_counts.1 + p);
         let trial_score = score(trial_counts);
         if trial_score.fs > aggregate_score.fs + config.fs_tolerance {
-            scorer.accept(counters, *candidate);
+            counters.agg_accept(*candidate);
             aggregate.push(*candidate);
             aggregate_counts = trial_counts;
             aggregate_score = trial_score;
@@ -275,7 +152,7 @@ fn infer_with_scorer(
     } else if ids.len() == aggregate.len() {
         (aggregate_counts, aggregate_score)
     } else {
-        let counts = scorer.score_set(counters, &ids);
+        let counts = counters.union_counts_of(&ids);
         (counts, score(counts))
     };
     InferredLinks {
@@ -321,7 +198,6 @@ mod tests {
         let inferred = infer_links(&c, &InferenceConfig::default());
         assert_eq!(inferred.links, vec![AsLink::new(5, 6)]);
         assert!((inferred.score.fs - 1.0).abs() < 1e-9);
-        assert_eq!(inferred.endpoint_ases(), vec![Asn(5), Asn(6)]);
     }
 
     #[test]
@@ -383,7 +259,8 @@ mod tests {
         }
         let cfg = InferenceConfig::default();
         let inferred = infer_links(&c, &cfg);
-        let seed_only = crate::inference::fit_score::score_link_set(&c, &[AsLink::new(4, 6)], &cfg);
+        let (w, p) = c.union_counts(&[AsLink::new(4, 6)]);
+        let seed_only = score_from_counts(w, p, c.total_withdrawals(), &cfg);
         assert!(inferred.score.fs > seed_only.fs);
     }
 
@@ -407,38 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_scan_inference_agree() {
-        // Router-failure scenario with noise: the indexed scorer and the scan
-        // baseline must select identical link sets with identical scores.
-        let mut c = seed_rib(&[
-            (&[2, 5, 6, 7], 10),
-            (&[4, 6, 8], 10),
-            (&[2, 5], 5),
-            (&[4, 9], 5),
-        ]);
-        for i in 0..20 {
-            c.on_withdraw(p(i));
-        }
-        c.on_withdraw(p(21)); // one (2,5) prefix: noise
-        let cfg = InferenceConfig::default();
-        let fast = infer_links(&c, &cfg);
-        let slow = infer_links_scan(&c, &cfg);
-        assert_eq!(fast, slow);
-        // And the ranked entry point matches too.
-        let ranking = rank_link_ids(&c, &cfg);
-        assert_eq!(infer_links_ranked(&c, &ranking, &cfg), fast);
-        // The carried counts are the prediction's split.
-        let prediction = crate::inference::predictor::predict(&c, &fast);
-        assert_eq!(fast.withdrawn, prediction.already_withdrawn.len());
-        assert_eq!(fast.routed, prediction.predicted.len());
-    }
-
-    #[test]
     fn empty_counters_infer_nothing() {
         let c = LinkCounters::new();
         let inferred = infer_links(&c, &InferenceConfig::default());
         assert!(inferred.is_empty());
-        assert!(inferred.endpoint_ases().is_empty());
         assert_eq!(inferred.common_endpoint(), None);
     }
 

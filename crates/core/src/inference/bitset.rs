@@ -36,10 +36,10 @@
 //! *contents*, never representations.
 
 /// Words per summary block: 8 × 64 = 512 bits per summary bit.
-pub const BLOCK_WORDS: usize = 8;
+pub(super) const BLOCK_WORDS: usize = 8;
 
 /// Ids covered by one summary block.
-pub const BLOCK_BITS: usize = BLOCK_WORDS * 64;
+pub(super) const BLOCK_BITS: usize = BLOCK_WORDS * 64;
 
 /// The word-packed form plus its chunk-summary bitmap.
 ///

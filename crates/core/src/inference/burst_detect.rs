@@ -1,5 +1,4 @@
-//! Burst detection (§4.1) and the per-window history used to calibrate the
-//! detection threshold (§2.2.1).
+//! Burst detection (§4.1).
 //!
 //! SWIFT classifies the incoming stream as being "in a burst" when the number
 //! of withdrawals received over a sliding window exceeds a start threshold
@@ -13,7 +12,7 @@ use swift_bgp::{Prefix, Timestamp};
 
 /// What the detector concluded after ingesting one withdrawal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BurstEvent {
+pub(super) enum BurstEvent {
     /// Nothing changed.
     None,
     /// A burst just started (at the given time).
@@ -34,43 +33,24 @@ pub enum BurstEvent {
 /// ones, and the engine replays them ([`BurstDetector::window`]) into the
 /// freshly seeded counters.
 #[derive(Debug, Clone)]
-pub struct BurstDetector {
+pub(super) struct BurstDetector {
     window: Timestamp,
     start_threshold: usize,
     stop_threshold: usize,
     recent: VecDeque<(Timestamp, Prefix)>,
     in_burst: bool,
-    burst_start: Option<Timestamp>,
     withdrawals_in_burst: usize,
 }
 
 impl BurstDetector {
     /// Creates a detector using the thresholds in `config`.
-    pub fn new(config: &InferenceConfig) -> Self {
+    pub(super) fn new(config: &InferenceConfig) -> Self {
         BurstDetector {
             window: config.burst_window,
             start_threshold: config.burst_start_threshold,
             stop_threshold: config.burst_stop_threshold,
             recent: VecDeque::new(),
             in_burst: false,
-            burst_start: None,
-            withdrawals_in_burst: 0,
-        }
-    }
-
-    /// Creates a detector with explicit thresholds (used by the trace tooling).
-    pub fn with_thresholds(
-        window: Timestamp,
-        start_threshold: usize,
-        stop_threshold: usize,
-    ) -> Self {
-        BurstDetector {
-            window,
-            start_threshold,
-            stop_threshold,
-            recent: VecDeque::new(),
-            in_burst: false,
-            burst_start: None,
             withdrawals_in_burst: 0,
         }
     }
@@ -84,13 +64,12 @@ impl BurstDetector {
     /// burst on a withdrawal-only stream can never end: the next burst's
     /// first withdrawal would be classified as `Ongoing` no matter how long
     /// the silence before it.
-    pub fn on_withdrawal(&mut self, t: Timestamp, prefix: Prefix) -> BurstEvent {
+    pub(super) fn on_withdrawal(&mut self, t: Timestamp, prefix: Prefix) -> BurstEvent {
         let mut ended = false;
         if self.in_burst {
             self.evict(t);
             if self.recent.len() <= self.stop_threshold {
                 self.in_burst = false;
-                self.burst_start = None;
                 self.withdrawals_in_burst = 0;
                 ended = true;
             }
@@ -104,7 +83,6 @@ impl BurstDetector {
         if self.recent.len() >= self.start_threshold {
             self.in_burst = true;
             let (start, _) = *self.recent.front().expect("window not empty");
-            self.burst_start = Some(start);
             self.withdrawals_in_burst = self.recent.len();
             return BurstEvent::Started(start);
         }
@@ -118,11 +96,10 @@ impl BurstDetector {
     /// keepalives); may close the current burst.
     ///
     /// Returns `true` if a burst ended at this call.
-    pub fn on_tick(&mut self, t: Timestamp) -> bool {
+    pub(super) fn on_tick(&mut self, t: Timestamp) -> bool {
         self.evict(t);
         if self.in_burst && self.recent.len() <= self.stop_threshold {
             self.in_burst = false;
-            self.burst_start = None;
             self.withdrawals_in_burst = 0;
             return true;
         }
@@ -141,84 +118,19 @@ impl BurstDetector {
     }
 
     /// Returns `true` while a burst is ongoing.
-    pub fn in_burst(&self) -> bool {
+    pub(super) fn in_burst(&self) -> bool {
         self.in_burst
     }
 
-    /// The start time of the ongoing burst, if any.
-    pub fn burst_start(&self) -> Option<Timestamp> {
-        self.burst_start
-    }
-
     /// Withdrawals received since the ongoing burst started.
-    pub fn withdrawals_in_burst(&self) -> usize {
+    pub(super) fn withdrawals_in_burst(&self) -> usize {
         self.withdrawals_in_burst
-    }
-
-    /// Withdrawals currently inside the sliding window.
-    pub fn window_count(&self) -> usize {
-        self.recent.len()
     }
 
     /// The prefixes of the withdrawals inside the sliding window, oldest
     /// first (a prefix withdrawn twice in the window appears twice).
-    pub fn window(&self) -> impl Iterator<Item = Prefix> + '_ {
+    pub(super) fn window(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.recent.iter().map(|(_, prefix)| *prefix)
-    }
-}
-
-/// History of per-window withdrawal counts, used to derive the burst start
-/// threshold as a percentile of recent activity (the paper uses the 99.99th
-/// percentile of the counts observed over the previous month).
-#[derive(Debug, Clone, Default)]
-pub struct WindowHistory {
-    counts: Vec<usize>,
-}
-
-impl WindowHistory {
-    /// Creates an empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the withdrawal count of one window.
-    pub fn record(&mut self, count: usize) {
-        self.counts.push(count);
-    }
-
-    /// Number of recorded windows.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Returns `true` if no window has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// The `q`-quantile (0.0–1.0) of the recorded counts, using the
-    /// nearest-rank method. Returns `None` on an empty history.
-    pub fn percentile(&self, q: f64) -> Option<usize> {
-        if self.counts.is_empty() {
-            return None;
-        }
-        let mut sorted = self.counts.clone();
-        sorted.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-        Some(sorted[rank.min(sorted.len() - 1)])
-    }
-
-    /// A suggested burst start threshold: the 99.99th percentile of history,
-    /// floored at `minimum` (the paper floors it at 1,500).
-    pub fn suggested_start_threshold(&self, minimum: usize) -> usize {
-        self.percentile(0.9999).unwrap_or(minimum).max(minimum)
-    }
-
-    /// A suggested burst stop threshold: the 90th percentile of history,
-    /// floored at `minimum`.
-    pub fn suggested_stop_threshold(&self, minimum: usize) -> usize {
-        self.percentile(0.90).unwrap_or(minimum).max(minimum)
     }
 }
 
@@ -231,7 +143,12 @@ mod tests {
     const P: Prefix = Prefix::DEFAULT;
 
     fn detector(start: usize, stop: usize) -> BurstDetector {
-        BurstDetector::with_thresholds(10 * SECOND, start, stop)
+        BurstDetector::new(&InferenceConfig {
+            burst_window: 10 * SECOND,
+            burst_start_threshold: start,
+            burst_stop_threshold: stop,
+            ..InferenceConfig::default()
+        })
     }
 
     #[test]
@@ -270,7 +187,6 @@ mod tests {
         // 30 seconds of silence: the window empties below the stop threshold.
         assert!(d.on_tick(30 * SECOND));
         assert!(!d.in_burst());
-        assert_eq!(d.burst_start(), None);
         // Ticking again does not report another end.
         assert!(!d.on_tick(31 * SECOND));
     }
@@ -286,9 +202,8 @@ mod tests {
         // the burst must close and the straggler sits outside any burst.
         assert_eq!(d.on_withdrawal(60 * SECOND, P), BurstEvent::Ended);
         assert!(!d.in_burst());
-        assert_eq!(d.burst_start(), None);
         assert_eq!(d.withdrawals_in_burst(), 0);
-        assert_eq!(d.window_count(), 1);
+        assert_eq!(d.recent.len(), 1);
         // A fresh burst can then start from scratch.
         let mut started = None;
         for i in 0..5u64 {
@@ -318,10 +233,10 @@ mod tests {
         let mut d = detector(3, 0);
         d.on_withdrawal(0, P);
         d.on_withdrawal(SECOND, P);
-        assert_eq!(d.window_count(), 2);
+        assert_eq!(d.recent.len(), 2);
         d.on_withdrawal(15 * SECOND, P);
         // The first two fall outside the 10 s window.
-        assert_eq!(d.window_count(), 1);
+        assert_eq!(d.recent.len(), 1);
         assert!(!d.in_burst());
     }
 
@@ -331,28 +246,5 @@ mod tests {
         assert_eq!(d.start_threshold, 1_500);
         assert_eq!(d.stop_threshold, 9);
         assert_eq!(d.window, 10 * SECOND);
-    }
-
-    #[test]
-    fn history_percentiles() {
-        let mut h = WindowHistory::new();
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(0.5), None);
-        for c in 1..=100 {
-            h.record(c);
-        }
-        assert_eq!(h.len(), 100);
-        assert_eq!(h.percentile(0.5), Some(50));
-        assert_eq!(h.percentile(0.9), Some(90));
-        assert_eq!(h.percentile(1.0), Some(100));
-        assert_eq!(h.percentile(0.0), Some(1));
-        // Suggested thresholds respect the floor.
-        assert_eq!(h.suggested_start_threshold(1_500), 1_500);
-        assert_eq!(h.suggested_stop_threshold(9), 90);
-        let mut big = WindowHistory::new();
-        for c in [0, 0, 0, 5_000] {
-            big.record(c);
-        }
-        assert_eq!(big.suggested_start_threshold(1_500), 5_000);
     }
 }

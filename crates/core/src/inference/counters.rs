@@ -40,14 +40,12 @@
 //!   the ranking and the greedy aggregation all carry `LinkId`s.
 //!   `link_ids`, the one `AsLink → LinkId` map, is consulted only where
 //!   links enter or leave by name: when a new path is interned, and in the
-//!   by-name queries (`w`/`p`/`wp`, `union_counts`, `crossing_ids`)
-//!   that tests, tools and the prediction of an *accepted* inference use.
+//!   by-name queries (`wp`, `union_counts`, `crossing_ids`) that tests,
+//!   tools and the prediction of an *accepted* inference use.
 //!
-//! [`LinkCounters::w_union`] / [`LinkCounters::p_union`] are
-//! `O(candidate links × words)` bitset unions instead of
-//! `O(RIB × path length)` scans. The scan implementations survive as
-//! [`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`] —
-//! reference baselines for the property tests and `bench_inference`.
+//! [`LinkCounters::union_counts`] is an `O(candidate links × words)` bitset
+//! union instead of an `O(RIB × path length)` scan; the scan is the
+//! reference model's, in test scope.
 //!
 //! A re-announcement only touches the links on which the old and the new
 //! path *differ*: a link on both keeps its index bit and its `P` count. So a
@@ -293,13 +291,6 @@ impl LinkCounters {
         self.announce_interned(prefix, pid);
     }
 
-    /// Registers a re-announcement of `prefix` with an owned `new_path`.
-    pub fn on_announce(&mut self, prefix: Prefix, new_path: AsPath) {
-        let pid = self.interner.intern_owned(new_path);
-        self.index_new_paths();
-        self.announce_interned(prefix, pid);
-    }
-
     /// Core announce handler over an already-interned path.
     ///
     /// If the prefix had been withdrawn during this burst it becomes routed
@@ -434,29 +425,13 @@ impl LinkCounters {
         self.link_names[id.index()]
     }
 
-    /// `W(l,t)`: withdrawn prefixes whose path included `l`.
-    pub fn w(&self, link: &AsLink) -> usize {
-        self.wp(link).0
-    }
-
-    /// `P(l,t)`: prefixes whose current path still includes `l`.
-    pub fn p(&self, link: &AsLink) -> usize {
-        self.wp(link).1
-    }
-
     /// `W(t)`: total withdrawals received.
     pub fn total_withdrawals(&self) -> usize {
         self.total_withdrawals
     }
 
-    /// Every link with a non-zero `W` counter (the candidate failed links).
-    pub fn links_with_withdrawals(&self) -> impl Iterator<Item = (&AsLink, usize)> {
-        self.ids_with_withdrawals()
-            .map(|id| (&self.link_names[id.index()], self.wp_of(id).0))
-    }
-
-    /// [`LinkCounters::links_with_withdrawals`] by id: what a from-scratch
-    /// ranking walks.
+    /// The links with a non-zero `W` counter (the candidate failed links):
+    /// what a from-scratch ranking walks.
     pub(crate) fn ids_with_withdrawals(&self) -> impl Iterator<Item = LinkId> + '_ {
         (0u32..)
             .zip(&self.links)
@@ -475,21 +450,6 @@ impl LinkCounters {
     /// in the engine.
     pub fn take_dirty(&mut self) -> std::vec::Drain<'_, LinkId> {
         self.dirty.drain()
-    }
-
-    /// The current path of `prefix`, if still routed.
-    pub fn current_path(&self, prefix: &Prefix) -> Option<&AsPath> {
-        match self.state[self.ids.get(prefix)?.index()] {
-            SlotState::Routed(pid) => Some(self.interner.get(pid)),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if `prefix` has been withdrawn (and not re-announced).
-    pub fn is_withdrawn(&self, prefix: &Prefix) -> bool {
-        self.ids
-            .get(prefix)
-            .is_some_and(|id| matches!(self.state[id.index()], SlotState::Withdrawn(_)))
     }
 
     /// Number of prefixes withdrawn (with a known pre-withdrawal path).
@@ -532,20 +492,9 @@ impl LinkCounters {
         links.iter().filter_map(|link| self.link_id(link))
     }
 
-    /// The union of the per-link prefix bitsets of `links`, materialised into
-    /// a fresh allocation — the pre-kernel behaviour, kept as the reference
-    /// for [`LinkCounters::union_counts_materialized`] and the benches.
-    fn union_bits(&self, links: &[AsLink]) -> IdBitSet {
-        let mut union = IdBitSet::new();
-        for lid in self.resolve(links) {
-            union.union_with(&self.links[lid.index()].crosses);
-        }
-        union
-    }
-
     /// `(W(S,t), P(S,t))` for a link set: one fused streaming pass over the
     /// per-link bitsets and both masks, no materialised union, no per-call
-    /// heap allocation (see [`crate::inference::kernels`]).
+    /// heap allocation (see [`crate::inference::fused_union_counts`]).
     pub fn union_counts(&self, links: &[AsLink]) -> (usize, usize) {
         self.fused_counts(self.resolve(links))
     }
@@ -597,18 +546,6 @@ impl LinkCounters {
         (
             s.union_buf.intersection_count(&self.withdrawn_bits),
             s.union_buf.intersection_count(&self.routed_bits),
-        )
-    }
-
-    /// Reference implementation of [`LinkCounters::union_counts`] that
-    /// materialises a fresh union per call — the pre-kernel hot path, kept
-    /// for the equivalence property tests and the `bench_inference`
-    /// fused-vs-materialized measurements.
-    pub fn union_counts_materialized(&self, links: &[AsLink]) -> (usize, usize) {
-        let union = self.union_bits(links);
-        (
-            union.intersection_count(&self.withdrawn_bits),
-            union.intersection_count(&self.routed_bits),
         )
     }
 
@@ -689,26 +626,6 @@ impl LinkCounters {
         self.scratch.borrow_mut().take_stats()
     }
 
-    /// `W(S,t)` for a link set: withdrawn prefixes whose path crossed *any*
-    /// link of `links` (each prefix counted once).
-    ///
-    /// The paper's §4.2 formula writes the set scores as per-link sums; we use
-    /// the per-prefix union instead so that a prefix crossing two links of the
-    /// set (which always happens when the set shares an endpoint) is not
-    /// double-counted. The union form keeps `WS ≤ 1` and makes the greedy
-    /// aggregation reject upstream links whose extra still-routed prefixes
-    /// would dilute the score — matching the behaviour the paper reports
-    /// (aggregation covers router failures without swallowing healthy links).
-    pub fn w_union(&self, links: &[AsLink]) -> usize {
-        self.union_counts(links).0
-    }
-
-    /// `P(S,t)` for a link set: still-routed prefixes whose current path
-    /// crosses *any* link of `links` (each prefix counted once).
-    pub fn p_union(&self, links: &[AsLink]) -> usize {
-        self.union_counts(links).1
-    }
-
     /// The ids behind a link set, split into `(withdrawn, routed)` — the
     /// index-driven form of the §4.2 prediction (reroute everything whose
     /// current path crosses an inferred link).
@@ -756,32 +673,6 @@ impl LinkCounters {
     pub(crate) fn prefix_list(&self) -> PrefixList {
         self.ids.snapshot()
     }
-
-    /// The prefix behind a session-local id.
-    #[cfg(test)]
-    fn prefix_of(&self, id: u32) -> Prefix {
-        *self.ids.prefixes().get(id as usize)
-    }
-
-    /// Reference implementation of [`LinkCounters::w_union`] by full scan —
-    /// kept as the baseline of the property tests and `bench_inference`.
-    pub fn w_union_scan(&self, links: &[AsLink]) -> usize {
-        self.withdrawn()
-            .filter(|(_, path)| path.crosses_any(links))
-            .count()
-    }
-
-    /// Reference implementation of [`LinkCounters::p_union`] by full scan.
-    pub fn p_union_scan(&self, links: &[AsLink]) -> usize {
-        self.routed()
-            .filter(|(_, path)| path.crosses_any(links))
-            .count()
-    }
-
-    /// Number of distinct AS paths interned so far.
-    pub fn distinct_paths(&self) -> usize {
-        self.interner.len()
-    }
 }
 
 #[cfg(test)]
@@ -791,6 +682,28 @@ mod tests {
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
+    }
+
+    /// `W(l)` of the link `(a, b)`.
+    fn w(c: &LinkCounters, a: u32, b: u32) -> usize {
+        c.wp(&AsLink::new(a, b)).0
+    }
+
+    /// `P(l)` of the link `(a, b)`.
+    fn p_of(c: &LinkCounters, a: u32, b: u32) -> usize {
+        c.wp(&AsLink::new(a, b)).1
+    }
+
+    fn is_withdrawn(c: &LinkCounters, prefix: Prefix) -> bool {
+        c.withdrawn().any(|(q, _)| *q == prefix)
+    }
+
+    /// `(W(S), P(S))` by scanning the tracked prefixes.
+    fn scan(c: &LinkCounters, set: &[AsLink]) -> (usize, usize) {
+        let crossing = |it: &mut dyn Iterator<Item = (&Prefix, &AsPath)>| {
+            it.filter(|(_, path)| path.crosses_any(set)).count()
+        };
+        (crossing(&mut c.withdrawn()), crossing(&mut c.routed()))
     }
 
     /// Builds the Fig. 1 / Fig. 4 scenario at small scale: on the session with
@@ -813,15 +726,15 @@ mod tests {
     #[test]
     fn seeding_counts_paths_per_link() {
         let c = fig4_counters();
-        assert_eq!(c.p(&AsLink::new(2, 5)), 22);
-        assert_eq!(c.p(&AsLink::new(5, 6)), 21);
-        assert_eq!(c.p(&AsLink::new(6, 7)), 10);
-        assert_eq!(c.p(&AsLink::new(6, 8)), 10);
-        assert_eq!(c.w(&AsLink::new(5, 6)), 0);
+        assert_eq!(p_of(&c, 2, 5), 22);
+        assert_eq!(p_of(&c, 5, 6), 21);
+        assert_eq!(p_of(&c, 6, 7), 10);
+        assert_eq!(p_of(&c, 6, 8), 10);
+        assert_eq!(w(&c, 5, 6), 0);
         assert_eq!(c.total_withdrawals(), 0);
         assert_eq!(c.routed_count(), 23);
         // 23 prefixes but only 5 distinct paths.
-        assert_eq!(c.distinct_paths(), 5);
+        assert_eq!(c.interner.len(), 5);
     }
 
     #[test]
@@ -834,23 +747,19 @@ mod tests {
             c.on_withdraw(p(30 + i));
         }
         for i in 0..10 {
-            c.on_announce(p(10 + i), AsPath::new([2u32, 5, 3, 6, 7]));
+            c.on_announce_path(p(10 + i), &AsPath::new([2u32, 5, 3, 6, 7]));
         }
         assert_eq!(c.total_withdrawals(), 11);
         // W/P per link, as in Fig. 4 (scaled down 1000×).
-        assert_eq!(c.w(&AsLink::new(5, 6)), 11);
-        assert_eq!(c.p(&AsLink::new(5, 6)), 0);
-        assert_eq!(c.w(&AsLink::new(2, 5)), 11);
+        assert_eq!(w(&c, 5, 6), 11);
+        assert_eq!(p_of(&c, 5, 6), 0);
+        assert_eq!(w(&c, 2, 5), 11);
+        assert_eq!(p_of(&c, 2, 5), 11, "AS5 prefix + 10 updated AS7 prefixes");
+        assert_eq!(w(&c, 6, 8), 10);
+        assert_eq!(p_of(&c, 6, 8), 0);
+        assert_eq!(w(&c, 6, 7), 0);
         assert_eq!(
-            c.p(&AsLink::new(2, 5)),
-            11,
-            "AS5 prefix + 10 updated AS7 prefixes"
-        );
-        assert_eq!(c.w(&AsLink::new(6, 8)), 10);
-        assert_eq!(c.p(&AsLink::new(6, 8)), 0);
-        assert_eq!(c.w(&AsLink::new(6, 7)), 0);
-        assert_eq!(
-            c.p(&AsLink::new(6, 7)),
+            p_of(&c, 6, 7),
             10,
             "re-announced paths still end at (6,7)... via 3"
         );
@@ -864,21 +773,22 @@ mod tests {
         c.on_withdraw(p(9_999));
         assert_eq!(c.total_withdrawals(), 1);
         assert_eq!(c.withdrawn_count(), 0);
-        assert_eq!(c.w(&AsLink::new(2, 5)), 0);
+        assert_eq!(w(&c, 2, 5), 0);
     }
 
     #[test]
     fn reannouncement_after_withdrawal_restores_p_but_keeps_w() {
         let mut c = fig4_counters();
         c.on_withdraw(p(2));
-        assert_eq!(c.w(&AsLink::new(5, 6)), 1);
-        assert_eq!(c.p(&AsLink::new(5, 6)), 20);
-        assert!(c.is_withdrawn(&p(2)));
-        c.on_announce(p(2), AsPath::new([2u32, 5, 6]));
-        assert_eq!(c.w(&AsLink::new(5, 6)), 1, "the withdrawal still happened");
-        assert_eq!(c.p(&AsLink::new(5, 6)), 21);
-        assert!(!c.is_withdrawn(&p(2)));
-        assert_eq!(c.current_path(&p(2)), Some(&AsPath::new([2u32, 5, 6])));
+        assert_eq!(w(&c, 5, 6), 1);
+        assert_eq!(p_of(&c, 5, 6), 20);
+        assert!(is_withdrawn(&c, p(2)));
+        c.on_announce_path(p(2), &AsPath::new([2u32, 5, 6]));
+        assert_eq!(w(&c, 5, 6), 1, "the withdrawal still happened");
+        assert_eq!(p_of(&c, 5, 6), 21);
+        assert!(!is_withdrawn(&c, p(2)));
+        let path = c.routed().find(|(q, _)| **q == p(2)).map(|(_, path)| path);
+        assert_eq!(path, Some(&AsPath::new([2u32, 5, 6])));
     }
 
     #[test]
@@ -889,14 +799,14 @@ mod tests {
         // Second withdrawal of an already-withdrawn prefix counts towards W(t)
         // (it is a received message) but cannot touch link counters again.
         assert_eq!(c.total_withdrawals(), 2);
-        assert_eq!(c.w(&AsLink::new(5, 6)), 1);
+        assert_eq!(w(&c, 5, 6), 1);
     }
 
     #[test]
     fn links_with_withdrawals_iterates_only_positive_w() {
         let mut c = fig4_counters();
         c.on_withdraw(p(2));
-        let links: Vec<AsLink> = c.links_with_withdrawals().map(|(l, _)| *l).collect();
+        let links: Vec<AsLink> = c.ids_with_withdrawals().map(|id| c.link(id)).collect();
         assert!(links.contains(&AsLink::new(2, 5)));
         assert!(links.contains(&AsLink::new(5, 6)));
         assert!(!links.contains(&AsLink::new(6, 7)));
@@ -913,26 +823,26 @@ mod tests {
         let set = [AsLink::new(5, 6), AsLink::new(6, 8)];
         // The 11 withdrawn prefixes all cross (5,6); the 10 AS 8 prefixes also
         // cross (6,8) but are not double-counted.
-        assert_eq!(c.w_union(&set), 11);
+        assert_eq!(c.union_counts(&set).0, 11);
         // Still routed across the set: the 10 AS 7 prefixes (via (5,6)).
-        assert_eq!(c.p_union(&set), 10);
+        assert_eq!(c.union_counts(&set).1, 10);
         // Adding an upstream link brings in its extra still-routed prefixes.
         let with_upstream = [AsLink::new(2, 5), AsLink::new(5, 6)];
-        assert_eq!(c.w_union(&with_upstream), 11);
+        assert_eq!(c.union_counts(&with_upstream).0, 11);
         assert_eq!(
-            c.p_union(&with_upstream),
+            c.union_counts(&with_upstream).1,
             11,
             "AS 5 prefix + 10 AS 7 prefixes"
         );
-        assert_eq!(c.w_union(&[]), 0);
-        assert_eq!(c.p_union(&[]), 0);
+        assert_eq!(c.union_counts(&[]).0, 0);
+        assert_eq!(c.union_counts(&[]).1, 0);
     }
 
     #[test]
     fn announce_of_new_prefix_adds_paths() {
         let mut c = LinkCounters::new();
-        c.on_announce(p(1), AsPath::new([9u32, 8]));
-        assert_eq!(c.p(&AsLink::new(9, 8)), 1);
+        c.on_announce_path(p(1), &AsPath::new([9u32, 8]));
+        assert_eq!(p_of(&c, 9, 8), 1);
         assert_eq!(c.routed_count(), 1);
         assert_eq!(c.withdrawn_count(), 0);
     }
@@ -945,7 +855,7 @@ mod tests {
             c.on_withdraw(p(30 + i));
         }
         for i in 0..5 {
-            c.on_announce(p(10 + i), AsPath::new([2u32, 5, 3, 6, 7]));
+            c.on_announce_path(p(10 + i), &AsPath::new([2u32, 5, 3, 6, 7]));
         }
         let sets: [&[AsLink]; 5] = [
             &[AsLink::new(5, 6)],
@@ -955,9 +865,7 @@ mod tests {
             &[],
         ];
         for set in sets {
-            assert_eq!(c.w_union(set), c.w_union_scan(set), "set {set:?}");
-            assert_eq!(c.p_union(set), c.p_union_scan(set), "set {set:?}");
-            assert_eq!(c.union_counts(set), (c.w_union(set), c.p_union(set)));
+            assert_eq!(c.union_counts(set), scan(&c, set), "set {set:?}");
         }
     }
 
@@ -970,8 +878,11 @@ mod tests {
         }
         let set = [AsLink::new(5, 6)];
         let (withdrawn, routed) = c.crossing_ids(&set, c.union_counts(&set));
-        let behind =
-            |ids: &IdBitSet| -> PrefixSet { ids.ids().map(|id| c.prefix_of(id)).collect() };
+        let behind = |ids: &IdBitSet| -> PrefixSet {
+            ids.ids()
+                .map(|id| *c.ids.prefixes().get(id as usize))
+                .collect()
+        };
         let scan_withdrawn: PrefixSet = c
             .withdrawn()
             .filter(|(_, path)| path.crosses_any(&set))
@@ -996,17 +907,17 @@ mod tests {
         }
         let mut a = LinkCounters::from_interned(&rib);
         let mut b = LinkCounters::from_rib(rib.iter());
-        assert_eq!(a.distinct_paths(), 2);
+        assert_eq!(a.interner.len(), 2);
         for c in [&mut a, &mut b] {
             c.on_withdraw(p(3));
             c.on_announce_path(p(4), &AsPath::new([2u32, 9, 6]));
         }
-        assert_eq!(a.w(&AsLink::new(5, 6)), b.w(&AsLink::new(5, 6)));
-        assert_eq!(a.p(&AsLink::new(5, 6)), b.p(&AsLink::new(5, 6)));
-        assert_eq!(a.p(&AsLink::new(9, 6)), 1);
+        assert_eq!(w(&a, 5, 6), w(&b, 5, 6));
+        assert_eq!(p_of(&a, 5, 6), p_of(&b, 5, 6));
+        assert_eq!(p_of(&a, 9, 6), 1);
         assert_eq!(
-            a.w_union(&[AsLink::new(2, 5)]),
-            b.w_union(&[AsLink::new(2, 5)])
+            a.union_counts(&[AsLink::new(2, 5)]).0,
+            b.union_counts(&[AsLink::new(2, 5)]).0
         );
         assert_eq!(a.routed_count(), b.routed_count());
         assert_eq!(a.total_withdrawals(), b.total_withdrawals());
@@ -1034,29 +945,29 @@ mod tests {
         for i in 0..10 {
             c.on_withdraw(p(30 + i));
         }
-        assert_eq!(c.w(&AsLink::new(6, 8)), 10);
+        assert_eq!(w(&c, 6, 8), 10);
         assert_eq!(c.total_withdrawals(), 10);
 
         // Burst 2 starts with an empty detection window: every counter the
         // paper seeds at burst start must be fresh.
         c.start_burst(std::iter::empty());
         assert_eq!(c.total_withdrawals(), 0);
-        assert_eq!(c.w(&AsLink::new(6, 8)), 0);
-        assert_eq!(c.w(&AsLink::new(5, 6)), 0);
+        assert_eq!(w(&c, 6, 8), 0);
+        assert_eq!(w(&c, 5, 6), 0);
         assert_eq!(c.withdrawn_count(), 0);
-        assert_eq!(c.w_union(&[AsLink::new(6, 8)]), 0);
+        assert_eq!(c.union_counts(&[AsLink::new(6, 8)]).0, 0);
         // The routed side is untouched.
         assert_eq!(c.routed_count(), 13);
-        assert_eq!(c.p(&AsLink::new(5, 6)), 11);
+        assert_eq!(p_of(&c, 5, 6), 11);
         // Old withdrawals are gone for good: withdrawing one again is noise.
         c.on_withdraw(p(30));
         assert_eq!(c.total_withdrawals(), 1);
-        assert_eq!(c.w(&AsLink::new(6, 8)), 0);
+        assert_eq!(w(&c, 6, 8), 0);
         // ... but a re-announcement brings the prefix back under tracking.
-        c.on_announce(p(31), AsPath::new([2u32, 5, 6, 8]));
-        assert_eq!(c.p(&AsLink::new(6, 8)), 1);
+        c.on_announce_path(p(31), &AsPath::new([2u32, 5, 6, 8]));
+        assert_eq!(p_of(&c, 6, 8), 1);
         c.on_withdraw(p(31));
-        assert_eq!(c.w(&AsLink::new(6, 8)), 1);
+        assert_eq!(w(&c, 6, 8), 1);
     }
 
     #[test]
@@ -1071,13 +982,13 @@ mod tests {
         c.start_burst([p(30), p(31), p(9_999)]);
         // W(t) counts the whole window; W(l) only the known prefixes.
         assert_eq!(c.total_withdrawals(), 3);
-        assert_eq!(c.w(&AsLink::new(6, 8)), 2);
-        assert_eq!(c.w(&AsLink::new(5, 6)), 2, "p(2)'s old withdrawal purged");
+        assert_eq!(w(&c, 6, 8), 2);
+        assert_eq!(w(&c, 5, 6), 2, "p(2)'s old withdrawal purged");
         assert_eq!(c.withdrawn_count(), 2);
-        assert!(c.is_withdrawn(&p(30)));
-        assert!(!c.is_withdrawn(&p(2)), "pre-burst withdrawal forgotten");
-        assert_eq!(c.w_union(&[AsLink::new(6, 8)]), 2);
-        assert_eq!(c.w_union_scan(&[AsLink::new(6, 8)]), 2);
+        assert!(is_withdrawn(&c, p(30)));
+        assert!(!is_withdrawn(&c, p(2)), "pre-burst withdrawal forgotten");
+        assert_eq!(c.union_counts(&[AsLink::new(6, 8)]).0, 2);
+        assert_eq!(scan(&c, &[AsLink::new(6, 8)]).0, 2);
     }
 
     #[test]
@@ -1091,7 +1002,7 @@ mod tests {
         c.on_withdraw(p(2));
         assert_eq!(drain(&mut c), vec![AsLink::new(2, 5), AsLink::new(5, 6)]);
         assert_eq!(c.take_dirty().len(), 0, "drained");
-        c.on_announce(p(10), AsPath::new([2u32, 9]));
+        c.on_announce_path(p(10), &AsPath::new([2u32, 9]));
         assert_eq!(c.take_dirty().len(), 0, "announcements do not change W");
         c.start_burst([p(2)]);
         assert_eq!(
@@ -1108,7 +1019,7 @@ mod tests {
         let mut c = fig4_counters();
         let l56 = AsLink::new(5, 6);
         let before = (c.wp(&l56), c.routed_count(), c.union_counts(&[l56]));
-        c.on_announce(p(2), AsPath::new([2u32, 5, 6]));
+        c.on_announce_path(p(2), &AsPath::new([2u32, 5, 6]));
         assert_eq!(
             (c.wp(&l56), c.routed_count(), c.union_counts(&[l56])),
             before
@@ -1116,16 +1027,16 @@ mod tests {
         c.on_withdraw(p(2));
         assert_eq!(c.wp(&l56), (1, 20));
         assert_eq!(c.union_counts(&[l56]), (1, 20));
-        c.on_announce(p(2), AsPath::new([2u32, 5, 6]));
+        c.on_announce_path(p(2), &AsPath::new([2u32, 5, 6]));
         assert_eq!(c.wp(&l56), (1, 21), "W kept, P restored");
         assert_eq!(c.union_counts(&[l56]), (0, 21), "no longer withdrawn");
-        assert_eq!(c.p_union_scan(&[l56]), 21);
+        assert_eq!(scan(&c, &[l56]).1, 21);
         assert_eq!((c.routed_count(), c.withdrawn_count()), (23, 0));
         // A looped path lists a repeated link once.
-        c.on_announce(p(50), AsPath::new([2u32, 5, 2, 5]));
-        assert_eq!(c.p(&AsLink::new(2, 5)), 23);
+        c.on_announce_path(p(50), &AsPath::new([2u32, 5, 2, 5]));
+        assert_eq!(p_of(&c, 2, 5), 23);
         c.on_withdraw(p(50));
-        assert_eq!(c.w(&AsLink::new(2, 5)), 2);
+        assert_eq!(w(&c, 2, 5), 2);
     }
 
     #[test]
@@ -1136,17 +1047,16 @@ mod tests {
         }
         // p(31) came back before the burst was detected; p(30) is named
         // twice; p(9_999) was never routed; p(32) fell out of the window.
-        c.on_announce(p(31), AsPath::new([2u32, 5, 6, 8]));
+        c.on_announce_path(p(31), &AsPath::new([2u32, 5, 6, 8]));
         c.start_burst([p(30), p(31), p(30), p(9_999), p(2)]);
         assert_eq!(c.total_withdrawals(), 5, "W(t) counts every window entry");
         assert_eq!(c.withdrawn_count(), 2, "p(2) and p(30)");
-        assert_eq!(c.w(&AsLink::new(6, 8)), 1);
-        assert_eq!(c.w(&AsLink::new(5, 6)), 2);
-        assert!(!c.is_withdrawn(&p(32)), "purged with the previous burst");
+        assert_eq!(w(&c, 6, 8), 1);
+        assert_eq!(w(&c, 5, 6), 2);
+        assert!(!is_withdrawn(&c, p(32)), "purged with the previous burst");
         assert_eq!(c.routed_count(), 20);
         for set in [[AsLink::new(6, 8)], [AsLink::new(5, 6)]] {
-            assert_eq!(c.w_union(&set), c.w_union_scan(&set));
-            assert_eq!(c.p_union(&set), c.p_union_scan(&set));
+            assert_eq!(c.union_counts(&set), scan(&c, &set));
         }
     }
 }

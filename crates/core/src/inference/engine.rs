@@ -252,9 +252,10 @@ impl InferenceEngine {
     /// use, so a forced attempt costs `O(burst candidates)` instead of a walk
     /// over every link the session has ever seen. Outside a burst (where the
     /// ranker is reset and the counters may still carry a closed burst's
-    /// state) it falls back to the from-scratch
-    /// [`rank_links`](crate::inference::fit_score::rank_links) reference
-    /// baseline; both paths return identical results.
+    /// state) it falls back to [`infer_links`](crate::inference::infer_links),
+    /// which ranks every link with a withdrawal from scratch; both paths
+    /// return identical results (the reference model's scan ranking,
+    /// `crates/core/tests/reference/mod.rs`, holds both to the paper's).
     pub fn force_infer(&mut self, time: Timestamp) -> InferenceResult {
         let links = if self.detector.in_burst() {
             self.ranker.update(self.counters.take_dirty());
@@ -576,15 +577,24 @@ mod tests {
     /// re-seeded.
     #[test]
     fn a_prediction_outlives_new_prefixes_and_teardown() {
-        use crate::inference::predictor::predict_scan;
-        use swift_bgp::PrefixList;
+        use swift_bgp::{PrefixList, PrefixSet};
         let table = rib(5_000);
         let mut engine = InferenceEngine::new(small_config(), table.iter().map(|(a, b)| (a, b)));
         for ev in withdraw_events(600, 10_000) {
             engine.process(&ev);
         }
         let result = engine.force_infer(6 * SECOND);
-        let reference = predict_scan(engine.counters(), &result.links);
+        // The prediction by scan over the tracked prefixes, as they are now.
+        let crossing = |it: &mut dyn Iterator<Item = (&Prefix, &AsPath)>| -> PrefixSet {
+            it.filter(|(_, path)| path.crosses_any(&result.links.links))
+                .map(|(q, _)| *q)
+                .collect()
+        };
+        let counters = engine.counters();
+        let (withdrawn, routed) = (
+            crossing(&mut counters.withdrawn()),
+            crossing(&mut counters.routed()),
+        );
         let prediction = &result.prediction;
         assert_eq!(result.links.links, [AsLink::new(5, 6)]);
         assert_eq!(
@@ -607,8 +617,8 @@ mod tests {
         drop(engine);
         let reseeded = InferenceEngine::new(small_config(), rib(300).iter().map(|(a, b)| (a, b)));
         assert_eq!(reseeded.counters().routed_count(), 350);
-        assert_eq!(prediction.predicted, reference.predicted);
-        assert_eq!(prediction.already_withdrawn, reference.already_withdrawn);
+        assert_eq!(prediction.predicted.prefixes(), &routed);
+        assert_eq!(prediction.already_withdrawn.prefixes(), &withdrawn);
         assert!(prediction
             .predicted
             .iter()
@@ -768,7 +778,7 @@ mod tests {
     fn interned_seeding_behaves_identically() {
         let table = rib(700);
         let interned: InternedRib = table.iter().cloned().collect();
-        assert_eq!(interned.distinct_paths(), 3);
+        assert_eq!(interned.interner().len(), 3);
         let mut a = InferenceEngine::new(small_config(), table.iter().map(|(x, y)| (x, y)));
         let mut b = InferenceEngine::from_interned(small_config(), &interned);
         let events = withdraw_events(400, 10_000);

@@ -4,8 +4,9 @@
 //!
 //! Two ranking paths exist:
 //!
-//! * [`rank_links`] — the from-scratch reference: score every link with a
-//!   withdrawal and sort. Used by forced end-of-burst inference and tests.
+//! * `rank_link_ids` — from scratch: score every link with a withdrawal and
+//!   sort. Used by [`crate::inference::infer_links`] (forced inference
+//!   outside a burst, tools and tests).
 //! * [`LinkRanker`] — the incremental form used by the engine's hot path: the
 //!   candidate set (links with `W(l) > 0`) is maintained from the counters'
 //!   dirty-link feed between triggering attempts, so an attempt only scores
@@ -17,7 +18,6 @@
 use crate::config::InferenceConfig;
 use crate::dirty::DirtySet;
 use crate::inference::counters::{LinkCounters, LinkId};
-use swift_bgp::AsLink;
 
 /// The WS / PS / FS values of one link or link set at one point in time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,40 +30,11 @@ pub struct Score {
     pub fs: f64,
 }
 
-/// Withdrawal Share of a single link: `W(l,t) / W(t)`.
-pub fn withdrawal_share(counters: &LinkCounters, link: &AsLink) -> f64 {
-    let total = counters.total_withdrawals();
-    if total == 0 {
-        return 0.0;
-    }
-    counters.w(link) as f64 / total as f64
-}
-
-/// Path Share of a single link: `W(l,t) / (W(l,t) + P(l,t))`.
-pub fn path_share(counters: &LinkCounters, link: &AsLink) -> f64 {
-    let w = counters.w(link);
-    let p = counters.p(link);
-    if w + p == 0 {
-        return 0.0;
-    }
-    w as f64 / (w + p) as f64
-}
-
 /// Weighted geometric mean of WS and PS:
 /// `FS = (WS^wWS * PS^wPS)^(1 / (wWS + wPS))`.
-pub fn fit_score_value(ws: f64, ps: f64, config: &InferenceConfig) -> f64 {
+fn fit_score_value(ws: f64, ps: f64, config: &InferenceConfig) -> f64 {
     let (w_ws, w_ps) = config.normalized_weights();
     ws.powf(w_ws) * ps.powf(w_ps)
-}
-
-/// Scores a single link.
-///
-/// Reads `W(l)` and `P(l)` with one index probe ([`LinkCounters::wp`]); the
-/// share-by-share form ([`withdrawal_share`] + [`path_share`]) pays three
-/// probes for the same entry and survives only as the definitional reference.
-pub fn score_link(counters: &LinkCounters, link: &AsLink, config: &InferenceConfig) -> Score {
-    let (w, p) = counters.wp(link);
-    score_from_counts(w, p, counters.total_withdrawals(), config)
 }
 
 /// Builds a [`Score`] from raw `(W(S), P(S), W(t))` counts.
@@ -90,52 +61,6 @@ pub(crate) fn score_from_counts(
     }
 }
 
-/// Scores a set of links using the aggregated definitions of §4.2, with the
-/// per-prefix union semantics of [`LinkCounters::w_union`] /
-/// [`LinkCounters::p_union`]: `WS(S) = W(S)/W(t)` and
-/// `PS(S) = W(S) / (W(S) + P(S))`, where `W(S)`/`P(S)` count each prefix once
-/// even if its path crosses several links of the set.
-///
-/// Both union counts come from one fused streaming pass over the inverted
-/// prefix-bitset index ([`LinkCounters::union_counts`]): no materialised
-/// union, no per-call heap allocation, empty id regions skipped via the
-/// dense sets' chunk summaries.
-pub fn score_link_set(
-    counters: &LinkCounters,
-    links: &[AsLink],
-    config: &InferenceConfig,
-) -> Score {
-    let (w, p) = counters.union_counts(links);
-    score_from_counts(w, p, counters.total_withdrawals(), config)
-}
-
-/// Reference implementation of [`score_link_set`] over the materialised-union
-/// path ([`LinkCounters::union_counts_materialized`]) — the pre-kernel hot
-/// path, kept for the equivalence property tests and as the baseline the
-/// `bench_inference` kernel groups measure the fused pass against.
-pub fn score_link_set_materialized(
-    counters: &LinkCounters,
-    links: &[AsLink],
-    config: &InferenceConfig,
-) -> Score {
-    let (w, p) = counters.union_counts_materialized(links);
-    score_from_counts(w, p, counters.total_withdrawals(), config)
-}
-
-/// Reference implementation of [`score_link_set`] using the full-RIB scans
-/// ([`LinkCounters::w_union_scan`] / [`LinkCounters::p_union_scan`]); the
-/// baseline the property tests and `bench_inference` compare the index
-/// against.
-pub fn score_link_set_scan(
-    counters: &LinkCounters,
-    links: &[AsLink],
-    config: &InferenceConfig,
-) -> Score {
-    let w = counters.w_union_scan(links);
-    let p = counters.p_union_scan(links);
-    score_from_counts(w, p, counters.total_withdrawals(), config)
-}
-
 /// Scores `ids` into `out`, sorted by decreasing fit score (ties broken by
 /// link identity for determinism). Links are distinct, so the order is total
 /// and the in-place unstable sort has exactly one outcome.
@@ -159,7 +84,9 @@ fn rank_into(
     });
 }
 
-/// [`rank_links`] by link id: the ranking the link selection consumes.
+/// Scores every link with at least one withdrawal, returning `(link id,
+/// score)` pairs sorted by decreasing fit score (ties broken by link
+/// identity for determinism): the ranking the link selection consumes.
 pub(crate) fn rank_link_ids(
     counters: &LinkCounters,
     config: &InferenceConfig,
@@ -174,16 +101,6 @@ pub(crate) fn rank_link_ids(
     ranking
 }
 
-/// Scores every link with at least one withdrawal, returning `(link, score)`
-/// pairs sorted by decreasing fit score (ties broken by link identity for
-/// determinism).
-pub fn rank_links(counters: &LinkCounters, config: &InferenceConfig) -> Vec<(AsLink, Score)> {
-    rank_link_ids(counters, config)
-        .into_iter()
-        .map(|(id, score)| (counters.link(id), score))
-        .collect()
-}
-
 /// Incrementally maintained link ranking for the engine's hot path.
 ///
 /// Between two triggering attempts of a burst, only the links actually touched
@@ -193,7 +110,8 @@ pub fn rank_links(counters: &LinkCounters, config: &InferenceConfig) -> Vec<(AsL
 /// (a full-table session tracks orders of magnitude more links than a burst
 /// touches). Scores themselves are recomputed per attempt — they are O(1) per
 /// candidate, and `W(t)` in the denominator changes with every withdrawal —
-/// so [`LinkRanker::ranking`] returns exactly what [`rank_links`] would.
+/// so [`LinkRanker::ranking`] returns exactly what a from-scratch ranking
+/// would.
 #[derive(Debug, Clone, Default)]
 pub struct LinkRanker {
     /// Every link whose `W(l)` changed since the last reset: a superset of
@@ -225,8 +143,9 @@ impl LinkRanker {
         }
     }
 
-    /// The current ranking by link id — [`rank_links`] on the same counters,
-    /// but scoring only the maintained candidates, into a reused buffer.
+    /// The current ranking by link id — the from-scratch ranking of the same
+    /// counters, but scoring only the maintained candidates, into a reused
+    /// buffer.
     pub fn ranking(
         &mut self,
         counters: &LinkCounters,
@@ -246,10 +165,26 @@ impl LinkRanker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_bgp::{AsPath, Prefix};
+    use swift_bgp::{AsLink, AsPath, Prefix};
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
+    }
+
+    fn score_link(c: &LinkCounters, link: &AsLink, config: &InferenceConfig) -> Score {
+        let (w, p) = c.wp(link);
+        score_from_counts(w, p, c.total_withdrawals(), config)
+    }
+
+    fn score_link_set(c: &LinkCounters, set: &[AsLink], config: &InferenceConfig) -> Score {
+        let (w, p) = c.union_counts(set);
+        score_from_counts(w, p, c.total_withdrawals(), config)
+    }
+
+    /// The from-scratch ranking by link name.
+    fn rank_links(c: &LinkCounters, config: &InferenceConfig) -> Vec<(AsLink, Score)> {
+        let ranking = rank_link_ids(c, config);
+        ranking.into_iter().map(|(id, s)| (c.link(id), s)).collect()
     }
 
     /// The Fig. 4 scenario at 1:1000 scale, run to the end of the burst.
@@ -271,7 +206,7 @@ mod tests {
             c.on_withdraw(p(30 + i));
         }
         for i in 0..10 {
-            c.on_announce(p(10 + i), AsPath::new([2u32, 5, 3, 6, 7]));
+            c.on_announce_path(p(10 + i), &AsPath::new([2u32, 5, 3, 6, 7]));
         }
         c
     }
@@ -390,9 +325,12 @@ mod tests {
             vec![AsLink::new(2, 5), AsLink::new(6, 7)],
             vec![],
         ] {
-            let fast = score_link_set(&c, &set, &cfg);
-            let slow = score_link_set_scan(&c, &set, &cfg);
-            assert_eq!(fast, slow, "set {set:?}");
+            let crossing = |it: &mut dyn Iterator<Item = (&Prefix, &AsPath)>| {
+                it.filter(|(_, path)| path.crosses_any(&set)).count()
+            };
+            let (w, p) = (crossing(&mut c.withdrawn()), crossing(&mut c.routed()));
+            let slow = score_from_counts(w, p, c.total_withdrawals(), &cfg);
+            assert_eq!(score_link_set(&c, &set, &cfg), slow, "set {set:?}");
         }
     }
 
@@ -417,7 +355,7 @@ mod tests {
         for i in 0..20u32 {
             c.on_withdraw(p(i));
             if i % 5 == 0 {
-                c.on_announce(p(30 + i / 5), AsPath::new([2u32, 5, 3]));
+                c.on_announce_path(p(30 + i / 5), &AsPath::new([2u32, 5, 3]));
             }
             if i % 4 == 0 {
                 ranker.update(c.take_dirty());

@@ -148,11 +148,6 @@ impl Prediction {
             .union(self.predicted.prefixes())
     }
 
-    /// Number of prefixes that would be rerouted.
-    pub fn rerouted_count(&self) -> usize {
-        self.predicted.len()
-    }
-
     /// Total number of prefixes the inference claims are affected — the value
     /// the history model compares against its plausibility cap.
     pub fn total_affected(&self) -> usize {
@@ -179,29 +174,6 @@ pub fn predict(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
     Prediction {
         already_withdrawn: PrefixSnapshot::new(withdrawn, links.withdrawn, list.clone()),
         predicted: PrefixSnapshot::new(routed, links.routed, list),
-    }
-}
-
-/// Reference implementation of [`predict`] by full scan over the tracked
-/// prefixes — kept as the baseline of the property tests and
-/// `bench_inference`.
-pub fn predict_scan(counters: &LinkCounters, links: &InferredLinks) -> Prediction {
-    if links.is_empty() {
-        return Prediction::default();
-    }
-    let already_withdrawn: PrefixSet = counters
-        .withdrawn()
-        .filter(|(_, path)| path.crosses_any(&links.links))
-        .map(|(p, _)| *p)
-        .collect();
-    let predicted: PrefixSet = counters
-        .routed()
-        .filter(|(_, path)| path.crosses_any(&links.links))
-        .map(|(p, _)| *p)
-        .collect();
-    Prediction {
-        already_withdrawn: already_withdrawn.into(),
-        predicted: predicted.into(),
     }
 }
 
@@ -251,7 +223,6 @@ mod tests {
         assert_eq!(pred.already_withdrawn.len(), 10);
         assert_eq!(pred.predicted.len(), 20, "AS 7 + AS 8 prefixes predicted");
         assert_eq!(pred.total_affected(), 30);
-        assert_eq!(pred.rerouted_count(), 20);
         assert_eq!(pred.affected().len(), 30);
         // Unrelated prefixes are not predicted.
         assert!(!pred.predicted.prefixes().contains(&p(36)));
@@ -280,13 +251,17 @@ mod tests {
             c.on_withdraw(p(i));
         }
         for i in 10..15 {
-            c.on_announce(p(i), AsPath::new([2u32, 5, 3, 6, 7]));
+            c.on_announce_path(p(i), &AsPath::new([2u32, 5, 3, 6, 7]));
         }
         let inferred = infer_links(&c, &InferenceConfig::default());
         let fast = predict(&c, &inferred);
-        let slow = predict_scan(&c, &inferred);
-        assert_eq!(fast.already_withdrawn, slow.already_withdrawn);
-        assert_eq!(fast.predicted, slow.predicted);
+        let scan = |it: &mut dyn Iterator<Item = (&Prefix, &AsPath)>| -> PrefixSet {
+            it.filter(|(_, path)| path.crosses_any(&inferred.links))
+                .map(|(q, _)| *q)
+                .collect()
+        };
+        assert_eq!(fast.already_withdrawn.prefixes(), &scan(&mut c.withdrawn()));
+        assert_eq!(fast.predicted.prefixes(), &scan(&mut c.routed()));
     }
 
     #[test]
@@ -298,7 +273,7 @@ mod tests {
         // AS 7 prefixes are re-announced over a path avoiding (5,6): they must
         // no longer be predicted.
         for i in 10..20 {
-            c.on_announce(p(i), AsPath::new([2u32, 5, 3, 6, 7]));
+            c.on_announce_path(p(i), &AsPath::new([2u32, 5, 3, 6, 7]));
         }
         let inferred = infer_links(&c, &InferenceConfig::default());
         let pred = predict(&c, &inferred);

@@ -14,10 +14,10 @@
 //! * [`pipeline`] — the reroute pipeline split into its per-session half
 //!   ([`SessionEngine`]) and its serialized half ([`Applier`]), shared by the
 //!   inline router below and the sharded `swift-runtime`;
-//! * [`router`] — [`SwiftRouter`], the integration of both halves on a border
-//!   router (§3);
+//! * [`SwiftRouter`] — the integration of both halves on a border router
+//!   (§3);
 //! * [`metrics`] — the TPR/FPR/CPR machinery used by the evaluation (§6);
-//! * [`config`] — every tunable, with the paper's defaults.
+//! * [`SwiftConfig`] — every tunable, with the paper's defaults.
 //!
 //! ```
 //! use swift_core::{SwiftConfig, SwiftRouter};
@@ -33,21 +33,19 @@
 //! assert_eq!(router.actions().len(), 0);
 //! ```
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 
-pub mod config;
+mod config;
 mod dirty;
 pub mod encoding;
 pub mod inference;
 pub mod metrics;
 pub mod pipeline;
-pub mod router;
+mod router;
 
 pub use config::{EncodingConfig, InferenceConfig, SwiftConfig};
 pub use encoding::{EncodingPlan, ReroutingPolicy, TwoStageTable};
 pub use inference::{InferenceEngine, InferenceResult, InferredLinks, Prediction, PrefixSnapshot};
-pub use metrics::{Classification, LatencyRecorder, LatencySummary, Quadrant};
+pub use metrics::{Classification, LatencySummary, Quadrant};
 pub use pipeline::{session_engines, Applier, SessionEngine};
 pub use router::{RerouteAction, SwiftRouter};

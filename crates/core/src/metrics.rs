@@ -4,9 +4,10 @@
 //!   built from predicted and actually-affected prefix sets (§6.2.1, §6.3).
 //! * [`Quadrant`] — the Fig. 6 quadrant of a (TPR, FPR) point.
 //! * [`percentile`] — nearest-rank percentiles for the Table 2 summaries.
-//! * [`LatencyRecorder`] / [`LatencySummary`] — a bounded ring-buffer sample
-//!   recorder with p50/p99 summaries, used by the sharded runtime to track
-//!   per-event and reroute latencies against the paper's ~2 s budget (§3).
+//! * [`LatencySummary`] — count, p50/p99, max and mean of a latency record,
+//!   as the sharded runtime reports per-event and reroute latencies against
+//!   the paper's ~2 s budget (§3).
+//! * [`ProducerCounters`] — the runtime's per-producer ingest counters.
 
 use swift_bgp::PrefixSet;
 
@@ -61,16 +62,6 @@ impl Classification {
         }
     }
 
-    /// Precision: `TP / (TP + FP)`. Returns 1.0 when nothing was predicted.
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            1.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
     /// The Fig. 6 quadrant of this classification (threshold 50 % on each
     /// axis).
     pub fn quadrant(&self) -> Quadrant {
@@ -115,145 +106,11 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     Some(sorted[nearest_rank(q, sorted.len())])
 }
 
-/// Nearest-rank percentile of a slice of integers. Returns `None` on an empty
-/// slice; a NaN `q` is treated as 0.0.
-pub fn percentile_usize(values: &[usize], q: f64) -> Option<usize> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    Some(sorted[nearest_rank(q, sorted.len())])
-}
-
 /// The nearest-rank index of quantile `q` in a sorted slice of length `len`.
 fn nearest_rank(q: f64, len: usize) -> usize {
     let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
     let rank = ((q * len as f64).ceil() as usize).max(1) - 1;
     rank.min(len - 1)
-}
-
-/// A bounded sample recorder for latency-like quantities (microseconds,
-/// nanoseconds — unit is the caller's).
-///
-/// Keeps at most `capacity` samples in a ring: once full, new samples
-/// overwrite the oldest, so long runs summarize their recent behaviour with
-/// constant memory and no allocation on the record path. Deterministic (no
-/// randomized reservoir), so identical runs produce identical summaries.
-///
-/// # Eviction approximation
-///
-/// Because the ring evicts oldest-first, the percentiles in
-/// [`LatencyRecorder::summary`] describe only the **retained window**, not
-/// the full run: once more than `capacity` samples arrive, early samples no
-/// longer influence p50/p99 at all (count, mean and max stay lifetime-exact).
-/// The bias is worst when latency drifts over time or differs across shards —
-/// merging shard recorders keeps whole windows, but each window already
-/// over-represents its shard's *recent* behaviour, so the cross-shard
-/// percentile is skewed toward whatever each shard did last. The sharded
-/// runtime therefore reports percentiles from `swift_telemetry::LogHistogram`
-/// (never evicts, bounded ≤ 1/32 relative error, exact bucketwise merge) and
-/// keeps this recorder as the exact-sample reference;
-/// `crates/telemetry/tests/histogram_vs_ring.rs` quantifies the divergence on
-/// skewed distributions.
-#[derive(Debug, Clone)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-    next: usize,
-    recorded: u64,
-    max: u64,
-    sum: u64,
-    capacity: usize,
-}
-
-impl LatencyRecorder {
-    /// Creates a recorder keeping at most `capacity` samples (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        LatencyRecorder {
-            samples: Vec::with_capacity(capacity.min(4_096)),
-            next: 0,
-            recorded: 0,
-            max: 0,
-            sum: 0,
-            capacity,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.recorded += 1;
-        self.max = self.max.max(value);
-        self.sum += value;
-        if self.samples.len() < self.capacity {
-            self.samples.push(value);
-        } else {
-            self.samples[self.next] = value;
-            self.next = (self.next + 1) % self.capacity;
-        }
-    }
-
-    /// Total number of samples ever recorded (not just the retained window).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Merges another recorder's retained samples and lifetime aggregates
-    /// into this one (used to combine per-shard recorders into one report).
-    ///
-    /// The capacity grows to hold both retained windows, so merging N shard
-    /// recorders keeps every shard's window — no shard's samples are evicted
-    /// by whichever shard happens to merge last. Both windows are walked
-    /// oldest-first (from each ring's head), so the combined window keeps
-    /// "older before newer" semantics for later [`LatencyRecorder::record`]
-    /// calls and merges.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.recorded += other.recorded;
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        if other.samples.is_empty() {
-            return;
-        }
-        let mut combined = Vec::with_capacity(self.samples.len() + other.samples.len());
-        combined.extend(self.window_oldest_first());
-        combined.extend(other.window_oldest_first());
-        self.capacity = self.capacity.max(combined.len());
-        self.samples = combined;
-        // The linearized window starts at its oldest sample, so the ring
-        // head is back at index 0 (`record` keeps appending while there is
-        // room and overwrites the oldest otherwise).
-        self.next = 0;
-    }
-
-    /// The retained window, oldest sample first.
-    fn window_oldest_first(&self) -> impl Iterator<Item = u64> + '_ {
-        let (tail, head) = self.samples.split_at(self.next);
-        head.iter().chain(tail.iter()).copied()
-    }
-
-    /// Summarizes the recorder: percentiles over the retained window,
-    /// mean/max over the whole lifetime.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.recorded,
-            p50: percentile_usize(
-                &self.samples.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                0.5,
-            )
-            .unwrap_or(0) as u64,
-            p99: percentile_usize(
-                &self.samples.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                0.99,
-            )
-            .unwrap_or(0) as u64,
-            max: self.max,
-            mean: if self.recorded == 0 {
-                0.0
-            } else {
-                self.sum as f64 / self.recorded as f64
-            },
-        }
-    }
 }
 
 /// Ingest-side counters of one event producer (one `IngestHandle` of the
@@ -316,18 +173,18 @@ impl ProducerCounters {
     }
 }
 
-/// Summary statistics produced by [`LatencyRecorder::summary`].
+/// Summary statistics of a latency record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
-    /// Samples recorded over the recorder's lifetime.
+    /// Samples recorded.
     pub count: u64,
-    /// Median of the retained window.
+    /// Median.
     pub p50: u64,
-    /// 99th percentile of the retained window.
+    /// 99th percentile.
     pub p99: u64,
-    /// Lifetime maximum.
+    /// Maximum.
     pub max: u64,
-    /// Lifetime mean.
+    /// Mean.
     pub mean: f64,
 }
 
@@ -351,7 +208,6 @@ mod tests {
         assert_eq!(c.tn, 900);
         assert!((c.tpr() - 0.75).abs() < 1e-12);
         assert!((c.fpr() - 20.0 / 920.0).abs() < 1e-12);
-        assert!((c.precision() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -360,7 +216,6 @@ mod tests {
         let c = Classification::from_sets(&empty, &empty, 100);
         assert_eq!(c.tpr(), 1.0);
         assert_eq!(c.fpr(), 0.0);
-        assert_eq!(c.precision(), 1.0);
         assert_eq!(c.tn, 100);
         // Universe smaller than the sets never underflows.
         let c2 = Classification::from_sets(&set(0..50), &set(0..50), 10);
@@ -380,106 +235,6 @@ mod tests {
             tn: 100,
         };
         assert_eq!(perfect.quadrant(), Quadrant::Good);
-    }
-
-    #[test]
-    fn latency_recorder_summarizes_and_merges() {
-        let mut r = LatencyRecorder::new(1_000);
-        for v in 1..=100u64 {
-            r.record(v);
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, 50);
-        assert_eq!(s.p99, 99);
-        assert_eq!(s.max, 100);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-
-        // The ring keeps only the newest samples but the lifetime aggregates
-        // keep counting.
-        let mut small = LatencyRecorder::new(4);
-        for v in [1u64, 2, 3, 4, 1_000, 1_000, 1_000, 1_000] {
-            small.record(v);
-        }
-        let ss = small.summary();
-        assert_eq!(ss.count, 8);
-        assert_eq!(ss.p50, 1_000, "old samples were overwritten");
-        assert_eq!(ss.max, 1_000);
-
-        // Merging folds both windows and lifetimes together.
-        let mut merged = LatencyRecorder::new(2_000);
-        merged.merge(&r);
-        merged.merge(&small);
-        let ms = merged.summary();
-        assert_eq!(ms.count, 108);
-        assert_eq!(ms.max, 1_000);
-
-        // Empty recorder is well-defined.
-        let empty = LatencyRecorder::new(16).summary();
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.p50, 0);
-        assert_eq!(empty.mean, 0.0);
-    }
-
-    #[test]
-    fn merge_keeps_every_shards_window() {
-        // Two "shards" with disjoint latency distributions, each with a full
-        // window. Merging into a recorder too small for both must grow, not
-        // let the last-merged shard evict the first one's samples.
-        let mut low = LatencyRecorder::new(100);
-        let mut high = LatencyRecorder::new(100);
-        for v in 1..=100u64 {
-            low.record(v); // median 50
-            high.record(1_000 + v); // median 1050
-        }
-        let mut merged = LatencyRecorder::new(100);
-        merged.merge(&low);
-        merged.merge(&high);
-        let s = merged.summary();
-        assert_eq!(s.count, 200);
-        let (p50_low, p50_high) = (low.summary().p50, high.summary().p50);
-        assert!(
-            s.p50 > p50_low && s.p50 < p50_high,
-            "merged p50 {} must land between the shards' medians {p50_low} and {p50_high}",
-            s.p50
-        );
-        // The merged window holds all 200 samples: the exact nearest-rank
-        // median of the combined distribution, not of one shard's.
-        assert_eq!(s.p50, 100, "rank 100 of the 200 combined samples");
-        assert_eq!(s.max, 1_100);
-    }
-
-    #[test]
-    fn merge_walks_wrapped_source_oldest_first() {
-        // A wrapped source ring: capacity 4, storage [50,60,30,40], head at
-        // index 2 — the retained window is [30,40,50,60] oldest-first.
-        let mut src = LatencyRecorder::new(4);
-        for v in [10u64, 20, 30, 40, 50, 60] {
-            src.record(v);
-        }
-        let mut dst = LatencyRecorder::new(4);
-        dst.merge(&src);
-        // Two more records must evict the *oldest* merged samples (30, 40) —
-        // if merge had copied the source in storage order, they would evict
-        // 50 and 60 instead.
-        dst.record(70);
-        dst.record(80);
-        let s = dst.summary();
-        assert_eq!(s.p50, 60, "window is [50,60,70,80]; storage-order merge would leave [70,80,30,40] and a p50 of 40");
-    }
-
-    #[test]
-    fn merge_into_empty_and_from_empty() {
-        let mut src = LatencyRecorder::new(8);
-        for v in 1..=8u64 {
-            src.record(v);
-        }
-        let mut dst = LatencyRecorder::new(2);
-        dst.merge(&LatencyRecorder::new(4)); // empty source: no-op
-        assert_eq!(dst.summary().count, 0);
-        dst.merge(&src);
-        assert_eq!(dst.summary().count, 8);
-        assert_eq!(dst.summary().p50, 4, "all 8 samples retained");
     }
 
     #[test]
@@ -544,9 +299,6 @@ mod tests {
         assert_eq!(percentile(&values, 0.1), Some(10.0));
         assert_eq!(percentile(&values, 1.0), Some(100.0));
         assert_eq!(percentile(&[], 0.5), None);
-        let ints: Vec<usize> = (1..=10).collect();
-        assert_eq!(percentile_usize(&ints, 0.5), Some(5));
-        assert_eq!(percentile_usize(&[], 0.5), None);
     }
 
     #[test]
@@ -567,11 +319,5 @@ mod tests {
         assert_eq!(percentile(&[f64::NAN, f64::NAN], 0.5), None);
         // NaN q falls back to the minimum instead of an arbitrary rank.
         assert_eq!(percentile(&values, f64::NAN), Some(1.0));
-
-        let ints: Vec<usize> = (1..=10).collect();
-        assert_eq!(percentile_usize(&ints, 0.0), Some(1));
-        assert_eq!(percentile_usize(&ints, 1.0), Some(10));
-        assert_eq!(percentile_usize(&[7], 0.99), Some(7));
-        assert_eq!(percentile_usize(&ints, f64::NAN), Some(1));
     }
 }

@@ -43,12 +43,13 @@
 //!
 //! The ids never turn back into prefixes: stage 1 of the forwarding table is
 //! an array over the same id space (see the "Stage 1 layout" section of
-//! [`crate::encoding::two_stage`]), so the resync drains the set in id order
+//! `encoding/two_stage.rs`), so the resync drains the set in id order
 //! — in place, the list keeps its capacity from one cycle to the next — and
 //! for each id reads that id's candidates from the table, computes the tag
 //! and writes the array slot. Session registration and teardown retag the
 //! ids the table hands back for the routes they announce or clear the same
-//! way. The dictionary is probed only where a *prefix* comes in from outside:
+//! way; a teardown retags the dirty ids too (without draining them), since
+//! their tags may still name the departed peer. The dictionary is probed only where a *prefix* comes in from outside:
 //! once per event by the mirror, and once per by-prefix read
 //! ([`Applier::forwarding_next_hop`]).
 
@@ -285,18 +286,6 @@ impl Applier {
         removed
     }
 
-    /// Reference resync: tears down SWIFT state by rebuilding the forwarding
-    /// table from scratch (the pre-incremental behaviour). Kept as the
-    /// baseline the incremental resync is tested against.
-    pub fn resync_with_rebuild(&mut self) -> usize {
-        self.sync_rib();
-        let removed = self.forwarding.clear_swift_rules();
-        self.forwarding = TwoStageTable::build(&self.table, &self.config.encoding, &self.policy);
-        self.outstanding.clear();
-        self.dirty.clear();
-        removed
-    }
-
     /// Registers (or re-registers) a peering session on the serialized
     /// routing state: the peer joins the table, its routes are announced and
     /// the touched prefixes are retagged in stage 1 (the new session may have
@@ -327,8 +316,9 @@ impl Applier {
     /// Tears a peering session down: folds any deferred events, removes the
     /// SWIFT rules installed by this session's inferences, withdraws every
     /// route learned on the session from the RIB mirror (the peer itself
-    /// stays registered so it can re-establish) and retags the prefixes it
-    /// served. Returns `(rules_removed, routes_withdrawn)`.
+    /// stays registered so it can re-establish), retags the prefixes it
+    /// served and removes the other sessions' SWIFT rules that forward to
+    /// it. Returns `(rules_removed, routes_withdrawn)`.
     pub fn teardown_session(&mut self, peer: PeerId) -> (usize, usize) {
         self.sync_rib();
         let mut rules_removed = 0;
@@ -341,8 +331,19 @@ impl Applier {
             }
         }
         let withdrawn = self.table.clear_peer(peer);
-        self.forwarding
-            .refresh_ids(&self.table, &self.policy, withdrawn.iter().copied());
+        // A prefix whose routes changed since the last resync keeps its old
+        // tag until the resync, and that tag may name the departed peer as
+        // primary or backup: retag those with the peer's own prefixes (they
+        // stay dirty for the resync).
+        let stale = self.dirty.ids().iter().copied();
+        self.forwarding.refresh_ids(
+            &self.table,
+            &self.policy,
+            withdrawn.iter().copied().chain(stale),
+        );
+        // Another session's reroute may use the peer as a backup: after the
+        // retag no tag names it, so its rules match nothing and go too.
+        rules_removed += self.forwarding.remove_rules_to(peer);
         (rules_removed, withdrawn.len())
     }
 

@@ -317,22 +317,27 @@ mod tests {
             t += 1_000;
         }
 
-        let mut incremental = router.clone();
-        let mut rebuilt = router;
-        let removed_inc = incremental.resync_after_convergence();
-        let removed_reb = rebuilt.applier.resync_with_rebuild();
-        assert_eq!(removed_inc, removed_reb);
-        assert_eq!(incremental.forwarding().swift_rule_count(), 0);
+        let outstanding = router.forwarding().swift_rule_count();
+        assert_eq!(router.resync_after_convergence(), outstanding);
+        assert_eq!(router.forwarding().swift_rule_count(), 0);
 
-        // Both resyncs folded every event, so the applier's table is current.
-        let (fi, ti) = (incremental.forwarding(), incremental.applier().table());
-        let (fr, tr) = (rebuilt.forwarding(), rebuilt.applier().table());
+        // The resync folded every event, so the applier's table is current.
+        let (fi, table) = (router.forwarding(), router.applier().table());
+        let fr = TwoStageTable::build(table, &config().encoding, router.applier().policy());
         assert_eq!(fi.stage1_len(), fr.stage1_len());
         assert_eq!(fi.stage2_rules(), fr.stage2_rules());
         for i in 0..300 {
             let prefix = p(i);
-            assert_eq!(fi.tag_of(ti, &prefix), fr.tag_of(tr, &prefix), "tag {i}");
-            assert_eq!(fi.lookup(ti, &prefix), fr.lookup(tr, &prefix), "lookup {i}");
+            assert_eq!(
+                fi.tag_of(table, &prefix),
+                fr.tag_of(table, &prefix),
+                "tag {i}"
+            );
+            assert_eq!(
+                fi.lookup(table, &prefix),
+                fr.lookup(table, &prefix),
+                "lookup {i}"
+            );
         }
     }
 
@@ -346,21 +351,19 @@ mod tests {
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
         router.handle_stream(PeerId(2), fig1_burst(100).iter());
 
-        let mut incremental = router.clone();
-        let mut rebuilt = router;
-        incremental.resync_after_convergence();
-        rebuilt.applier.resync_with_rebuild();
-        assert_eq!(incremental.forwarding().swift_rule_count(), 0);
-        assert_eq!(rebuilt.forwarding().swift_rule_count(), 0);
+        router.resync_after_convergence();
+        assert_eq!(router.forwarding().swift_rule_count(), 0);
+        let table = router.applier().table();
+        let rebuilt = TwoStageTable::build(table, &config().encoding, router.applier().policy());
         for i in 0..300 {
             assert_eq!(
-                incremental.forwarding_next_hop(&p(i)),
-                rebuilt.forwarding_next_hop(&p(i)),
+                router.forwarding_next_hop(&p(i)),
+                rebuilt.lookup(table, &p(i)),
                 "forwarding of prefix {i} diverged"
             );
         }
         // The withdrawn prefixes now leave via the next-best session (peer 3).
-        assert_eq!(incremental.forwarding_next_hop(&p(0)), Some(PeerId(3)));
+        assert_eq!(router.forwarding_next_hop(&p(0)), Some(PeerId(3)));
     }
 
     #[test]

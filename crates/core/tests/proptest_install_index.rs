@@ -10,9 +10,10 @@
 //!   count the same rules.
 //! * **incremental resync equals rebuild** — the id-keyed dirty set and the
 //!   id-indexed stage 1 must retag exactly what changed:
-//!   `resync_after_convergence` and `resync_with_rebuild` forward every
-//!   prefix identically, and tag it identically whenever the rebuild arrived
-//!   at the same encoding plan.
+//!   `resync_after_convergence` forwards every prefix as a table built from
+//!   scratch over the applier's routing table does (the reference model's
+//!   `check_resync`, `reference/mod.rs`), and tags it identically whenever
+//!   the fresh build arrived at the same encoding plan.
 //!
 //! * **the retag equals its reference** — after every resync, and for every
 //!   id of a direct `refresh_ids`, a prefix's tag is the one
@@ -27,6 +28,8 @@
 //! 1, B − 1, B, B + 1 and 2B + 3 ids (B = `TwoStageTable::RETAG_BATCH`), each
 //! id twice in a row, and a registration announces one prefix twice; and for
 //! prefixes with more candidates than a retag gathers (`CROWDED`).
+
+mod reference;
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -258,26 +261,23 @@ fn check_tags<'a>(
     Ok(())
 }
 
-/// Convergence on `applier`: the incremental resync against the rebuild and
-/// the reference. Every prefix is current after a resync.
+/// Convergence on `applier`: the incremental resync removes every SWIFT rule
+/// and forwards as a forwarding table built from scratch does (the reference
+/// model's check), with the reference tags. Every prefix is current after a
+/// resync.
 fn check_resync(applier: &mut Applier) -> Result<(), String> {
-    let mut rebuilt = applier.clone();
-    let removed = applier.resync_after_convergence();
-    prop_assert_eq!(removed, rebuilt.resync_with_rebuild());
+    let outstanding = applier.forwarding().swift_rule_count();
+    prop_assert_eq!(applier.resync_after_convergence(), outstanding);
+    prop_assert_eq!(applier.forwarding().swift_rule_count(), 0);
     check_tags(applier.forwarding(), applier.table(), &universe())?;
-    let (inc, reb) = (applier.forwarding(), rebuilt.forwarding());
-    prop_assert_eq!(inc.swift_rule_count(), 0);
+    let prefixes: Vec<Prefix> = universe().into_iter().chain([p(NEVER)]).collect();
+    reference::check_resync(applier, &prefixes)?;
+    let (inc, table) = (applier.forwarding(), applier.table());
+    let reb = TwoStageTable::build(table, &applier.config().encoding, applier.policy());
     prop_assert_eq!(inc.stage1_len(), reb.stage1_len());
     let same_plan = inc.plan() == reb.plan();
-    for prefix in universe().into_iter().chain([p(NEVER)]) {
-        prop_assert_eq!(
-            applier.forwarding_next_hop(&prefix),
-            rebuilt.forwarding_next_hop(&prefix)
-        );
-        let tags = (
-            inc.tag_of(applier.table(), &prefix),
-            reb.tag_of(rebuilt.table(), &prefix),
-        );
+    for prefix in &prefixes {
+        let tags = (inc.tag_of(table, prefix), reb.tag_of(table, prefix));
         prop_assert_eq!(tags.0.is_some(), tags.1.is_some());
         if same_plan {
             prop_assert_eq!(tags.0, tags.1);

@@ -1,18 +1,20 @@
 //! Property tests for the fused bitset kernels behind the inference scorer:
 //! on random RIBs, event streams, burst boundaries and representation mixes,
-//! the single-pass fused `(w, p)` kernel must equal both the materialized
-//! union it replaced and the naive full-scan reference; the delta count a
-//! greedy trial makes must equal a set model; the incremental greedy
-//! aggregation must select the same link sets as the recompute baselines;
-//! and the dense chunk-summary bitmap must stay consistent with the words it
-//! summarizes through every mutation.
+//! the single-pass fused `(w, p)` kernel must equal the reference model's
+//! scans (`reference/mod.rs`); the delta count a greedy trial makes must
+//! equal a set model; the incremental greedy aggregation must select the
+//! same link sets as the model's recounting §4.2 chain; and the dense
+//! chunk-summary bitmap must stay consistent with the words it summarizes
+//! through every mutation.
+
+mod reference;
 
 use proptest::prelude::*;
+use reference::{check_counters, Model};
 use std::collections::BTreeSet;
-use swift_bgp::{AsLink, AsPath, Prefix};
+use swift_bgp::{AsPath, Prefix};
 use swift_core::inference::{
-    delta_union_counts, fused_union_counts, infer_links, infer_links_materialized,
-    infer_links_scan, IdBitSet, LinkCounters, ScoreScratch,
+    delta_union_counts, fused_union_counts, infer_links, IdBitSet, LinkCounters, ScoreScratch,
 };
 use swift_core::InferenceConfig;
 
@@ -35,48 +37,29 @@ fn p(i: u32) -> Prefix {
     Prefix::nth_slash24(i)
 }
 
-fn build(rib: &[(u32, Vec<u32>)], events: &[(bool, u32, Vec<u32>)]) -> LinkCounters {
+/// Counters and the model, seeded with `rib` and fed `events`.
+fn build(rib: &[(u32, Vec<u32>)], events: &[(bool, u32, Vec<u32>)]) -> (LinkCounters, Model) {
     let seed: Vec<(Prefix, AsPath)> = rib
         .iter()
         .map(|(i, hops)| (p(*i), AsPath::new(hops.iter().copied())))
         .collect();
     let mut c = LinkCounters::from_rib(seed.iter().map(|(a, b)| (a, b)));
+    let mut model = Model::new(seed);
+    apply(&mut c, &mut model, events);
+    (c, model)
+}
+
+fn apply(c: &mut LinkCounters, model: &mut Model, events: &[(bool, u32, Vec<u32>)]) {
     for (withdraw, i, hops) in events {
         if *withdraw {
             c.on_withdraw(p(*i));
+            model.withdraw(p(*i));
         } else {
-            c.on_announce_path(p(*i), &AsPath::new(hops.iter().copied()));
+            let path = AsPath::new(hops.iter().copied());
+            c.on_announce_path(p(*i), &path);
+            model.announce(p(*i), path);
         }
     }
-    c
-}
-
-/// Checks `union_counts` (fused) == `union_counts_materialized` (scratch
-/// union + two intersections) == the full-RIB scans, over single links,
-/// multi-link sets, the all-links set and unknown/empty sets.
-fn check_kernel_equivalences(c: &LinkCounters) -> Result<(), String> {
-    let links: Vec<AsLink> = c.all_links().copied().collect();
-    let mut sets: Vec<Vec<AsLink>> = links.iter().map(|l| vec![*l]).collect();
-    sets.push(links.clone());
-    for chunk in links.chunks(3) {
-        sets.push(chunk.to_vec());
-    }
-    sets.push(vec![AsLink::new(900, 901)]);
-    sets.push(Vec::new());
-    for set in &sets {
-        let fused = c.union_counts(set);
-        let materialized = c.union_counts_materialized(set);
-        let scan = (c.w_union_scan(set), c.p_union_scan(set));
-        if fused != materialized {
-            return Err(format!(
-                "fused {fused:?} != materialized {materialized:?} on {set:?}"
-            ));
-        }
-        if fused != scan {
-            return Err(format!("fused {fused:?} != scan {scan:?} on {set:?}"));
-        }
-    }
-    Ok(())
 }
 
 /// One random bitset: a set of ids plus a flag forcing the dense
@@ -106,18 +89,19 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32)>> {
 }
 
 proptest! {
-    /// The fused single-pass kernel, the materialized-union path and the
-    /// naive scans agree on arbitrary RIBs and event streams.
+    /// The fused single-pass kernel agrees with the model's scans on
+    /// arbitrary RIBs and event streams: over single links, runs of three,
+    /// all links, an unknown link and the empty set.
     #[test]
     fn fused_matches_materialized_and_scan(rib in arb_rib(), events in arb_events()) {
-        let c = build(&rib, &events);
-        if let Err(msg) = check_kernel_equivalences(&c) {
+        let (c, model) = build(&rib, &events);
+        if let Err(msg) = check_counters(&c, &model) {
             prop_assert!(false, "{}", msg);
         }
     }
 
-    /// The three-way agreement survives a burst boundary (start_burst purges
-    /// and replays into reused scratch state) and keeps holding afterwards.
+    /// The agreement survives a burst boundary (start_burst purges and
+    /// replays into reused scratch state) and keeps holding afterwards.
     #[test]
     fn fused_matches_across_burst_boundaries(
         rib in arb_rib(),
@@ -125,37 +109,29 @@ proptest! {
         window in proptest::collection::vec(0u32..90, 0..30),
         tail in arb_events(),
     ) {
-        let mut c = build(&rib, &events);
-        c.start_burst(window.iter().map(|i| p(*i)));
-        if let Err(msg) = check_kernel_equivalences(&c) {
+        let (mut c, mut model) = build(&rib, &events);
+        let window: Vec<Prefix> = window.iter().map(|i| p(*i)).collect();
+        c.start_burst(window.iter().copied());
+        model.start_burst(&window);
+        if let Err(msg) = check_counters(&c, &model) {
             prop_assert!(false, "after start_burst: {}", msg);
         }
-        for (withdraw, i, hops) in &tail {
-            if *withdraw {
-                c.on_withdraw(p(*i));
-            } else {
-                c.on_announce_path(p(*i), &AsPath::new(hops.iter().copied()));
-            }
-        }
-        if let Err(msg) = check_kernel_equivalences(&c) {
+        apply(&mut c, &mut model, &tail);
+        if let Err(msg) = check_counters(&c, &model) {
             prop_assert!(false, "after post-burst events: {}", msg);
         }
     }
 
     /// The incremental greedy aggregation (running-union trials) selects the
-    /// same links as recomputing each trial set from scratch — against both
-    /// the materialized-union and full-scan scorers.
+    /// same links as the model's chain, which recounts each trial set by
+    /// scan.
     #[test]
     fn incremental_greedy_matches_recompute(rib in arb_rib(), events in arb_events()) {
-        let c = build(&rib, &events);
+        let (c, model) = build(&rib, &events);
         let cfg = InferenceConfig::default();
-        let fused = infer_links(&c, &cfg);
-        let materialized = infer_links_materialized(&c, &cfg);
-        let scan = infer_links_scan(&c, &cfg);
         // Links, score and the carried (W, P), which the fused chain adds up
-        // from delta trials and the references recount.
-        prop_assert_eq!(&fused, &materialized);
-        prop_assert_eq!(&fused, &scan);
+        // from delta trials and the model recounts.
+        prop_assert_eq!(infer_links(&c, &cfg), model.infer(&cfg));
     }
 
     /// The raw kernels equal a BTreeSet model on arbitrary sparse/dense

@@ -38,11 +38,6 @@ impl Default for FibCostModel {
 }
 
 impl FibCostModel {
-    /// Time to update `n` per-prefix FIB entries back-to-back.
-    pub fn prefix_updates(&self, n: usize) -> Timestamp {
-        self.per_prefix_update * n as Timestamp
-    }
-
     /// Time to install `n` stage-2 rules back-to-back.
     pub fn rule_updates(&self, n: usize) -> Timestamp {
         self.per_rule_update * n as Timestamp
@@ -69,8 +64,6 @@ mod tests {
     #[test]
     fn batch_costs_scale_linearly() {
         let m = FibCostModel::default();
-        assert_eq!(m.prefix_updates(0), 0);
-        assert_eq!(m.prefix_updates(1000), 175_000);
         assert_eq!(m.rule_updates(64), 64 * 175);
     }
 }

@@ -9,12 +9,10 @@
 //! arrivals — and derives from them the probe-loss curves of Table 1 and
 //! Fig. 9(a), for both a vanilla BGP router and a SWIFTED one.
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 
-pub mod convergence;
-pub mod cost;
+mod convergence;
+mod cost;
 
 pub use convergence::{pick_probes, swifted_convergence, vanilla_convergence, ConvergenceResult};
 pub use cost::FibCostModel;

@@ -102,13 +102,11 @@
 //! assert_eq!(report.actions.len(), 0);
 //! ```
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::wildcard_enum_match_arm)]
 #![warn(clippy::match_wildcard_for_single_variants)]
 
-pub mod ingest;
+mod ingest;
 mod sync;
 mod worker;
 
@@ -120,6 +118,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
+use swift_core::inference::InferenceEngine;
 use swift_core::metrics::{LatencySummary, ProducerCounters};
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
 use swift_core::{RerouteAction, SwiftConfig};
@@ -566,6 +565,26 @@ impl ShardedRuntime {
     /// [`FlightRecorder::dump`] renders the recent history when a run fails.
     pub fn flight(&self) -> FlightRecorder {
         self.flight.clone()
+    }
+
+    /// The inference engine of `peer`'s session in deterministic mode; `None`
+    /// for a session without one, and always in sharded mode, where each
+    /// engine lives on its shard's thread.
+    pub fn engine(&self, peer: PeerId) -> Option<&InferenceEngine> {
+        match self.mode.as_ref()? {
+            Mode::Inline(inline) => inline.engines.get(&peer).map(SessionEngine::engine),
+            Mode::Sharded(_) => None,
+        }
+    }
+
+    /// The applier in deterministic mode; `None` in sharded mode, where it
+    /// lives on its own thread ([`RuntimeReport::applier`] has it after
+    /// [`ShardedRuntime::finish`]).
+    pub fn applier(&self) -> Option<&Applier> {
+        match self.mode.as_ref()? {
+            Mode::Inline(inline) => Some(&inline.applier),
+            Mode::Sharded(_) => None,
+        }
     }
 
     /// A new producer handle into this runtime: a cloneable, `Send`

@@ -1,14 +1,15 @@
 //! Log-linear mergeable histogram (HDR-style) with a bounded relative error.
 //!
 //! The runtime previously summarised latencies from a bounded ring of raw
-//! samples ([`LatencyRecorder`](../../core/src/metrics.rs) in `swift-core`),
-//! which evicts under load: merging shard windows approximates cross-shard
-//! percentiles by whatever samples survived. This histogram never evicts.
+//! samples (the `LatencyRecorder` that `tests/histogram_vs_ring.rs` keeps
+//! as the comparison), which evicts under load: merging shard windows
+//! approximates cross-shard percentiles by whatever samples survived. This histogram never evicts.
 //! Values are binned into log-linear buckets — [`GROUP_BITS`] sub-buckets per
 //! power of two — so any recorded value is represented by its bucket floor
 //! with a relative error of at most `1/2^GROUP_BITS` (3.125%), merges are a
 //! bucketwise add (exactly associative and commutative), and memory is bounded
-//! by the value range (≤ [`MAX_BUCKETS`] u64 slots), not the sample count.
+//! by the value range (at most `60 · 2^GROUP_BITS` u64 slots), not
+//! the sample count.
 //!
 //! Reported percentiles are **bucket floors**: for any nearest-rank percentile
 //! `e` of the exact sample multiset, the histogram reports `h` with
@@ -22,12 +23,6 @@ pub const GROUP_BITS: u32 = 5;
 
 /// Sub-buckets per octave (32).
 const GROUP: u64 = 1 << GROUP_BITS;
-
-/// Upper bound on the bucket index space for `u64` values.
-///
-/// Values below `2 * GROUP` get one exact bucket each (`2 * GROUP` buckets);
-/// each of the 58 remaining octaves contributes `GROUP` buckets.
-pub const MAX_BUCKETS: usize = (2 * GROUP as usize) + (63 - GROUP_BITS as usize) * GROUP as usize;
 
 /// A mergeable log-linear histogram over `u64` samples.
 ///
@@ -50,7 +45,7 @@ pub struct LogHistogram {
 /// `GROUP_BITS + 1` significant bits select the bucket, giving `GROUP` linear
 /// sub-buckets per power of two.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     if v < 2 * GROUP {
         v as usize
     } else {
@@ -64,7 +59,7 @@ pub fn bucket_of(v: u64) -> usize {
 /// Smallest value mapping to bucket `b` (the value the histogram reports for
 /// any sample binned there).
 #[inline]
-pub fn bucket_floor(b: usize) -> u64 {
+pub(crate) fn bucket_floor(b: usize) -> u64 {
     let b = b as u64;
     if b < 2 * GROUP {
         b
@@ -270,7 +265,10 @@ mod tests {
             // Width bound: the floor undershoots by at most v/32.
             assert!(v - floor <= (v >> GROUP_BITS).max(1));
         }
-        assert_eq!(bucket_of(u64::MAX) + 1, MAX_BUCKETS);
+        // Values below 2 * GROUP get one exact bucket each; each of the 58
+        // remaining octaves contributes GROUP buckets.
+        let max_buckets = 2 * GROUP as usize + (63 - GROUP_BITS as usize) * GROUP as usize;
+        assert_eq!(bucket_of(u64::MAX) + 1, max_buckets);
     }
 
     #[test]

@@ -23,14 +23,12 @@
 
 #![warn(clippy::unwrap_used)]
 
-pub mod flight;
-pub mod histogram;
-pub mod registry;
-pub mod trace;
+mod flight;
+mod histogram;
+mod registry;
+mod trace;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
-pub use histogram::{
-    bucket_floor, bucket_of, HistogramSummary, LogHistogram, GROUP_BITS, MAX_BUCKETS,
-};
+pub use histogram::{HistogramSummary, LogHistogram, GROUP_BITS};
 pub use registry::{Counter, Gauge, Registry};
 pub use trace::{StageHistograms, TraceSampler, TraceStamp};

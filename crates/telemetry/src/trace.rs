@@ -86,15 +86,6 @@ impl TraceSampler {
         self.seen = self.seen.wrapping_add(1);
         hit
     }
-
-    /// The effective sampling interval (1 when disabled).
-    pub fn interval(&self) -> u64 {
-        if self.enabled {
-            self.mask + 1
-        } else {
-            1
-        }
-    }
 }
 
 /// Per-stage histograms for traced events, in nanoseconds.
@@ -169,21 +160,20 @@ mod tests {
         let mut s = TraceSampler::every(8);
         let hits = (0..64).filter(|_| s.sample()).count();
         assert_eq!(hits, 8);
-        assert_eq!(s.interval(), 8);
+        assert_eq!(s.mask + 1, 8);
     }
 
     #[test]
     fn sampler_rounds_down_to_a_power_of_two() {
-        assert_eq!(TraceSampler::every(1000).interval(), 512);
-        assert_eq!(TraceSampler::every(1024).interval(), 1024);
-        assert_eq!(TraceSampler::every(1).interval(), 1);
+        assert_eq!(TraceSampler::every(1000).mask + 1, 512);
+        assert_eq!(TraceSampler::every(1024).mask + 1, 1024);
+        assert_eq!(TraceSampler::every(1).mask + 1, 1);
     }
 
     #[test]
     fn sampler_disabled_never_samples() {
         let mut s = TraceSampler::every(0);
         assert!((0..100).all(|_| !s.sample()));
-        assert_eq!(s.interval(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use swift_bgp::Asn;
 
 /// Configuration of the hyperbolic graph generator.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HyperbolicConfig {
+pub(crate) struct HyperbolicConfig {
     /// Number of ASes to generate (paper: 1,000).
     pub nodes: usize,
     /// Target average node degree (paper: 8.4, the CAIDA Oct-2016 value).
@@ -44,7 +44,7 @@ impl Default for HyperbolicConfig {
 
 /// A generator producing connected, degree-calibrated hyperbolic graphs.
 #[derive(Debug, Clone)]
-pub struct HyperbolicGenerator {
+pub(crate) struct HyperbolicGenerator {
     config: HyperbolicConfig,
 }
 
@@ -57,13 +57,8 @@ struct Coord {
 
 impl HyperbolicGenerator {
     /// Creates a generator with the given configuration.
-    pub fn new(config: HyperbolicConfig) -> Self {
+    pub(crate) fn new(config: HyperbolicConfig) -> Self {
         HyperbolicGenerator { config }
-    }
-
-    /// The generator's configuration.
-    pub fn config(&self) -> &HyperbolicConfig {
-        &self.config
     }
 
     /// Generates the graph. ASes are numbered `1..=nodes`.
@@ -72,7 +67,7 @@ impl HyperbolicGenerator {
     /// radius, any remaining components are attached to the giant component
     /// through their hyperbolically-closest node pair (mirroring what the
     /// reference generator achieves with its own post-processing).
-    pub fn generate(&self) -> AsGraph {
+    pub(crate) fn generate(&self) -> AsGraph {
         let n = self.config.nodes;
         let mut graph = AsGraph::new();
         for i in 1..=n {

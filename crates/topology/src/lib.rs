@@ -12,24 +12,23 @@
 //!
 //! This crate reimplements that pipeline:
 //!
-//! * [`hyperbolic`] — random hyperbolic graph generation with a degree-targeted
-//!   connection radius;
-//! * [`graph`] — the AS graph structure with adjacency and reachability queries;
-//! * [`relationships`] — tier assignment and Gao–Rexford relationship labelling;
-//! * [`builder`] — the [`Topology`] bundle (graph + tiers +
-//!   relationships + per-AS originated prefixes) plus hand-built fixtures such
-//!   as the paper's Fig. 1 topology.
+//! * random hyperbolic graph generation with a degree-targeted connection
+//!   radius, behind [`TopologyConfig`];
+//! * [`AsGraph`] — the AS graph structure with adjacency and reachability
+//!   queries;
+//! * [`TierMap`] / [`Relationship`] — tier assignment and Gao–Rexford
+//!   relationship labelling;
+//! * [`Topology`] — the bundle (graph + tiers + relationships + per-AS
+//!   originated prefixes) plus hand-built fixtures such as the paper's Fig. 1
+//!   topology.
 
-#![deny(missing_docs)]
-#![warn(clippy::all)]
 #![warn(clippy::unwrap_used)]
 
-pub mod builder;
-pub mod graph;
-pub mod hyperbolic;
-pub mod relationships;
+mod builder;
+mod graph;
+mod hyperbolic;
+mod relationships;
 
 pub use builder::{Topology, TopologyConfig};
 pub use graph::AsGraph;
-pub use hyperbolic::{HyperbolicConfig, HyperbolicGenerator};
 pub use relationships::{Relationship, TierMap};

@@ -22,16 +22,7 @@ pub enum Relationship {
     Peer,
 }
 
-impl Relationship {
-    /// The relationship as seen from the other side of the link.
-    pub fn inverse(&self) -> Relationship {
-        match self {
-            Relationship::Customer => Relationship::Provider,
-            Relationship::Provider => Relationship::Customer,
-            Relationship::Peer => Relationship::Peer,
-        }
-    }
-}
+impl Relationship {}
 
 /// Tier assignment and pairwise relationships for a topology.
 #[derive(Debug, Clone, Default)]
@@ -82,11 +73,6 @@ impl TierMap {
             .filter(|(_, t)| **t == tier)
             .map(|(a, _)| *a)
             .collect()
-    }
-
-    /// The largest tier number present.
-    pub fn max_tier(&self) -> usize {
-        self.tiers.values().copied().max().unwrap_or(0)
     }
 
     /// Number of ASes with an assigned tier.
@@ -166,7 +152,6 @@ mod tests {
         assert_eq!(tiers.tier(Asn(7)), Some(2));
         assert_eq!(tiers.tier(Asn(5)), Some(3));
         assert_eq!(tiers.tier(Asn(6)), Some(3));
-        assert_eq!(tiers.max_tier(), 3);
         assert_eq!(tiers.len(), 7);
         assert!(!tiers.is_empty());
         assert_eq!(tiers.ases_in_tier(1), vec![Asn(1), Asn(2)]);
@@ -188,8 +173,6 @@ mod tests {
             Some(Relationship::Provider)
         );
         assert_eq!(tiers.relationship(Asn(3), Asn(99)), None);
-        assert_eq!(Relationship::Customer.inverse(), Relationship::Provider);
-        assert_eq!(Relationship::Peer.inverse(), Relationship::Peer);
     }
 
     #[test]

@@ -172,7 +172,7 @@ type RibParts = (InternedRib, PrefixSet, BTreeMap<AsLink, Vec<Prefix>>);
 /// session's prefix space disjoint *and* inside the injective range of
 /// [`Prefix::nth_slash24`] (`i < 2^24 - 2^16`) for up to 254 sessions
 /// (enforced by [`Corpus::generate`]) — a requirement of the corpus-wide
-/// vantage table [`crate::SoakReplay::vantage_table`] builds, where all
+/// vantage table [`crate::soak::SoakReplay::vantage_table`] builds, where all
 /// sessions' RIBs coexist in one router.
 pub const SESSION_PREFIX_SPACING: u32 = 65_536;
 
@@ -551,11 +551,6 @@ impl SessionTrace {
         }
         table
     }
-
-    /// The monitored session's peer id inside [`SessionTrace::routing_table`].
-    pub fn monitored_peer(&self) -> PeerId {
-        PeerId(1)
-    }
 }
 
 #[cfg(test)]
@@ -660,12 +655,9 @@ mod tests {
         let table = session.routing_table();
         assert_eq!(table.peer_count(), 3);
         assert_eq!(table.prefix_count(), session.rib.len());
-        // The monitored session is primary thanks to LOCAL_PREF.
+        // The monitored session (peer 1) is primary thanks to LOCAL_PREF.
         let some_prefix = session.rib.get(0).0;
-        assert_eq!(
-            table.best(&some_prefix).unwrap().peer,
-            session.monitored_peer()
-        );
+        assert_eq!(table.best(&some_prefix).unwrap().peer, PeerId(1));
         // A large majority of prefixes have at least one alternate.
         let with_alternate = session
             .rib

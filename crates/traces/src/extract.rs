@@ -59,7 +59,10 @@ pub fn extract_bursts(stream: &MessageStream, config: &ExtractConfig) -> Vec<Ext
 }
 
 /// Extraction working directly on withdrawal timestamps (must be sorted).
-pub fn extract_from_times(times: &[Timestamp], config: &ExtractConfig) -> Vec<ExtractedBurst> {
+pub(crate) fn extract_from_times(
+    times: &[Timestamp],
+    config: &ExtractConfig,
+) -> Vec<ExtractedBurst> {
     let mut bursts = Vec::new();
     let mut window_start = 0usize; // index of the first withdrawal in the window
     let mut in_burst = false;

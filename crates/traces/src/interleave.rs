@@ -32,7 +32,7 @@ pub struct InterleavedEvent {
 /// ordered by timestamp with ties broken by peer id — and, within one
 /// session, always in that session's original order (the property the
 /// sharded runtime's determinism rests on).
-pub fn interleave_streams(streams: &[(PeerId, &MessageStream)]) -> Vec<InterleavedEvent> {
+pub(crate) fn interleave_streams(streams: &[(PeerId, &MessageStream)]) -> Vec<InterleavedEvent> {
     let mut events: Vec<InterleavedEvent> = Vec::new();
     for (peer, stream) in streams {
         for event in stream.elementary_events() {
@@ -91,7 +91,7 @@ pub struct MultiSessionTrace {
 }
 
 /// The shared backup provider's peer id (outside the session id range).
-pub const BACKUP_PEER: PeerId = PeerId(1_000_000);
+pub(crate) const BACKUP_PEER: PeerId = PeerId(1_000_000);
 
 impl MultiSessionTrace {
     /// Generates the workload deterministically from `config`.

@@ -19,7 +19,6 @@
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! `swift-bench eval`, which reproduces every table and figure of the paper.
 
-#![deny(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
 pub use swift_bgp as bgp;

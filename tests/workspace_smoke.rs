@@ -28,7 +28,7 @@ fn umbrella_reexports_are_reachable() {
     assert!(config.table_size > 0);
 
     let cost = FibCostModel::default();
-    assert!(cost.prefix_updates(1_000) > 0);
+    assert!(cost.rule_updates(1_000) > 0);
 
     let one_second: Timestamp = SECOND;
     assert_eq!(one_second, 1_000_000);
