@@ -19,7 +19,7 @@
 //! 64 bytes*: `size_of::<AsPath>()` is 24 and [`crate::Route`] /
 //! [`crate::ElementaryEvent`] are 64 bytes (pinned by a unit test below), so
 //! everything that merely moves routes and events (table copies, batches,
-//! queues, the deferred-RIB buffer) pays nothing for the path. A route
+//! queues, the applier's event buffer) pays nothing for the path. A route
 //! carries no communities: a `Vec` of them cost 24 bytes per record and
 //! nothing set or read it. A longer path **spills**: its hops live in one
 //! boxed slice, behind the same [`AsPath::hops`] every accessor goes

@@ -15,7 +15,7 @@
 //! inferences into one [`Applier`] thread. Both observe identical per-session
 //! behaviour because all decision-making lives in these two types.
 //!
-//! # Deferred RIB maintenance
+//! # RIB maintenance
 //!
 //! Keeping the Adj-RIB-In mirrors in sync is bookkeeping for the *slow* path
 //! (the post-convergence resync); it is explicitly not needed to decide or
@@ -23,17 +23,17 @@
 //! cannot keep up during a burst). So the applier buffers events, and
 //! [`Applier::sync_rib`], the one fold path, folds the buffer into the table
 //! through [`RoutingTable::apply_all`], whose batches overlap the events'
-//! dictionary misses. Every sync point folds first: a resync, a session
-//! registration or teardown, and every reader that needs the current mirror
-//! ([`Applier::unsafe_reroutes`]). In **eager** mode (the default, run by
-//! `SwiftRouter` and the inline runtime) a full batch of
-//! [`RoutingTable::APPLY_BATCH`] events folds as well; in **deferred** mode
-//! ([`Applier::with_deferred_rib`], the sharded runtime's applier thread)
-//! nothing else does, which keeps per-event work off that thread's queue.
+//! dictionary misses. It folds whenever a full batch of
+//! [`RoutingTable::APPLY_BATCH`] events is buffered, and at every sync point:
+//! a resync, a session registration or teardown, and every reader that needs
+//! the current mirror ([`Applier::unsafe_reroutes`]). So at most
+//! `APPLY_BATCH - 1` events wait for a sync point, and a resync never pays
+//! for a whole burst's folds. `SwiftRouter`, the inline runtime and the
+//! sharded runtime's applier thread all run this one policy.
 //!
 //! # The dirty set
 //!
-//! Whichever mode folds an event, the prefix whose routes it changed is
+//! Whichever path folds an event, the prefix whose routes it changed is
 //! marked dirty for the next resync's stage-1 retag. The set is keyed by the
 //! routing table's [`PrefixId`] — the id the fold hands back from the probe
 //! it makes anyway — as an id list plus a seen-bitmap (the crate's shared
@@ -140,12 +140,11 @@ pub struct Applier {
     outstanding: Vec<(PeerId, RerouteId)>,
     /// Events not yet folded into `table`; sized for one batch.
     pending: Vec<(PeerId, ElementaryEvent)>,
-    deferred_rib: bool,
 }
 
 impl Applier {
-    /// Builds an applier with **eager** RIB maintenance (events folded into
-    /// the routing table a batch at a time).
+    /// Builds an applier over `table`, with the forwarding table built from
+    /// it.
     pub fn new(config: SwiftConfig, table: RoutingTable, policy: ReroutingPolicy) -> Self {
         let forwarding = TwoStageTable::build(&table, &config.encoding, &policy);
         Self::from_parts(config, table, forwarding, policy)
@@ -178,17 +177,7 @@ impl Applier {
             dirty: DirtySet::default(),
             outstanding: Vec::new(),
             pending: Vec::with_capacity(RoutingTable::APPLY_BATCH),
-            deferred_rib: false,
         }
-    }
-
-    /// Switches the applier to **deferred** RIB maintenance: events are
-    /// folded into the routing table only at sync points (see "Deferred RIB
-    /// maintenance") — the mode the sharded runtime's applier thread runs
-    /// in, keeping per-event work off its queue.
-    pub fn with_deferred_rib(mut self) -> Self {
-        self.deferred_rib = true;
-        self
     }
 
     /// The applier's configuration.
@@ -201,8 +190,8 @@ impl Applier {
         &self.policy
     }
 
-    /// The routing table, as of the last fold (see "Deferred RIB
-    /// maintenance"); [`Applier::sync_rib`] folds the rest.
+    /// The routing table, as of the last fold (see "RIB maintenance");
+    /// [`Applier::sync_rib`] folds the rest.
     pub fn table(&self) -> &RoutingTable {
         &self.table
     }
@@ -223,7 +212,8 @@ impl Applier {
     }
 
     /// Records one per-prefix event: buffered, and folded into the routing
-    /// table with the next full batch (eager mode) or at the next sync point.
+    /// table with the next full batch or at the next sync point, whichever
+    /// comes first.
     /// A prefix whose routes the event changed then joins the dirty set the
     /// next resync retags.
     pub fn note_event(&mut self, peer: PeerId, event: &ElementaryEvent) {
@@ -234,14 +224,14 @@ impl Applier {
     /// own their events (the runtimes) buffer them without a clone.
     pub fn note_event_owned(&mut self, peer: PeerId, event: ElementaryEvent) {
         self.pending.push((peer, event));
-        if !self.deferred_rib && self.pending.len() >= RoutingTable::APPLY_BATCH {
+        if self.pending.len() >= RoutingTable::APPLY_BATCH {
             self.sync_rib();
         }
     }
 
     /// Folds every buffered event into the routing table, in order, marking
-    /// each prefix whose routes changed dirty — the one fold path of both
-    /// modes. Returns the number of events applied.
+    /// each prefix whose routes changed dirty — the one fold path. Returns
+    /// the number of events applied.
     pub fn sync_rib(&mut self) -> usize {
         let applied = self.pending.len();
         let dirty = &mut self.dirty;
@@ -289,7 +279,7 @@ impl Applier {
     /// Registers (or re-registers) a peering session on the serialized
     /// routing state: the peer joins the table, its routes are announced and
     /// the touched prefixes are retagged in stage 1 (the new session may have
-    /// become primary for some of them). Any deferred events are folded in
+    /// become primary for some of them). Any buffered events are folded in
     /// first so the retag sees current routes. Returns the number of routes
     /// announced.
     ///
@@ -313,7 +303,7 @@ impl Applier {
         announced.len()
     }
 
-    /// Tears a peering session down: folds any deferred events, removes the
+    /// Tears a peering session down: folds any buffered events, removes the
     /// SWIFT rules installed by this session's inferences, withdraws every
     /// route learned on the session from the RIB mirror (the peer itself
     /// stays registered so it can re-establish), retags the prefixes it
@@ -447,9 +437,9 @@ mod tests {
             SwiftConfig::default(),
             table,
             crate::encoding::ReroutingPolicy::allow_all(),
-        )
-        .with_deferred_rib();
-        // Buffer a withdrawal on the *backup* session, then tear the primary
+        );
+        // Buffer a withdrawal on the *backup* session (one event, below a
+        // full batch, so it waits for a sync point), then tear the primary
         // down: the fold must happen before the retag, so the withdrawn
         // backup route is not resurrected as the new next-hop.
         applier.note_event(
@@ -474,34 +464,32 @@ mod tests {
             timestamp: 0,
             prefix: p(i),
         };
-        let eager = Applier::new(
+        let mut applier = Applier::new(
             SwiftConfig::default(),
             two_peer_table(20),
             crate::encoding::ReroutingPolicy::allow_all(),
         );
-        for mut applier in [eager.clone(), eager.with_deferred_rib()] {
-            // An unregistered peer, a prefix the table has never seen, and
-            // (second time round) a route already withdrawn: none is dirty.
-            applier.note_event(PeerId(9), &withdraw(0));
-            applier.note_event(PeerId(1), &withdraw(999));
-            applier.note_event(PeerId(1), &withdraw(3));
-            applier.note_event_owned(PeerId(1), withdraw(3));
-            applier.sync_rib();
-            let dirty: Vec<Prefix> = applier
-                .dirty
-                .ids()
-                .iter()
-                .map(|id| applier.table().prefix_of(*id))
-                .collect();
-            assert_eq!(dirty, vec![p(3)]);
-            assert_eq!(
-                applier.table().prefix_count(),
-                20,
-                "p(999) was not interned"
-            );
-            applier.resync_after_convergence();
-            assert!(applier.dirty.ids().is_empty() && applier.dirty.bitmap_is_clear());
-            assert_eq!(applier.forwarding_next_hop(&p(3)), Some(PeerId(2)));
-        }
+        // An unregistered peer, a prefix the table has never seen, and
+        // (second time round) a route already withdrawn: none is dirty.
+        applier.note_event(PeerId(9), &withdraw(0));
+        applier.note_event(PeerId(1), &withdraw(999));
+        applier.note_event(PeerId(1), &withdraw(3));
+        applier.note_event_owned(PeerId(1), withdraw(3));
+        applier.sync_rib();
+        let dirty: Vec<Prefix> = applier
+            .dirty
+            .ids()
+            .iter()
+            .map(|id| applier.table().prefix_of(*id))
+            .collect();
+        assert_eq!(dirty, vec![p(3)]);
+        assert_eq!(
+            applier.table().prefix_count(),
+            20,
+            "p(999) was not interned"
+        );
+        applier.resync_after_convergence();
+        assert!(applier.dirty.ids().is_empty() && applier.dirty.bitmap_is_clear());
+        assert_eq!(applier.forwarding_next_hop(&p(3)), Some(PeerId(2)));
     }
 }

@@ -404,44 +404,4 @@ mod tests {
         assert!(router.engine(PeerId(9)).is_none());
         assert_eq!(router.forwarding().stage1_len(), 30);
     }
-
-    /// The applier's deferred-RIB mode (used by the sharded runtime) must
-    /// produce the same routing table and resync outcome as the eager mode.
-    #[test]
-    fn deferred_applier_converges_to_the_eager_state() {
-        let cfg = config();
-        let table = fig1_table(50);
-        let mut eager = Applier::new(cfg.clone(), table.clone(), ReroutingPolicy::allow_all());
-        let mut deferred =
-            Applier::new(cfg, table, ReroutingPolicy::allow_all()).with_deferred_rib();
-        let events = fig1_burst(50);
-        for ev in &events {
-            eager.note_event(PeerId(2), ev);
-            deferred.note_event(PeerId(2), ev);
-        }
-        assert_eq!(deferred.pending_events(), events.len());
-        // Before the sync the deferred table still sees the pre-burst routes.
-        assert!(deferred.table().best(&p(0)).is_some());
-        assert_eq!(deferred.sync_rib(), events.len());
-        assert_eq!(deferred.pending_events(), 0);
-        assert_eq!(
-            eager.table().best(&p(0)).map(|r| r.peer),
-            deferred.table().best(&p(0)).map(|r| r.peer)
-        );
-        assert_eq!(
-            eager.table().prefix_count(),
-            deferred.table().prefix_count()
-        );
-        // Resyncs agree too (sync_rib is implicit in resync).
-        assert_eq!(
-            eager.resync_after_convergence(),
-            deferred.resync_after_convergence()
-        );
-        for i in 0..150 {
-            assert_eq!(
-                eager.forwarding_next_hop(&p(i)),
-                deferred.forwarding_next_hop(&p(i))
-            );
-        }
-    }
 }

@@ -43,9 +43,9 @@
 //!   microseconds whatever the table size, so there is nothing to
 //!   parallelise; and the table cannot be cut by prefix range, because one
 //!   session's predicted prefixes span every range and a reroute must cover
-//!   them all. Routing-RIB bookkeeping is deferred (see
-//!   [`Applier::with_deferred_rib`](swift_core::pipeline::Applier)) so the
-//!   applier stays off the per-event hot path.
+//!   them all. The applier folds its routing-RIB mirror the way every
+//!   [`Applier`] does, a batch of events at a time, after installing that
+//!   batch's accepted inferences.
 //! * **Bounded queues everywhere**: a full shard queue blocks the ingest; a
 //!   full applier queue blocks the shards. Nothing is shed while the runtime
 //!   is live.
@@ -216,7 +216,7 @@ pub struct ApplierShardMetrics {
     /// Applier index: always `0`, there is one applier (registry names
     /// `applier.0.*`).
     pub shard: usize,
-    /// Events folded into the deferred RIB buffer.
+    /// Events folded into the RIB mirror.
     pub events: u64,
     /// Batches received from the shard workers.
     pub batches: u64,
@@ -233,10 +233,9 @@ pub struct ApplierShardMetrics {
     pub events_per_sec: f64,
     /// Rule installs per second of busy time.
     pub installs_per_sec: f64,
-    /// High-water mark of the deferred-RIB buffer, in events.
+    /// High-water mark of the applier's unfolded-event buffer, in events,
+    /// sampled at batch ends: below [`RoutingTable::APPLY_BATCH`].
     pub pending_high_water: usize,
-    /// Deferred events folded into the RIB mirror at resync time.
-    pub pending_folded: u64,
     /// Resyncs served.
     pub resyncs: u64,
 }
@@ -311,7 +310,7 @@ impl RuntimeReport {
         self.applier.forwarding().swift_rule_count()
     }
 
-    /// Events still buffered in the applier's deferred-RIB buffer.
+    /// Events buffered in the applier and not yet folded into its RIB mirror.
     pub fn pending_events(&self) -> usize {
         self.applier.pending_events()
     }
@@ -445,7 +444,7 @@ impl ShardedRuntime {
         let applier_depth = QueueDepth::default();
         let applier_high = registry.gauge("applier.0.queue.high");
         let applier_worker = worker::ApplierWorker {
-            applier: Applier::new(swift.clone(), table, policy).with_deferred_rib(),
+            applier: Applier::new(swift.clone(), table, policy),
             rx: applier_rx,
             barrier_tx,
             workers: shards,
@@ -930,7 +929,6 @@ impl ShardedRuntime {
                     events_per_sec: per_second(applied.events),
                     installs_per_sec: per_second(applied.installs),
                     pending_high_water: applied.pending_high_water,
-                    pending_folded: applied.pending_folded,
                     resyncs: applied.resyncs,
                 }];
                 Some(RuntimeReport {

@@ -144,8 +144,10 @@ pub(crate) struct SessionRegistration {
 pub(crate) struct ProcessedEvent {
     pub peer: PeerId,
     pub event: ElementaryEvent,
-    /// The accepted inference, if this event triggered one.
-    pub result: Option<InferenceResult>,
+    /// The accepted inference, if this event triggered one — boxed: at most
+    /// one event per burst carries one, and inline it would nearly double
+    /// every record on the applier queue.
+    pub result: Option<Box<InferenceResult>>,
     /// Coarse ingest time (nanoseconds on the runtime's [`EpochClock`]).
     pub ingest: u64,
     /// Sampled-tracing stamp, advanced to the shard's inference boundary.
@@ -202,7 +204,7 @@ pub(crate) struct ApplierReport {
     /// Per-stage spans of traced events (`applier_wait` and `install`
     /// populated here).
     pub stages: StageHistograms,
-    /// Events folded into the deferred RIB buffer.
+    /// Events folded into the RIB mirror.
     pub events: u64,
     /// Batches received.
     pub batches: u64,
@@ -211,10 +213,9 @@ pub(crate) struct ApplierReport {
     /// Accumulated time spent actually processing messages (not waiting on
     /// the queue) — the measure of where the serialization point sits.
     pub busy: Duration,
-    /// High-water mark of the deferred-RIB buffer, in events.
+    /// High-water mark of the applier's unfolded-event buffer, sampled at
+    /// batch ends: below [`swift_bgp::RoutingTable::APPLY_BATCH`].
     pub pending_high_water: usize,
-    /// Deferred events folded into the RIB mirror at resync time.
-    pub pending_folded: u64,
     /// Resyncs served.
     pub resyncs: u64,
 }
@@ -241,7 +242,8 @@ pub(crate) struct ShardWorker {
     pub depth: QueueDepth,
     pub clock: Arc<EpochClock>,
     /// Registry counter `shard.N.events` — the live source of truth for the
-    /// shard's event count (the exit report reads it back).
+    /// shard's event count (the exit report reads it back). Counted once per
+    /// batch, so a live snapshot advances a batch at a time.
     pub events_ctr: Counter,
     /// Registry counter `shard.N.batches`.
     pub batches_ctr: Counter,
@@ -294,6 +296,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                 depth.dec();
                 batches_ctr.inc();
                 first.get_or_insert_with(Instant::now);
+                let n = batch.len() as u64;
                 let mut out = Vec::with_capacity(batch.len());
                 for IngestEvent {
                     peer,
@@ -320,16 +323,16 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     // per event here is off the ingest hot path, and the
                     // coarse stamp is always ≤ the precise reading.
                     latency.record(clock.precise().saturating_sub(ingest));
-                    events_ctr.inc();
                     // An accepted inference rides with its triggering event.
                     out.push(ProcessedEvent {
                         peer,
                         event,
-                        result,
+                        result: result.map(Box::new),
                         ingest,
                         trace,
                     });
                 }
+                events_ctr.add(n);
                 last = Some(Instant::now());
                 if send_batch(&applier, applier_capacity, out).is_err() {
                     break 'outer; // applier gone; nothing left to do
@@ -388,7 +391,7 @@ pub(crate) struct ApplierWorker {
     pub clock: Arc<EpochClock>,
     pub depth: QueueDepth,
     /// Registry counter `applier.0.events` — live source of truth, read back
-    /// into the exit report.
+    /// into the exit report. Counted once per batch, like `shard.N.events`.
     pub events_ctr: Counter,
     /// Registry counter `applier.0.batches`.
     pub batches_ctr: Counter,
@@ -396,12 +399,12 @@ pub(crate) struct ApplierWorker {
     pub installs_ctr: Counter,
     /// Registry counter `applier.0.resyncs`.
     pub resyncs_ctr: Counter,
-    /// Registry gauge `applier.0.pending.high` (deferred-RIB high water).
+    /// Registry gauge `applier.0.pending.high` (unfolded-event high water).
     pub pending_gauge: Gauge,
 }
 
-/// The applier loop: fold every processed event into the (deferred) routing
-/// state, install the rules of accepted inferences in arrival order, answer
+/// The applier loop: install the rules of accepted inferences in arrival
+/// order, fold every processed event into the routing state, answer
 /// barrier and resync requests, and exit once every shard worker has said
 /// goodbye.
 #[expect(
@@ -430,25 +433,27 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
     let mut reroute_latency = LogHistogram::new();
     let mut stages = StageHistograms::new();
     let mut busy = Duration::ZERO;
-    let mut pending_folded = 0u64;
     while done < workers {
         let Ok(msg) = rx.recv() else {
             break;
         };
         match msg {
-            ApplierMsg::Batch(batch) => {
+            ApplierMsg::Batch(mut batch) => {
                 depth.dec();
                 let t0 = Instant::now();
                 batches_ctr.inc();
-                for mut processed in batch {
-                    events_ctr.inc();
-                    // Traced events close their shard → applier queue span at
-                    // dequeue and their install span after the table updates.
+                events_ctr.add(batch.len() as u64);
+                // The batch's installs go first, its mirror folds after: an
+                // install reads only stage-1 tags, which only a resync, a
+                // registration or a teardown writes, so it need not wait
+                // behind the folds of its own batch. Installs keep their
+                // arrival order. Traced events close their shard → applier
+                // queue span at dequeue and their install span after it.
+                for processed in &mut batch {
                     if let Some(stamp) = processed.trace.as_mut() {
                         stages.applier_wait.record(stamp.advance(clock.precise()));
                     }
-                    applier.note_event_owned(processed.peer, processed.event);
-                    if let Some(result) = processed.result {
+                    if let Some(result) = processed.result.take() {
                         let action = applier.apply_inference(processed.peer, &result);
                         installs_ctr.add(action.rules_installed as u64);
                         reroute_latency.record(clock.precise().saturating_sub(processed.ingest));
@@ -456,6 +461,9 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
                     if let Some(stamp) = processed.trace.as_mut() {
                         stages.install.record(stamp.advance(clock.precise()));
                     }
+                }
+                for processed in batch {
+                    applier.note_event_owned(processed.peer, processed.event);
                 }
                 pending_gauge.record_max(applier.pending_events() as u64);
                 busy += t0.elapsed();
@@ -486,7 +494,6 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
             }
             ApplierMsg::Resync(reply) => {
                 let t0 = Instant::now();
-                pending_folded += applier.pending_events() as u64;
                 resyncs_ctr.inc();
                 let removed = applier.resync_after_convergence();
                 busy += t0.elapsed();
@@ -504,7 +511,21 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         installs: installs_ctr.get(),
         busy,
         pending_high_water: pending_gauge.get() as usize,
-        pending_folded,
         resyncs: resyncs_ctr.get(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{IngestEvent, ProcessedEvent};
+    use std::mem::size_of;
+
+    /// The records the shard and applier queues carry: a 64-byte event (pinned
+    /// in `swift_bgp`) plus its session, ingest stamp and trace stamp, and on
+    /// the applier hop one pointer for the rare accepted inference.
+    #[test]
+    fn queue_records_stay_small() {
+        assert_eq!(size_of::<IngestEvent>(), 104);
+        assert_eq!(size_of::<ProcessedEvent>(), 112);
     }
 }

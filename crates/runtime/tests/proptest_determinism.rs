@@ -9,6 +9,11 @@
 //! sit in the address space, which is why the forwarding table is one table
 //! behind one applier and not cut by prefix range. The safety check at the
 //! end fails if an accepted inference reaches only part of it (or nothing).
+//!
+//! After a post-convergence resync, the sharded applier's RIB mirror (every
+//! peer's Adj-RIB-In) and data plane (every prefix's forwarding next-hop)
+//! equal the inline runtime's: the applier thread folds every event it is
+//! handed, the ones that carry an inference included.
 
 use proptest::prelude::*;
 use swift_bgp::{
@@ -82,6 +87,29 @@ fn table() -> RoutingTable {
     t
 }
 
+/// Every peer's Adj-RIB-In, in prefix order, and every prefix's forwarding
+/// next-hop: the routing and forwarding state a resync leaves behind.
+type Converged = (
+    Vec<(PeerId, Vec<(Prefix, Route)>)>,
+    Vec<(Prefix, Option<PeerId>)>,
+);
+
+fn converged(applier: &Applier) -> Converged {
+    let table = applier.table();
+    let ribs = table
+        .peers()
+        .map(|(peer, _)| {
+            let rib = table.adj_rib_in(peer).expect("peer just listed");
+            (peer, rib.iter().map(|(p, r)| (*p, r.clone())).collect())
+        })
+        .collect();
+    let forwarding = table
+        .prefixes()
+        .map(|p| (*p, applier.forwarding_next_hop(p)))
+        .collect();
+    (ribs, forwarding)
+}
+
 /// Random multi-session stream entries: (session, withdraw?, prefix index,
 /// announce-path variant). Timestamps are assigned in arrival order, 5 ms
 /// apart, so dense runs form bursts.
@@ -125,7 +153,8 @@ proptest! {
     /// real threads) equal the single-threaded router's on random interleaved
     /// streams, installed-rule counts included, and leave no predicted prefix
     /// on a failed link; the deterministic inline mode equals the router
-    /// globally.
+    /// globally; and after a resync, the sharded mirror and data plane equal
+    /// the inline runtime's.
     #[test]
     fn sharded_reroutes_equal_single_threaded(stream in arb_stream()) {
         let events = materialize(&stream);
@@ -143,7 +172,9 @@ proptest! {
             ReroutingPolicy::allow_all(),
         );
         det.ingest_stream(events.iter().cloned());
+        let det_removed = det.resync_after_convergence();
         let det_report = det.finish();
+        let det_converged = converged(det_report.applier());
         prop_assert_eq!(det_report.actions.len(), router.actions().len());
         for (a, b) in det_report.actions.iter().zip(router.actions()) {
             prop_assert_eq!(a.session, b.session);
@@ -205,6 +236,28 @@ proptest! {
                     action.links
                 );
             }
+
+            // The same stream again, resynced before the finish: the
+            // applier's mirror and the retagged data plane equal the inline
+            // runtime's.
+            let mut resynced = ShardedRuntime::new(
+                RuntimeConfig {
+                    batch_size: 7,
+                    ..RuntimeConfig::sharded(shards)
+                },
+                config(),
+                table(),
+                ReroutingPolicy::allow_all(),
+            );
+            resynced.ingest_stream(events.iter().cloned());
+            prop_assert_eq!(resynced.resync_after_convergence(), det_removed);
+            let resynced = resynced.finish();
+            prop_assert_eq!(resynced.pending_events(), 0);
+            prop_assert!(
+                converged(resynced.applier()) == det_converged,
+                "after a resync, sharded({}) routing or forwarding state differs from inline",
+                shards
+            );
         }
     }
 }

@@ -19,7 +19,7 @@ pub enum FlightKind {
     Teardown,
     /// A barrier was sent to the shards, or its rendezvous completed.
     Barrier,
-    /// An applier resynchronised its deferred RIB.
+    /// An applier resynchronised its forwarding table with its RIB mirror.
     Resync,
     /// Data batches were shed by a producer that outlived the runtime.
     Drop,
