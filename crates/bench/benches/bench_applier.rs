@@ -19,8 +19,9 @@
 //!   the peers;
 //! * `mirror/withdraw_reannounce_22k_of_1m`: the same 44 000 events applied
 //!   to the bare [`RoutingTable`] — the RIB mirror alone, no dirty set, no
-//!   retag: what a withdrawal and the announcement restoring it cost when a
-//!   route is (or is not) a flat record;
+//!   retag: what a withdrawal and the announcement restoring it cost with
+//!   a route stored as a 16-byte record over the table's attribute
+//!   dictionary;
 //! * `mirror/apply_all_22k_of_1m`: the same churn through
 //!   [`RoutingTable::apply_all`], the batched fold the applier uses.
 

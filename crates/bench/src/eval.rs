@@ -595,7 +595,7 @@ fn sim(ctx: &Ctx<'_>, out: &mut Out) {
         let noisy = clean.merge(&MessageStream::from_messages(noise.collect()));
         let withdrawn = burst.withdrawn_prefixes(&topology);
         for (stream, tally) in [clean, noisy].iter().zip(tallies.chunks_mut(2)) {
-            let paths = rib.iter().map(|(p, r)| (p, &r.attrs.as_path));
+            let paths = rib.views().map(|(p, r)| (p, r.as_path()));
             let mut engine = InferenceEngine::new(InferenceConfig::default(), paths);
             let (mut early, mut seen) = (None, 0);
             for ev in stream.elementary_events() {

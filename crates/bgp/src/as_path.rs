@@ -15,23 +15,27 @@
 //! `[Asn; 5]` inside the record, no heap block behind it. Five is not tuned,
 //! it is what fits: the `Vec<Asn>` this replaced had a 24-byte header
 //! (pointer, capacity, length), and 24 bytes at 8-byte alignment hold a tag,
-//! a length and 5 × 4 bytes of hops. The rule is that *the record stays at
-//! 64 bytes*: `size_of::<AsPath>()` is 24 and [`crate::Route`] /
-//! [`crate::ElementaryEvent`] are 64 bytes (pinned by a unit test below), so
-//! everything that merely moves routes and events (table copies, batches,
-//! queues, the applier's event buffer) pays nothing for the path. A route
-//! carries no communities: a `Vec` of them cost 24 bytes per record and
-//! nothing set or read it. A longer path **spills**: its hops live in one
-//! boxed slice, behind the same [`AsPath::hops`] every accessor goes
-//! through, so no caller can tell.
+//! a length and 5 × 4 bytes of hops. The owned records stay at 64 bytes:
+//! `size_of::<AsPath>()` is 24 and [`crate::Route`] /
+//! [`crate::ElementaryEvent`] are 64 bytes, so everything that merely moves
+//! events (batches, queues, the applier's event buffer) pays nothing for the
+//! path. A route carries no communities: a `Vec` of them cost 24 bytes per
+//! record and nothing set or read it. A longer path **spills**: its hops
+//! live in one boxed slice, behind the same [`AsPath::hops`] every accessor
+//! goes through, so no caller can tell.
 //!
-//! What that buys: a route is one flat record. Withdrawing it frees nothing
-//! (it used to `free` the path block — per withdrawal, in burst order, on a
-//! cold line), announcing it allocates nothing, cloning a table, an event or
-//! an interner copies bytes, and comparing the candidates of a prefix reads
-//! the hops where the route lies instead of chasing a pointer per candidate.
+//! A routing table does not store routes in that form. It keeps each
+//! distinct attribute set, path included, once in its attribute dictionary
+//! (see [`crate::attributes`]), and a stored route is a 16-byte record —
+//! peer, attribute id, time learned — with no path in it (the unit test
+//! below pins both sizes, `Option` included). Withdrawing a route frees
+//! nothing and reads no path; announcing a set the dictionary holds
+//! allocates nothing and drops the event's copy (for a spilled path, that
+//! frees the event's block); cloning a table or an interner copies bytes
+//! plus one block per distinct spilled path, and comparing the candidates
+//! of a prefix reads each set where the dictionary holds it.
 //! `crates/core/tests/alloc_free_event_path.rs` holds the per-event path to
-//! zero allocator calls.
+//! zero `alloc` calls.
 //!
 //! Equality, ordering and hashing are those of the hop slice (`[Asn]`), as
 //! they were for the `Vec`: a path of at most five hops is always stored in
@@ -455,16 +459,21 @@ mod tests {
 
     #[test]
     fn a_path_is_a_flat_record_that_does_not_grow() {
+        use crate::rib::StoredRoute;
         use crate::{ElementaryEvent, Route};
         use std::mem::size_of;
         // The 24 bytes of the `Vec` header the in-place array replaced, and
-        // the records that embed a path at one cache line each.
+        // the owned records that embed a path at one cache line each.
         assert_eq!(size_of::<AsPath>(), 24);
         assert_eq!(size_of::<Option<AsPath>>(), 24);
         assert_eq!(size_of::<crate::RouteAttributes>(), 48);
         assert_eq!(size_of::<Route>(), 64);
         assert_eq!(size_of::<Option<Route>>(), 64);
         assert_eq!(size_of::<ElementaryEvent>(), 64);
+        // What a table stores per route: the attributes by non-zero id, so
+        // a slab entry's `Option` costs nothing.
+        assert_eq!(size_of::<StoredRoute>(), 16);
+        assert_eq!(size_of::<Option<StoredRoute>>(), 16);
     }
 
     #[test]

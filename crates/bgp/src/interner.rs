@@ -30,6 +30,12 @@ impl PathId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id whose [`PathId::index`] is `index` (for state that packs ids
+    /// beside other fields).
+    pub fn from_index(index: usize) -> Self {
+        PathId(index as u32)
+    }
 }
 
 /// Deduplicating storage for [`AsPath`]s.
@@ -115,8 +121,8 @@ impl PathInterner {
 /// distinct path — instead of one `AsPath` per prefix.
 #[derive(Debug, Clone, Default)]
 pub struct InternedRib {
-    interner: PathInterner,
-    entries: Vec<(Prefix, PathId)>,
+    pub(crate) interner: PathInterner,
+    pub(crate) entries: Vec<(Prefix, PathId)>,
 }
 
 impl InternedRib {

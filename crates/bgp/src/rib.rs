@@ -1,7 +1,11 @@
 //! Routing Information Bases.
 //!
-//! * [`Route`] — one route for one prefix from one peer, and the BGP decision
-//!   process ordering two of them.
+//! * [`Route`] — one route for one prefix from one peer, owned: the form
+//!   routes and events enter a table in, and the BGP decision process
+//!   ordering two of them.
+//! * [`RouteRef`] — a route as a table hands it out: a `Copy` view of a
+//!   stored route whose attributes are borrowed from the table's attribute
+//!   dictionary.
 //! * [`AdjRibIn`] — the per-peer RIB: what one neighbour currently announces,
 //!   as a view into a [`crate::table::RoutingTable`].
 //!
@@ -19,15 +23,17 @@
 //! # Storage and its invariants
 //!
 //! The table interns every prefix once ([`PrefixInterner`]: `Prefix` → dense
-//! [`PrefixId`], ids never reused) and each peer keeps `PeerRoutes`: a 4-byte
-//! slot per id pointing into a route slab with a free list. A route is one
-//! flat 64-byte record — its AS path sits inside it (see "Storage" in
-//! [`crate::as_path`]; only a path longer than five hops owns a heap
-//! block) — so applying
-//! an event is one probe of the interner's packed index (one cache line on
-//! a hit) plus array writes: an announcement moves the record into its slab
-//! entry, a withdrawal drops it where it lies and frees nothing. Nothing on
-//! that path is ordered.
+//! [`PrefixId`], ids never reused) and every distinct attribute set once (its
+//! attribute dictionary, see [`crate::attributes`]), and each peer keeps
+//! `PeerRoutes`: a 4-byte slot per prefix id pointing into a slab of 16-byte
+//! `StoredRoute` records — peer, attribute id, time learned — with a free
+//! list. The record is `Copy` and owns nothing, so applying an event is a
+//! probe of the prefix dictionary (one cache line on a hit), for an
+//! announcement a probe of the attribute dictionary, plus array writes: an
+//! announcement writes its record into its slab entry (the event's
+//! attributes move into the dictionary if they are new and are dropped
+//! otherwise), a withdrawal marks the entry free and reads nothing. Nothing
+//! on that path is ordered.
 //! The invariants (the index maps the prefix of id `i` to `i`; non-vacant slots
 //! point at distinct live slab entries, the rest of the slab is the free
 //! list) are maintained in exactly three functions —
@@ -35,18 +41,23 @@
 //! and checked against a plain ordered-map model by
 //! `crates/bgp/tests/proptest_table.rs` (the interner alone against a map
 //! model by `crates/bgp/tests/proptests.rs`). Ordered iteration
-//! ([`AdjRibIn::iter`]) sorts on demand: it is used by generators, engine
-//! seeding and the forwarding-table build, never per event.
+//! ([`AdjRibIn::iter`], [`AdjRibIn::views`]) sorts on demand: it is used by
+//! generators, engine seeding and the forwarding-table build, never per
+//! event.
 
 use crate::as_path::{AsLink, AsPath};
-use crate::attributes::RouteAttributes;
+use crate::attributes::{AttrDictionary, AttrId, RouteAttributes};
+use crate::interner::{InternedRib, PathId};
 use crate::prefix::Prefix;
 use crate::session::PeerId;
 use crate::Timestamp;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A route for one prefix learned from one peer.
+/// A route for one prefix learned from one peer, owned: what
+/// [`crate::RoutingTable::announce`] takes and [`AdjRibIn::iter`] yields.
+/// A table stores it as a 16-byte record and hands it out as a
+/// [`RouteRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// The peer the route was learned from.
@@ -72,6 +83,41 @@ impl Route {
         &self.attrs.as_path
     }
 
+    /// The route as a borrowed view, the form a table hands out.
+    pub fn view(&self) -> RouteRef<'_> {
+        RouteRef {
+            peer: self.peer,
+            attrs: &self.attrs,
+            learned_at: self.learned_at,
+        }
+    }
+
+    /// [`RouteRef::compare_preference`] of the two routes.
+    pub fn compare_preference(&self, other: &Route) -> Ordering {
+        self.view().compare_preference(&other.view())
+    }
+}
+
+/// A route as a [`crate::RoutingTable`] hands it out: the stored record's
+/// peer and time, and its attributes borrowed from the table's attribute
+/// dictionary. `Copy`, 24 bytes; [`RouteRef::to_route`] makes it owned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteRef<'a> {
+    /// The peer the route was learned from.
+    pub peer: PeerId,
+    /// The route's path attributes.
+    pub attrs: &'a RouteAttributes,
+    /// When the route was last announced.
+    pub learned_at: Timestamp,
+}
+
+impl<'a> RouteRef<'a> {
+    /// The route's AS path, borrowed from the table (not from the view).
+    #[inline]
+    pub fn as_path(&self) -> &'a AsPath {
+        &self.attrs.as_path
+    }
+
     /// Compares two routes with the standard BGP decision process:
     /// 1. highest LOCAL_PREF,
     /// 2. shortest AS path,
@@ -81,7 +127,7 @@ impl Route {
     /// 6. lowest peer identifier (stand-in for lowest router ID).
     ///
     /// Returns [`Ordering::Greater`] if `self` is preferred over `other`.
-    pub fn compare_preference(&self, other: &Route) -> Ordering {
+    pub fn compare_preference(&self, other: &RouteRef<'_>) -> Ordering {
         self.attrs
             .effective_local_pref()
             .cmp(&other.attrs.effective_local_pref())
@@ -90,6 +136,32 @@ impl Route {
             .then_with(|| other.attrs.effective_med().cmp(&self.attrs.effective_med()))
             .then_with(|| other.learned_at.cmp(&self.learned_at))
             .then_with(|| other.peer.cmp(&self.peer))
+    }
+
+    /// The route, owned (its attributes cloned).
+    pub fn to_route(&self) -> Route {
+        Route::new(self.peer, self.attrs.clone(), self.learned_at)
+    }
+}
+
+/// A route as a peer's slab stores it: 16 bytes, `Copy`, its attributes by
+/// id into the owning table's attribute dictionary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoredRoute {
+    pub(crate) peer: PeerId,
+    pub(crate) attrs: AttrId,
+    pub(crate) learned_at: Timestamp,
+}
+
+impl StoredRoute {
+    /// The record as a view, its attributes read from `dictionary`.
+    #[inline]
+    pub(crate) fn view(self, dictionary: &AttrDictionary) -> RouteRef<'_> {
+        RouteRef {
+            peer: self.peer,
+            attrs: dictionary.get(self.attrs),
+            learned_at: self.learned_at,
+        }
     }
 }
 
@@ -459,7 +531,7 @@ const VACANT: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PeerRoutes {
     slots: Vec<u32>,
-    routes: Vec<Option<Route>>,
+    routes: Vec<Option<StoredRoute>>,
     free: Vec<u32>,
 }
 
@@ -468,15 +540,16 @@ impl PeerRoutes {
         self.routes.len() - self.free.len()
     }
 
-    pub(crate) fn get(&self, id: PrefixId) -> Option<&Route> {
+    #[inline]
+    pub(crate) fn get(&self, id: PrefixId) -> Option<StoredRoute> {
         match self.slots.get(id.index()) {
-            Some(&slot) if slot != VACANT => self.routes[slot as usize].as_ref(),
+            Some(&slot) if slot != VACANT => self.routes[slot as usize],
             _ => None,
         }
     }
 
     /// Installs or replaces the route for `id`.
-    pub(crate) fn insert(&mut self, id: PrefixId, route: Route) {
+    pub(crate) fn insert(&mut self, id: PrefixId, route: StoredRoute) {
         if self.slots.len() <= id.index() {
             self.slots.resize(id.index() + 1, VACANT);
         }
@@ -490,8 +563,8 @@ impl PeerRoutes {
         self.routes[*slot as usize] = Some(route);
     }
 
-    /// Removes the route for `id`, dropping the record where it lies;
-    /// returns whether there was one. Never grows the slot array.
+    /// Removes the route for `id`, freeing its slab entry; returns whether
+    /// there was one. Never grows the slot array.
     pub(crate) fn remove(&mut self, id: PrefixId) -> bool {
         let Some(slot) = self.slots.get_mut(id.index()) else {
             return false;
@@ -512,13 +585,13 @@ impl PeerRoutes {
     }
 
     /// `(id, route)` pairs in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (PrefixId, &Route)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PrefixId, StoredRoute)> + '_ {
         self.slots
             .iter()
             .enumerate()
             .filter(|(_, slot)| **slot != VACANT)
             .map(|(id, slot)| {
-                let route = self.routes[*slot as usize].as_ref();
+                let route = self.routes[*slot as usize];
                 (PrefixId(id as u32), route.expect("occupied slot"))
             })
     }
@@ -527,11 +600,13 @@ impl PeerRoutes {
 /// The Adjacency-RIB-In of one peering session — what that peer currently
 /// announces — as a read-only view into the owning
 /// [`crate::table::RoutingTable`] (the peer's routes plus the table's prefix
-/// dictionary). Lookups are one hash probe; the ordered iterations sort on
-/// demand, which is what keeps a B-tree off the per-event path.
+/// and attribute dictionaries). Lookups are one hash probe; the ordered
+/// iterations sort on demand, which is what keeps a B-tree off the
+/// per-event path.
 #[derive(Debug, Clone, Copy)]
 pub struct AdjRibIn<'a> {
     pub(crate) interner: &'a PrefixInterner,
+    pub(crate) dictionary: &'a AttrDictionary,
     pub(crate) routes: &'a PeerRoutes,
 }
 
@@ -547,14 +622,16 @@ impl<'a> AdjRibIn<'a> {
     }
 
     /// The route for `prefix`, if announced.
-    pub fn get(&self, prefix: &Prefix) -> Option<&'a Route> {
-        self.routes.get(self.interner.get(prefix)?)
+    pub fn get(&self, prefix: &Prefix) -> Option<RouteRef<'a>> {
+        let route = self.routes.get(self.interner.get(prefix)?)?;
+        Some(route.view(self.dictionary))
     }
 
-    /// Iterates over `(prefix, route)` pairs in ascending prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a Prefix, &'a Route)> + 'a {
-        let interner = self.interner;
-        let mut entries: Vec<(Prefix, PrefixId, &Route)> = self
+    /// Iterates over `(prefix, route)` pairs in ascending prefix order, each
+    /// route viewed in place.
+    pub fn views(&self) -> impl Iterator<Item = (&'a Prefix, RouteRef<'a>)> + 'a {
+        let (interner, dictionary) = (self.interner, self.dictionary);
+        let mut entries: Vec<(Prefix, PrefixId, StoredRoute)> = self
             .routes
             .iter()
             .map(|(id, route)| (*interner.prefix(id), id, route))
@@ -562,18 +639,50 @@ impl<'a> AdjRibIn<'a> {
         entries.sort_unstable_by_key(|(prefix, _, _)| *prefix);
         entries
             .into_iter()
-            .map(move |(_, id, route)| (interner.prefix(id), route))
+            .map(move |(_, id, route)| (interner.prefix(id), route.view(dictionary)))
+    }
+
+    /// The peer's `(prefix, path)` pairs in ascending prefix order as an
+    /// [`InternedRib`], the inference engines' seeding format. A path is
+    /// interned when the first attribute set carrying it comes up, so the
+    /// path ids are those of interning every route's path in that order,
+    /// at one intern per distinct attribute set instead of one per route.
+    pub fn to_interned(&self) -> InternedRib {
+        let mut routes: Vec<(Prefix, AttrId)> = self
+            .routes
+            .iter()
+            .map(|(id, route)| (*self.interner.prefix(id), route.attrs))
+            .collect();
+        routes.sort_unstable_by_key(|(prefix, _)| *prefix);
+        let mut rib = InternedRib {
+            entries: Vec::with_capacity(routes.len()),
+            ..InternedRib::default()
+        };
+        let mut paths: Vec<Option<PathId>> = vec![None; self.dictionary.len()];
+        for (prefix, attrs) in routes {
+            let path = &self.dictionary.get(attrs).as_path;
+            let id = *paths[attrs.index()].get_or_insert_with(|| rib.interner.intern(path));
+            rib.entries.push((prefix, id));
+        }
+        rib
+    }
+
+    /// Iterates over `(prefix, route)` pairs in ascending prefix order, each
+    /// route owned ([`AdjRibIn::views`] without the clones).
+    pub fn iter(&self) -> impl Iterator<Item = (&'a Prefix, Route)> + 'a {
+        self.views()
+            .map(|(prefix, route)| (prefix, route.to_route()))
     }
 
     /// Iterates over the announced prefixes in ascending order.
     pub fn prefixes(&self) -> impl Iterator<Item = &'a Prefix> + 'a {
-        self.iter().map(|(prefix, _)| prefix)
+        self.views().map(|(prefix, _)| prefix)
     }
 
     /// Collects, in ascending order, the prefixes whose AS path traverses
     /// `link` (directed).
     pub fn prefix_set_via_link(&self, link: &AsLink) -> Vec<Prefix> {
-        self.iter()
+        self.views()
             .filter(|(_, r)| r.as_path().crosses_link(link))
             .map(|(prefix, _)| *prefix)
             .collect()

@@ -12,13 +12,15 @@
 //!
 //! # Single-copy storage
 //!
-//! Every route is stored once, in its peer's id-indexed slots (see
-//! [`crate::rib`]); the table adds the shared prefix dictionary, a
-//! [`PrefixInterner`] whose packed index answers a hit from one cache line.
-//! There is no per-prefix candidate map: the router-wide questions
-//! ([`RoutingTable::best`], [`RoutingTable::candidates`], …) resolve the
-//! prefix to its id with one probe of that index and read that id's slot in
-//! each peer. The one invariant the table
+//! Every route is stored once, as a 16-byte record in its peer's
+//! id-indexed slots (see [`crate::rib`]); the table adds the two shared
+//! dictionaries: a [`PrefixInterner`] whose packed index answers a hit from
+//! one cache line, and the attribute dictionary every record's attributes
+//! are read from (see [`crate::attributes`]). There is no per-prefix
+//! candidate map: the router-wide questions ([`RoutingTable::best`],
+//! [`RoutingTable::candidates`], …) resolve the prefix to its id with one
+//! probe of that index and read that id's slot in each peer, handing each
+//! route out as a [`RouteRef`]. The one invariant the table
 //! itself owns is that a peer's slots are indexed by *this* table's ids, which
 //! holds because the private `insert` is the only place a route enters a
 //! peer's storage. Withdrawing — or clearing a peer — never interns and never
@@ -45,31 +47,35 @@
 //! [`RoutingTable::apply_all`] takes events [`RoutingTable::APPLY_BATCH`] at
 //! a time, in two phases:
 //!
-//! 1. every event's prefix is looked up (never interned) and its id kept in
-//!    a stack array: independent probes, whose misses overlap;
+//! 1. every event's prefix, and every announcement's attribute set, is
+//!    looked up (never interned) and its id kept in a stack array:
+//!    independent probes, whose misses overlap;
 //! 2. the events are applied in order, each through the one body behind
-//!    [`RoutingTable::apply_owned`], handed the id phase 1 found.
+//!    [`RoutingTable::apply_owned`], handed the ids phase 1 found.
 //!
-//! A found id is still the prefix's id in phase 2, because ids are never
-//! freed or reused, whatever the earlier events of the batch did. A prefix
-//! phase 1 did not find is looked up again: an earlier announcement of the
-//! same batch may have interned it since. So the batch is exactly one
-//! `apply_owned` per event, in order. (Phase 1 also reading each id's slot
-//! and route record, as the retag's gather does, measured slower.)
+//! A found id is still its prefix's or set's id in phase 2, because neither
+//! dictionary frees or reuses ids, whatever the earlier events of the batch
+//! did. A prefix or set phase 1 did not find is looked up again: an earlier
+//! announcement of the same batch may have interned it since. So the batch
+//! is exactly one `apply_owned` per event, in order. (Phase 1 also reading
+//! each id's slot and route record, as the retag's gather does, measured
+//! slower.)
 
 use crate::as_path::{AsLink, Asn};
+use crate::attributes::{AttrDictionary, AttrId};
 use crate::message::ElementaryEvent;
 use crate::prefix::Prefix;
-use crate::rib::{AdjRibIn, PeerRoutes, PrefixId, PrefixInterner, Route};
+use crate::rib::{AdjRibIn, PeerRoutes, PrefixId, PrefixInterner, Route, RouteRef, StoredRoute};
 use crate::session::PeerId;
 use std::collections::{BTreeMap, HashMap};
 
 /// The router-wide routing state: the routes of every peer, stored once, over
-/// one shared prefix dictionary.
+/// one shared prefix dictionary and one shared attribute dictionary.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     peers: BTreeMap<PeerId, PeerState>,
     interner: PrefixInterner,
+    dictionary: AttrDictionary,
 }
 
 /// Per-peer state held by the routing table.
@@ -121,6 +127,7 @@ impl RoutingTable {
     pub fn adj_rib_in(&self, peer: PeerId) -> Option<AdjRibIn<'_>> {
         self.peers.get(&peer).map(|s| AdjRibIn {
             interner: &self.interner,
+            dictionary: &self.dictionary,
             routes: &s.routes,
         })
     }
@@ -147,6 +154,13 @@ impl RoutingTable {
         (0..self.interner.len() as u32).map(PrefixId)
     }
 
+    /// Number of distinct attribute sets in the table's attribute
+    /// dictionary: every set ever announced to it, carried by a route now
+    /// or not (ids are never freed).
+    pub fn attr_count(&self) -> usize {
+        self.dictionary.len()
+    }
+
     /// Applies a per-prefix event received from `peer`.
     ///
     /// Returns `false` (and changes nothing) if the peer is not registered.
@@ -163,7 +177,7 @@ impl RoutingTable {
     /// id of the prefix whose routes changed, `None` when nothing did: the
     /// peer is not registered, or it withdrew a route it does not hold.
     pub fn apply_owned(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<PrefixId> {
-        self.apply_found(peer, event, None)
+        self.apply_found(peer, event, (None, None))
     }
 
     /// Applies every event of `events`, in order, and calls `changed` with
@@ -176,13 +190,18 @@ impl RoutingTable {
         events: &mut Vec<(PeerId, ElementaryEvent)>,
         mut changed: impl FnMut(PrefixId),
     ) {
-        let mut found = [None; Self::APPLY_BATCH];
+        let mut found = [(None, None); Self::APPLY_BATCH];
         let mut events = events.drain(..);
         while !events.as_slice().is_empty() {
             let n = events.len().min(Self::APPLY_BATCH);
             // Phase 1: the batch's dictionary probes, whose misses overlap.
-            for (id, (_, event)) in found.iter_mut().zip(events.as_slice()) {
-                *id = self.interner.get(&event.prefix());
+            for (ids, (_, event)) in found.iter_mut().zip(events.as_slice()) {
+                *ids = match event {
+                    ElementaryEvent::Announce { prefix, attrs, .. } => {
+                        (self.interner.get(prefix), self.dictionary.lookup(attrs))
+                    }
+                    ElementaryEvent::Withdraw { prefix, .. } => (self.interner.get(prefix), None),
+                };
             }
             // Phase 2, in order.
             for (id, (peer, event)) in found.iter().zip(events.by_ref().take(n)) {
@@ -193,13 +212,14 @@ impl RoutingTable {
         }
     }
 
-    /// The body of [`RoutingTable::apply_owned`], given the prefix's id if
-    /// the caller already looked it up; `None` looks it up.
+    /// The body of [`RoutingTable::apply_owned`], given the prefix's id and
+    /// the announced set's id where the caller already looked them up;
+    /// `None` looks up.
     fn apply_found(
         &mut self,
         peer: PeerId,
         event: ElementaryEvent,
-        found: Option<PrefixId>,
+        found: (Option<PrefixId>, Option<AttrId>),
     ) -> Option<PrefixId> {
         match event {
             ElementaryEvent::Announce {
@@ -209,7 +229,7 @@ impl RoutingTable {
             } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp), found),
             ElementaryEvent::Withdraw { prefix, .. } => {
                 let state = self.peers.get_mut(&peer)?;
-                let id = found.or_else(|| self.interner.get(&prefix))?;
+                let id = found.0.or_else(|| self.interner.get(&prefix))?;
                 state.routes.remove(id).then_some(id)
             }
         }
@@ -219,22 +239,32 @@ impl RoutingTable {
     /// Returns the prefix's id, `None` (and changes nothing) if the peer is
     /// not registered.
     pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
-        self.insert(peer, prefix, route, None)
+        self.insert(peer, prefix, route, (None, None))
     }
 
-    /// Installs or replaces `peer`'s route for `prefix`, whose id is `found`
-    /// if the caller already looked it up — the only place a prefix is
-    /// interned and a route enters a peer's storage.
+    /// Installs or replaces `peer`'s route for `prefix`; `found` holds the
+    /// prefix's id and the route's attribute id where the caller already
+    /// looked them up. The only place a prefix or an attribute set is
+    /// interned and a route enters a peer's storage: the route's attributes
+    /// move into the dictionary if they are new and are dropped otherwise.
     fn insert(
         &mut self,
         peer: PeerId,
         prefix: Prefix,
         route: Route,
-        found: Option<PrefixId>,
+        found: (Option<PrefixId>, Option<AttrId>),
     ) -> Option<PrefixId> {
         let state = self.peers.get_mut(&peer)?;
-        let id = found.unwrap_or_else(|| self.interner.intern(prefix));
-        state.routes.insert(id, route);
+        let id = found.0.unwrap_or_else(|| self.interner.intern(prefix));
+        let attrs = found
+            .1
+            .unwrap_or_else(|| self.dictionary.intern(route.attrs));
+        let stored = StoredRoute {
+            peer: route.peer,
+            attrs,
+            learned_at: route.learned_at,
+        };
+        state.routes.insert(id, stored);
         Some(id)
     }
 
@@ -273,14 +303,14 @@ impl RoutingTable {
     }
 
     /// The routes every peer holds for one id (none for `None`).
-    fn candidates_of(&self, id: Option<PrefixId>) -> impl Iterator<Item = &Route> + Clone {
+    fn candidates_of(&self, id: Option<PrefixId>) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         self.peers
             .values()
-            .filter_map(move |state| state.routes.get(id?))
+            .filter_map(move |state| Some(state.routes.get(id?)?.view(&self.dictionary)))
     }
 
     /// The best route for a prefix.
-    pub fn best(&self, prefix: &Prefix) -> Option<&Route> {
+    pub fn best(&self, prefix: &Prefix) -> Option<RouteRef<'_>> {
         self.candidates(prefix)
             .max_by(|a, b| a.compare_preference(b))
     }
@@ -288,13 +318,13 @@ impl RoutingTable {
     /// All candidate routes for a prefix, in no particular order. The
     /// iterator is cheap to clone: the prefix is resolved once, so several
     /// passes over one prefix's candidates cost one hash probe.
-    pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> + Clone {
+    pub fn candidates(&self, prefix: &Prefix) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         self.candidates_of(self.interner.get(prefix))
     }
 
     /// [`RoutingTable::candidates`] of the prefix behind `id`, without the
     /// probe: one slot read per peer.
-    pub fn candidates_by_id(&self, id: PrefixId) -> impl Iterator<Item = &Route> + Clone {
+    pub fn candidates_by_id(&self, id: PrefixId) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         self.candidates_of(Some(id))
     }
 
@@ -303,11 +333,15 @@ impl RoutingTable {
     /// the peers. The walk is peer-major, so each id's routes arrive in peer
     /// order, as `candidates_by_id` yields them, and one peer's slot reads
     /// for the whole slice are independent of each other.
-    pub fn for_each_candidate<'a>(&'a self, ids: &[PrefixId], mut f: impl FnMut(usize, &'a Route)) {
+    pub fn for_each_candidate<'a>(
+        &'a self,
+        ids: &[PrefixId],
+        mut f: impl FnMut(usize, RouteRef<'a>),
+    ) {
         for state in self.peers.values() {
             for (i, id) in ids.iter().enumerate() {
                 if let Some(route) = state.routes.get(*id) {
-                    f(i, route);
+                    f(i, route.view(&self.dictionary));
                 }
             }
         }
@@ -316,13 +350,15 @@ impl RoutingTable {
     /// Every routed prefix with its candidate routes, in ascending prefix
     /// order: the whole-table pass (plan building, the forwarding-table
     /// build) that resolves no prefix by hash.
-    pub fn routed(&self) -> impl Iterator<Item = (&Prefix, impl Iterator<Item = &Route> + Clone)> {
+    pub fn routed(
+        &self,
+    ) -> impl Iterator<Item = (&Prefix, impl Iterator<Item = RouteRef<'_>> + Clone)> {
         self.routed_ids_by_prefix()
             .map(|id| (self.interner.prefix(id), self.candidates_of(Some(id))))
     }
 
     /// Iterates over `(prefix, best route)` pairs in ascending prefix order.
-    pub fn best_routes(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
+    pub fn best_routes(&self) -> impl Iterator<Item = (&Prefix, RouteRef<'_>)> {
         self.routed().map(|(prefix, candidates)| {
             let best = candidates.max_by(|a, b| a.compare_preference(b));
             (prefix, best.expect("routed ids have a candidate"))
@@ -338,7 +374,7 @@ impl RoutingTable {
         let mut counts: HashMap<AsLink, usize> = HashMap::new();
         if let Some(state) = self.peers.get(&peer) {
             for (_, route) in state.routes.iter() {
-                for link in route.as_path().links() {
+                for link in self.dictionary.get(route.attrs).as_path.links() {
                     *counts.entry(link).or_insert(0) += 1;
                 }
             }
@@ -353,7 +389,8 @@ impl RoutingTable {
         let mut counts: HashMap<(usize, AsLink), usize> = HashMap::new();
         if let Some(state) = self.peers.get(&peer) {
             for (_, route) in state.routes.iter() {
-                for (i, link) in route.as_path().links().enumerate() {
+                let path = &self.dictionary.get(route.attrs).as_path;
+                for (i, link) in path.links().enumerate() {
                     *counts.entry((i + 1, link)).or_insert(0) += 1;
                 }
             }
@@ -367,7 +404,7 @@ impl RoutingTable {
         let Some(rib) = self.adj_rib_in(peer) else {
             return Vec::new();
         };
-        rib.iter()
+        rib.views()
             .filter(|(_, r)| r.as_path().crosses_any(links))
             .map(|(prefix, _)| *prefix)
             .collect()
@@ -385,7 +422,7 @@ impl RoutingTable {
         prefix: &Prefix,
         exclude_peer: PeerId,
         avoid_ases: &[Asn],
-    ) -> Option<&Route> {
+    ) -> Option<RouteRef<'_>> {
         self.candidates(prefix)
             .filter(|r| r.peer != exclude_peer)
             .filter(|r| !avoid_ases.iter().any(|a| r.as_path().contains_as(*a)))

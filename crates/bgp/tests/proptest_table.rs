@@ -6,14 +6,24 @@
 //! nobody ever announced and implicit withdrawals by re-announcement — must
 //! leave every query of the table equal to the model's answer.
 //!
+//! The table stores each distinct attribute set once, in its attribute
+//! dictionary, and hands routes out as views into it. The churn varies every
+//! attribute the dictionary keys on — LOCAL_PREF and MED, each unset or set
+//! to a value equal to its default, and ORIGIN — over paths of one to eight
+//! hops (past the five a path holds in place), so that every view must
+//! equal the model's owned route, equal sets must share one entry (views of
+//! them read the same address) and the dictionary must hold exactly the
+//! distinct sets ever announced. Halfway through, the table is cloned and
+//! both copies take the rest of the churn: each must read like the model.
+//!
 //! The batched fold, `RoutingTable::apply_all`, is checked against the
 //! per-event `apply_owned` it must equal, on streams at the batch's edges.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, Route, RouteAttributes,
-    RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, InternedRib, Origin, PeerId, Prefix, PrefixId, Route,
+    RouteAttributes, RouteRef, RoutingTable,
 };
 
 /// Peers 1..=4 can be registered; 5 never is, so its events must bounce.
@@ -29,37 +39,55 @@ fn p(i: u32) -> Prefix {
     Prefix::nth_slash24(1_000 - i * 37 % 101)
 }
 
-/// One step: `(operation, peer, prefix index, path hops)`.
-type Op = (u8, u32, u32, Vec<u32>);
+/// The attributes of an announcement besides its path: indices into
+/// [`LOCAL_PREFS`], [`MEDS`] and [`ORIGINS`].
+type AttrChoice = (usize, usize, usize);
+
+/// LOCAL_PREF values: unset, set to the default it reads as, and higher.
+const LOCAL_PREFS: [Option<u32>; 3] = [None, Some(100), Some(200)];
+/// MED values: unset, set to the default it reads as, and higher.
+const MEDS: [Option<u32>; 3] = [None, Some(0), Some(5)];
+const ORIGINS: [Origin; 3] = [Origin::Igp, Origin::Egp, Origin::Incomplete];
+
+/// What an announcement carries: path hops and the other attributes.
+type Announced = (Vec<u32>, AttrChoice);
+
+/// One step: `(operation, peer, prefix index, announced)`.
+type Op = (u8, u32, u32, Announced);
+
+/// One to eight hops, past the five a path holds in place.
+fn arb_announced() -> impl Strategy<Value = Announced> {
+    (
+        proptest::collection::vec(1u32..9, 1..9),
+        (0..LOCAL_PREFS.len(), 0..MEDS.len(), 0..ORIGINS.len()),
+    )
+}
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
-        (
-            0u8..10,
-            1u32..PEERS + 1,
-            0u32..PREFIXES,
-            proptest::collection::vec(1u32..9, 1..5),
-        ),
+        (0u8..10, 1u32..PEERS + 1, 0u32..PREFIXES, arb_announced()),
         0..120,
     )
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Model {
     peers: BTreeMap<PeerId, Asn>,
     routes: BTreeMap<(PeerId, Prefix), Route>,
+    /// Every attribute set a registered peer ever announced.
+    announced: HashSet<RouteAttributes>,
 }
 
 impl Model {
-    fn candidates(&self, prefix: &Prefix) -> Vec<&Route> {
+    fn candidates(&self, prefix: &Prefix) -> Vec<Route> {
         self.routes
             .iter()
             .filter(|((_, q), _)| q == prefix)
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect()
     }
 
-    fn best_among<'a>(routes: impl IntoIterator<Item = &'a Route>) -> Option<&'a Route> {
+    fn best_among(routes: impl IntoIterator<Item = Route>) -> Option<Route> {
         routes.into_iter().max_by(|a, b| a.compare_preference(b))
     }
 
@@ -72,18 +100,27 @@ impl Model {
     }
 }
 
-fn route(peer: PeerId, hops: &[u32], t: u64) -> Route {
-    let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().copied()));
-    // Vary LOCAL_PREF and MED so every step of the decision process decides
-    // somewhere.
-    attrs.local_pref = (hops[0] % 3 == 0).then_some(100 + hops[0]);
-    attrs.med = (hops.len() % 2 == 0).then_some(hops[0]);
+/// A route whose LOCAL_PREF, MED and ORIGIN vary, so that every step of the
+/// decision process decides somewhere and the dictionary must tell apart
+/// sets that differ in one attribute only.
+fn route(peer: PeerId, hops: &[u32], (lp, med, origin): AttrChoice, t: u64) -> Route {
+    let attrs = RouteAttributes {
+        as_path: AsPath::new(hops.iter().copied()),
+        origin: ORIGINS[origin],
+        local_pref: LOCAL_PREFS[lp],
+        med: MEDS[med],
+    };
     Route::new(peer, attrs, t)
+}
+
+/// The owned routes behind some views.
+fn owned<'a>(views: impl IntoIterator<Item = RouteRef<'a>>) -> Vec<Route> {
+    views.into_iter().map(|r| r.to_route()).collect()
 }
 
 /// Applies one operation to both sides and checks their return values agree.
 fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Result<(), String> {
-    let (kind, peer, i, hops) = op;
+    let (kind, peer, i, (hops, attrs)) = op;
     let (peer, t) = (PeerId(*peer), k as u64);
     let prefix = if *kind < 6 { p(*i % ANNOUNCED) } else { p(*i) };
     let known = model.peers.contains_key(&peer);
@@ -106,23 +143,26 @@ fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Resul
             model.routes.retain(|(q, _), _| *q != peer);
         }
         2 | 3 => {
-            let r = route(peer, hops, t);
+            let r = route(peer, hops, *attrs, t);
             let id = table.announce(peer, prefix, r.clone());
             prop_assert_eq!(id.map(|id| table.prefix_of(id)), known.then_some(prefix));
             prop_assert_eq!(id, table.prefix_id(&prefix).filter(|_| known));
             if known {
+                model.announced.insert(r.attrs.clone());
                 model.routes.insert((peer, prefix), r);
             }
         }
         4 | 5 => {
+            let r = route(peer, hops, *attrs, t);
             let event = ElementaryEvent::Announce {
                 timestamp: t,
                 prefix,
-                attrs: route(peer, hops, t).attrs,
+                attrs: r.attrs.clone(),
             };
             prop_assert_eq!(table.apply(peer, &event), known);
             if known {
-                model.routes.insert((peer, prefix), route(peer, hops, t));
+                model.announced.insert(r.attrs.clone());
+                model.routes.insert((peer, prefix), r);
             }
         }
         _ => {
@@ -164,15 +204,30 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
         let expected = model.rib(peer);
         prop_assert_eq!(rib.len(), expected.len());
         prop_assert_eq!(rib.is_empty(), expected.is_empty());
-        let got: Vec<(Prefix, &Route)> = rib.iter().map(|(q, r)| (*q, r)).collect();
-        prop_assert_eq!(&got, &expected);
+        let got: Vec<(Prefix, Route)> = rib.iter().map(|(q, r)| (*q, r)).collect();
+        let want: Vec<(Prefix, Route)> = expected.iter().map(|(q, r)| (*q, (*r).clone())).collect();
+        prop_assert_eq!(&got, &want);
+        let views: Vec<(Prefix, Route)> = rib.views().map(|(q, r)| (*q, r.to_route())).collect();
+        prop_assert_eq!(&views, &want);
+        // The seeding form: the ids of interning every route's path in
+        // prefix order, whatever the dictionary shares.
+        let mut interned = InternedRib::new();
+        for (q, r) in &want {
+            interned.push(*q, r.as_path());
+        }
+        let seeded = rib.to_interned();
+        prop_assert_eq!(seeded.entries(), interned.entries());
+        prop_assert_eq!(seeded.interner().len(), interned.interner().len());
         let prefixes: Vec<Prefix> = rib.prefixes().copied().collect();
         prop_assert_eq!(
             prefixes,
             expected.iter().map(|(q, _)| *q).collect::<Vec<_>>()
         );
         for i in 0..PREFIXES {
-            prop_assert_eq!(rib.get(&p(i)), model.routes.get(&(peer, p(i))));
+            prop_assert_eq!(
+                rib.get(&p(i)),
+                model.routes.get(&(peer, p(i))).map(Route::view)
+            );
         }
         let mut links: HashMap<AsLink, usize> = HashMap::new();
         let mut positional: HashMap<(usize, AsLink), usize> = HashMap::new();
@@ -205,7 +260,7 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
     );
     for ((prefix, candidates), expected) in table.routed().zip(&ordered) {
         prop_assert_eq!(prefix, expected);
-        let mut got: Vec<&Route> = candidates.collect();
+        let mut got = owned(candidates);
         got.sort_by_key(|r| r.peer);
         prop_assert_eq!(got, model.candidates(prefix));
     }
@@ -215,39 +270,59 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
     for id in table.ids() {
         let prefix = table.prefix_of(id);
         prop_assert_eq!(table.prefix_id(&prefix), Some(id));
-        let mut got: Vec<&Route> = table.candidates_by_id(id).collect();
+        let mut got = owned(table.candidates_by_id(id));
         got.sort_by_key(|r| r.peer);
         prop_assert_eq!(got, model.candidates(&prefix));
     }
     let routed_ids: BTreeSet<Prefix> = table.routed_ids().map(|id| table.prefix_of(id)).collect();
     prop_assert_eq!(&routed_ids, &routed);
-    let bests: Vec<(Prefix, &Route)> = table.best_routes().map(|(q, r)| (*q, r)).collect();
-    let expected_bests: Vec<(Prefix, &Route)> = ordered
+    let bests: Vec<(Prefix, Route)> = table
+        .best_routes()
+        .map(|(q, r)| (*q, r.to_route()))
+        .collect();
+    let expected_bests: Vec<(Prefix, Route)> = ordered
         .iter()
-        .map(|q| (*q, Model::best_among(model.candidates(q)).expect("routed")))
+        .map(|q| {
+            let best = Model::best_among(model.candidates(q)).expect("routed");
+            (*q, best)
+        })
         .collect();
     prop_assert_eq!(bests, expected_bests);
     for i in 0..PREFIXES {
         let prefix = p(i);
         let candidates = model.candidates(&prefix);
         prop_assert_eq!(
-            table.best(&prefix),
-            Model::best_among(candidates.iter().copied())
+            table.best(&prefix).map(|r| r.to_route()),
+            Model::best_among(candidates.iter().cloned())
         );
-        let mut got: Vec<&Route> = table.candidates(&prefix).collect();
+        let mut got = owned(table.candidates(&prefix));
         got.sort_by_key(|r| r.peer); // compared as a set
         prop_assert_eq!(&got, &candidates);
         for excluded in 1..=PEERS {
-            let others = candidates.iter().copied().filter(|r| r.peer.0 != excluded);
+            let others = candidates.iter().filter(|r| r.peer.0 != excluded);
             for avoid in [vec![], vec![Asn(3)], vec![Asn(2), Asn(7)]] {
                 let eligible = others
                     .clone()
                     .filter(|r| !avoid.iter().any(|a| r.as_path().contains_as(*a)));
                 prop_assert_eq!(
-                    table.alternative_avoiding(&prefix, PeerId(excluded), &avoid),
-                    Model::best_among(eligible)
+                    table
+                        .alternative_avoiding(&prefix, PeerId(excluded), &avoid)
+                        .map(|r| r.to_route()),
+                    Model::best_among(eligible.cloned())
                 );
             }
+        }
+    }
+
+    // The attribute dictionary: one entry per set ever announced, and every
+    // view of equal sets reads that one entry.
+    prop_assert_eq!(table.attr_count(), model.announced.len());
+    let mut entries: HashMap<&RouteAttributes, *const RouteAttributes> = HashMap::new();
+    for id in table.ids() {
+        for route in table.candidates_by_id(id) {
+            let at: *const RouteAttributes = route.attrs;
+            let first = *entries.entry(route.attrs).or_insert(at);
+            prop_assert!(std::ptr::eq(first, at), "{:?} stored twice", route.attrs);
         }
     }
     Ok(())
@@ -257,15 +332,15 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
 /// batch, a batch plus one, and two batches plus one.
 const STREAM_LENGTHS: [usize; 5] = [1, 15, 16, 17, 33];
 
-/// One event of a stream: `(kind, peer, (prefix index, back), path hops)`.
-type StreamOp = (u8, u32, (u32, usize), Vec<u32>);
+/// One event of a stream: `(kind, peer, (prefix index, back), announced)`.
+type StreamOp = (u8, u32, (u32, usize), Announced);
 
 fn arb_stream() -> impl Strategy<Value = (usize, Vec<StreamOp>)> {
     let op = (
         0u8..3,
         1u32..PEERS + 1,
         (0u32..PREFIXES, 1usize..16),
-        proptest::collection::vec(1u32..9, 1..5),
+        arb_announced(),
     );
     (
         0..STREAM_LENGTHS.len(),
@@ -280,11 +355,11 @@ fn arb_stream() -> impl Strategy<Value = (usize, Vec<StreamOp>)> {
 /// in a batch, new ones included, is withdrawn in it.
 fn stream_events(ops: &[StreamOp]) -> Vec<(PeerId, ElementaryEvent)> {
     let mut events: Vec<(PeerId, ElementaryEvent)> = Vec::new();
-    for (k, (kind, peer, (i, back), hops)) in ops.iter().enumerate() {
+    for (k, (kind, peer, (i, back), (hops, attrs))) in ops.iter().enumerate() {
         let timestamp = k as u64;
         let (peer, prefix) = match (kind, k.checked_sub(*back)) {
             (0, _) => {
-                let attrs = route(PeerId(*peer), hops, timestamp).attrs;
+                let attrs = route(PeerId(*peer), hops, *attrs, timestamp).attrs;
                 let prefix = p(*i % ANNOUNCED);
                 let announce = ElementaryEvent::Announce {
                     timestamp,
@@ -302,28 +377,38 @@ fn stream_events(ops: &[StreamOp]) -> Vec<(PeerId, ElementaryEvent)> {
     events
 }
 
-/// Everything a routing table holds: its peers, and every id's prefix and
-/// candidate routes, in id order.
-type TableState = (Vec<(PeerId, Asn)>, Vec<(Prefix, Vec<Route>)>);
+/// Everything a routing table holds: its peers, every id's prefix and
+/// candidate routes, in id order, and its number of attribute sets.
+type TableState = (Vec<(PeerId, Asn)>, Vec<(Prefix, Vec<Route>)>, usize);
 
 fn state(table: &RoutingTable) -> TableState {
-    let ids = table.ids().map(|id| {
-        let routes = table.candidates_by_id(id).cloned().collect();
-        (table.prefix_of(id), routes)
-    });
-    (table.peers().collect(), ids.collect())
+    let ids = table
+        .ids()
+        .map(|id| (table.prefix_of(id), owned(table.candidates_by_id(id))));
+    (table.peers().collect(), ids.collect(), table.attr_count())
 }
 
 proptest! {
     /// After every step of a random operation sequence the table answers
-    /// every query like the ordered-map model, and a clone of it does too.
+    /// every query like the ordered-map model. Halfway through it is
+    /// cloned, and the clone takes the rest of the sequence too.
     #[test]
     fn routing_table_matches_the_ordered_map_model(ops in arb_ops()) {
         let mut table = RoutingTable::new();
         let mut model = Model::default();
-        for (k, op) in ops.iter().enumerate() {
+        let half = ops.len() / 2;
+        for (k, op) in ops[..half].iter().enumerate() {
             step(&mut table, &mut model, k, op)?;
             check(&table, &model)?;
+        }
+        let mut clone = table.clone();
+        let mut clone_model = model.clone();
+        check(&clone, &clone_model)?;
+        for (k, op) in ops.iter().enumerate().skip(half) {
+            step(&mut table, &mut model, k, op)?;
+            check(&table, &model)?;
+            step(&mut clone, &mut clone_model, k, op)?;
+            check(&clone, &clone_model)?;
         }
         check(&table.clone(), &model)?;
     }
@@ -332,7 +417,7 @@ proptest! {
     /// a stream of 1, 15, 16, 17 or 33 events leaves the same table and
     /// reports the same changed ids, in the same order. The stream is then
     /// applied a second time through the same buffer, now over prefixes
-    /// the table knows.
+    /// and attribute sets the table knows.
     #[test]
     fn applying_a_batch_equals_applying_each_event(
         seed in proptest::collection::vec((1u32..PEERS, 0u32..ANNOUNCED / 2), 0..24),
@@ -343,7 +428,8 @@ proptest! {
             batched.add_peer(PeerId(peer), Asn(100 + peer));
         }
         for (peer, i) in &seed {
-            batched.announce(PeerId(*peer), p(*i), route(PeerId(*peer), &[*peer], 0));
+            let r = route(PeerId(*peer), &[*peer], (0, 0, 0), 0);
+            batched.announce(PeerId(*peer), p(*i), r);
         }
         let mut single = batched.clone();
         let (length, ops) = stream;

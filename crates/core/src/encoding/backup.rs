@@ -13,13 +13,13 @@
 //! ([`crate::encoding::TwoStageTable`]), where the data plane reads it.
 
 use crate::encoding::policy::ReroutingPolicy;
-use swift_bgp::{AsLink, PeerId, Route};
+use swift_bgp::{AsLink, PeerId, RouteRef};
 
 /// Selects, among one prefix's candidate routes, the backup next-hop
 /// protecting against the failure of `link`: the primary peer and any path
 /// visiting either endpoint of `link` are excluded.
 pub fn select_backup_among<'a>(
-    candidates: impl Iterator<Item = &'a Route>,
+    candidates: impl Iterator<Item = RouteRef<'a>>,
     primary: PeerId,
     link: &AsLink,
     policy: &ReroutingPolicy,

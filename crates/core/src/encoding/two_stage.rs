@@ -37,15 +37,17 @@
 //!
 //! [`TwoStageTable::refresh_ids`] is the one retag loop (`build`, the
 //! resync, registration and teardown call it). Its reads miss the cache:
-//! per peer a slot, the route behind it (64 bytes, one or two cache lines),
-//! then the stage-1 word. One id at a time, those misses queue. So ids go
-//! in batches of B = [`TwoStageTable::RETAG_BATCH`], each in two phases:
+//! per peer a slot, the 16-byte route record behind it, the attribute set
+//! the record names in the table's dictionary, then the stage-1 word. One id
+//! at a time, those misses queue. So ids go in batches of
+//! B = [`TwoStageTable::RETAG_BATCH`], each in two phases:
 //!
 //! 1. **Gather.** [`RoutingTable::for_each_candidate`] walks the peers once
-//!    for the batch and puts each id's routes, in peer order, in a stack
-//!    buffer of K = [`TwoStageTable::RETAG_GATHER`]; it also reads each
-//!    route's peer and path length, and each id's stage-1 word. These reads
-//!    do not depend on each other, so their misses overlap.
+//!    for the batch and puts each id's routes, as [`RouteRef`] views, in
+//!    peer order, in a stack buffer of K = [`TwoStageTable::RETAG_GATHER`];
+//!    it also reads each route's peer and path length — touching its
+//!    dictionary entry — and each id's stage-1 word. These reads do not
+//!    depend on each other, so their misses overlap.
 //! 2. **Compute and write.** Each tag is computed from the buffer — the best
 //!    route and every position's backup ([`select_backup_among`]) — and
 //!    written through `set_tag`. It is compute: a hashed code lookup per
@@ -87,7 +89,7 @@ use crate::encoding::backup::select_backup_among;
 use crate::encoding::policy::ReroutingPolicy;
 use crate::encoding::tag::{TagLayout, TagRule};
 use std::collections::BTreeSet;
-use swift_bgp::{AsLink, PeerId, Prefix, PrefixId, PrefixSet, Route, RoutingTable};
+use swift_bgp::{AsLink, PeerId, Prefix, PrefixId, PrefixSet, RouteRef, RoutingTable};
 
 /// Identifier of one installed reroute (one accepted inference's batch of
 /// stage-2 rules), handed out by [`TwoStageTable::install_reroute_tracked`]
@@ -262,10 +264,12 @@ impl TwoStageTable {
             for id in &batch[..n] {
                 std::hint::black_box(self.stage1.get(id.index()).copied());
             }
-            // Phase 2, in list order.
+            // Phase 2, in list order. `filter_map`, not `flatten`: the
+            // iterator `compute_tag` clones per position stays a slice
+            // iterator, which made a full-table build markedly faster.
             for ((id, routes), count) in batch[..n].iter().zip(&gathered).zip(counts) {
                 let tag = match routes.get(..count) {
-                    Some(routes) => self.compute_tag(routes.iter().flatten().copied(), policy),
+                    Some(routes) => self.compute_tag(routes.iter().filter_map(|r| *r), policy),
                     None => self.compute_tag(table.candidates_by_id(*id), policy),
                 };
                 self.set_tag(*id, tag);
@@ -322,7 +326,7 @@ impl TwoStageTable {
     /// same candidates, so the caller resolves the prefix once.
     fn compute_tag<'a>(
         &self,
-        candidates: impl Iterator<Item = &'a Route> + Clone,
+        candidates: impl Iterator<Item = RouteRef<'a>> + Clone,
         policy: &ReroutingPolicy,
     ) -> Option<u64> {
         let best = candidates.clone().max_by(|a, b| a.compare_preference(b))?;

@@ -102,9 +102,10 @@ impl DenseId for LinkId {
     }
 }
 
-/// What the counters currently know about a tracked prefix.
+/// What the counters currently know about a tracked prefix, as read from
+/// its [`SlotState`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
+enum Slot {
     /// Routed: the path behind the id is the prefix's current path.
     Routed(PathId),
     /// Withdrawn during the current burst; the path it had is kept for `W`.
@@ -112,6 +113,43 @@ enum SlotState {
     /// Withdrawn in a previous burst and purged at burst start: the prefix is
     /// not in the RIB and contributes to no counter.
     Gone,
+}
+
+/// Width of the path id in a [`SlotState`]; the tag takes the 2 bits above.
+const PATH_BITS: u32 = 30;
+const PATH_MASK: u32 = (1 << PATH_BITS) - 1;
+const ROUTED: u32 = 1 << PATH_BITS;
+const WITHDRAWN: u32 = 2 << PATH_BITS;
+
+/// A [`Slot`] packed in 4 bytes, one per tracked prefix: a 2-bit tag (0
+/// gone, 1 routed, 2 withdrawn) above a 30-bit [`PathId`]. The counters
+/// refuse a path id that does not fit (`index_new_paths`): 2^30 distinct
+/// paths is ~10 000 times what a full table carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotState(u32);
+
+impl SlotState {
+    #[inline]
+    fn get(self) -> Slot {
+        let pid = PathId::from_index((self.0 & PATH_MASK) as usize);
+        match self.0 & !PATH_MASK {
+            ROUTED => Slot::Routed(pid),
+            WITHDRAWN => Slot::Withdrawn(pid),
+            _ => Slot::Gone,
+        }
+    }
+}
+
+impl From<Slot> for SlotState {
+    #[inline]
+    fn from(slot: Slot) -> Self {
+        // `index_new_paths` holds every path id below 2^30.
+        SlotState(match slot {
+            Slot::Routed(pid) => ROUTED | pid.index() as u32,
+            Slot::Withdrawn(pid) => WITHDRAWN | pid.index() as u32,
+            Slot::Gone => 0,
+        })
+    }
 }
 
 /// Per-link slice of the inverted index.
@@ -231,6 +269,10 @@ impl LinkCounters {
     /// the last call into `path_links` — the only place links are looked up
     /// (and link ids handed out) by name on behalf of an event.
     fn index_new_paths(&mut self) {
+        assert!(
+            self.interner.len() <= 1 << PATH_BITS,
+            "more than 2^30 paths: a slot packs a 30-bit path id"
+        );
         for path in self.interner.paths_from(self.path_end.len()) {
             let start = self.path_links.len();
             for link in path.links() {
@@ -267,10 +309,10 @@ impl LinkCounters {
         let Some(id) = self.ids.get(&prefix).map(u32::from) else {
             return;
         };
-        let SlotState::Routed(pid) = self.state[id as usize] else {
+        let Slot::Routed(pid) = self.state[id as usize].get() else {
             return;
         };
-        self.state[id as usize] = SlotState::Withdrawn(pid);
+        self.state[id as usize] = Slot::Withdrawn(pid).into();
         self.routed_bits.clear(id);
         self.withdrawn_bits.set(id);
         self.routed_count -= 1;
@@ -301,19 +343,19 @@ impl LinkCounters {
     fn announce_interned(&mut self, prefix: Prefix, new_pid: PathId) {
         let id = u32::from(self.ids.intern(prefix));
         if id as usize == self.state.len() {
-            self.state.push(SlotState::Gone);
+            self.state.push(Slot::Gone.into());
         }
         // The old path's links still indexed under `id`, and whether they
         // still hold its P contribution (a withdrawal already removed it).
-        let (old, was_routed) = match self.state[id as usize] {
-            SlotState::Routed(old_pid) if old_pid == new_pid => return,
-            SlotState::Routed(old_pid) => (self.path_span(old_pid), true),
-            SlotState::Withdrawn(old_pid) => {
+        let (old, was_routed) = match self.state[id as usize].get() {
+            Slot::Routed(old_pid) if old_pid == new_pid => return,
+            Slot::Routed(old_pid) => (self.path_span(old_pid), true),
+            Slot::Withdrawn(old_pid) => {
                 self.withdrawn_bits.clear(id);
                 self.withdrawn_count -= 1;
                 (self.path_span(old_pid), false)
             }
-            SlotState::Gone => (0..0, false),
+            Slot::Gone => (0..0, false),
         };
         let old = &self.path_links[old];
         let new = &self.path_links[self.path_span(new_pid)];
@@ -333,7 +375,7 @@ impl LinkCounters {
                 e.p += 1;
             }
         }
-        self.state[id as usize] = SlotState::Routed(new_pid);
+        self.state[id as usize] = Slot::Routed(new_pid).into();
         if !was_routed {
             self.routed_bits.set(id);
             self.routed_count += 1;
@@ -370,7 +412,7 @@ impl LinkCounters {
         for prefix in window {
             self.total_withdrawals += 1;
             if let Some(id) = self.ids.get(&prefix).map(u32::from) {
-                if matches!(self.state[id as usize], SlotState::Withdrawn(_)) {
+                if matches!(self.state[id as usize].get(), Slot::Withdrawn(_)) {
                     kept.push(id);
                 }
             }
@@ -378,7 +420,7 @@ impl LinkCounters {
         kept.sort_unstable();
         kept.dedup();
         for &id in &kept {
-            let SlotState::Withdrawn(pid) = self.state[id as usize] else {
+            let Slot::Withdrawn(pid) = self.state[id as usize].get() else {
                 unreachable!("kept slots were checked to be withdrawn")
             };
             for &lid in &self.path_links[self.path_span(pid)] {
@@ -394,10 +436,10 @@ impl LinkCounters {
         // crossed drops all of them in one pass.
         let mut touched: DirtySet<LinkId> = DirtySet::default();
         for id in self.withdrawn_bits.ids() {
-            let SlotState::Withdrawn(pid) = self.state[id as usize] else {
+            let Slot::Withdrawn(pid) = self.state[id as usize].get() else {
                 unreachable!("withdrawn bit set on a slot that is not withdrawn")
             };
-            self.state[id as usize] = SlotState::Gone;
+            self.state[id as usize] = Slot::Gone.into();
             for &lid in &self.path_links[self.path_span(pid)] {
                 touched.mark(lid);
             }
@@ -468,8 +510,8 @@ impl LinkCounters {
             .prefixes()
             .iter()
             .zip(&self.state)
-            .filter_map(move |(prefix, s)| match s {
-                SlotState::Routed(pid) => Some((prefix, self.interner.get(*pid))),
+            .filter_map(move |(prefix, s)| match s.get() {
+                Slot::Routed(pid) => Some((prefix, self.interner.get(pid))),
                 _ => None,
             })
     }
@@ -480,8 +522,8 @@ impl LinkCounters {
             .prefixes()
             .iter()
             .zip(&self.state)
-            .filter_map(move |(prefix, s)| match s {
-                SlotState::Withdrawn(pid) => Some((prefix, self.interner.get(*pid))),
+            .filter_map(move |(prefix, s)| match s.get() {
+                Slot::Withdrawn(pid) => Some((prefix, self.interner.get(pid))),
                 _ => None,
             })
     }
@@ -721,6 +763,19 @@ mod tests {
             rib.push((p(30 + i), AsPath::new([2u32, 5, 6, 8])));
         }
         LinkCounters::from_rib(rib.iter().map(|(a, b)| (a, b)))
+    }
+
+    /// A slot is 4 bytes and reads back what was packed, up to the largest
+    /// path id the counters accept.
+    #[test]
+    fn a_slot_packs_its_state_and_path_in_four_bytes() {
+        assert_eq!(std::mem::size_of::<SlotState>(), 4);
+        for index in [0, 1, 12_345, PATH_MASK as usize] {
+            let pid = PathId::from_index(index);
+            for slot in [Slot::Routed(pid), Slot::Withdrawn(pid), Slot::Gone] {
+                assert_eq!(SlotState::from(slot).get(), slot);
+            }
+        }
     }
 
     #[test]

@@ -113,10 +113,7 @@ pub fn session_engines(
     let mut engines = BTreeMap::new();
     for (peer, _) in table.peers() {
         let rib = table.adj_rib_in(peer).expect("peer just listed");
-        let mut interned = InternedRib::new();
-        for (p, r) in rib.iter() {
-            interned.push(*p, &r.attrs.as_path);
-        }
+        let interned = rib.to_interned();
         engines.insert(peer, SessionEngine::from_interned(peer, config, &interned));
     }
     engines

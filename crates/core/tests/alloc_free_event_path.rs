@@ -31,10 +31,11 @@
 //!
 //! Each costs zero `alloc` and zero `dealloc` calls, with one exception the
 //! storage of AS paths makes: over 9-hop paths — longer than a path holds in
-//! place — a withdrawal frees the route's spilled block, so the RIB mirror
-//! costs one `dealloc` per withdrawn route and still no `alloc` (an
-//! announcement moves its heap block into the table, and the engine finds
-//! the path already interned).
+//! place — an announcement of an attribute set the table's dictionary
+//! already holds drops the event's copy, and with it the event's spilled
+//! block, so the RIB mirror costs one `dealloc` per restored route and still
+//! no `alloc` (a withdrawal frees nothing: the stored record owns no path,
+//! and the engine finds the path already interned).
 //!
 //! **The accepting attempt** allocates what it hands out, and nothing else:
 //! its rank + greedy chain and its prediction are each pinned to an exact
@@ -347,7 +348,8 @@ fn the_per_event_path_never_calls_the_allocator() {
     assert_eq!(short.applier, (0, 0), "RIB mirror, 4-hop paths: {short:?}");
     assert_eq!(short.engine, (0, 0), "engine, 4-hop paths: {short:?}");
 
-    // Nine hops spill: the withdrawal frees the route's block, nothing more.
+    // Nine hops spill: the announcement restoring a route frees the event's
+    // block (the dictionary holds the set already), nothing more.
     let long = measured_cycle(TAILS[1]);
     assert_eq!(long.accepted, short.accepted);
     assert_eq!(long.engine_calls, short.engine_calls);
@@ -363,7 +365,7 @@ fn the_counters_event_handlers_and_ranker_fold_never_call_the_allocator() {
         let label = format!("{}-hop paths", 4 + tail.len());
         let table = table(tail);
         let rib = table.adj_rib_in(PRIMARY).expect("primary session");
-        let mut counters = LinkCounters::from_rib(rib.iter().map(|(p, r)| (p, &r.attrs.as_path)));
+        let mut counters = LinkCounters::from_rib(rib.views().map(|(p, r)| (p, r.as_path())));
         let mut ranker = LinkRanker::new();
         let failed = failed_prefixes();
         let restored: Vec<(Prefix, &AsPath)> = failed
@@ -415,18 +417,20 @@ fn the_rib_mirror_and_path_reads_never_call_the_allocator() {
         for start in [SECOND, 900 * SECOND] {
             // Built before any counting: an event owns its attributes.
             let (burst, recovery) = cycle(&source, start);
-            let mut calls = (0, 0);
-            for event in burst.into_iter().chain(recovery) {
-                let (changed, Asked { calls: c, .. }) =
-                    watch(|| mirror.apply_owned(PRIMARY, event));
-                assert!(changed.is_some(), "{label}: every event changes a route");
-                calls = (calls.0 + c.0, calls.1 + c.1);
+            let mut calls = [(0, 0); 2];
+            for (phase, events) in [burst, recovery].into_iter().enumerate() {
+                for event in events {
+                    let (changed, Asked { calls: c, .. }) =
+                        watch(|| mirror.apply_owned(PRIMARY, event));
+                    assert!(changed.is_some(), "{label}: every event changes a route");
+                    calls[phase] = (calls[phase].0 + c.0, calls[phase].1 + c.1);
+                }
             }
             let rib = mirror.adj_rib_in(PRIMARY).expect("primary session");
             let (links, Asked { calls: reads, .. }) = watch(|| {
                 let mut links = 0;
                 for prefix in &failed {
-                    let path = &rib.get(prefix).expect("restored").attrs.as_path;
+                    let path = rib.get(prefix).expect("restored").as_path();
                     assert_eq!(path.hops().len(), 4 + tail.len());
                     assert_eq!(path.link_at_position(1), Some(FAILED));
                     links += path.links().count();
@@ -436,14 +440,15 @@ fn the_rib_mirror_and_path_reads_never_call_the_allocator() {
             assert_eq!(links, failed.len() * (3 + tail.len()), "{label}");
             seen.push((calls, reads));
         }
-        // Nine hops spill: a withdrawal frees the route's block, and the
-        // announcement restoring it moves the event's block in.
-        let mirrored = if tail.is_empty() {
+        // Withdrawals never call the allocator. Nine hops spill: the
+        // announcement restoring a route finds its set in the dictionary and
+        // drops the event's copy, freeing the event's block.
+        let restored = if tail.is_empty() {
             (0, 0)
         } else {
             (0, failed.len() as u64)
         };
-        assert_eq!(seen[1], (mirrored, (0, 0)), "{label}: {seen:?}");
+        assert_eq!(seen[1], ([(0, 0), restored], (0, 0)), "{label}: {seen:?}");
     }
 }
 
@@ -558,11 +563,11 @@ fn the_accepted_attempt_allocates_only_its_outputs() {
         let label = format!("{}-hop paths", 4 + tail.len());
         let table = table(tail);
         let rib = table.adj_rib_in(PRIMARY).expect("primary session");
-        let mut counters = LinkCounters::from_rib(rib.iter().map(|(p, r)| (p, &r.attrs.as_path)));
+        let mut counters = LinkCounters::from_rib(rib.views().map(|(p, r)| (p, r.as_path())));
         let mut ranker = LinkRanker::new();
         let failed = failed_prefixes();
         // Listed up front: the ordered walk of a RIB collects.
-        let routes: Vec<_> = rib.iter().collect();
+        let routes: Vec<_> = rib.views().collect();
         let mut seen = Vec::new();
         // The engine's accepting attempt, taken apart: the first round grows
         // the ranker's and the scratch's buffers, the second is measured.

@@ -1345,7 +1345,7 @@ mod tests {
 
     fn mirror_state(table: &RoutingTable) -> MirrorState {
         let ids = table.ids().map(|id| {
-            let routes = table.candidates_by_id(id).cloned().collect();
+            let routes = table.candidates_by_id(id).map(|r| r.to_route()).collect();
             (table.prefix_of(id), routes)
         });
         (table.peers().collect(), ids.collect())

@@ -1,0 +1,129 @@
+//! Memory probe: the live heap bytes of each structure a SWIFTED router
+//! keeps, over `bigtable_inline`'s input — one session of a
+//! full-Internet-sized table (1 000 000 prefixes) plus backup routes on 95 %
+//! of them, generated by `MultiSessionTrace` with that workload's seed.
+//!
+//! A counting `#[global_allocator]` tracks the bytes allocated and not yet
+//! freed; each row is how much that grew while one structure was built and
+//! kept (temporaries freed on the way do not count). The rows:
+//!
+//! * the routing table as generated, and a clone of it (what a router or a
+//!   runtime given the table keeps);
+//! * `session_engines` — the per-session inference engines seeded from it;
+//! * `TwoStageTable::build` — the forwarding table;
+//! * `SwiftRouter::new` over a clone — all of the above in one router.
+//!
+//! Run with: `cargo run --release --example memory_probe [prefixes] [seed]`
+//! (defaults 1000000 and 1, the benchmark's seed).
+
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait by signature; the impl below only counts \
+              and forwards to `System`"
+)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use swift::core::encoding::ReroutingPolicy;
+use swift::core::pipeline::session_engines;
+use swift::core::TwoStageTable;
+use swift::traces::{MultiSessionConfig, MultiSessionTrace};
+use swift::{SwiftConfig, SwiftRouter};
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates. The probe is single-threaded.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn bump(by: i64) {
+    LIVE.with(|live| live.set(live.get() + by));
+}
+
+struct Counting;
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Builds `f`'s value and returns it with the live bytes it added.
+fn kept<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE.with(Cell::get);
+    let value = f();
+    (value, LIVE.with(Cell::get) - before)
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let prefixes: usize = args
+        .next()
+        .map_or(1_000_000, |a| a.parse().expect("prefixes"));
+    let seed: u64 = args.next().map_or(1, |a| a.parse().expect("seed"));
+    let config = SwiftConfig::default();
+    let policy = ReroutingPolicy::allow_all();
+
+    let (table, table_bytes) = kept(|| {
+        MultiSessionTrace::generate(&MultiSessionConfig {
+            sessions: 1,
+            prefixes_per_session: prefixes,
+            burst_size: 0,
+            backup_coverage: 0.95,
+            seed: seed ^ 0x5ca1_ab1e,
+            ..MultiSessionConfig::default()
+        })
+        .table
+    });
+    let routes: usize = table
+        .peers()
+        .filter_map(|(peer, _)| table.adj_rib_in(peer))
+        .map(|rib| rib.len())
+        .sum();
+    println!(
+        "bigtable_inline's table (seed {seed}): {routes} routes over {} prefixes, {} peers, {} attribute sets",
+        table.prefix_count(),
+        table.peer_count(),
+        table.attr_count()
+    );
+
+    let (clone, clone_bytes) = kept(|| table.clone());
+    let (engines, engine_bytes) = kept(|| session_engines(&config, &table));
+    let (forwarding, forwarding_bytes) =
+        kept(|| TwoStageTable::build(&table, &config.encoding, &policy));
+    let (router, router_bytes) = kept(|| SwiftRouter::new(config.clone(), clone.clone(), policy));
+
+    let mib = |bytes: i64| bytes as f64 / (1 << 20) as f64;
+    println!(
+        "{:<34} {:>10} {:>12}",
+        "structure", "live MiB", "bytes/route"
+    );
+    for (name, bytes) in [
+        ("RoutingTable (generated)", table_bytes),
+        ("RoutingTable::clone", clone_bytes),
+        ("session_engines", engine_bytes),
+        ("TwoStageTable::build", forwarding_bytes),
+        ("SwiftRouter::new (its own table)", router_bytes),
+    ] {
+        println!(
+            "{name:<34} {:>10.1} {:>12.1}",
+            mib(bytes),
+            bytes as f64 / routes as f64
+        );
+    }
+    drop((engines, forwarding, router));
+}
