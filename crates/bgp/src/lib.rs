@@ -14,10 +14,10 @@
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once as a
 //!   16-byte record behind a table-wide [`PrefixInterner`] (`Prefix` → dense
-//!   [`PrefixId`], the dictionary the inference engine's counters use too)
-//!   and a table-wide attribute dictionary; routes are read as [`RouteRef`]
-//!   views. The id → prefix [`PrefixList`] is chunked and shared by clones
-//!   and snapshots.
+//!   [`PrefixId`], whose sealed index the table's clones and its full
+//!   feeds' inference engines share) and a table-wide attribute dictionary;
+//!   routes are read as [`RouteRef`] views. The id → prefix [`PrefixList`]
+//!   is chunked and shared by clones and snapshots.
 //! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
 //!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with

@@ -36,18 +36,19 @@
 //! on that path is ordered.
 //! The invariants (the index maps the prefix of id `i` to `i`; non-vacant slots
 //! point at distinct live slab entries, the rest of the slab is the free
-//! list) are maintained in exactly three functions —
-//! `PrefixInterner::intern`, `PeerRoutes::insert` and `PeerRoutes::remove` —
-//! and checked against a plain ordered-map model by
-//! `crates/bgp/tests/proptest_table.rs` (the interner alone against a map
-//! model by `crates/bgp/tests/proptests.rs`). Ordered iteration
-//! ([`AdjRibIn::iter`], [`AdjRibIn::views`]) sorts on demand: it is used by
-//! generators, engine seeding and the forwarding-table build, never per
-//! event.
+//! list) are maintained in exactly four functions —
+//! `PrefixInterner::intern`, `PrefixInterner::seal`, `PeerRoutes::insert`
+//! and `PeerRoutes::remove` — and checked against a plain ordered-map model
+//! by `crates/bgp/tests/proptest_table.rs` (the interner alone, sealed and
+//! cloned, against a map model by `crates/bgp/tests/proptests.rs`). Ordered
+//! iteration ([`AdjRibIn::iter`], [`AdjRibIn::views`]) sorts on demand: it is
+//! used by generators and the forwarding-table build, never per event;
+//! engine seeding walks the routes in id order
+//! ([`AdjRibIn::intern_paths`]).
 
 use crate::as_path::{AsLink, AsPath};
 use crate::attributes::{AttrDictionary, AttrId, RouteAttributes};
-use crate::interner::{InternedRib, PathId};
+use crate::interner::{PathId, PathInterner};
 use crate::prefix::Prefix;
 use crate::session::PeerId;
 use crate::Timestamp;
@@ -166,8 +167,8 @@ impl StoredRoute {
 }
 
 /// Dense id of a prefix, handed out by a [`PrefixInterner`] in first-seen
-/// order: table-wide for a [`crate::table::RoutingTable`]'s interner,
-/// session-local for an inference engine's.
+/// order: table-wide for a [`crate::table::RoutingTable`]'s interner and the
+/// engines that share it, session-local for an engine's own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixId(pub(crate) u32);
 
@@ -347,34 +348,53 @@ impl PrefixList {
 }
 
 /// The `Prefix` ↔ [`PrefixId`] dictionary: a routing table's (behind every
-/// [`AdjRibIn`] probe) and an inference engine's (behind every event its
-/// counters see).
+/// [`AdjRibIn`] probe), shared by the inference engines of the table's full
+/// feeds, and an engine's own otherwise.
 ///
 /// # Layout
 ///
 /// The id → prefix direction is a [`PrefixList`], shared by clones and
-/// snapshots. The other direction is an
-/// insert-only open-addressing index with linear probing: each slot is one
-/// `u64` packing the key (`addr << 6 | len`, 38 bits) above the id (26
-/// bits), so a probe that hits reads one cache line, and compares the key
-/// where it reads the id. The slot count is a power of two; a key's home
-/// slot is the low bits of its product with an odd constant, with the
-/// product's high half folded onto them. The fold matters: consecutive /24s
-/// have keys 2^14 apart, and with the product's top bits alone (Fibonacci
-/// hashing) a lookup among a million of them walks ~13 slots on average;
-/// with the fold it walks ~1.2 at that table's load of ½.
-/// The index doubles before its load would pass 7/8 (`MAX_LOAD_EIGHTHS`),
-/// so it costs 9.1 to 18.3 bytes per prefix, plus 8 for the list entry,
-/// which a clone shares. Ids are never freed, so the index has no
-/// tombstones.
+/// snapshots. The other direction is two insert-only open-addressing
+/// indexes with linear probing:
+///
+/// * `base`, sealed: it covers the ids below `base_len`, sits behind an
+///   `Arc` and never changes, so every clone shares it;
+/// * `own`, private: the ids interned since the last
+///   [`PrefixInterner::seal`], which a clone copies.
+///
+/// A lookup probes `base`, and `own` only on a miss while `own` holds an
+/// id; an intern that misses both goes to `own`. So a clone costs a
+/// reference-count bump plus a copy of `own` — nothing once sealed — and
+/// holders that intern different prefixes after a seal number them apart
+/// without disturbing each other. [`PrefixInterner::seal`] folds `own` into
+/// a new `base`: it wraps `own` as it is when nothing was sealed before
+/// (no copy), and otherwise rebuilds one index over both.
+///
+/// Each slot is one `u64` packing the key (`addr << 6 | len`, 38 bits)
+/// above the id (26 bits), so a probe that hits reads one cache line, and
+/// compares the key where it reads the id. The slot count is a power of two;
+/// a key's home slot is the low bits of its product with an odd constant,
+/// with the product's high half folded onto them. The fold matters:
+/// consecutive /24s have keys 2^14 apart, and with the product's top bits
+/// alone (Fibonacci hashing) a lookup among a million of them walks ~13
+/// slots on average; with the fold it walks ~1.2 at that table's load of ½.
+/// An index doubles before its load would pass 7/8 (`MAX_LOAD_EIGHTHS`), so
+/// it costs 9.1 to 18.3 bytes per prefix, plus 8 for the list entry; a
+/// clone shares both for every sealed id. Ids are never freed, so neither
+/// index has tombstones.
 ///
 /// # Invariants
 ///
-/// The slot holding `prefixes.get(i)`'s key holds id `i`, and it is reached
-/// from that key's home slot without crossing an empty one. Ids are handed
-/// out densely in first-seen order and never reused — a prefix that lost all
-/// its routes keeps its id, so arrays indexed by ids stay valid — and a
-/// clone keeps every id. Only an announcement interns; withdrawals look up.
+/// The slot holding `prefixes.get(i)`'s key holds id `i` — in `base` if
+/// `i < base_len`, in `own` otherwise — and it is reached from that key's
+/// home slot without crossing an empty one. A key is in at most one of the
+/// two indexes: an intern probes both before it adds one. Ids are handed
+/// out densely in first-seen order and never reused — a prefix that lost
+/// all its routes keeps its id, so arrays indexed by ids stay valid — and a
+/// clone keeps every id. Ids below `base_len` mean the same prefix to every
+/// holder of the sealed index; an id interned after the seal means
+/// something only to the holder that interned it. Only an announcement
+/// interns; withdrawals look up.
 ///
 /// # Id cap
 ///
@@ -384,9 +404,14 @@ impl PrefixList {
 /// prefixes, which no BGP speaker holds.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixInterner {
-    /// Packed `key << ID_BITS | id` slots, or [`EMPTY`]; a power of two
-    /// long, or empty until the first intern.
-    slots: Vec<u64>,
+    /// The sealed index of the ids below `base_len`: packed
+    /// `key << ID_BITS | id` slots, or [`EMPTY`]; a power of two long, or
+    /// empty until the first seal.
+    base: Arc<Vec<u64>>,
+    /// Number of ids `base` covers.
+    base_len: usize,
+    /// The index of the ids interned since the seal, laid out as `base`.
+    own: Vec<u64>,
     prefixes: PrefixList,
 }
 
@@ -406,17 +431,22 @@ impl PrefixInterner {
         self.prefixes.is_empty()
     }
 
-    /// Number of slots in the index.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    /// Number of ids interned since the last seal (held in `own`).
+    fn own_len(&self) -> usize {
+        self.len() - self.base_len
     }
 
-    /// Sizes the index, once, for `additional` more prefixes: interning that
-    /// many new ones afterwards never grows it.
+    /// Number of slots in the two indexes.
+    pub fn capacity(&self) -> usize {
+        self.base.len() + self.own.len()
+    }
+
+    /// Sizes the private index, once, for `additional` more prefixes:
+    /// interning that many new ones afterwards never grows it.
     pub fn reserve(&mut self, additional: usize) {
-        let needed = self.len() + additional;
-        if !fits(needed, self.slots.len()) {
-            let mut slots = self.slots.len().max(MIN_SLOTS);
+        let needed = self.own_len() + additional;
+        if !fits(needed, self.own.len()) {
+            let mut slots = self.own.len().max(MIN_SLOTS);
             while !fits(needed, slots) {
                 slots *= 2;
             }
@@ -427,7 +457,12 @@ impl PrefixInterner {
     /// The id of `prefix`, if it was ever interned.
     #[inline]
     pub fn get(&self, prefix: &Prefix) -> Option<PrefixId> {
-        self.probe(key(prefix)).ok()
+        let key = key(prefix);
+        match probe(&self.base, key) {
+            Ok(id) => Some(id),
+            Err(_) if self.own_len() == 0 => None,
+            Err(_) => probe(&self.own, key).ok(),
+        }
     }
 
     /// The id of `prefix`, handing out the next one if it is new.
@@ -435,18 +470,49 @@ impl PrefixInterner {
     /// Panics past the id cap (see the type docs).
     pub fn intern(&mut self, prefix: Prefix) -> PrefixId {
         let key = key(&prefix);
-        let mut at = match self.probe(key) {
+        if let Ok(id) = probe(&self.base, key) {
+            return id;
+        }
+        let mut at = match probe(&self.own, key) {
             Ok(id) => return id,
             Err(at) => at,
         };
         let id = next_id(self.len()).expect("more than 2^26 - 1 interned prefixes");
-        if !fits(self.len() + 1, self.slots.len()) {
-            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
-            at = self.vacant(key);
+        if !fits(self.own_len() + 1, self.own.len()) {
+            self.rehash((self.own.len() * 2).max(MIN_SLOTS));
+            at = vacant(&self.own, key);
         }
-        self.slots[at] = key << ID_BITS | u64::from(id);
+        self.own[at] = key << ID_BITS | u64::from(id);
         self.prefixes.push(prefix);
         PrefixId(id)
+    }
+
+    /// Folds the ids interned since the last seal into the sealed index,
+    /// which this interner's later clones share instead of copying. Free
+    /// when nothing was sealed before (the private index becomes the sealed
+    /// one as it is) or nothing was interned since; otherwise one pass over
+    /// both indexes into a new sealed one, which leaves the old one to the
+    /// clones that share it. Ids and lookups are unchanged.
+    pub fn seal(&mut self) {
+        if self.own_len() == 0 {
+            return;
+        }
+        let own = std::mem::take(&mut self.own);
+        if self.base.is_empty() {
+            self.base = Arc::new(own);
+        } else {
+            let mut slots = MIN_SLOTS;
+            while !fits(self.len(), slots) {
+                slots *= 2;
+            }
+            let mut index = vec![EMPTY; slots];
+            for &slot in self.base.iter().chain(&own).filter(|slot| **slot != EMPTY) {
+                let at = vacant(&index, slot >> ID_BITS);
+                index[at] = slot;
+            }
+            self.base = Arc::new(index);
+        }
+        self.base_len = self.len();
     }
 
     /// The prefix behind `id`. Panics if `id` came from another interner.
@@ -466,54 +532,56 @@ impl PrefixInterner {
         self.prefixes.clone()
     }
 
-    /// `key`'s home slot: the low bits of its product with an odd constant,
-    /// the product's high half folded onto them.
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h ^ h >> 32) as usize & (self.slots.len() - 1)
-    }
-
-    /// Walks from `key`'s home slot: its id if the key is held, otherwise
-    /// the empty slot that ends the walk (0 in an index with no slots).
-    #[inline]
-    fn probe(&self, key: u64) -> Result<PrefixId, usize> {
-        if self.slots.is_empty() {
-            return Err(0);
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(key);
-        loop {
-            let slot = self.slots[at];
-            if slot == EMPTY {
-                return Err(at);
-            }
-            if slot >> ID_BITS == key {
-                return Ok(PrefixId((slot & ID_MASK) as u32));
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    /// The empty slot a key known to be absent goes into.
-    fn vacant(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(key);
-        while self.slots[at] != EMPTY {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
-    /// Moves every occupied slot into a fresh index of `slots` slots, each
-    /// re-probed from its home there.
+    /// Moves every occupied slot of the private index into a fresh one of
+    /// `slots` slots, each re-probed from its home there.
     fn rehash(&mut self, slots: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        let old = std::mem::replace(&mut self.own, vec![EMPTY; slots]);
         for slot in old.into_iter().filter(|slot| *slot != EMPTY) {
-            let at = self.vacant(slot >> ID_BITS);
-            self.slots[at] = slot;
+            let at = vacant(&self.own, slot >> ID_BITS);
+            self.own[at] = slot;
         }
     }
+}
+
+/// `key`'s home slot in an index of `slots.len()` slots: the low bits of
+/// its product with an odd constant, the product's high half folded onto
+/// them.
+#[inline]
+fn home(slots: &[u64], key: u64) -> usize {
+    let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h ^ h >> 32) as usize & (slots.len() - 1)
+}
+
+/// Walks an index from `key`'s home slot: its id if the key is held,
+/// otherwise the empty slot that ends the walk (0 in an index with no
+/// slots).
+#[inline]
+fn probe(slots: &[u64], key: u64) -> Result<PrefixId, usize> {
+    if slots.is_empty() {
+        return Err(0);
+    }
+    let mask = slots.len() - 1;
+    let mut at = home(slots, key);
+    loop {
+        let slot = slots[at];
+        if slot == EMPTY {
+            return Err(at);
+        }
+        if slot >> ID_BITS == key {
+            return Ok(PrefixId((slot & ID_MASK) as u32));
+        }
+        at = (at + 1) & mask;
+    }
+}
+
+/// The empty slot of an index that a key known to be absent goes into.
+fn vacant(slots: &[u64], key: u64) -> usize {
+    let mask = slots.len() - 1;
+    let mut at = home(slots, key);
+    while slots[at] != EMPTY {
+        at = (at + 1) & mask;
+    }
+    at
 }
 
 /// "No route" marker of [`PeerRoutes::slots`].
@@ -576,6 +644,14 @@ impl PeerRoutes {
         self.free.push(slot);
         self.routes[slot as usize] = None;
         true
+    }
+
+    /// Releases the slack the slab, the slot array and the free list grew
+    /// by doubling (a bulk load leaves up to half of each unused).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+        self.routes.shrink_to_fit();
+        self.free.shrink_to_fit();
     }
 
     /// Length of the id-indexed slot array (what a withdrawal must not grow).
@@ -642,29 +718,29 @@ impl<'a> AdjRibIn<'a> {
             .map(move |(_, id, route)| (interner.prefix(id), route.view(dictionary)))
     }
 
-    /// The peer's `(prefix, path)` pairs in ascending prefix order as an
-    /// [`InternedRib`], the inference engines' seeding format. A path is
-    /// interned when the first attribute set carrying it comes up, so the
-    /// path ids are those of interning every route's path in that order,
-    /// at one intern per distinct attribute set instead of one per route.
-    pub fn to_interned(&self) -> InternedRib {
-        let mut routes: Vec<(Prefix, AttrId)> = self
-            .routes
-            .iter()
-            .map(|(id, route)| (*self.interner.prefix(id), route.attrs))
-            .collect();
-        routes.sort_unstable_by_key(|(prefix, _)| *prefix);
-        let mut rib = InternedRib {
-            entries: Vec::with_capacity(routes.len()),
-            ..InternedRib::default()
-        };
-        let mut paths: Vec<Option<PathId>> = vec![None; self.dictionary.len()];
-        for (prefix, attrs) in routes {
-            let path = &self.dictionary.get(attrs).as_path;
-            let id = *paths[attrs.index()].get_or_insert_with(|| rib.interner.intern(path));
-            rib.entries.push((prefix, id));
+    /// The table's prefix dictionary, which numbers this peer's routes: a
+    /// clone of it shares its sealed part (see [`PrefixInterner`]).
+    pub fn prefix_ids(&self) -> &'a PrefixInterner {
+        self.interner
+    }
+
+    /// The peer's routes in id order, as `(prefix id, path id)` pairs, the
+    /// inference engines' seeding walk: a path is interned into `paths`
+    /// when the first attribute set carrying it comes up, so the path ids
+    /// are those of interning every route's path in id order, at one intern
+    /// per distinct attribute set instead of one per route. Nothing is
+    /// sorted and no prefix is read.
+    pub fn intern_paths(&self, paths: &mut PathInterner) -> Vec<(PrefixId, PathId)> {
+        let mut memo: Vec<Option<PathId>> = vec![None; self.dictionary.len()];
+        let mut routes = Vec::with_capacity(self.len());
+        for (id, route) in self.routes.iter() {
+            let path = &self.dictionary.get(route.attrs).as_path;
+            routes.push((
+                id,
+                *memo[route.attrs.index()].get_or_insert_with(|| paths.intern(path)),
+            ));
         }
-        rib
+        routes
     }
 
     /// Iterates over `(prefix, route)` pairs in ascending prefix order, each
@@ -752,6 +828,33 @@ mod tests {
         assert_eq!((empty.capacity(), empty.get(&p(0))), (0, None));
         empty.reserve(0);
         assert_eq!(empty.capacity(), 0, "nothing to size for");
+    }
+
+    /// The first seal wraps the private index as it is; clones share it and
+    /// keep their later interns to themselves; a seal over new prefixes
+    /// builds a new sealed index and leaves the clones theirs.
+    #[test]
+    fn sealing_shares_the_index_with_clones() {
+        let mut interner = PrefixInterner::new();
+        for i in 0..1_000 {
+            interner.intern(p(i));
+        }
+        let own = interner.own.as_ptr();
+        interner.seal();
+        assert_eq!((interner.base.as_ptr(), interner.own.len()), (own, 0));
+        let mut clone = interner.clone();
+        assert!(Arc::ptr_eq(&clone.base, &interner.base));
+        assert_eq!(clone.intern(p(5_000)).index(), 1_000);
+        assert_eq!(interner.intern(p(6_000)).index(), 1_000);
+        assert_eq!(clone.get(&p(6_000)), None);
+        interner.seal();
+        assert!(!Arc::ptr_eq(&clone.base, &interner.base));
+        assert_eq!((interner.base_len, interner.own.len()), (1_001, 0));
+        for i in (0..1_000).chain([6_000]) {
+            assert_eq!(*interner.prefix(interner.get(&p(i)).expect("kept")), p(i));
+        }
+        assert_eq!(clone.get(&p(5_000)).map(PrefixId::index), Some(1_000));
+        assert_eq!(clone.get(&p(999)).map(PrefixId::index), Some(999));
     }
 
     /// A snapshot reads the prefixes it was taken over for ever, however far

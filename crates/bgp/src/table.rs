@@ -37,7 +37,10 @@
 //! [`RoutingTable::candidates_by_id`], [`RoutingTable::ids`],
 //! [`RoutingTable::routed_ids`]) let that state be maintained without going
 //! back through the dictionary. Two tables number independently: an id means
-//! nothing to a table that did not hand it out.
+//! nothing to a table that did not hand it out. Once the table is sealed
+//! ([`RoutingTable::seal`]) its clones, and the inference engines of its full
+//! feeds, share the dictionary's index for every id handed out so far; the
+//! ids each of them hands out later are its own.
 //!
 //! # Applying a batch
 //!
@@ -159,6 +162,19 @@ impl RoutingTable {
     /// or not (ids are never freed).
     pub fn attr_count(&self) -> usize {
         self.dictionary.len()
+    }
+
+    /// Seals the prefix dictionary ([`PrefixInterner::seal`]) and trims
+    /// each peer's route slab and slot array to their length. Clones taken
+    /// afterwards share the dictionary's index instead of copying it, and so
+    /// do the inference engines of the table's full feeds. Changes no id,
+    /// route or answer. Routers call it on the table they are handed; bulk
+    /// builders call it on the table they return.
+    pub fn seal(&mut self) {
+        self.interner.seal();
+        for state in self.peers.values_mut() {
+            state.routes.shrink_to_fit();
+        }
     }
 
     /// Applies a per-prefix event received from `peer`.

@@ -13,8 +13,9 @@
 //! hops (past the five a path holds in place), so that every view must
 //! equal the model's owned route, equal sets must share one entry (views of
 //! them read the same address) and the dictionary must hold exactly the
-//! distinct sets ever announced. Halfway through, the table is cloned and
-//! both copies take the rest of the churn: each must read like the model.
+//! distinct sets ever announced. Halfway through, the table is sealed and
+//! cloned and both copies take the rest of the churn: each must read like
+//! the model.
 //!
 //! The batched fold, `RoutingTable::apply_all`, is checked against the
 //! per-event `apply_owned` it must equal, on streams at the batch's edges.
@@ -22,8 +23,8 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, InternedRib, Origin, PeerId, Prefix, PrefixId, Route,
-    RouteAttributes, RouteRef, RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, Origin, PathId, PathInterner, PeerId, Prefix, PrefixId,
+    Route, RouteAttributes, RouteRef, RoutingTable,
 };
 
 /// Peers 1..=4 can be registered; 5 never is, so its events must bounce.
@@ -209,15 +210,22 @@ fn check(table: &RoutingTable, model: &Model) -> Result<(), String> {
         prop_assert_eq!(&got, &want);
         let views: Vec<(Prefix, Route)> = rib.views().map(|(q, r)| (*q, r.to_route())).collect();
         prop_assert_eq!(&views, &want);
-        // The seeding form: the ids of interning every route's path in
-        // prefix order, whatever the dictionary shares.
-        let mut interned = InternedRib::new();
-        for (q, r) in &want {
-            interned.push(*q, r.as_path());
-        }
-        let seeded = rib.to_interned();
-        prop_assert_eq!(seeded.entries(), interned.entries());
-        prop_assert_eq!(seeded.interner().len(), interned.interner().len());
+        // The seeding walk: the peer's routes in id order, each path id that
+        // of interning every route's path in that order, whatever the
+        // attribute dictionary shares.
+        let mut by_id: Vec<(PrefixId, Route)> = want
+            .iter()
+            .map(|(q, r)| (table.prefix_id(q).expect("routed"), r.clone()))
+            .collect();
+        by_id.sort_unstable_by_key(|(id, _)| *id);
+        let mut paths = PathInterner::new();
+        let expected_paths: Vec<(PrefixId, PathId)> = by_id
+            .iter()
+            .map(|(id, r)| (*id, paths.intern(r.as_path())))
+            .collect();
+        let mut seeded = PathInterner::new();
+        prop_assert_eq!(rib.intern_paths(&mut seeded), expected_paths);
+        prop_assert_eq!(seeded.len(), paths.len());
         let prefixes: Vec<Prefix> = rib.prefixes().copied().collect();
         prop_assert_eq!(
             prefixes,
@@ -391,7 +399,9 @@ fn state(table: &RoutingTable) -> TableState {
 proptest! {
     /// After every step of a random operation sequence the table answers
     /// every query like the ordered-map model. Halfway through it is
-    /// cloned, and the clone takes the rest of the sequence too.
+    /// sealed and cloned, and the clone takes the rest of the sequence too,
+    /// interning new prefixes apart from the original; three quarters
+    /// through, the original is sealed again, over the prefixes it gained.
     #[test]
     fn routing_table_matches_the_ordered_map_model(ops in arb_ops()) {
         let mut table = RoutingTable::new();
@@ -401,10 +411,15 @@ proptest! {
             step(&mut table, &mut model, k, op)?;
             check(&table, &model)?;
         }
+        table.seal();
+        check(&table, &model)?;
         let mut clone = table.clone();
         let mut clone_model = model.clone();
         check(&clone, &clone_model)?;
         for (k, op) in ops.iter().enumerate().skip(half) {
+            if k == half + half / 2 {
+                table.seal();
+            }
             step(&mut table, &mut model, k, op)?;
             check(&table, &model)?;
             step(&mut clone, &mut clone_model, k, op)?;

@@ -230,6 +230,90 @@ proptest! {
         prop_assert_eq!((interner.len(), clone.len()), (seen, model.len()));
     }
 
+    /// The dictionary's sealed and private parts against one map model per
+    /// holder: random interleavings of `intern`, `get`, `seal` and `clone`
+    /// over a small address pool at every length (so prefixes repeat across
+    /// holders, before and after their seals). Every holder hands out dense
+    /// ids in first-seen order, answers `get` like its model and reads
+    /// `prefix(get(p)) == p`; clones that intern after a seal number apart
+    /// and never see each other's prefixes. The tail of each case seals one
+    /// holder, forks two clones off it and gives each prefixes the other
+    /// never sees, then seals one of them again over its new ones.
+    #[test]
+    fn sealed_prefix_interner_matches_the_map_model(
+        pool in proptest::collection::vec(any::<u32>(), 1..12),
+        ops in proptest::collection::vec((0u8..8, 0usize..1_000, 0u8..=32), 0..600),
+    ) {
+        type Model = (HashMap<Prefix, u32>, Vec<Prefix>);
+        fn intern(interner: &mut PrefixInterner, model: &mut Model, prefix: Prefix) -> Result<(), String> {
+            let next = model.1.len() as u32;
+            let expected = *model.0.entry(prefix).or_insert(next);
+            if expected == next {
+                model.1.push(prefix);
+            }
+            prop_assert_eq!(interner.intern(prefix).index(), expected as usize);
+            prop_assert_eq!(interner.len(), model.1.len());
+            Ok(())
+        }
+        fn agrees(interner: &PrefixInterner, model: &Model, others: &[&Model]) -> Result<(), String> {
+            prop_assert!(interner.prefixes().iter().eq(model.1.iter()), "ids not in first-seen order");
+            for (prefix, id) in &model.0 {
+                let got = interner.get(prefix);
+                prop_assert_eq!(got.map(|id| id.index()), Some(*id as usize));
+                prop_assert_eq!(interner.prefix(got.expect("interned")), prefix);
+            }
+            for prefix in others.iter().flat_map(|other| &other.1) {
+                if !model.0.contains_key(prefix) {
+                    prop_assert_eq!(interner.get(prefix), None);
+                }
+            }
+            Ok(())
+        }
+        let addrs: Vec<u32> = [0, u32::MAX, 0x0A00_0000].into_iter().chain(pool).collect();
+        let mut live: Vec<(PrefixInterner, Model)> = vec![(PrefixInterner::new(), Model::default())];
+        for (step, (op, pick, len)) in ops.into_iter().enumerate() {
+            let which = step % live.len();
+            let prefix = Prefix::new(addrs[pick % addrs.len()], len).unwrap();
+            if op >= 6 && live.len() < 4 {
+                let copy = live[which].clone();
+                live.push(copy);
+                continue;
+            }
+            let (interner, model) = &mut live[which];
+            match op {
+                0..=3 => intern(interner, model, prefix)?,
+                4 => prop_assert_eq!(
+                    interner.get(&prefix).map(|id| id.index() as u32),
+                    model.0.get(&prefix).copied()
+                ),
+                _ => {
+                    interner.seal();
+                    prop_assert_eq!(interner.len(), model.1.len());
+                }
+            }
+        }
+        // Two clones of one sealed holder, each given prefixes the other
+        // never sees.
+        let (mut base, mut base_model) = live.swap_remove(0);
+        base.seal();
+        let mut forks = [(base.clone(), base_model.clone()), (base.clone(), base_model.clone())];
+        for (k, (fork, model)) in forks.iter_mut().enumerate() {
+            for i in 0..40u32 {
+                intern(fork, model, Prefix::nth_slash24(100_000 * (k as u32 + 1) + i))?;
+            }
+            intern(fork, model, Prefix::nth_slash24(7))?;
+        }
+        forks[1].0.seal();
+        intern(&mut forks[1].0, &mut forks[1].1, Prefix::nth_slash24(300_000))?;
+        intern(&mut base, &mut base_model, Prefix::nth_slash24(8))?;
+        live.push((base, base_model));
+        live.extend(forks);
+        let models: Vec<&Model> = live.iter().map(|(_, model)| model).collect();
+        for (interner, model) in &live {
+            agrees(interner, model, &models)?;
+        }
+    }
+
     /// The chunked id → prefix list against a `Vec` model: interleaved runs
     /// of interns (fresh prefixes and a repeat), snapshots and clones, over
     /// several chunk boundaries. Every snapshot reads exactly the prefixes

@@ -22,12 +22,28 @@
 //! each handed out in first-seen order and never reused:
 //!
 //! * **Prefix ids** (`u32`): `ids` is the one per-event probe, a
-//!   [`PrefixInterner`] — the same dictionary type as the RIB mirror's, with
-//!   this session's own numbering; `state[id]` says whether the prefix is
-//!   routed or withdrawn and over which path; two global bitsets split the
-//!   id space into *routed* and *withdrawn*.
+//!   [`PrefixInterner`]. Seeded from a routing table (what
+//!   [`crate::pipeline::session_engines`] does) for a session that holds at
+//!   least half of the table's prefixes — a full feed — it is a clone of
+//!   the table's dictionary: the ids are the table's, and the sealed index
+//!   and the id → prefix list are shared with the table rather than
+//!   copied; a prefix the session announces after the seal gets the next id
+//!   of this session's own part, which means nothing outside it. A smaller
+//!   session keeps a dictionary of its own, numbered in the table's id
+//!   order, as does one seeded from an [`InternedRib`] (in the RIB's
+//!   order): its routes then cost it ~21 bytes each, and its per-event
+//!   probe stays within an index sized for its own prefixes instead of
+//!   missing the cache across one sized for the table (on the corpus's
+//!   20 000-prefix sessions of a 240 000-prefix table, sharing cost the
+//!   benchmark's `corpus_sharded` 15 % of its `events_per_s` on a 2-vCPU
+//!   x86-64 box). Nothing decides on an id: ranking ties break by link
+//!   name, and predictions are read as prefixes. `state[id]` says whether
+//!   the prefix is routed or withdrawn and over which path (a 4-byte slot
+//!   per id of the dictionary, other sessions' prefixes `Gone`); two global
+//!   bitsets split the id space into *routed* and *withdrawn*.
 //! * **Path ids** ([`PathId`], from the [`PathInterner`]): every distinct AS
-//!   path is stored once; seeding from an [`InternedRib`] copies its
+//!   path is stored once; seeding from a table interns each distinct
+//!   attribute set's path once, seeding from an [`InternedRib`] copies its
 //!   interner (one flat record per distinct path). When a path is first seen its *distinct* links are
 //!   resolved to link ids once and appended to one flat arena
 //!   (`path_links`, delimited by `path_end`) — an event then walks a slice of
@@ -81,8 +97,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use swift_bgp::{
-    AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix, PrefixInterner,
-    PrefixList,
+    AdjRibIn, AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix,
+    PrefixInterner, PrefixList,
 };
 
 /// Largest candidate-set size scored through the stack-resident source array
@@ -260,6 +276,35 @@ impl LinkCounters {
         c
     }
 
+    /// Creates counters seeded from a session's routes in a routing table:
+    /// each distinct attribute set's path is interned once (see
+    /// [`AdjRibIn::intern_paths`]) and nothing is sorted. A session holding
+    /// at least half of the table's prefixes numbers them by the table's
+    /// ids: `ids` is a clone of the table's dictionary (its sealed index and
+    /// its list are shared, not copied) and `state` covers every id the
+    /// table has handed out. A smaller one interns its prefixes, in id
+    /// order, into a dictionary of its own (see the module docs).
+    pub(crate) fn from_table(rib: AdjRibIn<'_>) -> Self {
+        let mut c = LinkCounters::default();
+        let routes = rib.intern_paths(&mut c.interner);
+        c.index_new_paths();
+        let table = rib.prefix_ids();
+        if 2 * routes.len() >= table.len() {
+            c.ids = table.clone();
+            c.state = vec![Slot::Gone.into(); table.len()];
+            for (id, pid) in routes {
+                c.announce_id(u32::from(id), pid);
+            }
+        } else {
+            c.ids.reserve(routes.len());
+            c.state.reserve_exact(routes.len());
+            for (id, pid) in routes {
+                c.announce_interned(*table.prefix(id), pid);
+            }
+        }
+        c
+    }
+
     /// Creates empty counters (no seeded routes).
     pub fn new() -> Self {
         Self::default()
@@ -333,18 +378,26 @@ impl LinkCounters {
         self.announce_interned(prefix, pid);
     }
 
-    /// Core announce handler over an already-interned path.
+    /// Announce handler over an already-interned path: interns the prefix
+    /// (a new id gets a `Gone` slot) and hands over to
+    /// [`LinkCounters::announce_id`].
+    fn announce_interned(&mut self, prefix: Prefix, new_pid: PathId) {
+        let id = u32::from(self.ids.intern(prefix));
+        if id as usize == self.state.len() {
+            self.state.push(Slot::Gone.into());
+        }
+        self.announce_id(id, new_pid);
+    }
+
+    /// Core announce handler, of the prefix interned as `id` (which has a
+    /// slot) over an already-interned path.
     ///
     /// If the prefix had been withdrawn during this burst it becomes routed
     /// again; its withdrawal contribution to W is kept (the withdrawal did
     /// happen) but the new path now counts towards P. Only the links on which
     /// the old and the new path differ have their index bit moved; paths are
     /// a handful of links, so the membership tests below are a few compares.
-    fn announce_interned(&mut self, prefix: Prefix, new_pid: PathId) {
-        let id = u32::from(self.ids.intern(prefix));
-        if id as usize == self.state.len() {
-            self.state.push(Slot::Gone.into());
-        }
+    fn announce_id(&mut self, id: u32, new_pid: PathId) {
         // The old path's links still indexed under `id`, and whether they
         // still hold its P contribution (a withdrawal already removed it).
         let (old, was_routed) = match self.state[id as usize].get() {
@@ -976,6 +1029,42 @@ mod tests {
         );
         assert_eq!(a.routed_count(), b.routed_count());
         assert_eq!(a.total_withdrawals(), b.total_withdrawals());
+    }
+
+    /// Seeded from a table, a session holding half of its prefixes numbers
+    /// them by the table's ids and shares its dictionary; a smaller one
+    /// numbers its own. Both count alike.
+    #[test]
+    fn a_full_feed_shares_the_table_dictionary_a_partial_one_does_not() {
+        use swift_bgp::{Asn, PeerId, Route, RouteAttributes, RoutingTable};
+        let mut table = RoutingTable::new();
+        for (peer, prefixes) in [(1, 0..200), (2, 100..200), (3, 190..200)] {
+            table.add_peer(PeerId(peer), Asn(peer));
+            for i in prefixes {
+                let attrs = RouteAttributes::from_path(AsPath::new([peer, 5, 6 + i % 2]));
+                table.announce(PeerId(peer), p(i), Route::new(PeerId(peer), attrs, 0));
+            }
+        }
+        table.seal();
+        let seeded = |peer| LinkCounters::from_table(table.adj_rib_in(PeerId(peer)).expect("peer"));
+        for (peer, routes, ids) in [(1, 200, 200), (2, 100, 200), (3, 10, 10)] {
+            let mut c = seeded(peer);
+            assert_eq!(
+                (c.routed_count(), c.ids.len()),
+                (routes, ids),
+                "peer {peer}"
+            );
+            // The table's id, or the sixth of the session's own.
+            let id = if ids == 200 { 195 } else { 5 };
+            assert_eq!(c.ids.get(&p(195)).map(|id| id.index()), Some(id));
+            c.on_withdraw(p(195));
+            c.on_withdraw(p(0));
+            let withdrawn = usize::from(peer == 1);
+            assert_eq!(c.withdrawn_count(), 1 + withdrawn, "peer {peer}");
+            let l56 = [AsLink::new(5, 6)];
+            assert_eq!(c.union_counts(&l56), scan(&c, &l56));
+            assert_eq!(c.wp(&l56[0]), (withdrawn, routes / 2 - withdrawn));
+        }
     }
 
     /// Seeding sizes the prefix index once, up front: a RIB just past a

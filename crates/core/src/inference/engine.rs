@@ -63,7 +63,7 @@ use crate::inference::burst_detect::{BurstDetector, BurstEvent};
 use crate::inference::counters::LinkCounters;
 use crate::inference::fit_score::{LinkRanker, Score};
 use crate::inference::predictor::{predict, Prediction};
-use swift_bgp::{AsPath, ElementaryEvent, InternedRib, Prefix, Timestamp};
+use swift_bgp::{AdjRibIn, AsPath, ElementaryEvent, InternedRib, Prefix, Timestamp};
 
 /// An accepted inference: the output SWIFT acts upon.
 #[derive(Debug, Clone)]
@@ -134,6 +134,14 @@ impl InferenceEngine {
     /// copied; no path is cloned per prefix).
     pub fn from_interned(config: InferenceConfig, rib: &InternedRib) -> Self {
         let counters = LinkCounters::from_interned(rib);
+        Self::with_counters(config, counters)
+    }
+
+    /// Creates an engine seeded from a session's routes in a routing table,
+    /// sharing the table's sealed prefix dictionary when the session holds
+    /// at least half of its prefixes (see [`LinkCounters`]).
+    pub(crate) fn from_table(config: InferenceConfig, rib: AdjRibIn<'_>) -> Self {
+        let counters = LinkCounters::from_table(rib);
         Self::with_counters(config, counters)
     }
 

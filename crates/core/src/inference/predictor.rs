@@ -6,7 +6,7 @@
 //!
 //! The reroute itself needs only the links (the install is O(rules)), so the
 //! accepting event does not list the prefixes either: [`predict`] takes the
-//! two sets as session-local prefix ids, in one pass each over the crossing
+//! two sets as the counters' prefix ids, in one pass each over the crossing
 //! ids, beside a snapshot of the session's id → prefix list. A
 //! [`PrefixSnapshot`] turns them into prefixes when someone reads them.
 
@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use swift_bgp::{Prefix, PrefixList, PrefixSet};
 
-/// A set of prefixes as an inference found it: session-local prefix ids
+/// A set of prefixes as an inference found it: the counters' prefix ids
 /// over a snapshot of the session's id → prefix list, turned into a sorted
 /// [`PrefixSet`] only when someone reads the prefixes.
 ///

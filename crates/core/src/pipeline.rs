@@ -49,9 +49,21 @@
 //! and writes the array slot. Session registration and teardown retag the
 //! ids the table hands back for the routes they announce or clear the same
 //! way; a teardown retags the dirty ids too (without draining them), since
-//! their tags may still name the departed peer. The dictionary is probed only where a *prefix* comes in from outside:
-//! once per event by the mirror, and once per by-prefix read
-//! ([`Applier::forwarding_next_hop`]).
+//! their tags may still name the departed peer.
+//!
+//! The dictionary is probed only where a *prefix* comes in from outside:
+//! once per event by the mirror, once per event by the session's engine, and
+//! once per by-prefix read ([`Applier::forwarding_next_hop`]). For the full
+//! feeds it is one dictionary: the table given to `SwiftRouter` or the
+//! runtime is sealed ([`RoutingTable::seal`]), the mirror is that table, and
+//! the engine of each session holding at least half of the table's prefixes
+//! holds a clone of its dictionary ([`session_engines`]), so the index and
+//! the id → prefix list exist once for every prefix known at the seal. A
+//! prefix first seen after it is interned by the mirror and by its session's
+//! engine each in a private part, under ids that may differ: nothing passes
+//! an id from an engine to the applier (a reroute installs by link). A
+//! smaller session's engine keeps a dictionary of its own, whose probe stays
+//! within an index sized for that session.
 
 use crate::config::SwiftConfig;
 use crate::dirty::DirtySet;
@@ -103,20 +115,26 @@ impl SessionEngine {
 }
 
 /// Builds one [`SessionEngine`] per peering session of `table`, seeding each
-/// from the session's interned Adj-RIB-In (paths interned, no per-prefix
-/// clones). The single shared seeding path of `SwiftRouter` and the sharded
-/// runtime.
+/// straight from the table, with each distinct attribute set's path
+/// interned once and nothing sorted. The engine of a session holding at
+/// least half of the table's prefixes numbers them by the table's ids and
+/// shares its sealed prefix dictionary ([`RoutingTable::seal`]); a smaller
+/// session's keeps a dictionary of its own. The single shared seeding path
+/// of `SwiftRouter` and the sharded runtime, which seal the table first; an
+/// engine seeded from an unsealed table copies the unsealed part of the
+/// dictionary's index.
 pub fn session_engines(
     config: &SwiftConfig,
     table: &RoutingTable,
 ) -> BTreeMap<PeerId, SessionEngine> {
-    let mut engines = BTreeMap::new();
-    for (peer, _) in table.peers() {
-        let rib = table.adj_rib_in(peer).expect("peer just listed");
-        let interned = rib.to_interned();
-        engines.insert(peer, SessionEngine::from_interned(peer, config, &interned));
-    }
-    engines
+    table
+        .peers()
+        .map(|(peer, _)| {
+            let rib = table.adj_rib_in(peer).expect("peer just listed");
+            let engine = InferenceEngine::from_table(config.inference.clone(), rib);
+            (peer, SessionEngine { peer, engine })
+        })
+        .collect()
 }
 
 /// The serialized half of the pipeline: routing state, forwarding-table rule
@@ -140,9 +158,10 @@ pub struct Applier {
 }
 
 impl Applier {
-    /// Builds an applier over `table`, with the forwarding table built from
-    /// it.
-    pub fn new(config: SwiftConfig, table: RoutingTable, policy: ReroutingPolicy) -> Self {
+    /// Builds an applier over `table`, sealed ([`RoutingTable::seal`]), with
+    /// the forwarding table built from it.
+    pub fn new(config: SwiftConfig, mut table: RoutingTable, policy: ReroutingPolicy) -> Self {
+        table.seal();
         let forwarding = TwoStageTable::build(&table, &config.encoding, &policy);
         Self::from_parts(config, table, forwarding, policy)
     }

@@ -49,8 +49,11 @@ pub struct SwiftRouter {
 }
 
 impl SwiftRouter {
-    /// Builds a SWIFTED router from its current routing state.
-    pub fn new(config: SwiftConfig, table: RoutingTable, policy: ReroutingPolicy) -> Self {
+    /// Builds a SWIFTED router from its current routing state. The table is
+    /// sealed first ([`RoutingTable::seal`]), so the engines of its full
+    /// feeds share its prefix dictionary.
+    pub fn new(config: SwiftConfig, mut table: RoutingTable, policy: ReroutingPolicy) -> Self {
+        table.seal();
         let engines = session_engines(&config, &table);
         let applier = Applier::new(config, table, policy);
         SwiftRouter { engines, applier }

@@ -390,16 +390,17 @@ pub struct ShardedRuntime {
 }
 
 impl ShardedRuntime {
-    /// Builds the runtime: seeds one engine per peering session of `table`
-    /// (sharing each session's interned path storage), hashes sessions onto
-    /// shards and spawns the worker and applier threads — or none of them in
-    /// deterministic mode.
+    /// Builds the runtime: seals `table` ([`RoutingTable::seal`]), seeds one
+    /// engine per peering session of it (a full feed's shares the table's
+    /// prefix dictionary), hashes sessions onto shards and spawns the worker
+    /// and applier threads — or none of them in deterministic mode.
     pub fn new(
         config: RuntimeConfig,
         swift: SwiftConfig,
-        table: RoutingTable,
+        mut table: RoutingTable,
         policy: ReroutingPolicy,
     ) -> Self {
+        table.seal();
         let engines = session_engines(&swift, &table);
         let started: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
         let registry = Registry::new();

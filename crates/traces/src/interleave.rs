@@ -102,7 +102,7 @@ impl MultiSessionTrace {
     /// withdraws `burst_size` prefixes behind its heaviest link (fewer if
     /// the link carries fewer — see [`MultiSessionConfig::burst_size`]); all
     /// bursts start at time zero, so the merged stream interleaves all
-    /// sessions.
+    /// sessions. The table comes sealed ([`RoutingTable::seal`]).
     pub fn generate(config: &MultiSessionConfig) -> Self {
         let mut table = RoutingTable::new();
         let backup_asn = Asn(9_000_000);
@@ -175,6 +175,7 @@ impl MultiSessionTrace {
         let stream_refs: Vec<(PeerId, &MessageStream)> =
             streams.iter().map(|(p, s)| (*p, s)).collect();
         let events = interleave_streams(&stream_refs);
+        table.seal();
         MultiSessionTrace {
             table,
             events,

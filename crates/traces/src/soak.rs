@@ -34,7 +34,8 @@ impl<'a> SoakReplay<'a> {
     /// The vantage router's routing table: every session primary
     /// (LOCAL_PREF 200) plus the two shared backup providers
     /// ([`SOAK_BACKUP_A`], [`SOAK_BACKUP_B`]) whose synthetic paths avoid the
-    /// sessions' AS hierarchies. Sessions are materialised one at a time.
+    /// sessions' AS hierarchies. Sessions are materialised one at a time;
+    /// the table comes sealed ([`RoutingTable::seal`]).
     pub fn vantage_table(&self) -> RoutingTable {
         let mut table = RoutingTable::new();
         table.add_peer(SOAK_BACKUP_A, Asn(8_000_001));
@@ -66,6 +67,7 @@ impl<'a> SoakReplay<'a> {
                 }
             }
         }
+        table.seal();
         table
     }
 }

@@ -7,9 +7,12 @@
 //! freed; each row is how much that grew while one structure was built and
 //! kept (temporaries freed on the way do not count). The rows:
 //!
-//! * the routing table as generated, and a clone of it (what a router or a
-//!   runtime given the table keeps);
-//! * `session_engines` — the per-session inference engines seeded from it;
+//! * the routing table as generated (the generator seals it), and a clone
+//!   of it (what a router or a runtime given the table keeps), which shares
+//!   the sealed prefix dictionary's index and list;
+//! * `session_engines` — the per-session inference engines seeded from it,
+//!   in all and one by one (what dropping each engine frees: the shared
+//!   dictionary stays with the table);
 //! * `TwoStageTable::build` — the forwarding table;
 //! * `SwiftRouter::new` over a clone — all of the above in one router.
 //!
@@ -106,24 +109,41 @@ fn main() {
     let (forwarding, forwarding_bytes) =
         kept(|| TwoStageTable::build(&table, &config.encoding, &policy));
     let (router, router_bytes) = kept(|| SwiftRouter::new(config.clone(), clone.clone(), policy));
+    // Each engine's own bytes: what dropping it frees.
+    let per_engine: Vec<(String, i64)> = engines
+        .into_iter()
+        .map(|(peer, engine)| {
+            let routes = engine.engine().counters().routed_count();
+            let ((), freed) = kept(|| drop(engine));
+            (
+                format!("  engine of peer {} ({routes} routes)", peer.0),
+                -freed,
+            )
+        })
+        .collect();
 
     let mib = |bytes: i64| bytes as f64 / (1 << 20) as f64;
     println!(
-        "{:<34} {:>10} {:>12}",
+        "{:<40} {:>10} {:>12}",
         "structure", "live MiB", "bytes/route"
     );
-    for (name, bytes) in [
-        ("RoutingTable (generated)", table_bytes),
-        ("RoutingTable::clone", clone_bytes),
-        ("session_engines", engine_bytes),
-        ("TwoStageTable::build", forwarding_bytes),
-        ("SwiftRouter::new (its own table)", router_bytes),
-    ] {
+    let rows = [
+        ("RoutingTable (generated, sealed)".to_string(), table_bytes),
+        ("RoutingTable::clone".to_string(), clone_bytes),
+        ("session_engines".to_string(), engine_bytes),
+    ]
+    .into_iter()
+    .chain(per_engine)
+    .chain([
+        ("TwoStageTable::build".to_string(), forwarding_bytes),
+        ("SwiftRouter::new (its own table)".to_string(), router_bytes),
+    ]);
+    for (name, bytes) in rows {
         println!(
-            "{name:<34} {:>10.1} {:>12.1}",
+            "{name:<40} {:>10.1} {:>12.1}",
             mib(bytes),
             bytes as f64 / routes as f64
         );
     }
-    drop((engines, forwarding, router));
+    drop((forwarding, router));
 }
