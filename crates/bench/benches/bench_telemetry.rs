@@ -25,7 +25,7 @@ use swift_telemetry::{LogHistogram, Registry};
 
 const EVENTS: u32 = 50_000;
 
-/// Withdrawals on engine-less sessions, as in `bench_ingest`: the dispatch
+/// Withdrawals on engine-less sessions (the table is empty): the dispatch
 /// path runs end to end while the downstream inference work stays ~zero.
 fn events(sessions: u32) -> Vec<(PeerId, ElementaryEvent)> {
     (0..EVENTS)

@@ -44,7 +44,8 @@ use crate::inference::bitset::{IdBitSet, Parts, BLOCK_BITS, BLOCK_WORDS};
 ///
 /// Drained per engine via `LinkCounters::take_kernel_stats` and summed into
 /// the registry counters `inference.kernel.{dense,sparse,mixed}` and
-/// `inference.scratch.{reuse,growth}` by the runtime's shard workers.
+/// `inference.scratch.{reuse,growth}` by the runtime: a shard worker at
+/// each batch, the inline mode at each flush, resync and finish.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Fused passes where every source was word-packed.

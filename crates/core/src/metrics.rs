@@ -7,7 +7,6 @@
 //! * [`LatencySummary`] — count, p50/p99, max and mean of a latency record,
 //!   as the sharded runtime reports per-event and reroute latencies against
 //!   the paper's ~2 s budget (§3).
-//! * [`ProducerCounters`] — the runtime's per-producer ingest counters.
 
 use swift_bgp::PrefixSet;
 
@@ -113,66 +112,6 @@ fn nearest_rank(q: f64, len: usize) -> usize {
     rank.min(len - 1)
 }
 
-/// Ingest-side counters of one event producer (one `IngestHandle` of the
-/// sharded runtime): how many events it stamped, and — per worker shard — how
-/// many it shed and how deep it ever saw the shard's queue.
-///
-/// Each producer counts privately (no shared cache lines on the ingest hot
-/// path) and the runtime folds the per-producer counters together with
-/// [`ProducerCounters::merge`] when the producers finish: events and drops
-/// add, queue high-waters take the maximum (the deepest any producer ever
-/// observed the queue is the queue's high-water).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProducerCounters {
-    /// Events this producer (or the merged set) stamped and dispatched,
-    /// including any later shed.
-    pub events: u64,
-    /// Per-shard events shed at ingest: a producer sheds only once the
-    /// runtime has shut down and its queues are gone.
-    pub dropped: Vec<u64>,
-    /// Per-shard queue high-water mark, in batches, as observed at enqueue.
-    pub max_queue_depth: Vec<usize>,
-    /// Producers merged in (producers that never stamped an event count 0).
-    pub producers: usize,
-}
-
-impl ProducerCounters {
-    /// A zeroed counter set sized for `shards` worker shards.
-    pub fn for_shards(shards: usize) -> Self {
-        ProducerCounters {
-            events: 0,
-            dropped: vec![0; shards],
-            max_queue_depth: vec![0; shards],
-            producers: 0,
-        }
-    }
-
-    /// Folds another producer's counters into this one: events, drops and
-    /// producer counts add; per-shard queue high-waters take the maximum.
-    /// Shard vectors grow to the longer of the two operands.
-    pub fn merge(&mut self, other: &ProducerCounters) {
-        self.events += other.events;
-        self.producers += other.producers;
-        if self.dropped.len() < other.dropped.len() {
-            self.dropped.resize(other.dropped.len(), 0);
-        }
-        for (shard, &d) in other.dropped.iter().enumerate() {
-            self.dropped[shard] += d;
-        }
-        if self.max_queue_depth.len() < other.max_queue_depth.len() {
-            self.max_queue_depth.resize(other.max_queue_depth.len(), 0);
-        }
-        for (shard, &m) in other.max_queue_depth.iter().enumerate() {
-            self.max_queue_depth[shard] = self.max_queue_depth[shard].max(m);
-        }
-    }
-
-    /// Events shed across all shards.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped.iter().sum()
-    }
-}
-
 /// Summary statistics of a latency record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
@@ -235,60 +174,6 @@ mod tests {
             tn: 100,
         };
         assert_eq!(perfect.quadrant(), Quadrant::Good);
-    }
-
-    #[test]
-    fn producer_counters_merge_adds_drops_and_maxes_depth() {
-        let mut merged = ProducerCounters::for_shards(2);
-        assert_eq!(merged.total_dropped(), 0);
-        let a = ProducerCounters {
-            events: 100,
-            dropped: vec![3, 0],
-            max_queue_depth: vec![5, 1],
-            producers: 1,
-        };
-        let b = ProducerCounters {
-            events: 50,
-            dropped: vec![0, 7],
-            max_queue_depth: vec![2, 9],
-            producers: 1,
-        };
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged.events, 150);
-        assert_eq!(merged.producers, 2);
-        assert_eq!(merged.dropped, vec![3, 7], "drops add per shard");
-        assert_eq!(
-            merged.max_queue_depth,
-            vec![5, 9],
-            "high-water is the max any producer observed"
-        );
-        assert_eq!(merged.total_dropped(), 10);
-    }
-
-    #[test]
-    fn producer_counters_merge_grows_to_wider_operand() {
-        // A zero-shard accumulator (or one sized for fewer shards) adopts the
-        // width of what it merges — the runtime merges into a default-sized
-        // accumulator without caring which producer saw how many shards.
-        let mut merged = ProducerCounters::default();
-        merged.merge(&ProducerCounters {
-            events: 1,
-            dropped: vec![0, 0, 4],
-            max_queue_depth: vec![1, 2, 3],
-            producers: 1,
-        });
-        assert_eq!(merged.dropped, vec![0, 0, 4]);
-        assert_eq!(merged.max_queue_depth, vec![1, 2, 3]);
-        // Merging a narrower operand leaves the extra shards untouched.
-        merged.merge(&ProducerCounters {
-            events: 1,
-            dropped: vec![2],
-            max_queue_depth: vec![9],
-            producers: 1,
-        });
-        assert_eq!(merged.dropped, vec![2, 0, 4]);
-        assert_eq!(merged.max_queue_depth, vec![9, 2, 3]);
     }
 
     #[test]

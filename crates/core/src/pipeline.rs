@@ -10,10 +10,12 @@
 //!   log and the reconvergence resync.
 //!
 //! [`crate::router::SwiftRouter`] composes the two inline (one event at a
-//! time, on the calling thread); the `swift-runtime` crate drives many
+//! time, on the calling thread), and is the `swift-runtime` crate's
+//! deterministic mode; the runtime's sharded mode drives many
 //! [`SessionEngine`]s concurrently on worker shards and funnels their accepted
 //! inferences into one [`Applier`] thread. Both observe identical per-session
-//! behaviour because all decision-making lives in these two types.
+//! behaviour because all decision-making lives in these two types, and both
+//! take an event through its engine with [`SessionEngine::accept`].
 //!
 //! # RIB maintenance
 //!
@@ -28,8 +30,8 @@
 //! a resync, a session registration or teardown, and every reader that needs
 //! the current mirror ([`Applier::unsafe_reroutes`]). So at most
 //! `APPLY_BATCH - 1` events wait for a sync point, and a resync never pays
-//! for a whole burst's folds. `SwiftRouter`, the inline runtime and the
-//! sharded runtime's applier thread all run this one policy.
+//! for a whole burst's folds. `SwiftRouter` (the inline runtime) and the
+//! sharded runtime's applier thread both run this one policy.
 //!
 //! # The dirty set
 //!
@@ -68,7 +70,7 @@
 use crate::config::SwiftConfig;
 use crate::dirty::DirtySet;
 use crate::encoding::{RerouteId, ReroutingPolicy, TwoStageTable};
-use crate::inference::{EngineStatus, InferenceEngine, InferenceResult};
+use crate::inference::{EngineStatus, InferenceEngine, InferenceResult, KernelStats};
 use crate::router::RerouteAction;
 use std::collections::BTreeMap;
 use swift_bgp::{
@@ -103,14 +105,51 @@ impl SessionEngine {
         &self.engine
     }
 
+    /// Builds the engine of a session registered mid-run, seeded from the
+    /// routes it announces: the one seeding path of a registration, for
+    /// `SwiftRouter` and the sharded runtime alike.
+    pub fn from_routes(peer: PeerId, config: &SwiftConfig, routes: &[(Prefix, Route)]) -> Self {
+        let mut rib = InternedRib::new();
+        for (prefix, route) in routes {
+            rib.push(*prefix, route.as_path());
+        }
+        SessionEngine::from_interned(peer, config, &rib)
+    }
+
     /// Drains the engine's kernel dispatch/scratch statistics (telemetry).
-    pub fn take_kernel_stats(&self) -> crate::inference::KernelStats {
+    pub fn take_kernel_stats(&self) -> KernelStats {
         self.engine.take_kernel_stats()
     }
 
     /// Processes one of this session's per-prefix events.
     pub fn process(&mut self, event: &ElementaryEvent) -> (EngineStatus, Option<InferenceResult>) {
         self.engine.process(event)
+    }
+
+    /// One event through the engine, the step every composition shares:
+    /// process it, drain the engine's [`KernelStats`] into `stats` if the
+    /// event made an inference attempt (the only place kernels run), and
+    /// return the inference only if this event's attempt was accepted.
+    #[inline]
+    pub fn accept(
+        &mut self,
+        event: &ElementaryEvent,
+        stats: &mut KernelStats,
+    ) -> Option<InferenceResult> {
+        let (status, result) = self.engine.process(event);
+        match status {
+            EngineStatus::Accepted => {
+                stats.merge(&self.engine.take_kernel_stats());
+                result
+            }
+            EngineStatus::RejectedByHistory => {
+                stats.merge(&self.engine.take_kernel_stats());
+                None
+            }
+            EngineStatus::Idle
+            | EngineStatus::WaitingForTrigger
+            | EngineStatus::AlreadyAccepted => None,
+        }
     }
 }
 

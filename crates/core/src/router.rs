@@ -13,16 +13,19 @@
 //!
 //! The router is a thin inline composition of the two pipeline halves in
 //! [`crate::pipeline`]: a [`SessionEngine`] per session and one [`Applier`].
-//! The sharded `swift-runtime` drives the *same* two types across threads, so
-//! the single-threaded router doubles as the executable specification of the
-//! concurrent runtime's per-session behaviour.
+//! It is the `swift-runtime` crate's deterministic mode; the runtime's sharded
+//! mode drives the *same* two types across threads, so the single-threaded
+//! router doubles as the executable specification of the concurrent runtime's
+//! per-session behaviour.
 
 use crate::config::SwiftConfig;
 use crate::encoding::{ReroutingPolicy, TwoStageTable};
-use crate::inference::{EngineStatus, InferenceEngine, PrefixSnapshot};
+use crate::inference::{InferenceEngine, KernelStats, PrefixSnapshot};
 use crate::pipeline::{session_engines, Applier, SessionEngine};
 use std::collections::BTreeMap;
-use swift_bgp::{AsLink, ElementaryEvent, PeerId, Prefix, PrefixSet, RoutingTable, Timestamp};
+use swift_bgp::{
+    AsLink, Asn, ElementaryEvent, PeerId, Prefix, PrefixSet, Route, RoutingTable, Timestamp,
+};
 
 /// What the router did in response to an accepted inference.
 #[derive(Debug, Clone)]
@@ -46,6 +49,9 @@ pub struct RerouteAction {
 pub struct SwiftRouter {
     engines: BTreeMap<PeerId, SessionEngine>,
     applier: Applier,
+    /// Kernel dispatch/scratch statistics of the inference attempts since
+    /// the last [`SwiftRouter::take_kernel_stats`].
+    kernel_stats: KernelStats,
 }
 
 impl SwiftRouter {
@@ -56,7 +62,11 @@ impl SwiftRouter {
         table.seal();
         let engines = session_engines(&config, &table);
         let applier = Applier::new(config, table, policy);
-        SwiftRouter { engines, applier }
+        SwiftRouter {
+            engines,
+            applier,
+            kernel_stats: KernelStats::default(),
+        }
     }
 
     /// The router's configuration.
@@ -81,6 +91,11 @@ impl SwiftRouter {
         &self.applier
     }
 
+    /// The serialized half of the pipeline, giving up the engines.
+    pub fn into_applier(self) -> Applier {
+        self.applier
+    }
+
     /// The per-session inference engine for `peer`, if the session exists.
     pub fn engine(&self, peer: PeerId) -> Option<&InferenceEngine> {
         self.engines.get(&peer).map(|s| s.engine())
@@ -92,34 +107,68 @@ impl SwiftRouter {
     }
 
     /// Processes one per-prefix event received on the session with `peer`.
+    /// The event is taken by value: an announcement's attributes move into
+    /// the routing table uncloned. Events of a session without an engine
+    /// (unknown, or torn down) only update the routing table.
     ///
     /// Returns the reroute action if this event triggered an accepted
     /// inference. Events arriving after the burst's inference was accepted
-    /// ([`EngineStatus::AlreadyAccepted`]) change nothing: the reroute rules
-    /// are already installed and the router is waiting for BGP to converge.
-    pub fn handle_event(&mut self, peer: PeerId, event: &ElementaryEvent) -> Option<RerouteAction> {
-        // Keep the routing table in sync (the FIB rebuild that BGP would do is
-        // intentionally *not* performed per event — that is the slow path SWIFT
-        // works around; see `resync_after_convergence`).
-        self.applier.note_event(peer, event);
-        let engine = self.engines.get_mut(&peer)?;
-        match engine.process(event) {
-            (EngineStatus::Accepted, Some(result)) => {
-                Some(self.applier.apply_inference(peer, &result))
-            }
-            _ => None,
-        }
+    /// ([`crate::inference::EngineStatus::AlreadyAccepted`]) change nothing:
+    /// the reroute rules are already installed and the router is waiting for
+    /// BGP to converge.
+    #[inline]
+    pub fn handle_event(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<RerouteAction> {
+        // The engine only borrows the event, so it goes first. The install
+        // reads stage-1 state that only a resync, a registration or a
+        // teardown changes, so it does not care which side of the routing
+        // table update (buffered, not a FIB rebuild: see
+        // `resync_after_convergence`) it runs on.
+        let accepted = (self.engines.get_mut(&peer))
+            .and_then(|engine| engine.accept(&event, &mut self.kernel_stats));
+        self.applier.note_event_owned(peer, event);
+        accepted.map(|result| self.applier.apply_inference(peer, &result))
     }
 
     /// Processes a whole stream of events on one session.
-    pub fn handle_stream<'a, I>(&mut self, peer: PeerId, events: I) -> Vec<RerouteAction>
+    pub fn handle_stream<I>(&mut self, peer: PeerId, events: I) -> Vec<RerouteAction>
     where
-        I: IntoIterator<Item = &'a ElementaryEvent>,
+        I: IntoIterator<Item = ElementaryEvent>,
     {
         events
             .into_iter()
             .filter_map(|ev| self.handle_event(peer, ev))
             .collect()
+    }
+
+    /// Registers (or re-registers) a peering session: a fresh engine seeded
+    /// from `routes` ([`SessionEngine::from_routes`]) serves the session's
+    /// later events, and the routing state adds the peer and its routes
+    /// ([`Applier::register_session`]). Returns the number of routes
+    /// announced.
+    pub fn register_session<I>(&mut self, peer: PeerId, asn: Asn, routes: I) -> usize
+    where
+        I: IntoIterator<Item = (Prefix, Route)>,
+    {
+        let routes: Vec<(Prefix, Route)> = routes.into_iter().collect();
+        let engine = SessionEngine::from_routes(peer, self.applier.config(), &routes);
+        self.engines.insert(peer, engine);
+        self.applier.register_session(peer, asn, routes)
+    }
+
+    /// Tears a peering session down: its engine goes, and the routing state
+    /// drops its routes and SWIFT rules ([`Applier::teardown_session`]). The
+    /// peer stays known, so it can re-establish through
+    /// [`SwiftRouter::register_session`]. Returns `(rules_removed,
+    /// routes_withdrawn)`.
+    pub fn teardown_session(&mut self, peer: PeerId) -> (usize, usize) {
+        self.engines.remove(&peer);
+        self.applier.teardown_session(peer)
+    }
+
+    /// Drains the kernel dispatch/scratch statistics of the inference
+    /// attempts made since the last call (telemetry).
+    pub fn take_kernel_stats(&mut self) -> KernelStats {
+        std::mem::take(&mut self.kernel_stats)
     }
 
     /// The next-hop currently used to forward traffic for `prefix`.
@@ -240,7 +289,7 @@ mod tests {
         // Before the outage everything goes to peer 2 (LOCAL_PREF 200).
         assert_eq!(router.forwarding_next_hop(&p(0)), Some(PeerId(2)));
 
-        let actions = router.handle_stream(PeerId(2), fig1_burst(100).iter());
+        let actions = router.handle_stream(PeerId(2), fig1_burst(100));
         assert_eq!(actions.len(), 1, "one accepted inference");
         let action = &actions[0];
         assert_eq!(action.session, PeerId(2));
@@ -261,7 +310,7 @@ mod tests {
     fn rerouted_traffic_avoids_the_failed_link() {
         let table = fig1_table(100);
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
-        let actions = router.handle_stream(PeerId(2), fig1_burst(100).iter());
+        let actions = router.handle_stream(PeerId(2), fig1_burst(100));
         let action = &actions[0];
         // Safety: no predicted prefix may still be forwarded onto a next-hop
         // whose announced path crosses an inferred link.
@@ -281,7 +330,7 @@ mod tests {
     fn resync_clears_swift_state() {
         let table = fig1_table(100);
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
-        router.handle_stream(PeerId(2), fig1_burst(100).iter());
+        router.handle_stream(PeerId(2), fig1_burst(100));
         assert!(router.forwarding().swift_rule_count() > 0);
         let removed = router.resync_after_convergence();
         assert!(removed > 0);
@@ -296,7 +345,7 @@ mod tests {
     fn incremental_resync_equals_rebuild_when_routes_restore() {
         let table = fig1_table(100);
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
-        router.handle_stream(PeerId(2), fig1_burst(100).iter());
+        router.handle_stream(PeerId(2), fig1_burst(100));
         assert!(router.forwarding().swift_rule_count() > 0);
 
         // BGP reconverges: the link comes back and peer 2 re-announces every
@@ -311,7 +360,7 @@ mod tests {
             attrs.local_pref = Some(200);
             router.handle_event(
                 PeerId(2),
-                &ElementaryEvent::Announce {
+                ElementaryEvent::Announce {
                     timestamp: t,
                     prefix: p(idx),
                     attrs,
@@ -352,7 +401,7 @@ mod tests {
     fn incremental_resync_matches_rebuild_forwarding_after_path_changes() {
         let table = fig1_table(100);
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
-        router.handle_stream(PeerId(2), fig1_burst(100).iter());
+        router.handle_stream(PeerId(2), fig1_burst(100));
 
         router.resync_after_convergence();
         assert_eq!(router.forwarding().swift_rule_count(), 0);
@@ -377,7 +426,7 @@ mod tests {
         for i in 0..10u64 {
             let act = router.handle_event(
                 PeerId(3),
-                &ElementaryEvent::Withdraw {
+                ElementaryEvent::Withdraw {
                     timestamp: i * 60_000_000,
                     prefix: p(i as u32),
                 },
@@ -389,7 +438,7 @@ mod tests {
         assert!(router
             .handle_event(
                 PeerId(99),
-                &ElementaryEvent::Withdraw {
+                ElementaryEvent::Withdraw {
                     timestamp: 0,
                     prefix: p(0),
                 }
@@ -406,5 +455,39 @@ mod tests {
         assert!(router.engine(PeerId(4)).is_some());
         assert!(router.engine(PeerId(9)).is_none());
         assert_eq!(router.forwarding().stage1_len(), 30);
+    }
+
+    /// A torn-down session loses its engine and its rules; re-registered
+    /// with its routes, it gets a fresh engine that reroutes the same burst
+    /// again. The attempts' kernel statistics are drained once.
+    #[test]
+    fn a_reregistered_session_reroutes_again() {
+        let table = fig1_table(100);
+        let routes: Vec<(Prefix, Route)> = (table.adj_rib_in(PeerId(2)).expect("peer 2"))
+            .iter()
+            .map(|(prefix, route)| (*prefix, route.clone()))
+            .collect();
+        let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
+        assert_eq!(router.handle_stream(PeerId(2), fig1_burst(100)).len(), 1);
+        let stats = router.take_kernel_stats();
+        assert!(stats.dense + stats.sparse + stats.mixed > 0, "{stats:?}");
+        assert!(router.take_kernel_stats().is_zero(), "drained once");
+
+        let (rules_removed, withdrawn) = router.teardown_session(PeerId(2));
+        assert!(rules_removed > 0);
+        assert_eq!(
+            withdrawn, 100,
+            "the burst's 200 withdrawals left 100 routes"
+        );
+        assert!(router.engine(PeerId(2)).is_none());
+        assert_eq!(router.forwarding().swift_rule_count(), 0);
+        // Without an engine the session's events only update the table.
+        assert!(router.handle_stream(PeerId(2), fig1_burst(100)).is_empty());
+
+        assert_eq!(router.register_session(PeerId(2), Asn(2), routes), 300);
+        assert!(router.engine(PeerId(2)).is_some());
+        assert_eq!(router.forwarding_next_hop(&p(0)), Some(PeerId(2)));
+        assert_eq!(router.handle_stream(PeerId(2), fig1_burst(100)).len(), 1);
+        assert_eq!(router.actions().len(), 2, "one reroute per life");
     }
 }

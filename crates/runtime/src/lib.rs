@@ -2,19 +2,19 @@
 //!
 //! A sharded, multi-core runtime for the SWIFT reproduction: the full
 //! ingest → infer → reroute pipeline of a border router whose *dozens of
-//! peering sessions* stream updates concurrently, under the paper's ~2 s
-//! reroute budget (§3).
+//! peering sessions* stream updates, under the paper's ~2 s reroute budget
+//! (§3).
 //!
 //! ## Architecture
 //!
 //! ```text
-//!   IngestHandle 0 ─┐       ┌───────────────┐
-//!   (its sessions)  ├─hash─▶│ shard worker 0 │──┐
-//!   IngestHandle 1 ─┤       │  SessionEngine │  │   accepted inferences
-//!   (its sessions)  │       │  per session   │  │   + every event
-//!       ...         │       ├───────────────┤  ▼
-//!   default handle ─┘       │ shard worker 1 │─▶ ┌─────────────────┐
-//!   (ingest()/…)            ├───────────────┤    │  applier thread  │
+//!                          ┌───────────────┐
+//!   ingest() ───hash──────▶│ shard worker 0 │──┐
+//!   one producer: a batch   │  SessionEngine │  │   accepted inferences
+//!   buffer per shard and a  │  per session   │  │   + every event
+//!   coarse ingest stamp     ├───────────────┤  ▼
+//!                           │ shard worker 1 │─▶ ┌─────────────────┐
+//!                           ├───────────────┤    │  applier thread  │
 //!                           │      ...       │─▶ │  RoutingTable     │
 //!                           └───────────────┘    │  TwoStageTable    │
 //!                             bounded mpsc       │  rule installs +  │
@@ -22,20 +22,15 @@
 //!                                                └─────────────────┘
 //! ```
 //!
-//! * **Multi-producer ingest**: any number of threads each own an
-//!   [`IngestHandle`] ([`ShardedRuntime::handle`]) that batches events per
-//!   shard and sends straight into the shard queues — no central dispatch
-//!   thread, no serialized stage in front of the shards. Events are stamped
-//!   by a coarse shared epoch clock instead of a per-event `Instant::now()`;
-//!   queue high-waters are per-handle and merged when the handles finish.
-//!   [`ShardedRuntime::ingest`] is a thin wrapper over a built-in default
-//!   handle.
+//! * **One producer**: the caller's thread, through
+//!   [`ShardedRuntime::ingest`], batches events per shard and sends straight
+//!   into the shard queues. Events are stamped with a coarse clock reading,
+//!   re-read every few hundred events and at every batch dispatch, instead
+//!   of a per-event `Instant::now()`.
 //! * **Sessions are sharded, not events**: every peer is hashed onto one of N
 //!   worker shards, so one session's events are always processed in order by
-//!   one [`SessionEngine`] — the
-//!   per-session verdict stream is identical to the single-threaded
-//!   [`SwiftRouter`](swift_core::SwiftRouter)'s, regardless of shard count —
-//!   provided each session stays pinned to one handle (see [`IngestHandle`]).
+//!   one [`SessionEngine`] — the per-session verdict stream is identical to
+//!   the single-threaded [`SwiftRouter`]'s, regardless of shard count.
 //! * **One applier**: the serialized pipeline half — the router-wide
 //!   [`TwoStageTable`](swift_core::TwoStageTable), the routing state, rule
 //!   installs in arrival order and resyncs — lives on one `swift-applier`
@@ -47,17 +42,16 @@
 //!   [`Applier`] does, a batch of events at a time, after installing that
 //!   batch's accepted inferences.
 //! * **Bounded queues everywhere**: a full shard queue blocks the ingest; a
-//!   full applier queue blocks the shards. Nothing is shed while the runtime
-//!   is live.
+//!   full applier queue blocks the shards. Nothing is shed.
 //! * **Deterministic mode** ([`RuntimeConfig::deterministic`]): zero shards,
-//!   no threads — the same pipeline types driven inline on the caller's
-//!   thread, bit-identical to `SwiftRouter`.
+//!   no threads — a [`SwiftRouter`] driven on the caller's thread, plus the
+//!   runtime's event count and registry counters.
 //!
 //! ## Concurrency rules and their holders
 //!
 //! The runtime's concurrency surface is small: four channel constructions,
-//! three mutexes, one Release/Acquire flag and a few Relaxed counters. Each
-//! rule it relies on is held by the compiler, clippy or a running test:
+//! no mutex, no flag and a few Relaxed counters. Each rule it relies on is
+//! held by the compiler, clippy or a running test:
 //!
 //! * **Data channels are bounded; nothing is shed.** The root `clippy.toml`
 //!   disallows `mpsc::channel` and `SyncSender::try_send`. The two unbounded
@@ -70,20 +64,18 @@
 //!   `clippy::match_wildcard_for_single_variants` (below) makes every
 //!   `match` on them name each variant.
 //! * **Atomic orderings are fixed by type.** Raw atomics are disallowed; the
-//!   wrappers in the private `sync` module (and `swift_telemetry`'s
-//!   `Counter` / `Gauge`) choose the ordering once: one Release/Acquire
-//!   shutdown flag, Relaxed everywhere else.
+//!   wrapper in the private `sync` module (and `swift_telemetry`'s
+//!   `Counter` / `Gauge`) chooses the ordering once: Relaxed, since no atomic
+//!   hands data between threads.
 //! * **Barriers reach every shard; the applier acks at quorum, once.** The
 //!   flush asserts that the ack it receives is its own barrier's, and
-//!   `proptest_multi_producer` runs every case under a deadline, on queues
-//!   of capacity one too, so a lost barrier or a blocking-send cycle fails
-//!   with the flight recorder's dump instead of hanging.
-//! * **No data after a terminal message.** The tests' event counts: every
-//!   ingested event reaches a shard, and nothing is dropped.
-//! * **Lock order.** No function holds two of the three mutexes (the
-//!   producers' merged counters, the registry's name table, the flight
-//!   recorder's ring) at once, so no lock order exists to get wrong. This
-//!   rule is documented, not checked.
+//!   `proptest_churn` runs every case under a deadline, on queues of
+//!   capacity one too, so a lost barrier or a blocking-send cycle fails with
+//!   the flight recorder's dump instead of hanging.
+//! * **Nothing is lost.** A send that fails while the runtime is live
+//!   panics, and [`RuntimeMetrics::dropped`] counts the ingested events no
+//!   shard processed; the tests assert it reads 0 and that every event is
+//!   counted through the shards.
 //!
 //! ## Example
 //!
@@ -106,29 +98,25 @@
 #![warn(clippy::wildcard_enum_match_arm)]
 #![warn(clippy::match_wildcard_for_single_variants)]
 
-mod ingest;
 mod sync;
 mod worker;
 
-use ingest::ProducerShared;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
 use swift_core::inference::InferenceEngine;
-use swift_core::metrics::{LatencySummary, ProducerCounters};
+use swift_core::metrics::LatencySummary;
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
-use swift_core::{RerouteAction, SwiftConfig};
+use swift_core::{RerouteAction, SwiftConfig, SwiftRouter};
 use swift_telemetry::{
     Counter, FlightKind, FlightRecorder, Gauge, LogHistogram, Registry, StageHistograms,
+    TraceSampler, TraceStamp,
 };
-use sync::{EpochClock, QueueDepth, ShutdownFlag};
-use worker::{ApplierMsg, ShardMsg};
-
-pub use ingest::IngestHandle;
+use sync::QueueDepth;
+use worker::{ApplierMsg, EpochClock, IngestEvent, KernelCounters, SessionRegistration, ShardMsg};
 
 /// Configuration of the sharded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +130,8 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// Bounded depth of the applier's queue, in batches.
     pub applier_capacity: usize,
-    /// Pipeline-trace sampling: every `trace_sample_interval`-th event per
-    /// producer carries a [`swift_telemetry::TraceStamp`] through
+    /// Pipeline-trace sampling: every `trace_sample_interval`-th ingested
+    /// event carries a [`swift_telemetry::TraceStamp`] through
     /// ingest → shard → applier, populating the per-stage histograms of
     /// [`RuntimeMetrics::stages`]. Rounded down to a power of two; `0`
     /// disables tracing. `bench_telemetry` measures what the default
@@ -155,6 +143,11 @@ pub struct RuntimeConfig {
 /// [`swift_telemetry::FlightRecorder`] ring.
 const FLIGHT_CAPACITY: usize = 256;
 
+/// Events between two re-reads of the producer's coarse ingest stamp: the
+/// ingest path stays a field read at the cost of up to one interval of
+/// latency-stamp skew.
+const CLOCK_REFRESH_INTERVAL: usize = 256;
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig::deterministic()
@@ -163,7 +156,7 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// The deterministic single-thread mode: the whole pipeline runs inline,
-    /// bit-identical to [`swift_core::SwiftRouter`].
+    /// as a [`swift_core::SwiftRouter`].
     pub fn deterministic() -> Self {
         RuntimeConfig {
             shards: 0,
@@ -195,14 +188,9 @@ pub struct ShardMetrics {
     pub events: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Events shed at ingest. Only a producer handle that outlives the
-    /// runtime sheds, and its counters reach no report, so this reads `0`:
-    /// it is the report's check that nothing was lost.
-    pub dropped: u64,
-    /// High-water mark of the shard's ingest queue, in batches — an upper
-    /// estimate under concurrent producers (each producer's observation may
-    /// transiently include siblings' not-yet-enqueued batches), clamped to
-    /// the queue's physical capacity.
+    /// High-water mark of the shard's ingest queue, in batches, observed at
+    /// enqueue: it counts the batch the worker is unpacking too, so it is
+    /// clamped to the queue's physical capacity.
     pub max_queue_depth: usize,
     /// Ingest → engine-processed latency summary (µs).
     pub event_latency: LatencySummary,
@@ -245,20 +233,16 @@ pub struct ApplierShardMetrics {
 pub struct RuntimeMetrics {
     /// Worker shards used (`0` = deterministic inline mode).
     pub shards: usize,
-    /// Producer handles that ingested at least one event and were finished
-    /// (or dropped) before the runtime shut down — includes the runtime's
-    /// built-in default handle when [`ShardedRuntime::ingest`] was used.
-    /// `0` in deterministic inline mode.
-    pub producers: usize,
-    /// Events ingested (`events - dropped` were processed). In sharded mode
-    /// this counts what *finished* producers ingested — finish or drop every
-    /// handle before [`ShardedRuntime::finish`].
+    /// Events ingested.
     pub events: u64,
-    /// Events dropped across all shards (see [`ShardMetrics::dropped`]).
+    /// Events ingested that no shard processed: `events` minus the sum of
+    /// [`ShardMetrics::events`]. A send that fails while the runtime is live
+    /// panics, so only a shard worker that died before the shutdown could
+    /// lose events; `0` in deterministic inline mode.
     pub dropped: u64,
     /// First ingest → pipeline drained.
     pub wall: Duration,
-    /// Processed (non-dropped) events per second of wall time.
+    /// Processed events per second of wall time.
     pub events_per_sec: f64,
     /// Per-shard breakdown (empty in deterministic mode).
     pub per_shard: Vec<ShardMetrics>,
@@ -326,7 +310,8 @@ impl RuntimeReport {
     }
 }
 
-/// The state behind a running sharded instance.
+/// The state behind a running sharded instance: the threads' channel ends
+/// and the one producer's state.
 struct Sharded {
     shard_txs: Vec<SyncSender<ShardMsg>>,
     shard_handles: Vec<JoinHandle<worker::ShardWorkerReport>>,
@@ -337,23 +322,124 @@ struct Sharded {
     applier_high: Gauge,
     barrier_rx: Receiver<u64>,
     next_barrier: u64,
-    /// The producer-side state shared by every [`IngestHandle`].
-    shared: Arc<ProducerShared>,
-    /// The handle behind [`ShardedRuntime::ingest`] — the runtime itself is
-    /// just one producer among the handles.
-    default_handle: Option<IngestHandle>,
+    /// Swift configuration, for seeding the engines of mid-run registrations.
+    swift: SwiftConfig,
+    clock: EpochClock,
+    /// Per-shard batch buffers.
+    buffers: Vec<Vec<IngestEvent>>,
+    batch_size: usize,
+    queue_capacity: usize,
+    /// Per-shard batches in the queue (shared with the workers, which count
+    /// a batch out on receipt).
+    depth: Vec<QueueDepth>,
+    /// Per-shard queue high-water, in batches, observed at enqueue.
+    max_depth: Vec<usize>,
+    /// 1-in-N pipeline-trace sampler.
+    sampler: TraceSampler,
+    /// The coarse ingest stamp (nanoseconds on `clock`), re-read every
+    /// [`CLOCK_REFRESH_INTERVAL`] events and at every dispatch and flush.
+    coarse: u64,
+    /// Events stamped since the last re-read.
+    since_refresh: usize,
+    /// Registry counter `ingest.events`, bumped a batch at a time at
+    /// dispatch (the per-event path stays counter-free).
+    events_ctr: Counter,
+}
+
+impl Sharded {
+    /// Stamps one event and buffers it toward its session's home shard,
+    /// dispatching the shard's batch when full.
+    fn ingest(&mut self, peer: PeerId, event: ElementaryEvent) {
+        if self.since_refresh == 0 {
+            self.coarse = self.clock.precise();
+        }
+        self.since_refresh += 1;
+        if self.since_refresh >= CLOCK_REFRESH_INTERVAL {
+            self.since_refresh = 0;
+        }
+        let shard = shard_of(peer, self.buffers.len());
+        // Sampled tracing: the 1-in-N hit pays one precise clock read for its
+        // stamp; the other N−1 events pay a masked counter check.
+        let trace = if self.sampler.sample() {
+            Some(TraceStamp::at(self.clock.precise()))
+        } else {
+            None
+        };
+        self.buffers[shard].push(IngestEvent {
+            peer,
+            event,
+            ingest: self.coarse,
+            trace,
+        });
+        if self.buffers[shard].len() >= self.batch_size {
+            assert!(self.dispatch(shard), "{}", worker_gone(shard));
+        }
+    }
+
+    /// Sends shard `shard`'s buffered batch, blocking while its queue is
+    /// full; `false` if the shard worker is gone. The queue high-water is
+    /// recorded once the batch is enqueued.
+    fn dispatch(&mut self, shard: usize) -> bool {
+        if self.buffers[shard].is_empty() {
+            return true;
+        }
+        // Re-anchor the coarse stamp at batch boundaries: the next batch's
+        // stamps start at most one batch-fill behind the real clock.
+        self.coarse = self.clock.precise();
+        let batch = std::mem::replace(
+            &mut self.buffers[shard],
+            Vec::with_capacity(self.batch_size),
+        );
+        self.events_ctr.add(batch.len() as u64);
+        let high_water = self.depth[shard].inc().min(self.queue_capacity.max(1));
+        if self.shard_txs[shard].send(ShardMsg::Batch(batch)).is_err() {
+            self.depth[shard].dec();
+            return false;
+        }
+        self.max_depth[shard] = self.max_depth[shard].max(high_water);
+        true
+    }
+
+    /// Sends a message to shard `shard` in-band with its events: the
+    /// shard's buffered batch goes first.
+    fn send_in_band(&mut self, shard: usize, msg: ShardMsg) {
+        let sent = self.dispatch(shard) && self.shard_txs[shard].send(msg).is_ok();
+        assert!(sent, "{}", worker_gone(shard));
+    }
+}
+
+/// `ingest` on a runtime that has shut down, which only `finish` and `Drop`
+/// do. Takes the event so that every arm of `ingest` moves it (see there).
+#[cold]
+fn shut_down(_event: ElementaryEvent) {
+    unreachable!("the runtime shut down: `finish` and `Drop` take the mode");
+}
+
+/// The panic message of a send that finds a shard worker gone while the
+/// runtime is live: shedding silently there would lose events and let a
+/// long run grind on against a dead shard.
+fn worker_gone(shard: usize) -> String {
+    format!("shard {shard} worker thread is gone while the runtime is live")
 }
 
 /// The state behind a deterministic inline instance.
 struct Inline {
-    engines: BTreeMap<PeerId, SessionEngine>,
-    applier: Applier,
+    router: SwiftRouter,
     /// Registry counter `ingest.events` — one relaxed add per inline event,
     /// so live snapshots work in both modes.
     events_ctr: Counter,
-    /// Kernel-dispatch and scratch counters, drained per attempt (the same
-    /// global names the shard workers feed).
-    kernels: worker::KernelCounters,
+    /// Kernel-dispatch and scratch counters, fed the router's running
+    /// statistics at each flush, resync and finish (the same global names
+    /// the shard workers feed).
+    kernels: KernelCounters,
+}
+
+impl Inline {
+    /// Adds the router's kernel statistics since the last call to the
+    /// registry.
+    fn record_kernel_stats(&mut self) {
+        self.kernels.record(self.router.take_kernel_stats());
+    }
 }
 
 enum Mode {
@@ -371,171 +457,55 @@ enum Mode {
 /// discards the report.
 pub struct ShardedRuntime {
     config: RuntimeConfig,
-    /// Kept for seeding the engines of sessions registered mid-run.
-    swift: SwiftConfig,
     mode: Option<Mode>,
-    /// Inline-mode event count (sharded mode counts per producer handle).
+    /// Events ingested.
     events: u64,
-    /// First ingest from any producer — shared so concurrent handles race
-    /// safely to one run-start stamp.
-    started: Arc<OnceLock<Instant>>,
+    /// The first ingest: the run's wall-clock start.
+    started: Option<Instant>,
     /// The live metrics registry: worker counters and gauges all live here,
     /// so [`ShardedRuntime::registry`] snapshots never stop the run.
     registry: Registry,
     /// Ring of recent lifecycle events, for a failing run's post-mortem.
     flight: FlightRecorder,
-    /// The runtime's epoch clock (also created in inline mode, so flight
-    /// events and snapshots carry comparable timestamps).
-    clock: Arc<EpochClock>,
+    /// The runtime's clock (also in inline mode, so flight events and
+    /// snapshots carry comparable timestamps).
+    clock: EpochClock,
 }
 
 impl ShardedRuntime {
     /// Builds the runtime: seals `table` ([`RoutingTable::seal`]), seeds one
     /// engine per peering session of it (a full feed's shares the table's
     /// prefix dictionary), hashes sessions onto shards and spawns the worker
-    /// and applier threads — or none of them in deterministic mode.
+    /// and applier threads — or builds a [`SwiftRouter`] in deterministic
+    /// mode.
     pub fn new(
         config: RuntimeConfig,
         swift: SwiftConfig,
         mut table: RoutingTable,
         policy: ReroutingPolicy,
     ) -> Self {
-        table.seal();
-        let engines = session_engines(&swift, &table);
-        let started: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
         let registry = Registry::new();
-        let flight = FlightRecorder::with_capacity(FLIGHT_CAPACITY);
-        let clock = Arc::new(EpochClock::new());
-        if config.shards == 0 {
-            let applier = Applier::new(swift.clone(), table, policy);
-            let events_ctr = registry.counter("ingest.events");
-            let kernels = worker::KernelCounters::from_registry(&registry);
-            return ShardedRuntime {
-                config,
-                swift,
-                mode: Some(Mode::Inline(Box::new(Inline {
-                    engines,
-                    applier,
-                    events_ctr,
-                    kernels,
-                }))),
-                events: 0,
-                started,
-                registry,
-                flight,
-                clock,
-            };
-        }
-
-        let shards = config.shards;
-        // Partition the sessions: each engine moves onto its home shard.
-        let mut partitions: Vec<BTreeMap<PeerId, SessionEngine>> =
-            (0..shards).map(|_| BTreeMap::new()).collect();
-        for (peer, engine) in engines {
-            partitions[shard_of(peer, shards)].insert(peer, engine);
-        }
-
-        let applier_capacity = config.applier_capacity.max(1);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one message in flight per outstanding flush/resync"
-        )]
-        let (barrier_tx, barrier_rx) = mpsc::channel();
-        let (applier_tx, applier_rx) = mpsc::sync_channel(applier_capacity);
-        let applier_depth = QueueDepth::default();
-        let applier_high = registry.gauge("applier.0.queue.high");
-        let applier_worker = worker::ApplierWorker {
-            applier: Applier::new(swift.clone(), table, policy),
-            rx: applier_rx,
-            barrier_tx,
-            workers: shards,
-            clock: Arc::clone(&clock),
-            depth: applier_depth.clone(),
-            events_ctr: registry.counter("applier.0.events"),
-            batches_ctr: registry.counter("applier.0.batches"),
-            installs_ctr: registry.counter("applier.0.installs"),
-            resyncs_ctr: registry.counter("applier.0.resyncs"),
-            pending_gauge: registry.gauge("applier.0.pending.high"),
+        let clock = EpochClock::new();
+        let mode = if config.shards == 0 {
+            Mode::Inline(Box::new(Inline {
+                router: SwiftRouter::new(swift, table, policy),
+                events_ctr: registry.counter("ingest.events"),
+                kernels: KernelCounters::from_registry(&registry),
+            }))
+        } else {
+            table.seal();
+            let engines = session_engines(&swift, &table);
+            Mode::Sharded(Box::new(spawn_sharded(
+                &config, &registry, clock, engines, swift, table, policy,
+            )))
         };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the runtime owns the applier thread"
-        )]
-        let applier_handle = std::thread::Builder::new()
-            .name("swift-applier".into())
-            .spawn(move || worker::applier_loop(applier_worker))
-            .expect("spawn applier thread");
-
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_handles = Vec::with_capacity(shards);
-        let mut depth = Vec::with_capacity(shards);
-        for (i, engines) in partitions.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
-            let shard_depth = QueueDepth::default();
-            let worker = worker::ShardWorker {
-                shard: i,
-                engines,
-                rx,
-                applier: worker::ApplierLink {
-                    tx: applier_tx.clone(),
-                    depth: applier_depth.clone(),
-                    high: applier_high.clone(),
-                },
-                applier_capacity,
-                depth: shard_depth.clone(),
-                clock: Arc::clone(&clock),
-                events_ctr: registry.counter(&format!("shard.{i}.events")),
-                batches_ctr: registry.counter(&format!("shard.{i}.batches")),
-                kernels: worker::KernelCounters::from_registry(&registry),
-            };
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the runtime owns the shard worker threads"
-            )]
-            let handle = std::thread::Builder::new()
-                .name(format!("swift-shard-{i}"))
-                .spawn(move || worker::shard_loop(worker))
-                .expect("spawn shard thread");
-            shard_txs.push(tx);
-            shard_handles.push(handle);
-            depth.push(shard_depth);
-        }
-
-        let shared = Arc::new(ProducerShared {
-            shard_txs: shard_txs.clone(),
-            depth,
-            batch_size: config.batch_size.max(1),
-            queue_capacity: config.queue_capacity,
-            clock: Arc::clone(&clock),
-            started: Arc::clone(&started),
-            shutdown: ShutdownFlag::default(),
-            swift: swift.clone(),
-            merged: Mutex::new(ProducerCounters::for_shards(shards)),
-            events_ctr: registry.counter("ingest.events"),
-            dropped_ctr: registry.counter("ingest.dropped"),
-            flight: flight.clone(),
-            trace_interval: config.trace_sample_interval,
-        });
-        let default_handle = IngestHandle::new(Arc::clone(&shared));
-
         ShardedRuntime {
-            mode: Some(Mode::Sharded(Box::new(Sharded {
-                shard_txs,
-                shard_handles,
-                applier_tx,
-                applier_handle,
-                applier_high,
-                barrier_rx,
-                next_barrier: 0,
-                shared,
-                default_handle: Some(default_handle),
-            }))),
             config,
-            swift,
+            mode: Some(mode),
             events: 0,
-            started,
+            started: None,
             registry,
-            flight,
+            flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
             clock,
         }
     }
@@ -554,14 +524,15 @@ impl ShardedRuntime {
     /// the runtime's workers, so [`swift_telemetry::Registry::snapshot`] can
     /// be taken from any thread at any time without stopping the run —
     /// `ingest.events`, `shard.N.events/batches`, `applier.0.events/batches/
-    /// installs/resyncs` counters plus `applier.0.queue.high` /
-    /// `applier.0.pending.high` gauges.
+    /// installs/resyncs` and `inference.kernel.*` / `inference.scratch.*`
+    /// counters plus `applier.0.queue.high` / `applier.0.pending.high`
+    /// gauges.
     pub fn registry(&self) -> Registry {
         self.registry.clone()
     }
 
     /// The runtime's lifecycle flight recorder: session register/teardown,
-    /// barriers, resyncs, shed batches and shutdown, in a fixed-size ring.
+    /// barriers, resyncs and shutdown, in a fixed-size ring.
     /// [`FlightRecorder::dump`] renders the recent history when a run fails.
     pub fn flight(&self) -> FlightRecorder {
         self.flight.clone()
@@ -572,7 +543,7 @@ impl ShardedRuntime {
     /// engine lives on its shard's thread.
     pub fn engine(&self, peer: PeerId) -> Option<&InferenceEngine> {
         match self.mode.as_ref()? {
-            Mode::Inline(inline) => inline.engines.get(&peer).map(SessionEngine::engine),
+            Mode::Inline(inline) => inline.router.engine(peer),
             Mode::Sharded(_) => None,
         }
     }
@@ -582,72 +553,41 @@ impl ShardedRuntime {
     /// [`ShardedRuntime::finish`]).
     pub fn applier(&self) -> Option<&Applier> {
         match self.mode.as_ref()? {
-            Mode::Inline(inline) => Some(&inline.applier),
+            Mode::Inline(inline) => Some(inline.router.applier()),
             Mode::Sharded(_) => None,
-        }
-    }
-
-    /// A new producer handle into this runtime: a cloneable, `Send`
-    /// front-end that batches events per shard and sends them straight into
-    /// the shard queues — see [`IngestHandle`] for the pinning rule that
-    /// preserves per-session ordering across producers.
-    ///
-    /// Finish (or drop) every handle before [`ShardedRuntime::flush`] /
-    /// [`ShardedRuntime::finish`]: a live handle may still hold buffered
-    /// events, and its counters only reach [`RuntimeMetrics`] once it
-    /// finishes.
-    ///
-    /// # Panics
-    ///
-    /// In deterministic inline mode — a zero-shard runtime has no queues for
-    /// a producer to feed; use [`ShardedRuntime::ingest`] there.
-    pub fn handle(&self) -> IngestHandle {
-        match self.mode.as_ref().expect("runtime live") {
-            Mode::Inline(_) => {
-                panic!("deterministic inline mode has no producer handles; use ingest()")
-            }
-            Mode::Sharded(sharded) => IngestHandle::new(Arc::clone(&sharded.shared)),
         }
     }
 
     /// Ingests one per-prefix event received on the session with `peer`.
     ///
-    /// Sharded mode: a thin wrapper over the runtime's default
-    /// [`IngestHandle`] — the event is buffered and dispatched (in batches)
-    /// to the session's home shard; rule installs happen asynchronously on
-    /// the applier thread. Deterministic mode: the event is processed to
-    /// completion before returning.
+    /// Sharded mode: the event is stamped and buffered toward the session's
+    /// home shard, and dispatched a batch at a time; rule installs happen
+    /// asynchronously on the applier thread. Deterministic mode: the event
+    /// is processed to completion before returning.
+    ///
+    /// # Panics
+    ///
+    /// If a shard worker died while the runtime is live.
     pub fn ingest(&mut self, peer: PeerId, event: ElementaryEvent) {
-        match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "one-time run-start stamp: OnceLock makes this a single atomic load \
-                              after the first event, not a per-event clock read"
-                )]
-                self.started.get_or_init(Instant::now);
-                self.events += 1;
+        // Every arm moves the event into a call before anything else runs,
+        // so the callee reads the caller's copy. A call in front of the move
+        // (`as_mut`, `expect`, a clock read) makes rustc copy the 64-byte
+        // event first, and that copy cost the inline bursts 10–20 % of
+        // their throughput.
+        match &mut self.mode {
+            Some(Mode::Inline(inline)) => {
+                inline.router.handle_event(peer, event);
                 inline.events_ctr.inc();
-                // The engine only borrows the event, so it goes first and the
-                // mirror then takes the event by value: an announcement's
-                // attributes move into the table uncloned. The install reads
-                // stage-1 state that only a resync changes, so it does not
-                // care which side of the mirror update it runs on.
-                let accepted = (inline.engines.get_mut(&peer))
-                    .and_then(|engine| worker::accept(engine, &inline.kernels, &event));
-                inline.applier.note_event_owned(peer, event);
-                if let Some(result) = accepted {
-                    inline.applier.apply_inference(peer, &result);
-                }
             }
-            Mode::Sharded(sharded) => {
-                sharded
-                    .default_handle
-                    .as_mut()
-                    .expect("default handle live")
-                    .ingest(peer, event);
-            }
+            Some(Mode::Sharded(sharded)) => sharded.ingest(peer, event),
+            None => shut_down(event),
         }
+        self.events += 1;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one-time run-start stamp: a field check per event, not a per-event clock read"
+        )]
+        self.started.get_or_insert_with(Instant::now);
     }
 
     /// Ingests a whole multi-session stream of `(peer, event)` pairs.
@@ -661,16 +601,16 @@ impl ShardedRuntime {
     }
 
     /// Registers (or re-registers) a peering session while the runtime is
-    /// live: a fresh [`SessionEngine`] seeded from `routes` is installed on
-    /// the session's home shard, and the applier adds the peer and its routes
-    /// to the serialized routing state (retagging the touched stage-1
-    /// entries).
+    /// live: a fresh [`SessionEngine`] seeded from `routes`
+    /// ([`SessionEngine::from_routes`]) is installed on the session's home
+    /// shard, and the applier adds the peer and its routes to the serialized
+    /// routing state (retagging the touched stage-1 entries).
     ///
     /// The operation is ordered **in-band** with [`ShardedRuntime::ingest`]:
     /// events ingested on this session before the call are processed by the
     /// old engine (if any), events after it by the new one — in both inline
     /// and sharded mode, which is what keeps per-session decisions identical
-    /// across modes under churn. Lifecycle messages are never shed.
+    /// across modes under churn.
     pub fn register_session<I>(&mut self, peer: PeerId, asn: Asn, routes: I)
     where
         I: IntoIterator<Item = (Prefix, Route)>,
@@ -683,16 +623,18 @@ impl ShardedRuntime {
         );
         match self.mode.as_mut().expect("runtime live") {
             Mode::Inline(inline) => {
-                let engine = ingest::engine_from_routes(peer, &self.swift, &routes);
-                inline.engines.insert(peer, engine);
-                inline.applier.register_session(peer, asn, routes);
+                inline.router.register_session(peer, asn, routes);
             }
             Mode::Sharded(sharded) => {
-                sharded
-                    .default_handle
-                    .as_mut()
-                    .expect("default handle live")
-                    .register_session(peer, asn, routes);
+                let engine = SessionEngine::from_routes(peer, &sharded.swift, &routes);
+                let registration = SessionRegistration {
+                    peer,
+                    asn,
+                    engine,
+                    routes,
+                };
+                let shard = shard_of(peer, sharded.shard_txs.len());
+                sharded.send_in_band(shard, ShardMsg::Register(Box::new(registration)));
             }
         }
     }
@@ -714,35 +656,21 @@ impl ShardedRuntime {
         );
         match self.mode.as_mut().expect("runtime live") {
             Mode::Inline(inline) => {
-                inline.engines.remove(&peer);
-                inline.applier.teardown_session(peer);
+                inline.router.teardown_session(peer);
             }
             Mode::Sharded(sharded) => {
-                sharded
-                    .default_handle
-                    .as_mut()
-                    .expect("default handle live")
-                    .teardown_session(peer);
+                let shard = shard_of(peer, sharded.shard_txs.len());
+                sharded.send_in_band(shard, ShardMsg::Teardown(peer));
             }
         }
     }
 
-    /// Flushes the default handle's buffered batches and blocks until all
-    /// shards *and* the applier have fully processed everything enqueued so
-    /// far.
-    ///
-    /// Other producers' [`IngestHandle`]s are *not* flushed — flush (or
-    /// finish) them first if their buffered events must be part of the
-    /// drain.
+    /// Dispatches the buffered batches and blocks until all shards *and* the
+    /// applier have fully processed everything ingested so far.
     pub fn flush(&mut self) {
         match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(_) => {}
+            Mode::Inline(inline) => inline.record_kernel_stats(),
             Mode::Sharded(sharded) => {
-                sharded
-                    .default_handle
-                    .as_mut()
-                    .expect("default handle live")
-                    .flush();
                 let seq = sharded.next_barrier;
                 sharded.next_barrier += 1;
                 // Recorded before the wait, so a flush that never returns
@@ -752,9 +680,15 @@ impl ShardedRuntime {
                     FlightKind::Barrier,
                     format!("seq={seq} sent to {} shards", sharded.shard_txs.len()),
                 );
-                for tx in &sharded.shard_txs {
-                    tx.send(ShardMsg::Barrier(seq)).expect("shard thread alive");
+                for shard in 0..sharded.shard_txs.len() {
+                    sharded.send_in_band(shard, ShardMsg::Barrier(seq));
                 }
+                // A flush marks a pipeline quiet point (rendezvous, resync):
+                // re-anchor the coarse stamp, so events stamped after a long
+                // pause don't inherit a pre-pause reading and inflate the
+                // latency percentiles by the pause.
+                sharded.coarse = sharded.clock.precise();
+                sharded.since_refresh = 0;
                 // Each shard worker forwards the barrier to the applier, which
                 // acks once all workers' copies arrived. `&mut self` means no
                 // other barrier is outstanding: the one ack must be ours.
@@ -775,7 +709,7 @@ impl ShardedRuntime {
     pub fn resync_after_convergence(&mut self) -> usize {
         self.flush();
         let removed = match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => inline.applier.resync_after_convergence(),
+            Mode::Inline(inline) => inline.router.resync_after_convergence(),
             Mode::Sharded(sharded) => {
                 // The pipeline is already drained by the flush, so the
                 // rendezvous is just the applier's reply.
@@ -799,170 +733,255 @@ impl ShardedRuntime {
         removed
     }
 
-    /// Shuts the pipeline down (flushing everything still buffered) and
+    /// Shuts the pipeline down (dispatching everything still buffered) and
     /// returns the final actions, applier state and metrics.
+    ///
+    /// # Panics
+    ///
+    /// If a shard worker or the applier thread panicked.
     pub fn finish(mut self) -> RuntimeReport {
-        self.shutdown().expect("first shutdown")
+        (self.shutdown().expect("first shutdown")).expect("the runtime's threads exit cleanly")
     }
 
-    /// Internal teardown shared by [`ShardedRuntime::finish`] and `Drop`.
-    fn shutdown(&mut self) -> Option<RuntimeReport> {
+    /// Internal teardown shared by [`ShardedRuntime::finish`] and `Drop`,
+    /// which must not panic: `Err` if a runtime thread panicked.
+    fn shutdown(&mut self) -> Option<std::thread::Result<RuntimeReport>> {
         let mode = self.mode.take()?;
         self.flight
             .record(self.clock.precise(), FlightKind::Shutdown, "runtime finish");
-        let wall = self
-            .started
-            .get()
-            .map(|s| s.elapsed())
-            .unwrap_or(Duration::ZERO);
-        match mode {
+        let joined = match mode {
             Mode::Inline(mut inline) => {
+                inline.record_kernel_stats();
+                let mut applier = inline.router.into_applier();
                 // The last partial batch folds: the report's mirror is current.
-                inline.applier.sync_rib();
-                // Inline processing has no queueing, so no latency samples
-                // exist: the empty histograms honestly summarise to count 0
-                // rather than fabricating zeros.
-                let secs = wall.as_secs_f64();
-                Some(RuntimeReport {
-                    actions: inline.applier.actions().to_vec(),
-                    metrics: RuntimeMetrics {
-                        shards: 0,
-                        producers: 0,
-                        events: self.events,
-                        dropped: 0,
-                        wall,
-                        events_per_sec: if secs > 0.0 {
-                            self.events as f64 / secs
-                        } else {
-                            0.0
-                        },
-                        per_shard: Vec::new(),
-                        per_applier: Vec::new(),
-                        event_latency: latency_summary(&LogHistogram::new()),
-                        reroute_latency: latency_summary(&LogHistogram::new()),
-                        event_histogram: LogHistogram::new(),
-                        reroute_histogram: LogHistogram::new(),
-                        stages: StageHistograms::new(),
-                    },
-                    applier: inline.applier,
-                })
+                applier.sync_rib();
+                Ok((applier, self.inline_metrics()))
             }
-            Mode::Sharded(mut sharded) => {
-                // From here on, handles finding a disconnected queue treat
-                // it as "the runtime finished" rather than a crashed worker.
-                sharded.shared.shutdown.raise();
-                // The default handle is a producer like any other: finishing
-                // it flushes its buffers and folds its counters into the
-                // shared accumulator — external handles should already have
-                // done the same.
-                if let Some(handle) = sharded.default_handle.take() {
-                    handle.finish();
-                }
-                for tx in &sharded.shard_txs {
-                    let _ = tx.send(ShardMsg::Shutdown);
-                }
-                let mut shard_reports: Vec<worker::ShardWorkerReport> = sharded
-                    .shard_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread exits cleanly"))
-                    .collect();
-                shard_reports.sort_by_key(|r| r.shard);
-                drop(sharded.applier_tx);
-                let applied = sharded
-                    .applier_handle
-                    .join()
-                    .expect("applier thread exits cleanly");
-                let wall = self
-                    .started
-                    .get()
-                    .map(|s| s.elapsed())
-                    .unwrap_or(Duration::ZERO);
-                let producers = sharded
-                    .shared
-                    .merged
-                    .lock()
-                    .expect("producer counter lock")
-                    .clone();
+            Mode::Sharded(sharded) => self.join_sharded(*sharded),
+        };
+        Some(joined.map(|(applier, metrics)| RuntimeReport {
+            actions: applier.actions().to_vec(),
+            metrics,
+            applier,
+        }))
+    }
 
-                let mut merged_latency = LogHistogram::new();
-                let mut merged_stages = StageHistograms::new();
-                let per_shard: Vec<ShardMetrics> = shard_reports
-                    .iter()
-                    .map(|r| {
-                        merged_latency.merge(&r.latency);
-                        merged_stages.merge(&r.stages);
-                        let busy = r.busy.as_secs_f64();
-                        ShardMetrics {
-                            shard: r.shard,
-                            sessions: r.sessions,
-                            events: r.events,
-                            batches: r.batches,
-                            dropped: producers.dropped[r.shard],
-                            max_queue_depth: producers.max_queue_depth[r.shard],
-                            event_latency: latency_summary(&r.latency),
-                            events_per_sec: if busy > 0.0 {
-                                r.events as f64 / busy
-                            } else {
-                                0.0
-                            },
-                        }
-                    })
-                    .collect();
-                let dropped = producers.total_dropped();
-                let secs = wall.as_secs_f64();
-                let delivered = producers.events.saturating_sub(dropped);
-                merged_stages.merge(&applied.stages);
-                let applier_busy = applied.busy.as_secs_f64();
-                let per_second = |n: u64| {
-                    if applier_busy > 0.0 {
-                        n as f64 / applier_busy
-                    } else {
-                        0.0
-                    }
-                };
-                let per_applier = vec![ApplierShardMetrics {
-                    shard: 0,
-                    events: applied.events,
-                    batches: applied.batches,
-                    installs: applied.installs,
-                    max_queue_depth: sharded.applier_high.get() as usize,
-                    busy: applied.busy,
-                    events_per_sec: per_second(applied.events),
-                    installs_per_sec: per_second(applied.installs),
-                    pending_high_water: applied.pending_high_water,
-                    resyncs: applied.resyncs,
-                }];
-                Some(RuntimeReport {
-                    actions: applied.applier.actions().to_vec(),
-                    metrics: RuntimeMetrics {
-                        shards: self.config.shards,
-                        producers: producers.producers,
-                        events: producers.events,
-                        dropped,
-                        wall,
-                        events_per_sec: if secs > 0.0 {
-                            delivered as f64 / secs
-                        } else {
-                            0.0
-                        },
-                        per_shard,
-                        per_applier,
-                        event_latency: latency_summary(&merged_latency),
-                        reroute_latency: latency_summary(&applied.reroute_latency),
-                        event_histogram: merged_latency,
-                        reroute_histogram: applied.reroute_latency,
-                        stages: merged_stages,
-                    },
-                    applier: applied.applier,
-                })
+    /// The run's wall time: first ingest → now.
+    fn wall(&self) -> Duration {
+        self.started.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
+    }
+
+    /// An inline run's metrics. Inline processing has no queueing, so no
+    /// latency samples exist: the empty histograms honestly summarise to
+    /// count 0 rather than fabricating zeros.
+    fn inline_metrics(&self) -> RuntimeMetrics {
+        let wall = self.wall();
+        RuntimeMetrics {
+            shards: 0,
+            events: self.events,
+            dropped: 0,
+            wall,
+            events_per_sec: per_second(self.events, wall),
+            per_shard: Vec::new(),
+            per_applier: Vec::new(),
+            event_latency: latency_summary(&LogHistogram::new()),
+            reroute_latency: latency_summary(&LogHistogram::new()),
+            event_histogram: LogHistogram::new(),
+            reroute_histogram: LogHistogram::new(),
+            stages: StageHistograms::new(),
+        }
+    }
+
+    /// Dispatches the last batches, stops the threads and merges their
+    /// reports; `Err` if a thread panicked. A send that fails here is
+    /// tolerated: a worker that died loses its events, and
+    /// [`RuntimeMetrics::dropped`] counts them.
+    fn join_sharded(&self, mut sharded: Sharded) -> std::thread::Result<(Applier, RuntimeMetrics)> {
+        for shard in 0..sharded.shard_txs.len() {
+            if sharded.dispatch(shard) {
+                let _ = sharded.shard_txs[shard].send(ShardMsg::Shutdown);
             }
         }
+        let mut shard_reports = Vec::with_capacity(sharded.shard_handles.len());
+        for handle in sharded.shard_handles {
+            shard_reports.push(handle.join()?);
+        }
+        drop(sharded.applier_tx);
+        let applied = sharded.applier_handle.join()?;
+        let wall = self.wall();
+
+        let mut merged_latency = LogHistogram::new();
+        let mut merged_stages = StageHistograms::new();
+        let per_shard: Vec<ShardMetrics> = shard_reports
+            .iter()
+            .map(|r| {
+                merged_latency.merge(&r.latency);
+                merged_stages.merge(&r.stages);
+                ShardMetrics {
+                    shard: r.shard,
+                    sessions: r.sessions,
+                    events: r.events,
+                    batches: r.batches,
+                    max_queue_depth: sharded.max_depth[r.shard],
+                    event_latency: latency_summary(&r.latency),
+                    events_per_sec: per_second(r.events, r.busy),
+                }
+            })
+            .collect();
+        let processed: u64 = per_shard.iter().map(|s| s.events).sum();
+        merged_stages.merge(&applied.stages);
+        let per_applier = vec![ApplierShardMetrics {
+            shard: 0,
+            events: applied.events,
+            batches: applied.batches,
+            installs: applied.installs,
+            max_queue_depth: sharded.applier_high.get() as usize,
+            busy: applied.busy,
+            events_per_sec: per_second(applied.events, applied.busy),
+            installs_per_sec: per_second(applied.installs, applied.busy),
+            pending_high_water: applied.pending_high_water,
+            resyncs: applied.resyncs,
+        }];
+        let metrics = RuntimeMetrics {
+            shards: self.config.shards,
+            events: self.events,
+            dropped: self.events.saturating_sub(processed),
+            wall,
+            events_per_sec: per_second(processed, wall),
+            per_shard,
+            per_applier,
+            event_latency: latency_summary(&merged_latency),
+            reroute_latency: latency_summary(&applied.reroute_latency),
+            event_histogram: merged_latency,
+            reroute_histogram: applied.reroute_latency,
+            stages: merged_stages,
+        };
+        Ok((applied.applier, metrics))
     }
 }
 
 impl Drop for ShardedRuntime {
     fn drop(&mut self) {
         let _ = self.shutdown();
+    }
+}
+
+/// Spawns the applier and shard worker threads, each shard owning the
+/// engines of the sessions hashed onto it.
+fn spawn_sharded(
+    config: &RuntimeConfig,
+    registry: &Registry,
+    clock: EpochClock,
+    engines: BTreeMap<PeerId, SessionEngine>,
+    swift: SwiftConfig,
+    table: RoutingTable,
+    policy: ReroutingPolicy,
+) -> Sharded {
+    let shards = config.shards;
+    let mut partitions: Vec<BTreeMap<PeerId, SessionEngine>> =
+        (0..shards).map(|_| BTreeMap::new()).collect();
+    for (peer, engine) in engines {
+        partitions[shard_of(peer, shards)].insert(peer, engine);
+    }
+
+    let applier_capacity = config.applier_capacity.max(1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one message in flight per outstanding flush/resync"
+    )]
+    let (barrier_tx, barrier_rx) = mpsc::channel();
+    let (applier_tx, applier_rx) = mpsc::sync_channel(applier_capacity);
+    let applier_depth = QueueDepth::default();
+    let applier_high = registry.gauge("applier.0.queue.high");
+    let applier_worker = worker::ApplierWorker {
+        applier: Applier::new(swift.clone(), table, policy),
+        rx: applier_rx,
+        barrier_tx,
+        workers: shards,
+        clock,
+        depth: applier_depth.clone(),
+        events_ctr: registry.counter("applier.0.events"),
+        batches_ctr: registry.counter("applier.0.batches"),
+        installs_ctr: registry.counter("applier.0.installs"),
+        resyncs_ctr: registry.counter("applier.0.resyncs"),
+        pending_gauge: registry.gauge("applier.0.pending.high"),
+    };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runtime owns the applier thread"
+    )]
+    let applier_handle = std::thread::Builder::new()
+        .name("swift-applier".into())
+        .spawn(move || worker::applier_loop(applier_worker))
+        .expect("spawn applier thread");
+
+    let mut shard_txs = Vec::with_capacity(shards);
+    let mut shard_handles = Vec::with_capacity(shards);
+    let mut depth = Vec::with_capacity(shards);
+    for (i, engines) in partitions.into_iter().enumerate() {
+        let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
+        let shard_depth = QueueDepth::default();
+        let worker = worker::ShardWorker {
+            shard: i,
+            engines,
+            rx,
+            applier: worker::ApplierLink {
+                tx: applier_tx.clone(),
+                depth: applier_depth.clone(),
+                high: applier_high.clone(),
+            },
+            applier_capacity,
+            depth: shard_depth.clone(),
+            clock,
+            events_ctr: registry.counter(&format!("shard.{i}.events")),
+            batches_ctr: registry.counter(&format!("shard.{i}.batches")),
+            kernels: KernelCounters::from_registry(registry),
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the runtime owns the shard worker threads"
+        )]
+        let handle = std::thread::Builder::new()
+            .name(format!("swift-shard-{i}"))
+            .spawn(move || worker::shard_loop(worker))
+            .expect("spawn shard thread");
+        shard_txs.push(tx);
+        shard_handles.push(handle);
+        depth.push(shard_depth);
+    }
+
+    let batch_size = config.batch_size.max(1);
+    Sharded {
+        shard_txs,
+        shard_handles,
+        applier_tx,
+        applier_handle,
+        applier_high,
+        barrier_rx,
+        next_barrier: 0,
+        swift,
+        clock,
+        buffers: (0..shards)
+            .map(|_| Vec::with_capacity(batch_size))
+            .collect(),
+        batch_size,
+        queue_capacity: config.queue_capacity,
+        depth,
+        max_depth: vec![0; shards],
+        sampler: TraceSampler::every(config.trace_sample_interval),
+        coarse: 0,
+        since_refresh: 0,
+        events_ctr: registry.counter("ingest.events"),
+    }
+}
+
+/// `n` per second of `span`; `0` for an empty span.
+fn per_second(n: u64, span: Duration) -> f64 {
+    let secs = span.as_secs_f64();
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        0.0
     }
 }
 
@@ -1084,7 +1103,7 @@ mod tests {
             ReroutingPolicy::allow_all(),
         );
         for (peer, ev) in interleaved_bursts(peers, n) {
-            router.handle_event(peer, &ev);
+            router.handle_event(peer, ev);
         }
         let report = run(0, peers, n);
         assert_eq!(report.actions.len(), router.actions().len());
@@ -1190,44 +1209,6 @@ mod tests {
         let report = runtime.finish();
         assert_eq!(report.metrics.events, 120);
         assert_eq!(report.metrics.dropped, 0);
-    }
-
-    #[test]
-    fn flush_completes_after_dropped_batches() {
-        // The one drop path left: a handle that outlived the runtime sheds
-        // its batches onto disconnected queues. Its flushes must return
-        // rather than block on queues nobody drains, and every shed event
-        // must reach the live `ingest.dropped` counter and the flight
-        // recorder.
-        let peers = 2u32;
-        let n = 1_000u32;
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig {
-                batch_size: 2,
-                queue_capacity: 1,
-                applier_capacity: 1,
-                ..RuntimeConfig::sharded(2)
-            },
-            config(),
-            multi_table(peers, n),
-            ReroutingPolicy::allow_all(),
-        );
-        let registry = runtime.registry();
-        let flight = runtime.flight();
-        let mut orphan = runtime.handle();
-        let report = runtime.finish();
-        assert_eq!(report.metrics.dropped, 0);
-        orphan.ingest_stream(interleaved_bursts(peers, n));
-        orphan.flush();
-        orphan.flush();
-        orphan.finish();
-        assert_eq!(registry.snapshot()["ingest.dropped"], u64::from(peers * n));
-        let kinds: Vec<FlightKind> = flight.events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            *kinds.last().expect("events recorded"),
-            FlightKind::Drop,
-            "shed batches are recorded after the shutdown"
-        );
     }
 
     /// Drives a two-burst run with a mid-run teardown + re-register of peer 2
@@ -1374,12 +1355,11 @@ mod tests {
             ReroutingPolicy::allow_all(),
         );
         let attrs = RouteAttributes::from_path(AsPath::new([2u32, 40_000]));
-        let mirror = |runtime: &ShardedRuntime| match runtime.mode.as_ref() {
-            Some(Mode::Inline(inline)) => (
-                inline.applier.pending_events(),
-                mirror_state(inline.applier.table()),
-            ),
-            _ => panic!("a deterministic runtime runs inline"),
+        let mirror = |runtime: &ShardedRuntime| {
+            let applier = runtime
+                .applier()
+                .expect("a deterministic runtime runs inline");
+            (applier.pending_events(), mirror_state(applier.table()))
         };
         for step in 0..4u32 {
             // Withdrawals on both sessions, a path change, and a new prefix
@@ -1458,144 +1438,6 @@ mod tests {
         assert_eq!(
             mirror_state(report.applier().table()),
             mirror_state(&reference)
-        );
-    }
-
-    /// Splits the interleaved burst stream into `k` per-source streams with
-    /// sessions disjoint across sources (session s → source (s-1) % k),
-    /// preserving each session's order — the pinning rule.
-    fn partition_by_session(
-        events: &[(PeerId, ElementaryEvent)],
-        k: usize,
-    ) -> Vec<Vec<(PeerId, ElementaryEvent)>> {
-        let mut sources = vec![Vec::new(); k];
-        for (peer, event) in events {
-            sources[(peer.0 as usize).saturating_sub(1) % k].push((*peer, event.clone()));
-        }
-        sources
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the test drives the runtime from concurrent producer threads"
-    )]
-    fn concurrent_producers_reach_inline_decisions_with_well_defined_metrics() {
-        let peers = 4u32;
-        let n = 200u32;
-        let baseline = run(0, peers, n);
-        let events = interleaved_bursts(peers, n);
-        for producers in [2usize, 3] {
-            let runtime = ShardedRuntime::new(
-                RuntimeConfig {
-                    batch_size: 16,
-                    ..RuntimeConfig::sharded(2)
-                },
-                config(),
-                multi_table(peers, n),
-                ReroutingPolicy::allow_all(),
-            );
-            std::thread::scope(|scope| {
-                for source in partition_by_session(&events, producers) {
-                    let mut handle = runtime.handle();
-                    scope.spawn(move || {
-                        handle.ingest_stream(source);
-                        handle.finish();
-                    });
-                }
-            });
-            let report = runtime.finish();
-            // Regression (run-start used to be stamped on `&mut self`): with
-            // no ingest() call ever made on the runtime itself, the wall
-            // clock must still start at the producers' first event.
-            assert!(
-                report.metrics.wall > Duration::ZERO,
-                "wall is stamped by the first producer event, not by ingest()"
-            );
-            assert_eq!(report.metrics.events, u64::from(peers * n));
-            assert_eq!(report.metrics.dropped, 0);
-            assert_eq!(
-                report.metrics.producers, producers,
-                "every finished handle that saw events is counted"
-            );
-            for s in 0..peers {
-                let peer = PeerId(s + 1);
-                let got = report.actions_for(peer);
-                let want = baseline.actions_for(peer);
-                assert_eq!(got.len(), want.len(), "session {peer:?}");
-                for (a, b) in got.iter().zip(want.iter()) {
-                    assert_eq!(a.time, b.time);
-                    assert_eq!(a.links, b.links);
-                    assert_eq!(a.predicted, b.predicted);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn handle_outliving_the_runtime_is_harmless() {
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig::sharded(1),
-            config(),
-            multi_table(1, 60),
-            ReroutingPolicy::allow_all(),
-        );
-        let mut orphan = runtime.handle();
-        let report = runtime.finish();
-        assert_eq!(report.metrics.events, 0);
-        // The queues are gone: events fed to the orphan are silently shed
-        // (counted in the orphan's own counters, which no report will read),
-        // and lifecycle calls are no-ops — nothing panics.
-        orphan.ingest(
-            PeerId(1),
-            ElementaryEvent::Withdraw {
-                timestamp: 0,
-                prefix: p(0),
-            },
-        );
-        orphan.flush();
-        orphan.teardown_session(PeerId(1));
-        orphan.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "deterministic inline mode has no producer handles")]
-    fn inline_mode_refuses_to_hand_out_producer_handles() {
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig::deterministic(),
-            config(),
-            multi_table(1, 60),
-            ReroutingPolicy::allow_all(),
-        );
-        let _ = runtime.handle();
-    }
-
-    #[test]
-    fn handle_clone_is_a_fresh_producer() {
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig::sharded(2),
-            config(),
-            multi_table(2, 60),
-            ReroutingPolicy::allow_all(),
-        );
-        let mut a = runtime.handle();
-        a.ingest(
-            PeerId(1),
-            ElementaryEvent::Withdraw {
-                timestamp: 0,
-                prefix: p(0),
-            },
-        );
-        let b = a.clone();
-        assert_eq!(a.events(), 1);
-        assert_eq!(b.events(), 0, "a clone starts with empty counters");
-        a.finish();
-        b.finish();
-        let report = runtime.finish();
-        assert_eq!(report.metrics.events, 1);
-        assert_eq!(
-            report.metrics.producers, 1,
-            "the event-less clone is not counted as a producer"
         );
     }
 
@@ -1698,6 +1540,38 @@ mod tests {
             *kinds.last().expect("events recorded"),
             FlightKind::Shutdown
         );
+    }
+
+    /// Both modes feed the registry's kernel counters: the shard workers a
+    /// batch at a time, the inline mode from its router's running
+    /// statistics at each flush, so the per-event path pays nothing.
+    #[test]
+    fn kernel_counters_reach_the_registry_by_the_flush() {
+        let (peers, n) = (2u32, 200u32);
+        let attempts = |snap: &BTreeMap<String, u64>| {
+            ["dense", "sparse", "mixed"]
+                .iter()
+                .map(|k| snap[&format!("inference.kernel.{k}")])
+                .sum::<u64>()
+        };
+        for shards in [0usize, 2] {
+            let mut runtime = ShardedRuntime::new(
+                RuntimeConfig::sharded(shards),
+                config(),
+                multi_table(peers, n),
+                ReroutingPolicy::allow_all(),
+            );
+            let registry = runtime.registry();
+            runtime.ingest_stream(interleaved_bursts(peers, n));
+            if shards == 0 {
+                assert_eq!(attempts(&registry.snapshot()), 0, "nothing per event");
+            }
+            runtime.flush();
+            assert!(attempts(&registry.snapshot()) > 0, "{shards} shards");
+            let before = attempts(&registry.snapshot());
+            runtime.finish();
+            assert_eq!(attempts(&registry.snapshot()), before, "{shards} shards");
+        }
     }
 
     #[test]

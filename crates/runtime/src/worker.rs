@@ -16,21 +16,49 @@
 //! shard queue blocks the ingest thread, and a full applier queue blocks the
 //! shards. Nothing is shed.
 
-use crate::sync::{EpochClock, QueueDepth};
+use crate::sync::QueueDepth;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route};
-use swift_core::inference::{EngineStatus, InferenceResult, KernelStats};
+use swift_core::inference::{InferenceResult, KernelStats};
 use swift_core::pipeline::{Applier, SessionEngine};
 use swift_telemetry::{Counter, Gauge, LogHistogram, Registry, StageHistograms, TraceStamp};
+
+/// The runtime's monotonic clock: nanoseconds since the runtime's
+/// construction. A copy is all a worker needs, since it holds nothing but
+/// the base instant. The producer reads it every few hundred events into its
+/// coarse ingest stamp; the workers read it per event where they measure
+/// latency, off the ingest path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EpochClock {
+    base: Instant,
+}
+
+impl EpochClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock's base instant: read once per runtime, never per event"
+    )]
+    pub(crate) fn new() -> Self {
+        EpochClock {
+            base: Instant::now(),
+        }
+    }
+
+    /// The real monotonic clock, in nanoseconds since the base instant.
+    pub(crate) fn precise(self) -> u64 {
+        u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+}
 
 /// Registry handles for the inference-kernel telemetry: the fused-pass
 /// dispatch mix (`inference.kernel.{dense,sparse,mixed}`) and scratch-buffer
 /// behaviour (`inference.scratch.{reuse,growth}`). The names are global (not
 /// per-shard): every worker clones handles onto the same atomic storage, so a
-/// registry snapshot reports the whole runtime's mix.
+/// registry snapshot reports the whole runtime's mix. Fed a batch at a time
+/// by the shard workers, and by the inline mode at each flush, resync and
+/// finish.
 #[derive(Clone)]
 pub(crate) struct KernelCounters {
     pub dense: Counter,
@@ -51,7 +79,7 @@ impl KernelCounters {
         }
     }
 
-    fn record(&self, stats: KernelStats) {
+    pub(crate) fn record(&self, stats: KernelStats) {
         if stats.dense > 0 {
             self.dense.add(stats.dense);
         }
@@ -66,33 +94,6 @@ impl KernelCounters {
         }
         if stats.scratch_growth > 0 {
             self.scratch_growth.add(stats.scratch_growth);
-        }
-    }
-}
-
-/// One event through its session's engine, the step the inline runtime and
-/// the shard workers share: process it, drain the engine's [`KernelStats`]
-/// into `kernels` if the event made an inference attempt (the only place
-/// kernels run), and return the inference only if this event's attempt was
-/// accepted.
-#[inline]
-pub(crate) fn accept(
-    engine: &mut SessionEngine,
-    kernels: &KernelCounters,
-    event: &ElementaryEvent,
-) -> Option<InferenceResult> {
-    let (status, result) = engine.process(event);
-    match status {
-        EngineStatus::Accepted => {
-            kernels.record(engine.take_kernel_stats());
-            result
-        }
-        EngineStatus::RejectedByHistory => {
-            kernels.record(engine.take_kernel_stats());
-            None
-        }
-        EngineStatus::Idle | EngineStatus::WaitingForTrigger | EngineStatus::AlreadyAccepted => {
-            None
         }
     }
 }
@@ -240,14 +241,14 @@ pub(crate) struct ShardWorker {
     /// Physical capacity of the applier queue, for clamping the high-water.
     pub applier_capacity: usize,
     pub depth: QueueDepth,
-    pub clock: Arc<EpochClock>,
+    pub clock: EpochClock,
     /// Registry counter `shard.N.events` — the live source of truth for the
     /// shard's event count (the exit report reads it back). Counted once per
     /// batch, so a live snapshot advances a batch at a time.
     pub events_ctr: Counter,
     /// Registry counter `shard.N.batches`.
     pub batches_ctr: Counter,
-    /// Global kernel-dispatch and scratch counters, drained per attempt.
+    /// Global kernel-dispatch and scratch counters, fed once per batch.
     pub kernels: KernelCounters,
 }
 
@@ -284,6 +285,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
         kernels,
     } = w;
     let sessions = engines.len();
+    let mut kernel_stats = KernelStats::default();
     let mut latency = LogHistogram::new();
     let mut stages = StageHistograms::new();
     let mut first: Option<Instant> = None;
@@ -315,7 +317,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     // reaches the applier's routing table — exactly the
                     // single-threaded router's behaviour.
                     let result = (engines.get_mut(&peer))
-                        .and_then(|engine| accept(engine, &kernels, &event));
+                        .and_then(|engine| engine.accept(&event, &mut kernel_stats));
                     if let Some(stamp) = trace.as_mut() {
                         stages.inference.record(stamp.advance(clock.precise()));
                     }
@@ -333,6 +335,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     });
                 }
                 events_ctr.add(n);
+                kernels.record(std::mem::take(&mut kernel_stats));
                 last = Some(Instant::now());
                 if send_batch(&applier, applier_capacity, out).is_err() {
                     break 'outer; // applier gone; nothing left to do
@@ -388,7 +391,7 @@ pub(crate) struct ApplierWorker {
     pub barrier_tx: Sender<u64>,
     /// Shard workers feeding the applier — the barrier/shutdown quorum.
     pub workers: usize,
-    pub clock: Arc<EpochClock>,
+    pub clock: EpochClock,
     pub depth: QueueDepth,
     /// Registry counter `applier.0.events` — live source of truth, read back
     /// into the exit report. Counted once per batch, like `shard.N.events`.

@@ -1,17 +1,10 @@
-//! Multi-producer equivalence property: on random interleaved multi-session
-//! streams split into random K-way source partitions (sessions disjoint
-//! across sources), the K-producer sharded replay reaches — per session —
-//! exactly the decisions (installed-rule counts included) of the
-//! single-producer sharded replay and of the deterministic inline mode,
-//! including a mid-run teardown + re-register on one source and
-//! `resync_after_convergence` between producer segments, removes the same
-//! number of rules at every resync, and ends with an identical set of SWIFT
-//! rules in the data plane.
-//!
-//! This is the runtime's multi-producer contract: as long as each session is
-//! pinned to one `IngestHandle`, the producer count is invisible in the
-//! decision stream, and a resync called once every producer of a segment has
-//! finished sees that whole segment.
+//! Churn equivalence property: on random interleaved multi-session streams,
+//! the sharded runtime reaches — per session — exactly the decisions
+//! (installed-rule counts included) of the deterministic inline mode,
+//! including a mid-run teardown + re-register of one session and up to three
+//! `resync_after_convergence` calls anywhere in the stream; it removes the
+//! same number of rules at every resync, and ends with an identical set of
+//! SWIFT rules in the data plane.
 //!
 //! It is also the runtime's deadlock check. Every case runs on queues of the
 //! default depth or of depth one, under a deadline: a barrier that misses a
@@ -35,13 +28,12 @@ use swift_telemetry::FlightRecorder;
 
 const SESSIONS: u32 = 3;
 
-/// How long one case's three runs may take before the case fails as
+/// How long one case's two runs may take before the case fails as
 /// deadlocked. A case takes milliseconds; the slack covers a loaded host.
 const DEADLINE: Duration = Duration::from_secs(30);
 const PREFIXES_PER_SESSION: u32 = 60;
 
-/// The flapped session: torn down and re-registered mid-run on whichever
-/// source it is pinned to.
+/// The flapped session: torn down and re-registered mid-run.
 const CHURNED: PeerId = PeerId(1);
 
 /// The shared backup peer: an alternate route for every prefix of every
@@ -176,38 +168,32 @@ fn swift_rules(report: &RuntimeReport) -> BTreeSet<TagRule> {
         .collect()
 }
 
-/// Sessions disjoint across sources: session s (1-based peers) → source
-/// (s - 1) % k, each source preserving the merged order of its sessions.
-/// Each event keeps its position in the merged stream.
-fn partition(
-    events: &[(usize, PeerId, ElementaryEvent)],
-    k: usize,
-) -> Vec<Vec<(usize, PeerId, ElementaryEvent)>> {
-    let mut sources = vec![Vec::new(); k];
-    for (at, peer, event) in events {
-        sources[(peer.0 as usize - 1) % k].push((*at, *peer, event.clone()));
-    }
-    sources
-}
-
 /// What a run produced: its report and the rules each resync removed.
 type Run = (RuntimeReport, Vec<usize>);
 
-/// Replays the stream inline: the churned session's teardown + re-register
-/// just before the event at position `churn_at`, and a resync before the
-/// event at each position in `resync_at` (sorted; a position equal to the
-/// stream length resyncs after its last event).
-fn run_inline(
+/// Replays the stream through a runtime of the given configuration: the
+/// churned session's teardown + re-register just before the event at
+/// position `churn_at`, and a resync before the event at each position in
+/// `resync_at` (sorted; a position equal to the stream length resyncs after
+/// its last event). The runtime's flight recorder goes into `flights` first,
+/// so a case that misses its deadline can dump it.
+fn run(
     events: &[(PeerId, ElementaryEvent)],
+    runtime_config: &RuntimeConfig,
     churn_at: Option<usize>,
     resync_at: &[usize],
+    flights: &Mutex<Vec<FlightRecorder>>,
 ) -> Run {
     let mut runtime = ShardedRuntime::new(
-        RuntimeConfig::deterministic(),
+        runtime_config.clone(),
         config(),
         table(),
         ReroutingPolicy::allow_all(),
     );
+    flights
+        .lock()
+        .expect("flight list lock")
+        .push(runtime.flight());
     let mut removed = Vec::new();
     for at in 0..=events.len() {
         for _ in resync_at.iter().filter(|r| **r == at) {
@@ -225,76 +211,8 @@ fn run_inline(
     (runtime.finish(), removed)
 }
 
-/// Ingests one segment of the stream through `k` fresh handles, one
-/// producer thread each, and returns once every producer has finished. The
-/// producer owning the churned session performs the teardown + re-register
-/// through its own handle just before the event at position `churn_at`.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the test drives the runtime from concurrent producer threads"
-)]
-fn ingest_segment(
-    runtime: &ShardedRuntime,
-    segment: &[(usize, PeerId, ElementaryEvent)],
-    k: usize,
-    churn_at: Option<usize>,
-) {
-    std::thread::scope(|scope| {
-        for source in partition(segment, k) {
-            let mut handle = runtime.handle();
-            scope.spawn(move || {
-                for (at, peer, event) in source {
-                    if churn_at == Some(at) {
-                        handle.teardown_session(CHURNED);
-                        handle.register_session(CHURNED, Asn(100), churned_routes());
-                    }
-                    handle.ingest(peer, event);
-                }
-                handle.finish();
-            });
-        }
-    });
-}
-
-/// The same run through `k` producer threads on a sharded runtime with the
-/// given queue depths: the stream is cut at each resync position, and each
-/// resync runs once every producer of the segment before it has finished.
-/// The runtime's flight recorder goes into `flights` first, so a case that
-/// misses its deadline can dump it.
-fn run_producers(
-    events: &[(PeerId, ElementaryEvent)],
-    runtime_config: &RuntimeConfig,
-    k: usize,
-    churn_at: Option<usize>,
-    resync_at: &[usize],
-    flights: &Mutex<Vec<FlightRecorder>>,
-) -> Run {
-    let mut runtime = ShardedRuntime::new(
-        runtime_config.clone(),
-        config(),
-        table(),
-        ReroutingPolicy::allow_all(),
-    );
-    flights
-        .lock()
-        .expect("flight list lock")
-        .push(runtime.flight());
-    let positioned: Vec<(usize, PeerId, ElementaryEvent)> = (events.iter().enumerate())
-        .map(|(at, (peer, event))| (at, *peer, event.clone()))
-        .collect();
-    let mut removed = Vec::new();
-    let mut start = 0;
-    for &end in resync_at {
-        ingest_segment(&runtime, &positioned[start..end], k, churn_at);
-        removed.push(runtime.resync_after_convergence());
-        start = end;
-    }
-    ingest_segment(&runtime, &positioned[start..], k, churn_at);
-    (runtime.finish(), removed)
-}
-
-/// The three runs a case compares: inline, one producer, `k` producers.
-type Runs = (Run, Run, Run);
+/// The two runs a case compares: inline and sharded.
+type Runs = (Run, Run);
 
 /// Runs `case` on its own thread and returns its result, or panics with
 /// every recorded flight history once `DEADLINE` passes. A panic inside
@@ -367,18 +285,16 @@ fn check_lossless(
 }
 
 proptest! {
-    /// K-producer sharded replay (K ∈ {1, 2, 3}, real threads) is
-    /// decision-identical per session to the single-producer sharded replay
-    /// and to the deterministic inline mode, on random streams with a
+    /// The sharded replay (two shards, real threads) is decision-identical
+    /// per session to the deterministic inline mode on random streams with a
     /// mid-run teardown + re-register of one session and up to three
-    /// resyncs between producer segments; every resync removes the same
-    /// number of rules, and the final installed rule sets are identical too.
-    /// Queues are of the default depth or of depth one, and the case runs
-    /// under a deadline (see the module docs).
+    /// resyncs; every resync removes the same number of rules, and the final
+    /// installed rule sets are identical too. Queues are of the default depth
+    /// or of depth one, and the case runs under a deadline (see the module
+    /// docs).
     #[test]
-    fn k_producers_equal_single_producer_and_inline(
+    fn sharded_equals_inline_under_churn_and_resyncs(
         stream in arb_stream(),
-        k in 1usize..=3,
         churn_slot in 0u32..150,
         resync_slots in proptest::collection::vec(0usize..300, 0..4),
         tiny_queues in any::<bool>(),
@@ -405,29 +321,25 @@ proptest! {
             sharded.applier_capacity = 1;
         }
         let (case_events, case_config) = (events.clone(), sharded.clone());
-        let ((inline, inline_removed), (single, single_removed), (multi, multi_removed)) =
+        let ((inline, inline_removed), (threaded, threaded_removed)) =
             with_deadline(move |flights| {
                 let (events, sharded) = (&case_events, &case_config);
+                let inline = RuntimeConfig::deterministic();
                 (
-                    run_inline(events, churn_at, &resync_at),
-                    run_producers(events, sharded, 1, churn_at, &resync_at, flights),
-                    run_producers(events, sharded, k, churn_at, &resync_at, flights),
+                    run(events, &inline, churn_at, &resync_at, flights),
+                    run(events, sharded, churn_at, &resync_at, flights),
                 )
             });
-        check_lossless(&single, events.len(), &sharded)?;
-        check_lossless(&multi, events.len(), &sharded)?;
+        check_lossless(&threaded, events.len(), &sharded)?;
 
         for s in 0..SESSIONS {
             let peer = PeerId(s + 1);
-            let want = decisions_for(&inline.actions, peer);
-            // Single producer vs inline, then K producers vs inline — the
-            // vendored prop_assert_eq! reports both sides on divergence.
-            prop_assert_eq!(&decisions_for(&single.actions, peer), &want);
-            prop_assert_eq!(&decisions_for(&multi.actions, peer), &want);
+            prop_assert_eq!(
+                &decisions_for(&threaded.actions, peer),
+                &decisions_for(&inline.actions, peer)
+            );
         }
-        prop_assert_eq!(&single_removed, &inline_removed);
-        prop_assert_eq!(&multi_removed, &inline_removed);
-        prop_assert_eq!(&swift_rules(&single), &swift_rules(&inline));
-        prop_assert_eq!(&swift_rules(&multi), &swift_rules(&inline));
+        prop_assert_eq!(&threaded_removed, &inline_removed);
+        prop_assert_eq!(&swift_rules(&threaded), &swift_rules(&inline));
     }
 }

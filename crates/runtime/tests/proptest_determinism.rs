@@ -161,7 +161,7 @@ proptest! {
 
         let mut router = SwiftRouter::new(config(), table(), ReroutingPolicy::allow_all());
         for (peer, ev) in &events {
-            router.handle_event(*peer, ev);
+            router.handle_event(*peer, ev.clone());
         }
 
         // Deterministic mode: identical globally, action for action.

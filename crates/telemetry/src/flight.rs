@@ -1,8 +1,8 @@
 //! Flight recorder: a fixed-size ring of recent lifecycle events.
 //!
 //! Churn-equivalence failures are painful to debug because the interesting
-//! history (which sessions registered, which barriers completed, which
-//! batches were shed) is gone by the time the assertion fires. The flight
+//! history (which sessions registered, which barriers were sent and which
+//! completed) is gone by the time the assertion fires. The flight
 //! recorder keeps the last `capacity` lifecycle events in a ring — data-path
 //! events are *not* recorded, so the ring stays off the hot path — and
 //! [`FlightRecorder::dump`] renders them oldest-first.
@@ -21,8 +21,6 @@ pub enum FlightKind {
     Barrier,
     /// An applier resynchronised its forwarding table with its RIB mirror.
     Resync,
-    /// Data batches were shed by a producer that outlived the runtime.
-    Drop,
     /// The runtime began shutdown.
     Shutdown,
 }
@@ -34,7 +32,6 @@ impl FlightKind {
             FlightKind::Teardown => "teardown",
             FlightKind::Barrier => "barrier",
             FlightKind::Resync => "resync",
-            FlightKind::Drop => "drop",
             FlightKind::Shutdown => "shutdown",
         }
     }
@@ -165,10 +162,16 @@ mod tests {
         let fr = FlightRecorder::with_capacity(8);
         fr.record(100, FlightKind::Barrier, "rendezvous #1");
         fr.record(250, FlightKind::Resync, "applier=0 resync #1");
-        fr.record(300, FlightKind::Drop, "shard=2 shed=17");
+        fr.record(300, FlightKind::Shutdown, "runtime finish");
         let dump = fr.dump();
         assert!(dump.contains("3 of 3"), "{dump}");
-        for needle in ["barrier", "rendezvous #1", "resync", "drop", "shed=17"] {
+        for needle in [
+            "barrier",
+            "rendezvous #1",
+            "resync",
+            "shutdown",
+            "runtime finish",
+        ] {
             assert!(dump.contains(needle), "missing {needle}:\n{dump}");
         }
     }

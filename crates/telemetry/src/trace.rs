@@ -5,8 +5,8 @@
 //! reading (the runtime's `EpochClock::precise`, a single `Instant::elapsed`
 //! against the clock's base) and records the elapsed span into the matching
 //! [`StageHistograms`] slot. The untraced N−1 events pay only a counter
-//! compare, so tracing at 1-in-1024 is effectively free (measured against
-//! `bench_ingest`'s dispatch loop in `bench_telemetry`, and end to end by the
+//! compare, so tracing at 1-in-1024 is effectively free (measured on the
+//! runtime's dispatch loop in `bench_telemetry`, and end to end by the
 //! repo benchmark's `trace.overhead` record), while the sampled population
 //! still pins down where reroute time goes: queue wait vs inference vs
 //! applier-queue wait vs install.

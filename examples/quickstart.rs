@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use swift::bgp::{AsLink, Asn, ElementaryEvent, PeerId};
+use swift::bgp::{AsLink, Asn, PeerId};
 use swift::bgpsim::Engine;
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::{InferenceConfig, SwiftConfig, SwiftRouter};
@@ -53,9 +53,8 @@ fn main() {
     );
 
     // Replay the burst through the SWIFTED router.
-    let events: Vec<ElementaryEvent> = stream.elementary_events().collect();
     let peer = PeerId(neighbor.value());
-    let actions = router.handle_stream(peer, events.iter());
+    let actions = router.handle_stream(peer, stream.elementary_events());
 
     match actions.first() {
         Some(action) => {

@@ -98,8 +98,7 @@ fn main() {
         withdrawn.len()
     );
 
-    let events: Vec<_> = stream.elementary_events().collect();
-    let actions = router.handle_stream(PeerId(neighbor.value()), events.iter());
+    let actions = router.handle_stream(PeerId(neighbor.value()), stream.elementary_events());
     let cost = FibCostModel::default();
     let affected: Vec<_> = withdrawn.iter().copied().collect();
     let vanilla = vanilla_convergence(&affected, &cost);

@@ -13,8 +13,7 @@
 //!   engine concurrently;
 //! * [`dataplane`] — data-plane convergence/downtime model;
 //! * [`telemetry`] — metrics registry, mergeable log-linear histograms,
-//!   sampled pipeline tracing, flight recorder and a small JSON builder and
-//!   parser.
+//!   sampled pipeline tracing and a flight recorder.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! `swift-bench eval`, which reproduces every table and figure of the paper.

@@ -60,7 +60,7 @@ fn fig1_router_and_burst() -> (
 #[test]
 fn fig1_outage_is_inferred_and_rerouted_end_to_end() {
     let (mut router, events, withdrawn) = fig1_router_and_burst();
-    let actions = router.handle_stream(PeerId(2), events.iter());
+    let actions = router.handle_stream(PeerId(2), events);
     assert_eq!(actions.len(), 1, "exactly one reroute action for the burst");
     let action = &actions[0];
 
@@ -96,7 +96,7 @@ fn fig1_outage_is_inferred_and_rerouted_end_to_end() {
 #[test]
 fn swift_brings_convergence_under_two_seconds_where_bgp_needs_tens() {
     let (mut router, events, withdrawn) = fig1_router_and_burst();
-    let actions = router.handle_stream(PeerId(2), events.iter());
+    let actions = router.handle_stream(PeerId(2), events);
     let action = &actions[0];
     let cost = FibCostModel::default();
     let affected: Vec<Prefix> = withdrawn.iter().copied().collect();
@@ -171,8 +171,7 @@ fn generated_topology_outages_never_produce_unsafe_reroutes() {
             let monitored = PeerId(neighbor.value());
             let mut router = SwiftRouter::new(config, table, ReroutingPolicy::allow_all());
             let stream = burst.to_message_stream(engine.topology(), 0, 500);
-            let events: Vec<_> = stream.elementary_events().collect();
-            let actions = router.handle_stream(monitored, events.iter());
+            let actions = router.handle_stream(monitored, stream.elementary_events());
             for action in &actions {
                 // Safety (Lemma 3.3) for every prefix that was actually moved
                 // to a backup next-hop: the backup's path must not cross any

@@ -66,8 +66,7 @@ fn minimal_swift_router_round_trip() {
     };
     let mut router = SwiftRouter::new(config, table, ReroutingPolicy::allow_all());
     let stream = burst.to_message_stream(engine.topology(), 0, 1_000);
-    let events: Vec<_> = stream.elementary_events().collect();
-    let actions = router.handle_stream(PeerId(2), events.iter());
+    let actions = router.handle_stream(PeerId(2), stream.elementary_events());
 
     // The burst triggers at least one reroute action whose inferred region
     // touches the failed link.
