@@ -23,11 +23,12 @@
 //!   a route stored as a 16-byte record over the table's attribute
 //!   dictionary;
 //! * `mirror/apply_all_22k_of_1m`: the same churn through
-//!   [`RoutingTable::apply_all`], the batched fold the applier uses.
+//!   [`RoutingTable::apply_all`], the batched fold the applier uses, with
+//!   every event unresolved, as the sharded runtime's applier folds them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Route,
+    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, PrefixId, PrefixSet, Resolved, Route,
     RouteAttributes, RoutingTable,
 };
 use swift_core::encoding::{ReroutingPolicy, TwoStageTable};
@@ -247,8 +248,13 @@ fn bench_resync(c: &mut Criterion) {
             }
         })
     });
-    let withdrawals: Vec<_> = churn_22k.iter().map(|(p, w, _)| (*p, w.clone())).collect();
-    let announcements: Vec<_> = churn_22k.iter().map(|(p, _, a)| (*p, a.clone())).collect();
+    let unresolved = Resolved::UNKNOWN;
+    let withdrawals: Vec<_> = (churn_22k.iter())
+        .map(|(p, w, _)| (*p, w.clone(), unresolved))
+        .collect();
+    let announcements: Vec<_> = (churn_22k.iter())
+        .map(|(p, _, a)| (*p, a.clone(), unresolved))
+        .collect();
     let mut batch = Vec::with_capacity(churn_22k.len());
     c.bench_function("mirror/apply_all_22k_of_1m", |b| {
         b.iter(|| {

@@ -103,11 +103,13 @@ impl RouteAttributes {
     }
 }
 
-/// Dense id of an attribute set in one table's `AttrDictionary`, handed out
-/// from 1 in first-seen order. Non-zero, so `Option<AttrId>` and a stored
-/// route's `Option` cost no extra word.
+/// Dense id of an attribute set in one table's attribute dictionary (see
+/// "The attribute dictionary"), handed out from 1 in first-seen order and
+/// never freed, so an id means the same set for the life of the table and
+/// its clones, and nothing to any other table. Non-zero, so
+/// `Option<AttrId>` and a stored route's `Option` cost no extra word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct AttrId(NonZeroU32);
+pub struct AttrId(NonZeroU32);
 
 impl AttrId {
     /// The id's entry in `AttrDictionary::entries`.

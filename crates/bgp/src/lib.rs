@@ -38,13 +38,13 @@ mod session;
 mod table;
 
 pub use as_path::{AsLink, AsPath, Asn};
-pub use attributes::{Origin, RouteAttributes};
+pub use attributes::{AttrId, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
 pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};
 pub use rib::{AdjRibIn, PrefixId, PrefixInterner, PrefixList, Route, RouteRef};
 pub use session::{MessageStream, PeerId, Session, SessionId};
-pub use table::RoutingTable;
+pub use table::{Resolved, RoutingTable};
 
 /// Virtual time in microseconds since the start of a trace or simulation.
 ///

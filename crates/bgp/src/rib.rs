@@ -431,6 +431,12 @@ impl PrefixInterner {
         self.prefixes.is_empty()
     }
 
+    /// Number of ids the sealed index covers: ids below it mean the same
+    /// prefix to every clone of this interner, whatever each interns later.
+    pub fn sealed_len(&self) -> usize {
+        self.base_len
+    }
+
     /// Number of ids interned since the last seal (held in `own`).
     fn own_len(&self) -> usize {
         self.len() - self.base_len
@@ -842,6 +848,7 @@ mod tests {
         let own = interner.own.as_ptr();
         interner.seal();
         assert_eq!((interner.base.as_ptr(), interner.own.len()), (own, 0));
+        assert_eq!(interner.sealed_len(), 1_000);
         let mut clone = interner.clone();
         assert!(Arc::ptr_eq(&clone.base, &interner.base));
         assert_eq!(clone.intern(p(5_000)).index(), 1_000);
@@ -849,7 +856,8 @@ mod tests {
         assert_eq!(clone.get(&p(6_000)), None);
         interner.seal();
         assert!(!Arc::ptr_eq(&clone.base, &interner.base));
-        assert_eq!((interner.base_len, interner.own.len()), (1_001, 0));
+        assert_eq!((interner.sealed_len(), interner.own.len()), (1_001, 0));
+        assert_eq!(clone.sealed_len(), 1_000, "a clone keeps its boundary");
         for i in (0..1_000).chain([6_000]) {
             assert_eq!(*interner.prefix(interner.get(&p(i)).expect("kept")), p(i));
         }
@@ -1029,7 +1037,9 @@ mod tests {
         // Peer 2 has the shortest path.
         assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(2));
         // Excluding peer 2, peers 1 and 3 tie on length; lowest peer id wins.
-        let excluding = t.alternative_avoiding(&p(1), PeerId(2), &[]);
+        let excluding = (t.candidates(&p(1)))
+            .filter(|r| r.peer != PeerId(2))
+            .max_by(|a, b| a.compare_preference(b));
         assert_eq!(excluding.unwrap().peer, PeerId(1));
         assert_eq!(t.candidates(&p(1)).count(), 3);
     }

@@ -4,11 +4,10 @@
 //! [`RoutingTable`] holds the per-peer Adj-RIB-Ins, runs best-path selection
 //! over them and offers the queries the SWIFT algorithms are built on:
 //!
-//! * which prefixes are currently forwarded over a given AS link, and at which
-//!   position of their AS path (used both by the inference counters and by the
-//!   encoding scheme's bit allocation);
-//! * which peers offer an alternate path for a prefix that avoids a given set
-//!   of ASes (used by backup next-hop computation, §5).
+//! * how many of a peer's prefixes cross each AS link
+//!   ([`RoutingTable::link_prefix_counts`], the `W + P` basis of Path Share);
+//! * each prefix's candidate routes and best route, by prefix or by id (read
+//!   by the forwarding table's tags and backup next-hops, §5).
 //!
 //! # Single-copy storage
 //!
@@ -45,24 +44,30 @@
 //! # Applying a batch
 //!
 //! An event starts with a dictionary probe that misses the cache on a large
-//! table, and everything after it waits for the id. When events come one at
-//! a time between other work, those misses never overlap.
-//! [`RoutingTable::apply_all`] takes events [`RoutingTable::APPLY_BATCH`] at
-//! a time, in two phases:
+//! table, and everything after it waits for the id.
+//! [`RoutingTable::resolve`] is that probe on its own: it looks up the
+//! event's prefix and, for an announcement, its attribute set, never
+//! interning either, and returns both ids as a [`Resolved`]. A caller that
+//! resolves an event where it enters (`SwiftRouter` does, and hands the
+//! same value to the session's inference engine) buffers it with the event,
+//! and the fold uses it instead of probing again. Events are folded by
+//! [`RoutingTable::apply_all`], [`RoutingTable::APPLY_BATCH`] at a time, in
+//! two phases:
 //!
-//! 1. every event's prefix, and every announcement's attribute set, is
-//!    looked up (never interned) and its id kept in a stack array:
-//!    independent probes, whose misses overlap;
+//! 1. every event that arrives unresolved is resolved: the sharded
+//!    runtime's, and one whose prefix or set was not in the table yet when
+//!    it was resolved (an earlier event still waiting in the buffer
+//!    announces it). These probes are independent, so their misses overlap;
 //! 2. the events are applied in order, each through the one body behind
-//!    [`RoutingTable::apply_owned`], handed the ids phase 1 found.
+//!    [`RoutingTable::apply_owned`], handed the ids.
 //!
-//! A found id is still its prefix's or set's id in phase 2, because neither
-//! dictionary frees or reuses ids, whatever the earlier events of the batch
-//! did. A prefix or set phase 1 did not find is looked up again: an earlier
-//! announcement of the same batch may have interned it since. So the batch
-//! is exactly one `apply_owned` per event, in order. (Phase 1 also reading
-//! each id's slot and route record, as the retag's gather does, measured
-//! slower.)
+//! A found id is still its prefix's or set's id in phase 2, however long
+//! the event waited, because neither dictionary frees or reuses ids,
+//! whatever the earlier events did. A prefix or set phase 1 did not find is
+//! looked up again: an earlier announcement of the same batch may have
+//! interned it since. So the batch is exactly one `apply_owned` per event,
+//! in order. (Phase 1 also reading each id's slot and route record, as the
+//! retag's gather does, measured slower.)
 
 use crate::as_path::{AsLink, Asn};
 use crate::attributes::{AttrDictionary, AttrId};
@@ -79,6 +84,49 @@ pub struct RoutingTable {
     peers: BTreeMap<PeerId, PeerState>,
     interner: PrefixInterner,
     dictionary: AttrDictionary,
+}
+
+/// What [`RoutingTable::resolve`] found of one event: its prefix's
+/// [`PrefixId`] and, for an announcement, its attribute set's [`AttrId`],
+/// each unknown where the table did not hold it. Both ids mean something
+/// only to the table that handed them out, and its clones; neither
+/// dictionary frees an id, so a found id stays valid for the table's life.
+/// Eight bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolved {
+    /// The prefix's id, or [`Resolved::NO_PREFIX`].
+    prefix: u32,
+    attrs: Option<AttrId>,
+}
+
+impl Resolved {
+    /// Nothing found: what an event carries that no one resolved.
+    pub const UNKNOWN: Resolved = Resolved {
+        prefix: Self::NO_PREFIX,
+        attrs: None,
+    };
+
+    /// No prefix id: one above the dictionary's id cap.
+    const NO_PREFIX: u32 = u32::MAX;
+
+    /// The prefix's id, if it was found.
+    #[inline]
+    pub fn prefix(self) -> Option<PrefixId> {
+        (self.prefix != Self::NO_PREFIX).then_some(PrefixId(self.prefix))
+    }
+
+    /// The announced attribute set's id, if it was found.
+    #[inline]
+    pub fn attrs(self) -> Option<AttrId> {
+        self.attrs
+    }
+
+    /// Whether this holds every id folding `event` needs.
+    #[inline]
+    fn covers(self, event: &ElementaryEvent) -> bool {
+        self.prefix != Self::NO_PREFIX
+            && (self.attrs.is_some() || matches!(event, ElementaryEvent::Withdraw { .. }))
+    }
 }
 
 /// Per-peer state held by the routing table.
@@ -193,49 +241,67 @@ impl RoutingTable {
     /// id of the prefix whose routes changed, `None` when nothing did: the
     /// peer is not registered, or it withdrew a route it does not hold.
     pub fn apply_owned(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<PrefixId> {
-        self.apply_found(peer, event, (None, None))
+        self.apply_found(peer, event, Resolved::UNKNOWN)
+    }
+
+    /// The ids of `event`'s prefix and, for an announcement, of its
+    /// attribute set: the probes folding it would make, made ahead. Looks
+    /// up, never interns.
+    #[inline]
+    pub fn resolve(&self, event: &ElementaryEvent) -> Resolved {
+        let (prefix, attrs) = match event {
+            ElementaryEvent::Announce { prefix, attrs, .. } => {
+                (self.interner.get(prefix), self.dictionary.lookup(attrs))
+            }
+            ElementaryEvent::Withdraw { prefix, .. } => (self.interner.get(prefix), None),
+        };
+        Resolved {
+            prefix: prefix.map_or(Resolved::NO_PREFIX, u32::from),
+            attrs,
+        }
     }
 
     /// Applies every event of `events`, in order, and calls `changed` with
-    /// each id [`RoutingTable::apply_owned`] would return. Drains `events` in
-    /// place, so the buffer keeps its capacity. Works in batches of
+    /// each id [`RoutingTable::apply_owned`] would return. Each event
+    /// carries what [`RoutingTable::resolve`] found of it on this table, at
+    /// any earlier time, or [`Resolved::UNKNOWN`]: a found id stays this
+    /// table's for its life, a clone's may not. Drains `events`
+    /// in place, so the buffer keeps its capacity. Works in batches of
     /// [`RoutingTable::APPLY_BATCH`], each in two phases (see "Applying a
     /// batch").
     pub fn apply_all(
         &mut self,
-        events: &mut Vec<(PeerId, ElementaryEvent)>,
+        events: &mut Vec<(PeerId, ElementaryEvent, Resolved)>,
         mut changed: impl FnMut(PrefixId),
     ) {
-        let mut found = [(None, None); Self::APPLY_BATCH];
+        let mut found = [Resolved::UNKNOWN; Self::APPLY_BATCH];
         let mut events = events.drain(..);
         while !events.as_slice().is_empty() {
             let n = events.len().min(Self::APPLY_BATCH);
-            // Phase 1: the batch's dictionary probes, whose misses overlap.
-            for (ids, (_, event)) in found.iter_mut().zip(events.as_slice()) {
-                *ids = match event {
-                    ElementaryEvent::Announce { prefix, attrs, .. } => {
-                        (self.interner.get(prefix), self.dictionary.lookup(attrs))
-                    }
-                    ElementaryEvent::Withdraw { prefix, .. } => (self.interner.get(prefix), None),
+            // Phase 1: the probes the batch still needs, whose misses overlap.
+            for (ids, (_, event, resolved)) in found.iter_mut().zip(events.as_slice()) {
+                *ids = if resolved.covers(event) {
+                    *resolved
+                } else {
+                    self.resolve(event)
                 };
             }
             // Phase 2, in order.
-            for (id, (peer, event)) in found.iter().zip(events.by_ref().take(n)) {
-                if let Some(id) = self.apply_found(peer, event, *id) {
+            for (ids, (peer, event, _)) in found.iter().zip(events.by_ref().take(n)) {
+                if let Some(id) = self.apply_found(peer, event, *ids) {
                     changed(id);
                 }
             }
         }
     }
 
-    /// The body of [`RoutingTable::apply_owned`], given the prefix's id and
-    /// the announced set's id where the caller already looked them up;
-    /// `None` looks up.
+    /// The body of [`RoutingTable::apply_owned`], given what the caller
+    /// already resolved; an unknown id is looked up.
     fn apply_found(
         &mut self,
         peer: PeerId,
         event: ElementaryEvent,
-        found: (Option<PrefixId>, Option<AttrId>),
+        found: Resolved,
     ) -> Option<PrefixId> {
         match event {
             ElementaryEvent::Announce {
@@ -245,7 +311,8 @@ impl RoutingTable {
             } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp), found),
             ElementaryEvent::Withdraw { prefix, .. } => {
                 let state = self.peers.get_mut(&peer)?;
-                let id = found.0.or_else(|| self.interner.get(&prefix))?;
+                let id = found.prefix().or_else(|| self.interner.get(&prefix))?;
+                debug_assert_eq!(self.interner.prefix(id), &prefix, "resolved elsewhere");
                 state.routes.remove(id).then_some(id)
             }
         }
@@ -255,26 +322,35 @@ impl RoutingTable {
     /// Returns the prefix's id, `None` (and changes nothing) if the peer is
     /// not registered.
     pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
-        self.insert(peer, prefix, route, (None, None))
+        self.insert(peer, prefix, route, Resolved::UNKNOWN)
     }
 
-    /// Installs or replaces `peer`'s route for `prefix`; `found` holds the
-    /// prefix's id and the route's attribute id where the caller already
-    /// looked them up. The only place a prefix or an attribute set is
-    /// interned and a route enters a peer's storage: the route's attributes
-    /// move into the dictionary if they are new and are dropped otherwise.
+    /// Installs or replaces `peer`'s route for `prefix`; `found` holds what
+    /// the caller already resolved. The only place a prefix or an attribute
+    /// set is interned and a route enters a peer's storage: the route's
+    /// attributes move into the dictionary if they are new and are dropped
+    /// otherwise.
     fn insert(
         &mut self,
         peer: PeerId,
         prefix: Prefix,
         route: Route,
-        found: (Option<PrefixId>, Option<AttrId>),
+        found: Resolved,
     ) -> Option<PrefixId> {
         let state = self.peers.get_mut(&peer)?;
-        let id = found.0.unwrap_or_else(|| self.interner.intern(prefix));
-        let attrs = found
-            .1
-            .unwrap_or_else(|| self.dictionary.intern(route.attrs));
+        let id = (found.prefix()).unwrap_or_else(|| self.interner.intern(prefix));
+        debug_assert_eq!(self.interner.prefix(id), &prefix, "resolved elsewhere");
+        let attrs = match found.attrs() {
+            Some(attrs) => {
+                debug_assert_eq!(
+                    self.dictionary.get(attrs),
+                    &route.attrs,
+                    "resolved elsewhere"
+                );
+                attrs
+            }
+            None => self.dictionary.intern(route.attrs),
+        };
         let stored = StoredRoute {
             peer: route.peer,
             attrs,
@@ -398,53 +474,6 @@ impl RoutingTable {
         counts
     }
 
-    /// Counts, for every `(position, link)` pair appearing in the best paths
-    /// learned from `peer`, how many prefixes use that link at that 1-based
-    /// position. Used by the encoding scheme's per-position bit allocation.
-    pub fn positional_link_counts(&self, peer: PeerId) -> HashMap<(usize, AsLink), usize> {
-        let mut counts: HashMap<(usize, AsLink), usize> = HashMap::new();
-        if let Some(state) = self.peers.get(&peer) {
-            for (_, route) in state.routes.iter() {
-                let path = &self.dictionary.get(route.attrs).as_path;
-                for (i, link) in path.links().enumerate() {
-                    *counts.entry((i + 1, link)).or_insert(0) += 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// The prefixes announced by `peer` whose path traverses any of `links`
-    /// (directed match), in ascending order.
-    pub fn prefixes_via_links(&self, peer: PeerId, links: &[AsLink]) -> Vec<Prefix> {
-        let Some(rib) = self.adj_rib_in(peer) else {
-            return Vec::new();
-        };
-        rib.views()
-            .filter(|(_, r)| r.as_path().crosses_any(links))
-            .map(|(prefix, _)| *prefix)
-            .collect()
-    }
-
-    /// Finds, for `prefix`, the most preferred alternative route whose AS path
-    /// avoids every AS in `avoid_ases`, excluding routes learned from
-    /// `exclude_peer`. Returns `None` if no such route exists.
-    ///
-    /// This implements the path-eligibility core of SWIFT's backup next-hop
-    /// selection: the chosen backup must not traverse either endpoint of any
-    /// inferred link (§4.2 safety rule).
-    pub fn alternative_avoiding(
-        &self,
-        prefix: &Prefix,
-        exclude_peer: PeerId,
-        avoid_ases: &[Asn],
-    ) -> Option<RouteRef<'_>> {
-        self.candidates(prefix)
-            .filter(|r| r.peer != exclude_peer)
-            .filter(|r| !avoid_ases.iter().any(|a| r.as_path().contains_as(*a)))
-            .max_by(|a, b| a.compare_preference(b))
-    }
-
     /// All prefixes known to the table (those with at least one route), in
     /// ascending order.
     pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
@@ -541,6 +570,43 @@ mod tests {
         assert_eq!(t.prefix_of(id), p(15));
     }
 
+    /// `resolve` finds what the table holds and interns nothing; a
+    /// resolved event folds like an unresolved one.
+    #[test]
+    fn resolve_looks_up_and_never_interns() {
+        assert_eq!(std::mem::size_of::<Resolved>(), 8);
+        let mut t = fig1_table();
+        let (ids, sets) = (t.id_count(), t.attr_count());
+        let announce = |i, hops: &[u32]| ElementaryEvent::Announce {
+            timestamp: 1,
+            prefix: p(i),
+            attrs: route(2, hops).attrs,
+        };
+        let known = t.resolve(&announce(3, &[2, 5, 6]));
+        assert_eq!(known.prefix(), t.prefix_id(&p(3)));
+        assert!(known.attrs().is_some());
+        let new_set = t.resolve(&announce(3, &[2, 9]));
+        assert_eq!((new_set.prefix(), new_set.attrs()), (known.prefix(), None));
+        let noise = ElementaryEvent::Withdraw {
+            timestamp: 1,
+            prefix: p(999),
+        };
+        assert_eq!(t.resolve(&noise), Resolved::UNKNOWN);
+        assert_eq!((t.id_count(), t.attr_count()), (ids, sets));
+
+        let mut buffer = vec![
+            (PeerId(2), announce(3, &[2, 9]), new_set),
+            (PeerId(2), announce(40, &[2, 9]), Resolved::UNKNOWN),
+            (PeerId(4), noise.clone(), t.resolve(&noise)),
+        ];
+        let mut changed = Vec::new();
+        t.apply_all(&mut buffer, |id| changed.push(id));
+        let changed: Vec<Prefix> = changed.into_iter().map(|id| t.prefix_of(id)).collect();
+        assert_eq!(changed, [p(3), p(40)]);
+        assert_eq!((t.id_count(), t.attr_count()), (ids + 1, sets + 1));
+        assert_eq!(t.best(&p(40)).unwrap().as_path().hops(), [Asn(2), Asn(9)]);
+    }
+
     #[test]
     fn clear_peer_withdraws_routes_but_keeps_registration() {
         let mut t = fig1_table();
@@ -588,56 +654,14 @@ mod tests {
     }
 
     #[test]
-    fn positional_link_counts_match_fig1() {
-        let t = fig1_table();
-        let counts = t.positional_link_counts(PeerId(2));
-        assert_eq!(counts[&(1, AsLink::new(2, 5))], 30);
-        assert_eq!(counts[&(2, AsLink::new(5, 6))], 30);
-        assert_eq!(counts[&(3, AsLink::new(6, 7))], 10);
-        assert_eq!(counts[&(3, AsLink::new(6, 8))], 10);
-        assert!(!counts.contains_key(&(1, AsLink::new(5, 6))));
-    }
-
-    #[test]
-    fn prefixes_via_links_matches_affected_set() {
-        let t = fig1_table();
-        let affected = t.prefixes_via_links(PeerId(2), &[AsLink::new(5, 6)]);
-        assert_eq!(affected.len(), 30);
-        let only_as8 = t.prefixes_via_links(PeerId(2), &[AsLink::new(6, 8)]);
-        assert_eq!(only_as8.len(), 10);
-        assert!(t
-            .prefixes_via_links(PeerId(2), &[AsLink::new(9, 9)])
-            .is_empty());
-    }
-
-    #[test]
-    fn alternative_avoiding_respects_avoid_list() {
-        let t = fig1_table();
-        // For an AS 6 prefix, avoiding ASes {5, 6} leaves nothing (all alternates
-        // reach AS 6); avoiding only AS 5 leaves the (3 6) route.
-        let pref = p(0);
-        let alt = t
-            .alternative_avoiding(&pref, PeerId(2), &[Asn(5)])
-            .expect("should find (3 6)");
-        assert_eq!(alt.peer, PeerId(3));
-        assert!(t
-            .alternative_avoiding(&pref, PeerId(2), &[Asn(5), Asn(6)])
-            .is_none());
-        // For an AS 7 prefix, avoiding both endpoints of (5,6) still leaves (3 6 7)?
-        // No: that path visits AS 6. Avoiding only AS 5 works.
-        let alt7 = t
-            .alternative_avoiding(&p(10), PeerId(2), &[Asn(5)])
-            .expect("should find (3 6 7)");
-        assert_eq!(alt7.peer, PeerId(3));
-    }
-
-    #[test]
     fn best_route_prefers_shortest_path() {
         let t = fig1_table();
         // For AS 6 prefixes, (3 6) is shorter than (2 5 6).
         assert_eq!(t.best(&p(0)).unwrap().peer, PeerId(3));
         // Excluding peer 3, (2 5 6) and (4 5 6) tie; lowest peer id wins.
-        let excluding = t.alternative_avoiding(&p(0), PeerId(3), &[]);
+        let excluding = (t.candidates(&p(0)))
+            .filter(|r| r.peer != PeerId(3))
+            .max_by(|a, b| a.compare_preference(b));
         assert_eq!(excluding.unwrap().peer, PeerId(2));
         assert_eq!(t.candidates(&p(0)).count(), 3);
     }

@@ -17,17 +17,21 @@
 //! # Data layout
 //!
 //! Every withdrawal of every session runs through here, so the per-event
-//! path is one probe of a packed prefix index (one cache line on a hit)
-//! plus array indexing. Everything is keyed by one of three dense id spaces,
-//! each handed out in first-seen order and never reused:
+//! path is at most one probe of a packed prefix index (one cache line on a
+//! hit) plus array indexing, and none where the event comes resolved
+//! against the routing table (see "Per-event probes" in
+//! [`crate::pipeline`]). Everything is keyed by one of three dense id
+//! spaces, each handed out in first-seen order and never reused:
 //!
-//! * **Prefix ids** (`u32`): `ids` is the one per-event probe, a
-//!   [`PrefixInterner`]. Seeded from a routing table (what
-//!   [`crate::pipeline::session_engines`] does) for a session that holds at
-//!   least half of the table's prefixes — a full feed — it is a clone of
-//!   the table's dictionary: the ids are the table's, and the sealed index
+//! * **Prefix ids** (`u32`): `ids` is a [`PrefixInterner`], probed for an
+//!   event that comes without a usable table id. Seeded from a routing
+//!   table (what [`crate::pipeline::session_engines`] does) for a session
+//!   that holds at least half of the table's prefixes — a full feed — it
+//!   is a clone of the table's dictionary: the ids are the table's, and the
+//!   sealed index
 //!   and the id → prefix list are shared with the table rather than
-//!   copied; a prefix the session announces after the seal gets the next id
+//!   copied, so a table id below the seal (`table_ids`) is taken as it
+//!   comes; a prefix the session announces after the seal gets the next id
 //!   of this session's own part, which means nothing outside it. A smaller
 //!   session keeps a dictionary of its own, numbered in the table's id
 //!   order, as does one seeded from an [`InternedRib`] (in the RIB's
@@ -44,8 +48,13 @@
 //! * **Path ids** ([`PathId`], from the [`PathInterner`]): every distinct AS
 //!   path is stored once; seeding from a table interns each distinct
 //!   attribute set's path once, seeding from an [`InternedRib`] copies its
-//!   interner (one flat record per distinct path). When a path is first seen its *distinct* links are
-//!   resolved to link ids once and appended to one flat arena
+//!   interner (one flat record per distinct path). An announcement
+//!   resolved against the table finds its path through `memo`, keyed by
+//!   the table's attribute-set id and filled on a set's first
+//!   announcement, so it holds only the sets the session's events carried
+//!   and a set seen before is never hashed again; an unresolved one hashes
+//!   its path into the interner. When a path is first seen its *distinct*
+//!   links are resolved to link ids once and appended to one flat arena
 //!   (`path_links`, delimited by `path_end`) — an event then walks a slice of
 //!   that arena instead of re-deriving the links from the hops (a looped
 //!   path repeating a link lists it once, keeping counter increments and
@@ -97,8 +106,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use swift_bgp::{
-    AdjRibIn, AsLink, AsPath, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix,
-    PrefixInterner, PrefixList,
+    AdjRibIn, AsLink, AsPath, AttrId, FoldBuildHasher, InternedRib, PathId, PathInterner, Prefix,
+    PrefixId, PrefixInterner, PrefixList, Resolved, RouteAttributes,
 };
 
 /// Largest candidate-set size scored through the stack-resident source array
@@ -190,8 +199,15 @@ pub struct LinkCounters {
     path_end: Vec<u32>,
     /// The distinct links of every interned path, in path order.
     path_links: Vec<LinkId>,
-    /// Prefix ↔ dense id: the one per-event probe.
+    /// Prefix ↔ dense id: the per-event probe of an unresolved event.
     ids: PrefixInterner,
+    /// Ids below this mean the same prefix in `ids` as in the routing table
+    /// the counters were seeded from: the sealed part of its dictionary,
+    /// which a full feed shares. 0 for a dictionary of their own.
+    table_ids: u32,
+    /// The table's attribute-set id → that set's path here, one entry per
+    /// set an announcement resolved against the table carried.
+    memo: HashMap<AttrId, PathId, FoldBuildHasher>,
     /// Dense id → tracking state.
     state: Vec<SlotState>,
     /// Ids of still-routed prefixes.
@@ -231,6 +247,8 @@ impl Default for LinkCounters {
             path_end: Vec::new(),
             path_links: Vec::new(),
             ids: PrefixInterner::new(),
+            table_ids: 0,
+            memo: HashMap::default(),
             state: Vec::new(),
             routed_bits: IdBitSet::new(),
             withdrawn_bits: IdBitSet::with_capacity(0),
@@ -291,6 +309,7 @@ impl LinkCounters {
         let table = rib.prefix_ids();
         if 2 * routes.len() >= table.len() {
             c.ids = table.clone();
+            c.table_ids = u32::try_from(table.sealed_len()).expect("ids fit in 26 bits");
             c.state = vec![Slot::Gone.into(); table.len()];
             for (id, pid) in routes {
                 c.announce_id(u32::from(id), pid);
@@ -346,12 +365,32 @@ impl LinkCounters {
         start as usize..self.path_end[i] as usize
     }
 
+    /// The table's id of `prefix`, as `resolved` found it, where it is
+    /// below the seal boundary both dictionaries share: then it is the id
+    /// in `ids` too.
+    #[inline]
+    fn table_id(&self, prefix: &Prefix, resolved: Resolved) -> Option<u32> {
+        let id = u32::from(resolved.prefix()?);
+        (id < self.table_ids).then(|| {
+            debug_assert_eq!(self.ids.prefix(PrefixId::from_index(id as usize)), prefix);
+            id
+        })
+    }
+
     /// Registers a withdrawal of `prefix`.
     pub fn on_withdraw(&mut self, prefix: Prefix) {
+        self.on_withdraw_resolved(prefix, Resolved::UNKNOWN);
+    }
+
+    /// [`LinkCounters::on_withdraw`] of an event `resolved` against the
+    /// routing table these counters were seeded from.
+    pub(crate) fn on_withdraw_resolved(&mut self, prefix: Prefix, resolved: Resolved) {
         self.total_withdrawals += 1;
         // Withdrawals for prefixes we never had a route for (BGP noise) still
         // count towards W(t) but touch no link counter.
-        let Some(id) = self.ids.get(&prefix).map(u32::from) else {
+        let id =
+            (self.table_id(&prefix, resolved)).or_else(|| self.ids.get(&prefix).map(u32::from));
+        let Some(id) = id else {
             return;
         };
         let Slot::Routed(pid) = self.state[id as usize].get() else {
@@ -373,9 +412,46 @@ impl LinkCounters {
     /// Registers a re-announcement of `prefix` with `new_path`, interning the
     /// path by reference (it is cloned only the first time it is ever seen).
     pub fn on_announce_path(&mut self, prefix: Prefix, new_path: &AsPath) {
-        let pid = self.interner.intern(new_path);
-        self.index_new_paths();
+        let pid = self.intern_path(new_path);
         self.announce_interned(prefix, pid);
+    }
+
+    /// Registers an announcement of `prefix` with `attrs`, `resolved`
+    /// against the routing table these counters were seeded from: a set
+    /// seen before finds its path in `memo`, unhashed, and a prefix below
+    /// the seal boundary takes the table's id, unprobed.
+    pub(crate) fn on_announce_resolved(
+        &mut self,
+        prefix: Prefix,
+        attrs: &RouteAttributes,
+        resolved: Resolved,
+    ) {
+        let pid = match resolved.attrs() {
+            Some(set) => match self.memo.get(&set) {
+                Some(&pid) => {
+                    debug_assert_eq!(self.interner.get(pid), &attrs.as_path, "memoised path");
+                    pid
+                }
+                None => {
+                    let pid = self.intern_path(&attrs.as_path);
+                    self.memo.insert(set, pid);
+                    pid
+                }
+            },
+            None => self.intern_path(&attrs.as_path),
+        };
+        match self.table_id(&prefix, resolved) {
+            Some(id) => self.announce_id(id, pid),
+            None => self.announce_interned(prefix, pid),
+        }
+    }
+
+    /// Interns `path`, by reference (it is cloned only the first time it is
+    /// ever seen), and indexes its links if it is new.
+    fn intern_path(&mut self, path: &AsPath) -> PathId {
+        let pid = self.interner.intern(path);
+        self.index_new_paths();
+        pid
     }
 
     /// Announce handler over an already-interned path: interns the prefix

@@ -63,7 +63,7 @@ use crate::inference::burst_detect::{BurstDetector, BurstEvent};
 use crate::inference::counters::LinkCounters;
 use crate::inference::fit_score::{LinkRanker, Score};
 use crate::inference::predictor::{predict, Prediction};
-use swift_bgp::{AdjRibIn, AsPath, ElementaryEvent, InternedRib, Prefix, Timestamp};
+use swift_bgp::{AdjRibIn, AsPath, ElementaryEvent, InternedRib, Prefix, Resolved, Timestamp};
 
 /// An accepted inference: the output SWIFT acts upon.
 #[derive(Debug, Clone)]
@@ -199,20 +199,31 @@ impl InferenceEngine {
     /// Processes one per-prefix event. Returns the accepted inference if this
     /// event triggered one.
     pub fn process(&mut self, event: &ElementaryEvent) -> (EngineStatus, Option<InferenceResult>) {
+        self.process_resolved(event, Resolved::UNKNOWN)
+    }
+
+    /// [`InferenceEngine::process`] of an event `resolved` against the
+    /// routing table the engine was seeded from (see
+    /// [`crate::pipeline::SessionEngine::accept`]).
+    pub(crate) fn process_resolved(
+        &mut self,
+        event: &ElementaryEvent,
+        resolved: Resolved,
+    ) -> (EngineStatus, Option<InferenceResult>) {
         match event {
             ElementaryEvent::Announce {
                 timestamp,
                 prefix,
                 attrs,
             } => {
-                self.counters.on_announce_path(*prefix, &attrs.as_path);
+                self.counters.on_announce_resolved(*prefix, attrs, resolved);
                 if self.detector.on_tick(*timestamp) {
                     self.reset_burst_state();
                 }
                 (self.idle_status(), None)
             }
             ElementaryEvent::Withdraw { timestamp, prefix } => {
-                self.counters.on_withdraw(*prefix);
+                self.counters.on_withdraw_resolved(*prefix, resolved);
                 match self.detector.on_withdrawal(*timestamp, *prefix) {
                     BurstEvent::None => (EngineStatus::Idle, None),
                     BurstEvent::Ended => {

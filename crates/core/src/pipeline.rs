@@ -24,9 +24,10 @@
 //! install a reroute (§3: SWIFT exists because per-event FIB maintenance
 //! cannot keep up during a burst). So the applier buffers events, and
 //! [`Applier::sync_rib`], the one fold path, folds the buffer into the table
-//! through [`RoutingTable::apply_all`], whose batches overlap the events'
-//! dictionary misses. It folds whenever a full batch of
-//! [`RoutingTable::APPLY_BATCH`] events is buffered, and at every sync point:
+//! through [`RoutingTable::apply_all`], with the ids each event was
+//! resolved to where it entered (see "Per-event probes"). It folds
+//! whenever a full batch of [`RoutingTable::APPLY_BATCH`] events is
+//! buffered, and at every sync point:
 //! a resync, a session registration or teardown, and every reader that needs
 //! the current mirror ([`Applier::unsafe_reroutes`]). So at most
 //! `APPLY_BATCH - 1` events wait for a sync point, and a resync never pays
@@ -37,8 +38,8 @@
 //!
 //! Whichever path folds an event, the prefix whose routes it changed is
 //! marked dirty for the next resync's stage-1 retag. The set is keyed by the
-//! routing table's [`PrefixId`] — the id the fold hands back from the probe
-//! it makes anyway — as an id list plus a seen-bitmap (the crate's shared
+//! routing table's [`PrefixId`] — the id the fold hands back from the
+//! lookup made anyway — as an id list plus a seen-bitmap (the crate's shared
 //! `DirtySet`), so marking is an array write. An event that changed nothing
 //! (unregistered peer, withdrawal of a route the peer does not hold) returns
 //! no id and marks nothing.
@@ -53,19 +54,36 @@
 //! way; a teardown retags the dirty ids too (without draining them), since
 //! their tags may still name the departed peer.
 //!
-//! The dictionary is probed only where a *prefix* comes in from outside:
-//! once per event by the mirror, once per event by the session's engine, and
-//! once per by-prefix read ([`Applier::forwarding_next_hop`]). For the full
-//! feeds it is one dictionary: the table given to `SwiftRouter` or the
-//! runtime is sealed ([`RoutingTable::seal`]), the mirror is that table, and
-//! the engine of each session holding at least half of the table's prefixes
-//! holds a clone of its dictionary ([`session_engines`]), so the index and
-//! the id → prefix list exist once for every prefix known at the seal. A
-//! prefix first seen after it is interned by the mirror and by its session's
-//! engine each in a private part, under ids that may differ: nothing passes
-//! an id from an engine to the applier (a reroute installs by link). A
-//! smaller session's engine keeps a dictionary of its own, whose probe stays
-//! within an index sized for that session.
+//! # Per-event probes
+//!
+//! An event is looked up once, where it enters: `SwiftRouter` resolves it
+//! against the routing table ([`RoutingTable::resolve`]: the prefix's
+//! [`PrefixId`] and, for an announcement, the attribute set's id, looked
+//! up, never interned) and hands the same [`Resolved`] to the session's
+//! engine ([`SessionEngine::accept`]) and to the RIB mirror, which buffers
+//! it with the event and folds with it. The table given to `SwiftRouter`
+//! or the runtime is sealed ([`RoutingTable::seal`]), and the engine of
+//! each session holding at least half of the table's prefixes holds a
+//! clone of its dictionary ([`session_engines`]), so for these full feeds
+//! the index and the id → prefix list exist once for every prefix known at
+//! the seal, and an id below the seal is the engine's id too: the engine
+//! takes it unprobed. Every engine maps the table's attribute-set ids to
+//! its own path ids through a memo, filled the first time an announcement
+//! carries a set, so a set seen before is never hashed again.
+//!
+//! What was not found is probed where it is needed. A prefix first seen
+//! after the seal is interned by the mirror and by its session's engine
+//! each in a private part, under ids that may differ, so an engine never
+//! takes a resolved id at or above the seal: nothing passes an id from an
+//! engine to the applier (a reroute installs by link). A smaller session's
+//! engine keeps a dictionary of its own and probes it, within an index
+//! sized for that session. The mirror's fold resolves again only the
+//! events that arrive unresolved: the sharded runtime's, whose shard
+//! workers pass [`Resolved::UNKNOWN`] and whose applier keeps the batched
+//! probes (see "Applying a batch" in [`RoutingTable`]'s module), and an
+//! event whose prefix or set an earlier event still waiting in the buffer
+//! announces. A by-prefix read ([`Applier::forwarding_next_hop`]) probes
+//! once.
 
 use crate::config::SwiftConfig;
 use crate::dirty::DirtySet;
@@ -74,8 +92,8 @@ use crate::inference::{EngineStatus, InferenceEngine, InferenceResult, KernelSta
 use crate::router::RerouteAction;
 use std::collections::BTreeMap;
 use swift_bgp::{
-    AsLink, Asn, ElementaryEvent, InternedRib, PeerId, Prefix, PrefixId, PrefixSet, Route,
-    RoutingTable,
+    AsLink, Asn, ElementaryEvent, InternedRib, PeerId, Prefix, PrefixId, PrefixSet, Resolved,
+    Route, RoutingTable,
 };
 
 /// One BGP session's inference half: the per-session state a worker shard
@@ -130,13 +148,23 @@ impl SessionEngine {
     /// process it, drain the engine's [`KernelStats`] into `stats` if the
     /// event made an inference attempt (the only place kernels run), and
     /// return the inference only if this event's attempt was accepted.
+    ///
+    /// `resolved` is what [`RoutingTable::resolve`] found of the event, or
+    /// [`Resolved::UNKNOWN`]. Every value one engine is handed must come
+    /// from one table — for an engine from [`session_engines`], the table
+    /// it was seeded from or one clone of it — as the attribute-set ids it
+    /// memoises are that table's. An engine that shares the table's sealed
+    /// dictionary takes a prefix id below the seal as its own, and every
+    /// engine finds the path of an attribute set it has seen without
+    /// hashing it (see "Per-event probes").
     #[inline]
     pub fn accept(
         &mut self,
         event: &ElementaryEvent,
+        resolved: Resolved,
         stats: &mut KernelStats,
     ) -> Option<InferenceResult> {
-        let (status, result) = self.engine.process(event);
+        let (status, result) = self.engine.process_resolved(event, resolved);
         match status {
             EngineStatus::Accepted => {
                 stats.merge(&self.engine.take_kernel_stats());
@@ -192,8 +220,9 @@ pub struct Applier {
     /// whose inference installed them (so a session teardown can remove just
     /// that session's rules).
     outstanding: Vec<(PeerId, RerouteId)>,
-    /// Events not yet folded into `table`; sized for one batch.
-    pending: Vec<(PeerId, ElementaryEvent)>,
+    /// Events not yet folded into `table`, each with what was resolved of
+    /// it where it entered; sized for one batch.
+    pending: Vec<(PeerId, ElementaryEvent, Resolved)>,
 }
 
 impl Applier {
@@ -278,7 +307,20 @@ impl Applier {
     /// [`Applier::note_event`] taking the event by value — lets callers that
     /// own their events (the runtimes) buffer them without a clone.
     pub fn note_event_owned(&mut self, peer: PeerId, event: ElementaryEvent) {
-        self.pending.push((peer, event));
+        self.note_resolved(peer, event, Resolved::UNKNOWN);
+    }
+
+    /// [`Applier::note_event_owned`] of an event already resolved against
+    /// [`Applier::table`]: the fold reuses the ids found and probes only
+    /// for what was not.
+    #[inline]
+    pub(crate) fn note_resolved(
+        &mut self,
+        peer: PeerId,
+        event: ElementaryEvent,
+        resolved: Resolved,
+    ) {
+        self.pending.push((peer, event, resolved));
         if self.pending.len() >= RoutingTable::APPLY_BATCH {
             self.sync_rib();
         }

@@ -107,9 +107,13 @@ impl SwiftRouter {
     }
 
     /// Processes one per-prefix event received on the session with `peer`.
-    /// The event is taken by value: an announcement's attributes move into
-    /// the routing table uncloned. Events of a session without an engine
-    /// (unknown, or torn down) only update the routing table.
+    /// The event is resolved against the routing table once
+    /// ([`RoutingTable::resolve`]), and the session's engine and the RIB
+    /// mirror both reuse the ids found (see "Per-event probes" in
+    /// [`crate::pipeline`]). It is taken by value: an announcement's
+    /// attributes move into the routing table uncloned. Events of a session
+    /// without an engine (unknown, or torn down) only update the routing
+    /// table.
     ///
     /// Returns the reroute action if this event triggered an accepted
     /// inference. Events arriving after the burst's inference was accepted
@@ -123,9 +127,10 @@ impl SwiftRouter {
         // teardown changes, so it does not care which side of the routing
         // table update (buffered, not a FIB rebuild: see
         // `resync_after_convergence`) it runs on.
+        let resolved = self.applier.table().resolve(&event);
         let accepted = (self.engines.get_mut(&peer))
-            .and_then(|engine| engine.accept(&event, &mut self.kernel_stats));
-        self.applier.note_event_owned(peer, event);
+            .and_then(|engine| engine.accept(&event, resolved, &mut self.kernel_stats));
+        self.applier.note_resolved(peer, event, resolved);
         accepted.map(|result| self.applier.apply_inference(peer, &result))
     }
 

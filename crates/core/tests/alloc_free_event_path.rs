@@ -13,6 +13,11 @@
 //!   fold, ranking and the top link's crossing count); not one that opens or
 //!   closes a burst (`start_burst` re-seeds the counters, the close drops the
 //!   accepted result) and not the accepting one (below);
+//! * **the inline runtime's per-event path** — every
+//!   [`SwiftRouter::handle_event`] of the same cycle, which resolves the
+//!   event once and hands the ids to the engine (its attribute-set memo
+//!   grown to the sets the cycle restores) and to the RIB mirror, set aside
+//!   as above, plus the sync point folding each phase's last batch;
 //! * **its parts, one by one** — [`LinkCounters`]' withdrawal and
 //!   announcement handlers with the [`LinkRanker`] fold of their dirty links
 //!   after every event, and the RIB mirror's [`RoutingTable::apply_owned`]
@@ -65,7 +70,7 @@ use swift_core::inference::{
     KernelStats, LinkCounters, LinkRanker, ScoreScratch,
 };
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
-use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig, TwoStageTable};
+use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig, SwiftRouter, TwoStageTable};
 
 thread_local! {
     // Const-initialised and without destructors: reading them never
@@ -356,6 +361,68 @@ fn the_per_event_path_never_calls_the_allocator() {
     assert_eq!(long.turned_down, short.turned_down);
     assert_eq!(long.applier, (0, withdrawn as u64), "{long:?}");
     assert_eq!(long.engine, (0, 0), "{long:?}");
+}
+
+/// The inline runtime's composition of the same cycle: every
+/// [`SwiftRouter::handle_event`] — the event resolved once against the
+/// routing table, its ids handed to the engine and to the RIB mirror — and
+/// the sync point that folds each phase's last, partial batch. Set aside
+/// are the calls that open or close a burst or make an attempt that runs
+/// the greedy chain, as in [`replay`].
+#[test]
+fn the_inline_runtime_per_event_path_never_calls_the_allocator() {
+    let withdrawn = failed_prefixes().len();
+    for tail in TAILS {
+        let label = format!("{}-hop paths", 4 + tail.len());
+        let table = table(tail);
+        let mut router = SwiftRouter::new(config(), table.clone(), ReroutingPolicy::allow_all());
+        let state = |r: &SwiftRouter| {
+            let engine = r.engine(PRIMARY).expect("primary session");
+            (engine.in_burst(), engine.attempts())
+        };
+        let mut seen = ((0, 0), 0, 0, 0);
+        // The first cycle grows every buffer and fills the engine's
+        // attribute-set memo with the sets the recovery restores; the
+        // second is measured.
+        for start in [SECOND, 900 * SECOND] {
+            // Built before any counting: an event owns its attributes.
+            let (burst, recovery) = cycle(&table, start);
+            let (mut calls, mut watched, mut set_aside, mut turned_down) = ((0, 0), 0, 0, 0);
+            for events in [burst, recovery] {
+                for event in events {
+                    let before = state(&router);
+                    let (action, Asked { calls: c, .. }) =
+                        watch(|| router.handle_event(PRIMARY, event));
+                    let ran_no_kernel = router.take_kernel_stats().is_zero();
+                    let after = state(&router);
+                    let declined = action.is_none() && ran_no_kernel && after.1 != before.1;
+                    if after.0 == before.0 && action.is_none() && (after.1 == before.1 || declined)
+                    {
+                        calls = (calls.0 + c.0, calls.1 + c.1);
+                        watched += 1;
+                        turned_down += usize::from(declined);
+                    } else {
+                        set_aside += 1;
+                    }
+                }
+                let (_, Asked { calls: c, .. }) = watch(|| router.routing_table().id_count());
+                calls = (calls.0 + c.0, calls.1 + c.1);
+                // Removes the burst's reroute (which allocates), then
+                // retags: not watched.
+                router.resync_after_convergence();
+            }
+            assert_eq!(watched + set_aside, 2 * withdrawn, "{label}");
+            seen = (calls, watched, set_aside, turned_down);
+        }
+        assert_eq!(router.actions().len(), 2, "{label}: one reroute per cycle");
+        let (calls, _, set_aside, turned_down) = seen;
+        assert_eq!((set_aside, turned_down), (3, 1), "{label}: {seen:?}");
+        // Nine hops spill: the announcement restoring a route frees the
+        // event's block (the dictionary holds the set already), nothing
+        // more; the engine finds the set's path in its memo.
+        let restored = if tail.is_empty() { 0 } else { withdrawn as u64 };
+        assert_eq!(calls, (0, restored), "{label}: {seen:?}");
+    }
 }
 
 #[test]

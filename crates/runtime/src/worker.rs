@@ -20,7 +20,7 @@ use crate::sync::QueueDepth;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::time::{Duration, Instant};
-use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route};
+use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Resolved, Route};
 use swift_core::inference::{InferenceResult, KernelStats};
 use swift_core::pipeline::{Applier, SessionEngine};
 use swift_telemetry::{Counter, Gauge, LogHistogram, Registry, StageHistograms, TraceStamp};
@@ -316,8 +316,9 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     // Unknown session: no engine, but the event still
                     // reaches the applier's routing table — exactly the
                     // single-threaded router's behaviour.
-                    let result = (engines.get_mut(&peer))
-                        .and_then(|engine| engine.accept(&event, &mut kernel_stats));
+                    let result = (engines.get_mut(&peer)).and_then(|engine| {
+                        engine.accept(&event, Resolved::UNKNOWN, &mut kernel_stats)
+                    });
                     if let Some(stamp) = trace.as_mut() {
                         stages.inference.record(stamp.advance(clock.precise()));
                     }

@@ -11,8 +11,11 @@
 //!   of it (what a router or a runtime given the table keeps), which shares
 //!   the sealed prefix dictionary's index and list;
 //! * `session_engines` — the per-session inference engines seeded from it,
-//!   in all and one by one (what dropping each engine frees: the shared
-//!   dictionary stays with the table);
+//!   then what a warm recovery adds to them (every route re-announced as a
+//!   recovery restores it, resolved against the table as `SwiftRouter`
+//!   resolves each event: each engine's attribute-set memo grows to the sets
+//!   its session carries), and one by one after it (what dropping each
+//!   engine frees: the shared dictionary stays with the table);
 //! * `TwoStageTable::build` — the forwarding table;
 //! * `SwiftRouter::new` over a clone — all of the above in one router.
 //!
@@ -27,7 +30,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use swift::bgp::ElementaryEvent;
 use swift::core::encoding::ReroutingPolicy;
+use swift::core::inference::KernelStats;
 use swift::core::pipeline::session_engines;
 use swift::core::TwoStageTable;
 use swift::traces::{MultiSessionConfig, MultiSessionTrace};
@@ -105,7 +110,21 @@ fn main() {
     );
 
     let (clone, clone_bytes) = kept(|| table.clone());
-    let (engines, engine_bytes) = kept(|| session_engines(&config, &table));
+    let (mut engines, engine_bytes) = kept(|| session_engines(&config, &table));
+    let ((), recovery_bytes) = kept(|| {
+        let mut stats = KernelStats::default();
+        for (peer, engine) in &mut engines {
+            let rib = table.adj_rib_in(*peer).expect("listed peer");
+            for (prefix, route) in rib.views() {
+                let event = ElementaryEvent::Announce {
+                    timestamp: 0,
+                    prefix: *prefix,
+                    attrs: route.attrs.clone(),
+                };
+                engine.accept(&event, table.resolve(&event), &mut stats);
+            }
+        }
+    });
     let (forwarding, forwarding_bytes) =
         kept(|| TwoStageTable::build(&table, &config.encoding, &policy));
     let (router, router_bytes) = kept(|| SwiftRouter::new(config.clone(), clone.clone(), policy));
@@ -131,6 +150,7 @@ fn main() {
         ("RoutingTable (generated, sealed)".to_string(), table_bytes),
         ("RoutingTable::clone".to_string(), clone_bytes),
         ("session_engines".to_string(), engine_bytes),
+        ("  + a warm recovery (memos)".to_string(), recovery_bytes),
     ]
     .into_iter()
     .chain(per_engine)
