@@ -3,8 +3,8 @@
 //! The SWIFT paper's measurement and evaluation artefacts as records
 //! ([`eval`], driven by `swift-bench eval [artefact…]` and pinned by
 //! `tests/eval.rs`) and the per-burst inference evaluation they share. The
-//! Criterion benches in `benches/` measure the hot paths of the
-//! implementation itself.
+//! implementation's own speed is measured end to end by the repo benchmark
+//! (`benchmark/`), whose `--trace 1` metrics time each layer.
 
 pub mod eval;
 

@@ -15,7 +15,7 @@
 use crate::collector::{CapturedMessage, GroundTruthBurst};
 use crate::speaker::{ExportAction, OriginIdx, Speaker};
 use std::collections::{BTreeMap, VecDeque};
-use swift_bgp::{AsLink, AsPath, Asn, PeerId, Prefix, Route, RouteAttributes, RoutingTable};
+use swift_bgp::{AsLink, AsPath, Asn, PeerId, Route, RouteAttributes, RoutingTable};
 use swift_topology::Topology;
 
 /// A control-plane message in flight between two adjacent speakers.
@@ -231,29 +231,6 @@ impl Engine {
         table
     }
 
-    /// Convenience: the prefixes whose best path at `vantage` via `neighbor`
-    /// crosses `link` before any failure (used as an "affected set" oracle).
-    pub fn prefixes_via_link(&self, vantage: Asn, neighbor: Asn, link: &AsLink) -> Vec<Prefix> {
-        let Some(speaker) = self.speakers.get(&vantage) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (idx, state) in speaker.origins.iter().enumerate() {
-            if let Some(path) = state.rib_in.get(&neighbor) {
-                let full = path.clone();
-                if full.crosses_link_undirected(link) {
-                    out.extend(
-                        self.topology
-                            .originated_prefixes(self.origin_ases[idx])
-                            .iter()
-                            .copied(),
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// All origin ASes, in dense-index order.
     pub fn origin_ases(&self) -> &[Asn] {
         &self.origin_ases
@@ -368,18 +345,6 @@ mod tests {
         assert_eq!(burst.withdrawn_origins(), [Asn(8)].into_iter().collect());
         assert!(e.reachable(Asn(1), Asn(7)));
         assert!(!e.reachable(Asn(1), Asn(8)));
-    }
-
-    #[test]
-    fn prefixes_via_link_matches_topology_counts() {
-        let e = fig1_engine();
-        let via = e.prefixes_via_link(Asn(1), Asn(2), &AsLink::new(5, 6));
-        // AS 6 (10) + AS 7 (20) + AS 8 (20) prefixes cross (5,6) on session
-        // (1,2), and so do AS 3's 10 prefixes: AS 2 only knows AS 3 through its
-        // provider AS 5, i.e. via the path (2 5 6 3).
-        assert_eq!(via.len(), 60);
-        let via68 = e.prefixes_via_link(Asn(1), Asn(2), &AsLink::new(6, 8));
-        assert_eq!(via68.len(), 20);
     }
 
     #[test]

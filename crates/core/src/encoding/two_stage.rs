@@ -56,9 +56,9 @@
 //!    (2-vCPU x86-64), it costs ~45 ns per id beside phase 1's ~50; with
 //!    ordered-map lookups and offsets summed per access it cost ~105.
 //!
-//! B = 16: on `bench_applier`'s `resync/*` tables (2-vCPU x86-64) 8 was
-//! slower and 32 no faster. K = 8 holds a prefix announced by eight peers;
-//! one with more is computed from a second walk
+//! B = 16: on a two-peer 1 M and a 12-session 240 k table (2-vCPU x86-64)
+//! 8 was slower and 32 no faster. K = 8 holds a prefix announced by eight
+//! peers; one with more is computed from a second walk
 //! ([`RoutingTable::candidates_by_id`]). Both keep peer order, so the tags
 //! are those of a one-id-at-a-time retag.
 //!

@@ -247,21 +247,6 @@ impl InferenceEngine {
         }
     }
 
-    /// Processes a whole stream of events, returning every accepted inference
-    /// (at most one per burst) in order.
-    pub fn process_all<'a, I>(&mut self, events: I) -> Vec<InferenceResult>
-    where
-        I: IntoIterator<Item = &'a ElementaryEvent>,
-    {
-        let mut results = Vec::new();
-        for ev in events {
-            if let (_, Some(res)) = self.process(ev) {
-                results.push(res);
-            }
-        }
-        results
-    }
-
     /// Forces an inference with the current counters, bypassing burst
     /// detection and the history model (used to evaluate "end of burst"
     /// accuracy, Theorem 4.1).
@@ -394,6 +379,17 @@ mod tests {
         }
     }
 
+    /// Processes a whole stream of events, returning every accepted inference
+    /// (at most one per burst) in order.
+    fn process_all(
+        engine: &mut InferenceEngine,
+        events: &[ElementaryEvent],
+    ) -> Vec<InferenceResult> {
+        (events.iter())
+            .filter_map(|event| engine.process(event).1)
+            .collect()
+    }
+
     fn withdraw_events(count: u32, gap: Timestamp) -> Vec<ElementaryEvent> {
         (0..count)
             .map(|i| ElementaryEvent::Withdraw {
@@ -425,7 +421,7 @@ mod tests {
         let table = rib(700);
         let mut engine = InferenceEngine::new(small_config(), table.iter().map(|(a, b)| (a, b)));
         let events = withdraw_events(400, 10_000); // 10 ms apart → clearly a burst
-        let results = engine.process_all(events.iter());
+        let results = process_all(&mut engine, &events);
         assert_eq!(results.len(), 1, "exactly one accepted inference per burst");
         let res = &results[0];
         assert_eq!(res.withdrawals_seen, 200, "accepted at the first trigger");
@@ -515,7 +511,7 @@ mod tests {
         };
         let mut engine = InferenceEngine::new(config, table.iter().map(|(a, b)| (a, b)));
         let events = withdraw_events(400, 10_000);
-        let results = engine.process_all(events.iter());
+        let results = process_all(&mut engine, &events);
         assert_eq!(results.len(), 1);
         assert!(results[0].withdrawals_seen <= 250);
     }
@@ -665,7 +661,7 @@ mod tests {
         let table = rib(700);
         let mut engine = InferenceEngine::new(small_config(), table.iter().map(|(a, b)| (a, b)));
         let events = withdraw_events(700, 10_000);
-        let results = engine.process_all(events.iter());
+        let results = process_all(&mut engine, &events);
         assert_eq!(results.len(), 1);
         assert_eq!(engine.attempts(), 1);
     }
@@ -774,7 +770,7 @@ mod tests {
                 prefix: p(300 + i),
             });
         }
-        let results = engine.process_all(events.iter());
+        let results = process_all(&mut engine, &events);
         assert_eq!(results.len(), 2);
         assert!(results[0].links.links.contains(&AsLink::new(5, 6)));
         let second = &results[1];
@@ -801,8 +797,8 @@ mod tests {
         let mut a = InferenceEngine::new(small_config(), table.iter().map(|(x, y)| (x, y)));
         let mut b = InferenceEngine::from_interned(small_config(), &interned);
         let events = withdraw_events(400, 10_000);
-        let ra = a.process_all(events.iter());
-        let rb = b.process_all(events.iter());
+        let ra = process_all(&mut a, &events);
+        let rb = process_all(&mut b, &events);
         assert_eq!(ra.len(), rb.len());
         assert_eq!(ra[0].links.links, rb[0].links.links);
         assert_eq!(ra[0].withdrawals_seen, rb[0].withdrawals_seen);

@@ -1,8 +1,7 @@
 //! The reference model of SWIFT's inference and resync, written from the
 //! paper's definitions against the public API only. The library's fused,
 //! indexed and incremental paths are tested against it; it is shared by
-//! every test that needs it (`mod reference;`) and by `bench_inference`,
-//! which measures the fused path against its scans.
+//! every test that needs it (`mod reference;`).
 //!
 //! * **RIB.** A `BTreeMap<Prefix, (AsPath, withdrawn)>`: a withdrawn prefix
 //!   keeps the path it had, for `W(S)` and the prediction.

@@ -134,8 +134,8 @@ pub struct RuntimeConfig {
     /// event carries a [`swift_telemetry::TraceStamp`] through
     /// ingest → shard → applier, populating the per-stage histograms of
     /// [`RuntimeMetrics::stages`]. Rounded down to a power of two; `0`
-    /// disables tracing. `bench_telemetry` measures what the default
-    /// 1-in-1024 costs on the ingest dispatch loop.
+    /// disables tracing. The repo benchmark's `trace.overhead` records what
+    /// the default 1-in-1024 costs end to end.
     pub trace_sample_interval: usize,
 }
 

@@ -174,14 +174,6 @@ impl Topology {
         self.origins.iter().map(|(a, p)| (*a, p.as_slice()))
     }
 
-    /// The AS that originates `prefix`, if any.
-    pub fn origin_of(&self, prefix: &Prefix) -> Option<Asn> {
-        self.origins
-            .iter()
-            .find(|(_, ps)| ps.contains(prefix))
-            .map(|(a, _)| *a)
-    }
-
     /// Total number of originated prefixes.
     pub fn total_prefixes(&self) -> usize {
         self.origins.values().map(Vec::len).sum()
@@ -248,17 +240,6 @@ mod tests {
         assert_eq!(t.originated_prefixes(Asn(6)).len(), 1_000);
         assert_eq!(t.originated_prefixes(Asn(7)).len(), 10_000);
         assert_eq!(t.originated_prefixes(Asn(8)).len(), 10_000);
-    }
-
-    #[test]
-    fn origin_of_lookup() {
-        let t = Topology::figure1_with_counts(5, 5, 5);
-        let p6 = t.originated_prefixes(Asn(6))[0];
-        assert_eq!(t.origin_of(&p6), Some(Asn(6)));
-        assert_eq!(
-            t.origin_of(&Prefix::nth_slash24(9_999_999 % 1000 + 100000)),
-            None
-        );
     }
 
     #[test]

@@ -36,21 +36,6 @@ impl AsGraph {
         new1 || new2
     }
 
-    /// Removes an undirected edge. Returns `true` if it existed.
-    pub fn remove_edge(&mut self, a: Asn, b: Asn) -> bool {
-        let r1 = self
-            .adjacency
-            .get_mut(&a)
-            .map(|s| s.remove(&b))
-            .unwrap_or(false);
-        let r2 = self
-            .adjacency
-            .get_mut(&b)
-            .map(|s| s.remove(&a))
-            .unwrap_or(false);
-        r1 || r2
-    }
-
     /// Returns `true` if the node exists.
     pub fn has_node(&self, asn: Asn) -> bool {
         self.adjacency.contains_key(&asn)
@@ -183,15 +168,6 @@ impl AsGraph {
         }
         components
     }
-
-    /// The degree distribution as (degree, node count) pairs sorted by degree.
-    pub fn degree_histogram(&self) -> Vec<(usize, usize)> {
-        let mut hist: BTreeMap<usize, usize> = BTreeMap::new();
-        for n in self.nodes() {
-            *hist.entry(self.degree(n)).or_insert(0) += 1;
-        }
-        hist.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -219,10 +195,6 @@ mod tests {
         assert!(g.has_edge(asn(1), asn(2)));
         assert!(g.has_edge(asn(2), asn(1)));
         assert_eq!(g.edge_count(), 1);
-        assert!(g.remove_edge(asn(1), asn(2)));
-        assert!(!g.remove_edge(asn(1), asn(2)));
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.has_node(asn(1)), "nodes survive edge removal");
     }
 
     #[test]
@@ -297,11 +269,5 @@ mod tests {
         assert_eq!(order[0], asn(1));
         assert_eq!(order[1], asn(2));
         assert_eq!(*order.last().unwrap(), asn(4));
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let g = triangle();
-        assert_eq!(g.degree_histogram(), vec![(2, 3)]);
     }
 }

@@ -2,7 +2,7 @@
 # Non-test lines of Rust per crate and in total, the way ROADMAP counts them:
 # every `.rs` file under `crates/*/src` and the umbrella crate's `src/`,
 # counted up to (not including) its first line that starts with
-# `#[cfg(test)]`. Integration tests, benches, examples, vendor shims and the
+# `#[cfg(test)]`. Integration tests, examples, vendor shims and the
 # separate `benchmark/` package are not counted.
 #
 #   scripts/loc.sh
