@@ -18,8 +18,8 @@
 //!   feeds' inference engines share) and a table-wide attribute dictionary;
 //!   routes are read as [`RouteRef`] views. The id → prefix [`PrefixList`]
 //!   is chunked and shared by clones and snapshots.
-//! * [`MessageStream`] and [`Session`] — timestamped per-session message streams,
-//!   the exact input shape of the SWIFT inference algorithm (§4 of the paper).
+//! * [`MessageStream`] — a timestamped per-session message stream, the
+//!   exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
 //!   dense [`PathId`]s, the seeding format of the inference hot path.
 //!
@@ -43,7 +43,7 @@ pub use interner::{InternedRib, PathId, PathInterner};
 pub use message::{BgpMessage, ElementaryEvent, MessageKind};
 pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};
 pub use rib::{AdjRibIn, PrefixId, PrefixInterner, PrefixList, Route, RouteRef};
-pub use session::{MessageStream, PeerId, Session, SessionId};
+pub use session::{MessageStream, PeerId};
 pub use table::{Resolved, RoutingTable};
 
 /// Virtual time in microseconds since the start of a trace or simulation.

@@ -1,11 +1,10 @@
-//! BGP peering sessions and timestamped message streams.
+//! Peer identifiers and timestamped per-session message streams.
 //!
 //! The SWIFT inference algorithm runs *per BGP session* (§4.1): each session's
 //! message stream is analysed independently, which also enables parallelism.
 //! [`MessageStream`] is an always-time-ordered sequence of [`BgpMessage`]s and
 //! offers the windowed withdrawal counting that burst detection builds on.
 
-use crate::as_path::Asn;
 use crate::message::{BgpMessage, ElementaryEvent};
 use crate::Timestamp;
 use std::fmt;
@@ -23,23 +22,6 @@ impl fmt::Display for PeerId {
 impl From<u32> for PeerId {
     fn from(v: u32) -> Self {
         PeerId(v)
-    }
-}
-
-/// Identifier of a BGP session. One peer maintains exactly one session in this
-/// model, but the two identifiers are kept distinct for clarity at call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SessionId(pub u32);
-
-impl fmt::Display for SessionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "session{}", self.0)
-    }
-}
-
-impl From<u32> for SessionId {
-    fn from(v: u32) -> Self {
-        SessionId(v)
     }
 }
 
@@ -143,50 +125,11 @@ impl MessageStream {
         all.extend_from_slice(&other.messages);
         MessageStream::from_messages(all)
     }
-
-    /// Returns the sub-stream of messages with timestamps in `[from, to)`.
-    pub fn slice(&self, from: Timestamp, to: Timestamp) -> MessageStream {
-        let lo = self.messages.partition_point(|m| m.timestamp < from);
-        let hi = self.messages.partition_point(|m| m.timestamp < to);
-        MessageStream {
-            messages: self.messages[lo..hi].to_vec(),
-        }
-    }
 }
 
 impl FromIterator<BgpMessage> for MessageStream {
     fn from_iter<T: IntoIterator<Item = BgpMessage>>(iter: T) -> Self {
         MessageStream::from_messages(iter.into_iter().collect())
-    }
-}
-
-/// A BGP session: the remote peer's identity plus the messages received on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Session {
-    /// Session identifier.
-    pub id: SessionId,
-    /// The neighbouring peer.
-    pub peer: PeerId,
-    /// The AS number of the neighbouring peer.
-    pub peer_asn: Asn,
-    /// Messages received on this session, time-ordered.
-    pub stream: MessageStream,
-}
-
-impl Session {
-    /// Creates an empty session.
-    pub fn new(id: SessionId, peer: PeerId, peer_asn: Asn) -> Self {
-        Session {
-            id,
-            peer,
-            peer_asn,
-            stream: MessageStream::new(),
-        }
-    }
-
-    /// Appends a received message.
-    pub fn receive(&mut self, msg: BgpMessage) {
-        self.stream.push(msg);
     }
 }
 
@@ -246,32 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn slice_is_half_open() {
-        let s: MessageStream = (0..10u64).map(|t| wd(t, t as u32)).collect();
-        let sub = s.slice(2, 5);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.start(), Some(2));
-        assert_eq!(sub.end(), Some(4));
-    }
-
-    #[test]
     fn elementary_event_iteration() {
         let s: MessageStream = vec![wd(1, 1), ann(2, 2)].into_iter().collect();
         let ev: Vec<_> = s.elementary_events().collect();
         assert_eq!(ev.len(), 2);
         assert!(ev[0].is_withdraw());
         assert!(!ev[1].is_withdraw());
-    }
-
-    #[test]
-    fn session_receive() {
-        let mut sess = Session::new(SessionId(1), PeerId(7), Asn(65001));
-        sess.receive(wd(5, 1));
-        sess.receive(wd(3, 2));
-        assert_eq!(sess.stream.len(), 2);
-        assert_eq!(sess.stream.start(), Some(3));
-        assert_eq!(sess.peer, PeerId(7));
-        assert_eq!(sess.peer_asn, Asn(65001));
     }
 
     #[test]
@@ -287,6 +210,5 @@ mod tests {
     #[test]
     fn display_ids() {
         assert_eq!(PeerId(3).to_string(), "peer3");
-        assert_eq!(SessionId(9).to_string(), "session9");
     }
 }

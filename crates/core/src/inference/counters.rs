@@ -791,8 +791,7 @@ impl LinkCounters {
     }
 
     /// Drains the kernel dispatch/scratch statistics accumulated since the
-    /// last call (exported as `inference.kernel.*` / `inference.scratch.*`
-    /// registry counters by the runtime).
+    /// last call.
     pub fn take_kernel_stats(&self) -> KernelStats {
         self.scratch.borrow_mut().take_stats()
     }

@@ -170,8 +170,7 @@ impl InferenceEngine {
 
     /// Drains the kernel dispatch/scratch statistics accumulated since the
     /// last call (see [`crate::inference::KernelStats`]). Kernels run only
-    /// inside an inference attempt, so the runtime drains these into the
-    /// telemetry registry after an event that made one.
+    /// inside an inference attempt; the statistics accumulate until drained.
     pub fn take_kernel_stats(&self) -> crate::inference::KernelStats {
         self.counters.take_kernel_stats()
     }

@@ -33,19 +33,17 @@
 //! every representation mix under a counting allocator and fails on any
 //! allocation. The scratch also carries the reusable union buffers for the
 //! two paths that need a materialised union (the greedy aggregate, and the
-//! prediction's `crossing_ids` over more than one link) plus the [`KernelStats`] dispatch
-//! counters exported
-//! through the telemetry registry. A delta trial is not a fused pass and is
-//! not counted in them.
+//! prediction's `crossing_ids` over more than one link) plus the
+//! [`KernelStats`] dispatch counters. A delta trial is not a fused pass and
+//! is not counted in them.
 
 use crate::inference::bitset::{IdBitSet, Parts, BLOCK_BITS, BLOCK_WORDS};
 
 /// Which kernel shape a call dispatched to, plus scratch reuse accounting.
 ///
-/// Drained per engine via `LinkCounters::take_kernel_stats` and summed into
-/// the registry counters `inference.kernel.{dense,sparse,mixed}` and
-/// `inference.scratch.{reuse,growth}` by the runtime: a shard worker at
-/// each batch, the inline mode at each flush, resync and finish.
+/// Accumulated per engine and drained via `LinkCounters::take_kernel_stats`;
+/// the repo benchmark sums them into its `core.inference.kernel.*` and
+/// `core.inference.scratch.growth` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Fused passes where every source was word-packed.

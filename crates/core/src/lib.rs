@@ -46,6 +46,6 @@ mod router;
 pub use config::{EncodingConfig, InferenceConfig, SwiftConfig};
 pub use encoding::{EncodingPlan, ReroutingPolicy, TwoStageTable};
 pub use inference::{InferenceEngine, InferenceResult, InferredLinks, Prediction, PrefixSnapshot};
-pub use metrics::{Classification, LatencySummary, Quadrant};
+pub use metrics::{Classification, Quadrant};
 pub use pipeline::{session_engines, Applier, SessionEngine};
 pub use router::{RerouteAction, SwiftRouter};

@@ -4,9 +4,6 @@
 //!   built from predicted and actually-affected prefix sets (§6.2.1, §6.3).
 //! * [`Quadrant`] — the Fig. 6 quadrant of a (TPR, FPR) point.
 //! * [`percentile`] — nearest-rank percentiles for the Table 2 summaries.
-//! * [`LatencySummary`] — count, p50/p99, max and mean of a latency record,
-//!   as the sharded runtime reports per-event and reroute latencies against
-//!   the paper's ~2 s budget (§3).
 
 use swift_bgp::PrefixSet;
 
@@ -110,21 +107,6 @@ fn nearest_rank(q: f64, len: usize) -> usize {
     let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
     let rank = ((q * len as f64).ceil() as usize).max(1) - 1;
     rank.min(len - 1)
-}
-
-/// Summary statistics of a latency record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Maximum.
-    pub max: u64,
-    /// Mean.
-    pub mean: f64,
 }
 
 #[cfg(test)]

@@ -145,9 +145,9 @@ impl SessionEngine {
     }
 
     /// One event through the engine, the step every composition shares:
-    /// process it, drain the engine's [`KernelStats`] into `stats` if the
-    /// event made an inference attempt (the only place kernels run), and
-    /// return the inference only if this event's attempt was accepted.
+    /// process it and return the inference only if this event's attempt was
+    /// accepted. The attempt's [`KernelStats`] stay in the engine until
+    /// [`SessionEngine::take_kernel_stats`].
     ///
     /// `resolved` is what [`RoutingTable::resolve`] found of the event, or
     /// [`Resolved::UNKNOWN`]. Every value one engine is handed must come
@@ -162,22 +162,9 @@ impl SessionEngine {
         &mut self,
         event: &ElementaryEvent,
         resolved: Resolved,
-        stats: &mut KernelStats,
     ) -> Option<InferenceResult> {
-        let (status, result) = self.engine.process_resolved(event, resolved);
-        match status {
-            EngineStatus::Accepted => {
-                stats.merge(&self.engine.take_kernel_stats());
-                result
-            }
-            EngineStatus::RejectedByHistory => {
-                stats.merge(&self.engine.take_kernel_stats());
-                None
-            }
-            EngineStatus::Idle
-            | EngineStatus::WaitingForTrigger
-            | EngineStatus::AlreadyAccepted => None,
-        }
+        // The engine returns an inference only with `EngineStatus::Accepted`.
+        self.engine.process_resolved(event, resolved).1
     }
 }
 

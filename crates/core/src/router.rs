@@ -20,7 +20,7 @@
 
 use crate::config::SwiftConfig;
 use crate::encoding::{ReroutingPolicy, TwoStageTable};
-use crate::inference::{InferenceEngine, KernelStats, PrefixSnapshot};
+use crate::inference::{InferenceEngine, PrefixSnapshot};
 use crate::pipeline::{session_engines, Applier, SessionEngine};
 use std::collections::BTreeMap;
 use swift_bgp::{
@@ -49,9 +49,6 @@ pub struct RerouteAction {
 pub struct SwiftRouter {
     engines: BTreeMap<PeerId, SessionEngine>,
     applier: Applier,
-    /// Kernel dispatch/scratch statistics of the inference attempts since
-    /// the last [`SwiftRouter::take_kernel_stats`].
-    kernel_stats: KernelStats,
 }
 
 impl SwiftRouter {
@@ -62,11 +59,7 @@ impl SwiftRouter {
         table.seal();
         let engines = session_engines(&config, &table);
         let applier = Applier::new(config, table, policy);
-        SwiftRouter {
-            engines,
-            applier,
-            kernel_stats: KernelStats::default(),
-        }
+        SwiftRouter { engines, applier }
     }
 
     /// The router's configuration.
@@ -128,8 +121,8 @@ impl SwiftRouter {
         // table update (buffered, not a FIB rebuild: see
         // `resync_after_convergence`) it runs on.
         let resolved = self.applier.table().resolve(&event);
-        let accepted = (self.engines.get_mut(&peer))
-            .and_then(|engine| engine.accept(&event, resolved, &mut self.kernel_stats));
+        let accepted =
+            (self.engines.get_mut(&peer)).and_then(|engine| engine.accept(&event, resolved));
         self.applier.note_resolved(peer, event, resolved);
         accepted.map(|result| self.applier.apply_inference(peer, &result))
     }
@@ -168,12 +161,6 @@ impl SwiftRouter {
     pub fn teardown_session(&mut self, peer: PeerId) -> (usize, usize) {
         self.engines.remove(&peer);
         self.applier.teardown_session(peer)
-    }
-
-    /// Drains the kernel dispatch/scratch statistics of the inference
-    /// attempts made since the last call (telemetry).
-    pub fn take_kernel_stats(&mut self) -> KernelStats {
-        std::mem::take(&mut self.kernel_stats)
     }
 
     /// The next-hop currently used to forward traffic for `prefix`.
@@ -464,7 +451,7 @@ mod tests {
 
     /// A torn-down session loses its engine and its rules; re-registered
     /// with its routes, it gets a fresh engine that reroutes the same burst
-    /// again. The attempts' kernel statistics are drained once.
+    /// again.
     #[test]
     fn a_reregistered_session_reroutes_again() {
         let table = fig1_table(100);
@@ -474,9 +461,6 @@ mod tests {
             .collect();
         let mut router = SwiftRouter::new(config(), table, ReroutingPolicy::allow_all());
         assert_eq!(router.handle_stream(PeerId(2), fig1_burst(100)).len(), 1);
-        let stats = router.take_kernel_stats();
-        assert!(stats.dense + stats.sparse + stats.mixed > 0, "{stats:?}");
-        assert!(router.take_kernel_stats().is_zero(), "drained once");
 
         let (rules_removed, withdrawn) = router.teardown_session(PeerId(2));
         assert!(rules_removed > 0);

@@ -393,7 +393,9 @@ fn the_inline_runtime_per_event_path_never_calls_the_allocator() {
                     let before = state(&router);
                     let (action, Asked { calls: c, .. }) =
                         watch(|| router.handle_event(PRIMARY, event));
-                    let ran_no_kernel = router.take_kernel_stats().is_zero();
+                    let ran_no_kernel = (router.engine(PRIMARY).expect("primary session"))
+                        .take_kernel_stats()
+                        .is_zero();
                     let after = state(&router);
                     let declined = action.is_none() && ran_no_kernel && after.1 != before.1;
                     if after.0 == before.0 && action.is_none() && (after.1 == before.1 || declined)

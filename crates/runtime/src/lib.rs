@@ -45,7 +45,7 @@
 //!   full applier queue blocks the shards. Nothing is shed.
 //! * **Deterministic mode** ([`RuntimeConfig::deterministic`]): zero shards,
 //!   no threads — a [`SwiftRouter`] driven on the caller's thread, plus the
-//!   runtime's event count and registry counters.
+//!   runtime's event count.
 //!
 //! ## Concurrency rules and their holders
 //!
@@ -64,9 +64,8 @@
 //!   `clippy::match_wildcard_for_single_variants` (below) makes every
 //!   `match` on them name each variant.
 //! * **Atomic orderings are fixed by type.** Raw atomics are disallowed; the
-//!   wrapper in the private `sync` module (and `swift_telemetry`'s
-//!   `Counter` / `Gauge`) chooses the ordering once: Relaxed, since no atomic
-//!   hands data between threads.
+//!   wrapper in the private `sync` module chooses the ordering once:
+//!   Relaxed, since no atomic hands data between threads.
 //! * **Barriers reach every shard; the applier acks at quorum, once.** The
 //!   flush asserts that the ack it receives is its own barrier's, and
 //!   `proptest_churn` runs every case under a deadline, on queues of
@@ -108,15 +107,13 @@ use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
 use swift_core::inference::InferenceEngine;
-use swift_core::metrics::LatencySummary;
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
 use swift_core::{RerouteAction, SwiftConfig, SwiftRouter};
 use swift_telemetry::{
-    Counter, FlightKind, FlightRecorder, Gauge, LogHistogram, Registry, StageHistograms,
-    TraceSampler, TraceStamp,
+    FlightKind, FlightRecorder, LogHistogram, StageHistograms, TraceSampler, TraceStamp,
 };
 use sync::QueueDepth;
-use worker::{ApplierMsg, EpochClock, IngestEvent, KernelCounters, SessionRegistration, ShardMsg};
+use worker::{ApplierMsg, EpochClock, IngestEvent, SessionRegistration, ShardMsg};
 
 /// Configuration of the sharded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,28 +183,17 @@ pub struct ShardMetrics {
     pub sessions: usize,
     /// Events processed.
     pub events: u64,
-    /// Batches processed.
-    pub batches: u64,
     /// High-water mark of the shard's ingest queue, in batches, observed at
     /// enqueue: it counts the batch the worker is unpacking too, so it is
     /// clamped to the queue's physical capacity.
     pub max_queue_depth: usize,
-    /// Ingest → engine-processed latency summary (µs).
-    pub event_latency: LatencySummary,
-    /// Events per second over the shard's busy span.
-    pub events_per_sec: f64,
 }
 
 /// The applier thread's counters, reported by [`RuntimeMetrics::per_applier`].
 #[derive(Debug, Clone)]
 pub struct ApplierShardMetrics {
-    /// Applier index: always `0`, there is one applier (registry names
-    /// `applier.0.*`).
-    pub shard: usize,
     /// Events folded into the RIB mirror.
     pub events: u64,
-    /// Batches received from the shard workers.
-    pub batches: u64,
     /// Data-plane rule installs performed by accepted inferences.
     pub installs: u64,
     /// High-water mark of the applier's queue, in batches — an upper
@@ -217,10 +203,6 @@ pub struct ApplierShardMetrics {
     /// Accumulated time spent processing messages (not waiting on the
     /// queue) — where the serialization point sits.
     pub busy: Duration,
-    /// Events folded per second of busy time.
-    pub events_per_sec: f64,
-    /// Rule installs per second of busy time.
-    pub installs_per_sec: f64,
     /// High-water mark of the applier's unfolded-event buffer, in events,
     /// sampled at batch ends: below [`RoutingTable::APPLY_BATCH`].
     pub pending_high_water: usize,
@@ -242,24 +224,14 @@ pub struct RuntimeMetrics {
     pub dropped: u64,
     /// First ingest → pipeline drained.
     pub wall: Duration,
-    /// Processed events per second of wall time.
-    pub events_per_sec: f64,
     /// Per-shard breakdown (empty in deterministic mode).
     pub per_shard: Vec<ShardMetrics>,
     /// The applier thread's row: exactly one in sharded mode, none in
     /// deterministic mode.
     pub per_applier: Vec<ApplierShardMetrics>,
-    /// Ingest → engine-processed latency across all shards (µs), summarised
-    /// from [`RuntimeMetrics::event_histogram`].
-    pub event_latency: LatencySummary,
-    /// Ingest → reroute-rules-installed latency (µs), one sample per accepted
-    /// inference — the quantity the paper's ~2 s budget constrains.
-    /// Summarised from [`RuntimeMetrics::reroute_histogram`].
-    pub reroute_latency: LatencySummary,
-    /// The full event-latency histogram (nanoseconds), merged exactly across
-    /// shards — no ring eviction, bounded relative error (≤ 1/32).
-    pub event_histogram: LogHistogram,
-    /// The full reroute-latency histogram (nanoseconds).
+    /// Ingest → reroute-rules-installed latency (nanoseconds), one sample per
+    /// accepted inference — the quantity the paper's ~2 s budget constrains.
+    /// Empty in deterministic inline mode, which has no queueing.
     pub reroute_histogram: LogHistogram,
     /// Per-stage spans of the sampled traced events (nanoseconds), merged
     /// across shards and the applier: queue wait vs inference vs applier-queue
@@ -317,9 +289,8 @@ struct Sharded {
     shard_handles: Vec<JoinHandle<worker::ShardWorkerReport>>,
     applier_tx: SyncSender<ApplierMsg>,
     applier_handle: JoinHandle<worker::ApplierReport>,
-    /// The applier queue's high-water gauge (registry gauge
-    /// `applier.0.queue.high`), shared with the senders.
-    applier_high: Gauge,
+    /// The applier queue's depth, shared with the senders and the applier.
+    applier_depth: QueueDepth,
     barrier_rx: Receiver<u64>,
     next_barrier: u64,
     /// Swift configuration, for seeding the engines of mid-run registrations.
@@ -328,12 +299,9 @@ struct Sharded {
     /// Per-shard batch buffers.
     buffers: Vec<Vec<IngestEvent>>,
     batch_size: usize,
-    queue_capacity: usize,
-    /// Per-shard batches in the queue (shared with the workers, which count
-    /// a batch out on receipt).
+    /// Per-shard batches in the queue and their high-water (shared with the
+    /// workers, which count a batch out on receipt).
     depth: Vec<QueueDepth>,
-    /// Per-shard queue high-water, in batches, observed at enqueue.
-    max_depth: Vec<usize>,
     /// 1-in-N pipeline-trace sampler.
     sampler: TraceSampler,
     /// The coarse ingest stamp (nanoseconds on `clock`), re-read every
@@ -341,9 +309,6 @@ struct Sharded {
     coarse: u64,
     /// Events stamped since the last re-read.
     since_refresh: usize,
-    /// Registry counter `ingest.events`, bumped a batch at a time at
-    /// dispatch (the per-event path stays counter-free).
-    events_ctr: Counter,
 }
 
 impl Sharded {
@@ -377,8 +342,7 @@ impl Sharded {
     }
 
     /// Sends shard `shard`'s buffered batch, blocking while its queue is
-    /// full; `false` if the shard worker is gone. The queue high-water is
-    /// recorded once the batch is enqueued.
+    /// full; `false` if the shard worker is gone.
     fn dispatch(&mut self, shard: usize) -> bool {
         if self.buffers[shard].is_empty() {
             return true;
@@ -390,13 +354,11 @@ impl Sharded {
             &mut self.buffers[shard],
             Vec::with_capacity(self.batch_size),
         );
-        self.events_ctr.add(batch.len() as u64);
-        let high_water = self.depth[shard].inc().min(self.queue_capacity.max(1));
+        self.depth[shard].inc();
         if self.shard_txs[shard].send(ShardMsg::Batch(batch)).is_err() {
             self.depth[shard].dec();
             return false;
         }
-        self.max_depth[shard] = self.max_depth[shard].max(high_water);
         true
     }
 
@@ -422,28 +384,8 @@ fn worker_gone(shard: usize) -> String {
     format!("shard {shard} worker thread is gone while the runtime is live")
 }
 
-/// The state behind a deterministic inline instance.
-struct Inline {
-    router: SwiftRouter,
-    /// Registry counter `ingest.events` — one relaxed add per inline event,
-    /// so live snapshots work in both modes.
-    events_ctr: Counter,
-    /// Kernel-dispatch and scratch counters, fed the router's running
-    /// statistics at each flush, resync and finish (the same global names
-    /// the shard workers feed).
-    kernels: KernelCounters,
-}
-
-impl Inline {
-    /// Adds the router's kernel statistics since the last call to the
-    /// registry.
-    fn record_kernel_stats(&mut self) {
-        self.kernels.record(self.router.take_kernel_stats());
-    }
-}
-
 enum Mode {
-    Inline(Box<Inline>),
+    Inline(Box<SwiftRouter>),
     Sharded(Box<Sharded>),
 }
 
@@ -462,13 +404,10 @@ pub struct ShardedRuntime {
     events: u64,
     /// The first ingest: the run's wall-clock start.
     started: Option<Instant>,
-    /// The live metrics registry: worker counters and gauges all live here,
-    /// so [`ShardedRuntime::registry`] snapshots never stop the run.
-    registry: Registry,
     /// Ring of recent lifecycle events, for a failing run's post-mortem.
     flight: FlightRecorder,
-    /// The runtime's clock (also in inline mode, so flight events and
-    /// snapshots carry comparable timestamps).
+    /// The runtime's clock (also in inline mode, so flight events carry
+    /// comparable timestamps).
     clock: EpochClock,
 }
 
@@ -484,19 +423,14 @@ impl ShardedRuntime {
         mut table: RoutingTable,
         policy: ReroutingPolicy,
     ) -> Self {
-        let registry = Registry::new();
         let clock = EpochClock::new();
         let mode = if config.shards == 0 {
-            Mode::Inline(Box::new(Inline {
-                router: SwiftRouter::new(swift, table, policy),
-                events_ctr: registry.counter("ingest.events"),
-                kernels: KernelCounters::from_registry(&registry),
-            }))
+            Mode::Inline(Box::new(SwiftRouter::new(swift, table, policy)))
         } else {
             table.seal();
             let engines = session_engines(&swift, &table);
             Mode::Sharded(Box::new(spawn_sharded(
-                &config, &registry, clock, engines, swift, table, policy,
+                &config, clock, engines, swift, table, policy,
             )))
         };
         ShardedRuntime {
@@ -504,7 +438,6 @@ impl ShardedRuntime {
             mode: Some(mode),
             events: 0,
             started: None,
-            registry,
             flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
             clock,
         }
@@ -520,17 +453,6 @@ impl ShardedRuntime {
         self.config.shards == 0
     }
 
-    /// The live metrics registry. The returned handle shares storage with
-    /// the runtime's workers, so [`swift_telemetry::Registry::snapshot`] can
-    /// be taken from any thread at any time without stopping the run —
-    /// `ingest.events`, `shard.N.events/batches`, `applier.0.events/batches/
-    /// installs/resyncs` and `inference.kernel.*` / `inference.scratch.*`
-    /// counters plus `applier.0.queue.high` / `applier.0.pending.high`
-    /// gauges.
-    pub fn registry(&self) -> Registry {
-        self.registry.clone()
-    }
-
     /// The runtime's lifecycle flight recorder: session register/teardown,
     /// barriers, resyncs and shutdown, in a fixed-size ring.
     /// [`FlightRecorder::dump`] renders the recent history when a run fails.
@@ -543,7 +465,7 @@ impl ShardedRuntime {
     /// engine lives on its shard's thread.
     pub fn engine(&self, peer: PeerId) -> Option<&InferenceEngine> {
         match self.mode.as_ref()? {
-            Mode::Inline(inline) => inline.router.engine(peer),
+            Mode::Inline(router) => router.engine(peer),
             Mode::Sharded(_) => None,
         }
     }
@@ -553,7 +475,7 @@ impl ShardedRuntime {
     /// [`ShardedRuntime::finish`]).
     pub fn applier(&self) -> Option<&Applier> {
         match self.mode.as_ref()? {
-            Mode::Inline(inline) => Some(inline.router.applier()),
+            Mode::Inline(router) => Some(router.applier()),
             Mode::Sharded(_) => None,
         }
     }
@@ -575,9 +497,8 @@ impl ShardedRuntime {
         // event first, and that copy cost the inline bursts 10–20 % of
         // their throughput.
         match &mut self.mode {
-            Some(Mode::Inline(inline)) => {
-                inline.router.handle_event(peer, event);
-                inline.events_ctr.inc();
+            Some(Mode::Inline(router)) => {
+                router.handle_event(peer, event);
             }
             Some(Mode::Sharded(sharded)) => sharded.ingest(peer, event),
             None => shut_down(event),
@@ -622,8 +543,8 @@ impl ShardedRuntime {
             format!("peer={} asn={} routes={}", peer.0, asn.0, routes.len()),
         );
         match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => {
-                inline.router.register_session(peer, asn, routes);
+            Mode::Inline(router) => {
+                router.register_session(peer, asn, routes);
             }
             Mode::Sharded(sharded) => {
                 let engine = SessionEngine::from_routes(peer, &sharded.swift, &routes);
@@ -655,8 +576,8 @@ impl ShardedRuntime {
             format!("peer={}", peer.0),
         );
         match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => {
-                inline.router.teardown_session(peer);
+            Mode::Inline(router) => {
+                router.teardown_session(peer);
             }
             Mode::Sharded(sharded) => {
                 let shard = shard_of(peer, sharded.shard_txs.len());
@@ -669,7 +590,7 @@ impl ShardedRuntime {
     /// applier have fully processed everything ingested so far.
     pub fn flush(&mut self) {
         match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => inline.record_kernel_stats(),
+            Mode::Inline(_) => {}
             Mode::Sharded(sharded) => {
                 let seq = sharded.next_barrier;
                 sharded.next_barrier += 1;
@@ -709,7 +630,7 @@ impl ShardedRuntime {
     pub fn resync_after_convergence(&mut self) -> usize {
         self.flush();
         let removed = match self.mode.as_mut().expect("runtime live") {
-            Mode::Inline(inline) => inline.router.resync_after_convergence(),
+            Mode::Inline(router) => router.resync_after_convergence(),
             Mode::Sharded(sharded) => {
                 // The pipeline is already drained by the flush, so the
                 // rendezvous is just the applier's reply.
@@ -750,9 +671,8 @@ impl ShardedRuntime {
         self.flight
             .record(self.clock.precise(), FlightKind::Shutdown, "runtime finish");
         let joined = match mode {
-            Mode::Inline(mut inline) => {
-                inline.record_kernel_stats();
-                let mut applier = inline.router.into_applier();
+            Mode::Inline(router) => {
+                let mut applier = router.into_applier();
                 // The last partial batch folds: the report's mirror is current.
                 applier.sync_rib();
                 Ok((applier, self.inline_metrics()))
@@ -772,21 +692,16 @@ impl ShardedRuntime {
     }
 
     /// An inline run's metrics. Inline processing has no queueing, so no
-    /// latency samples exist: the empty histograms honestly summarise to
-    /// count 0 rather than fabricating zeros.
+    /// latency samples exist: the histograms stay empty rather than
+    /// fabricating zeros.
     fn inline_metrics(&self) -> RuntimeMetrics {
-        let wall = self.wall();
         RuntimeMetrics {
             shards: 0,
             events: self.events,
             dropped: 0,
-            wall,
-            events_per_sec: per_second(self.events, wall),
+            wall: self.wall(),
             per_shard: Vec::new(),
             per_applier: Vec::new(),
-            event_latency: latency_summary(&LogHistogram::new()),
-            reroute_latency: latency_summary(&LogHistogram::new()),
-            event_histogram: LogHistogram::new(),
             reroute_histogram: LogHistogram::new(),
             stages: StageHistograms::new(),
         }
@@ -808,37 +723,25 @@ impl ShardedRuntime {
         }
         drop(sharded.applier_tx);
         let applied = sharded.applier_handle.join()?;
-        let wall = self.wall();
-
-        let mut merged_latency = LogHistogram::new();
-        let mut merged_stages = StageHistograms::new();
+        let mut stages = applied.stages;
         let per_shard: Vec<ShardMetrics> = shard_reports
-            .iter()
+            .into_iter()
             .map(|r| {
-                merged_latency.merge(&r.latency);
-                merged_stages.merge(&r.stages);
+                stages.merge(&r.stages);
                 ShardMetrics {
                     shard: r.shard,
                     sessions: r.sessions,
                     events: r.events,
-                    batches: r.batches,
-                    max_queue_depth: sharded.max_depth[r.shard],
-                    event_latency: latency_summary(&r.latency),
-                    events_per_sec: per_second(r.events, r.busy),
+                    max_queue_depth: sharded.depth[r.shard].high(),
                 }
             })
             .collect();
         let processed: u64 = per_shard.iter().map(|s| s.events).sum();
-        merged_stages.merge(&applied.stages);
         let per_applier = vec![ApplierShardMetrics {
-            shard: 0,
             events: applied.events,
-            batches: applied.batches,
             installs: applied.installs,
-            max_queue_depth: sharded.applier_high.get() as usize,
+            max_queue_depth: sharded.applier_depth.high(),
             busy: applied.busy,
-            events_per_sec: per_second(applied.events, applied.busy),
-            installs_per_sec: per_second(applied.installs, applied.busy),
             pending_high_water: applied.pending_high_water,
             resyncs: applied.resyncs,
         }];
@@ -846,15 +749,11 @@ impl ShardedRuntime {
             shards: self.config.shards,
             events: self.events,
             dropped: self.events.saturating_sub(processed),
-            wall,
-            events_per_sec: per_second(processed, wall),
+            wall: self.wall(),
             per_shard,
             per_applier,
-            event_latency: latency_summary(&merged_latency),
-            reroute_latency: latency_summary(&applied.reroute_latency),
-            event_histogram: merged_latency,
             reroute_histogram: applied.reroute_latency,
-            stages: merged_stages,
+            stages,
         };
         Ok((applied.applier, metrics))
     }
@@ -870,7 +769,6 @@ impl Drop for ShardedRuntime {
 /// engines of the sessions hashed onto it.
 fn spawn_sharded(
     config: &RuntimeConfig,
-    registry: &Registry,
     clock: EpochClock,
     engines: BTreeMap<PeerId, SessionEngine>,
     swift: SwiftConfig,
@@ -891,8 +789,7 @@ fn spawn_sharded(
     )]
     let (barrier_tx, barrier_rx) = mpsc::channel();
     let (applier_tx, applier_rx) = mpsc::sync_channel(applier_capacity);
-    let applier_depth = QueueDepth::default();
-    let applier_high = registry.gauge("applier.0.queue.high");
+    let applier_depth = QueueDepth::new(applier_capacity);
     let applier_worker = worker::ApplierWorker {
         applier: Applier::new(swift.clone(), table, policy),
         rx: applier_rx,
@@ -900,11 +797,6 @@ fn spawn_sharded(
         workers: shards,
         clock,
         depth: applier_depth.clone(),
-        events_ctr: registry.counter("applier.0.events"),
-        batches_ctr: registry.counter("applier.0.batches"),
-        installs_ctr: registry.counter("applier.0.installs"),
-        resyncs_ctr: registry.counter("applier.0.resyncs"),
-        pending_gauge: registry.gauge("applier.0.pending.high"),
     };
     #[expect(
         clippy::disallowed_methods,
@@ -919,8 +811,9 @@ fn spawn_sharded(
     let mut shard_handles = Vec::with_capacity(shards);
     let mut depth = Vec::with_capacity(shards);
     for (i, engines) in partitions.into_iter().enumerate() {
-        let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
-        let shard_depth = QueueDepth::default();
+        let capacity = config.queue_capacity.max(1);
+        let (tx, rx) = mpsc::sync_channel(capacity);
+        let shard_depth = QueueDepth::new(capacity);
         let worker = worker::ShardWorker {
             shard: i,
             engines,
@@ -928,14 +821,9 @@ fn spawn_sharded(
             applier: worker::ApplierLink {
                 tx: applier_tx.clone(),
                 depth: applier_depth.clone(),
-                high: applier_high.clone(),
             },
-            applier_capacity,
             depth: shard_depth.clone(),
             clock,
-            events_ctr: registry.counter(&format!("shard.{i}.events")),
-            batches_ctr: registry.counter(&format!("shard.{i}.batches")),
-            kernels: KernelCounters::from_registry(registry),
         };
         #[expect(
             clippy::disallowed_methods,
@@ -956,7 +844,7 @@ fn spawn_sharded(
         shard_handles,
         applier_tx,
         applier_handle,
-        applier_high,
+        applier_depth,
         barrier_rx,
         next_barrier: 0,
         swift,
@@ -965,37 +853,10 @@ fn spawn_sharded(
             .map(|_| Vec::with_capacity(batch_size))
             .collect(),
         batch_size,
-        queue_capacity: config.queue_capacity,
         depth,
-        max_depth: vec![0; shards],
         sampler: TraceSampler::every(config.trace_sample_interval),
         coarse: 0,
         since_refresh: 0,
-        events_ctr: registry.counter("ingest.events"),
-    }
-}
-
-/// `n` per second of `span`; `0` for an empty span.
-fn per_second(n: u64, span: Duration) -> f64 {
-    let secs = span.as_secs_f64();
-    if secs > 0.0 {
-        n as f64 / secs
-    } else {
-        0.0
-    }
-}
-
-/// Summarises a nanosecond-valued latency histogram in the microseconds the
-/// runtime has always reported ([`LatencySummary`] keeps its shape; only the
-/// source changed from an evicting sample ring to an exact-merge histogram).
-fn latency_summary(h: &LogHistogram) -> LatencySummary {
-    let s = h.summary().scaled_down(1_000);
-    LatencySummary {
-        count: s.count,
-        p50: s.p50,
-        p99: s.p99,
-        max: s.max,
-        mean: s.mean,
     }
 }
 
@@ -1485,11 +1346,16 @@ mod tests {
             "install counters match the action log"
         );
         assert!(applier.busy > Duration::ZERO);
+        // Every queue carried a batch, and its high-water saw it.
+        assert!(applier.max_queue_depth >= 1);
+        for shard in &report.metrics.per_shard {
+            assert!(shard.max_queue_depth >= 1, "shard {}", shard.shard);
+        }
         assert!(run(0, peers, n).metrics.per_applier.is_empty());
     }
 
     #[test]
-    fn registry_snapshots_stage_traces_and_flight_events_observe_the_run() {
+    fn stage_traces_and_flight_events_observe_the_run() {
         let peers = 2u32;
         let n = 200u32;
         let mut runtime = ShardedRuntime::new(
@@ -1503,23 +1369,13 @@ mod tests {
             multi_table(peers, n),
             ReroutingPolicy::allow_all(),
         );
-        let registry = runtime.registry();
         let flight = runtime.flight();
         runtime.ingest_stream(interleaved_bursts(peers, n));
         runtime.flush();
-        // Live snapshot mid-run, without stopping anything: the barrier has
-        // drained the pipeline, so the counters must account for every event.
-        let snap = registry.snapshot();
-        assert_eq!(snap["ingest.events"], u64::from(peers * n));
-        let shard_events: u64 = (0..2).map(|i| snap[&format!("shard.{i}.events")]).sum();
-        assert_eq!(shard_events, u64::from(peers * n));
-        assert_eq!(snap["applier.0.events"], u64::from(peers * n));
         let removed = runtime.resync_after_convergence();
         assert!(removed > 0);
         let report = runtime.finish();
-        // Every event fed the merged latency histogram; every traced event
-        // crossed all four stage boundaries.
-        assert_eq!(report.metrics.event_histogram.count(), u64::from(peers * n));
+        // Every traced event crossed all four stage boundaries.
         assert_eq!(
             report.metrics.stages.queue_wait.count(),
             u64::from(peers * n)
@@ -1542,38 +1398,6 @@ mod tests {
         );
     }
 
-    /// Both modes feed the registry's kernel counters: the shard workers a
-    /// batch at a time, the inline mode from its router's running
-    /// statistics at each flush, so the per-event path pays nothing.
-    #[test]
-    fn kernel_counters_reach_the_registry_by_the_flush() {
-        let (peers, n) = (2u32, 200u32);
-        let attempts = |snap: &BTreeMap<String, u64>| {
-            ["dense", "sparse", "mixed"]
-                .iter()
-                .map(|k| snap[&format!("inference.kernel.{k}")])
-                .sum::<u64>()
-        };
-        for shards in [0usize, 2] {
-            let mut runtime = ShardedRuntime::new(
-                RuntimeConfig::sharded(shards),
-                config(),
-                multi_table(peers, n),
-                ReroutingPolicy::allow_all(),
-            );
-            let registry = runtime.registry();
-            runtime.ingest_stream(interleaved_bursts(peers, n));
-            if shards == 0 {
-                assert_eq!(attempts(&registry.snapshot()), 0, "nothing per event");
-            }
-            runtime.flush();
-            assert!(attempts(&registry.snapshot()) > 0, "{shards} shards");
-            let before = attempts(&registry.snapshot());
-            runtime.finish();
-            assert_eq!(attempts(&registry.snapshot()), before, "{shards} shards");
-        }
-    }
-
     #[test]
     fn trace_sampling_off_leaves_stage_histograms_empty() {
         let mut runtime = ShardedRuntime::new(
@@ -1589,7 +1413,5 @@ mod tests {
         let report = runtime.finish();
         assert_eq!(report.metrics.events, 200);
         assert!(report.metrics.stages.is_empty(), "no stamps when disabled");
-        // The un-sampled latency histogram still sees every event.
-        assert_eq!(report.metrics.event_histogram.count(), 200);
     }
 }

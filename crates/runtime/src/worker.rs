@@ -21,15 +21,15 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Resolved, Route};
-use swift_core::inference::{InferenceResult, KernelStats};
+use swift_core::inference::InferenceResult;
 use swift_core::pipeline::{Applier, SessionEngine};
-use swift_telemetry::{Counter, Gauge, LogHistogram, Registry, StageHistograms, TraceStamp};
+use swift_telemetry::{LogHistogram, StageHistograms, TraceStamp};
 
 /// The runtime's monotonic clock: nanoseconds since the runtime's
 /// construction. A copy is all a worker needs, since it holds nothing but
 /// the base instant. The producer reads it every few hundred events into its
-/// coarse ingest stamp; the workers read it per event where they measure
-/// latency, off the ingest path.
+/// coarse ingest stamp; the workers read it at a traced event's stage
+/// boundaries and at each accepted inference's install, off the ingest path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EpochClock {
     base: Instant,
@@ -49,52 +49,6 @@ impl EpochClock {
     /// The real monotonic clock, in nanoseconds since the base instant.
     pub(crate) fn precise(self) -> u64 {
         u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Registry handles for the inference-kernel telemetry: the fused-pass
-/// dispatch mix (`inference.kernel.{dense,sparse,mixed}`) and scratch-buffer
-/// behaviour (`inference.scratch.{reuse,growth}`). The names are global (not
-/// per-shard): every worker clones handles onto the same atomic storage, so a
-/// registry snapshot reports the whole runtime's mix. Fed a batch at a time
-/// by the shard workers, and by the inline mode at each flush, resync and
-/// finish.
-#[derive(Clone)]
-pub(crate) struct KernelCounters {
-    pub dense: Counter,
-    pub sparse: Counter,
-    pub mixed: Counter,
-    pub scratch_reuse: Counter,
-    pub scratch_growth: Counter,
-}
-
-impl KernelCounters {
-    pub(crate) fn from_registry(registry: &Registry) -> Self {
-        KernelCounters {
-            dense: registry.counter("inference.kernel.dense"),
-            sparse: registry.counter("inference.kernel.sparse"),
-            mixed: registry.counter("inference.kernel.mixed"),
-            scratch_reuse: registry.counter("inference.scratch.reuse"),
-            scratch_growth: registry.counter("inference.scratch.growth"),
-        }
-    }
-
-    pub(crate) fn record(&self, stats: KernelStats) {
-        if stats.dense > 0 {
-            self.dense.add(stats.dense);
-        }
-        if stats.sparse > 0 {
-            self.sparse.add(stats.sparse);
-        }
-        if stats.mixed > 0 {
-            self.mixed.add(stats.mixed);
-        }
-        if stats.scratch_reuse > 0 {
-            self.scratch_reuse.add(stats.scratch_reuse);
-        }
-        if stats.scratch_growth > 0 {
-            self.scratch_growth.add(stats.scratch_growth);
-        }
     }
 }
 
@@ -185,15 +139,9 @@ pub(crate) struct ShardWorkerReport {
     pub shard: usize,
     pub sessions: usize,
     pub events: u64,
-    pub batches: u64,
-    /// Ingest → engine-processed latency, in nanoseconds (log-linear
-    /// histogram: cross-shard merges are exact).
-    pub latency: LogHistogram,
     /// Per-stage spans of this shard's traced events (`queue_wait` and
     /// `inference` populated here).
     pub stages: StageHistograms,
-    /// Busy span: first batch received → last batch finished.
-    pub busy: Duration,
 }
 
 /// What the applier thread reports back when it exits.
@@ -207,8 +155,6 @@ pub(crate) struct ApplierReport {
     pub stages: StageHistograms,
     /// Events folded into the RIB mirror.
     pub events: u64,
-    /// Batches received.
-    pub batches: u64,
     /// Data-plane rule installs performed by accepted inferences.
     pub installs: u64,
     /// Accumulated time spent actually processing messages (not waiting on
@@ -222,14 +168,10 @@ pub(crate) struct ApplierReport {
 }
 
 /// A shard worker's sending side of the applier: the channel plus the depth
-/// gauges backing the applier queue's high-water metric.
+/// behind the applier queue's high-water metric.
 pub(crate) struct ApplierLink {
     pub tx: SyncSender<ApplierMsg>,
-    /// Batches currently in (or racing into) the queue.
     pub depth: QueueDepth,
-    /// High-water mark of `depth`, clamped to the queue capacity by senders —
-    /// the registry gauge `applier.0.queue.high`, so live snapshots see it.
-    pub high: Gauge,
 }
 
 /// Everything one shard worker thread owns.
@@ -238,25 +180,14 @@ pub(crate) struct ShardWorker {
     pub engines: BTreeMap<PeerId, SessionEngine>,
     pub rx: Receiver<ShardMsg>,
     pub applier: ApplierLink,
-    /// Physical capacity of the applier queue, for clamping the high-water.
-    pub applier_capacity: usize,
     pub depth: QueueDepth,
     pub clock: EpochClock,
-    /// Registry counter `shard.N.events` — the live source of truth for the
-    /// shard's event count (the exit report reads it back). Counted once per
-    /// batch, so a live snapshot advances a batch at a time.
-    pub events_ctr: Counter,
-    /// Registry counter `shard.N.batches`.
-    pub batches_ctr: Counter,
-    /// Global kernel-dispatch and scratch counters, fed once per batch.
-    pub kernels: KernelCounters,
 }
 
-/// Counts a batch into the applier's depth gauges and sends it. `Err` means
-/// the applier is gone (shutdown).
-fn send_batch(link: &ApplierLink, capacity: usize, batch: Vec<ProcessedEvent>) -> Result<(), ()> {
-    let observed = link.depth.inc();
-    link.high.record_max(observed.min(capacity) as u64);
+/// Counts a batch into the applier's depth and sends it. `Err` means the
+/// applier is gone (shutdown).
+fn send_batch(link: &ApplierLink, batch: Vec<ProcessedEvent>) -> Result<(), ()> {
+    link.depth.inc();
     if link.tx.send(ApplierMsg::Batch(batch)).is_err() {
         link.depth.dec();
         return Err(());
@@ -266,39 +197,25 @@ fn send_batch(link: &ApplierLink, capacity: usize, batch: Vec<ProcessedEvent>) -
 
 /// The shard worker loop: process each batch through the shard's engines and
 /// forward everything (with any accepted inference attached) to the applier.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "per-batch wall-clock stamps (first and last batch) on the consumer side, off the \
-              per-event ingest path"
-)]
 pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     let ShardWorker {
         shard,
         mut engines,
         rx,
         applier,
-        applier_capacity,
         depth,
         clock,
-        events_ctr,
-        batches_ctr,
-        kernels,
     } = w;
     let sessions = engines.len();
-    let mut kernel_stats = KernelStats::default();
-    let mut latency = LogHistogram::new();
+    let mut events = 0u64;
     let mut stages = StageHistograms::new();
-    let mut first: Option<Instant> = None;
-    let mut last: Option<Instant> = None;
     // `rx.recv()` erroring means the controller hung up without a Shutdown
     // (e.g. dropped) — treated like a Shutdown.
     'outer: while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(batch) => {
                 depth.dec();
-                batches_ctr.inc();
-                first.get_or_insert_with(Instant::now);
-                let n = batch.len() as u64;
+                events += batch.len() as u64;
                 let mut out = Vec::with_capacity(batch.len());
                 for IngestEvent {
                     peer,
@@ -307,25 +224,19 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                     mut trace,
                 } in batch
                 {
-                    // A traced event closes its queue-wait span at dequeue
-                    // (precise epoch reading, not `Instant::now`), so the
-                    // inference span below starts at the engine call.
+                    // A traced event closes its queue-wait span at dequeue,
+                    // so the inference span below starts at the engine call.
                     if let Some(stamp) = trace.as_mut() {
                         stages.queue_wait.record(stamp.advance(clock.precise()));
                     }
                     // Unknown session: no engine, but the event still
                     // reaches the applier's routing table — exactly the
                     // single-threaded router's behaviour.
-                    let result = (engines.get_mut(&peer)).and_then(|engine| {
-                        engine.accept(&event, Resolved::UNKNOWN, &mut kernel_stats)
-                    });
+                    let result = (engines.get_mut(&peer))
+                        .and_then(|engine| engine.accept(&event, Resolved::UNKNOWN));
                     if let Some(stamp) = trace.as_mut() {
                         stages.inference.record(stamp.advance(clock.precise()));
                     }
-                    // The consumer side reads the precise clock: one syscall
-                    // per event here is off the ingest hot path, and the
-                    // coarse stamp is always ≤ the precise reading.
-                    latency.record(clock.precise().saturating_sub(ingest));
                     // An accepted inference rides with its triggering event.
                     out.push(ProcessedEvent {
                         peer,
@@ -335,10 +246,7 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
                         trace,
                     });
                 }
-                events_ctr.add(n);
-                kernels.record(std::mem::take(&mut kernel_stats));
-                last = Some(Instant::now());
-                if send_batch(&applier, applier_capacity, out).is_err() {
+                if send_batch(&applier, out).is_err() {
                     break 'outer; // applier gone; nothing left to do
                 }
             }
@@ -373,14 +281,8 @@ pub(crate) fn shard_loop(w: ShardWorker) -> ShardWorkerReport {
     ShardWorkerReport {
         shard,
         sessions: sessions.max(engines.len()),
-        events: events_ctr.get(),
-        batches: batches_ctr.get(),
-        latency,
+        events,
         stages,
-        busy: match (first, last) {
-            (Some(a), Some(b)) => b.saturating_duration_since(a),
-            _ => Duration::ZERO,
-        },
     }
 }
 
@@ -394,17 +296,6 @@ pub(crate) struct ApplierWorker {
     pub workers: usize,
     pub clock: EpochClock,
     pub depth: QueueDepth,
-    /// Registry counter `applier.0.events` — live source of truth, read back
-    /// into the exit report. Counted once per batch, like `shard.N.events`.
-    pub events_ctr: Counter,
-    /// Registry counter `applier.0.batches`.
-    pub batches_ctr: Counter,
-    /// Registry counter `applier.0.installs`.
-    pub installs_ctr: Counter,
-    /// Registry counter `applier.0.resyncs`.
-    pub resyncs_ctr: Counter,
-    /// Registry gauge `applier.0.pending.high` (unfolded-event high water).
-    pub pending_gauge: Gauge,
 }
 
 /// The applier loop: install the rules of accepted inferences in arrival
@@ -423,11 +314,6 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         workers,
         clock,
         depth,
-        events_ctr,
-        batches_ctr,
-        installs_ctr,
-        resyncs_ctr,
-        pending_gauge,
     } = w;
     let mut done = 0usize;
     // `(seq, copies)` of the barrier being collected. `ShardedRuntime::flush`
@@ -436,6 +322,8 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
     let mut barrier = (0u64, 0usize);
     let mut reroute_latency = LogHistogram::new();
     let mut stages = StageHistograms::new();
+    let (mut events, mut installs, mut resyncs) = (0u64, 0u64, 0u64);
+    let mut pending_high_water = 0usize;
     let mut busy = Duration::ZERO;
     while done < workers {
         let Ok(msg) = rx.recv() else {
@@ -445,8 +333,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
             ApplierMsg::Batch(mut batch) => {
                 depth.dec();
                 let t0 = Instant::now();
-                batches_ctr.inc();
-                events_ctr.add(batch.len() as u64);
+                events += batch.len() as u64;
                 // The batch's installs go first, its mirror folds after: an
                 // install reads only stage-1 tags, which only a resync, a
                 // registration or a teardown writes, so it need not wait
@@ -459,7 +346,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
                     }
                     if let Some(result) = processed.result.take() {
                         let action = applier.apply_inference(processed.peer, &result);
-                        installs_ctr.add(action.rules_installed as u64);
+                        installs += action.rules_installed as u64;
                         reroute_latency.record(clock.precise().saturating_sub(processed.ingest));
                     }
                     if let Some(stamp) = processed.trace.as_mut() {
@@ -469,7 +356,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
                 for processed in batch {
                     applier.note_event_owned(processed.peer, processed.event);
                 }
-                pending_gauge.record_max(applier.pending_events() as u64);
+                pending_high_water = pending_high_water.max(applier.pending_events());
                 busy += t0.elapsed();
             }
             ApplierMsg::Register { peer, asn, routes } => {
@@ -498,7 +385,7 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
             }
             ApplierMsg::Resync(reply) => {
                 let t0 = Instant::now();
-                resyncs_ctr.inc();
+                resyncs += 1;
                 let removed = applier.resync_after_convergence();
                 busy += t0.elapsed();
                 let _ = reply.send(removed);
@@ -510,12 +397,11 @@ pub(crate) fn applier_loop(w: ApplierWorker) -> ApplierReport {
         applier,
         reroute_latency,
         stages,
-        events: events_ctr.get(),
-        batches: batches_ctr.get(),
-        installs: installs_ctr.get(),
+        events,
+        installs,
         busy,
-        pending_high_water: pending_gauge.get() as usize,
-        resyncs: resyncs_ctr.get(),
+        pending_high_water,
+        resyncs,
     }
 }
 

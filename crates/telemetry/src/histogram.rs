@@ -218,21 +218,6 @@ pub struct HistogramSummary {
     pub mean: f64,
 }
 
-impl HistogramSummary {
-    /// Rescales every value field by `divisor` (e.g. 1 000 for ns → µs),
-    /// keeping the count.
-    pub fn scaled_down(&self, divisor: u64) -> HistogramSummary {
-        HistogramSummary {
-            count: self.count,
-            p50: self.p50 / divisor,
-            p90: self.p90 / divisor,
-            p99: self.p99 / divisor,
-            max: self.max / divisor,
-            mean: self.mean / divisor as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,14 +2,12 @@
 //!
 //! SWIFT's headline claim is restoring connectivity within ~2 s of a remote
 //! outage; defending that number requires knowing *where* pipeline time goes,
-//! live, without stopping the run. This crate supplies the four pieces the
+//! without stopping the run. This crate supplies the three pieces the
 //! runtime wires through ingest → shard → applier:
 //!
-//! - [`Registry`] / [`Counter`] / [`Gauge`]: named atomic metrics the
-//!   runtime's throughput counters migrate onto, snapshot-able mid-run.
 //! - [`LogHistogram`]: a mergeable log-linear (HDR-style) histogram with a
-//!   ≤ 1/32 relative-error bound that replaces the evicting sample ring for
-//!   event and reroute latency — cross-shard merges are exact bucket adds.
+//!   ≤ 1/32 relative-error bound that records reroute latency and the
+//!   traced stage spans — cross-shard merges are exact bucket adds.
 //! - [`TraceStamp`] / [`TraceSampler`] / [`StageHistograms`]: sampled 1-in-N
 //!   pipeline tracing attributing reroute latency to queue wait vs inference
 //!   vs install.
@@ -25,10 +23,8 @@
 
 mod flight;
 mod histogram;
-mod registry;
 mod trace;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use histogram::{HistogramSummary, LogHistogram, GROUP_BITS};
-pub use registry::{Counter, Gauge, Registry};
 pub use trace::{StageHistograms, TraceSampler, TraceStamp};

@@ -11,8 +11,7 @@
 //! stays within its `1/2^GROUP_BITS` relative-error bound no matter how the
 //! samples are distributed over time or across shards.
 
-use swift_core::metrics::LatencySummary;
-use swift_telemetry::{LogHistogram, GROUP_BITS};
+use swift_telemetry::{HistogramSummary, LogHistogram, GROUP_BITS};
 
 /// Nearest-rank percentile of a slice of integers. Returns `None` on an empty
 /// slice; a NaN `q` is treated as 0.0.
@@ -127,19 +126,14 @@ impl LatencyRecorder {
 
     /// Summarizes the recorder: percentiles over the retained window,
     /// mean/max over the whole lifetime.
-    fn summary(&self) -> LatencySummary {
-        LatencySummary {
+    fn summary(&self) -> HistogramSummary {
+        let window: Vec<usize> = self.samples.iter().map(|&v| v as usize).collect();
+        let percentile = |q| percentile_usize(&window, q).unwrap_or(0) as u64;
+        HistogramSummary {
             count: self.recorded,
-            p50: percentile_usize(
-                &self.samples.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                0.5,
-            )
-            .unwrap_or(0) as u64,
-            p99: percentile_usize(
-                &self.samples.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                0.99,
-            )
-            .unwrap_or(0) as u64,
+            p50: percentile(0.5),
+            p90: percentile(0.9),
+            p99: percentile(0.99),
             max: self.max,
             mean: if self.recorded == 0 {
                 0.0

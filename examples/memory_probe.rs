@@ -32,7 +32,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use swift::bgp::ElementaryEvent;
 use swift::core::encoding::ReroutingPolicy;
-use swift::core::inference::KernelStats;
 use swift::core::pipeline::session_engines;
 use swift::core::TwoStageTable;
 use swift::traces::{MultiSessionConfig, MultiSessionTrace};
@@ -112,7 +111,6 @@ fn main() {
     let (clone, clone_bytes) = kept(|| table.clone());
     let (mut engines, engine_bytes) = kept(|| session_engines(&config, &table));
     let ((), recovery_bytes) = kept(|| {
-        let mut stats = KernelStats::default();
         for (peer, engine) in &mut engines {
             let rib = table.adj_rib_in(*peer).expect("listed peer");
             for (prefix, route) in rib.views() {
@@ -121,7 +119,7 @@ fn main() {
                     prefix: *prefix,
                     attrs: route.attrs.clone(),
                 };
-                engine.accept(&event, table.resolve(&event), &mut stats);
+                engine.accept(&event, table.resolve(&event));
             }
         }
     });

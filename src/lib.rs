@@ -12,8 +12,8 @@
 //! * [`runtime`] — the sharded multi-session runtime driving every peer
 //!   engine concurrently;
 //! * [`dataplane`] — data-plane convergence/downtime model;
-//! * [`telemetry`] — metrics registry, mergeable log-linear histograms,
-//!   sampled pipeline tracing and a flight recorder.
+//! * [`telemetry`] — mergeable log-linear histograms, sampled pipeline
+//!   tracing and a flight recorder.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! `swift-bench eval`, which reproduces every table and figure of the paper.
