@@ -26,9 +26,9 @@
 //!
 //! A routing table does not store routes in that form. It keeps each
 //! distinct attribute set, path included, once in its attribute dictionary
-//! (see [`crate::attributes`]), and a stored route is a 16-byte record —
-//! peer, attribute id, time learned — with no path in it (the unit test
-//! below pins both sizes, `Option` included). Withdrawing a route frees
+//! (see [`crate::attributes`]), and a stored route is a 12-byte record —
+//! attribute id, time learned, filed under its peer — with no path in it
+//! (the unit test below pins both sizes, `Option` included). Withdrawing a route frees
 //! nothing and reads no path; announcing a set the dictionary holds
 //! allocates nothing and drops the event's copy (for a spilled path, that
 //! frees the event's block); cloning a table or an interner copies bytes
@@ -471,9 +471,9 @@ mod tests {
         assert_eq!(size_of::<Option<Route>>(), 64);
         assert_eq!(size_of::<ElementaryEvent>(), 64);
         // What a table stores per route: the attributes by non-zero id, so
-        // a slab entry's `Option` costs nothing.
-        assert_eq!(size_of::<StoredRoute>(), 16);
-        assert_eq!(size_of::<Option<StoredRoute>>(), 16);
+        // a page entry's `Option` costs nothing.
+        assert_eq!(size_of::<StoredRoute>(), 12);
+        assert_eq!(size_of::<Option<StoredRoute>>(), 12);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   and UPDATE/WITHDRAW semantics the paper's algorithms consume.
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once as a
-//!   16-byte record behind a table-wide [`PrefixInterner`] (`Prefix` → dense
-//!   [`PrefixId`], whose sealed index the table's clones and its full
-//!   feeds' inference engines share) and a table-wide attribute dictionary;
-//!   routes are read as [`RouteRef`] views. The id → prefix [`PrefixList`]
-//!   is chunked and shared by clones and snapshots.
+//!   12-byte record in its peer's pages, by its [`PrefixId`] in a table-wide
+//!   [`PrefixInterner`] (whose sealed index the table's clones and its full
+//!   feeds' inference engines share) and its attributes' id in a table-wide
+//!   attribute dictionary; routes are read as [`RouteRef`] views. The id →
+//!   prefix [`PrefixList`] is chunked and shared by clones and snapshots.
 //! * [`MessageStream`] — a timestamped per-session message stream, the
 //!   exact input shape of the SWIFT inference algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with

@@ -25,18 +25,18 @@
 //! The table interns every prefix once ([`PrefixInterner`]: `Prefix` → dense
 //! [`PrefixId`], ids never reused) and every distinct attribute set once (its
 //! attribute dictionary, see [`crate::attributes`]), and each peer keeps
-//! `PeerRoutes`: a 4-byte slot per prefix id pointing into a slab of 16-byte
-//! `StoredRoute` records — peer, attribute id, time learned — with a free
-//! list. The record is `Copy` and owns nothing, so applying an event is a
+//! `PeerRoutes`: its routes in id-indexed pages of 64 ids, each entry a
+//! 12-byte `StoredRoute` record — attribute id, time learned; the peer is
+//! the one whose pages hold it — found through a 4-byte directory entry per
+//! page. The record is `Copy` and owns nothing, so applying an event is a
 //! probe of the prefix dictionary (one cache line on a hit), for an
 //! announcement a probe of the attribute dictionary, plus array writes: an
-//! announcement writes its record into its slab entry (the event's
-//! attributes move into the dictionary if they are new and are dropped
-//! otherwise), a withdrawal marks the entry free and reads nothing. Nothing
-//! on that path is ordered.
-//! The invariants (the index maps the prefix of id `i` to `i`; non-vacant slots
-//! point at distinct live slab entries, the rest of the slab is the free
-//! list) are maintained in exactly four functions —
+//! announcement writes its record into its page (the event's attributes
+//! move into the dictionary if they are new and are dropped otherwise), a
+//! withdrawal empties the entry. Nothing on that path is ordered.
+//! The invariants (the index maps the prefix of id `i` to `i`; distinct
+//! directory entries name distinct pages, and a peer's route count is its
+//! pages' occupied entries) are maintained in exactly four functions —
 //! `PrefixInterner::intern`, `PrefixInterner::seal`, `PeerRoutes::insert`
 //! and `PeerRoutes::remove` — and checked against a plain ordered-map model
 //! by `crates/bgp/tests/proptest_table.rs` (the interner alone, sealed and
@@ -57,11 +57,12 @@ use std::sync::Arc;
 
 /// A route for one prefix learned from one peer, owned: what
 /// [`crate::RoutingTable::announce`] takes and [`AdjRibIn::iter`] yields.
-/// A table stores it as a 16-byte record and hands it out as a
-/// [`RouteRef`].
+/// A table stores it as a 12-byte record under its peer and hands it out as
+/// a [`RouteRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
-    /// The peer the route was learned from.
+    /// The peer the route was learned from. A table files the route under
+    /// this peer, and every [`RouteRef`] it hands out of it names that peer.
     pub peer: PeerId,
     /// The route's path attributes.
     pub attrs: RouteAttributes,
@@ -99,9 +100,9 @@ impl Route {
     }
 }
 
-/// A route as a [`crate::RoutingTable`] hands it out: the stored record's
-/// peer and time, and its attributes borrowed from the table's attribute
-/// dictionary. `Copy`, 24 bytes; [`RouteRef::to_route`] makes it owned.
+/// A route as a [`crate::RoutingTable`] hands it out: the peer it is filed
+/// under, the stored record's time, and its attributes borrowed from the
+/// table's attribute dictionary. `Copy`, 24 bytes; [`RouteRef::to_route`] makes it owned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRef<'a> {
     /// The peer the route was learned from.
@@ -145,21 +146,23 @@ impl<'a> RouteRef<'a> {
     }
 }
 
-/// A route as a peer's slab stores it: 16 bytes, `Copy`, its attributes by
-/// id into the owning table's attribute dictionary.
+/// A route as a peer's pages store it: 12 bytes, `Copy`, its attributes by
+/// id into the owning table's attribute dictionary; its peer is the one
+/// whose pages hold it. Packed to 4-byte alignment, so the time adds no
+/// padding.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub(crate) struct StoredRoute {
-    pub(crate) peer: PeerId,
     pub(crate) attrs: AttrId,
     pub(crate) learned_at: Timestamp,
 }
 
 impl StoredRoute {
-    /// The record as a view, its attributes read from `dictionary`.
+    /// The record as `peer`'s route, its attributes read from `dictionary`.
     #[inline]
-    pub(crate) fn view(self, dictionary: &AttrDictionary) -> RouteRef<'_> {
+    pub(crate) fn view(self, peer: PeerId, dictionary: &AttrDictionary) -> RouteRef<'_> {
         RouteRef {
-            peer: self.peer,
+            peer,
             attrs: dictionary.get(self.attrs),
             learned_at: self.learned_at,
         }
@@ -590,92 +593,88 @@ fn vacant(slots: &[u64], key: u64) -> usize {
     at
 }
 
-/// "No route" marker of [`PeerRoutes::slots`].
-const VACANT: u32 = u32::MAX;
+/// Ids per page of a [`PeerRoutes`].
+const PAGE: usize = 64;
 
-/// One peer's routes, stored once and found by [`PrefixId`].
-///
-/// `slots[id]` is the index of the id's route in the `routes` slab, or
-/// [`VACANT`] (as is every id beyond `slots.len()`). Invariants, maintained
-/// by `insert` / `remove` (the only writers): every non-vacant slot points at
-/// a distinct `Some` entry, and the `None` entries of `routes` are exactly
-/// the indices on the `free` list. A slot is 4 bytes, so a peer that
-/// announces only its own block of a large shared id space pays 4 bytes per
-/// foreign id, not a route-sized hole.
+/// A [`PeerRoutes`] directory entry for a page the peer never wrote to.
+const NO_PAGE: u32 = u32::MAX;
+
+/// One peer's routes, stored once and found by [`PrefixId`]: entry
+/// `id % PAGE` of page `directory[id / PAGE]` of `pages` (whole pages, back
+/// to back), none where that entry is [`NO_PAGE`] or past the directory's
+/// end. A page is appended on its first insert and never freed, as ids are
+/// never reused. Invariants, kept by `insert` / `remove` (the only
+/// writers): distinct directory entries name distinct pages, and `len`
+/// counts the `Some` entries. A peer whose ids fill its pages pays 12 bytes
+/// per route; one scattered over a large id space up to a 768-byte page.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PeerRoutes {
-    slots: Vec<u32>,
-    routes: Vec<Option<StoredRoute>>,
-    free: Vec<u32>,
+    directory: Vec<u32>,
+    pages: Vec<Option<StoredRoute>>,
+    len: usize,
 }
 
 impl PeerRoutes {
     pub(crate) fn len(&self) -> usize {
-        self.routes.len() - self.free.len()
+        self.len
+    }
+
+    /// The index in `pages` of `id`'s entry, if its page exists.
+    #[inline]
+    fn entry(&self, id: PrefixId) -> Option<usize> {
+        let page = *self.directory.get(id.index() / PAGE)?;
+        (page != NO_PAGE).then(|| page as usize * PAGE + id.index() % PAGE)
     }
 
     #[inline]
     pub(crate) fn get(&self, id: PrefixId) -> Option<StoredRoute> {
-        match self.slots.get(id.index()) {
-            Some(&slot) if slot != VACANT => self.routes[slot as usize],
-            _ => None,
-        }
+        self.pages[self.entry(id)?]
     }
 
     /// Installs or replaces the route for `id`.
     pub(crate) fn insert(&mut self, id: PrefixId, route: StoredRoute) {
-        if self.slots.len() <= id.index() {
-            self.slots.resize(id.index() + 1, VACANT);
+        let page = id.index() / PAGE;
+        if self.directory.len() <= page {
+            self.directory.resize(page + 1, NO_PAGE);
         }
-        let slot = &mut self.slots[id.index()];
-        if *slot == VACANT {
-            *slot = self.free.pop().unwrap_or_else(|| {
-                self.routes.push(None);
-                self.routes.len() as u32 - 1
-            });
+        if self.directory[page] == NO_PAGE {
+            self.directory[page] = (self.pages.len() / PAGE) as u32;
+            self.pages.resize(self.pages.len() + PAGE, None);
         }
-        self.routes[*slot as usize] = Some(route);
+        let entry = &mut self.pages[self.directory[page] as usize * PAGE + id.index() % PAGE];
+        self.len += usize::from(entry.is_none());
+        *entry = Some(route);
     }
 
-    /// Removes the route for `id`, freeing its slab entry; returns whether
-    /// there was one. Never grows the slot array.
+    /// Removes the route for `id`; returns whether there was one. Never
+    /// grows the directory or adds a page.
     pub(crate) fn remove(&mut self, id: PrefixId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.index()) else {
-            return false;
-        };
-        let slot = std::mem::replace(slot, VACANT);
-        if slot == VACANT {
-            return false;
-        }
-        self.free.push(slot);
-        self.routes[slot as usize] = None;
-        true
+        let held = self
+            .entry(id)
+            .and_then(|at| self.pages[at].take())
+            .is_some();
+        self.len -= usize::from(held);
+        held
     }
 
-    /// Releases the slack the slab, the slot array and the free list grew
-    /// by doubling (a bulk load leaves up to half of each unused).
+    /// Releases the slack the directory and the pages grew by doubling (a
+    /// bulk load leaves up to half of each unused).
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.slots.shrink_to_fit();
-        self.routes.shrink_to_fit();
-        self.free.shrink_to_fit();
+        self.directory.shrink_to_fit();
+        self.pages.shrink_to_fit();
     }
 
-    /// Length of the id-indexed slot array (what a withdrawal must not grow).
+    /// Lengths of the directory and of the pages (what a withdrawal must
+    /// not grow).
     #[cfg(test)]
-    pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        (self.directory.len(), self.pages.len())
     }
 
     /// `(id, route)` pairs in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (PrefixId, StoredRoute)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| **slot != VACANT)
-            .map(|(id, slot)| {
-                let route = self.routes[*slot as usize];
-                (PrefixId(id as u32), route.expect("occupied slot"))
-            })
+        let ids = (0..self.directory.len() * PAGE).map(PrefixId::from_index);
+        ids.filter_map(|id| Some((id, self.get(id)?)))
     }
 }
 
@@ -687,6 +686,7 @@ impl PeerRoutes {
 /// per-event path.
 #[derive(Debug, Clone, Copy)]
 pub struct AdjRibIn<'a> {
+    pub(crate) peer: PeerId,
     pub(crate) interner: &'a PrefixInterner,
     pub(crate) dictionary: &'a AttrDictionary,
     pub(crate) routes: &'a PeerRoutes,
@@ -706,13 +706,13 @@ impl<'a> AdjRibIn<'a> {
     /// The route for `prefix`, if announced.
     pub fn get(&self, prefix: &Prefix) -> Option<RouteRef<'a>> {
         let route = self.routes.get(self.interner.get(prefix)?)?;
-        Some(route.view(self.dictionary))
+        Some(route.view(self.peer, self.dictionary))
     }
 
     /// Iterates over `(prefix, route)` pairs in ascending prefix order, each
     /// route viewed in place.
     pub fn views(&self) -> impl Iterator<Item = (&'a Prefix, RouteRef<'a>)> + 'a {
-        let (interner, dictionary) = (self.interner, self.dictionary);
+        let (peer, interner, dictionary) = (self.peer, self.interner, self.dictionary);
         let mut entries: Vec<(Prefix, PrefixId, StoredRoute)> = self
             .routes
             .iter()
@@ -721,7 +721,7 @@ impl<'a> AdjRibIn<'a> {
         entries.sort_unstable_by_key(|(prefix, _, _)| *prefix);
         entries
             .into_iter()
-            .map(move |(_, id, route)| (interner.prefix(id), route.view(dictionary)))
+            .map(move |(_, id, route)| (interner.prefix(id), route.view(peer, dictionary)))
     }
 
     /// The table's prefix dictionary, which numbers this peer's routes: a
@@ -1005,7 +1005,7 @@ mod tests {
     }
 
     // The router-wide ("Loc-RIB") view: all candidates of a prefix and the
-    // decision process over them, answered from the per-peer slots.
+    // decision process over them, answered from the per-peer pages.
 
     /// A table with peers 1..=n registered.
     fn table_with_peers(n: u32) -> RoutingTable {

@@ -11,20 +11,20 @@
 //!
 //! # Single-copy storage
 //!
-//! Every route is stored once, as a 16-byte record in its peer's
-//! id-indexed slots (see [`crate::rib`]); the table adds the two shared
+//! Every route is stored once, as a 12-byte record in its peer's
+//! id-indexed pages (see [`crate::rib`]); the table adds the two shared
 //! dictionaries: a [`PrefixInterner`] whose packed index answers a hit from
 //! one cache line, and the attribute dictionary every record's attributes
 //! are read from (see [`crate::attributes`]). There is no per-prefix
 //! candidate map: the router-wide questions ([`RoutingTable::best`],
 //! [`RoutingTable::candidates`], …) resolve the prefix to its id with one
-//! probe of that index and read that id's slot in each peer, handing each
-//! route out as a [`RouteRef`]. The one invariant the table
-//! itself owns is that a peer's slots are indexed by *this* table's ids, which
-//! holds because the private `insert` is the only place a route enters a
-//! peer's storage. Withdrawing — or clearing a peer — never interns and never
-//! grows a slot array, so withdrawals for prefixes the table has never seen
-//! cost one failed probe.
+//! probe of that index and read that id's record in each peer, handing each
+//! route out as a [`RouteRef`] that names the peer the record is filed
+//! under. The one invariant the table itself owns is that a peer's pages
+//! are indexed by *this* table's ids, which holds because the private
+//! `insert` is the only place a route enters a peer's storage. Withdrawing —
+//! or clearing a peer — never interns and never adds a page, so withdrawals
+//! for prefixes the table has never seen cost one failed probe.
 //!
 //! # The id space
 //!
@@ -66,8 +66,8 @@
 //! whatever the earlier events did. A prefix or set phase 1 did not find is
 //! looked up again: an earlier announcement of the same batch may have
 //! interned it since. So the batch is exactly one `apply_owned` per event,
-//! in order. (Phase 1 also reading each id's slot and route record, as the
-//! retag's gather does, measured slower.)
+//! in order. (Phase 1 also reading the routes, as the retag's gather does,
+//! measured slower on the slot-and-slab storage the pages replaced.)
 
 use crate::as_path::{AsLink, Asn};
 use crate::attributes::{AttrDictionary, AttrId};
@@ -177,6 +177,7 @@ impl RoutingTable {
     /// The per-peer RIB of a registered peer.
     pub fn adj_rib_in(&self, peer: PeerId) -> Option<AdjRibIn<'_>> {
         self.peers.get(&peer).map(|s| AdjRibIn {
+            peer,
             interner: &self.interner,
             dictionary: &self.dictionary,
             routes: &s.routes,
@@ -213,11 +214,11 @@ impl RoutingTable {
     }
 
     /// Seals the prefix dictionary ([`PrefixInterner::seal`]) and trims
-    /// each peer's route slab and slot array to their length. Clones taken
-    /// afterwards share the dictionary's index instead of copying it, and so
-    /// do the inference engines of the table's full feeds. Changes no id,
-    /// route or answer. Routers call it on the table they are handed; bulk
-    /// builders call it on the table they return.
+    /// each peer's route pages and page directory to their length. Clones
+    /// taken afterwards share the dictionary's index instead of copying it,
+    /// and so do the inference engines of the table's full feeds. Changes
+    /// no id, route or answer. Routers call it on the table they are
+    /// handed; bulk builders call it on the table they return.
     pub fn seal(&mut self) {
         self.interner.seal();
         for state in self.peers.values_mut() {
@@ -320,7 +321,8 @@ impl RoutingTable {
 
     /// Bulk-announces a prefix from a peer (convenience used by generators).
     /// Returns the prefix's id, `None` (and changes nothing) if the peer is
-    /// not registered.
+    /// not registered. `route.peer` must be `peer`: the table stores no peer
+    /// per route, and hands the route out as `peer`'s.
     pub fn announce(&mut self, peer: PeerId, prefix: Prefix, route: Route) -> Option<PrefixId> {
         self.insert(peer, prefix, route, Resolved::UNKNOWN)
     }
@@ -337,6 +339,7 @@ impl RoutingTable {
         route: Route,
         found: Resolved,
     ) -> Option<PrefixId> {
+        debug_assert_eq!(route.peer, peer, "a route is filed under its own peer");
         let state = self.peers.get_mut(&peer)?;
         let id = (found.prefix()).unwrap_or_else(|| self.interner.intern(prefix));
         debug_assert_eq!(self.interner.prefix(id), &prefix, "resolved elsewhere");
@@ -351,12 +354,8 @@ impl RoutingTable {
             }
             None => self.dictionary.intern(route.attrs),
         };
-        let stored = StoredRoute {
-            peer: route.peer,
-            attrs,
-            learned_at: route.learned_at,
-        };
-        state.routes.insert(id, stored);
+        let learned_at = route.learned_at;
+        state.routes.insert(id, StoredRoute { attrs, learned_at });
         Some(id)
     }
 
@@ -396,9 +395,9 @@ impl RoutingTable {
 
     /// The routes every peer holds for one id (none for `None`).
     fn candidates_of(&self, id: Option<PrefixId>) -> impl Iterator<Item = RouteRef<'_>> + Clone {
-        self.peers
-            .values()
-            .filter_map(move |state| Some(state.routes.get(id?)?.view(&self.dictionary)))
+        self.peers.iter().filter_map(move |(peer, state)| {
+            Some(state.routes.get(id?)?.view(*peer, &self.dictionary))
+        })
     }
 
     /// The best route for a prefix.
@@ -415,7 +414,7 @@ impl RoutingTable {
     }
 
     /// [`RoutingTable::candidates`] of the prefix behind `id`, without the
-    /// probe: one slot read per peer.
+    /// probe: one record read per peer.
     pub fn candidates_by_id(&self, id: PrefixId) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         self.candidates_of(Some(id))
     }
@@ -423,17 +422,17 @@ impl RoutingTable {
     /// Calls `f(i, route)` for every candidate route of `ids[i]`, for every
     /// `i`: [`RoutingTable::candidates_by_id`] of several ids in one walk of
     /// the peers. The walk is peer-major, so each id's routes arrive in peer
-    /// order, as `candidates_by_id` yields them, and one peer's slot reads
+    /// order, as `candidates_by_id` yields them, and one peer's record reads
     /// for the whole slice are independent of each other.
     pub fn for_each_candidate<'a>(
         &'a self,
         ids: &[PrefixId],
         mut f: impl FnMut(usize, RouteRef<'a>),
     ) {
-        for state in self.peers.values() {
+        for (peer, state) in &self.peers {
             for (i, id) in ids.iter().enumerate() {
                 if let Some(route) = state.routes.get(*id) {
-                    f(i, route.view(&self.dictionary));
+                    f(i, route.view(*peer, &self.dictionary));
                 }
             }
         }
@@ -543,12 +542,12 @@ mod tests {
     fn withdrawing_an_unseen_prefix_interns_and_grows_nothing() {
         let mut t = fig1_table();
         let ids = t.interner.len();
-        let slots = |t: &RoutingTable| -> Vec<usize> {
-            t.peers.values().map(|s| s.routes.slot_count()).collect()
+        let footprints = |t: &RoutingTable| -> Vec<(usize, usize)> {
+            t.peers.values().map(|s| s.routes.footprint()).collect()
         };
-        let before = slots(&t);
+        let before = footprints(&t);
         // Noise: a prefix no peer ever announced, and a known prefix (id 15)
-        // withdrawn by a peer whose slots stop at id 9.
+        // withdrawn by a peer whose routes stop at id 9.
         for (peer, prefix) in [(2, p(999)), (4, p(15)), (4, p(999))] {
             let ev = ElementaryEvent::Withdraw {
                 timestamp: 1,
@@ -557,7 +556,7 @@ mod tests {
             assert_eq!(t.apply_owned(PeerId(peer), ev), None);
         }
         assert_eq!(t.interner.len(), ids, "no id interned");
-        assert_eq!(slots(&t), before, "no per-peer index grew");
+        assert_eq!(footprints(&t), before, "no per-peer storage grew");
         // Clearing a peer interns nothing either, and a real withdrawal
         // reports the prefix's id.
         assert_eq!(t.clear_peer(PeerId(4)).len(), 10);

@@ -19,6 +19,12 @@
 //!
 //! The batched fold, `RoutingTable::apply_all`, is checked against the
 //! per-event `apply_owned` it must equal, on streams at the batch's edges.
+//!
+//! A peer stores its routes in pages of 64 ids. So that the ops cross
+//! pages, every table starts seeded: a peer no op names numbers filler
+//! prefixes around twelve of the drawn ones, whose ids then straddle two
+//! page boundaries, and withdraws them all again. A scripted sequence pins
+//! the page cases a random one may miss.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -33,6 +39,14 @@ const PEERS: u32 = 5;
 /// the last 8 are prefixes the table has never seen.
 const PREFIXES: u32 = 24;
 const ANNOUNCED: u32 = 16;
+/// The peer that numbers the seeded ids; no op names it.
+const FILLER: PeerId = PeerId(9);
+/// The first `SEEDED` drawn prefixes get ids `FIRST_ID + STRIDE * i`
+/// (58, 65, …, 135: three 64-id pages); the other announced ones are
+/// numbered by the ops, after them.
+const SEEDED: u32 = 12;
+const FIRST_ID: u32 = 58;
+const STRIDE: u32 = 7;
 
 fn p(i: u32) -> Prefix {
     // Descending addresses: id order (first announcement) and prefix order
@@ -117,6 +131,27 @@ fn route(peer: PeerId, hops: &[u32], (lp, med, origin): AttrChoice, t: u64) -> R
 /// The owned routes behind some views.
 fn owned<'a>(views: impl IntoIterator<Item = RouteRef<'a>>) -> Vec<Route> {
     views.into_iter().map(|r| r.to_route()).collect()
+}
+
+/// A table and its model after the filler peer numbered ids
+/// `0..=FIRST_ID + STRIDE * (SEEDED - 1)`, the seeded drawn prefixes among
+/// filler ones, and withdrew every route again: the ids stay.
+fn seeded() -> (RoutingTable, Model) {
+    let (mut table, mut model) = (RoutingTable::new(), Model::default());
+    table.add_peer(FILLER, Asn(9));
+    model.peers.insert(FILLER, Asn(9));
+    let filler = route(FILLER, &[9], (0, 0, 0), 0);
+    for id in 0..=FIRST_ID + STRIDE * (SEEDED - 1) {
+        let prefix = match id.checked_sub(FIRST_ID) {
+            Some(k) if k % STRIDE == 0 => p(k / STRIDE),
+            _ => Prefix::nth_slash24(2_000 + id),
+        };
+        let got = table.announce(FILLER, prefix, filler.clone());
+        assert_eq!(got.map(PrefixId::index), Some(id as usize));
+    }
+    assert_eq!(table.clear_peer(FILLER).len(), table.id_count());
+    model.announced.insert(filler.attrs);
+    (table, model)
 }
 
 /// Applies one operation to both sides and checks their return values agree.
@@ -386,8 +421,7 @@ proptest! {
     /// through, the original is sealed again, over the prefixes it gained.
     #[test]
     fn routing_table_matches_the_ordered_map_model(ops in arb_ops()) {
-        let mut table = RoutingTable::new();
-        let mut model = Model::default();
+        let (mut table, mut model) = seeded();
         let half = ops.len() / 2;
         for (k, op) in ops[..half].iter().enumerate() {
             step(&mut table, &mut model, k, op)?;
@@ -425,7 +459,7 @@ proptest! {
         stream in arb_stream(),
         resolved in any::<u64>(),
     ) {
-        let mut batched = RoutingTable::new();
+        let (mut batched, _) = seeded();
         for peer in 1..PEERS {
             batched.add_peer(PeerId(peer), Asn(100 + peer));
         }
@@ -457,4 +491,37 @@ proptest! {
             prop_assert_eq!(state(&batched), state(&single));
         }
     }
+}
+
+/// The page cases, each followed by a full check (per-peer lengths
+/// included): withdrawals on pages the peer never touched, past its
+/// directory's end and inside it; a re-announcement into a page its
+/// withdrawals emptied; `clear_peer` followed by re-announcements.
+#[test]
+fn scripted_ops_cross_pages() {
+    let (mut table, mut model) = seeded();
+    let announced = || (vec![1, 2], (0, 0, 0));
+    // `(kind, peer, prefix index)`, kinds as `step` reads them; the
+    // comments give each prefix's id and page.
+    let script: [(u8, u32, u32); 14] = [
+        (0, 1, 0),
+        (2, 1, 0),  // id 58, page 0
+        (7, 1, 10), // id 128: page 2, past the directory
+        (4, 1, 11), // id 135, page 2
+        (7, 1, 1),  // id 65: page 1, inside the directory, never touched
+        (6, 1, 0),  // page 0 emptied
+        (2, 1, 0),  // and announced into again
+        (2, 1, 13), // a new prefix: id 136, page 2
+        (1, 1, 0),
+        (6, 1, 11),
+        (4, 1, 11),
+        (7, 1, 20), // a prefix the table has never seen
+        (0, 2, 0),
+        (2, 2, 1),
+    ];
+    for (k, (kind, peer, i)) in script.into_iter().enumerate() {
+        step(&mut table, &mut model, k, &(kind, peer, i, announced())).unwrap();
+        check(&table, &model).unwrap();
+    }
+    assert_eq!(table.prefix_id(&p(13)).map(PrefixId::index), Some(136));
 }

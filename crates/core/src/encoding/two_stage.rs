@@ -37,9 +37,9 @@
 //!
 //! [`TwoStageTable::refresh_ids`] is the one retag loop (`build`, the
 //! resync, registration and teardown call it). Its reads miss the cache:
-//! per peer a slot, the 16-byte route record behind it, the attribute set
-//! the record names in the table's dictionary, then the stage-1 word. One id
-//! at a time, those misses queue. So ids go in batches of
+//! per peer the 12-byte route record, the attribute set the record names in
+//! the table's dictionary, then the stage-1 word. One id at a time, those
+//! misses queue. So ids go in batches of
 //! B = [`TwoStageTable::RETAG_BATCH`], each in two phases:
 //!
 //! 1. **Gather.** [`RoutingTable::for_each_candidate`] walks the peers once

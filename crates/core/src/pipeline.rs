@@ -365,7 +365,8 @@ impl Applier {
     /// the touched prefixes are retagged in stage 1 (the new session may have
     /// become primary for some of them). Any buffered events are folded in
     /// first so the retag sees current routes. Returns the number of routes
-    /// announced.
+    /// announced. A route's `peer` must be `peer`, the session it is filed
+    /// under.
     ///
     /// The stage-2 next-hop index is part of the offline-precomputed encoding
     /// (§5), so a peer that was *never* in the table when the forwarding

@@ -17,7 +17,13 @@
 //!   its session carries), and one by one after it (what dropping each
 //!   engine frees: the shared dictionary stays with the table);
 //! * `TwoStageTable::build` — the forwarding table;
-//! * `SwiftRouter::new` over a clone — all of the above in one router.
+//! * `SwiftRouter::new` over a clone — all of the above in one router;
+//! * two partial feeds of one size, each on a new peer of the clone, one
+//!   route per 64 of the table's ids over an attribute set the table holds:
+//!   one numbered in one block (the table's last ids, so its routes fill
+//!   their 64-id pages), one scattered a route per page (the worst case: a
+//!   whole page per route). Their bytes per route are per the feed's own
+//!   routes.
 //!
 //! Run with: `cargo run --release --example memory_probe [prefixes] [seed]`
 //! (defaults 1000000 and 1, the benchmark's seed).
@@ -30,7 +36,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use swift::bgp::ElementaryEvent;
+use swift::bgp::{Asn, ElementaryEvent, PeerId, PrefixId, Route, RoutingTable};
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::pipeline::session_engines;
 use swift::core::TwoStageTable;
@@ -68,6 +74,26 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Ids per page of a peer's route storage (`swift_bgp`'s `PeerRoutes`).
+const PAGE: usize = 64;
+
+/// The live bytes a new peer of `table` adds by announcing the prefixes
+/// behind `ids`, each with the attribute set of id 0's first route.
+fn partial_feed(table: &mut RoutingTable, ids: impl Iterator<Item = usize>) -> i64 {
+    let first = table.candidates_by_id(PrefixId::from_index(0)).next();
+    let attrs = first.expect("id 0 is routed").attrs.clone();
+    let peer = PeerId(table.peers().map(|(peer, _)| peer.0).max().unwrap_or(0) + 1);
+    let ((), bytes) = kept(|| {
+        table.add_peer(peer, Asn(peer.0));
+        for id in ids {
+            let prefix = table.prefix_of(PrefixId::from_index(id));
+            table.announce(peer, prefix, Route::new(peer, attrs.clone(), 0));
+        }
+        table.seal();
+    });
+    bytes
+}
 
 /// Builds `f`'s value and returns it with the live bytes it added.
 fn kept<R>(f: impl FnOnce() -> R) -> (R, i64) {
@@ -108,7 +134,7 @@ fn main() {
         table.attr_count()
     );
 
-    let (clone, clone_bytes) = kept(|| table.clone());
+    let (mut clone, clone_bytes) = kept(|| table.clone());
     let (mut engines, engine_bytes) = kept(|| session_engines(&config, &table));
     let ((), recovery_bytes) = kept(|| {
         for (peer, engine) in &mut engines {
@@ -126,6 +152,9 @@ fn main() {
     let (forwarding, forwarding_bytes) =
         kept(|| TwoStageTable::build(&table, &config.encoding, &policy));
     let (router, router_bytes) = kept(|| SwiftRouter::new(config.clone(), clone.clone(), policy));
+    let (ids, feed) = (clone.id_count(), clone.id_count() / PAGE);
+    let block_bytes = partial_feed(&mut clone, ids - feed..ids);
+    let scattered_bytes = partial_feed(&mut clone, (0..feed).map(|k| k * PAGE));
     // Each engine's own bytes: what dropping it frees.
     let per_engine: Vec<(String, i64)> = engines
         .into_iter()
@@ -161,6 +190,18 @@ fn main() {
             "{name:<40} {:>10.1} {:>12.1}",
             mib(bytes),
             bytes as f64 / routes as f64
+        );
+    }
+    let feeds = [
+        ("one block", block_bytes),
+        ("one per page", scattered_bytes),
+    ];
+    for (numbering, bytes) in feeds {
+        let name = format!("partial feed, {numbering} ({feed} routes)");
+        println!(
+            "{name:<40} {:>10.1} {:>12.1}",
+            mib(bytes),
+            bytes as f64 / feed as f64
         );
     }
     drop((forwarding, router));
