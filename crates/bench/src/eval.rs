@@ -15,15 +15,17 @@ use rand::{Rng, SeedableRng};
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use swift_bgp::{AsLink, Asn, BgpMessage, MessageStream, PeerId, Prefix, PrefixSet, SECOND};
-use swift_bgpsim::Engine;
 use swift_core::encoding::{ReroutingPolicy, TwoStageTable};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Quadrant::{Bad, Good, Overestimate, Underestimate};
 use swift_core::metrics::{percentile, Classification};
 use swift_core::{EncodingConfig, InferenceConfig};
-use swift_dataplane::{pick_probes, swifted_convergence, vanilla_convergence, FibCostModel};
-use swift_topology::{Topology, TopologyConfig};
-use swift_traces::{Corpus, TraceConfig};
+use swift_traces::dataplane::{
+    pick_probes, swifted_convergence, vanilla_convergence, FibCostModel,
+};
+use swift_traces::sim::Engine;
+use swift_traces::topology::{Topology, TopologyConfig};
+use swift_traces::{Corpus, LabelledBurst, TraceConfig};
 use Cause::{Generator, Model, Open, Scale};
 use Tolerance::{Abs, AtLeast, AtMost, Rel};
 
@@ -548,8 +550,7 @@ impl Tally {
 /// the end and after `sim_threshold` withdrawals, with and without noise.
 fn sim(ctx: &Ctx<'_>, out: &mut Out) {
     let i = ctx.inputs;
-    let topology = Topology::generate(&i.topology);
-    let mut base = Engine::new(topology.clone());
+    let mut base = Engine::new(Topology::generate(&i.topology));
     base.converge();
     let mut rng = StdRng::seed_from_u64(7);
     let mut tallies: [Tally; 4] = Default::default();
@@ -558,7 +559,7 @@ fn sim(ctx: &Ctx<'_>, out: &mut Out) {
         attempts += 1;
         // A session, then a link carrying enough of its prefixes.
         let vantage = Asn(rng.gen_range(1..=i.topology.num_ases as u32));
-        let neighbors: Vec<Asn> = topology.graph().neighbors(vantage).collect();
+        let neighbors: Vec<Asn> = base.topology().graph().neighbors(vantage).collect();
         if neighbors.is_empty() {
             continue;
         }
@@ -581,19 +582,21 @@ fn sim(ctx: &Ctx<'_>, out: &mut Out) {
         let mut engine = base.clone();
         engine.monitor_session(vantage, neighbor);
         engine.fail_link(link.from, link.to);
-        let burst = engine.take_burst(link);
-        if burst.withdrawal_count(&topology) < i.sim_threshold {
+        let LabelledBurst {
+            stream: clean,
+            withdrawn,
+            ..
+        } = engine.take_burst(link, 1_000);
+        if clean.total_withdrawals() < i.sim_threshold {
             continue;
         }
         bursts += 1;
-        let clean = burst.to_message_stream(&topology, 0, 1_000);
         let unrelated = rib
             .iter()
             .filter(|(_, r)| !r.as_path().crosses_link_undirected(&link));
         let noise = unrelated.take(i.sim_noise).enumerate();
         let noise = noise.map(|(k, (p, _))| BgpMessage::withdraw(k as u64 * 2_000 + 500, *p));
         let noisy = clean.merge(&MessageStream::from_messages(noise.collect()));
-        let withdrawn = burst.withdrawn_prefixes(&topology);
         for (stream, tally) in [clean, noisy].iter().zip(tallies.chunks_mut(2)) {
             let paths = rib.views().map(|(p, r)| (p, r.as_path()));
             let mut engine = InferenceEngine::new(InferenceConfig::default(), paths);

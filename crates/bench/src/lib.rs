@@ -12,7 +12,7 @@ use swift_bgp::{PrefixSet, Timestamp};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Classification;
 use swift_core::{InferenceConfig, PrefixSnapshot};
-use swift_traces::{MaterializedBurst, SessionTrace};
+use swift_traces::{LabelledBurst, SessionTrace};
 
 /// The outcome of running the SWIFT inference on one corpus burst.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ pub struct BurstEvaluation {
 /// detection (too small for the configured thresholds).
 pub fn evaluate_burst(
     session: &SessionTrace,
-    burst: &MaterializedBurst,
+    burst: &LabelledBurst,
     config: &InferenceConfig,
 ) -> Option<BurstEvaluation> {
     // Seeding shares the trace's interned path storage — no per-prefix clones.

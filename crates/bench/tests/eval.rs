@@ -7,7 +7,7 @@
 
 use std::path::Path;
 use swift_bench::eval::{self, Cause, EvalInputs, EvalRecord, Tolerance, PAPER};
-use swift_topology::TopologyConfig;
+use swift_traces::topology::TopologyConfig;
 use swift_traces::TraceConfig;
 
 const PINNED: &str = "expected/eval.txt";

@@ -27,6 +27,7 @@
 //! the page cases a random one may miss.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use swift_bgp::{
     AsLink, AsPath, Asn, ElementaryEvent, Origin, PathId, PathInterner, PeerId, Prefix, PrefixId,
@@ -102,8 +103,26 @@ impl Model {
             .collect()
     }
 
+    /// The decision process written out here, not read from the library's
+    /// `compare_preference`: the greatest key wins. Highest LOCAL_PREF (unset
+    /// reads 100), shortest AS path, lowest ORIGIN (IGP, EGP, INCOMPLETE),
+    /// lowest MED (unset reads 0), oldest, then lowest peer.
     fn best_among(routes: impl IntoIterator<Item = Route>) -> Option<Route> {
-        routes.into_iter().max_by(|a, b| a.compare_preference(b))
+        routes.into_iter().max_by_key(|r| {
+            let origin = match r.attrs.origin {
+                Origin::Igp => 0,
+                Origin::Egp => 1,
+                Origin::Incomplete => 2,
+            };
+            (
+                r.attrs.local_pref.unwrap_or(100),
+                Reverse(r.attrs.as_path.len()),
+                Reverse(origin),
+                Reverse(r.attrs.med.unwrap_or(0)),
+                Reverse(r.learned_at),
+                Reverse(r.peer),
+            )
+        })
     }
 
     fn rib(&self, peer: PeerId) -> Vec<(Prefix, &Route)> {

@@ -24,7 +24,7 @@
 //! use swift_core::encoding::ReroutingPolicy;
 //! use swift_bgp::RoutingTable;
 //!
-//! // An (empty) router: real tables come from swift-bgpsim or swift-traces.
+//! // An (empty) router: real tables come from swift-traces' simulator or corpus.
 //! let router = SwiftRouter::new(
 //!     SwiftConfig::default(),
 //!     RoutingTable::new(),

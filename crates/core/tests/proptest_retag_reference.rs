@@ -5,8 +5,9 @@
 //! shares neither: it rebuilds the encoding plan as ordered maps from the
 //! table's best routes (the allocator's rule: candidates above the
 //! threshold, highest prefix count first, admitted while the bit budget
-//! allows), sums each group's offset on every read and write, and picks each
-//! position's backup with `select_backup_among`, one prefix at a time.
+//! allows), sums each group's offset on every read and write, ranks routes
+//! by a decision process of its own and picks each position's backup with
+//! `select_backup_among`, one prefix at a time.
 //!
 //! Inputs: 2–8 peers, paths of 1–7 hops over a small AS universe (so links
 //! repeat at every position), depth 1–4, tight and loose bit budgets, and
@@ -17,9 +18,11 @@
 //! distinct backups the model's tags carry for it.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use swift_bgp::{
-    AsLink, AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable,
+    AsLink, AsPath, Asn, ElementaryEvent, Origin, PeerId, Prefix, Route, RouteAttributes, RouteRef,
+    RoutingTable,
 };
 use swift_core::encoding::{select_backup_among, ReroutingPolicy};
 use swift_core::pipeline::Applier;
@@ -53,6 +56,26 @@ fn route(peer: PeerId, tail: &[u32], local_pref: u32, t: u64) -> Route {
     let mut attrs = RouteAttributes::from_path(AsPath::new(hops));
     attrs.local_pref = [None, Some(100), Some(200)][local_pref as usize];
     Route::new(peer, attrs, t)
+}
+
+/// A route's rank in the decision process, written out here rather than read
+/// from the library's `compare_preference`: the greatest key wins. Highest
+/// LOCAL_PREF (unset reads 100), shortest AS path, lowest ORIGIN (IGP, EGP,
+/// INCOMPLETE), lowest MED (unset reads 0), oldest, then lowest peer.
+fn preference(r: &RouteRef<'_>) -> impl Ord {
+    let origin = match r.attrs.origin {
+        Origin::Igp => 0,
+        Origin::Egp => 1,
+        Origin::Incomplete => 2,
+    };
+    (
+        r.attrs.local_pref.unwrap_or(100),
+        Reverse(r.attrs.as_path.len()),
+        Reverse(origin),
+        Reverse(r.attrs.med.unwrap_or(0)),
+        Reverse(r.learned_at),
+        Reverse(r.peer),
+    )
 }
 
 /// The model's encoding plan: one ordered map per position, and the bits
@@ -173,7 +196,7 @@ impl Model {
     /// The tag `prefix` must carry under `table`'s current routes.
     fn tag(&self, table: &RoutingTable, prefix: &Prefix) -> Option<u64> {
         let candidates = table.candidates(prefix);
-        let best = candidates.clone().max_by(|a, b| a.compare_preference(b))?;
+        let best = candidates.clone().max_by_key(preference)?;
         let mut tag = Layout::put(0, self.layout.nexthop_group(0), self.slot(best.peer));
         for pos in 1..=self.plan.per_position.len() {
             let Some(link) = best.as_path().link_at_position(pos) else {

@@ -67,15 +67,6 @@ impl Topology {
         }
     }
 
-    /// Builds a topology from explicit parts (used by fixtures and tests).
-    pub fn from_parts(graph: AsGraph, tiers: TierMap, origins: BTreeMap<Asn, Vec<Prefix>>) -> Self {
-        Topology {
-            graph,
-            tiers,
-            origins,
-        }
-    }
-
     /// The Fig. 1 topology of the paper with the paper's prefix counts
     /// (S6 = 1k, S7 = 10k, S8 = 10k). See [`Topology::figure1_with_counts`].
     pub fn figure1() -> Self {

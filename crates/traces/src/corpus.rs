@@ -11,6 +11,7 @@
 //!    background noise), deterministically from the catalog.
 
 use crate::model::{BurstRateModel, BurstShape, BurstSizeModel};
+use crate::LabelledBurst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -131,23 +132,6 @@ pub struct Corpus {
     sessions: Vec<SessionMeta>,
 }
 
-/// One burst, fully materialised.
-#[derive(Debug, Clone)]
-pub struct MaterializedBurst {
-    /// The catalog entry this burst was generated from.
-    pub meta: BurstMeta,
-    /// The link whose failure the burst simulates.
-    pub failed_link: AsLink,
-    /// The messages of the burst (withdrawals, updates, noise), time-ordered.
-    pub stream: MessageStream,
-    /// Prefixes withdrawn because of the failure.
-    pub withdrawn: PrefixSet,
-    /// Prefixes re-announced with an alternate path.
-    pub updated: PrefixSet,
-    /// Whether the burst touches popular prefixes.
-    pub touches_popular: bool,
-}
-
 /// One session, fully materialised.
 #[derive(Debug, Clone)]
 pub struct SessionTrace {
@@ -159,8 +143,9 @@ pub struct SessionTrace {
     pub rib: InternedRib,
     /// Prefixes considered "popular" (Umbrella-top-100-like origins).
     pub popular: PrefixSet,
-    /// The session's bursts.
-    pub bursts: Vec<MaterializedBurst>,
+    /// The session's bursts (withdrawals, updates and noise), in catalog
+    /// order.
+    pub bursts: Vec<LabelledBurst>,
 }
 
 /// A freshly built Adj-RIB-In: the table itself, its popular prefixes and the
@@ -250,11 +235,6 @@ impl Corpus {
         Corpus { config, sessions }
     }
 
-    /// The generator configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
     /// Number of sessions in the corpus.
     pub fn num_sessions(&self) -> usize {
         self.sessions.len()
@@ -296,7 +276,7 @@ impl Corpus {
     /// already-built [`SessionRib`]. Deterministic from the catalog alone
     /// (each burst carries its own seed), so bursts can be expanded lazily,
     /// in any order, and dropped after replay.
-    pub fn materialize_burst(&self, rib: &SessionRib, meta: &BurstMeta) -> MaterializedBurst {
+    pub fn materialize_burst(&self, rib: &SessionRib, meta: &BurstMeta) -> LabelledBurst {
         self.build_burst(meta, &rib.rib, &rib.popular, &rib.link_prefixes)
     }
 
@@ -387,7 +367,7 @@ impl Corpus {
         rib: &InternedRib,
         popular: &PrefixSet,
         link_prefixes: &BTreeMap<AsLink, Vec<Prefix>>,
-    ) -> MaterializedBurst {
+    ) -> LabelledBurst {
         let mut rng = StdRng::seed_from_u64(meta.seed);
 
         // Candidate failed links: those carrying enough prefixes to produce a
@@ -452,7 +432,6 @@ impl Corpus {
             .collect();
         let update_count = ((survivors.len() as f64) * self.config.update_fraction) as usize;
         let updated: Vec<Prefix> = survivors.into_iter().take(update_count).collect();
-        let updated_set: PrefixSet = updated.iter().copied().collect();
         let alternate_hop = Asn(9_000_000 + meta.peer.0);
 
         // Pace withdrawals and updates over the burst duration.
@@ -465,7 +444,7 @@ impl Corpus {
             let rel = meta.shape.time_of_fraction(q);
             let jitter = rng.gen_range(0..(duration / total_events as u64 + 1).max(1));
             let t = meta.start + (rel * duration as f64) as Timestamp + jitter;
-            if withdrawn_set.contains(prefix) {
+            if k < withdrawn.len() {
                 messages.push(BgpMessage::withdraw(t, *prefix));
             } else {
                 // Re-announce over a path that bypasses the failed link.
@@ -499,18 +478,10 @@ impl Corpus {
             messages.push(BgpMessage::withdraw(t, p));
         }
 
-        let touches_popular = withdrawn_set
-            .iter()
-            .chain(updated_set.iter())
-            .any(|p| popular.contains(p));
-
-        MaterializedBurst {
-            meta: meta.clone(),
+        LabelledBurst {
             failed_link,
             stream: MessageStream::from_messages(messages),
             withdrawn: withdrawn_set,
-            updated: updated_set,
-            touches_popular,
         }
     }
 }
@@ -614,7 +585,7 @@ mod tests {
             .all(|(_, path)| path.first_hop() == Some(session.meta.peer_asn)));
         assert!(!session.popular.is_empty());
 
-        for burst in &session.bursts {
+        for (burst, meta) in session.bursts.iter().zip(&session.meta.bursts) {
             assert!(!burst.withdrawn.is_empty());
             // Withdrawn prefixes all crossed the failed link in the RIB.
             for p in burst.withdrawn.iter().take(50) {
@@ -624,9 +595,10 @@ mod tests {
             // The stream contains at least the withdrawals.
             assert!(burst.stream.total_withdrawals() >= burst.withdrawn.len());
             // Updated prefixes are disjoint from withdrawn ones.
-            assert_eq!(burst.withdrawn.intersection_len(&burst.updated), 0);
+            assert!((burst.stream.elementary_events())
+                .all(|e| e.is_withdraw() || !burst.withdrawn.contains(&e.prefix())));
             // Stream is confined to the burst's time span (plus noise inside it).
-            assert!(burst.stream.start().unwrap() >= burst.meta.start);
+            assert!(burst.stream.start().unwrap() >= meta.start);
         }
     }
 
@@ -640,7 +612,15 @@ mod tests {
             ..TraceConfig::small()
         });
         let session = corpus.materialize_session(0);
-        let touching = session.bursts.iter().filter(|b| b.touches_popular).count();
+        // A burst touches popular prefixes if it withdraws or re-announces
+        // one; its noise withdrawals do not count.
+        let touches = |b: &LabelledBurst| {
+            let updated = b.stream.elementary_events().filter(|e| !e.is_withdraw());
+            (updated.map(|e| e.prefix()))
+                .chain(b.withdrawn.iter().copied())
+                .any(|p| session.popular.contains(&p))
+        };
+        let touching = session.bursts.iter().filter(|b| touches(b)).count();
         assert!(
             touching * 10 >= session.bursts.len() * 8,
             "{touching}/{} bursts touch popular prefixes",

@@ -9,14 +9,15 @@
 //!
 //! Like C-BGP, the engine is a *convergence computer*: it determines which
 //! messages cross each session and in which order, not their wall-clock
-//! timing. Timing is added when bursts are expanded into per-prefix streams
-//! (see [`crate::collector::GroundTruthBurst::to_message_stream`]).
+//! timing. Timing is added when [`Engine::take_burst`] expands a burst into
+//! its per-prefix stream.
 
-use crate::collector::{CapturedMessage, GroundTruthBurst};
+use crate::collector::{label, Captured};
 use crate::speaker::{ExportAction, OriginIdx, Speaker};
+use crate::topology::Topology;
+use crate::LabelledBurst;
 use std::collections::{BTreeMap, VecDeque};
-use swift_bgp::{AsLink, AsPath, Asn, PeerId, Route, RouteAttributes, RoutingTable};
-use swift_topology::Topology;
+use swift_bgp::{AsLink, AsPath, Asn, PeerId, Route, RouteAttributes, RoutingTable, Timestamp};
 
 /// A control-plane message in flight between two adjacent speakers.
 #[derive(Debug, Clone)]
@@ -33,8 +34,6 @@ struct Msg {
 pub struct RunStats {
     /// Messages delivered (including those dropped on failed adjacencies).
     pub messages_processed: u64,
-    /// Messages captured on the monitored session, if any.
-    pub messages_captured: u64,
 }
 
 /// The propagation engine.
@@ -47,7 +46,7 @@ pub struct Engine {
     origin_index: BTreeMap<Asn, OriginIdx>,
     queue: VecDeque<Msg>,
     monitor: Option<(Asn, Asn)>,
-    captured: Vec<CapturedMessage>,
+    captured: Vec<Captured>,
 }
 
 impl Engine {
@@ -128,17 +127,12 @@ impl Engine {
     }
 
     /// Takes the burst captured since the last call to
-    /// [`Engine::monitor_session`], labelled with the ground-truth failed link.
-    pub fn take_burst(&mut self, failed_link: AsLink) -> GroundTruthBurst {
-        let (vantage, neighbor) = self
-            .monitor
-            .expect("monitor_session must be called before take_burst");
-        GroundTruthBurst {
-            vantage,
-            neighbor,
-            failed_link: failed_link.undirected(),
-            captured: std::mem::take(&mut self.captured),
-        }
+    /// [`Engine::monitor_session`] (empty if no session is monitored),
+    /// labelled with the ground-truth failed link: one message per
+    /// originated prefix, paced `gap` microseconds apart from time 0.
+    pub fn take_burst(&mut self, failed_link: AsLink, gap: Timestamp) -> LabelledBurst {
+        let captured = std::mem::take(&mut self.captured);
+        label(&captured, &self.topology, failed_link, gap)
     }
 
     /// Queues the export actions produced by `from` for `origin`.
@@ -175,8 +169,7 @@ impl Engine {
                 continue;
             }
             if self.monitor == Some((msg.to, msg.from)) {
-                stats.messages_captured += 1;
-                self.captured.push(CapturedMessage {
+                self.captured.push(Captured {
                     origin: self.origin_ases[msg.origin],
                     path: msg.path.clone(),
                 });
@@ -230,16 +223,12 @@ impl Engine {
         }
         table
     }
-
-    /// All origin ASes, in dense-index order.
-    pub fn origin_ases(&self) -> &[Asn] {
-        &self.origin_ases
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swift_bgp::PrefixSet;
 
     fn fig1_engine() -> Engine {
         let mut e = Engine::new(Topology::figure1_with_counts(10, 20, 20));
@@ -303,20 +292,21 @@ mod tests {
         e.monitor_session(Asn(1), Asn(2));
         let stats = e.fail_link(Asn(5), Asn(6));
         assert!(stats.messages_processed > 0);
-        let burst = e.take_burst(AsLink::new(5, 6));
+        let burst = e.take_burst(AsLink::new(5, 6), 1_000);
         // AS 2 loses its route to AS 6, 7 and 8 entirely (its only path was via
         // (5,6) and Gao-Rexford hides the (3,6) detour from it), so the session
         // sees withdrawals for 6, 7 and 8.
-        let withdrawn = burst.withdrawn_origins();
-        assert!(withdrawn.contains(&Asn(6)));
-        assert!(withdrawn.contains(&Asn(8)));
+        let withdrawn = |asn: u32| {
+            let prefixes = e.topology().originated_prefixes(Asn(asn));
+            prefixes.iter().all(|p| burst.withdrawn.contains(p))
+        };
+        assert!(withdrawn(6));
+        assert!(withdrawn(8));
         // AS 5 itself is still reachable via AS 2.
-        assert!(!withdrawn.contains(&Asn(5)));
-        assert!(!withdrawn.contains(&Asn(2)));
-        // Ground truth metadata is carried through.
+        assert!(!withdrawn(5));
+        assert!(!withdrawn(2));
+        // Ground truth is carried through.
         assert_eq!(burst.failed_link, AsLink::new(5, 6));
-        assert_eq!(burst.vantage, Asn(1));
-        assert_eq!(burst.neighbor, Asn(2));
     }
 
     #[test]
@@ -341,8 +331,9 @@ mod tests {
         let mut e = fig1_engine();
         e.monitor_session(Asn(1), Asn(2));
         e.fail_link(Asn(6), Asn(8));
-        let burst = e.take_burst(AsLink::new(6, 8));
-        assert_eq!(burst.withdrawn_origins(), [Asn(8)].into_iter().collect());
+        let burst = e.take_burst(AsLink::new(6, 8), 1_000);
+        let as8: PrefixSet = e.topology().originated_prefixes(Asn(8)).to_vec().into();
+        assert_eq!(burst.withdrawn, as8);
         assert!(e.reachable(Asn(1), Asn(7)));
         assert!(!e.reachable(Asn(1), Asn(8)));
     }
@@ -362,7 +353,7 @@ mod tests {
 
     #[test]
     fn generated_topology_converges_and_routes_are_valley_free() {
-        let config = swift_topology::TopologyConfig {
+        let config = crate::topology::TopologyConfig {
             num_ases: 60,
             prefixes_per_as: 2,
             seed: 3,

@@ -15,7 +15,7 @@
 //! AS 5 in Fig. 1 do not learn (and therefore cannot immediately fall back to)
 //! alternate paths for every destination.
 
-use swift_topology::Relationship;
+use crate::topology::Relationship;
 
 /// LOCAL_PREF assigned to a route according to the relationship with the
 /// neighbour it was learned from. Locally-originated routes use
@@ -46,7 +46,7 @@ pub(crate) fn can_export(learned_from: Option<Relationship>, to: Relationship) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_topology::Relationship::*;
+    use crate::topology::Relationship::*;
 
     #[test]
     fn preference_order_is_customer_peer_provider() {

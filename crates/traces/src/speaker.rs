@@ -7,9 +7,9 @@
 //! trick that makes C-BGP-scale simulations tractable.
 
 use crate::policy::{can_export, local_pref};
+use crate::topology::Relationship;
 use std::collections::{BTreeMap, BTreeSet};
 use swift_bgp::{AsPath, Asn};
-use swift_topology::Relationship;
 
 /// Index of an origin AS in the engine's dense origin table.
 pub(crate) type OriginIdx = usize;

@@ -7,10 +7,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use swift::bgp::{AsLink, Asn, PeerId};
-use swift::bgpsim::Engine;
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::{InferenceConfig, SwiftConfig, SwiftRouter};
-use swift::topology::Topology;
+use swift::traces::sim::Engine;
+use swift::traces::topology::Topology;
 
 fn main() {
     // The Fig. 1 topology: AS 6/7/8 originate 1k/2k/2k prefixes (scaled down
@@ -44,8 +44,7 @@ fn main() {
     // Fail the remote link (5,6) and capture the burst AS 1 receives from AS 2.
     engine.monitor_session(vantage, neighbor);
     engine.fail_link(Asn(5), Asn(6));
-    let burst = engine.take_burst(AsLink::new(5, 6));
-    let stream = burst.to_message_stream(engine.topology(), 0, 1_000);
+    let stream = engine.take_burst(AsLink::new(5, 6), 1_000).stream;
     println!(
         "Burst on session (AS1 <- AS2): {} withdrawals, {} updates",
         stream.total_withdrawals(),

@@ -7,11 +7,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swift::bgp::{PeerId, SECOND};
-use swift::bgpsim::Engine;
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::{InferenceConfig, SwiftConfig, SwiftRouter};
-use swift::dataplane::{swifted_convergence, vanilla_convergence, FibCostModel};
-use swift::topology::{Topology, TopologyConfig};
+use swift::traces::dataplane::{swifted_convergence, vanilla_convergence, FibCostModel};
+use swift::traces::sim::Engine;
+use swift::traces::topology::{Topology, TopologyConfig};
 
 fn main() {
     let topology = Topology::generate(&TopologyConfig {
@@ -62,12 +62,7 @@ fn main() {
             let mut trial = engine.clone();
             trial.monitor_session(vantage, neighbor);
             trial.fail_link(link.from, link.to);
-            if trial
-                .take_burst(link)
-                .withdrawn_prefixes(trial.topology())
-                .len()
-                >= 200
-            {
+            if trial.take_burst(link, 2_000).withdrawn.len() >= 200 {
                 break 'search (vantage, neighbor, link);
             }
         }
@@ -88,9 +83,8 @@ fn main() {
 
     engine.monitor_session(vantage, neighbor);
     engine.fail_link(failed.from, failed.to);
-    let burst = engine.take_burst(failed);
-    let stream = burst.to_message_stream(engine.topology(), 0, 2_000);
-    let withdrawn = burst.withdrawn_prefixes(engine.topology());
+    let burst = engine.take_burst(failed, 2_000);
+    let (stream, withdrawn) = (burst.stream, burst.withdrawn);
     println!(
         "Burst observed: {} withdrawals / {} updates ({} prefixes withdrawn in total)",
         stream.total_withdrawals(),

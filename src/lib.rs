@@ -5,13 +5,14 @@
 //! so downstream users can depend on a single crate:
 //!
 //! * [`bgp`] — BGP substrate (prefixes, AS paths, messages, RIBs, sessions);
-//! * [`topology`] — AS-level topology generation;
-//! * [`bgpsim`] — policy-compliant control-plane simulator;
-//! * [`traces`] — synthetic RouteViews/RIS-like trace corpus;
+//! * [`traces`] — the evaluation's inputs: the synthetic RouteViews/RIS-like
+//!   trace corpus, AS-level topology generation
+//!   ([`traces::topology`]), the policy-compliant control-plane simulator
+//!   ([`traces::sim`]) and the data-plane convergence/downtime model
+//!   ([`traces::dataplane`]);
 //! * [`core`] — the SWIFT inference algorithm and encoding scheme;
 //! * [`runtime`] — the sharded multi-session runtime driving every peer
 //!   engine concurrently;
-//! * [`dataplane`] — data-plane convergence/downtime model;
 //! * [`telemetry`] — mergeable log-linear histograms, sampled pipeline
 //!   tracing and a flight recorder.
 //!
@@ -21,12 +22,9 @@
 #![warn(clippy::unwrap_used)]
 
 pub use swift_bgp as bgp;
-pub use swift_bgpsim as bgpsim;
 pub use swift_core as core;
-pub use swift_dataplane as dataplane;
 pub use swift_runtime as runtime;
 pub use swift_telemetry as telemetry;
-pub use swift_topology as topology;
 pub use swift_traces as traces;
 
 pub use swift_core::{RerouteAction, SwiftConfig, SwiftRouter};

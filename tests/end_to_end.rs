@@ -4,11 +4,11 @@
 //! topologies.
 
 use swift::bgp::{AsLink, Asn, PeerId, Prefix, SECOND};
-use swift::bgpsim::Engine;
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::{InferenceConfig, SwiftConfig, SwiftRouter};
-use swift::dataplane::{swifted_convergence, vanilla_convergence, FibCostModel};
-use swift::topology::{Topology, TopologyConfig};
+use swift::traces::dataplane::{swifted_convergence, vanilla_convergence, FibCostModel};
+use swift::traces::sim::Engine;
+use swift::traces::topology::{Topology, TopologyConfig};
 
 fn fig1_router_and_burst() -> (
     SwiftRouter,
@@ -51,10 +51,9 @@ fn fig1_router_and_burst() -> (
 
     engine.monitor_session(Asn(1), Asn(2));
     engine.fail_link(Asn(5), Asn(6));
-    let burst = engine.take_burst(AsLink::new(5, 6));
-    let withdrawn = burst.withdrawn_prefixes(engine.topology());
-    let stream = burst.to_message_stream(engine.topology(), 0, 1_000);
-    (router, stream.elementary_events().collect(), withdrawn)
+    let burst = engine.take_burst(AsLink::new(5, 6), 1_000);
+    let events = burst.stream.elementary_events().collect();
+    (router, events, burst.withdrawn)
 }
 
 #[test]
@@ -150,8 +149,8 @@ fn generated_topology_outages_never_produce_unsafe_reroutes() {
             engine.monitor_session(vantage, neighbor);
             let table = engine.vantage_routing_table(vantage);
             engine.fail_link(link.from, link.to);
-            let burst = engine.take_burst(*link);
-            if burst.withdrawal_count(engine.topology()) < 20 {
+            let burst = engine.take_burst(*link, 500);
+            if burst.stream.total_withdrawals() < 20 {
                 continue;
             }
             tested += 1;
@@ -170,8 +169,7 @@ fn generated_topology_outages_never_produce_unsafe_reroutes() {
             };
             let monitored = PeerId(neighbor.value());
             let mut router = SwiftRouter::new(config, table, ReroutingPolicy::allow_all());
-            let stream = burst.to_message_stream(engine.topology(), 0, 500);
-            let actions = router.handle_stream(monitored, stream.elementary_events());
+            let actions = router.handle_stream(monitored, burst.stream.elementary_events());
             for action in &actions {
                 // Safety (Lemma 3.3) for every prefix that was actually moved
                 // to a backup next-hop: the backup's path must not cross any

@@ -5,16 +5,17 @@
 //! without exercising the heavier end-to-end scenarios.
 
 use swift::bgp::{AsLink, Asn, PeerId, RoutingTable, Timestamp, SECOND};
-use swift::bgpsim::Engine;
 use swift::core::encoding::ReroutingPolicy;
 use swift::core::{InferenceConfig, SwiftConfig, SwiftRouter};
-use swift::dataplane::FibCostModel;
-use swift::topology::Topology;
+use swift::traces::dataplane::FibCostModel;
+use swift::traces::sim::Engine;
+use swift::traces::topology::Topology;
 use swift::traces::TraceConfig;
 
 #[test]
 fn umbrella_reexports_are_reachable() {
-    // One value-level touch per re-exported crate, through the umbrella paths.
+    // One value-level touch per re-exported crate or generator module,
+    // through the umbrella paths.
     let prefix: swift::bgp::Prefix = "10.0.0.0/8".parse().unwrap();
     assert_eq!(prefix.to_string(), "10.0.0.0/8");
 
@@ -53,7 +54,7 @@ fn minimal_swift_router_round_trip() {
 
     engine.monitor_session(Asn(1), Asn(2));
     engine.fail_link(Asn(5), Asn(6));
-    let burst = engine.take_burst(AsLink::new(5, 6));
+    let burst = engine.take_burst(AsLink::new(5, 6), 1_000);
 
     let config = SwiftConfig {
         inference: InferenceConfig {
@@ -65,8 +66,7 @@ fn minimal_swift_router_round_trip() {
         ..Default::default()
     };
     let mut router = SwiftRouter::new(config, table, ReroutingPolicy::allow_all());
-    let stream = burst.to_message_stream(engine.topology(), 0, 1_000);
-    let actions = router.handle_stream(PeerId(2), stream.elementary_events());
+    let actions = router.handle_stream(PeerId(2), burst.stream.elementary_events());
 
     // The burst triggers at least one reroute action whose inferred region
     // touches the failed link.
