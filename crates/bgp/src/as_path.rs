@@ -26,8 +26,8 @@
 //!
 //! A routing table does not store routes in that form. It keeps each
 //! distinct attribute set, path included, once in its attribute dictionary
-//! (see [`crate::attributes`]), and a stored route is a 12-byte record —
-//! attribute id, time learned, filed under its peer — with no path in it
+//! (see [`crate::attributes`]), and a stored route is a 4-byte record —
+//! its attribute set's id, filed under its peer — with no path in it
 //! (the unit test below pins both sizes, `Option` included). Withdrawing a route frees
 //! nothing and reads no path; announcing a set the dictionary holds
 //! allocates nothing and drops the event's copy (for a spilled path, that
@@ -460,20 +460,21 @@ mod tests {
     #[test]
     fn a_path_is_a_flat_record_that_does_not_grow() {
         use crate::rib::StoredRoute;
-        use crate::{ElementaryEvent, Route};
+        use crate::{ElementaryEvent, Route, RouteRef};
         use std::mem::size_of;
         // The 24 bytes of the `Vec` header the in-place array replaced, and
         // the owned records that embed a path at one cache line each.
         assert_eq!(size_of::<AsPath>(), 24);
         assert_eq!(size_of::<Option<AsPath>>(), 24);
         assert_eq!(size_of::<crate::RouteAttributes>(), 48);
-        assert_eq!(size_of::<Route>(), 64);
-        assert_eq!(size_of::<Option<Route>>(), 64);
+        assert_eq!(size_of::<Route>(), 56);
+        assert_eq!(size_of::<Option<Route>>(), 56);
+        assert_eq!(size_of::<RouteRef>(), 16);
         assert_eq!(size_of::<ElementaryEvent>(), 64);
         // What a table stores per route: the attributes by non-zero id, so
         // a page entry's `Option` costs nothing.
-        assert_eq!(size_of::<StoredRoute>(), 12);
-        assert_eq!(size_of::<Option<StoredRoute>>(), 12);
+        assert_eq!(size_of::<StoredRoute>(), 4);
+        assert_eq!(size_of::<Option<StoredRoute>>(), 4);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   and UPDATE/WITHDRAW semantics the paper's algorithms consume.
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once as a
-//!   12-byte record in its peer's pages, by its [`PrefixId`] in a table-wide
+//!   4-byte record (its attributes' id) in its peer's pages, by its [`PrefixId`] in a table-wide
 //!   [`PrefixInterner`] (whose sealed index the table's clones and its full
 //!   feeds' inference engines share) and its attributes' id in a table-wide
 //!   attribute dictionary; routes are read as [`RouteRef`] views. The id →

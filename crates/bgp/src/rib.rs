@@ -25,15 +25,16 @@
 //! The table interns every prefix once ([`PrefixInterner`]: `Prefix` → dense
 //! [`PrefixId`], ids never reused) and every distinct attribute set once (its
 //! attribute dictionary, see [`crate::attributes`]), and each peer keeps
-//! `PeerRoutes`: its routes in id-indexed pages of 64 ids, each entry a
-//! 12-byte `StoredRoute` record — attribute id, time learned; the peer is
-//! the one whose pages hold it — found through a 4-byte directory entry per
-//! page. The record is `Copy` and owns nothing, so applying an event is a
-//! probe of the prefix dictionary (one cache line on a hit), for an
-//! announcement a probe of the attribute dictionary, plus array writes: an
-//! announcement writes its record into its page (the event's attributes
-//! move into the dictionary if they are new and are dropped otherwise), a
-//! withdrawal empties the entry. Nothing on that path is ordered.
+//! `PeerRoutes`: its routes in id-indexed pages of 64 ids, a 256-byte page
+//! whose entries are 4-byte `StoredRoute` records — the route's attribute
+//! id, nothing else; the peer is the one whose pages hold it — found
+//! through a 4-byte directory entry per page. The record is `Copy` and owns
+//! nothing, so applying an event is a probe of the prefix dictionary (one
+//! cache line on a hit), for an announcement a probe of the attribute
+//! dictionary, plus array writes: an announcement writes its record into
+//! its page (the event's attributes move into the dictionary if they are
+//! new and are dropped otherwise), a withdrawal empties the entry. Nothing
+//! on that path is ordered.
 //! The invariants (the index maps the prefix of id `i` to `i`; distinct
 //! directory entries name distinct pages, and a peer's route count is its
 //! pages' occupied entries) are maintained in exactly four functions —
@@ -51,14 +52,14 @@ use crate::attributes::{AttrDictionary, AttrId, RouteAttributes};
 use crate::interner::{PathId, PathInterner};
 use crate::prefix::Prefix;
 use crate::session::PeerId;
-use crate::Timestamp;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A route for one prefix learned from one peer, owned: what
 /// [`crate::RoutingTable::announce`] takes and [`AdjRibIn::iter`] yields.
-/// A table stores it as a 12-byte record under its peer and hands it out as
-/// a [`RouteRef`].
+/// A table stores it as its attribute set's 4-byte id under its peer and
+/// hands it out as a [`RouteRef`]. It carries no time: the decision process
+/// reads none (see [`RouteRef::compare_preference`]). 56 bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// The peer the route was learned from. A table files the route under
@@ -66,18 +67,12 @@ pub struct Route {
     pub peer: PeerId,
     /// The route's path attributes.
     pub attrs: RouteAttributes,
-    /// When the route was last announced.
-    pub learned_at: Timestamp,
 }
 
 impl Route {
     /// Creates a route.
-    pub fn new(peer: PeerId, attrs: RouteAttributes, learned_at: Timestamp) -> Self {
-        Route {
-            peer,
-            attrs,
-            learned_at,
-        }
+    pub fn new(peer: PeerId, attrs: RouteAttributes) -> Self {
+        Route { peer, attrs }
     }
 
     /// The route's AS path.
@@ -90,7 +85,6 @@ impl Route {
         RouteRef {
             peer: self.peer,
             attrs: &self.attrs,
-            learned_at: self.learned_at,
         }
     }
 
@@ -101,16 +95,14 @@ impl Route {
 }
 
 /// A route as a [`crate::RoutingTable`] hands it out: the peer it is filed
-/// under, the stored record's time, and its attributes borrowed from the
-/// table's attribute dictionary. `Copy`, 24 bytes; [`RouteRef::to_route`] makes it owned.
+/// under and its attributes borrowed from the table's attribute dictionary.
+/// `Copy`, 16 bytes; [`RouteRef::to_route`] makes it owned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRef<'a> {
     /// The peer the route was learned from.
     pub peer: PeerId,
     /// The route's path attributes.
     pub attrs: &'a RouteAttributes,
-    /// When the route was last announced.
-    pub learned_at: Timestamp,
 }
 
 impl<'a> RouteRef<'a> {
@@ -120,13 +112,19 @@ impl<'a> RouteRef<'a> {
         &self.attrs.as_path
     }
 
-    /// Compares two routes with the standard BGP decision process:
+    /// Compares two routes with the BGP decision process of RFC 4271
+    /// §9.1.2.2, as far as this table's sessions tell routes apart:
     /// 1. highest LOCAL_PREF,
     /// 2. shortest AS path,
     /// 3. lowest ORIGIN rank,
     /// 4. lowest MED,
-    /// 5. oldest route,
-    /// 6. lowest peer identifier (stand-in for lowest router ID).
+    /// 5. lowest peer id, the stand-in for the lowest BGP identifier.
+    ///
+    /// The RFC's two steps between MED and the identifier, eBGP over iBGP
+    /// and lowest IGP cost to the next hop, are left out: every session here
+    /// is eBGP and there is no IGP, so they never separate two routes. Nor
+    /// is there an "oldest route" step; the RFC has none, and the table
+    /// stores no time.
     ///
     /// Returns [`Ordering::Greater`] if `self` is preferred over `other`.
     pub fn compare_preference(&self, other: &RouteRef<'_>) -> Ordering {
@@ -136,38 +134,19 @@ impl<'a> RouteRef<'a> {
             .then_with(|| other.attrs.as_path.len().cmp(&self.attrs.as_path.len()))
             .then_with(|| other.attrs.origin.rank().cmp(&self.attrs.origin.rank()))
             .then_with(|| other.attrs.effective_med().cmp(&self.attrs.effective_med()))
-            .then_with(|| other.learned_at.cmp(&self.learned_at))
             .then_with(|| other.peer.cmp(&self.peer))
     }
 
     /// The route, owned (its attributes cloned).
     pub fn to_route(&self) -> Route {
-        Route::new(self.peer, self.attrs.clone(), self.learned_at)
+        Route::new(self.peer, self.attrs.clone())
     }
 }
 
-/// A route as a peer's pages store it: 12 bytes, `Copy`, its attributes by
-/// id into the owning table's attribute dictionary; its peer is the one
-/// whose pages hold it. Packed to 4-byte alignment, so the time adds no
-/// padding.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
-pub(crate) struct StoredRoute {
-    pub(crate) attrs: AttrId,
-    pub(crate) learned_at: Timestamp,
-}
-
-impl StoredRoute {
-    /// The record as `peer`'s route, its attributes read from `dictionary`.
-    #[inline]
-    pub(crate) fn view(self, peer: PeerId, dictionary: &AttrDictionary) -> RouteRef<'_> {
-        RouteRef {
-            peer,
-            attrs: dictionary.get(self.attrs),
-            learned_at: self.learned_at,
-        }
-    }
-}
+/// A route as a peer's pages store it: its attribute set's id into the
+/// owning table's attribute dictionary. 4 bytes, and 4 in an `Option`, as
+/// the id is non-zero; its peer is the one whose pages hold it.
+pub(crate) type StoredRoute = AttrId;
 
 /// Dense id of a prefix, handed out by a [`PrefixInterner`] in first-seen
 /// order: table-wide for a [`crate::table::RoutingTable`]'s interner and the
@@ -605,8 +584,8 @@ const NO_PAGE: u32 = u32::MAX;
 /// end. A page is appended on its first insert and never freed, as ids are
 /// never reused. Invariants, kept by `insert` / `remove` (the only
 /// writers): distinct directory entries name distinct pages, and `len`
-/// counts the `Some` entries. A peer whose ids fill its pages pays 12 bytes
-/// per route; one scattered over a large id space up to a 768-byte page.
+/// counts the `Some` entries. A peer whose ids fill its pages pays 4 bytes
+/// per route; one scattered over a large id space up to a 256-byte page.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PeerRoutes {
     directory: Vec<u32>,
@@ -706,7 +685,10 @@ impl<'a> AdjRibIn<'a> {
     /// The route for `prefix`, if announced.
     pub fn get(&self, prefix: &Prefix) -> Option<RouteRef<'a>> {
         let route = self.routes.get(self.interner.get(prefix)?)?;
-        Some(route.view(self.peer, self.dictionary))
+        Some(RouteRef {
+            peer: self.peer,
+            attrs: self.dictionary.get(route),
+        })
     }
 
     /// Iterates over `(prefix, route)` pairs in ascending prefix order, each
@@ -719,9 +701,10 @@ impl<'a> AdjRibIn<'a> {
             .map(|(id, route)| (*interner.prefix(id), id, route))
             .collect();
         entries.sort_unstable_by_key(|(prefix, _, _)| *prefix);
-        entries
-            .into_iter()
-            .map(move |(_, id, route)| (interner.prefix(id), route.view(peer, dictionary)))
+        entries.into_iter().map(move |(_, id, route)| {
+            let attrs = dictionary.get(route);
+            (interner.prefix(id), RouteRef { peer, attrs })
+        })
     }
 
     /// The table's prefix dictionary, which numbers this peer's routes: a
@@ -740,10 +723,10 @@ impl<'a> AdjRibIn<'a> {
         let mut memo: Vec<Option<PathId>> = vec![None; self.dictionary.len()];
         let mut routes = Vec::with_capacity(self.len());
         for (id, route) in self.routes.iter() {
-            let path = &self.dictionary.get(route.attrs).as_path;
+            let path = &self.dictionary.get(route).as_path;
             routes.push((
                 id,
-                *memo[route.attrs.index()].get_or_insert_with(|| paths.intern(path)),
+                *memo[route.index()].get_or_insert_with(|| paths.intern(path)),
             ));
         }
         routes
@@ -782,10 +765,10 @@ mod tests {
         Prefix::nth_slash24(i)
     }
 
-    fn route(peer: u32, hops: &[u32], lp: Option<u32>, t: Timestamp) -> Route {
+    fn route(peer: u32, hops: &[u32], lp: Option<u32>) -> Route {
         let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().copied()));
         attrs.local_pref = lp;
-        Route::new(PeerId(peer), attrs, t)
+        Route::new(PeerId(peer), attrs)
     }
 
     /// The cap is the id field's width: the last id it hands out still packs
@@ -931,12 +914,12 @@ mod tests {
         };
         assert!(t.adj_rib_in(PeerId(1)).unwrap().is_empty());
         assert!(t
-            .announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0))
+            .announce(PeerId(1), p(1), route(1, &[2, 5, 6], None))
             .is_some());
         assert_eq!(t.adj_rib_in(PeerId(1)).unwrap().len(), 1);
         // Re-announcement is an implicit withdrawal: the route is replaced.
         assert!(t
-            .announce(PeerId(1), p(1), route(1, &[3, 6], None, 5))
+            .announce(PeerId(1), p(1), route(1, &[3, 6], None))
             .is_some());
         let rib = t.adj_rib_in(PeerId(1)).unwrap();
         assert_eq!(rib.len(), 1);
@@ -950,9 +933,9 @@ mod tests {
     fn adj_rib_link_queries() {
         let mut t = table_with_peers(1);
         // Announced out of order: the ordered queries sort.
-        t.announce(PeerId(1), p(3), route(1, &[2, 5, 7], None, 0));
-        t.announce(PeerId(1), p(2), route(1, &[2, 5, 6, 8], None, 0));
-        t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None, 0));
+        t.announce(PeerId(1), p(3), route(1, &[2, 5, 7], None));
+        t.announce(PeerId(1), p(2), route(1, &[2, 5, 6, 8], None));
+        t.announce(PeerId(1), p(1), route(1, &[2, 5, 6], None));
         let rib = t.adj_rib_in(PeerId(1)).unwrap();
         assert_eq!(rib.prefix_set_via_link(&AsLink::new(2, 5)).len(), 3);
         assert_eq!(rib.prefix_set_via_link(&AsLink::new(6, 8)).len(), 1);
@@ -967,41 +950,53 @@ mod tests {
 
     #[test]
     fn decision_process_local_pref_dominates() {
-        let short_low = route(1, &[2, 6], Some(50), 0);
-        let long_high = route(2, &[3, 4, 5, 6], Some(200), 0);
+        let short_low = route(1, &[2, 6], Some(50));
+        let long_high = route(2, &[3, 4, 5, 6], Some(200));
         assert_eq!(long_high.compare_preference(&short_low), Ordering::Greater);
     }
 
     #[test]
     fn decision_process_path_length_then_origin_then_med() {
-        let a = route(1, &[2, 6], None, 0);
-        let b = route(2, &[3, 4, 6], None, 0);
+        let a = route(1, &[2, 6], None);
+        let b = route(2, &[3, 4, 6], None);
         assert_eq!(a.compare_preference(&b), Ordering::Greater);
 
-        let mut igp = route(1, &[2, 6], None, 0);
+        let mut igp = route(1, &[2, 6], None);
         igp.attrs.origin = crate::attributes::Origin::Igp;
-        let mut incomplete = route(2, &[3, 6], None, 0);
+        let mut incomplete = route(2, &[3, 6], None);
         incomplete.attrs.origin = crate::attributes::Origin::Incomplete;
         assert_eq!(igp.compare_preference(&incomplete), Ordering::Greater);
 
-        let mut low_med = route(1, &[2, 6], None, 0).attrs;
+        let mut low_med = route(1, &[2, 6], None).attrs;
         low_med.med = Some(5);
-        let mut high_med = route(2, &[3, 6], None, 0).attrs;
+        let mut high_med = route(2, &[3, 6], None).attrs;
         high_med.med = Some(50);
-        let low = Route::new(PeerId(1), low_med, 0);
-        let high = Route::new(PeerId(2), high_med, 0);
+        let low = Route::new(PeerId(1), low_med);
+        let high = Route::new(PeerId(2), high_med);
         assert_eq!(low.compare_preference(&high), Ordering::Greater);
     }
 
+    /// Routes equal on LOCAL_PREF, path length, ORIGIN and MED break on the
+    /// lowest peer, whichever was announced first: the table keeps no time.
     #[test]
-    fn decision_process_tiebreaks_on_age_then_peer() {
-        let older = route(2, &[2, 6], None, 10);
-        let newer = route(1, &[3, 6], None, 20);
-        assert_eq!(older.compare_preference(&newer), Ordering::Greater);
-
-        let peer_low = route(1, &[2, 6], None, 10);
-        let peer_high = route(2, &[3, 6], None, 10);
+    fn decision_process_tiebreaks_on_the_lowest_peer() {
+        let peer_low = route(1, &[2, 6], None);
+        let peer_high = route(2, &[3, 6], None);
         assert_eq!(peer_low.compare_preference(&peer_high), Ordering::Greater);
+        assert_eq!(peer_high.compare_preference(&peer_low), Ordering::Less);
+        for order in [[&peer_low, &peer_high], [&peer_high, &peer_low]] {
+            let mut t = table_with_peers(2);
+            for (timestamp, route) in (0..).zip(order) {
+                let attrs = route.attrs.clone();
+                let event = ElementaryEvent::Announce {
+                    timestamp,
+                    prefix: p(1),
+                    attrs,
+                };
+                assert!(t.apply(route.peer, &event));
+            }
+            assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(1));
+        }
     }
 
     // The router-wide ("Loc-RIB") view: all candidates of a prefix and the
@@ -1031,9 +1026,9 @@ mod tests {
     #[test]
     fn loc_rib_best_and_best_excluding() {
         let mut t = table_with_peers(3);
-        announce(&mut t, p(1), route(1, &[2, 5, 6], None, 0));
-        announce(&mut t, p(1), route(2, &[3, 6], None, 0));
-        announce(&mut t, p(1), route(3, &[4, 5, 6], None, 0));
+        announce(&mut t, p(1), route(1, &[2, 5, 6], None));
+        announce(&mut t, p(1), route(2, &[3, 6], None));
+        announce(&mut t, p(1), route(3, &[4, 5, 6], None));
         // Peer 2 has the shortest path.
         assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(2));
         // Excluding peer 2, peers 1 and 3 tie on length; lowest peer id wins.
@@ -1047,8 +1042,8 @@ mod tests {
     #[test]
     fn loc_rib_withdraw_cleans_up() {
         let mut t = table_with_peers(2);
-        announce(&mut t, p(1), route(1, &[2, 6], None, 0));
-        announce(&mut t, p(1), route(2, &[3, 6], None, 0));
+        announce(&mut t, p(1), route(1, &[2, 6], None));
+        announce(&mut t, p(1), route(2, &[3, 6], None));
         assert_eq!(t.prefix_count(), 1);
         assert!(withdraw(&mut t, p(1), 1));
         assert!(!withdraw(&mut t, p(1), 1));
@@ -1076,7 +1071,6 @@ mod tests {
             },
         );
         assert_eq!(t.prefix_count(), 1);
-        assert_eq!(t.best(&p(1)).unwrap().learned_at, 1);
         t.apply(
             PeerId(1),
             &ElementaryEvent::Withdraw {
@@ -1092,8 +1086,8 @@ mod tests {
         let mut t = table_with_peers(2);
         // Announced in descending order: the iteration is ascending.
         for i in (0..5).rev() {
-            announce(&mut t, p(i), route(1, &[2, 6], None, 0));
-            announce(&mut t, p(i), route(2, &[3, 4, 6], None, 0));
+            announce(&mut t, p(i), route(1, &[2, 6], None));
+            announce(&mut t, p(i), route(2, &[3, 4, 6], None));
         }
         let bests: Vec<_> = t.best_routes().collect();
         assert_eq!(bests.len(), 5);

@@ -11,7 +11,7 @@
 //!
 //! # Single-copy storage
 //!
-//! Every route is stored once, as a 12-byte record in its peer's
+//! Every route is stored once, as a 4-byte record in its peer's
 //! id-indexed pages (see [`crate::rib`]); the table adds the two shared
 //! dictionaries: a [`PrefixInterner`] whose packed index answers a hit from
 //! one cache line, and the attribute dictionary every record's attributes
@@ -73,7 +73,7 @@ use crate::as_path::{AsLink, Asn};
 use crate::attributes::{AttrDictionary, AttrId};
 use crate::message::ElementaryEvent;
 use crate::prefix::Prefix;
-use crate::rib::{AdjRibIn, PeerRoutes, PrefixId, PrefixInterner, Route, RouteRef, StoredRoute};
+use crate::rib::{AdjRibIn, PeerRoutes, PrefixId, PrefixInterner, Route, RouteRef};
 use crate::session::PeerId;
 use std::collections::{BTreeMap, HashMap};
 
@@ -305,11 +305,9 @@ impl RoutingTable {
         found: Resolved,
     ) -> Option<PrefixId> {
         match event {
-            ElementaryEvent::Announce {
-                timestamp,
-                prefix,
-                attrs,
-            } => self.insert(peer, prefix, Route::new(peer, attrs, timestamp), found),
+            ElementaryEvent::Announce { prefix, attrs, .. } => {
+                self.insert(peer, prefix, Route::new(peer, attrs), found)
+            }
             ElementaryEvent::Withdraw { prefix, .. } => {
                 let state = self.peers.get_mut(&peer)?;
                 let id = found.prefix().or_else(|| self.interner.get(&prefix))?;
@@ -354,8 +352,7 @@ impl RoutingTable {
             }
             None => self.dictionary.intern(route.attrs),
         };
-        let learned_at = route.learned_at;
-        state.routes.insert(id, StoredRoute { attrs, learned_at });
+        state.routes.insert(id, attrs);
         Some(id)
     }
 
@@ -396,7 +393,8 @@ impl RoutingTable {
     /// The routes every peer holds for one id (none for `None`).
     fn candidates_of(&self, id: Option<PrefixId>) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         self.peers.iter().filter_map(move |(peer, state)| {
-            Some(state.routes.get(id?)?.view(*peer, &self.dictionary))
+            let attrs = self.dictionary.get(state.routes.get(id?)?);
+            Some(RouteRef { peer: *peer, attrs })
         })
     }
 
@@ -432,7 +430,8 @@ impl RoutingTable {
         for (peer, state) in &self.peers {
             for (i, id) in ids.iter().enumerate() {
                 if let Some(route) = state.routes.get(*id) {
-                    f(i, route.view(*peer, &self.dictionary));
+                    let attrs = self.dictionary.get(route);
+                    f(i, RouteRef { peer: *peer, attrs });
                 }
             }
         }
@@ -465,7 +464,7 @@ impl RoutingTable {
         let mut counts: HashMap<AsLink, usize> = HashMap::new();
         if let Some(state) = self.peers.get(&peer) {
             for (_, route) in state.routes.iter() {
-                for link in self.dictionary.get(route.attrs).as_path.links() {
+                for link in self.dictionary.get(route).as_path.links() {
                     *counts.entry(link).or_insert(0) += 1;
                 }
             }
@@ -494,7 +493,6 @@ mod tests {
         Route::new(
             PeerId(peer),
             RouteAttributes::from_path(AsPath::new(hops.iter().copied())),
-            0,
         )
     }
 

@@ -4,19 +4,21 @@
 //! table of two peers × 200 000 prefixes adds: both peers' route pages and
 //! page directories, trimmed to their length by the seal, the prefix
 //! dictionary's index and list, and the attribute dictionary. The gate is
-//! 24 bytes per route. A route is a 12-byte record (its attributes by id),
-//! a page directory 4 bytes per 64 prefix ids and peer, the prefix
-//! dictionary 8 bytes per prefix plus its index; that comes to 22. The same
-//! table unsealed keeps the slack its arrays grew by doubling and reads 26;
-//! storing a 64-byte route record with the attributes inline, as the table
-//! once did, reads 98, and a 4-byte slot per id and peer in front of a
-//! 16-byte record, as it did next, 30.
+//! 16 bytes per route. A route is a 4-byte record (its attributes' id), a
+//! page directory 4 bytes per 64 prefix ids and peer, the prefix dictionary
+//! 8 bytes per prefix plus its index; that comes to 14. The same table
+//! unsealed keeps the slack its arrays grew by doubling and reads 15. The
+//! layouts the table had before read more: a 64-byte route record with the
+//! attributes inline 98, a 4-byte slot per id and peer in front of a
+//! 16-byte record 30, and a 12-byte record that also held the time the
+//! route was learned 22.
 //!
 //! A second case pins the partial feed: one session whose 20 000 routes are
 //! one block of ids at the end of a 240 000-id table, the shape of a
-//! `corpus_*` session. Its routes fill their pages, so it holds at most 16
-//! bytes per route; the slot-per-id layout charged it 64 (4 × 240 000 +
-//! 16 × 20 000 bytes over 20 000 routes).
+//! `corpus_*` session. Its routes fill their pages, so it holds at most 8
+//! bytes per route (reads 4; 12 with the 12-byte record); the slot-per-id
+//! layout charged it 64 (4 × 240 000 + 16 × 20 000 bytes over 20 000
+//! routes).
 
 #![allow(
     unsafe_code,
@@ -62,7 +64,7 @@ static GLOBAL: Counting = Counting;
 
 const PREFIXES: u32 = 200_000;
 const PEERS: u32 = 2;
-const MAX_BYTES_PER_ROUTE: i64 = 24;
+const MAX_BYTES_PER_ROUTE: i64 = 16;
 
 /// Every prefix from both peers. Paths are three hops, the last one of 3 001
 /// origins, so the table carries 6 002 distinct attribute sets — 1.5 % of
@@ -76,7 +78,7 @@ fn table() -> RoutingTable {
         for peer in 1..=PEERS {
             let origin = i % 3_001;
             let path = AsPath::new([peer, 100 + origin % 50, 1_000 + origin]);
-            let route = Route::new(PeerId(peer), RouteAttributes::from_path(path), 0);
+            let route = Route::new(PeerId(peer), RouteAttributes::from_path(path));
             table.announce(PeerId(peer), Prefix::nth_slash24(i), route);
         }
     }
@@ -84,7 +86,7 @@ fn table() -> RoutingTable {
 }
 
 #[test]
-fn a_sealed_table_holds_at_most_24_bytes_per_route() {
+fn a_sealed_table_holds_at_most_16_bytes_per_route() {
     let before = LIVE.with(Cell::get);
     let mut table = table();
     table.seal();
@@ -105,15 +107,15 @@ fn a_sealed_table_holds_at_most_24_bytes_per_route() {
 const SHARED_IDS: u32 = 240_000;
 /// The partial feed: peer 2's routes, the last block of those ids.
 const BLOCK: u32 = 20_000;
-const MAX_BYTES_PER_BLOCK_ROUTE: i64 = 16;
+const MAX_BYTES_PER_BLOCK_ROUTE: i64 = 8;
 
 #[test]
-fn a_session_numbered_in_one_block_holds_at_most_16_bytes_per_route() {
+fn a_session_numbered_in_one_block_holds_at_most_8_bytes_per_route() {
     let mut table = RoutingTable::new();
     table.add_peer(PeerId(1), Asn(1));
     let attrs = |peer: u32, i: u32| RouteAttributes::from_path(AsPath::new([peer, 1_000 + i % 10]));
     for i in 0..SHARED_IDS {
-        let route = Route::new(PeerId(1), attrs(1, i), 0);
+        let route = Route::new(PeerId(1), attrs(1, i));
         table.announce(PeerId(1), Prefix::nth_slash24(i), route);
     }
     table.seal();
@@ -122,7 +124,7 @@ fn a_session_numbered_in_one_block_holds_at_most_16_bytes_per_route() {
     let before = LIVE.with(Cell::get);
     table.add_peer(PeerId(2), Asn(2));
     for i in SHARED_IDS - BLOCK..SHARED_IDS {
-        let route = Route::new(PeerId(2), attrs(2, i), 0);
+        let route = Route::new(PeerId(2), attrs(2, i));
         table.announce(PeerId(2), Prefix::nth_slash24(i), route);
     }
     table.seal();

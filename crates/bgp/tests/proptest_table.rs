@@ -106,7 +106,7 @@ impl Model {
     /// The decision process written out here, not read from the library's
     /// `compare_preference`: the greatest key wins. Highest LOCAL_PREF (unset
     /// reads 100), shortest AS path, lowest ORIGIN (IGP, EGP, INCOMPLETE),
-    /// lowest MED (unset reads 0), oldest, then lowest peer.
+    /// lowest MED (unset reads 0), then lowest peer.
     fn best_among(routes: impl IntoIterator<Item = Route>) -> Option<Route> {
         routes.into_iter().max_by_key(|r| {
             let origin = match r.attrs.origin {
@@ -119,7 +119,6 @@ impl Model {
                 Reverse(r.attrs.as_path.len()),
                 Reverse(origin),
                 Reverse(r.attrs.med.unwrap_or(0)),
-                Reverse(r.learned_at),
                 Reverse(r.peer),
             )
         })
@@ -137,14 +136,14 @@ impl Model {
 /// A route whose LOCAL_PREF, MED and ORIGIN vary, so that every step of the
 /// decision process decides somewhere and the dictionary must tell apart
 /// sets that differ in one attribute only.
-fn route(peer: PeerId, hops: &[u32], (lp, med, origin): AttrChoice, t: u64) -> Route {
+fn route(peer: PeerId, hops: &[u32], (lp, med, origin): AttrChoice) -> Route {
     let attrs = RouteAttributes {
         as_path: AsPath::new(hops.iter().copied()),
         origin: ORIGINS[origin],
         local_pref: LOCAL_PREFS[lp],
         med: MEDS[med],
     };
-    Route::new(peer, attrs, t)
+    Route::new(peer, attrs)
 }
 
 /// The owned routes behind some views.
@@ -159,7 +158,7 @@ fn seeded() -> (RoutingTable, Model) {
     let (mut table, mut model) = (RoutingTable::new(), Model::default());
     table.add_peer(FILLER, Asn(9));
     model.peers.insert(FILLER, Asn(9));
-    let filler = route(FILLER, &[9], (0, 0, 0), 0);
+    let filler = route(FILLER, &[9], (0, 0, 0));
     for id in 0..=FIRST_ID + STRIDE * (SEEDED - 1) {
         let prefix = match id.checked_sub(FIRST_ID) {
             Some(k) if k % STRIDE == 0 => p(k / STRIDE),
@@ -198,7 +197,7 @@ fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Resul
             model.routes.retain(|(q, _), _| *q != peer);
         }
         2 | 3 => {
-            let r = route(peer, hops, *attrs, t);
+            let r = route(peer, hops, *attrs);
             let id = table.announce(peer, prefix, r.clone());
             prop_assert_eq!(id.map(|id| table.prefix_of(id)), known.then_some(prefix));
             prop_assert_eq!(id, table.prefix_id(&prefix).filter(|_| known));
@@ -208,7 +207,7 @@ fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Resul
             }
         }
         4 | 5 => {
-            let r = route(peer, hops, *attrs, t);
+            let r = route(peer, hops, *attrs);
             let event = ElementaryEvent::Announce {
                 timestamp: t,
                 prefix,
@@ -403,7 +402,7 @@ fn stream_events(ops: &[StreamOp]) -> Vec<(PeerId, ElementaryEvent)> {
         let timestamp = k as u64;
         let (peer, prefix) = match (kind, k.checked_sub(*back)) {
             (0, _) => {
-                let attrs = route(PeerId(*peer), hops, *attrs, timestamp).attrs;
+                let attrs = route(PeerId(*peer), hops, *attrs).attrs;
                 let prefix = p(*i % ANNOUNCED);
                 let announce = ElementaryEvent::Announce {
                     timestamp,
@@ -483,7 +482,7 @@ proptest! {
             batched.add_peer(PeerId(peer), Asn(100 + peer));
         }
         for (peer, i) in &seed {
-            let r = route(PeerId(*peer), &[*peer], (0, 0, 0), 0);
+            let r = route(PeerId(*peer), &[*peer], (0, 0, 0));
             batched.announce(PeerId(*peer), p(*i), r);
         }
         let mut single = batched.clone();

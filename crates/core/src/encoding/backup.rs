@@ -51,7 +51,6 @@ mod tests {
         Route::new(
             PeerId(peer),
             RouteAttributes::from_path(AsPath::new(hops.iter().copied())),
-            0,
         )
     }
 

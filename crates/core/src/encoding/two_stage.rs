@@ -37,7 +37,7 @@
 //!
 //! [`TwoStageTable::refresh_ids`] is the one retag loop (`build`, the
 //! resync, registration and teardown call it). Its reads miss the cache:
-//! per peer the 12-byte route record, the attribute set the record names in
+//! per peer the 4-byte route record, the attribute set the record names in
 //! the table's dictionary, then the stage-1 word. One id at a time, those
 //! misses queue. So ids go in batches of
 //! B = [`TwoStageTable::RETAG_BATCH`], each in two phases:
@@ -581,7 +581,6 @@ mod tests {
         Route::new(
             PeerId(peer),
             RouteAttributes::from_path(AsPath::new(hops.iter().copied())),
-            0,
         )
     }
 
@@ -604,7 +603,7 @@ mod tests {
         let mut announce = |idx: u32, via2: &[u32], via3: &[u32], via4: Option<&[u32]>| {
             let mut attrs2 = RouteAttributes::from_path(AsPath::new(via2.iter().copied()));
             attrs2.local_pref = Some(200); // operator prefers peer 2 (as in Fig. 1)
-            t.announce(PeerId(2), p(idx), Route::new(PeerId(2), attrs2, 0));
+            t.announce(PeerId(2), p(idx), Route::new(PeerId(2), attrs2));
             t.announce(PeerId(3), p(idx), route(3, via3));
             if let Some(via4) = via4 {
                 t.announce(PeerId(4), p(idx), route(4, via4));

@@ -1117,7 +1117,7 @@ mod tests {
             table.add_peer(PeerId(peer), Asn(peer));
             for i in prefixes {
                 let attrs = RouteAttributes::from_path(AsPath::new([peer, 5, 6 + i % 2]));
-                table.announce(PeerId(peer), p(i), Route::new(PeerId(peer), attrs, 0));
+                table.announce(PeerId(peer), p(i), Route::new(PeerId(peer), attrs));
             }
         }
         table.seal();

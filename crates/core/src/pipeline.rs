@@ -467,14 +467,13 @@ mod tests {
         for i in 0..n {
             let mut attrs = RouteAttributes::from_path(AsPath::new([1u32, 100, 200]));
             attrs.local_pref = Some(200);
-            t.announce(PeerId(1), p(i), Route::new(PeerId(1), attrs, 0));
+            t.announce(PeerId(1), p(i), Route::new(PeerId(1), attrs));
             t.announce(
                 PeerId(2),
                 p(i),
                 Route::new(
                     PeerId(2),
                     RouteAttributes::from_path(AsPath::new([2u32, 300 + i % 5])),
-                    0,
                 ),
             );
         }

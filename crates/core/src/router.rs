@@ -228,14 +228,13 @@ mod tests {
                 let idx = o as u32 * n + i;
                 let mut attrs2 = RouteAttributes::from_path(AsPath::new(via2.iter().copied()));
                 attrs2.local_pref = Some(200);
-                t.announce(PeerId(2), p(idx), Route::new(PeerId(2), attrs2, 0));
+                t.announce(PeerId(2), p(idx), Route::new(PeerId(2), attrs2));
                 t.announce(
                     PeerId(3),
                     p(idx),
                     Route::new(
                         PeerId(3),
                         RouteAttributes::from_path(AsPath::new(via3.iter().copied())),
-                        0,
                     ),
                 );
                 t.announce(
@@ -244,7 +243,6 @@ mod tests {
                     Route::new(
                         PeerId(4),
                         RouteAttributes::from_path(AsPath::new(via4.iter().copied())),
-                        0,
                     ),
                 );
             }

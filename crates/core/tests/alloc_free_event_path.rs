@@ -188,16 +188,16 @@ fn table(tail: &[u32]) -> RoutingTable {
         t.add_peer(peer, Asn(asn));
         let path = AsPath::new([asn, 600, 700 + k].iter().chain(tail).copied());
         let attrs = RouteAttributes::from_path(path);
-        t.announce(peer, Prefix::nth_slash24(0), Route::new(peer, attrs, 0));
+        t.announce(peer, Prefix::nth_slash24(0), Route::new(peer, attrs));
     }
     for i in 0..PREFIXES {
         let hops = [1, 100 + i % 3, 200 + i % 7, 300 + i % 11];
         let mut attrs = RouteAttributes::from_path(AsPath::new(hops.iter().chain(tail).copied()));
         attrs.local_pref = Some(200);
         let prefix = Prefix::nth_slash24(i);
-        t.announce(PRIMARY, prefix, Route::new(PRIMARY, attrs, 0));
+        t.announce(PRIMARY, prefix, Route::new(PRIMARY, attrs));
         let alternate = RouteAttributes::from_path(AsPath::new([2u32, 400 + i % 5]));
-        t.announce(BACKUP, prefix, Route::new(BACKUP, alternate, 0));
+        t.announce(BACKUP, prefix, Route::new(BACKUP, alternate));
     }
     t
 }

@@ -74,7 +74,7 @@ fn table() -> RoutingTable {
         for peer in 1..=PEERS {
             let origin = i % 3_001;
             let path = AsPath::new([peer, 100 + origin % 50, 1_000 + origin]);
-            let route = Route::new(PeerId(peer), RouteAttributes::from_path(path), 0);
+            let route = Route::new(PeerId(peer), RouteAttributes::from_path(path));
             table.announce(PeerId(peer), Prefix::nth_slash24(i), route);
         }
     }

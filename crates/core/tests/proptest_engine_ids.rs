@@ -99,7 +99,7 @@ fn table(
         }
         let peer = PeerId(s + 1);
         let attrs = RouteAttributes::from_path(path(*s, *shape));
-        table.announce(peer, p(*i), Route::new(peer, attrs, 0));
+        table.announce(peer, p(*i), Route::new(peer, attrs));
     }
     table
 }

@@ -76,14 +76,14 @@ fn path(peer: u32, x: u32, y: u32) -> AsPath {
     AsPath::new([peer, 10 + x % 3, 20 + y % 4, 30 + (x + y) % 2])
 }
 
-fn route(peer: u32, x: u32, y: u32, t: u64) -> Route {
+fn route(peer: u32, x: u32, y: u32) -> Route {
     let mut attrs = RouteAttributes::from_path(path(peer, x, y));
     attrs.local_pref = match peer {
         1 => Some(200),
         2 => Some(150),
         _ => None,
     };
-    Route::new(PeerId(peer), attrs, t)
+    Route::new(PeerId(peer), attrs)
 }
 
 /// Every link a generated path can contain.
@@ -317,11 +317,11 @@ proptest! {
         }
         for peer in PEERS + 1..=PEERS + CROWD {
             for i in 0..CROWDED {
-                table.announce(PeerId(peer), p(i), route(peer, peer + i, i, 0));
+                table.announce(PeerId(peer), p(i), route(peer, peer + i, i));
             }
         }
         for (peer, i, x, y) in &seed {
-            table.announce(PeerId(*peer), p(*i), route(*peer, *x, *y, 0));
+            table.announce(PeerId(*peer), p(*i), route(*peer, *x, *y));
         }
         let policy = ReroutingPolicy::allow_all();
         let mut applier = Applier::new(config(), table, policy.clone());
@@ -338,7 +338,7 @@ proptest! {
                     &ElementaryEvent::Announce {
                         timestamp: t,
                         prefix: p(*i),
-                        attrs: route(*peer, *x, *y, t).attrs,
+                        attrs: route(*peer, *x, *y).attrs,
                     },
                 ),
                 3 | 4 => applier.note_event(
@@ -369,9 +369,9 @@ proptest! {
                 // and it announces its first prefix a second time, last.
                 9 => {
                     let mut routes: Vec<(Prefix, Route)> = (0..*i)
-                        .map(|j| (p(j), route(*peer, x + j, y + j / 3, t)))
+                        .map(|j| (p(j), route(*peer, x + j, y + j / 3)))
                         .collect();
-                    routes.extend(routes.first().map(|(q, _)| (*q, route(*peer, x + 1, *y, t))));
+                    routes.extend(routes.first().map(|(q, _)| (*q, route(*peer, x + 1, *y))));
                     applier.register_session(PeerId(*peer), Asn(*peer), routes);
                 }
                 // A direct refresh on a copy of the table, where stage 1 is
@@ -406,7 +406,7 @@ proptest! {
         prop_assert_eq!(applier.forwarding_next_hop(&fresh), None);
         applier.note_event(
             PeerId(1),
-            &ElementaryEvent::Announce { timestamp: t, prefix: fresh, attrs: route(1, 1, 2, t).attrs },
+            &ElementaryEvent::Announce { timestamp: t, prefix: fresh, attrs: route(1, 1, 2).attrs },
         );
         applier.sync_rib();
         let id = applier.table().prefix_id(&fresh).expect("interned by the announcement");

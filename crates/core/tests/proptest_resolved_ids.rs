@@ -91,7 +91,7 @@ fn table() -> RoutingTable {
         for s in 0..PEERS {
             if let Some(attrs) = table_attrs(s, i) {
                 let peer = PeerId(s + 1);
-                table.announce(peer, p(i), Route::new(peer, attrs, 0));
+                table.announce(peer, p(i), Route::new(peer, attrs));
             }
         }
     }

@@ -51,17 +51,17 @@ fn arb_announce() -> impl Strategy<Value = Announce> {
 }
 
 /// The route `peer` announces: its own AS, then 0–6 tail hops.
-fn route(peer: PeerId, tail: &[u32], local_pref: u32, t: u64) -> Route {
+fn route(peer: PeerId, tail: &[u32], local_pref: u32) -> Route {
     let hops = std::iter::once(peer.0).chain(tail.iter().map(|x| FIRST_AS + x));
     let mut attrs = RouteAttributes::from_path(AsPath::new(hops));
     attrs.local_pref = [None, Some(100), Some(200)][local_pref as usize];
-    Route::new(peer, attrs, t)
+    Route::new(peer, attrs)
 }
 
 /// A route's rank in the decision process, written out here rather than read
 /// from the library's `compare_preference`: the greatest key wins. Highest
 /// LOCAL_PREF (unset reads 100), shortest AS path, lowest ORIGIN (IGP, EGP,
-/// INCOMPLETE), lowest MED (unset reads 0), oldest, then lowest peer.
+/// INCOMPLETE), lowest MED (unset reads 0), then lowest peer.
 fn preference(r: &RouteRef<'_>) -> impl Ord {
     let origin = match r.attrs.origin {
         Origin::Igp => 0,
@@ -73,7 +73,6 @@ fn preference(r: &RouteRef<'_>) -> impl Ord {
         Reverse(r.attrs.as_path.len()),
         Reverse(origin),
         Reverse(r.attrs.med.unwrap_or(0)),
-        Reverse(r.learned_at),
         Reverse(r.peer),
     )
 }
@@ -297,7 +296,7 @@ proptest! {
             table.add_peer(PeerId(k), Asn(k));
         }
         for (draw, i, tail, lp) in &seed {
-            table.announce(peer(*draw), p(*i), route(peer(*draw), tail, *lp, 0));
+            table.announce(peer(*draw), p(*i), route(peer(*draw), tail, *lp));
         }
         let mut policy = ReroutingPolicy::allow_all();
         for (draw, kind, rank) in &policy_draws {
@@ -317,7 +316,7 @@ proptest! {
             let event = if *withdraw {
                 ElementaryEvent::Withdraw { timestamp: t, prefix: p(*i) }
             } else {
-                let attrs = route(peer(*draw), tail, *lp, t).attrs;
+                let attrs = route(peer(*draw), tail, *lp).attrs;
                 ElementaryEvent::Announce { timestamp: t, prefix: p(*i), attrs }
             };
             applier.note_event(peer(*draw), &event);

@@ -907,14 +907,13 @@ mod tests {
                 let mut attrs =
                     RouteAttributes::from_path(AsPath::new([s + 1, 10_000 + s, 20_000 + s]));
                 attrs.local_pref = Some(200);
-                t.announce(peer, p(idx), Route::new(peer, attrs, 0));
+                t.announce(peer, p(idx), Route::new(peer, attrs));
                 t.announce(
                     backup,
                     p(idx),
                     Route::new(
                         backup,
                         RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + idx % 7])),
-                        0,
                     ),
                 );
             }

@@ -79,9 +79,9 @@ fn table() -> RoutingTable {
         for i in 0..PREFIXES_PER_SESSION {
             let mut attrs = RouteAttributes::from_path(path(s, i, i));
             attrs.local_pref = Some(200);
-            t.announce(peer, p(s, i), Route::new(peer, attrs, 0));
+            t.announce(peer, p(s, i), Route::new(peer, attrs));
             let alternate = RouteAttributes::from_path(AsPath::new([1_000u32, 30_000 + i % 7]));
-            t.announce(BACKUP, p(s, i), Route::new(BACKUP, alternate, 0));
+            t.announce(BACKUP, p(s, i), Route::new(BACKUP, alternate));
         }
     }
     t

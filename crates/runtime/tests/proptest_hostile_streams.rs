@@ -82,7 +82,7 @@ fn routes(s: u32) -> Vec<(Prefix, Route)> {
         .map(|i| {
             let mut attrs = RouteAttributes::from_path(path(s, i, i));
             attrs.local_pref = Some(200 - 50 * s);
-            (p(i), Route::new(peer(s), attrs, 0))
+            (p(i), Route::new(peer(s), attrs))
         })
         .collect()
 }
@@ -92,7 +92,7 @@ fn table() -> RoutingTable {
     t.add_peer(BACKUP, Asn(900));
     for i in 0..PREFIXES {
         let attrs = RouteAttributes::from_path(AsPath::new([900u32, 9_000 + i % 3]));
-        t.announce(BACKUP, p(i), Route::new(BACKUP, attrs, 0));
+        t.announce(BACKUP, p(i), Route::new(BACKUP, attrs));
     }
     for s in 0..SESSIONS {
         t.add_peer(peer(s), asn(s));

@@ -2,7 +2,7 @@
 
 use crate::graph::AsGraph;
 use crate::hyperbolic::{HyperbolicConfig, HyperbolicGenerator};
-use crate::relationships::{Relationship, TierMap};
+use crate::relationships::TierMap;
 use std::collections::BTreeMap;
 use swift_bgp::{AsLink, Asn, Prefix};
 
@@ -160,22 +160,9 @@ impl Topology {
         self.origins.get(&asn).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterates over `(asn, prefixes)` pairs in ascending AS number.
-    pub fn origins(&self) -> impl Iterator<Item = (Asn, &[Prefix])> {
-        self.origins.iter().map(|(a, p)| (*a, p.as_slice()))
-    }
-
     /// Total number of originated prefixes.
     pub fn total_prefixes(&self) -> usize {
         self.origins.values().map(Vec::len).sum()
-    }
-
-    /// The relationship of `neighbor` relative to `asn`, if they are adjacent.
-    pub fn relationship(&self, asn: Asn, neighbor: Asn) -> Option<Relationship> {
-        if !self.graph.has_edge(asn, neighbor) {
-            return None;
-        }
-        self.tiers.relationship(asn, neighbor)
     }
 
     /// All undirected AS links.
@@ -192,6 +179,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relationships::Relationship;
 
     #[test]
     fn figure1_structure() {
@@ -203,26 +191,26 @@ mod tests {
         assert_eq!(t.originated_prefixes(Asn(8)).len(), 100);
         assert_eq!(t.total_prefixes(), 10 + 100 + 100 + 5 * 10);
         // All prefixes are distinct.
-        let all: std::collections::HashSet<_> =
-            t.origins().flat_map(|(_, ps)| ps.iter().copied()).collect();
+        let all: std::collections::HashSet<_> = t.origins.values().flatten().copied().collect();
         assert_eq!(all.len(), t.total_prefixes());
     }
 
     #[test]
     fn figure1_relationships() {
         let t = Topology::figure1();
-        assert_eq!(t.relationship(Asn(5), Asn(6)), Some(Relationship::Peer));
+        let tiers = t.tiers();
+        assert_eq!(tiers.relationship(Asn(5), Asn(6)), Some(Relationship::Peer));
         assert_eq!(
-            t.relationship(Asn(1), Asn(2)),
+            tiers.relationship(Asn(1), Asn(2)),
             Some(Relationship::Provider),
             "AS 2 is a provider of AS 1"
         );
         assert_eq!(
-            t.relationship(Asn(6), Asn(8)),
+            tiers.relationship(Asn(6), Asn(8)),
             Some(Relationship::Customer),
             "AS 8 is a customer of AS 6"
         );
-        assert_eq!(t.relationship(Asn(1), Asn(6)), None, "not adjacent");
+        assert!(!t.graph().has_edge(Asn(1), Asn(6)), "not adjacent");
     }
 
     #[test]

@@ -167,10 +167,6 @@ pub const SESSION_PREFIX_SPACING: u32 = 65_536;
 /// message stream.
 #[derive(Debug, Clone)]
 pub struct SessionRib {
-    /// The session this RIB belongs to.
-    pub peer: PeerId,
-    /// The peer's AS number.
-    pub peer_asn: Asn,
     /// The Adj-RIB-In (interned paths).
     pub rib: InternedRib,
     /// The session's popular prefixes.
@@ -264,8 +260,6 @@ impl Corpus {
         let mut rng = StdRng::seed_from_u64(meta.seed);
         let (rib, popular, link_prefixes) = self.build_rib(meta, &mut rng);
         SessionRib {
-            peer: meta.peer,
-            peer_asn: meta.peer_asn,
             rib,
             popular,
             link_prefixes,
@@ -502,13 +496,13 @@ impl SessionTrace {
         for (prefix, path) in self.rib.iter() {
             let mut attrs = RouteAttributes::from_path(path.clone());
             attrs.local_pref = Some(200);
-            table.announce(monitored, *prefix, Route::new(monitored, attrs, 0));
+            table.announce(monitored, *prefix, Route::new(monitored, attrs));
             if rng.gen_bool(0.95) {
                 let alt = AsPath::new([8_000_001u32, 8_100_000 + (prefix.addr() % 1_000)]);
                 table.announce(
                     PeerId(2),
                     *prefix,
-                    Route::new(PeerId(2), RouteAttributes::from_path(alt), 0),
+                    Route::new(PeerId(2), RouteAttributes::from_path(alt)),
                 );
             }
             if rng.gen_bool(0.6) {
@@ -516,7 +510,7 @@ impl SessionTrace {
                 table.announce(
                     PeerId(3),
                     *prefix,
-                    Route::new(PeerId(3), RouteAttributes::from_path(alt), 0),
+                    Route::new(PeerId(3), RouteAttributes::from_path(alt)),
                 );
             }
         }

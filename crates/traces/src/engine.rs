@@ -215,7 +215,6 @@ impl Engine {
                     let route = Route::new(
                         PeerId(neighbor.value()),
                         RouteAttributes::from_path(path.clone()),
-                        0,
                     );
                     table.announce(PeerId(neighbor.value()), *prefix, route);
                 }

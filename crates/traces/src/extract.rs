@@ -20,13 +20,6 @@ pub struct ExtractedBurst {
     pub withdrawals: usize,
 }
 
-impl ExtractedBurst {
-    /// Duration of the burst.
-    pub fn duration(&self) -> Timestamp {
-        self.end.saturating_sub(self.start)
-    }
-}
-
 /// Extraction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractConfig {
@@ -145,7 +138,7 @@ mod tests {
         assert_eq!(bursts[0].withdrawals, 5_000);
         assert_eq!(bursts[0].start, 100 * SECOND);
         assert_eq!(bursts[0].end, *t.last().unwrap());
-        assert!(bursts[0].duration() > 0);
+        assert!(bursts[0].end > bursts[0].start);
     }
 
     #[test]

@@ -145,14 +145,6 @@ impl AsGraph {
         dist
     }
 
-    /// Returns `true` if every node is reachable from every other node.
-    pub fn is_connected(&self) -> bool {
-        match self.nodes().next() {
-            None => true,
-            Some(first) => self.bfs_distances(first).len() == self.node_count(),
-        }
-    }
-
     /// The connected components, each a sorted list of ASes; components are
     /// ordered by their smallest member.
     pub fn connected_components(&self) -> Vec<Vec<Asn>> {
@@ -167,6 +159,17 @@ impl AsGraph {
             components.push(comp);
         }
         components
+    }
+}
+
+#[cfg(test)]
+impl AsGraph {
+    /// Returns `true` if every node is reachable from every other node.
+    pub(crate) fn is_connected(&self) -> bool {
+        match self.nodes().next() {
+            None => true,
+            Some(first) => self.bfs_distances(first).len() == self.node_count(),
+        }
     }
 }
 

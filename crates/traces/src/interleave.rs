@@ -148,7 +148,7 @@ impl MultiSessionTrace {
                 }
                 let mut attrs = RouteAttributes::from_path(AsPath::new(hops));
                 attrs.local_pref = Some(200);
-                table.announce(peer, prefix, Route::new(peer, attrs, 0));
+                table.announce(peer, prefix, Route::new(peer, attrs));
                 if rng.gen_bool(config.backup_coverage) {
                     let alt = AsPath::new([
                         backup_asn.value(),
@@ -157,7 +157,7 @@ impl MultiSessionTrace {
                     table.announce(
                         BACKUP_PEER,
                         prefix,
-                        Route::new(BACKUP_PEER, RouteAttributes::from_path(alt), 0),
+                        Route::new(BACKUP_PEER, RouteAttributes::from_path(alt)),
                     );
                 }
             }
@@ -181,16 +181,6 @@ impl MultiSessionTrace {
             events,
             failed_links,
         }
-    }
-
-    /// Total number of events in the merged stream.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if the merged stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -249,8 +239,7 @@ mod tests {
         let a = MultiSessionTrace::generate(&config);
         let b = MultiSessionTrace::generate(&config);
         assert_eq!(a.events, b.events, "generation is deterministic");
-        assert_eq!(a.len(), 900, "burst_size withdrawals per session");
-        assert!(!a.is_empty());
+        assert_eq!(a.events.len(), 900, "burst_size withdrawals per session");
 
         // Table shape: one peer per session plus the backup provider.
         assert_eq!(a.table.peer_count(), 4);

@@ -108,21 +108,8 @@ impl BurstShape {
         }
     }
 
-    /// The fraction of the burst's withdrawals that should have arrived by
-    /// relative time `x` (0.0–1.0), piecewise-linear across the three periods.
-    pub fn cumulative(&self, x: f64) -> f64 {
-        let x = x.clamp(0.0, 1.0);
-        if x <= 1.0 / 3.0 {
-            self.head * x * 3.0
-        } else if x <= 2.0 / 3.0 {
-            self.head + self.middle * (x - 1.0 / 3.0) * 3.0
-        } else {
-            self.head + self.middle + self.tail * (x - 2.0 / 3.0) * 3.0
-        }
-    }
-
-    /// Inverse of [`BurstShape::cumulative`]: the relative time at which the
-    /// `q`-th fraction of withdrawals has arrived.
+    /// The relative time (0.0–1.0) at which the `q`-th fraction of
+    /// withdrawals has arrived, piecewise-linear across the three periods.
     pub fn time_of_fraction(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
         if q <= self.head {
@@ -138,7 +125,22 @@ impl BurstShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+
     use rand::SeedableRng;
+
+    /// The fraction of a burst's withdrawals that should have arrived by
+    /// relative time `x` (0.0–1.0): the inverse of
+    /// [`BurstShape::time_of_fraction`].
+    fn cumulative(shape: &BurstShape, x: f64) -> f64 {
+        let x = x.clamp(0.0, 1.0);
+        if x <= 1.0 / 3.0 {
+            shape.head * x * 3.0
+        } else if x <= 2.0 / 3.0 {
+            shape.head + shape.middle * (x - 1.0 / 3.0) * 3.0
+        } else {
+            shape.head + shape.middle + shape.tail * (x - 2.0 / 3.0) * 3.0
+        }
+    }
 
     #[test]
     fn burst_sizes_match_paper_tail_fractions() {
@@ -196,13 +198,13 @@ mod tests {
             middle: 0.3,
             tail: 0.1,
         };
-        assert!((shape.cumulative(0.0) - 0.0).abs() < 1e-12);
-        assert!((shape.cumulative(1.0) - 1.0).abs() < 1e-9);
-        assert!((shape.cumulative(1.0 / 3.0) - 0.6).abs() < 1e-9);
-        assert!((shape.cumulative(2.0 / 3.0) - 0.9).abs() < 1e-9);
+        assert!((cumulative(&shape, 0.0) - 0.0).abs() < 1e-12);
+        assert!((cumulative(&shape, 1.0) - 1.0).abs() < 1e-9);
+        assert!((cumulative(&shape, 1.0 / 3.0) - 0.6).abs() < 1e-9);
+        assert!((cumulative(&shape, 2.0 / 3.0) - 0.9).abs() < 1e-9);
         for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
             let t = shape.time_of_fraction(q);
-            assert!((shape.cumulative(t) - q).abs() < 1e-6, "q={q}");
+            assert!((cumulative(&shape, t) - q).abs() < 1e-6, "q={q}");
         }
         // Monotonic.
         let mut last = 0.0;

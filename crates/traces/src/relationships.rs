@@ -22,8 +22,6 @@ pub enum Relationship {
     Peer,
 }
 
-impl Relationship {}
-
 /// Tier assignment and pairwise relationships for a topology.
 #[derive(Debug, Clone, Default)]
 pub struct TierMap {
@@ -75,16 +73,6 @@ impl TierMap {
             .collect()
     }
 
-    /// Number of ASes with an assigned tier.
-    pub fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// Returns `true` if no tiers are assigned.
-    pub fn is_empty(&self) -> bool {
-        self.tiers.is_empty()
-    }
-
     /// The relationship of `neighbor` relative to `asn` for a direct adjacency:
     /// same tier → peer; deeper tier → customer; shallower tier → provider.
     ///
@@ -97,11 +85,6 @@ impl TierMap {
             std::cmp::Ordering::Greater => Relationship::Customer,
             std::cmp::Ordering::Less => Relationship::Provider,
         })
-    }
-
-    /// Iterates over `(asn, tier)` pairs in ascending AS number.
-    pub fn iter(&self) -> impl Iterator<Item = (Asn, usize)> + '_ {
-        self.tiers.iter().map(|(a, t)| (*a, *t))
     }
 }
 
@@ -152,8 +135,6 @@ mod tests {
         assert_eq!(tiers.tier(Asn(7)), Some(2));
         assert_eq!(tiers.tier(Asn(5)), Some(3));
         assert_eq!(tiers.tier(Asn(6)), Some(3));
-        assert_eq!(tiers.len(), 7);
-        assert!(!tiers.is_empty());
         assert_eq!(tiers.ases_in_tier(1), vec![Asn(1), Asn(2)]);
     }
 
@@ -197,7 +178,7 @@ mod tests {
     fn iter_yields_all() {
         let g = small_graph();
         let tiers = TierMap::assign(&g, 2);
-        assert_eq!(tiers.iter().count(), 7);
-        assert!(tiers.iter().all(|(_, t)| (1..=3).contains(&t)));
+        assert_eq!(tiers.tiers.len(), 7);
+        assert!(tiers.tiers.values().all(|t| (1..=3).contains(t)));
     }
 }

@@ -48,13 +48,13 @@ impl<'a> SoakReplay<'a> {
             for (prefix, path) in rib.rib.iter() {
                 let mut attrs = RouteAttributes::from_path(path.clone());
                 attrs.local_pref = Some(200);
-                table.announce(peer, *prefix, Route::new(peer, attrs, 0));
+                table.announce(peer, *prefix, Route::new(peer, attrs));
                 if rng.gen_bool(0.95) {
                     let alt = AsPath::new([8_000_001u32, 8_100_000 + (prefix.addr() % 1_000)]);
                     table.announce(
                         SOAK_BACKUP_A,
                         *prefix,
-                        Route::new(SOAK_BACKUP_A, RouteAttributes::from_path(alt), 0),
+                        Route::new(SOAK_BACKUP_A, RouteAttributes::from_path(alt)),
                     );
                 }
                 if rng.gen_bool(0.6) {
@@ -62,7 +62,7 @@ impl<'a> SoakReplay<'a> {
                     table.announce(
                         SOAK_BACKUP_B,
                         *prefix,
-                        Route::new(SOAK_BACKUP_B, RouteAttributes::from_path(alt), 0),
+                        Route::new(SOAK_BACKUP_B, RouteAttributes::from_path(alt)),
                     );
                 }
             }
@@ -99,8 +99,8 @@ mod tests {
             for route in table.candidates_by_id(id) {
                 let a = &route.attrs;
                 text.push_str(&format!(
-                    " | {} {} {} {:?} {:?} {}",
-                    route.peer.0, a.as_path, a.origin, a.local_pref, a.med, route.learned_at
+                    " | {} {} {} {:?} {:?}",
+                    route.peer.0, a.as_path, a.origin, a.local_pref, a.med
                 ));
             }
             text.push('\n');
@@ -117,7 +117,7 @@ mod tests {
         let table = SoakReplay::new(&corpus, SoakConfig).vantage_table();
         // Pinned: the benchmark's corpus workloads replay against this table,
         // so any change to it fails here before it moves their digests.
-        assert_eq!(table_digest(&table), "0629a0ec784d3138");
+        assert_eq!(table_digest(&table), "2257a9f859f86048");
         assert_eq!(table.peer_count(), corpus.num_sessions() + 2);
         let mut total = 0usize;
         for idx in 0..corpus.num_sessions() {

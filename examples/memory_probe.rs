@@ -21,9 +21,9 @@
 //! * two partial feeds of one size, each on a new peer of the clone, one
 //!   route per 64 of the table's ids over an attribute set the table holds:
 //!   one numbered in one block (the table's last ids, so its routes fill
-//!   their 64-id pages), one scattered a route per page (the worst case: a
-//!   whole page per route). Their bytes per route are per the feed's own
-//!   routes.
+//!   their 64-id pages of 4-byte records), one scattered a route per page
+//!   (the worst case: a whole 256-byte page per route). Their bytes per
+//!   route are per the feed's own routes.
 //!
 //! Run with: `cargo run --release --example memory_probe [prefixes] [seed]`
 //! (defaults 1000000 and 1, the benchmark's seed).
@@ -88,7 +88,7 @@ fn partial_feed(table: &mut RoutingTable, ids: impl Iterator<Item = usize>) -> i
         table.add_peer(peer, Asn(peer.0));
         for id in ids {
             let prefix = table.prefix_of(PrefixId::from_index(id));
-            table.announce(peer, prefix, Route::new(peer, attrs.clone(), 0));
+            table.announce(peer, prefix, Route::new(peer, attrs.clone()));
         }
         table.seal();
     });

@@ -31,11 +31,7 @@ fn fig1_router_and_burst() -> (
         .collect();
     for (prefix, attrs) in boosted {
         let attrs = attrs.with_local_pref(200);
-        table.announce(
-            PeerId(2),
-            prefix,
-            swift::bgp::Route::new(PeerId(2), attrs, 0),
-        );
+        table.announce(PeerId(2), prefix, swift::bgp::Route::new(PeerId(2), attrs));
     }
 
     let config = SwiftConfig {
