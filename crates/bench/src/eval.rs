@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::OnceCell;
 use std::collections::HashSet;
-use swift_bgp::{AsLink, Asn, BgpMessage, MessageStream, PeerId, Prefix, PrefixSet, SECOND};
+use swift_bgp::{AsLink, Asn, ElementaryEvent, MessageStream, PeerId, Prefix, PrefixSet, SECOND};
 use swift_core::encoding::{ReroutingPolicy, TwoStageTable};
 use swift_core::inference::InferenceEngine;
 use swift_core::metrics::Quadrant::{Bad, Good, Overestimate, Underestimate};
@@ -395,7 +395,7 @@ fn corpus_pass(inputs: &EvalInputs) -> CorpusPass {
             pass.no_history.extend(ungated);
             let eval = evaluate_burst(&session, burst, &history);
             let start = burst.stream.start().unwrap_or(0);
-            for ev in burst.stream.elementary_events() {
+            for ev in burst.stream.events() {
                 if ev.is_withdraw() && burst.withdrawn.contains(&ev.prefix()) {
                     let bgp = seconds(ev.timestamp() - start);
                     let predicted = eval
@@ -595,14 +595,17 @@ fn sim(ctx: &Ctx<'_>, out: &mut Out) {
             .iter()
             .filter(|(_, r)| !r.as_path().crosses_link_undirected(&link));
         let noise = unrelated.take(i.sim_noise).enumerate();
-        let noise = noise.map(|(k, (p, _))| BgpMessage::withdraw(k as u64 * 2_000 + 500, *p));
-        let noisy = clean.merge(&MessageStream::from_messages(noise.collect()));
+        let noise = noise.map(|(k, (p, _))| ElementaryEvent::Withdraw {
+            timestamp: k as u64 * 2_000 + 500,
+            prefix: *p,
+        });
+        let noisy = clean.merge(&MessageStream::from_events(noise.collect()));
         for (stream, tally) in [clean, noisy].iter().zip(tallies.chunks_mut(2)) {
             let paths = rib.views().map(|(p, r)| (p, r.as_path()));
             let mut engine = InferenceEngine::new(InferenceConfig::default(), paths);
             let (mut early, mut seen) = (None, 0);
-            for ev in stream.elementary_events() {
-                engine.process(&ev);
+            for ev in stream.events() {
+                engine.process(ev);
                 seen += usize::from(ev.is_withdraw());
                 if ev.is_withdraw() && seen == i.sim_threshold {
                     early = Some(engine.force_infer(ev.timestamp()));

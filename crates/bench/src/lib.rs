@@ -52,11 +52,10 @@ pub fn evaluate_burst(
 ) -> Option<BurstEvaluation> {
     // Seeding shares the trace's interned path storage — no per-prefix clones.
     let mut engine = InferenceEngine::from_interned(config.clone(), &session.rib);
-    let events: Vec<_> = burst.stream.elementary_events().collect();
     let burst_start = burst.stream.start().unwrap_or(0);
 
     let mut accepted = None;
-    for ev in &events {
+    for ev in burst.stream.events() {
         if let (_, Some(result)) = engine.process(ev) {
             accepted = Some(result);
             break;
@@ -68,9 +67,7 @@ pub fn evaluate_burst(
     // whole burst, and those withdrawn after the inference time.
     let universe = session.rib.len();
     let actual: PrefixSet = burst.withdrawn.clone();
-    let future_actual: PrefixSet = burst
-        .stream
-        .elementary_events()
+    let future_actual: PrefixSet = (burst.stream.events().iter())
         .filter(|e| e.is_withdraw() && e.timestamp() > result.time)
         .map(|e| e.prefix())
         .filter(|p| burst.withdrawn.contains(p))

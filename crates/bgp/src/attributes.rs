@@ -62,9 +62,8 @@ impl fmt::Display for Origin {
 
 /// The set of path attributes attached to an announced route.
 ///
-/// `local_pref` defaults to 100 as on most router platforms. Attribute equality
-/// is what decides whether two prefixes can share a packed UPDATE message
-/// (see [`crate::message::BgpMessage`]).
+/// `local_pref` defaults to 100 as on most router platforms. Equal attribute
+/// sets share one [`AttrId`] in a table's attribute dictionary.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct RouteAttributes {
     /// The AS path of the route, nearest AS first.

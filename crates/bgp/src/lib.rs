@@ -9,8 +9,9 @@
 //! * [`Asn`] / [`AsLink`] / [`AsPath`] — AS numbers, directed AS-level links and
 //!   AS paths (including link extraction by position, which the SWIFT encoding
 //!   scheme relies on).
-//! * [`RouteAttributes`] and [`BgpMessage`] — the subset of BGP path attributes
-//!   and UPDATE/WITHDRAW semantics the paper's algorithms consume.
+//! * [`RouteAttributes`] and [`ElementaryEvent`] — the subset of BGP path
+//!   attributes and the per-prefix announce/withdraw events the paper's
+//!   algorithms consume.
 //! * [`AdjRibIn`] and [`RoutingTable`] — per-peer and router-wide routing
 //!   state with standard best-path selection, every route stored once as a
 //!   4-byte record (its attributes' id) in its peer's pages, by its [`PrefixId`] in a table-wide
@@ -18,8 +19,9 @@
 //!   feeds' inference engines share) and its attributes' id in a table-wide
 //!   attribute dictionary; routes are read as [`RouteRef`] views. The id →
 //!   prefix [`PrefixList`] is chunked and shared by clones and snapshots.
-//! * [`MessageStream`] — a timestamped per-session message stream, the
-//!   exact input shape of the SWIFT inference algorithm (§4 of the paper).
+//! * [`MessageStream`] — a time-ordered per-session list of
+//!   [`ElementaryEvent`]s, the exact input shape of the SWIFT inference
+//!   algorithm (§4 of the paper).
 //! * [`PathInterner`] / [`InternedRib`] — deduplicating AS-path storage with
 //!   dense [`PathId`]s, the seeding format of the inference hot path.
 //!
@@ -40,7 +42,7 @@ mod table;
 pub use as_path::{AsLink, AsPath, Asn};
 pub use attributes::{AttrId, Origin, RouteAttributes};
 pub use interner::{InternedRib, PathId, PathInterner};
-pub use message::{BgpMessage, ElementaryEvent, MessageKind};
+pub use message::ElementaryEvent;
 pub use prefix::{FoldBuildHasher, FoldHasher, Prefix, PrefixError, PrefixSet};
 pub use rib::{AdjRibIn, PrefixId, PrefixInterner, PrefixList, Route, RouteRef};
 pub use session::{MessageStream, PeerId};

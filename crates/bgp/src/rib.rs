@@ -993,7 +993,7 @@ mod tests {
                     prefix: p(1),
                     attrs,
                 };
-                assert!(t.apply(route.peer, &event));
+                assert!(t.apply_owned(route.peer, event).is_some());
             }
             assert_eq!(t.best(&p(1)).unwrap().peer, PeerId(1));
         }
@@ -1062,18 +1062,18 @@ mod tests {
     fn loc_rib_apply_events() {
         let mut t = table_with_peers(1);
         let attrs = RouteAttributes::from_path(AsPath::new([2u32, 6]));
-        t.apply(
+        t.apply_owned(
             PeerId(1),
-            &ElementaryEvent::Announce {
+            ElementaryEvent::Announce {
                 timestamp: 1,
                 prefix: p(1),
                 attrs,
             },
         );
         assert_eq!(t.prefix_count(), 1);
-        t.apply(
+        t.apply_owned(
             PeerId(1),
-            &ElementaryEvent::Withdraw {
+            ElementaryEvent::Withdraw {
                 timestamp: 2,
                 prefix: p(1),
             },

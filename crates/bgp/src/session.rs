@@ -2,10 +2,10 @@
 //!
 //! The SWIFT inference algorithm runs *per BGP session* (§4.1): each session's
 //! message stream is analysed independently, which also enables parallelism.
-//! [`MessageStream`] is an always-time-ordered sequence of [`BgpMessage`]s and
-//! offers the windowed withdrawal counting that burst detection builds on.
+//! [`MessageStream`] is an always-time-ordered list of one session's
+//! [`ElementaryEvent`]s.
 
-use crate::message::{BgpMessage, ElementaryEvent};
+use crate::message::ElementaryEvent;
 use crate::Timestamp;
 use std::fmt;
 
@@ -25,10 +25,10 @@ impl From<u32> for PeerId {
     }
 }
 
-/// A time-ordered stream of BGP messages received on one session.
+/// A time-ordered list of the per-prefix events received on one session.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessageStream {
-    messages: Vec<BgpMessage>,
+    events: Vec<ElementaryEvent>,
 }
 
 impl MessageStream {
@@ -37,99 +37,60 @@ impl MessageStream {
         Self::default()
     }
 
-    /// Builds a stream from messages, sorting them by timestamp (stable, so
-    /// messages with equal timestamps keep their relative order).
-    pub fn from_messages(mut messages: Vec<BgpMessage>) -> Self {
-        messages.sort_by_key(|m| m.timestamp);
-        MessageStream { messages }
+    /// Builds a stream from events, sorting them by timestamp (stable, so
+    /// events with equal timestamps keep their arrival order).
+    pub fn from_events(mut events: Vec<ElementaryEvent>) -> Self {
+        events.sort_by_key(ElementaryEvent::timestamp);
+        MessageStream { events }
     }
 
-    /// Appends a message, keeping the stream ordered. Appending in
-    /// non-decreasing timestamp order is O(1); out-of-order pushes fall back to
-    /// an insertion.
-    pub fn push(&mut self, msg: BgpMessage) {
-        match self.messages.last() {
-            Some(last) if last.timestamp > msg.timestamp => {
-                let idx = self
-                    .messages
-                    .partition_point(|m| m.timestamp <= msg.timestamp);
-                self.messages.insert(idx, msg);
-            }
-            _ => self.messages.push(msg),
-        }
-    }
-
-    /// Number of messages in the stream.
+    /// Number of events in the stream.
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.events.len()
     }
 
-    /// Returns `true` if the stream holds no messages.
+    /// Returns `true` if the stream holds no events.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.events.is_empty()
     }
 
-    /// The messages, in timestamp order.
-    pub fn messages(&self) -> &[BgpMessage] {
-        &self.messages
+    /// The events, in timestamp order.
+    pub fn events(&self) -> &[ElementaryEvent] {
+        &self.events
     }
 
-    /// Iterates over per-prefix elementary events in timestamp order.
+    /// Iterates over the events, in timestamp order, by value.
     pub fn elementary_events(&self) -> impl Iterator<Item = ElementaryEvent> + '_ {
-        self.messages.iter().flat_map(|m| m.elementary_events())
+        self.events.iter().cloned()
     }
 
     /// Total number of prefix withdrawals across the stream.
     pub fn total_withdrawals(&self) -> usize {
-        self.messages.iter().map(|m| m.withdrawal_count()).sum()
+        self.events.iter().filter(|e| e.is_withdraw()).count()
     }
 
     /// Total number of prefix announcements across the stream.
     pub fn total_announcements(&self) -> usize {
-        self.messages.iter().map(|m| m.announcement_count()).sum()
+        self.len() - self.total_withdrawals()
     }
 
-    /// Timestamp of the first message, if any.
+    /// Timestamp of the first event, if any.
     pub fn start(&self) -> Option<Timestamp> {
-        self.messages.first().map(|m| m.timestamp)
+        self.events.first().map(ElementaryEvent::timestamp)
     }
 
-    /// Timestamp of the last message, if any.
+    /// Timestamp of the last event, if any.
     pub fn end(&self) -> Option<Timestamp> {
-        self.messages.last().map(|m| m.timestamp)
+        self.events.last().map(ElementaryEvent::timestamp)
     }
 
-    /// Duration between first and last message (0 for empty or singleton).
-    pub fn duration(&self) -> Timestamp {
-        match (self.start(), self.end()) {
-            (Some(s), Some(e)) => e - s,
-            _ => 0,
-        }
-    }
-
-    /// Number of prefix withdrawals received in the half-open window
-    /// `[from, to)`.
-    pub fn withdrawals_in_window(&self, from: Timestamp, to: Timestamp) -> usize {
-        let lo = self.messages.partition_point(|m| m.timestamp < from);
-        let hi = self.messages.partition_point(|m| m.timestamp < to);
-        self.messages[lo..hi]
-            .iter()
-            .map(|m| m.withdrawal_count())
-            .sum()
-    }
-
-    /// Merges two streams into a new ordered stream.
+    /// Merges two streams into a new ordered stream; at equal timestamps,
+    /// `self`'s events come first.
     pub fn merge(&self, other: &MessageStream) -> MessageStream {
         let mut all = Vec::with_capacity(self.len() + other.len());
-        all.extend_from_slice(&self.messages);
-        all.extend_from_slice(&other.messages);
-        MessageStream::from_messages(all)
-    }
-}
-
-impl FromIterator<BgpMessage> for MessageStream {
-    fn from_iter<T: IntoIterator<Item = BgpMessage>>(iter: T) -> Self {
-        MessageStream::from_messages(iter.into_iter().collect())
+        all.extend_from_slice(&self.events);
+        all.extend_from_slice(&other.events);
+        MessageStream::from_events(all)
     }
 }
 
@@ -138,51 +99,52 @@ mod tests {
     use super::*;
     use crate::attributes::RouteAttributes;
     use crate::prefix::Prefix;
-    use crate::SECOND;
 
-    fn wd(t: Timestamp, i: u32) -> BgpMessage {
-        BgpMessage::withdraw(t, Prefix::nth_slash24(i))
+    fn wd(t: Timestamp, i: u32) -> ElementaryEvent {
+        ElementaryEvent::Withdraw {
+            timestamp: t,
+            prefix: Prefix::nth_slash24(i),
+        }
     }
 
-    fn ann(t: Timestamp, i: u32) -> BgpMessage {
-        BgpMessage::announce(t, Prefix::nth_slash24(i), RouteAttributes::default())
-    }
-
-    #[test]
-    fn push_keeps_order_even_when_out_of_order() {
-        let mut s = MessageStream::new();
-        s.push(wd(10, 1));
-        s.push(wd(5, 2));
-        s.push(wd(20, 3));
-        s.push(wd(15, 4));
-        let ts: Vec<_> = s.messages().iter().map(|m| m.timestamp).collect();
-        assert_eq!(ts, vec![5, 10, 15, 20]);
+    fn ann(t: Timestamp, i: u32) -> ElementaryEvent {
+        ElementaryEvent::Announce {
+            timestamp: t,
+            prefix: Prefix::nth_slash24(i),
+            attrs: RouteAttributes::default(),
+        }
     }
 
     #[test]
-    fn from_messages_sorts() {
-        let s = MessageStream::from_messages(vec![wd(30, 1), wd(10, 2), wd(20, 3)]);
+    fn from_events_sorts_and_keeps_arrival_order_on_ties() {
+        // The pair at t = 20 arrives as prefix 9, then prefix 2: the reverse
+        // of prefix order, so a sort that broke ties by prefix would swap it.
+        let s = MessageStream::from_events(vec![wd(30, 1), wd(20, 9), ann(20, 2), wd(10, 3)]);
         assert_eq!(s.start(), Some(10));
         assert_eq!(s.end(), Some(30));
-        assert_eq!(s.duration(), 20);
+        assert_eq!(
+            s.events(),
+            &[wd(10, 3), wd(20, 9), ann(20, 2), wd(30, 1)][..]
+        );
     }
 
     #[test]
-    fn counting_and_windows() {
-        let s: MessageStream = (0..10).map(|i| wd(i * SECOND, i as u32)).collect();
+    fn counting() {
+        let s = MessageStream::from_events((0..10).map(|i| wd(i, i as u32)).collect());
+        assert_eq!(s.len(), 10);
         assert_eq!(s.total_withdrawals(), 10);
         assert_eq!(s.total_announcements(), 0);
-        assert_eq!(s.withdrawals_in_window(0, 5 * SECOND), 5);
-        assert_eq!(s.withdrawals_in_window(5 * SECOND, 10 * SECOND), 5);
-        assert_eq!(s.withdrawals_in_window(100 * SECOND, 200 * SECOND), 0);
+        let s = s.merge(&MessageStream::from_events(vec![ann(3, 20), ann(4, 21)]));
+        assert_eq!(s.total_withdrawals(), 10);
+        assert_eq!(s.total_announcements(), 2);
     }
 
     #[test]
     fn merge_interleaves() {
-        let a: MessageStream = vec![wd(1, 1), wd(3, 2)].into_iter().collect();
-        let b: MessageStream = vec![ann(2, 3), ann(4, 4)].into_iter().collect();
+        let a = MessageStream::from_events(vec![wd(1, 1), wd(3, 2)]);
+        let b = MessageStream::from_events(vec![ann(2, 3), ann(4, 4)]);
         let m = a.merge(&b);
-        let ts: Vec<_> = m.messages().iter().map(|m| m.timestamp).collect();
+        let ts: Vec<_> = m.events().iter().map(ElementaryEvent::timestamp).collect();
         assert_eq!(ts, vec![1, 2, 3, 4]);
         assert_eq!(m.total_withdrawals(), 2);
         assert_eq!(m.total_announcements(), 2);
@@ -190,21 +152,19 @@ mod tests {
 
     #[test]
     fn elementary_event_iteration() {
-        let s: MessageStream = vec![wd(1, 1), ann(2, 2)].into_iter().collect();
+        let s = MessageStream::from_events(vec![ann(2, 2), wd(1, 1)]);
         let ev: Vec<_> = s.elementary_events().collect();
-        assert_eq!(ev.len(), 2);
-        assert!(ev[0].is_withdraw());
-        assert!(!ev[1].is_withdraw());
+        assert_eq!(ev, vec![wd(1, 1), ann(2, 2)]);
     }
 
     #[test]
     fn empty_stream_edge_cases() {
         let s = MessageStream::new();
         assert!(s.is_empty());
-        assert_eq!(s.duration(), 0);
         assert_eq!(s.start(), None);
         assert_eq!(s.end(), None);
-        assert_eq!(s.withdrawals_in_window(0, 100), 0);
+        assert_eq!(s.total_withdrawals(), 0);
+        assert_eq!(s.elementary_events().count(), 0);
     }
 
     #[test]

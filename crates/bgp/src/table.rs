@@ -148,7 +148,7 @@ impl RoutingTable {
 
     /// Registers a peer. Re-registering an existing peer keeps its RIB but
     /// adopts the given AS number (a peer may renumber between sessions).
-    /// Messages from unknown peers are rejected by [`RoutingTable::apply`].
+    /// Messages from unknown peers are rejected by [`RoutingTable::apply_owned`].
     pub fn add_peer(&mut self, peer: PeerId, asn: Asn) {
         self.peers
             .entry(peer)
@@ -226,21 +226,11 @@ impl RoutingTable {
         }
     }
 
-    /// Applies a per-prefix event received from `peer`.
-    ///
-    /// Returns `false` (and changes nothing) if the peer is not registered.
-    pub fn apply(&mut self, peer: PeerId, event: &ElementaryEvent) -> bool {
-        if !self.peers.contains_key(&peer) {
-            return false;
-        }
-        self.apply_owned(peer, event.clone());
-        true
-    }
-
-    /// [`RoutingTable::apply`] taking the event by value (an announcement's
-    /// attributes move into the table instead of being cloned). Returns the
-    /// id of the prefix whose routes changed, `None` when nothing did: the
-    /// peer is not registered, or it withdrew a route it does not hold.
+    /// Applies a per-prefix event received from `peer`, taking it by value
+    /// (an announcement's attributes move into the table instead of being
+    /// cloned). Returns the id of the prefix whose routes changed, `None`
+    /// when nothing did: the peer is not registered, or it withdrew a route
+    /// it does not hold.
     pub fn apply_owned(&mut self, peer: PeerId, event: ElementaryEvent) -> Option<PrefixId> {
         self.apply_found(peer, event, Resolved::UNKNOWN)
     }
@@ -527,13 +517,18 @@ mod tests {
     #[test]
     fn apply_requires_registered_peer() {
         let mut t = RoutingTable::new();
-        let ev = ElementaryEvent::Withdraw {
+        let ev = ElementaryEvent::Announce {
             timestamp: 0,
             prefix: p(0),
+            attrs: RouteAttributes::from_path(AsPath::new([9u32])),
         };
-        assert!(!t.apply(PeerId(9), &ev));
+        assert_eq!(t.apply_owned(PeerId(9), ev.clone()), None);
+        assert!(t.peer_asn(PeerId(9)).is_none());
+        assert_eq!(t.prefix_count(), 0);
         t.add_peer(PeerId(9), Asn(9));
-        assert!(t.apply(PeerId(9), &ev));
+        assert!(t.apply_owned(PeerId(9), ev).is_some());
+        assert!(t.peer_asn(PeerId(9)).is_some());
+        assert_eq!(t.prefix_count(), 1);
     }
 
     #[test]
@@ -670,7 +665,7 @@ mod tests {
             timestamp: 10,
             prefix: p(0),
         };
-        assert!(t.apply(PeerId(2), &ev));
+        assert!(t.apply_owned(PeerId(2), ev).is_some());
         assert_eq!(t.adj_rib_in(PeerId(2)).unwrap().len(), 29);
         // Loc-RIB still has routes from peers 3 and 4 for p(0).
         assert_eq!(t.candidates(&p(0)).count(), 2);

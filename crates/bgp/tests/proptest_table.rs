@@ -213,28 +213,25 @@ fn step(table: &mut RoutingTable, model: &mut Model, k: usize, op: &Op) -> Resul
                 prefix,
                 attrs: r.attrs.clone(),
             };
-            prop_assert_eq!(table.apply(peer, &event), known);
+            let id = table.apply_owned(peer, event);
+            prop_assert_eq!(id.map(|id| table.prefix_of(id)), known.then_some(prefix));
             if known {
                 model.announced.insert(r.attrs.clone());
                 model.routes.insert((peer, prefix), r);
             }
         }
         _ => {
-            // Withdrawals, half by reference and half owned.
             let event = ElementaryEvent::Withdraw {
                 timestamp: t,
                 prefix,
             };
             let held = model.routes.remove(&(peer, prefix)).is_some();
-            if kind % 2 == 0 {
-                prop_assert_eq!(table.apply(peer, &event), known);
-            } else {
-                let changed = table.apply_owned(peer, event);
-                prop_assert_eq!(
-                    changed.map(|id| table.prefix_of(id)),
-                    held.then_some(prefix)
-                );
-            }
+            let changed = table.apply_owned(peer, event);
+            prop_assert_eq!(table.peer_asn(peer).is_some(), known);
+            prop_assert_eq!(
+                changed.map(|id| table.prefix_of(id)),
+                held.then_some(prefix)
+            );
         }
     }
     Ok(())

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use swift_bgp::{
-    AsLink, AsPath, Asn, BgpMessage, FoldBuildHasher, MessageStream, PathInterner, Prefix,
+    AsLink, AsPath, Asn, ElementaryEvent, FoldBuildHasher, MessageStream, PathInterner, Prefix,
     PrefixInterner, PrefixList, PrefixSet,
 };
 
@@ -414,50 +414,26 @@ proptest! {
         prop_assert_eq!(sa.union(&sb).len(), sa.len() + sb.len() - inter);
     }
 
-    /// A message stream built from arbitrarily-ordered messages is sorted and
-    /// conserves the withdrawal count.
+    /// A stream built from arbitrarily-ordered events is sorted and conserves
+    /// the withdrawal count.
     #[test]
     fn stream_is_sorted_and_conserves_counts(
         times in proptest::collection::vec(0u64..1_000_000, 1..100),
     ) {
-        let msgs: Vec<BgpMessage> = times
+        let events: Vec<ElementaryEvent> = times
             .iter()
             .enumerate()
-            .map(|(i, t)| BgpMessage::withdraw(*t, Prefix::nth_slash24(i as u32)))
+            .map(|(i, t)| ElementaryEvent::Withdraw {
+                timestamp: *t,
+                prefix: Prefix::nth_slash24(i as u32),
+            })
             .collect();
-        let n = msgs.len();
-        let stream = MessageStream::from_messages(msgs.clone());
+        let n = events.len();
+        let stream = MessageStream::from_events(events);
         prop_assert_eq!(stream.total_withdrawals(), n);
-        let ts: Vec<_> = stream.messages().iter().map(|m| m.timestamp).collect();
+        let ts: Vec<_> = stream.events().iter().map(ElementaryEvent::timestamp).collect();
         let mut sorted = ts.clone();
         sorted.sort();
         prop_assert_eq!(ts, sorted);
-
-        // Pushing one-by-one gives the same multiset of timestamps.
-        let mut incremental = MessageStream::new();
-        for m in msgs {
-            incremental.push(m);
-        }
-        prop_assert_eq!(incremental.total_withdrawals(), n);
-        prop_assert_eq!(incremental.start(), stream.start());
-        prop_assert_eq!(incremental.end(), stream.end());
-    }
-
-    /// Windowed withdrawal counts partition the total.
-    #[test]
-    fn window_counts_partition(
-        times in proptest::collection::vec(0u64..10_000, 1..200),
-        cut in 0u64..10_000,
-    ) {
-        let msgs: Vec<BgpMessage> = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| BgpMessage::withdraw(*t, Prefix::nth_slash24(i as u32)))
-            .collect();
-        let stream = MessageStream::from_messages(msgs);
-        let total = stream.total_withdrawals();
-        let before = stream.withdrawals_in_window(0, cut);
-        let after = stream.withdrawals_in_window(cut, 10_001);
-        prop_assert_eq!(before + after, total);
     }
 }

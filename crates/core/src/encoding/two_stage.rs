@@ -854,9 +854,9 @@ mod tests {
 
         // Peer 2 withdraws p(0): after a refresh of just that prefix the
         // lookup follows the new best route; other prefixes are untouched.
-        table.apply(
+        table.apply_owned(
             PeerId(2),
-            &swift_bgp::ElementaryEvent::Withdraw {
+            swift_bgp::ElementaryEvent::Withdraw {
                 timestamp: 0,
                 prefix: p(0),
             },
@@ -877,9 +877,9 @@ mod tests {
 
         // All peers withdraw p(1): the stage-1 entry disappears.
         for peer in [2u32, 3, 4] {
-            table.apply(
+            table.apply_owned(
                 PeerId(peer),
-                &swift_bgp::ElementaryEvent::Withdraw {
+                swift_bgp::ElementaryEvent::Withdraw {
                     timestamp: 0,
                     prefix: p(1),
                 },
@@ -920,7 +920,7 @@ mod tests {
             timestamp: 0,
             prefix,
         };
-        table.apply(PeerId(peer), &event);
+        table.apply_owned(PeerId(peer), event);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Hostile streams through the inline composition: the deterministic
-//! runtime (`RuntimeConfig::deterministic()`) fed random streams that mix
+//! Hostile streams through the inline composition: a `SwiftRouter` fed
+//! random streams that mix
 //! duplicate withdrawals, withdrawals of prefixes no session ever announced,
 //! timestamps that step backwards, re-announcements inside a burst, session
 //! teardowns in the middle of a burst (and re-registrations) and resyncs.
@@ -14,7 +14,6 @@
 //! * After a resync, every prefix forwards as a forwarding table built from
 //!   scratch over the applier's routing table does.
 
-#[path = "../../core/tests/reference/mod.rs"]
 mod reference;
 
 use proptest::prelude::*;
@@ -24,8 +23,7 @@ use swift_bgp::{
     AsPath, Asn, ElementaryEvent, PeerId, Prefix, Route, RouteAttributes, RoutingTable, SECOND,
 };
 use swift_core::encoding::ReroutingPolicy;
-use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig};
-use swift_runtime::{RuntimeConfig, ShardedRuntime};
+use swift_core::{EncodingConfig, InferenceConfig, SwiftConfig, SwiftRouter};
 
 const SESSIONS: u32 = 2;
 const PREFIXES: u32 = 24;
@@ -134,12 +132,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u32, (u32, u64))>> {
 proptest! {
     #[test]
     fn hostile_streams_keep_counters_rules_and_forwarding_consistent(ops in arb_ops()) {
-        let mut rt = ShardedRuntime::new(
-            RuntimeConfig::deterministic(),
-            config(),
-            table(),
-            ReroutingPolicy::allow_all(),
-        );
+        let mut router = SwiftRouter::new(config(), table(), ReroutingPolicy::allow_all());
         let mut live: BTreeMap<u32, Session> = (0..SESSIONS).map(|s| (s, Session::new(s))).collect();
         let universe: Vec<Prefix> = (0..PREFIXES).chain(UNKNOWN..UNKNOWN + 3).map(p).collect();
         let mut t = 10 * SECOND;
@@ -171,9 +164,9 @@ proptest! {
                 }
                 8 | 9 => {
                     if live.remove(&s).is_some() {
-                        rt.teardown_session(peer(s));
-                        prop_assert!(rt.engine(peer(s)).is_none());
-                        let applier = rt.applier().expect("inline mode");
+                        router.teardown_session(peer(s));
+                        prop_assert!(router.engine(peer(s)).is_none());
+                        let applier = router.applier();
                         for prefix in &universe {
                             prop_assert!(
                                 applier.forwarding_next_hop(prefix) != Some(peer(s)),
@@ -186,14 +179,14 @@ proptest! {
                             "step {step}: a SWIFT rule names torn-down {:?}", peer(s)
                         );
                     } else {
-                        rt.register_session(peer(s), asn(s), routes(s));
+                        router.register_session(peer(s), asn(s), routes(s));
                         live.insert(s, Session::new(s));
                     }
                     continue;
                 }
                 10 => {
-                    rt.resync_after_convergence();
-                    let applier = rt.applier().expect("inline mode");
+                    router.resync_after_convergence();
+                    let applier = router.applier();
                     prop_assert_eq!(applier.forwarding().swift_rule_count(), 0);
                     if let Err(msg) = check_resync(applier, &universe) {
                         prop_assert!(false, "step {step}: after resync: {msg}");
@@ -208,8 +201,8 @@ proptest! {
             };
             // A torn-down session sends nothing until it registers again.
             let Some(session) = live.get_mut(&s) else { continue };
-            rt.ingest(peer(s), event.clone());
-            let engine = rt.engine(peer(s)).expect("a live session has an engine");
+            router.handle_event(peer(s), event.clone());
+            let engine = router.engine(peer(s)).expect("a live session has an engine");
             match &event {
                 ElementaryEvent::Withdraw { prefix, .. } => {
                     session.model.withdraw(*prefix);
@@ -229,6 +222,5 @@ proptest! {
                 prop_assert!(false, "step {step} ({kind}, session {s}): {msg}");
             }
         }
-        rt.finish();
     }
 }

@@ -106,7 +106,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swift_bgp::{Asn, ElementaryEvent, PeerId, Prefix, Route, RoutingTable};
 use swift_core::encoding::ReroutingPolicy;
-use swift_core::inference::InferenceEngine;
 use swift_core::pipeline::{session_engines, Applier, SessionEngine};
 use swift_core::{RerouteAction, SwiftConfig, SwiftRouter};
 use swift_telemetry::{
@@ -458,16 +457,6 @@ impl ShardedRuntime {
     /// [`FlightRecorder::dump`] renders the recent history when a run fails.
     pub fn flight(&self) -> FlightRecorder {
         self.flight.clone()
-    }
-
-    /// The inference engine of `peer`'s session in deterministic mode; `None`
-    /// for a session without one, and always in sharded mode, where each
-    /// engine lives on its shard's thread.
-    pub fn engine(&self, peer: PeerId) -> Option<&InferenceEngine> {
-        match self.mode.as_ref()? {
-            Mode::Inline(router) => router.engine(peer),
-            Mode::Sharded(_) => None,
-        }
     }
 
     /// The applier in deterministic mode; `None` in sharded mode, where it

@@ -7,7 +7,7 @@
 
 use crate::topology::Topology;
 use crate::LabelledBurst;
-use swift_bgp::{AsLink, AsPath, Asn, BgpMessage, MessageStream, RouteAttributes, Timestamp};
+use swift_bgp::{AsLink, AsPath, Asn, ElementaryEvent, MessageStream, RouteAttributes, Timestamp};
 
 /// A message captured on the monitored session, at origin-AS granularity.
 #[derive(Debug, Clone)]
@@ -18,7 +18,7 @@ pub(crate) struct Captured {
     pub(crate) path: Option<AsPath>,
 }
 
-/// Expands `captured` into one message per prefix the origin originates,
+/// Expands `captured` into one event per prefix the origin originates,
 /// paced `gap` microseconds apart from time 0 (withdrawals inside a burst
 /// arrive over seconds, not at once). A prefix is withdrawn if its origin was
 /// explicitly withdrawn at least once.
@@ -28,17 +28,20 @@ pub(crate) fn label(
     failed_link: AsLink,
     gap: Timestamp,
 ) -> LabelledBurst {
-    let mut messages = Vec::new();
+    let mut events = Vec::new();
     let mut withdrawn = Vec::new();
     for cap in captured {
         let prefixes = topology.originated_prefixes(cap.origin);
         for prefix in prefixes {
-            let t = messages.len() as Timestamp * gap;
-            messages.push(match &cap.path {
-                None => BgpMessage::withdraw(t, *prefix),
-                Some(path) => {
-                    BgpMessage::announce(t, *prefix, RouteAttributes::from_path(path.clone()))
-                }
+            let timestamp = events.len() as Timestamp * gap;
+            let prefix = *prefix;
+            events.push(match &cap.path {
+                None => ElementaryEvent::Withdraw { timestamp, prefix },
+                Some(path) => ElementaryEvent::Announce {
+                    timestamp,
+                    prefix,
+                    attrs: RouteAttributes::from_path(path.clone()),
+                },
             });
         }
         if cap.path.is_none() {
@@ -47,7 +50,7 @@ pub(crate) fn label(
     }
     LabelledBurst {
         failed_link: failed_link.undirected(),
-        stream: MessageStream::from_messages(messages),
+        stream: MessageStream::from_events(events),
         withdrawn: withdrawn.into(),
     }
 }

@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use swift_bgp::{
-    AsLink, AsPath, Asn, BgpMessage, InternedRib, MessageStream, PeerId, Prefix, PrefixSet, Route,
-    RouteAttributes, RoutingTable, Timestamp, SECOND,
+    AsLink, AsPath, Asn, ElementaryEvent, InternedRib, MessageStream, PeerId, Prefix, PrefixSet,
+    Route, RouteAttributes, RoutingTable, Timestamp, SECOND,
 };
 
 /// Configuration of the corpus generator. Defaults approximate the paper's
@@ -430,7 +430,7 @@ impl Corpus {
 
         // Pace withdrawals and updates over the burst duration.
         let duration = meta.duration().max(SECOND);
-        let mut messages: Vec<BgpMessage> = Vec::with_capacity(withdrawn.len() + updated.len());
+        let mut events: Vec<ElementaryEvent> = Vec::with_capacity(withdrawn.len() + updated.len());
         let total_events = withdrawn.len() + updated.len();
         let rib_paths: BTreeMap<Prefix, &AsPath> = rib.iter().map(|(p, a)| (*p, a)).collect();
         for (k, prefix) in withdrawn.iter().chain(updated.iter()).enumerate() {
@@ -439,7 +439,10 @@ impl Corpus {
             let jitter = rng.gen_range(0..(duration / total_events as u64 + 1).max(1));
             let t = meta.start + (rel * duration as f64) as Timestamp + jitter;
             if k < withdrawn.len() {
-                messages.push(BgpMessage::withdraw(t, *prefix));
+                events.push(ElementaryEvent::Withdraw {
+                    timestamp: t,
+                    prefix: *prefix,
+                });
             } else {
                 // Re-announce over a path that bypasses the failed link.
                 let original = rib_paths.get(prefix).expect("prefix from rib");
@@ -452,11 +455,11 @@ impl Corpus {
                 .chain(std::iter::once(alternate_hop.value()))
                 .chain(original.origin().map(|a| a.value()))
                 .collect();
-                messages.push(BgpMessage::announce(
-                    t,
-                    *prefix,
-                    RouteAttributes::from_path(AsPath::new(hops)),
-                ));
+                events.push(ElementaryEvent::Announce {
+                    timestamp: t,
+                    prefix: *prefix,
+                    attrs: RouteAttributes::from_path(AsPath::new(hops)),
+                });
             }
         }
 
@@ -469,12 +472,15 @@ impl Corpus {
                 continue;
             }
             let t = meta.start + rng.gen_range(0..duration);
-            messages.push(BgpMessage::withdraw(t, p));
+            events.push(ElementaryEvent::Withdraw {
+                timestamp: t,
+                prefix: p,
+            });
         }
 
         LabelledBurst {
             failed_link,
-            stream: MessageStream::from_messages(messages),
+            stream: MessageStream::from_events(events),
             withdrawn: withdrawn_set,
         }
     }

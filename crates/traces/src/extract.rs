@@ -43,8 +43,7 @@ impl Default for ExtractConfig {
 
 /// Extracts the bursts of withdrawal activity from a message stream.
 pub fn extract_bursts(stream: &MessageStream, config: &ExtractConfig) -> Vec<ExtractedBurst> {
-    let withdrawal_times: Vec<Timestamp> = stream
-        .elementary_events()
+    let withdrawal_times: Vec<Timestamp> = (stream.events().iter())
         .filter(|e| e.is_withdraw())
         .map(|e| e.timestamp())
         .collect();
@@ -108,7 +107,7 @@ pub(crate) fn extract_from_times(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_bgp::{BgpMessage, Prefix};
+    use swift_bgp::{ElementaryEvent, Prefix};
 
     fn cfg(start: usize, stop: usize) -> ExtractConfig {
         ExtractConfig {
@@ -175,10 +174,13 @@ mod tests {
 
     #[test]
     fn works_from_message_streams() {
-        let msgs: Vec<BgpMessage> = (0..2_000u32)
-            .map(|i| BgpMessage::withdraw(u64::from(i) * 5_000, Prefix::nth_slash24(i)))
+        let events: Vec<ElementaryEvent> = (0..2_000u32)
+            .map(|i| ElementaryEvent::Withdraw {
+                timestamp: u64::from(i) * 5_000,
+                prefix: Prefix::nth_slash24(i),
+            })
             .collect();
-        let stream = MessageStream::from_messages(msgs);
+        let stream = MessageStream::from_events(events);
         let bursts = extract_bursts(&stream, &ExtractConfig::default());
         assert_eq!(bursts.len(), 1);
         assert_eq!(bursts[0].withdrawals, 2_000);

@@ -164,12 +164,15 @@ impl MultiSessionTrace {
 
             // The session's burst: withdrawals of the prefixes behind the
             // heaviest link, paced `event_gap` apart from time zero.
-            let messages: Vec<swift_bgp::BgpMessage> = on_failed
+            let events: Vec<ElementaryEvent> = on_failed
                 .iter()
                 .enumerate()
-                .map(|(k, p)| swift_bgp::BgpMessage::withdraw(k as u64 * config.event_gap, *p))
+                .map(|(k, p)| ElementaryEvent::Withdraw {
+                    timestamp: k as u64 * config.event_gap,
+                    prefix: *p,
+                })
                 .collect();
-            streams.push((peer, MessageStream::from_messages(messages)));
+            streams.push((peer, MessageStream::from_events(events)));
         }
 
         let stream_refs: Vec<(PeerId, &MessageStream)> =
@@ -187,26 +190,24 @@ impl MultiSessionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_bgp::BgpMessage;
 
     fn p(i: u32) -> Prefix {
         Prefix::nth_slash24(i)
     }
 
+    fn wd(timestamp: u64, i: u32) -> ElementaryEvent {
+        ElementaryEvent::Withdraw {
+            timestamp,
+            prefix: p(i),
+        }
+    }
+
     #[test]
     fn interleaving_is_time_ordered_and_per_session_stable() {
         // Session 1: withdrawals at t = 0, 10, 10, 20 (two ties at 10).
-        let s1 = MessageStream::from_messages(vec![
-            BgpMessage::withdraw(0, p(1)),
-            BgpMessage::withdraw(10, p(2)),
-            BgpMessage::withdraw(10, p(3)),
-            BgpMessage::withdraw(20, p(4)),
-        ]);
+        let s1 = MessageStream::from_events(vec![wd(0, 1), wd(10, 2), wd(10, 3), wd(20, 4)]);
         // Session 2: withdrawals at t = 5, 10.
-        let s2 = MessageStream::from_messages(vec![
-            BgpMessage::withdraw(5, p(5)),
-            BgpMessage::withdraw(10, p(6)),
-        ]);
+        let s2 = MessageStream::from_events(vec![wd(5, 5), wd(10, 6)]);
         let merged = interleave_streams(&[(PeerId(1), &s1), (PeerId(2), &s2)]);
         assert_eq!(merged.len(), 6);
         // Global order by (timestamp, peer).

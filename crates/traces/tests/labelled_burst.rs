@@ -15,14 +15,15 @@ fn check(burst: &LabelledBurst, producer: &str) {
         burst.failed_link.undirected(),
         "{producer}: failed link not canonical"
     );
-    let messages = burst.stream.messages();
+    let events = burst.stream.events();
     assert!(
-        messages
+        events
             .windows(2)
-            .all(|w| w[0].timestamp <= w[1].timestamp),
+            .all(|w| w[0].timestamp() <= w[1].timestamp()),
         "{producer}: stream not time-ordered"
     );
-    let withdrawals: PrefixSet = (burst.stream.elementary_events())
+    let withdrawals: PrefixSet = events
+        .iter()
         .filter(|e| e.is_withdraw())
         .map(|e| e.prefix())
         .collect();

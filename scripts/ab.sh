@@ -30,7 +30,10 @@
 # run"); the second verdict applies the rule to the quiet pairs alone and
 # says how many there were. On a box where every pair is disturbed it
 # decides nothing, and the verdict on all pairs is the one that reads.
-# Every run's output is kept under benchmark/target/swift-benchmark-out/ab/.
+# Every run's output is kept under
+# benchmark/target/swift-benchmark-out/ab/seed<SEED>-<workloads joined by +>/,
+# one directory per seed and workload list: an invocation clears only its
+# own directory, so runs of another seed or workload set stay.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -47,7 +50,7 @@ spec="$root/BENCHMARK.json"
 workloads="${*:-$(python3 -c "import json;print(' '.join(w['name'] for w in json.load(open('$spec'))['workloads']))")}"
 seed="${SEED:-1}"
 seconds="$(python3 -c "import json;print(json.load(open('$spec'))['run_seconds'])")"
-out="$root/benchmark/target/swift-benchmark-out/ab"
+out="$root/benchmark/target/swift-benchmark-out/ab/seed$seed-${workloads// /+}"
 mkdir -p "$out"
 rm -f "$out"/*.txt
 
